@@ -1,0 +1,7 @@
+module loki/benchmark
+
+go 1.24
+
+require loki v0.0.0
+
+replace loki => ../
