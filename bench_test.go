@@ -411,10 +411,10 @@ func BenchmarkServerSubmit(b *testing.B) {
 
 // BenchmarkStoreConcurrentSubmit compares the store backends on the
 // ingest hot path: many goroutines appending responses concurrently,
-// spread over 16 surveys so the sharded store's hash partitioner has
-// work to distribute. Durable backends (file, ingest) fsync before
-// acknowledging; ingest amortizes the fsync across a group commit and
-// parallelizes it across shards.
+// spread over 16 surveys. Durable backends (file, ingest) fsync before
+// acknowledging; ingest amortizes the fsync across one group commit
+// shared by every survey (ingest-1 and ingest-8 differ only in the
+// shard label, so they should measure the same).
 //
 // Run with:
 //

@@ -40,10 +40,14 @@ type ingestBenchResult struct {
 	ResponsesPerSec float64 `json:"responses_per_sec"`
 	// AppendLatency holds per-append percentiles across the workers.
 	AppendLatency latencySummary `json:"append_latency"`
-	// GroupCommits and MeanBatch are ingest-only: fsyncs on the append
-	// path and the achieved appends-per-fsync.
+	// GroupCommits, MeanBatch and FsyncsPerSec are ingest-only: fsyncs
+	// on the append path, the achieved appends-per-fsync, and the fsync
+	// rate the device saw. An ingest row is the best of ingestTrials
+	// runs, so that one slow stretch of a shared box does not trip the
+	// shard-scaling gate.
 	GroupCommits int64   `json:"group_commits,omitempty"`
 	MeanBatch    float64 `json:"mean_batch,omitempty"`
+	FsyncsPerSec float64 `json:"fsyncs_per_sec,omitempty"`
 }
 
 // ingestCodecResult compares the on-disk codecs on one identical
@@ -71,12 +75,18 @@ type ingestSeekResult struct {
 
 // ingestGates are the regression gates the committed report asserts:
 // the binary codec must store a response in at most BinaryBytesRatioMax
-// of the JSON bytes, and the indexed tail-seek must beat a full replay.
+// of the JSON bytes, the indexed tail-seek must beat a full replay, and
+// the 8-shard ingest row must reach ShardScalingMin of the 1-shard
+// row's throughput — every shard count shares one log, so a lower
+// ratio means per-shard fsync streams (the 48k→11k r/s inversion of
+// schema 3) have come back.
 type ingestGates struct {
 	BinaryBytesRatio    float64 `json:"binary_bytes_ratio"`
 	BinaryBytesRatioMax float64 `json:"binary_bytes_ratio_max"`
 	TailSeekSpeedup     float64 `json:"tail_seek_speedup"`
 	TailSeekSpeedupMin  float64 `json:"tail_seek_speedup_min"`
+	ShardScaling        float64 `json:"shard_scaling"`
+	ShardScalingMin     float64 `json:"shard_scaling_min"`
 }
 
 // ingestBenchReport is the BENCH_ingest.json schema.
@@ -89,8 +99,8 @@ type ingestBenchReport struct {
 	Gates   ingestGates         `json:"gates"`
 }
 
-// benchIngestSurvey builds one tiny distinct survey per stream so the
-// hash partitioner has work to spread.
+// benchIngestSurvey builds one tiny distinct survey per stream, so the
+// group commits interleave surveys as a platform's would.
 func benchIngestSurvey(i int) *survey.Survey {
 	return &survey.Survey{
 		ID:    fmt.Sprintf("bench-ingest-%02d", i),
@@ -162,6 +172,10 @@ var ingestBenchSize = ingestBenchConfig{Goroutines: 32, Responses: 4000, Surveys
 
 // ingestSeekRecords sizes the tail-seek measurement; tests shrink it.
 var ingestSeekRecords = 1_000_000
+
+// ingestTrials is how many times each ingest row runs; the fastest is
+// reported.
+const ingestTrials = 5
 
 // dirSize sums the file sizes under dir.
 func dirSize(dir string) (int64, error) {
@@ -306,7 +320,7 @@ func runIngestBench() error {
 	}
 	defer os.RemoveAll(tmp)
 
-	report := ingestBenchReport{Schema: 3, Config: cfg}
+	report := ingestBenchReport{Schema: 4, Config: cfg}
 	record := func(name string, shards int, el time.Duration, lat latencySummary, st *ingest.Stats) {
 		res := ingestBenchResult{
 			Backend:         name,
@@ -318,6 +332,7 @@ func runIngestBench() error {
 		if st != nil && st.Commits > 0 {
 			res.GroupCommits = st.Commits
 			res.MeanBatch = float64(st.Appends) / float64(st.Commits)
+			res.FsyncsPerSec = float64(st.Commits) / el.Seconds()
 		}
 		report.Results = append(report.Results, res)
 	}
@@ -341,18 +356,37 @@ func runIngestBench() error {
 	}
 	record("file-sync-always", 0, el, lat, nil)
 
-	for _, shards := range []int{1, 2, 4, 8} {
-		ing, err := ingest.Open(filepath.Join(tmp, fmt.Sprintf("ingest-%d", shards)), ingest.Config{Shards: shards})
-		if err != nil {
-			return err
+	// Trials interleave the shard counts, each starting one further
+	// along, so a slow stretch of the box — or whatever a run inherits
+	// from the one before it — lands on every row alike.
+	type ingestRun struct {
+		el    time.Duration
+		lat   latencySummary
+		stats ingest.Stats
+	}
+	shardCounts := []int{1, 2, 4, 8}
+	best := map[int]ingestRun{}
+	for trial := 0; trial < ingestTrials; trial++ {
+		for i := range shardCounts {
+			shards := shardCounts[(trial+i)%len(shardCounts)]
+			ing, err := ingest.Open(filepath.Join(tmp, fmt.Sprintf("ingest-%d-%d", shards, trial)), ingest.Config{Shards: shards})
+			if err != nil {
+				return err
+			}
+			el, lat, err := driveStore(ing, cfg)
+			stats := ing.Stats()
+			ing.Close()
+			if err != nil {
+				return fmt.Errorf("ingest bench (%d shards): %w", shards, err)
+			}
+			if b, ok := best[shards]; !ok || el < b.el {
+				best[shards] = ingestRun{el, lat, stats}
+			}
 		}
-		el, lat, err = driveStore(ing, cfg)
-		stats := ing.Stats()
-		ing.Close()
-		if err != nil {
-			return fmt.Errorf("ingest bench (%d shards): %w", shards, err)
-		}
-		record("ingest", shards, el, lat, &stats)
+	}
+	for _, shards := range shardCounts {
+		b := best[shards]
+		record("ingest", shards, b.el, b.lat, &b.stats)
 	}
 
 	if report.Codecs, err = runCodecComparison(tmp, cfg); err != nil {
@@ -375,6 +409,8 @@ func runIngestBench() error {
 		BinaryBytesRatioMax: 0.7,
 		TailSeekSpeedup:     report.Seek.Speedup,
 		TailSeekSpeedupMin:  1,
+		ShardScaling:        best[1].el.Seconds() / best[8].el.Seconds(),
+		ShardScalingMin:     0.8,
 	}
 
 	fmt.Fprintln(out, "INGEST THROUGHPUT — concurrent response submission")
@@ -394,7 +430,7 @@ func runIngestBench() error {
 		line := fmt.Sprintf("  %-18s %10.0f resp/s  p50 %7.3fms p99 %7.3fms",
 			name, r.ResponsesPerSec, r.AppendLatency.P50Millis, r.AppendLatency.P99Millis)
 		if r.GroupCommits > 0 {
-			line += fmt.Sprintf("  (%5.1f appends/fsync", r.MeanBatch)
+			line += fmt.Sprintf("  (%5.1f appends/fsync, %6.0f fsyncs/s", r.MeanBatch, r.FsyncsPerSec)
 			if fileRate > 0 {
 				line += fmt.Sprintf(", %.1fx file", r.ResponsesPerSec/fileRate)
 			}
@@ -402,6 +438,8 @@ func runIngestBench() error {
 		}
 		fmt.Fprintln(out, line)
 	}
+	fmt.Fprintf(out, "  ingest-8 / ingest-1 throughput %.2f (gate: >= %.2f)\n",
+		report.Gates.ShardScaling, report.Gates.ShardScalingMin)
 	fmt.Fprintln(out)
 
 	fmt.Fprintln(out, "ON-DISK CODECS — identical single-shard workload")
@@ -435,6 +473,10 @@ func runIngestBench() error {
 	if report.Gates.TailSeekSpeedup <= report.Gates.TailSeekSpeedupMin {
 		return fmt.Errorf("ingest bench gate: indexed tail-seek %.2fx vs full replay (gate > %.2f)",
 			report.Gates.TailSeekSpeedup, report.Gates.TailSeekSpeedupMin)
+	}
+	if report.Gates.ShardScaling < report.Gates.ShardScalingMin {
+		return fmt.Errorf("ingest bench gate: 8 shards reach %.2fx the 1-shard throughput (gate >= %.2f)",
+			report.Gates.ShardScaling, report.Gates.ShardScalingMin)
 	}
 	return nil
 }

@@ -13,7 +13,9 @@ func TestRunIngestBench(t *testing.T) {
 	silence(t)
 	prevSize, prevPath, prevSeek := ingestBenchSize, ingestJSONPath, ingestSeekRecords
 	t.Cleanup(func() { ingestBenchSize, ingestJSONPath, ingestSeekRecords = prevSize, prevPath, prevSeek })
-	ingestBenchSize = ingestBenchConfig{Goroutines: 8, Responses: 200, Surveys: 4}
+	// Large enough that a run is tens of fsyncs long: the bench gates
+	// on the ratio of two rows' throughput.
+	ingestBenchSize = ingestBenchConfig{Goroutines: 8, Responses: 1000, Surveys: 4}
 	ingestSeekRecords = 50_000
 	ingestJSONPath = filepath.Join(t.TempDir(), "BENCH_ingest.json")
 
@@ -28,8 +30,8 @@ func TestRunIngestBench(t *testing.T) {
 	if err := json.Unmarshal(b, &report); err != nil {
 		t.Fatal(err)
 	}
-	if report.Schema != 3 {
-		t.Fatalf("schema = %d, want 3", report.Schema)
+	if report.Schema != 4 {
+		t.Fatalf("schema = %d, want 4", report.Schema)
 	}
 	if len(report.Codecs) != 2 {
 		t.Fatalf("%d codec results, want 2", len(report.Codecs))
@@ -42,6 +44,9 @@ func TestRunIngestBench(t *testing.T) {
 	if report.Gates.BinaryBytesRatio <= 0 || report.Gates.BinaryBytesRatio > report.Gates.BinaryBytesRatioMax {
 		t.Fatalf("binary bytes ratio gate: %+v", report.Gates)
 	}
+	if g := report.Gates; g.ShardScalingMin != 0.8 || g.ShardScaling < g.ShardScalingMin {
+		t.Fatalf("shard-scaling gate: %+v", g)
+	}
 	if report.Seek.Speedup <= 1 || !indexedSeekWon(report.Seek) {
 		t.Fatalf("tail-seek gate: %+v", report.Seek)
 	}
@@ -52,8 +57,8 @@ func TestRunIngestBench(t *testing.T) {
 		if r.ResponsesPerSec <= 0 {
 			t.Fatalf("backend %s (%d shards): nonpositive rate %g", r.Backend, r.Shards, r.ResponsesPerSec)
 		}
-		if r.Backend == "ingest" && r.GroupCommits <= 0 {
-			t.Fatalf("ingest backend with %d shards reports no group commits", r.Shards)
+		if r.Backend == "ingest" && (r.GroupCommits <= 0 || r.FsyncsPerSec <= 0) {
+			t.Fatalf("ingest backend with %d shards reports no group commits: %+v", r.Shards, r)
 		}
 		if r.AppendLatency.Samples != ingestBenchSize.Responses || r.AppendLatency.P99Millis < r.AppendLatency.P50Millis {
 			t.Fatalf("backend %s (%d shards): malformed latency summary %+v", r.Backend, r.Shards, r.AppendLatency)

@@ -53,6 +53,8 @@ func main() {
 	outPath := flag.String("out", "", "also write the report to this file")
 	flag.StringVar(&ingestJSONPath, "ingest-json", ingestJSONPath,
 		"where the ingest experiment writes its machine-readable report (empty disables)")
+	flag.IntVar(&ingestBenchSize.Responses, "ingest-responses", ingestBenchSize.Responses,
+		"responses the ingest experiment submits per backend")
 	flag.StringVar(&readpathJSONPath, "readpath-json", readpathJSONPath,
 		"where the readpath experiment writes its machine-readable report (empty disables)")
 	flag.StringVar(&readpathSizesFlag, "readpath-sizes", readpathSizesFlag,

@@ -165,10 +165,10 @@ func main() {
 	storePath := flag.String("store", "mem", `persistence: "mem", "ingest:DIR" or a JSON-lines file path`)
 	token := flag.String("token", "requester-secret", "requester bearer token")
 	seedCatalog := flag.Bool("seed-catalog", false, "publish the paper's survey catalog on startup")
-	shards := flag.Int("shards", 8, "ingest store: number of hash-partitioned WAL shards")
+	shards := flag.Int("shards", 8, "ingest store: shard label recorded at first open and required to match on reopen; every value shares one WAL and one fsync stream")
 	commitEvery := flag.Duration("commit-interval", 0, "ingest store: group-commit window (0 = commit as soon as the committer is free)")
 	segmentBytes := flag.Int64("segment-bytes", 16<<20, "ingest store: WAL segment rotation threshold")
-	idleCompact := flag.Duration("idle-compact", time.Minute, "ingest store: compact a shard's WAL tail after this long without commits (negative disables)")
+	idleCompact := flag.Duration("idle-compact", time.Minute, "ingest store: compact the WAL tail after this long without commits (negative disables)")
 	storeCodec := flag.String("store-codec", blockio.CodecBinary,
 		`on-disk record codec for new files: "binary" (compressed block format) or "json" (plain JSON lines); existing files keep the format they were written in`)
 	checkpointDir := flag.String("checkpoint-dir", "", "directory for durable live-aggregate checkpoints (empty disables; restart catch-up then rescans whole backlogs)")

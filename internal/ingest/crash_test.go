@@ -32,14 +32,14 @@ func appendBytes(t *testing.T, path string, b []byte) {
 }
 
 // newestSegment returns the path of the highest-sequence segment of a
-// shard directory.
-func newestSegment(t *testing.T, shardDir string) string {
+// log directory.
+func newestSegment(t *testing.T, dir string) string {
 	t.Helper()
-	segs, err := listSeqs(shardDir, segPrefix, segSuffix)
+	segs, err := listSeqs(dir, segPrefix, segSuffix)
 	if err != nil || len(segs) == 0 {
-		t.Fatalf("segments in %s: %v, %v", shardDir, segs, err)
+		t.Fatalf("segments in %s: %v, %v", dir, segs, err)
 	}
-	return filepath.Join(shardDir, segName(segs[len(segs)-1]))
+	return filepath.Join(dir, segName(segs[len(segs)-1]))
 }
 
 // populate opens a store, publishes one survey and appends n acknowledged
@@ -70,8 +70,7 @@ func TestTornTailTruncated(t *testing.T) {
 	const acked = 25
 	populate(t, dir, cfg, acked)
 
-	shardDir := filepath.Join(dir, shardDirName(0))
-	seg := newestSegment(t, shardDir)
+	seg := newestSegment(t, dir)
 	before, err := os.Stat(seg)
 	if err != nil {
 		t.Fatal(err)
@@ -129,8 +128,7 @@ func TestTornTailAcrossReopens(t *testing.T) {
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
-		shardDir := filepath.Join(dir, shardDirName(s.shardFor(sv.ID).id))
-		appendBytes(t, newestSegment(t, shardDir), tornBytes)
+		appendBytes(t, newestSegment(t, dir), tornBytes)
 		s = openTest(t, dir, cfg)
 		if n := s.ResponseCount(sv.ID); n != total {
 			t.Fatalf("cycle %d: %d responses, want %d", cycle, n, total)
@@ -177,15 +175,14 @@ func TestTornTailInSealedSegmentRefused(t *testing.T) {
 	cfg.CompactSegments = 1000 // keep every segment around
 	populate(t, dir, cfg, 200) // enough to roll several 4 KiB segments
 
-	shardDir := filepath.Join(dir, shardDirName(0))
-	segs, err := listSeqs(shardDir, segPrefix, segSuffix)
+	segs, err := listSeqs(dir, segPrefix, segSuffix)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(segs) < 2 {
 		t.Fatalf("only %d segments; need >= 2 for an interior tear", len(segs))
 	}
-	appendBytes(t, filepath.Join(shardDir, segName(segs[0])), tornBytes)
+	appendBytes(t, filepath.Join(dir, segName(segs[0])), tornBytes)
 	if _, err := Open(dir, cfg); err == nil {
 		t.Fatal("opened a store with a torn sealed segment")
 	}
@@ -200,8 +197,7 @@ func TestCrashDuringSnapshotIgnoresTmp(t *testing.T) {
 	const acked = 30
 	populate(t, dir, cfg, acked)
 
-	shardDir := filepath.Join(dir, shardDirName(0))
-	tmp := filepath.Join(shardDir, snapName(99)+tmpSuffix)
+	tmp := filepath.Join(dir, snapName(99)+tmpSuffix)
 	if err := os.WriteFile(tmp, []byte(`{"format":1,"covers":99,"count":9999}`+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -1,40 +1,46 @@
-// Package ingest is the sharded, durable ingestion subsystem of the Loki
-// backend: a store.Store implementation built for sustained concurrent
-// response submission at platform scale.
+// Package ingest is the durable ingestion subsystem of the Loki backend:
+// a store.Store implementation built for sustained concurrent response
+// submission at platform scale.
 //
-// Responses are hash-partitioned by survey ID across N shards. Each
-// shard owns a segmented write-ahead log and a single committer
-// goroutine: concurrent AppendResponse callers coalesce into one group
-// commit — one buffered write and one fsync per batch — so the fsync
-// cost amortizes across every caller waiting in the same commit window,
-// and independent shards commit in parallel. Segments rotate at a
-// bounded size; once enough sealed segments accumulate, the shard folds
-// them into a snapshot and deletes them, so recovery replays only the
-// WAL tail instead of the whole history.
+// A store owns one segmented write-ahead log and one committer
+// goroutine. Every concurrent AppendResponse caller, whatever its
+// survey, coalesces into the same group commit — one buffered write,
+// one fsync, one index publish, one round of replies — so the fsync
+// cost amortizes across everyone waiting in the commit window. (Format 1
+// gave each of N hash partitions its own log; on one filesystem N logs
+// are N serialized journal commits, and throughput fell as N grew.)
+// The committer's only maintenance duty is rotating a full segment. A
+// background compactor folds the sealed segments into a snapshot from
+// the append-only in-memory index and deletes them, so recovery replays
+// one snapshot plus the WAL tail; it runs when the sealed tail reaches
+// both CompactSegments × SegmentBytes and half the current snapshot's
+// size, which bounds the lifetime rewrite volume at about three times
+// the data however long the history grows.
 //
-// Durability guarantee: when AppendResponse or PutSurvey returns nil,
-// the record has been written and fsynced (and, for files just created,
-// the directory entry synced). A crash at any point loses no
-// acknowledged record; a torn trailing record from an unacknowledged
-// append is detected and truncated on reopen.
+// Durability guarantee: when AppendResponse, AppendResponses or
+// PutSurvey returns nil, the record has been written and fsynced (and,
+// for files just created, the directory entry synced). A crash at any
+// point loses no acknowledged record; a torn trailing commit from an
+// unacknowledged append is detected and truncated on reopen.
 //
-// Surveys are low-volume metadata and live in a single shared JSON-lines
-// log (meta.jsonl) synced on every publish.
+// Surveys are low-volume metadata and live in a JSON-lines log
+// (meta.jsonl) synced on every publish.
 //
-// Layout of an ingest directory:
+// Layout of an ingest directory (format 2):
 //
 //	dir/
-//	  meta.jsonl            survey definitions
-//	  shard-000/
-//	    wal-<seq>.seg       response segments (blockio binary blocks, or JSON lines)
-//	    snap-<seq>.snap     snapshot covering segments <= seq (same codecs)
-//	  shard-001/
-//	    ...
+//	  layout.json         format marker and the shard label
+//	  meta.jsonl          survey definitions
+//	  wal-<seq>.seg       response segments (blockio binary blocks, or JSON lines)
+//	  snap-<seq>.snap     snapshot covering segments <= seq (same codecs)
 //
 // Segments and snapshots are written in the configured codec (binary by
 // default) but replayed by sniffing each file's magic, so a directory
-// written under the old JSON-lines codec — or a mix, mid-migration —
-// reopens in place and converts as new files are written.
+// written under the other codec — or a mix — reopens in place and
+// converts as new files are written. A format-1 directory (a shard-NNN/
+// subdirectory of segments and a snapshot per hash partition) is read
+// by the same replay code and folded into this layout on first open;
+// see migrateLegacy.
 package ingest
 
 import (
@@ -42,7 +48,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"os"
 	"path/filepath"
@@ -56,32 +61,36 @@ import (
 	"loki/internal/survey"
 )
 
-// Config tunes the sharded ingest store. The zero value selects sane
-// defaults via Open.
+// Config tunes the ingest store. The zero value selects sane defaults
+// via Open.
 type Config struct {
-	// Shards is the number of hash partitions (default 8). Submission
-	// throughput scales with shards until fsync bandwidth saturates.
+	// Shards is a label kept for callers and directories that predate
+	// the single log (default 8): it is validated, recorded in
+	// layout.json at first open and must match on reopen, but every
+	// value shares the one log and the one fsync stream.
 	Shards int
-	// CommitInterval is how long a shard's committer waits for
-	// latecomers after the first request of a batch (default 0). Zero
-	// commits as soon as the committer is free: batching then arises
-	// naturally from requests queueing while the previous fsync runs. A
-	// positive window trades latency for fewer, larger commits.
+	// CommitInterval is how long the committer waits for latecomers
+	// after the first request of a batch (default 0). Zero commits as
+	// soon as the committer is free: batching then arises naturally from
+	// requests queueing while the previous fsync runs. A positive window
+	// trades latency for fewer, larger commits.
 	CommitInterval time.Duration
-	// MaxBatch bounds how many appends one group commit may carry
-	// (default 512).
+	// MaxBatch bounds how many appends one group commit gathers
+	// (default 512); a commit may exceed it by one AppendResponses call.
 	MaxBatch int
 	// SegmentBytes is the rotation threshold for WAL segments (default
 	// 16 MiB). A segment may exceed it by at most one commit batch.
 	SegmentBytes int64
-	// CompactSegments is how many sealed segments accumulate before the
-	// shard folds them into a snapshot (default 4).
+	// CompactSegments is how many segments' worth of sealed WAL
+	// (CompactSegments × SegmentBytes) accumulate before the compactor
+	// folds the sealed tail into a snapshot (default 4); the tail must
+	// also have reached half the current snapshot's size.
 	CompactSegments int
-	// IdleCompact is how long a shard may sit idle (no commits) before
-	// its committer folds the WAL tail — active segment included — into
-	// a snapshot. Without it, a shard that goes quiet never compacts,
-	// since ordinary compaction only runs on segment rotation. Default
-	// 1 minute; negative disables idle compaction.
+	// IdleCompact is how long the store may sit idle (no commits) before
+	// the WAL tail — active segment included — is folded into a
+	// snapshot. Without it, a store that goes quiet never compacts,
+	// since ordinary compaction is only considered on segment rotation.
+	// Default 1 minute; negative disables idle compaction.
 	IdleCompact time.Duration
 	// Codec selects the encoding of new segments and snapshots:
 	// blockio.CodecBinary (the default) writes compressed, checksummed,
@@ -136,9 +145,10 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Sharded is the sharded ingest store. It implements store.Store, so the
-// server, platform and public API can adopt it wherever a store.Mem or
-// store.File is used today.
+// Sharded is the ingest store. (The name predates the single log; see
+// Config.Shards.) It implements store.Store and store.BatchAppender, so
+// the server, platform and public API can adopt it wherever a store.Mem
+// or store.File is used today.
 type Sharded struct {
 	cfg Config
 	dir string
@@ -151,13 +161,48 @@ type Sharded struct {
 	history map[string][]store.SurveyVersion
 	metaF   *os.File
 	metaW   *bufio.Writer
-	// metaErr is the first meta-log I/O failure, sticky like the shard
-	// commit path: after a failed write/fsync the buffered tail may
-	// surface in a later flush, so retrying a publish could duplicate
-	// the record on disk and poison the next replay.
+	// metaErr is the first meta-log I/O failure, sticky like the commit
+	// path: after a failed write/fsync the buffered tail may surface in
+	// a later flush, so retrying a publish could duplicate the record on
+	// disk and poison the next replay.
 	metaErr error
 
-	shards []*shard
+	reqCh chan *appendReq
+	quit  chan struct{} // closed by Close: the committer drains reqCh and exits
+	done  chan struct{} // closed when the committer has exited
+	// compactCh hands the compactor its one outstanding job; the
+	// compacting flag keeps the committer from offering a second.
+	compactCh   chan compactJob
+	compactDone chan struct{} // closed when the compactor has exited
+
+	// idxMu guards index for readers; the committer is the only writer
+	// once the store is open. Each survey's history is append-only, so
+	// a slice header read under the lock is a consistent snapshot.
+	idxMu sync.RWMutex
+	index map[string][]survey.Response
+
+	// Committer-owned state (no locking: single goroutine).
+	seg      segAppender
+	segSeq   uint64 // active segment sequence number
+	segBytes int64  // bytes appended to the active segment
+
+	// logMu guards the WAL's shape, which the committer (rotation), the
+	// compactor (folding) and the admin surface all touch.
+	logMu       sync.Mutex
+	sealed      []sealedSeg // closed segments no snapshot covers yet, oldest first
+	sealedBytes int64
+	snapSeq     uint64 // highest segment seq the current snapshot covers, 0 if none
+	snapBytes   int64  // size of the current snapshot file
+	compacting  bool
+	lastCompact time.Time
+	failed      error // sticky fatal I/O error: durability code must not guess at the disk after one
+
+	// Counters for observability and benchmarks.
+	appends         atomic.Int64 // responses durably committed
+	commits         atomic.Int64 // group commits (== fsyncs on the append path)
+	rotations       atomic.Int64
+	snapshots       atomic.Int64
+	idleCompactions atomic.Int64
 
 	closed atomic.Bool
 	// closeGate is read-held for the duration of every append; Close
@@ -170,21 +215,21 @@ type Sharded struct {
 const (
 	metaName   = "meta.jsonl"
 	layoutName = "layout.json"
+	// layoutFormat is the store-level layout this version writes: one
+	// log in the store directory. Format 1 kept one log per shard-NNN/.
+	layoutFormat = 2
 )
 
-// layout is the store's on-disk identity, written atomically (tmp +
-// rename) before any shard directory exists. It — not the set of
-// shard-NNN directories, which a crashed first Open can leave partial —
-// is what fixes the shard count.
+// layout is the store's on-disk identity, published atomically (tmp +
+// rename) before any log file exists. Rewriting it from format 1 to 2
+// is the commit point of the legacy migration.
 type layout struct {
 	Format int `json:"format"`
 	Shards int `json:"shards"`
 }
 
-// Open recovers (or initialises) a sharded ingest store rooted at dir.
-// The shard count is fixed at first open: reopening an existing directory
-// with a different cfg.Shards is an error, because responses are placed
-// by hash modulo the shard count.
+// Open recovers (or initialises) an ingest store rooted at dir,
+// migrating a format-1 directory to the store-level layout first.
 func Open(dir string, cfg Config) (*Sharded, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -193,84 +238,97 @@ func Open(dir string, cfg Config) (*Sharded, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("ingest: mkdir %s: %w", dir, err)
 	}
-	if err := checkLayout(dir, cfg.Shards); err != nil {
+	s := &Sharded{
+		cfg:         cfg,
+		dir:         dir,
+		surveys:     make(map[string]*survey.Survey),
+		history:     make(map[string][]store.SurveyVersion),
+		index:       make(map[string][]survey.Response),
+		reqCh:       make(chan *appendReq, cfg.MaxBatch), // a full commit's worth may queue behind the running fsync
+		quit:        make(chan struct{}),
+		done:        make(chan struct{}),
+		compactCh:   make(chan compactJob, 1),
+		compactDone: make(chan struct{}),
+	}
+	if err := s.prepareLayout(); err != nil {
 		return nil, err
 	}
-	s := &Sharded{
-		cfg:     cfg,
-		dir:     dir,
-		surveys: make(map[string]*survey.Survey),
-		history: make(map[string][]store.SurveyVersion),
+	st, err := s.replayDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	s.sealed, s.sealedBytes = st.sealed, st.sealedBytes
+	s.snapSeq, s.snapBytes = st.snapSeq, st.snapBytes
+	// Always start appends in a fresh segment: reopening a replayed tail
+	// for append would complicate torn-tail truncation for no benefit.
+	s.segSeq = st.nextSeq
+	if err := s.openSegment(); err != nil {
+		return nil, err
 	}
 	if err := s.openMeta(); err != nil {
+		s.seg.close()
 		return nil, err
 	}
-	s.shards = make([]*shard, cfg.Shards)
-	for i := range s.shards {
-		sh, err := openShard(i, filepath.Join(dir, shardDirName(i)), cfg)
-		if err != nil {
-			s.metaF.Close()
-			for _, prev := range s.shards[:i] {
-				prev.close()
-			}
-			return nil, err
-		}
-		s.shards[i] = sh
-	}
+	go s.run()
+	go s.compactor()
 	return s, nil
 }
 
-func shardDirName(i int) string { return fmt.Sprintf("shard-%03d", i) }
-
-// checkLayout validates the store's shard count against the layout
-// marker, writing the marker first on a fresh store. Because the marker
-// is published atomically before any shard directory is created, a crash
-// mid-Open never leaves a directory that refuses its own shard count.
-func checkLayout(dir string, shards int) error {
-	path := filepath.Join(dir, layoutName)
+// prepareLayout brings dir to the store-level layout: it publishes the
+// marker on a fresh store, checks the shard label on an existing one,
+// and runs (or finishes) the format-1 migration.
+func (s *Sharded) prepareLayout() error {
+	path := filepath.Join(s.dir, layoutName)
+	var l layout
 	b, err := os.ReadFile(path)
 	switch {
 	case err == nil:
-		var l layout
 		if jerr := json.Unmarshal(b, &l); jerr != nil {
 			return fmt.Errorf("ingest: corrupt %s: %w", path, jerr)
 		}
-		if l.Format != 1 {
+		if l.Format != 1 && l.Format != layoutFormat {
 			return fmt.Errorf("ingest: %s format %d not supported by this version", path, l.Format)
 		}
-		if l.Shards != shards {
+		if l.Shards != s.cfg.Shards {
 			return fmt.Errorf("ingest: %s holds %d shards, config wants %d (shard count is fixed at first open)",
-				dir, l.Shards, shards)
+				s.dir, l.Shards, s.cfg.Shards)
 		}
-		return nil
-	case errors.Is(err, os.ErrNotExist):
-		b, err := json.Marshal(layout{Format: 1, Shards: shards})
+	case !errors.Is(err, os.ErrNotExist):
+		return fmt.Errorf("ingest: read %s: %w", path, err)
+	}
+	legacy, err := legacyDirs(s.dir, s.cfg.Shards)
+	if err != nil {
+		return err
+	}
+	if l.Format != layoutFormat {
+		if len(legacy) > 0 {
+			if err := s.migrateLegacy(legacy); err != nil {
+				return err
+			}
+		}
+		b, err := json.Marshal(layout{Format: layoutFormat, Shards: s.cfg.Shards})
 		if err != nil {
 			return fmt.Errorf("ingest: marshal layout: %w", err)
 		}
-		tmp := path + tmpSuffix
-		f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-		if err != nil {
-			return fmt.Errorf("ingest: create %s: %w", tmp, err)
+		if _, err := writeFileAtomic(s.dir, layoutName, func(f *os.File) error {
+			_, err := f.Write(append(b, '\n'))
+			return err
+		}); err != nil {
+			return err
 		}
-		_, werr := f.Write(append(b, '\n'))
-		if werr == nil {
-			werr = f.Sync() // the rename must never publish torn content
-		}
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			os.Remove(tmp)
-			return fmt.Errorf("ingest: write %s: %w", tmp, werr)
-		}
-		if err := os.Rename(tmp, path); err != nil {
-			return fmt.Errorf("ingest: publish %s: %w", path, err)
-		}
-		return syncDir(dir)
-	default:
-		return fmt.Errorf("ingest: read %s: %w", path, err)
 	}
+	// The marker says format 2, so any shard directory still here is a
+	// finished migration's garbage. Idempotent: a crash part-way leaves
+	// the rest for the next open.
+	for _, d := range legacy {
+		if err := os.RemoveAll(d); err != nil {
+			return fmt.Errorf("ingest: remove migrated %s: %w", d, err)
+		}
+	}
+	if len(legacy) == 0 {
+		return nil
+	}
+	return syncDir(s.dir)
 }
 
 // metaRecord is one meta-log line: the survey definition with the
@@ -317,15 +375,6 @@ func (s *Sharded) openMeta() error {
 	s.metaF = f
 	s.metaW = bufio.NewWriter(f)
 	return nil
-}
-
-// shardFor places a survey's response stream on a shard. All responses
-// of one survey land on the same shard, which preserves per-survey
-// append order.
-func (s *Sharded) shardFor(surveyID string) *shard {
-	h := fnv.New32a()
-	io.WriteString(h, surveyID)
-	return s.shards[h.Sum32()%uint32(len(s.shards))]
 }
 
 // PutSurvey implements store.Store. Surveys are immutable once
@@ -441,39 +490,62 @@ func (s *Sharded) Surveys() ([]*survey.Survey, error) {
 	return out, nil
 }
 
-// AppendResponse implements store.Store. It validates against the
-// survey, then hands the record to the owning shard's committer and
-// blocks until the group commit that carries it is durable.
+// AppendResponse implements store.Store: a one-record AppendResponses.
 func (s *Sharded) AppendResponse(r *survey.Response) error {
+	_, err := s.AppendResponses([]survey.Response{*r})
+	return err
+}
+
+// AppendResponses implements store.BatchAppender. Every response
+// validates before any is queued, so a rejected batch leaves the log
+// untouched; the batch then joins one group commit whole and the call
+// blocks until that commit is durable. A commit is all or nothing, so
+// on error no response of the batch was acknowledged and the returned
+// prefix is empty.
+func (s *Sharded) AppendResponses(rs []survey.Response) ([]int, error) {
 	s.closeGate.RLock()
 	defer s.closeGate.RUnlock()
 	if s.closed.Load() {
-		return errors.New("ingest: use after close")
+		return nil, errors.New("ingest: use after close")
+	}
+	if len(rs) == 0 {
+		return nil, nil
 	}
 	s.mu.RLock()
-	sv, ok := s.surveys[r.SurveyID]
+	for i := range rs {
+		sv, ok := s.surveys[rs[i].SurveyID]
+		if !ok {
+			s.mu.RUnlock()
+			return nil, fmt.Errorf("ingest: response for unknown survey %q: %w", rs[i].SurveyID, store.ErrNotFound)
+		}
+		if err := rs[i].Validate(sv); err != nil {
+			s.mu.RUnlock()
+			return nil, err
+		}
+	}
 	s.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("ingest: response for unknown survey %q: %w", r.SurveyID, store.ErrNotFound)
+	req := &appendReq{resps: rs, payloads: make([][]byte, len(rs)), counts: make([]int, len(rs)), errc: make(chan error, 1)}
+	for i := range rs {
+		b, err := json.Marshal(&rs[i])
+		if err != nil {
+			return nil, fmt.Errorf("ingest: marshal response: %w", err)
+		}
+		req.payloads[i] = b
 	}
-	if err := r.Validate(sv); err != nil {
-		return err
+	s.reqCh <- req
+	if err := <-req.errc; err != nil {
+		return nil, err
 	}
-	cp := *r
-	b, err := json.Marshal(&cp)
-	if err != nil {
-		return fmt.Errorf("ingest: marshal response: %w", err)
-	}
-	req := &appendReq{resp: &cp, payload: b, errc: make(chan error, 1)}
-	s.shardFor(cp.SurveyID).reqCh <- req
-	return <-req.errc
+	return req.counts, nil
 }
 
-// ScanResponses implements store.Store. A survey's whole stream lives
-// on one shard (placement is by survey ID), so per-survey sequence
-// numbers are simply positions in that shard's append-ordered history —
-// stable across restarts because recovery replays snapshot + WAL tail
-// in the original order.
+// ScanResponses implements store.Store. Per-survey sequence numbers are
+// positions in the survey's append-ordered history — stable across
+// restarts because recovery replays snapshot + WAL tail in the original
+// order. It streams without materializing a copy: the slice header
+// captured under the read lock is a consistent snapshot the iteration
+// walks lock-free (the committer only ever writes beyond the captured
+// length).
 func (s *Sharded) ScanResponses(surveyID string, fromSeq uint64, fn func(seq uint64, r *survey.Response) error) error {
 	s.mu.RLock()
 	_, ok := s.surveys[surveyID]
@@ -481,7 +553,10 @@ func (s *Sharded) ScanResponses(surveyID string, fromSeq uint64, fn func(seq uin
 	if !ok {
 		return fmt.Errorf("ingest: survey %q: %w", surveyID, store.ErrNotFound)
 	}
-	return s.shardFor(surveyID).scan(surveyID, fromSeq, fn)
+	s.idxMu.RLock()
+	rs := s.index[surveyID]
+	s.idxMu.RUnlock()
+	return store.ScanSlice(rs, fromSeq, fn)
 }
 
 // Responses implements store.Store as a wrapper over ScanResponses.
@@ -491,50 +566,66 @@ func (s *Sharded) Responses(surveyID string) ([]survey.Response, error) {
 
 // ResponseCount implements store.Store.
 func (s *Sharded) ResponseCount(surveyID string) int {
-	return s.shardFor(surveyID).responseCount(surveyID)
+	s.idxMu.RLock()
+	defer s.idxMu.RUnlock()
+	return len(s.index[surveyID])
 }
 
 // Close implements store.Store: it refuses new appends, waits for
-// in-flight ones to commit, stops every committer and seals the logs.
+// in-flight ones to commit, stops the committer and the compactor (a
+// fold in flight is abandoned, not awaited) and closes the active
+// segment — flushed and fsynced but deliberately NOT sealed, so the next
+// open can keep treating it as a repairable tail.
 func (s *Sharded) Close() error {
 	if !s.closed.CompareAndSwap(false, true) {
 		return nil
 	}
 	// In-flight appenders hold closeGate read locks until their commit
 	// is acknowledged; acquiring the write lock waits them out while the
-	// committers are still running to serve them. Appenders arriving
-	// after observe the closed flag and bail.
+	// committer is still running to serve them. Appenders arriving after
+	// observe the closed flag and bail.
 	s.closeGate.Lock()
 	//lint:ignore SA2001 barrier, not a critical section — the empty lock/unlock pair waits out in-flight appenders
 	s.closeGate.Unlock()
-	var first error
-	for _, sh := range s.shards {
-		if err := sh.close(); err != nil && first == nil {
-			first = err
+	close(s.quit)
+	<-s.done
+	close(s.compactCh) // the committer was the only sender
+	<-s.compactDone
+	first := s.failure()
+	if s.seg != nil {
+		err := s.seg.flush()
+		if err == nil {
+			err = s.seg.sync()
+		}
+		if cerr := s.seg.close(); err == nil {
+			err = cerr
+		}
+		s.seg = nil
+		if err != nil && first == nil {
+			first = fmt.Errorf("ingest: close segment %d: %w", s.segSeq, err)
 		}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	flushErr := s.metaErr
-	if flushErr == nil {
-		flushErr = s.metaW.Flush()
+	err := s.metaErr
+	if err == nil {
+		err = s.metaW.Flush()
 	}
-	if flushErr == nil {
-		flushErr = s.metaF.Sync()
+	if err == nil {
+		err = s.metaF.Sync()
 	}
-	closeErr := s.metaF.Close()
+	if cerr := s.metaF.Close(); err == nil {
+		err = cerr
+	}
 	if first != nil {
 		return first
 	}
-	if flushErr != nil {
-		return flushErr
-	}
-	return closeErr
+	return err
 }
 
-// Stats reports cumulative ingest counters, summed across shards. The
-// commit count equals the number of append-path fsyncs, so
-// Appends/Commits is the achieved group-commit batch size.
+// Stats reports cumulative ingest counters. The commit count equals the
+// number of append-path fsyncs, so Appends/Commits is the achieved
+// group-commit batch size.
 type Stats struct {
 	Appends   int64 `json:"appends"`
 	Commits   int64 `json:"commits"`
@@ -544,28 +635,26 @@ type Stats struct {
 
 // Stats returns current counters.
 func (s *Sharded) Stats() Stats {
-	var st Stats
-	for _, sh := range s.shards {
-		st.Appends += sh.appends.Load()
-		st.Commits += sh.commits.Load()
-		st.Rotations += sh.rotations.Load()
-		st.Snapshots += sh.snapshots.Load()
+	return Stats{
+		Appends:   s.appends.Load(),
+		Commits:   s.commits.Load(),
+		Rotations: s.rotations.Load(),
+		Snapshots: s.snapshots.Load(),
 	}
-	return st
 }
 
-// ShardStats is one shard's observability snapshot for the admin
-// surface: WAL shape (sealed segment count, snapshot coverage), when it
-// last compacted, and its cumulative counters.
+// ShardStats is one log's observability snapshot for the admin surface:
+// WAL shape (sealed segment count, snapshot coverage), when it last
+// compacted, and its cumulative counters.
 type ShardStats struct {
 	ID int `json:"id"`
 	// SealedSegments is the number of rotated-but-uncompacted WAL
 	// segments (the active segment is not counted).
 	SealedSegments int `json:"sealed_segments"`
 	// SnapshotSeq is the highest segment sequence the current snapshot
-	// covers (0 when the shard has never compacted).
+	// covers (0 when the log has never compacted).
 	SnapshotSeq uint64 `json:"snapshot_seq"`
-	// LastCompaction is when the shard last folded segments into a
+	// LastCompaction is when the log last folded segments into a
 	// snapshot; zero if never.
 	LastCompaction time.Time `json:"last_compaction,omitzero"`
 	Appends        int64     `json:"appends"`
@@ -577,26 +666,25 @@ type ShardStats struct {
 	IdleCompactions int64 `json:"idle_compactions"`
 }
 
-// ShardStats reports every shard's current state, in shard order.
+// ShardStats reports one entry per log the store owns: always exactly
+// one, ID 0.
 func (s *Sharded) ShardStats() []ShardStats {
-	out := make([]ShardStats, len(s.shards))
-	for i, sh := range s.shards {
-		st := ShardStats{
-			ID:              sh.id,
-			SealedSegments:  int(sh.sealedSegs.Load()),
-			SnapshotSeq:     sh.snapSeqSeen.Load(),
-			Appends:         sh.appends.Load(),
-			Commits:         sh.commits.Load(),
-			Rotations:       sh.rotations.Load(),
-			Snapshots:       sh.snapshots.Load(),
-			IdleCompactions: sh.idleCompactions.Load(),
-		}
-		if ns := sh.lastCompactNano.Load(); ns != 0 {
-			st.LastCompaction = time.Unix(0, ns)
-		}
-		out[i] = st
-	}
-	return out
+	st := s.Stats()
+	s.logMu.Lock()
+	defer s.logMu.Unlock()
+	return []ShardStats{{
+		SealedSegments:  len(s.sealed),
+		SnapshotSeq:     s.snapSeq,
+		LastCompaction:  s.lastCompact,
+		Appends:         st.Appends,
+		Commits:         st.Commits,
+		Rotations:       st.Rotations,
+		Snapshots:       st.Snapshots,
+		IdleCompactions: s.idleCompactions.Load(),
+	}}
 }
 
-var _ store.Store = (*Sharded)(nil)
+var (
+	_ store.Store         = (*Sharded)(nil)
+	_ store.BatchAppender = (*Sharded)(nil)
+)

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"loki/internal/store"
 	"loki/internal/survey"
@@ -30,6 +31,19 @@ func openTest(t *testing.T, dir string, cfg Config) *Sharded {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// waitSnapshots blocks until the background compactor has published at
+// least n snapshots.
+func waitSnapshots(t *testing.T, s *Sharded, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for s.Stats().Snapshots < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("compactor never reached %d snapshots: stats %+v", n, s.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 func sampleSurvey() *survey.Survey {
@@ -221,13 +235,10 @@ func TestReopenReplaysEverything(t *testing.T) {
 			}
 		}
 	}
-	st := s.Stats()
-	if st.Rotations == 0 {
+	if s.Stats().Rotations == 0 {
 		t.Fatal("no segment rotation happened; shrink SegmentBytes")
 	}
-	if st.Snapshots == 0 {
-		t.Fatal("no snapshot compaction happened; shrink CompactSegments")
-	}
+	waitSnapshots(t, s, 1)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -304,12 +315,12 @@ func TestSurveysSurviveAlone(t *testing.T) {
 	}
 }
 
-// TestCompactionPrunesSegments: after a snapshot, the shard directory
-// holds only the WAL tail, and the snapshot plus tail still replay to
-// the full data set.
+// TestCompactionPrunesSegments: after a snapshot, the directory holds
+// only the WAL tail, and the snapshot plus tail still replay to the
+// full data set.
 func TestCompactionPrunesSegments(t *testing.T) {
 	dir := t.TempDir()
-	cfg := testConfig(1) // single shard so all load hits one WAL
+	cfg := testConfig(1)
 	s := openTest(t, dir, cfg)
 	sv := benchSurvey(0)
 	if err := s.PutSurvey(sv); err != nil {
@@ -321,28 +332,25 @@ func TestCompactionPrunesSegments(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := s.Stats()
-	if st.Snapshots == 0 {
-		t.Fatal("no snapshot happened")
-	}
+	waitSnapshots(t, s, 1)
+	rotations := s.Stats().Rotations
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	shardDir := filepath.Join(dir, shardDirName(0))
-	segs, err := listSeqs(shardDir, segPrefix, segSuffix)
+	segs, err := listSeqs(dir, segPrefix, segSuffix)
 	if err != nil {
 		t.Fatal(err)
 	}
-	snaps, err := listSeqs(shardDir, snapPrefix, snapSuffix)
+	snaps, err := listSeqs(dir, snapPrefix, snapSuffix)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(snaps) != 1 {
 		t.Fatalf("%d snapshots on disk, want 1", len(snaps))
 	}
-	if len(segs) > cfg.CompactSegments+2 {
-		t.Fatalf("%d segments on disk after compaction, want <= %d", len(segs), cfg.CompactSegments+2)
+	if int64(len(segs)) > rotations {
+		t.Fatalf("%d segments on disk after %d rotations: compaction pruned nothing", len(segs), rotations)
 	}
 	for _, seq := range segs {
 		if seq <= snaps[0] {
@@ -357,9 +365,9 @@ func TestCompactionPrunesSegments(t *testing.T) {
 	}
 }
 
-// TestFailedShardRefusesAppends: a sticky I/O failure must surface on
+// TestFailedLogRefusesAppends: a sticky I/O failure must surface on
 // every subsequent append instead of silently dropping data.
-func TestFailedShardRefusesAppends(t *testing.T) {
+func TestFailedLogRefusesAppends(t *testing.T) {
 	s := openTest(t, t.TempDir(), testConfig(1))
 	defer s.Close()
 	sv := benchSurvey(0)
@@ -370,12 +378,11 @@ func TestFailedShardRefusesAppends(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Sabotage the active segment file descriptor.
-	sh := s.shards[0]
-	if err := sh.seg.file().Close(); err != nil {
+	if err := s.seg.file().Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.AppendResponse(benchResponse(sv.ID, "w2")); err == nil {
-		t.Fatal("append to failed shard succeeded")
+		t.Fatal("append to failed log succeeded")
 	}
 	if err := s.AppendResponse(benchResponse(sv.ID, "w3")); err == nil {
 		t.Fatal("append after sticky failure succeeded")
@@ -384,7 +391,7 @@ func TestFailedShardRefusesAppends(t *testing.T) {
 	if n := s.ResponseCount(sv.ID); n != 1 {
 		t.Fatalf("ResponseCount = %d, want 1", n)
 	}
-	sh.seg = nil // keep Close from double-closing the sabotaged fd
+	s.seg = nil // keep Close from double-closing the sabotaged fd
 }
 
 // TestOpenRejectsCorruptInterior: a flipped byte inside a sealed,
@@ -410,13 +417,12 @@ func TestOpenRejectsCorruptInterior(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	shardDir := filepath.Join(dir, shardDirName(0))
-	segs, err := listSeqs(shardDir, segPrefix, segSuffix)
+	segs, err := listSeqs(dir, segPrefix, segSuffix)
 	if err != nil || len(segs) < 2 {
 		t.Fatalf("segments: %v, %v (want a rotated segment plus the active one)", segs, err)
 	}
 	// segs[0] was rotated, so it carries its seal; corrupt its interior.
-	path := filepath.Join(shardDir, segName(segs[0]))
+	path := filepath.Join(dir, segName(segs[0]))
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -430,14 +436,14 @@ func TestOpenRejectsCorruptInterior(t *testing.T) {
 	}
 }
 
-// TestPartialFirstOpenRecovers: a crash during the first Open can leave
-// the layout marker plus only a subset of shard directories; reopening
-// with the original shard count must succeed (the marker, not the
-// directory census, fixes the count).
+// TestPartialFirstOpenRecovers: a crash during a format-1 store's first
+// Open can leave the layout marker plus only a subset of (empty) shard
+// directories; reopening with the original shard count must succeed and
+// leave the store-level layout.
 func TestPartialFirstOpenRecovers(t *testing.T) {
 	dir := t.TempDir()
 	cfg := testConfig(8)
-	if err := checkLayout(dir, cfg.Shards); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, layoutName), []byte(`{"format":1,"shards":8}`+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	// Simulate the crash: only 3 of 8 shard dirs got created.
@@ -454,6 +460,7 @@ func TestPartialFirstOpenRecovers(t *testing.T) {
 	if err := s.AppendResponse(benchResponse(benchSurvey(0).ID, "w1")); err != nil {
 		t.Fatal(err)
 	}
+	assertStoreLevelLayout(t, dir)
 }
 
 // TestCorruptLayoutRefused: a mangled layout marker must refuse to open

@@ -26,16 +26,16 @@ func scanAll(t *testing.T, s *Sharded, surveyID string) []survey.Response {
 	return out
 }
 
-// segCodecs sniffs every WAL segment of one shard dir and returns how
+// segCodecs sniffs every WAL segment of one log dir and returns how
 // many are binary vs JSON.
-func segCodecs(t *testing.T, shardDir string) (binary, json int) {
+func segCodecs(t *testing.T, dir string) (binary, json int) {
 	t.Helper()
-	segs, err := listSeqs(shardDir, segPrefix, segSuffix)
+	segs, err := listSeqs(dir, segPrefix, segSuffix)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, seq := range segs {
-		bin, err := blockio.Sniff(filepath.Join(shardDir, segName(seq)))
+		bin, err := blockio.Sniff(filepath.Join(dir, segName(seq)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,9 +73,8 @@ func TestMigrateJSONDirToBinary(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	shardDir := filepath.Join(dir, shardDirName(s.shardFor(sv.ID).id))
-	if bin, jsn := segCodecs(t, shardDir); bin != 0 || jsn == 0 {
-		t.Fatalf("JSON-era shard dir holds %d binary / %d json segments", bin, jsn)
+	if bin, jsn := segCodecs(t, dir); bin != 0 || jsn == 0 {
+		t.Fatalf("JSON-era directory holds %d binary / %d json segments", bin, jsn)
 	}
 
 	// Reopen with the binary codec: same records, then new binary segments.
@@ -98,7 +97,7 @@ func TestMigrateJSONDirToBinary(t *testing.T) {
 	if err := s2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	bin, jsn := segCodecs(t, shardDir)
+	bin, jsn := segCodecs(t, dir)
 	if bin == 0 {
 		t.Fatal("no binary segments written after reopening with the binary codec")
 	}

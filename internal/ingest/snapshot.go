@@ -3,13 +3,14 @@ package ingest
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"time"
 
 	"loki/internal/blockio"
-	"loki/internal/store"
 	"loki/internal/survey"
 )
 
@@ -19,192 +20,274 @@ import (
 // replay sniffs the format per file.
 type snapHeader struct {
 	Format int    `json:"format"`
-	Shard  int    `json:"shard"`
 	Covers uint64 `json:"covers"` // every segment with seq <= Covers is folded in
 	Count  int    `json:"count"`
 }
 
 const snapFormat = 1
 
-// snapshot folds every sealed segment into one snapshot file and deletes
-// the segments it covers, so recovery replays only the WAL tail. It runs
-// on the committer goroutine immediately after a rotation, which makes
-// the cut exact: the index holds precisely the contents of the sealed
-// segments, the new active segment is still empty. The snapshot is made
-// crash-atomic by writing to a temp file, fsyncing, then renaming.
-func (sh *shard) snapshot() error {
-	covers := sh.completed[len(sh.completed)-1]
-	// The committer is the index's only writer, so reading it here is
-	// race-free; concurrent readers hold mu.RLock and never write.
-	count := 0
-	for _, rs := range sh.index {
-		count += len(rs)
-	}
-	tmp := filepath.Join(sh.dir, snapName(covers)+tmpSuffix)
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("ingest: create snapshot %s: %w", tmp, err)
-	}
-	werr := sh.writeSnapshot(f, snapHeader{Format: snapFormat, Shard: sh.id, Covers: covers, Count: count})
-	var written int64
-	if werr == nil {
-		var fi os.FileInfo
-		if fi, werr = f.Stat(); werr == nil {
-			written = fi.Size()
-		}
-	}
-	if werr == nil {
-		werr = f.Sync()
-	}
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("ingest: write snapshot %s: %w", tmp, werr)
-	}
-	final := filepath.Join(sh.dir, snapName(covers))
-	if err := os.Rename(tmp, final); err != nil {
-		return fmt.Errorf("ingest: publish snapshot %s: %w", final, err)
-	}
-	if err := syncDir(sh.dir); err != nil {
-		return err
-	}
-	// The snapshot is durable; everything it covers is now garbage.
-	for _, seq := range sh.completed {
-		if err := os.Remove(filepath.Join(sh.dir, segName(seq))); err != nil {
-			return fmt.Errorf("ingest: drop compacted segment: %w", err)
-		}
-	}
-	if sh.snapSeq > 0 {
-		if err := os.Remove(filepath.Join(sh.dir, snapName(sh.snapSeq))); err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("ingest: drop superseded snapshot: %w", err)
-		}
-	}
-	if err := syncDir(sh.dir); err != nil {
-		return err
-	}
-	sh.completed = sh.completed[:0]
-	sh.snapSeq = covers
-	sh.tailBytes = sh.segBytes // only the active segment remains unfolded
-	sh.snapBytes = written
-	sh.snapshots.Add(1)
-	sh.sealedSegs.Store(0)
-	sh.snapSeqSeen.Store(covers)
-	sh.lastCompactNano.Store(time.Now().UnixNano())
-	return nil
+// compactJob is one fold handed to the compactor: the index as it stood
+// when segment covers was sealed and its successor still empty, which
+// is exactly the contents of the current snapshot plus every sealed
+// segment. The view's slices are append-only histories, so the
+// compactor reads them while the committer keeps appending past their
+// captured lengths.
+type compactJob struct {
+	covers uint64
+	view   map[string][]survey.Response
+	sealed []sealedSeg // the segments being folded: the sealed list at the cut
+	prev   uint64      // the snapshot being superseded, 0 if none
+	// sizeHint is the current snapshot plus the sealed tail in bytes: an
+	// upper estimate of the new snapshot's size (see writeSnapshot).
+	sizeHint int64
+	idle     bool
 }
 
-// writeSnapshot encodes the header plus every indexed response into f
-// using the shard's configured codec. Binary snapshots are sealed: they
-// are immutable once published, so they always carry a block index and
-// replay with strict (non-repairing) semantics.
-func (sh *shard) writeSnapshot(f *os.File, hdr snapHeader) error {
-	if sh.cfg.Codec == blockio.CodecBinary {
-		w, err := blockio.NewWriter(f, 1)
-		if err != nil {
-			return err
+// errCompactAborted ends a fold that Close interrupted; it leaves only
+// a tmp file behind and is not an I/O failure.
+var errCompactAborted = errors.New("ingest: compaction abandoned on close")
+
+// shouldCompact is the rotation-time trigger. The floor keeps small
+// stores from snapshotting every segment; the one-half rule makes each
+// snapshot at least 1.5× its predecessor, so all the snapshots a store
+// ever writes sum to at most 3× its data — a constant where a fixed
+// trigger's rewrite volume grows with the square of the history. Sizes
+// are on-disk bytes, like the thresholds they are compared with.
+func shouldCompact(sealedBytes, snapBytes, floor int64) bool {
+	return sealedBytes >= floor && sealedBytes*2 >= snapBytes
+}
+
+// shouldIdleCompact bounds idle compaction's write amplification: a
+// snapshot rewrites the whole history, so folding a tiny tail into a
+// huge snapshot over and over would turn trickle writes into
+// full-history rewrites. Requiring the unfolded tail to be at least 1/8
+// of the current snapshot caps the amplification while still folding
+// promptly when there is no snapshot yet (or a small one). The bar is
+// lower than shouldCompact's because idle folds are at least
+// IdleCompact apart and spend time nobody is waiting on.
+func shouldIdleCompact(tailBytes, snapBytes int64) bool {
+	if tailBytes == 0 {
+		return false
+	}
+	return tailBytes*8 >= snapBytes
+}
+
+// idleCompact folds a quiet store's WAL tail into a snapshot: seal the
+// active segment if it holds data, then hand every sealed segment to
+// the compactor. Runs on the committer goroutine, which owns the active
+// segment.
+func (s *Sharded) idleCompact() {
+	s.logMu.Lock()
+	skip := s.failed != nil || s.compacting || !shouldIdleCompact(s.sealedBytes+s.segBytes, s.snapBytes)
+	s.logMu.Unlock()
+	if skip {
+		return
+	}
+	if s.segBytes > 0 {
+		if err := s.rotate(); err != nil {
+			s.fail(err)
+			return
 		}
-		rec, err := json.Marshal(&hdr)
-		if err != nil {
-			return err
+	}
+	s.startCompaction(true)
+}
+
+// startCompaction hands the sealed tail to the compactor if a fold is
+// due and none is running. The committer calls it right after a
+// rotation (or with an empty active segment), the one moment the index
+// equals snapshot + sealed segments exactly; capturing the per-survey
+// slice headers there is the whole cost compaction puts on the commit
+// path.
+func (s *Sharded) startCompaction(idle bool) {
+	s.logMu.Lock()
+	floor := int64(s.cfg.CompactSegments) * s.cfg.SegmentBytes
+	due := len(s.sealed) > 0 && !s.compacting &&
+		(idle || shouldCompact(s.sealedBytes, s.snapBytes, floor))
+	var job compactJob
+	if due {
+		s.compacting = true
+		job = compactJob{
+			covers:   s.segSeq - 1,
+			sealed:   append([]sealedSeg(nil), s.sealed...),
+			prev:     s.snapSeq,
+			sizeHint: s.snapBytes + s.sealedBytes,
+			idle:     idle,
 		}
-		if _, err := w.Append(rec); err != nil {
-			return err
-		}
-		for _, rs := range sh.index {
-			for i := range rs {
-				if rec, err = json.Marshal(&rs[i]); err != nil {
-					return err
-				}
-				if _, err := w.Append(rec); err != nil {
-					return err
-				}
+	}
+	s.logMu.Unlock()
+	if !due {
+		return
+	}
+	// The committer is the index's only writer, so it reads it unlocked.
+	job.view = make(map[string][]survey.Response, len(s.index))
+	for id, rs := range s.index {
+		job.view[id] = rs
+	}
+	s.compactCh <- job
+}
+
+// compactor runs folds off the commit path, one at a time, until Close
+// closes compactCh. A failed fold fails the store sticky, like any
+// other I/O error on the log.
+func (s *Sharded) compactor() {
+	defer close(s.compactDone)
+	for job := range s.compactCh {
+		written, err := s.fold(job)
+		s.logMu.Lock()
+		s.compacting = false
+		switch {
+		case err == nil:
+			// The folded segments are a prefix: rotation only appends.
+			for _, sg := range job.sealed {
+				s.sealedBytes -= sg.bytes
 			}
+			s.sealed = append(s.sealed[:0], s.sealed[len(job.sealed):]...)
+			s.snapSeq, s.snapBytes, s.lastCompact = job.covers, written, time.Now()
+		case !errors.Is(err, errCompactAborted) && s.failed == nil:
+			s.failed = err
 		}
-		return w.Seal() // flushes and fsyncs; the caller closes f
+		s.logMu.Unlock()
+		if err == nil {
+			if job.idle {
+				s.idleCompactions.Add(1)
+			}
+			s.snapshots.Add(1)
+		}
 	}
-	w := bufio.NewWriterSize(f, 1<<16)
-	enc := json.NewEncoder(w) // Encode appends the newline separator
-	if err := enc.Encode(&hdr); err != nil {
-		return err
+}
+
+// fold writes the job's view as the snapshot covering job.covers, then
+// deletes what it supersedes. The order is the crash-safety argument:
+// the snapshot is written to a temp file, fsynced, renamed into place
+// and the directory synced before any covered segment or the previous
+// snapshot is removed, so every crash point reopens to snapshot + tail
+// with nothing missing (replayDir discards whichever leftovers it
+// finds). It returns the snapshot's size.
+func (s *Sharded) fold(job compactJob) (int64, error) {
+	written, err := s.writeSnapshot(s.dir, job.covers, job.view, job.sizeHint)
+	if err != nil {
+		return 0, err
 	}
-	for _, rs := range sh.index {
-		for i := range rs {
-			if err := enc.Encode(&rs[i]); err != nil {
+	for _, sg := range job.sealed {
+		if err := os.Remove(filepath.Join(s.dir, segName(sg.seq))); err != nil {
+			return 0, fmt.Errorf("ingest: drop compacted segment: %w", err)
+		}
+	}
+	if job.prev > 0 {
+		if err := os.Remove(filepath.Join(s.dir, snapName(job.prev))); err != nil && !os.IsNotExist(err) {
+			return 0, fmt.Errorf("ingest: drop superseded snapshot: %w", err)
+		}
+	}
+	return written, syncDir(s.dir)
+}
+
+// writeSnapshot publishes view as dir's snapshot covering segment
+// covers, crash-atomically, in the configured codec, and returns the
+// file's size. Binary snapshots are sealed: they are immutable once
+// published, so they always carry a block index and replay with strict
+// (non-repairing) semantics.
+//
+// The temp file is extended (sparsely) to sizeHint before the first
+// write and cut back to what was written after the last. A fold of a
+// large store writes for seconds in the background; sized up front, the
+// directory's listing — names and sizes — changes when a fold
+// publishes, not continuously while it writes, so a hot backup that
+// copies the live directory and rechecks the listing converges instead
+// of chasing a growing file.
+func (s *Sharded) writeSnapshot(dir string, covers uint64, view map[string][]survey.Response, sizeHint int64) (int64, error) {
+	hdr := snapHeader{Format: snapFormat, Covers: covers}
+	for _, rs := range view {
+		hdr.Count += len(rs)
+	}
+	return writeFileAtomic(dir, snapName(covers), func(f *os.File) error {
+		if err := f.Truncate(sizeHint); err != nil {
+			return err
+		}
+		var emit func(v any) error
+		var finish func() error
+		if s.cfg.Codec == blockio.CodecBinary {
+			w, err := blockio.NewWriter(f, 1)
+			if err != nil {
 				return err
 			}
+			emit = func(v any) error {
+				rec, err := json.Marshal(v)
+				if err == nil {
+					_, err = w.Append(rec)
+				}
+				return err
+			}
+			finish = w.Seal // flushes and fsyncs; writeFileAtomic closes f
+		} else {
+			w := bufio.NewWriterSize(f, 1<<16)
+			emit = json.NewEncoder(w).Encode // Encode appends the newline separator
+			finish = w.Flush
 		}
-	}
-	return w.Flush()
+		if err := emit(&hdr); err != nil {
+			return err
+		}
+		for _, rs := range view {
+			for i := range rs {
+				if i&0xfff == 0 && s.closed.Load() {
+					return errCompactAborted
+				}
+				if err := emit(&rs[i]); err != nil {
+					return err
+				}
+			}
+		}
+		if err := finish(); err != nil {
+			return err
+		}
+		end, err := f.Seek(0, io.SeekCurrent)
+		if err != nil {
+			return err
+		}
+		return f.Truncate(end)
+	})
 }
 
-// loadSnapshot restores the index from the newest snapshot, if any, and
-// removes superseded older ones.
-func (sh *shard) loadSnapshot() error {
-	seqs, err := listSeqs(sh.dir, snapPrefix, snapSuffix)
-	if err != nil {
-		return err
-	}
-	if len(seqs) == 0 {
-		return nil
+// loadSnapshot restores the index from dir's newest snapshot, if any,
+// removes superseded older ones, and returns the segment seq the
+// snapshot covers and its size.
+func (s *Sharded) loadSnapshot(dir string) (covers uint64, size int64, err error) {
+	seqs, err := listSeqs(dir, snapPrefix, snapSuffix)
+	if err != nil || len(seqs) == 0 {
+		return 0, 0, err
 	}
 	latest := seqs[len(seqs)-1]
 	for _, seq := range seqs[:len(seqs)-1] {
-		if err := os.Remove(filepath.Join(sh.dir, snapName(seq))); err != nil {
-			return fmt.Errorf("ingest: drop superseded snapshot: %w", err)
+		if err := os.Remove(filepath.Join(dir, snapName(seq))); err != nil {
+			return 0, 0, fmt.Errorf("ingest: drop superseded snapshot: %w", err)
 		}
 	}
-	path := filepath.Join(sh.dir, snapName(latest))
+	path := filepath.Join(dir, snapName(latest))
 	var hdr *snapHeader
-	loaded := 0
-	apply := func(line []byte) error {
-		if hdr == nil {
-			hdr = new(snapHeader)
-			if err := json.Unmarshal(line, hdr); err != nil {
-				return fmt.Errorf("corrupt snapshot header: %w", err)
-			}
-			if hdr.Format != snapFormat {
-				return fmt.Errorf("snapshot format %d not supported", hdr.Format)
-			}
-			if hdr.Covers != latest {
-				return fmt.Errorf("snapshot header covers segment %d but file name says %d", hdr.Covers, latest)
-			}
-			return nil
-		}
-		var r survey.Response
-		if err := json.Unmarshal(line, &r); err != nil {
-			return fmt.Errorf("corrupt snapshot record: %w", err)
-		}
-		sh.index[r.SurveyID] = append(sh.index[r.SurveyID], r)
-		loaded++
-		return nil
-	}
-	bin, err := blockio.Sniff(path)
-	if err != nil {
-		return fmt.Errorf("ingest: sniff snapshot %s: %w", path, err)
-	}
-	if bin {
-		_, err = blockio.Replay(path, false, func(_ uint64, payload []byte) error {
-			return apply(payload)
-		})
-	} else {
-		err = store.ReplayLines(path, false, apply)
-	}
-	if err != nil {
-		return err
-	}
-	if hdr == nil || loaded != hdr.Count {
-		got := 0
+	loaded, err := replayFile(path, false, func(line []byte) error {
 		if hdr != nil {
-			got = hdr.Count
+			return s.applyRecord(line)
 		}
-		return fmt.Errorf("ingest: snapshot %s holds %d records, header says %d", path, loaded, got)
+		hdr = new(snapHeader)
+		if err := json.Unmarshal(line, hdr); err != nil {
+			return fmt.Errorf("corrupt snapshot header: %w", err)
+		}
+		if hdr.Format != snapFormat {
+			return fmt.Errorf("snapshot format %d not supported", hdr.Format)
+		}
+		if hdr.Covers != latest {
+			return fmt.Errorf("snapshot header covers segment %d but file name says %d", hdr.Covers, latest)
+		}
+		return nil
+	})
+	if err != nil {
+		return 0, 0, err
 	}
-	sh.snapSeq = latest
-	sh.snapSeqSeen.Store(latest)
-	if fi, err := os.Stat(path); err == nil {
-		sh.snapBytes = fi.Size()
+	if hdr == nil || loaded-1 != hdr.Count {
+		return 0, 0, fmt.Errorf("ingest: snapshot %s holds %d records, header disagrees (%+v)", path, loaded-1, hdr)
 	}
-	return nil
+	fi, err := os.Stat(path)
+	if err != nil {
+		return 0, 0, fmt.Errorf("ingest: stat snapshot: %w", err)
+	}
+	return latest, fi.Size(), nil
 }

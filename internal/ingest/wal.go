@@ -9,13 +9,14 @@ import (
 	"strings"
 )
 
-// Segmented write-ahead-log file naming. A shard directory holds
+// Segmented write-ahead-log file naming. A log directory holds
 //
-//	wal-<seq>.seg    append-only JSON-lines segments, seq strictly increasing
+//	wal-<seq>.seg    append-only segments, seq strictly increasing
 //	snap-<seq>.snap  a snapshot covering every segment with seq' <= seq
 //
-// where <seq> is a zero-padded hexadecimal sequence number so
-// lexicographic order equals numeric order.
+// each in whichever codec wrote it (blockio binary blocks or JSON
+// lines; see codec.go). <seq> is a zero-padded hexadecimal sequence
+// number, so lexicographic order equals numeric order.
 const (
 	segPrefix  = "wal-"
 	segSuffix  = ".seg"
@@ -62,6 +63,40 @@ func listSeqs(dir, prefix, suffix string) ([]uint64, error) {
 	}
 	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
 	return seqs, nil
+}
+
+// writeFileAtomic publishes dir/name crash-atomically: write fills a
+// temp file, which is fsynced, renamed into place and made durable with
+// a directory sync, so a reader sees the old content (or no file) or
+// the whole new content, never a torn one. It returns the file's size.
+func writeFileAtomic(dir, name string, write func(f *os.File) error) (int64, error) {
+	tmp := filepath.Join(dir, name+tmpSuffix)
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return 0, fmt.Errorf("ingest: create %s: %w", tmp, err)
+	}
+	var size int64
+	werr := write(f)
+	if werr == nil {
+		var fi os.FileInfo
+		if fi, werr = f.Stat(); werr == nil {
+			size = fi.Size()
+		}
+	}
+	if werr == nil {
+		werr = f.Sync()
+	}
+	if cerr := f.Close(); werr == nil {
+		werr = cerr
+	}
+	if werr != nil {
+		os.Remove(tmp)
+		return 0, fmt.Errorf("ingest: write %s: %w", tmp, werr)
+	}
+	if err := os.Rename(tmp, filepath.Join(dir, name)); err != nil {
+		return 0, fmt.Errorf("ingest: publish %s: %w", name, err)
+	}
+	return size, syncDir(dir)
 }
 
 // removeTmp deletes leftover temporary files (a crash mid-snapshot leaves

@@ -1377,7 +1377,7 @@ type ReplicationInfo struct {
 }
 
 // AdminStoreInfo is the requester-facing observability view of the
-// persistence layer and the live read path: per-shard WAL shape for the
+// persistence layer and the live read path: per-log WAL shape for the
 // ingest store, every live partial's catch-up cursor, republish
 // history, and — on a replica — the replication staleness cursors.
 type AdminStoreInfo struct {
@@ -1394,8 +1394,8 @@ type AdminStoreInfo struct {
 	// Ingest carries cumulative ingest counters; only for ingest
 	// backends.
 	Ingest *ingest.Stats `json:"ingest,omitempty"`
-	// Shards holds per-shard segment/compaction state; only for ingest
-	// backends.
+	// Shards holds segment/compaction state, one entry per ingest log
+	// (an ingest store keeps exactly one); only for ingest backends.
 	Shards []ingest.ShardStats `json:"shards,omitempty"`
 	// Accumulators lists the live partials' cursors, sorted by survey
 	// then shard.
@@ -1524,8 +1524,8 @@ func (s *Server) handleAdminStore(w http.ResponseWriter, _ *http.Request) {
 			info.Backend = fmt.Sprintf("%T", stores[0])
 		}
 		// Sum ingest counters across the router's stores (a node runs
-		// one ingest store per owned shard); per-WAL-shard stats are
-		// concatenated in store order.
+		// one ingest store per owned shard); each store's one log entry
+		// is appended in store order.
 		var agg ingest.Stats
 		var shardStats []ingest.ShardStats
 		haveIngest := false

@@ -196,16 +196,16 @@ type (
 	FileStoreOptions = store.FileOptions
 	// SyncPolicy selects when the file store fsyncs appends.
 	SyncPolicy = store.SyncPolicy
-	// IngestStore is the sharded, group-committed durable store for
-	// high-throughput response ingestion.
+	// IngestStore is the group-committed durable store for
+	// high-throughput response ingestion: one segmented WAL per store.
 	IngestStore = ingest.Sharded
-	// IngestConfig tunes shard count, commit window, segment size and
-	// compaction of an IngestStore.
+	// IngestConfig tunes commit window, segment size and compaction of
+	// an IngestStore (and carries its shard label).
 	IngestConfig = ingest.Config
 	// IngestStats reports cumulative ingest counters (appends, group
 	// commits, rotations, snapshots).
 	IngestStats = ingest.Stats
-	// IngestShardStats is one ingest shard's observability snapshot
+	// IngestShardStats is one ingest log's observability snapshot
 	// (segment counts, last compaction, counters).
 	IngestShardStats = ingest.ShardStats
 	// Estimator computes noise-aware aggregates from a full response
@@ -355,8 +355,8 @@ var (
 	// OpenFileStoreWith opens the file store with an explicit sync
 	// policy.
 	OpenFileStoreWith = store.OpenFileWith
-	// OpenIngestStore is the sharded segmented-WAL store built for
-	// concurrent submission at scale.
+	// OpenIngestStore is the segmented-WAL store built for concurrent
+	// submission at scale.
 	OpenIngestStore = ingest.Open
 	// OpenCheckpointLog opens (replaying, with torn-tail repair) the
 	// durable live-aggregate checkpoint log rooted at a directory;
