@@ -6,7 +6,6 @@
 package server
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"log"
@@ -29,33 +28,13 @@ import (
 // Node
 
 // Node adapts a Server whose router is a journaling shardset.Local into
-// the shardrpc.Backend a cluster frontend and its replicas talk to. It
-// translates the cluster's global shard indices to the node's local
-// subset and keeps the node's live partials hot on routed appends.
+// the shardrpc.Backend a cluster frontend and its replicas talk to. The
+// shard-addressed surface and the submit pipeline are the embedded
+// shardHost's; a Node adds durable stores (its Server's), hosted budget
+// shards, and demotion by placement manifest. Every shard starts primary
+// at epoch 0 — a manifest-less node fences nothing.
 type Node struct {
-	srv   *Server
-	local *shardset.Local
-	total int
-	g2l   map[int]int
-
-	// budget, when set via HostBudget, is the node's hosted budget shard
-	// subset; it makes the node a shardrpc.BudgetBackend.
-	budget *budget.Set
-
-	// fences is the node's view of the placement manifest for its owned
-	// shards, keyed by global index: the epoch every incoming write's
-	// stamp is checked against, and the demotion bit that fences a shard
-	// wholesale once the manifest names someone else primary. Empty
-	// until ApplyManifest — a manifest-less node fences nothing, the
-	// pre-manifest behavior.
-	fenceMu sync.RWMutex
-	fences  map[int]shardFence
-}
-
-// shardFence is one owned shard's fencing state from the manifest.
-type shardFence struct {
-	epoch   uint64
-	demoted bool
+	shardHost
 }
 
 // NewNode wraps a Server for shardrpc serving. The server's router must
@@ -69,109 +48,9 @@ func NewNode(srv *Server, totalShards int) (*Node, error) {
 	if totalShards < local.Shards() {
 		return nil, fmt.Errorf("server: node owns %d shards of a %d-shard cluster", local.Shards(), totalShards)
 	}
-	n := &Node{srv: srv, local: local, total: totalShards, g2l: make(map[int]int, local.Shards())}
-	for i := 0; i < local.Shards(); i++ {
-		n.g2l[local.GlobalID(i)] = i
-	}
+	n := &Node{}
+	n.init(srv, local, totalShards, rolePrimary)
 	return n, nil
-}
-
-func (n *Node) localShard(global int) (int, error) {
-	i, ok := n.g2l[global]
-	if !ok {
-		return 0, &shardrpc.ErrNotOwned{Shard: global}
-	}
-	return i, nil
-}
-
-// Meta implements shardrpc.Backend.
-func (n *Node) Meta() shardrpc.Meta {
-	owned := make([]int, n.local.Shards())
-	for i := range owned {
-		owned[i] = n.local.GlobalID(i)
-	}
-	return shardrpc.Meta{TotalShards: n.total, OwnedShards: owned}
-}
-
-// AppendShardBatch implements shardrpc.Backend: durably append a
-// routed batch (one fsync with a batch-capable store), then
-// best-effort fold each touched survey's shard partial so the next
-// partial fetch pays nothing.
-func (n *Node) AppendShardBatch(global int, rs []survey.Response) ([]int, error) {
-	i, err := n.localShard(global)
-	if err != nil {
-		return nil, err
-	}
-	counts, err := n.local.AppendShardBatch(i, rs)
-	for _, id := range uniqueSurveyIDs(rs[:len(counts)]) {
-		n.srv.advanceShard(id, i)
-	}
-	return counts, err
-}
-
-// uniqueSurveyIDs returns the distinct survey IDs of a batch, in first-
-// appearance order (batches are usually one survey; the map only pays
-// off when they are not).
-func uniqueSurveyIDs(rs []survey.Response) []string {
-	if len(rs) == 0 {
-		return nil
-	}
-	out := []string{rs[0].SurveyID}
-	if len(rs) == 1 {
-		return out
-	}
-	seen := map[string]bool{rs[0].SurveyID: true}
-	for i := 1; i < len(rs); i++ {
-		if !seen[rs[i].SurveyID] {
-			seen[rs[i].SurveyID] = true
-			out = append(out, rs[i].SurveyID)
-		}
-	}
-	return out
-}
-
-// ScanShard implements shardrpc.Backend.
-func (n *Node) ScanShard(global int, surveyID string, fromSeq uint64, fn func(seq uint64, r *survey.Response) error) error {
-	i, err := n.localShard(global)
-	if err != nil {
-		return err
-	}
-	return n.local.ScanShard(i, surveyID, fromSeq, fn)
-}
-
-// CountShard implements shardrpc.Backend.
-func (n *Node) CountShard(global int, surveyID string) int {
-	i, err := n.localShard(global)
-	if err != nil {
-		return 0
-	}
-	return n.local.CountShard(i, surveyID)
-}
-
-// PartialState implements shardrpc.Backend: the node's shard partial,
-// caught up and answered conditionally against the caller's cursor
-// (not-modified / delta / full — see shardrpc.Partial), re-addressed
-// under its global shard index.
-func (n *Node) PartialState(global int, surveyID string, have uint64) (*shardrpc.Partial, error) {
-	i, err := n.localShard(global)
-	if err != nil {
-		return nil, err
-	}
-	p, err := n.srv.PartialState(i, surveyID, have)
-	if err != nil {
-		return nil, err
-	}
-	p.Shard = global
-	return p, nil
-}
-
-// Tail implements shardrpc.Backend.
-func (n *Node) Tail(global int, epoch, offset uint64, max int, follower string) (*shardset.TailBatch, error) {
-	i, err := n.localShard(global)
-	if err != nil {
-		return nil, err
-	}
-	return n.local.Tail(i, epoch, offset, max, follower)
 }
 
 // PutSurvey implements shardrpc.Backend.
@@ -182,26 +61,6 @@ func (n *Node) PutSurvey(sv *survey.Survey) error {
 	return n.local.PutSurvey(sv)
 }
 
-// ReplaceSurvey implements shardrpc.Backend: the republish broadcast.
-// Fold state built under the old definition is invalidated exactly like
-// a republish through the public API.
-func (n *Node) ReplaceSurvey(sv *survey.Survey) error {
-	if err := sv.Validate(); err != nil {
-		return err
-	}
-	if err := n.local.ReplaceSurvey(sv); err != nil {
-		return err
-	}
-	n.srv.invalidateLive(sv.ID)
-	return nil
-}
-
-// Survey implements shardrpc.Backend.
-func (n *Node) Survey(id string) (*survey.Survey, error) { return n.local.Survey(id) }
-
-// Surveys implements shardrpc.Backend.
-func (n *Node) Surveys() ([]*survey.Survey, error) { return n.local.Surveys() }
-
 var _ shardrpc.Backend = (*Node)(nil)
 
 // ApplyManifest updates the node's fencing state from a placement
@@ -211,73 +70,45 @@ var _ shardrpc.Backend = (*Node)(nil)
 // a returned old primary: its data stays readable, its writes bounce
 // with 412, and the operator restarts it as a replica of the new
 // primary to rejoin (the promoted replica serves Tail, so re-bootstrap
-// is the ordinary follower path). self is this node's base URL as it
+// is the ordinary follower path). Shards the manifest does not place
+// go back to unfenced primaries. self is this node's base URL as it
 // appears in the manifest.
 func (n *Node) ApplyManifest(m *placement.Manifest, self string) {
-	fences := make(map[int]shardFence, n.local.Shards())
+	roles := make([]shardState, n.local.Shards())
 	hs := make([]ShardHealth, 0, n.local.Shards())
-	for i := 0; i < n.local.Shards(); i++ {
+	for i := range roles {
 		g := n.local.GlobalID(i)
 		sp := m.Placement(g)
 		if sp == nil {
 			continue
 		}
-		f := shardFence{epoch: sp.Epoch, demoted: sp.Primary != self}
-		fences[g] = f
+		roles[i].epoch = sp.Epoch
 		role := "primary"
-		if f.demoted {
+		if sp.Primary != self {
+			roles[i].role = roleFenced
 			role = "fenced"
 		}
 		hs = append(hs, ShardHealth{Shard: g, Role: role, Epoch: sp.Epoch})
 	}
-	n.fenceMu.Lock()
-	for g, f := range fences {
-		if f.demoted && !n.fences[g].demoted {
+	n.roleMu.Lock()
+	for i, st := range roles {
+		if st.role == roleFenced && n.roles[i].role != roleFenced {
+			g := n.local.GlobalID(i)
 			n.srv.logf("shard %d demoted by manifest v%d (primary now %s): writes fenced, rejoin as a replica",
 				g, m.Version, m.Placement(g).Primary)
 		}
 	}
-	n.fences = fences
-	n.fenceMu.Unlock()
+	n.roles = roles
+	n.roleMu.Unlock()
 	n.srv.setShardHealth(hs)
 }
 
 // Demoted reports whether the manifest has fenced an owned shard's
 // writes away from this node.
 func (n *Node) Demoted(global int) bool {
-	n.fenceMu.RLock()
-	defer n.fenceMu.RUnlock()
-	return n.fences[global].demoted
+	i, err := n.localShard(global)
+	return err == nil && n.state(i).role == roleFenced
 }
-
-// CheckFence implements shardrpc.FencedBackend: the epoch gate every
-// submit passes before admission, charging, or appending. A demoted
-// shard fences everything (stamped or not); a primary shard fences
-// stamps older than the manifest the node has applied; an unstamped
-// write to a primary shard passes (legacy positional senders). Stamps
-// NEWER than the node's manifest pass too — the sender read a manifest
-// the node has not seen yet, under which the node is still primary (or
-// the frontend would not have routed here).
-func (n *Node) CheckFence(global int, epoch uint64) error {
-	if _, err := n.localShard(global); err != nil {
-		return err
-	}
-	n.fenceMu.RLock()
-	f, ok := n.fences[global]
-	n.fenceMu.RUnlock()
-	if !ok {
-		return nil
-	}
-	if f.demoted {
-		return &shardrpc.FencedError{Shard: global, Epoch: epoch, Current: f.epoch}
-	}
-	if epoch != 0 && epoch < f.epoch {
-		return &shardrpc.FencedError{Shard: global, Epoch: epoch, Current: f.epoch}
-	}
-	return nil
-}
-
-var _ shardrpc.FencedBackend = (*Node)(nil)
 
 // ---------------------------------------------------------------------------
 // Node budget hosting
@@ -288,14 +119,6 @@ var _ shardrpc.FencedBackend = (*Node)(nil)
 // budget routes); without a hosted set every budget call errors. Call
 // it before serving — the field is not synchronized against traffic.
 func (n *Node) HostBudget(set *budget.Set) { n.budget = set }
-
-// budgetSet guards the budget surface of a node that hosts none.
-func (n *Node) budgetSet() (*budget.Set, error) {
-	if n.budget == nil {
-		return nil, errors.New("server: node hosts no budget shards")
-	}
-	return n.budget, nil
-}
 
 // BudgetCharge implements shardrpc.BudgetBackend.
 func (n *Node) BudgetCharge(shard int, charges []budget.Charge) ([]budget.Outcome, error) {
@@ -345,263 +168,6 @@ func (n *Node) BudgetStats() ([]budget.ShardStats, error) {
 }
 
 var _ shardrpc.BudgetBackend = (*Node)(nil)
-
-// AppendShardBatchCharged implements shardrpc.ChargedBackend: decide a
-// batch's piggybacked budget debits and append the admitted responses
-// in one call — the node half of the frontend's fused submit RPC.
-//
-// Ordering is charge-then-append, the same privacy-safe direction the
-// frontend's two-RPC path uses: a crash between the two over-counts
-// spend (a refund that never happened), never under-counts it. Entries
-// whose append fails after an accepted charge are refunded before the
-// reply; every HTTP-level error this method returns happens before any
-// state changes, so a transport error leaves nothing half-committed.
-func (n *Node) AppendShardBatchCharged(global int, rs []survey.Response, charges []budget.Charge) (*shardrpc.SubmitResult, error) {
-	if len(charges) != len(rs) {
-		return nil, fmt.Errorf("server: %d charges for %d responses", len(charges), len(rs))
-	}
-	i, err := n.localShard(global)
-	if err != nil {
-		return nil, err
-	}
-	set, err := n.budgetSet()
-	if err != nil {
-		return nil, err
-	}
-	// Pre-flight every charge's routing before touching any ledger: a
-	// batch spanning hosted and unhosted budget shards must fail whole
-	// (the sender's colocation test is wrong), not half-commit.
-	total := set.Shards()
-	groups := make(map[int][]int)
-	batches := make(map[int][]budget.Charge)
-	for k := range charges {
-		if charges[k].WorkerID == "" {
-			continue
-		}
-		b := budget.Route(charges[k].WorkerID, total)
-		if !set.Hosts(b) {
-			return nil, &shardrpc.ErrNotOwned{Shard: b}
-		}
-		groups[b] = append(groups[b], k)
-		batches[b] = append(batches[b], charges[k])
-	}
-	res := &shardrpc.SubmitResult{
-		Stored:   make([]int, len(rs)),
-		Outcomes: make([]budget.Outcome, len(rs)),
-	}
-	// Charge every shard group in one ledger commit: a submit batch
-	// scatters across most of the hosted budget shards, and the shared
-	// journal turns that scatter into a single group-committed fsync
-	// instead of one per shard.
-	if len(groups) > 0 {
-		outs, err := set.ChargeShards(batches)
-		if err != nil {
-			res.ChargeErrs = make([]string, len(rs))
-			for _, idx := range groups {
-				for _, k := range idx {
-					res.ChargeErrs[k] = err.Error()
-				}
-			}
-		} else {
-			for b, idx := range groups {
-				for j, k := range idx {
-					res.Outcomes[k] = outs[b][j]
-				}
-			}
-		}
-	}
-	// Admit everything the ledger did not block: uncharged entries,
-	// accepted charges, and log-mode (non-enforce) entries whose charge
-	// errored — those fail open, exactly like the two-RPC path.
-	admitted := make([]int, 0, len(rs))
-	for k := range rs {
-		switch {
-		case charges[k].WorkerID == "":
-		case res.ChargeErrs != nil && res.ChargeErrs[k] != "":
-			if charges[k].Enforce {
-				continue
-			}
-		case res.Outcomes[k].Rejected:
-			continue
-		}
-		admitted = append(admitted, k)
-	}
-	toAppend := make([]survey.Response, len(admitted))
-	for j, k := range admitted {
-		toAppend[j] = rs[k]
-	}
-	var counts []int
-	var aerr error
-	if len(toAppend) > 0 {
-		counts, aerr = n.local.AppendShardBatch(i, toAppend)
-	}
-	for j, k := range admitted {
-		if j < len(counts) {
-			res.Stored[k] = counts[j]
-			res.Appended++
-			continue
-		}
-		// Not durable: compensate the accepted charge so the ledger
-		// never counts spend for a response the store refused.
-		if res.AppendErrs == nil {
-			res.AppendErrs = make([]string, len(rs))
-		}
-		msg := "append did not report this record durable"
-		if aerr != nil {
-			msg = aerr.Error()
-		}
-		res.AppendErrs[k] = msg
-		if charges[k].WorkerID != "" && (res.ChargeErrs == nil || res.ChargeErrs[k] == "") {
-			if rerr := set.RefundShard(budget.Route(charges[k].WorkerID, total), charges[k]); rerr != nil {
-				n.srv.logf("budget refund for worker %q after failed charged append: %v", charges[k].WorkerID, rerr)
-			}
-			res.Outcomes[k] = budget.Outcome{}
-		}
-	}
-	for _, id := range uniqueSurveyIDs(toAppend[:len(counts)]) {
-		n.srv.advanceShard(id, i)
-	}
-	return res, nil
-}
-
-var _ shardrpc.ChargedBackend = (*Node)(nil)
-
-// AppendShardBatchAdmitted implements shardrpc.AdmittedBackend: run a
-// routed batch through the node's admission gate and per-requester
-// rate limit, then hand the admitted records to the plain or charged
-// append path. With both controls off (the default) the reply is
-// exactly what AppendShardBatch / AppendShardBatchCharged produce —
-// the wire does not change until an operator turns a knob on.
-//
-// A shed batch fails whole with OverloadedError before any state
-// changes. Throttled records answer per entry: the reply is then
-// request-aligned throughout (Throttled, Stored, AppendErrs), because
-// a refused record mid-batch breaks the durable-prefix contract.
-func (n *Node) AppendShardBatchAdmitted(global int, rs []survey.Response, charges []budget.Charge) (*shardrpc.SubmitResult, error) {
-	if len(charges) > 0 && len(charges) != len(rs) {
-		return nil, fmt.Errorf("server: %d charges for %d responses", len(charges), len(rs))
-	}
-	if a := n.srv.adm; a != nil {
-		if !a.acquire(context.Background()) {
-			return nil, &shardrpc.OverloadedError{RetryAfterSeconds: OverloadRetryAfterSeconds}
-		}
-		defer a.release()
-	}
-	var throttled []bool
-	retryAfter := 0
-	anyThrottled := false
-	if l := n.srv.limiter; l != nil {
-		throttled = make([]bool, len(rs))
-		for k := range rs {
-			if ra, ok := l.allow(rs[k].WorkerID); !ok {
-				throttled[k] = true
-				anyThrottled = true
-				if ra > retryAfter {
-					retryAfter = ra
-				}
-			}
-		}
-	}
-	if !anyThrottled {
-		if len(charges) > 0 {
-			return n.AppendShardBatchCharged(global, rs, charges)
-		}
-		counts, err := n.AppendShardBatch(global, rs)
-		if err != nil {
-			return nil, &shardrpc.PartialAppendError{Appended: len(counts), Err: err}
-		}
-		return &shardrpc.SubmitResult{Appended: len(counts), Stored: counts}, nil
-	}
-	// Some records were throttled: append only the admitted subset and
-	// map its results back onto request positions. Ownership is checked
-	// up front so a misrouted batch still answers 421 whole, not an
-	// in-band error sprinkled over admitted entries.
-	if _, err := n.localShard(global); err != nil {
-		return nil, err
-	}
-	idx := make([]int, 0, len(rs))
-	sub := make([]survey.Response, 0, len(rs))
-	var subCharges []budget.Charge
-	for k := range rs {
-		if throttled[k] {
-			continue
-		}
-		idx = append(idx, k)
-		sub = append(sub, rs[k])
-		if len(charges) > 0 {
-			subCharges = append(subCharges, charges[k])
-		}
-	}
-	res := &shardrpc.SubmitResult{
-		Stored:            make([]int, len(rs)),
-		Throttled:         throttled,
-		RetryAfterSeconds: retryAfter,
-	}
-	if len(sub) == 0 {
-		return res, nil
-	}
-	if len(subCharges) > 0 {
-		sr, err := n.AppendShardBatchCharged(global, sub, subCharges)
-		if err != nil {
-			// Charged-path errors happen before any state changes, so
-			// failing the whole call (throttle verdicts included) is
-			// safe: nothing was appended or charged.
-			return nil, err
-		}
-		res.Appended = sr.Appended
-		res.Outcomes = make([]budget.Outcome, len(rs))
-		for j, k := range idx {
-			res.Stored[k] = sr.Stored[j]
-			res.Outcomes[k] = sr.Outcomes[j]
-			if j < len(sr.ChargeErrs) && sr.ChargeErrs[j] != "" {
-				if res.ChargeErrs == nil {
-					res.ChargeErrs = make([]string, len(rs))
-				}
-				res.ChargeErrs[k] = sr.ChargeErrs[j]
-			}
-			if j < len(sr.AppendErrs) && sr.AppendErrs[j] != "" {
-				if res.AppendErrs == nil {
-					res.AppendErrs = make([]string, len(rs))
-				}
-				res.AppendErrs[k] = sr.AppendErrs[j]
-			}
-		}
-		return res, nil
-	}
-	counts, err := n.AppendShardBatch(global, sub)
-	for j, k := range idx {
-		if j < len(counts) {
-			res.Stored[k] = counts[j]
-			res.Appended++
-			continue
-		}
-		if err != nil {
-			if res.AppendErrs == nil {
-				res.AppendErrs = make([]string, len(rs))
-			}
-			res.AppendErrs[k] = err.Error()
-		}
-	}
-	return res, nil
-}
-
-var _ shardrpc.AdmittedBackend = (*Node)(nil)
-
-// advanceShard best-effort folds one shard's partial after a routed
-// append (the shardrpc twin of the public submit handler's warm-up).
-func (s *Server) advanceShard(surveyID string, shard int) {
-	sv, err := s.router.Survey(surveyID)
-	if err != nil {
-		return
-	}
-	ls, err := s.liveFor(sv)
-	if err != nil {
-		return
-	}
-	if err := ls.parts[shard].advance(s.router); err != nil {
-		s.logf("live aggregate catch-up for %q shard %d: %v", surveyID, shard, err)
-	}
-}
 
 // ---------------------------------------------------------------------------
 // Replica
@@ -698,23 +264,23 @@ type ReplicaConfig struct {
 // aggregates included — from its own per-shard partials. Submits and
 // publishes are refused with 403. The admin surface reports per-shard
 // staleness cursors (journal epoch, applied offset, lag).
+//
+// It serves the same internal transport a node does through the
+// embedded shardHost, which is what lets frontends fail reads over to it
+// when the node dies: scans, partials (marked stale until promotion),
+// survey meta, and journal tails for its own downstream followers. Every
+// shard starts following — writes are fenced — until Promote flips it
+// primary at the shard's placement epoch (0 = no manifest, accept any
+// stamp).
 type Replica struct {
+	shardHost
 	cfg    ReplicaConfig
-	srv    *Server
-	local  *shardset.Local
 	stores []*resettableStore
-	total  int
-	g2l    map[int]int
 
-	mu    sync.Mutex
-	state []ReplicaShardInfo
-	// promoted marks local shards this replica now owns the writes for
-	// (see Promote); fences holds each promoted shard's manifest epoch
-	// (0 = no manifest, accept any stamp). failSince tracks when each
-	// shard's tail started failing with transport errors, for the
-	// PromoteAfter lease.
-	promoted  []bool
-	fences    []uint64
+	mu      sync.Mutex
+	cursors []ReplicaShardInfo
+	// failSince tracks when each shard's tail started failing with
+	// transport errors, for the PromoteAfter lease.
 	failSince []time.Time
 
 	// syncMu serializes whole replication cycles: an overlapping cycle
@@ -754,11 +320,7 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 	r := &Replica{
 		cfg:       cfg,
 		stores:    make([]*resettableStore, len(meta.OwnedShards)),
-		total:     meta.TotalShards,
-		g2l:       make(map[int]int, len(meta.OwnedShards)),
-		state:     make([]ReplicaShardInfo, len(meta.OwnedShards)),
-		promoted:  make([]bool, len(meta.OwnedShards)),
-		fences:    make([]uint64, len(meta.OwnedShards)),
+		cursors:   make([]ReplicaShardInfo, len(meta.OwnedShards)),
 		failSince: make([]time.Time, len(meta.OwnedShards)),
 		stop:      make(chan struct{}),
 		done:      make(chan struct{}),
@@ -767,8 +329,7 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 	for i := range r.stores {
 		r.stores[i] = newResettableStore()
 		stores[i] = r.stores[i]
-		r.state[i] = ReplicaShardInfo{Shard: meta.OwnedShards[i]}
-		r.g2l[meta.OwnedShards[i]] = i
+		r.cursors[i] = ReplicaShardInfo{Shard: meta.OwnedShards[i]}
 	}
 	// The replica journals its own applied stream: downstream followers
 	// (and, after a promotion, the demoted old primary rejoining as a
@@ -781,7 +342,6 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.local = local
 	srv, err := New(Config{
 		Router:          local,
 		Schedule:        cfg.Schedule,
@@ -795,7 +355,7 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.srv = srv
+	r.init(srv, local, meta.TotalShards, roleFollowing)
 	go r.loop()
 	return r, nil
 }
@@ -821,13 +381,13 @@ func (r *Replica) Close() error {
 // been promoted on reports "primary", the rest "replica".
 func (r *Replica) replicationInfo() *ReplicationInfo {
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	info := &ReplicationInfo{Source: r.cfg.Client.BaseURL()}
-	info.Shards = append([]ReplicaShardInfo(nil), r.state...)
+	info.Shards = append([]ReplicaShardInfo(nil), r.cursors...)
+	r.mu.Unlock()
 	for i := range info.Shards {
-		if r.promoted[i] {
+		if st := r.state(i); st.role == rolePrimary {
 			info.Shards[i].Role = "primary"
-			info.Shards[i].Epoch = r.fences[i]
+			info.Shards[i].Epoch = st.epoch
 			info.Shards[i].LagRecords = 0
 			info.Shards[i].LastError = ""
 		} else {
@@ -905,11 +465,11 @@ func (r *Replica) syncSurveys(surveys []*survey.Survey) {
 // unreachable) start the failover lease clock; once a shard's tail has
 // been failing that way for PromoteAfter, the shard self-promotes.
 func (r *Replica) syncShard(i int) {
-	if r.isPromoted(i) {
+	if r.state(i).role == rolePrimary {
 		return
 	}
 	r.mu.Lock()
-	st := r.state[i] // copy; written back under the lock below
+	st := r.cursors[i] // copy; written back under the lock below
 	r.mu.Unlock()
 	global := st.Shard
 	for {
@@ -1000,7 +560,7 @@ func (r *Replica) syncShard(i int) {
 	}
 	st.LastSyncAt = time.Now()
 	r.mu.Lock()
-	r.state[i] = st
+	r.cursors[i] = st
 	r.mu.Unlock()
 }
 
@@ -1144,12 +704,6 @@ func (r *Replica) logf(format string, args ...any) {
 // ---------------------------------------------------------------------------
 // Replica promotion and fencing
 
-func (r *Replica) isPromoted(i int) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.promoted[i]
-}
-
 // clearFail resets a shard's failover lease clock after a successful
 // tail.
 func (r *Replica) clearFail(i int) {
@@ -1199,25 +753,24 @@ func (r *Replica) resetOwnJournal(i int) {
 // watching frontend. Idempotent: promoting a promoted shard returns its
 // fence epoch.
 func (r *Replica) Promote(global int) (uint64, error) {
-	if _, err := r.localShard(global); err != nil {
+	i, err := r.localShard(global)
+	if err != nil {
 		return 0, err
 	}
 	r.syncMu.Lock()
 	defer r.syncMu.Unlock()
-	return r.promoteLocked(r.g2l[global])
+	return r.promoteLocked(i)
 }
 
 // promoteLocked is Promote's body; the caller holds syncMu (so no sync
 // cycle is mid-flight while ownership flips).
 func (r *Replica) promoteLocked(i int) (uint64, error) {
 	global := r.local.GlobalID(i)
-	r.mu.Lock()
-	already := r.promoted[i]
-	fence := r.fences[i]
-	r.mu.Unlock()
-	if already {
-		return fence, nil
+	st := r.state(i)
+	if st.role == rolePrimary {
+		return st.epoch, nil
 	}
+	fence := st.epoch
 	// Promotion proceeds from whatever offset this replica has applied:
 	// records the dead primary accepted but never shipped are its to
 	// re-offer when it rejoins — asynchronous replication's standard
@@ -1239,11 +792,8 @@ func (r *Replica) promoteLocked(i int) (uint64, error) {
 			return 0, fmt.Errorf("promote shard %d: manifest save: %w", global, err)
 		}
 	}
-	r.mu.Lock()
-	r.promoted[i] = true
-	r.fences[i] = fence
-	r.failSince[i] = time.Time{}
-	r.mu.Unlock()
+	r.setState(i, shardState{role: rolePrimary, epoch: fence})
+	r.clearFail(i)
 	r.logf("replica shard %d: promoted to primary (placement epoch %d)", global, fence)
 	return fence, nil
 }
@@ -1265,113 +815,16 @@ func (r *Replica) ApplyManifest(m *placement.Manifest) {
 		if sp == nil || sp.Primary != r.cfg.SelfURL {
 			continue
 		}
-		if r.isPromoted(i) {
-			r.mu.Lock()
-			if sp.Epoch > r.fences[i] {
-				r.fences[i] = sp.Epoch
+		if st := r.state(i); st.role == rolePrimary {
+			if sp.Epoch > st.epoch {
+				r.setState(i, shardState{role: rolePrimary, epoch: sp.Epoch})
 			}
-			r.mu.Unlock()
 			continue
 		}
 		if _, err := r.promoteLocked(i); err != nil {
 			r.logf("replica shard %d: manifest promotion: %v", g, err)
 		}
 	}
-}
-
-// ---------------------------------------------------------------------------
-// Replica shardrpc backend
-//
-// A replica serves the same internal transport a node does, which is
-// what lets frontends fail reads over to it when the node dies: scans,
-// partials (marked stale until promotion), survey meta, and journal
-// tails for its own downstream followers. Writes are fenced until the
-// shard is promoted.
-
-func (r *Replica) localShard(global int) (int, error) {
-	i, ok := r.g2l[global]
-	if !ok {
-		return 0, &shardrpc.ErrNotOwned{Shard: global}
-	}
-	return i, nil
-}
-
-// Meta implements shardrpc.Backend.
-func (r *Replica) Meta() shardrpc.Meta {
-	owned := make([]int, r.local.Shards())
-	for i := range owned {
-		owned[i] = r.local.GlobalID(i)
-	}
-	return shardrpc.Meta{TotalShards: r.total, OwnedShards: owned}
-}
-
-// AppendShardBatch implements shardrpc.Backend. An unpromoted shard
-// fences every write (a replica is read-only until failover makes it
-// primary); a promoted one appends exactly like a node.
-func (r *Replica) AppendShardBatch(global int, rs []survey.Response) ([]int, error) {
-	i, err := r.localShard(global)
-	if err != nil {
-		return nil, err
-	}
-	if !r.isPromoted(i) {
-		r.mu.Lock()
-		fence := r.fences[i]
-		r.mu.Unlock()
-		return nil, &shardrpc.FencedError{Shard: global, Epoch: 0, Current: fence}
-	}
-	counts, err := r.local.AppendShardBatch(i, rs)
-	for _, id := range uniqueSurveyIDs(rs[:len(counts)]) {
-		r.srv.advanceShard(id, i)
-	}
-	return counts, err
-}
-
-// ScanShard implements shardrpc.Backend.
-func (r *Replica) ScanShard(global int, surveyID string, fromSeq uint64, fn func(seq uint64, rec *survey.Response) error) error {
-	i, err := r.localShard(global)
-	if err != nil {
-		return err
-	}
-	return r.local.ScanShard(i, surveyID, fromSeq, fn)
-}
-
-// CountShard implements shardrpc.Backend.
-func (r *Replica) CountShard(global int, surveyID string) int {
-	i, err := r.localShard(global)
-	if err != nil {
-		return 0
-	}
-	return r.local.CountShard(i, surveyID)
-}
-
-// PartialState implements shardrpc.Backend: the replica's shard
-// partial, marked stale while the shard still follows (the replica's
-// copy trails the primary by at most one poll plus a round-trip).
-func (r *Replica) PartialState(global int, surveyID string, have uint64) (*shardrpc.Partial, error) {
-	i, err := r.localShard(global)
-	if err != nil {
-		return nil, err
-	}
-	p, err := r.srv.PartialState(i, surveyID, have)
-	if err != nil {
-		return nil, err
-	}
-	p.Shard = global
-	if !r.isPromoted(i) {
-		p.Stale = true
-	}
-	return p, nil
-}
-
-// Tail implements shardrpc.Backend: the replica's own journal, serving
-// downstream followers — including a demoted old primary rejoining as a
-// replica of the shard's new home.
-func (r *Replica) Tail(global int, epoch, offset uint64, max int, follower string) (*shardset.TailBatch, error) {
-	i, err := r.localShard(global)
-	if err != nil {
-		return nil, err
-	}
-	return r.local.Tail(i, epoch, offset, max, follower)
 }
 
 // PutSurvey implements shardrpc.Backend. Publish broadcasts race the
@@ -1390,46 +843,4 @@ func (r *Replica) PutSurvey(sv *survey.Survey) error {
 	return err
 }
 
-// ReplaceSurvey implements shardrpc.Backend.
-func (r *Replica) ReplaceSurvey(sv *survey.Survey) error {
-	if err := sv.Validate(); err != nil {
-		return err
-	}
-	if err := r.local.ReplaceSurvey(sv); err != nil {
-		return err
-	}
-	r.srv.invalidateLive(sv.ID)
-	return nil
-}
-
-// Survey implements shardrpc.Backend.
-func (r *Replica) Survey(id string) (*survey.Survey, error) { return r.local.Survey(id) }
-
-// Surveys implements shardrpc.Backend.
-func (r *Replica) Surveys() ([]*survey.Survey, error) { return r.local.Surveys() }
-
 var _ shardrpc.Backend = (*Replica)(nil)
-
-// CheckFence implements shardrpc.FencedBackend: every write bounces
-// until promotion; after it, stamps older than the promotion epoch
-// bounce (a frontend still routing by the pre-failover manifest), and
-// unstamped or newer stamps pass.
-func (r *Replica) CheckFence(global int, epoch uint64) error {
-	i, err := r.localShard(global)
-	if err != nil {
-		return err
-	}
-	r.mu.Lock()
-	promoted := r.promoted[i]
-	fence := r.fences[i]
-	r.mu.Unlock()
-	if !promoted {
-		return &shardrpc.FencedError{Shard: global, Epoch: epoch, Current: fence}
-	}
-	if epoch != 0 && epoch < fence {
-		return &shardrpc.FencedError{Shard: global, Epoch: epoch, Current: fence}
-	}
-	return nil
-}
-
-var _ shardrpc.FencedBackend = (*Replica)(nil)

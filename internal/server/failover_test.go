@@ -472,7 +472,7 @@ func TestPromotionRaceOldPrimaryFenced(t *testing.T) {
 				default:
 				}
 				r := randomResponse(sv, rand.New(rand.NewSource(int64(100+w))), w*100000+i)
-				_, err := repClient.SubmitFenced(shardset.Route(sv.ID, r.WorkerID, totalShards), 0, []survey.Response{*r}, nil)
+				_, err := repClient.Submit(&shardrpc.SubmitRequest{Shard: shardset.Route(sv.ID, r.WorkerID, totalShards), Responses: []survey.Response{*r}})
 				switch {
 				case err == nil:
 					accepted.Add(1)
@@ -489,7 +489,7 @@ func TestPromotionRaceOldPrimaryFenced(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	rep.SyncOnce()
 	for s := 0; s < totalShards; s++ {
-		if _, err := repClient.SubmitFenced(s, 2, []survey.Response{*randomResponse(sv, rng, 9000+s)}, nil); err != nil {
+		if _, err := repClient.Submit(&shardrpc.SubmitRequest{Shard: s, Epoch: 2, Responses: []survey.Response{*randomResponse(sv, rng, 9000+s)}}); err != nil {
 			t.Fatalf("post-promotion write to shard %d: %v", s, err)
 		}
 	}
@@ -522,7 +522,7 @@ func TestPromotionRaceOldPrimaryFenced(t *testing.T) {
 		}
 	}
 	for _, epoch := range []uint64{1, 0, 2} {
-		_, err := nodes[0].client.SubmitFenced(0, epoch, []survey.Response{*randomResponse(sv, rng, 9500)}, nil)
+		_, err := nodes[0].client.Submit(&shardrpc.SubmitRequest{Shard: 0, Epoch: epoch, Responses: []survey.Response{*randomResponse(sv, rng, 9500)}})
 		if !errors.Is(err, shardrpc.ErrFenced) {
 			t.Fatalf("old primary accepted a write (epoch %d): %v", epoch, err)
 		}

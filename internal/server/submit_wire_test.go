@@ -1,0 +1,487 @@
+package server
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"flag"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"loki/internal/budget"
+	"loki/internal/core"
+	"loki/internal/placement"
+	"loki/internal/shardrpc"
+	"loki/internal/shardset"
+	"loki/internal/store"
+	"loki/internal/survey"
+)
+
+// updateGolden regenerates testdata/submit_wire/*.golden from whatever
+// the code under test answers. The committed files were generated by
+// the commit BEFORE the submit pipeline was unified and must keep
+// passing unchanged: they are the shardrpc submit wire contract.
+var updateGolden = flag.Bool("update-golden", false, "rewrite the submit wire goldens from the current code")
+
+// failingStore fails every append from the failAt-th on (1-based) with
+// a fixed error. Embedding the interface hides the Mem's batch appender,
+// so a batch lands record by record and a mid-batch failure leaves a
+// durable prefix — the shape a real disk error has.
+type failingStore struct {
+	store.Store
+	failAt  int
+	appends int
+}
+
+var errDiskOnFire = errors.New("disk on fire")
+
+func (f *failingStore) AppendResponse(r *survey.Response) error {
+	f.appends++
+	if f.appends >= f.failAt {
+		return errDiskOnFire
+	}
+	return f.Store.AppendResponse(r)
+}
+
+// wireNode is one real Node behind shardrpc.NewHandler, the unit the
+// wire goldens (and the pipeline tests) drive.
+type wireNode struct {
+	url   string
+	node  *Node
+	srv   *Server
+	local *shardset.Local
+	set   *budget.Set
+}
+
+// wireNodeOpts shapes a wireNode. Zero value: shards {0,1} of a 2-shard
+// cluster over Mem stores, both overload gates off, no budget shards.
+type wireNodeOpts struct {
+	owned  []int
+	total  int
+	store  func(local int) store.Store
+	cfg    Config
+	budget *budget.SetOptions
+}
+
+func newWireNode(t *testing.T, o wireNodeOpts) *wireNode {
+	t.Helper()
+	if o.owned == nil {
+		o.owned = []int{0, 1}
+	}
+	if o.total == 0 {
+		o.total = len(o.owned)
+	}
+	stores := make([]store.Store, len(o.owned))
+	for i := range stores {
+		stores[i] = store.NewMem()
+		if o.store != nil {
+			stores[i] = o.store(i)
+		}
+	}
+	local, err := shardset.NewLocal(stores, shardset.LocalOptions{GlobalIDs: o.owned, Journal: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { local.Close() })
+	cfg := o.cfg
+	cfg.Router, cfg.Schedule, cfg.RequesterToken, cfg.Role = local, core.DefaultSchedule(), testToken, "node"
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	node, err := NewNode(srv, o.total)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wn := &wireNode{node: node, srv: srv, local: local}
+	if o.budget != nil {
+		bo := *o.budget
+		bo.Dir = t.TempDir()
+		set, err := budget.NewSet(bo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { set.Close() })
+		node.HostBudget(set)
+		wn.set = set
+	}
+	h, err := shardrpc.NewHandler(node, testToken)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux := http.NewServeMux()
+	mux.Handle("/shardrpc/", h)
+	mux.Handle("/", srv)
+	ts := httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
+	wn.url = ts.URL
+	if err := node.PutSurvey(clusterTestSurvey()); err != nil {
+		t.Fatal(err)
+	}
+	return wn
+}
+
+// wireBudget hosts every budget shard of a two-shard space with the
+// three-medium-responses cap the budget tests use.
+func wireBudget(t *testing.T) *budget.SetOptions {
+	return &budget.SetOptions{Shards: 2, GlobalIDs: []int{0, 1}, Config: budgetTestConfig(t)}
+}
+
+// wireCharge prices one response the way a frontend would.
+func wireCharge(t *testing.T, r *survey.Response, enforce bool) budget.Charge {
+	return budget.Charge{
+		WorkerID: r.WorkerID, SurveyID: r.SurveyID,
+		Rho: responseRho(t, clusterTestSurvey(), r.PrivacyLevel), Enforce: enforce,
+	}
+}
+
+// wireBatch builds a shard-0 submit for the named workers (medium
+// level), charged in the given mode when mode is "enforce" or "log".
+func wireBatch(t *testing.T, mode string, workers ...string) *shardrpc.SubmitRequest {
+	req := &shardrpc.SubmitRequest{Shard: 0}
+	for _, w := range workers {
+		r := budgetResponse(clusterTestSurvey(), w, "medium")
+		req.Responses = append(req.Responses, *r)
+		if mode != "" {
+			req.Charges = append(req.Charges, wireCharge(t, r, mode == "enforce"))
+		}
+	}
+	return req
+}
+
+// wireReply is the part of a submit answer the contract pins.
+type wireReply struct {
+	status     int
+	appended   string
+	retryAfter string
+	body       []byte
+}
+
+func (r wireReply) String() string {
+	return fmt.Sprintf("status: %d\n%s: %s\nRetry-After: %s\nbody:\n%s",
+		r.status, shardrpc.AppendedHeader, r.appended, r.retryAfter, r.body)
+}
+
+// doSubmit posts one raw submit; ctx-less and t-less so goroutines other
+// than the test's own can use it.
+func doSubmit(url string, req any) (wireReply, error) {
+	body, err := json.Marshal(req)
+	if err != nil {
+		return wireReply{}, err
+	}
+	hreq, err := http.NewRequest(http.MethodPost, url+"/shardrpc/v1/submit", bytes.NewReader(body))
+	if err != nil {
+		return wireReply{}, err
+	}
+	hreq.Header.Set("Authorization", "Bearer "+testToken)
+	resp, err := http.DefaultClient.Do(hreq)
+	if err != nil {
+		return wireReply{}, err
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return wireReply{}, err
+	}
+	return wireReply{
+		status:     resp.StatusCode,
+		appended:   resp.Header.Get(shardrpc.AppendedHeader),
+		retryAfter: resp.Header.Get("Retry-After"),
+		body:       raw,
+	}, nil
+}
+
+func postSubmit(t *testing.T, url string, req any) wireReply {
+	t.Helper()
+	r, err := doSubmit(url, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// fencedManifest places both shards of the wire node at the given epoch
+// with the given primary URL.
+func fencedManifest(t *testing.T, primary string, epoch uint64) *placement.Manifest {
+	t.Helper()
+	m, err := placement.RoundRobin(2, []string{primary})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range m.Shards {
+		m.Shards[i].Epoch = epoch
+	}
+	return m
+}
+
+// wireReplica follows a fresh wire node; promoted flips shard 0
+// writable first.
+func wireReplica(t *testing.T, promoted bool) (*Replica, string) {
+	t.Helper()
+	wn := newWireNode(t, wireNodeOpts{})
+	rep, err := NewReplica(ReplicaConfig{
+		Client:         shardrpc.NewClient(wn.url, testToken, nil),
+		Schedule:       core.DefaultSchedule(),
+		RequesterToken: testToken,
+		PollInterval:   time.Hour,
+		FollowerID:     "wire-golden",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rep.Close() })
+	rep.SyncOnce()
+	if promoted {
+		if _, err := rep.Promote(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h, err := shardrpc.NewHandler(rep, testToken)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(h)
+	t.Cleanup(ts.Close)
+	return rep, ts.URL
+}
+
+// slowLimit is a per-worker bucket of one token that effectively never
+// refills: a worker's second record is always throttled, with the same
+// Retry-After whenever the test runs.
+var slowLimit = Config{RateLimitRPS: 1e-6, RateLimitBurst: 1}
+
+// TestSubmitWireGolden pins POST /shardrpc/v1/submit byte for byte —
+// status, X-Shardrpc-Appended, Retry-After and body — for every verdict
+// the node's submit pipeline can reach.
+func TestSubmitWireGolden(t *testing.T) {
+	cases := []struct {
+		name string
+		run  func(t *testing.T) wireReply
+		// permit lists {golden text, accepted replacement} pairs: the
+		// documented wire differences from the commit the goldens came
+		// from.
+		permit [][2]string
+	}{
+		{name: "plain_ok", run: func(t *testing.T) wireReply {
+			return postSubmit(t, newWireNode(t, wireNodeOpts{}).url, wireBatch(t, "", "a", "b", "c"))
+		}},
+		{name: "plain_fail_midbatch", run: func(t *testing.T) wireReply {
+			wn := newWireNode(t, wireNodeOpts{store: func(int) store.Store {
+				return &failingStore{Store: store.NewMem(), failAt: 3}
+			}})
+			return postSubmit(t, wn.url, wireBatch(t, "", "a", "b", "c", "d"))
+		}},
+		{name: "plain_unknown_survey", run: func(t *testing.T) wireReply {
+			req := wireBatch(t, "", "a", "b")
+			req.Responses[1].SurveyID = "ghost"
+			return postSubmit(t, newWireNode(t, wireNodeOpts{}).url, req)
+		}},
+		{name: "charged_ok", run: func(t *testing.T) wireReply {
+			req := wireBatch(t, "enforce", "a", "b", "c")
+			req.Charges[1] = budget.Charge{} // an uncharged entry rides along
+			return postSubmit(t, newWireNode(t, wireNodeOpts{budget: wireBudget(t)}).url, req)
+		}},
+		{name: "charged_rejected", run: func(t *testing.T) wireReply {
+			// The cap admits three medium responses; the fourth charge of
+			// one worker in one batch is refused mid-batch.
+			req := wireBatch(t, "enforce", "a", "a", "a", "a", "b")
+			return postSubmit(t, newWireNode(t, wireNodeOpts{budget: wireBudget(t)}).url, req)
+		}},
+		{name: "charged_enforce_undecided", run: func(t *testing.T) wireReply {
+			// A malformed charge fails the whole ledger call: every charged
+			// entry is undecided and, enforcing, fails closed.
+			req := wireBatch(t, "enforce", "a", "b", "c")
+			req.Charges[1].Rho = -1
+			req.Charges[2] = budget.Charge{}
+			return postSubmit(t, newWireNode(t, wireNodeOpts{budget: wireBudget(t)}).url, req)
+		}},
+		{name: "charged_log_fail_open", run: func(t *testing.T) wireReply {
+			req := wireBatch(t, "log", "a", "b")
+			req.Charges[1].Rho = -1
+			return postSubmit(t, newWireNode(t, wireNodeOpts{budget: wireBudget(t)}).url, req)
+		}},
+		{name: "charged_mixed_undecided", run: func(t *testing.T) wireReply {
+			req := wireBatch(t, "enforce", "a", "b")
+			req.Charges[0].Rho = -1
+			req.Charges[1].Enforce = false
+			return postSubmit(t, newWireNode(t, wireNodeOpts{budget: wireBudget(t)}).url, req)
+		}},
+		{name: "charged_log_over_cap", run: func(t *testing.T) wireReply {
+			req := wireBatch(t, "log", "a", "a", "a", "a")
+			return postSubmit(t, newWireNode(t, wireNodeOpts{budget: wireBudget(t)}).url, req)
+		}},
+		{name: "charged_append_failure_refund", run: func(t *testing.T) wireReply {
+			wn := newWireNode(t, wireNodeOpts{budget: wireBudget(t), store: func(int) store.Store {
+				return &failingStore{Store: store.NewMem(), failAt: 2}
+			}})
+			req := wireBatch(t, "enforce", "a", "b", "c")
+			req.Charges[2] = budget.Charge{}
+			return postSubmit(t, wn.url, req)
+		}},
+		{name: "throttled_plain", run: func(t *testing.T) wireReply {
+			wn := newWireNode(t, wireNodeOpts{cfg: slowLimit})
+			return postSubmit(t, wn.url, wireBatch(t, "", "a", "a", "b"))
+		}},
+		{name: "throttled_plain_append_failure", run: func(t *testing.T) wireReply {
+			wn := newWireNode(t, wireNodeOpts{cfg: slowLimit, store: func(int) store.Store {
+				return &failingStore{Store: store.NewMem(), failAt: 2}
+			}})
+			return postSubmit(t, wn.url, wireBatch(t, "", "a", "a", "b", "c"))
+		}},
+		{name: "throttled_charged", run: func(t *testing.T) wireReply {
+			wn := newWireNode(t, wireNodeOpts{cfg: slowLimit, budget: wireBudget(t)})
+			return postSubmit(t, wn.url, wireBatch(t, "enforce", "a", "b", "a", "c"))
+		}},
+		{name: "throttled_charged_append_failure", run: func(t *testing.T) wireReply {
+			// Three per-record verdicts in one reply: stored, throttled,
+			// and append failures whose charges are refunded.
+			wn := newWireNode(t, wireNodeOpts{cfg: slowLimit, budget: wireBudget(t), store: func(int) store.Store {
+				return &failingStore{Store: store.NewMem(), failAt: 2}
+			}})
+			return postSubmit(t, wn.url, wireBatch(t, "enforce", "a", "a", "b", "c"))
+		}},
+		{name: "throttled_all_charged", run: func(t *testing.T) wireReply {
+			wn := newWireNode(t, wireNodeOpts{cfg: slowLimit, budget: wireBudget(t)})
+			if r := postSubmit(t, wn.url, wireBatch(t, "enforce", "a", "b")); r.status != http.StatusOK {
+				t.Fatalf("bucket-draining batch: %v", r)
+			}
+			return postSubmit(t, wn.url, wireBatch(t, "enforce", "a", "b"))
+		}},
+		{name: "limiter_on_nothing_throttled", run: func(t *testing.T) wireReply {
+			wn := newWireNode(t, wireNodeOpts{cfg: slowLimit})
+			return postSubmit(t, wn.url, wireBatch(t, "", "a", "b"))
+		}},
+		{name: "shed", run: func(t *testing.T) wireReply {
+			release := make(chan struct{})
+			wn := newWireNode(t, wireNodeOpts{
+				cfg: Config{SubmitInflight: 1},
+				store: func(int) store.Store {
+					return &blockingStore{Store: store.NewMem(), release: release}
+				},
+			})
+			unblock := sync.OnceFunc(func() { close(release) })
+			t.Cleanup(unblock) // before the node's cleanups, whatever fails
+			held := wireBatch(t, "", "a")
+			first := make(chan wireReply, 1)
+			go func() {
+				r, err := doSubmit(wn.url, held)
+				if err != nil {
+					t.Error(err)
+				}
+				first <- r
+			}()
+			waitFor(t, "the first batch to hold the only slot", func() bool {
+				return wn.srv.admissionInfo().Inflight == 1
+			})
+			shed := postSubmit(t, wn.url, wireBatch(t, "", "b"))
+			unblock()
+			if r := <-first; r.status != http.StatusOK {
+				t.Fatalf("admitted batch: %v", r)
+			}
+			return shed
+		}},
+		{name: "fenced_stale_stamp", run: func(t *testing.T) wireReply {
+			wn := newWireNode(t, wireNodeOpts{})
+			wn.node.ApplyManifest(fencedManifest(t, wn.url, 3), wn.url)
+			req := wireBatch(t, "", "a")
+			req.Epoch = 2
+			return postSubmit(t, wn.url, req)
+		}},
+		{name: "fenced_demoted", run: func(t *testing.T) wireReply {
+			wn := newWireNode(t, wireNodeOpts{})
+			wn.node.ApplyManifest(fencedManifest(t, "http://the-new-primary", 4), wn.url)
+			return postSubmit(t, wn.url, wireBatch(t, "", "a"))
+		}},
+		{name: "fenced_replica_unpromoted", run: func(t *testing.T) wireReply {
+			req := wireBatch(t, "", "a")
+			req.Epoch = 1
+			_, url := wireReplica(t, false)
+			return postSubmit(t, url, req)
+		}},
+		{name: "epoch_current_ok", run: func(t *testing.T) wireReply {
+			wn := newWireNode(t, wireNodeOpts{})
+			wn.node.ApplyManifest(fencedManifest(t, wn.url, 3), wn.url)
+			req := wireBatch(t, "", "a")
+			req.Epoch = 3
+			return postSubmit(t, wn.url, req)
+		}},
+		{name: "not_owned", run: func(t *testing.T) wireReply {
+			req := wireBatch(t, "", "a")
+			req.Shard = 7
+			return postSubmit(t, newWireNode(t, wireNodeOpts{}).url, req)
+		}},
+		{name: "unhosted_budget_shard", run: func(t *testing.T) wireReply {
+			wn := newWireNode(t, wireNodeOpts{budget: &budget.SetOptions{
+				Shards: 2, GlobalIDs: []int{0}, Config: budgetTestConfig(t),
+			}})
+			// One worker per budget shard: the batch spans a hosted and an
+			// unhosted one and must fail whole.
+			var hosted, unhosted string
+			for i := 0; hosted == "" || unhosted == ""; i++ {
+				w := fmt.Sprintf("w%d", i)
+				if budget.Route(w, 2) == 0 {
+					hosted = w
+				} else {
+					unhosted = w
+				}
+			}
+			return postSubmit(t, wn.url, wireBatch(t, "enforce", hosted, unhosted))
+		}},
+		{name: "charged_no_budget", run: func(t *testing.T) wireReply {
+			return postSubmit(t, newWireNode(t, wireNodeOpts{}).url, wireBatch(t, "enforce", "a"))
+		}},
+		{name: "misaligned_charges", run: func(t *testing.T) wireReply {
+			req := wireBatch(t, "enforce", "a", "b")
+			req.Charges = req.Charges[:1]
+			return postSubmit(t, newWireNode(t, wireNodeOpts{budget: wireBudget(t)}).url, req)
+		}},
+		{name: "empty_batch", run: func(t *testing.T) wireReply {
+			return postSubmit(t, newWireNode(t, wireNodeOpts{}).url, &shardrpc.SubmitRequest{Shard: 0})
+		}},
+		{name: "replica_promoted_plain_ok", run: func(t *testing.T) wireReply {
+			_, url := wireReplica(t, true)
+			return postSubmit(t, url, wireBatch(t, "", "a", "b"))
+		}},
+		{name: "replica_promoted_charged", run: func(t *testing.T) wireReply {
+			_, url := wireReplica(t, true)
+			return postSubmit(t, url, wireBatch(t, "enforce", "a"))
+		}, permit: [][2]string{{
+			"this node does not accept piggybacked budget charges",
+			"server: node hosts no budget shards",
+		}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got := tc.run(t).String()
+			path := filepath.Join("testdata", "submit_wire", tc.name+".golden")
+			if *updateGolden {
+				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range tc.permit {
+				got = strings.Replace(got, p[1], p[0], 1)
+			}
+			if got != string(want) {
+				t.Fatalf("wire reply changed\n--- got ---\n%s\n--- want ---\n%s", got, want)
+			}
+		})
+	}
+}

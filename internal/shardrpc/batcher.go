@@ -19,9 +19,9 @@ import (
 // waits on a timer), so uncontended submit latency is one round-trip.
 //
 // Entries may carry a piggybacked budget charge (see AppendCharged on
-// Remote): the batch then ships as a charged submit, and the node
-// decides every debit before appending — the enforce-mode hot path at
-// the same one round-trip as the plain one.
+// Remote): the batch then carries charges, and the node decides every
+// debit before appending — the enforce-mode hot path at the same one
+// round-trip as the plain one.
 
 // maxSubmitBatch bounds one shipped batch; deeper queues ship as
 // consecutive batches.
@@ -108,12 +108,13 @@ func (b *shardBatcher) run() {
 	}
 }
 
-// ship sends one batch and distributes per-record results. A batch with
-// any charged entry ships as a charged submit and is settled entry by
-// entry from the request-aligned reply. A plain batch keeps the
-// durable-prefix contract: on an error the node reports how many
-// leading records it durably appended before failing (AppendedHeader) —
-// that prefix succeeds without a per-record count, the rest fail.
+// ship sends one batch — charges riding along wherever an entry carries
+// one — and settles every caller from the reply. A refused or lost
+// batch fails everyone, except that a plain batch failing mid-append
+// reports how many leading records the node made durable
+// (AppendedHeader): that prefix succeeds without a per-record count.
+// A charged batch never reports one — its append failures travel per
+// entry inside a 200, because its durable set is not a prefix.
 func (b *shardBatcher) ship(batch []*pendingSubmit) {
 	client, epoch, terr := b.remote.submitTarget(b.shard)
 	if terr != nil {
@@ -124,83 +125,36 @@ func (b *shardBatcher) ship(batch []*pendingSubmit) {
 		}
 		return
 	}
-	responses := make([]survey.Response, len(batch))
-	charged := false
+	req := &SubmitRequest{Shard: b.shard, Epoch: epoch, Responses: make([]survey.Response, len(batch))}
 	for i, p := range batch {
-		responses[i] = *p.resp
-		charged = charged || p.charge != nil
-	}
-	if charged {
-		charges := make([]budget.Charge, len(batch))
-		for i, p := range batch {
-			if p.charge != nil {
-				charges[i] = *p.charge
+		req.Responses[i] = *p.resp
+		if p.charge != nil {
+			if req.Charges == nil {
+				req.Charges = make([]budget.Charge, len(batch))
 			}
+			req.Charges[i] = *p.charge
 		}
-		res, err := client.SubmitFenced(b.shard, epoch, responses, charges)
-		b.noteShip(client, err)
-		if err != nil {
-			// A charged submit reports append failures inside a 200
-			// reply; a transport-level error means the node refused the
-			// whole batch before touching any state (or the reply was
-			// lost — the same exposure the plain path has).
-			for _, p := range batch {
-				p.done <- submitDone{err: err}
-			}
-			return
-		}
-		for i, p := range batch {
-			p.done <- settleCharged(res, i, p)
-		}
-		return
 	}
-	res, err := client.SubmitFenced(b.shard, epoch, responses, nil)
+	res, err := client.Submit(req)
 	b.noteShip(client, err)
 	if err != nil {
 		appended := 0
 		var re *remoteError
 		if errors.As(err, &re) {
-			appended = re.Appended
-		}
-		if appended > len(batch) {
-			appended = len(batch)
+			appended = min(re.Appended, len(batch))
 		}
 		for i, p := range batch {
 			if i < appended {
 				// Durable, but the count was lost with the error reply.
-				p.done <- submitDone{stored: 0}
+				p.done <- submitDone{}
 			} else {
 				p.done <- submitDone{err: err}
 			}
 		}
 		return
 	}
-	if len(res.Throttled) == len(batch) {
-		// A node with rate limiting answered per record: throttled
-		// entries were not appended and settle with the retryable
-		// vocabulary; the rest are request-aligned (see SubmitResult).
-		for i, p := range batch {
-			switch {
-			case res.Throttled[i]:
-				p.done <- submitDone{err: &ThrottledError{RetryAfterSeconds: res.RetryAfterSeconds}}
-			case i < len(res.AppendErrs) && res.AppendErrs[i] != "":
-				p.done <- submitDone{err: errors.New(res.AppendErrs[i])}
-			default:
-				stored := 0
-				if i < len(res.Stored) {
-					stored = res.Stored[i]
-				}
-				p.done <- submitDone{stored: stored}
-			}
-		}
-		return
-	}
 	for i, p := range batch {
-		stored := 0
-		if i < len(res.Stored) {
-			stored = res.Stored[i]
-		}
-		p.done <- submitDone{stored: stored}
+		p.done <- settle(res, i, p)
 	}
 }
 
@@ -215,13 +169,15 @@ func (b *shardBatcher) noteShip(client *Client, err error) {
 	}
 }
 
-// settleCharged maps one request entry of a charged reply to its
-// caller's result: append failure (the charge was refunded node-side),
-// enforce-mode undecided charge (fail closed), budget rejection, or a
-// stored response with its outcome. A log-mode entry whose charge
-// errored was still appended — it settles as stored with a zero
-// outcome, and the caller can tell from the empty outcome worker id.
-func settleCharged(res *SubmitResult, i int, p *pendingSubmit) submitDone {
+// settle maps entry i of a 200 reply to its caller's result, in the
+// order the node decided it: throttled (not appended, retryable),
+// append failure (any charge was refunded node-side), enforce-mode
+// undecided charge (fail closed), budget rejection, or stored with its
+// outcome. A log-mode entry whose charge errored was still appended —
+// it settles as stored with a zero outcome, and the caller can tell
+// from the empty outcome worker id. Every per-entry slice is optional:
+// a plain reply carries only Stored, and settles as stored.
+func settle(res *SubmitResult, i int, p *pendingSubmit) submitDone {
 	if i < len(res.Throttled) && res.Throttled[i] {
 		return submitDone{err: &ThrottledError{RetryAfterSeconds: res.RetryAfterSeconds}}
 	}

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"loki/internal/blockio"
-	"loki/internal/budget"
 	"loki/internal/shardset"
 	"loki/internal/store"
 	"loki/internal/survey"
@@ -168,27 +167,13 @@ func (c *Client) Meta() (*Meta, error) {
 	return &m, nil
 }
 
-// Submit appends a routed batch to one global shard.
-func (c *Client) Submit(shard int, responses []survey.Response) (*SubmitResult, error) {
-	return c.SubmitCharged(shard, responses, nil)
-}
-
-// SubmitCharged appends a routed batch with piggybacked budget charges
-// (aligned 1:1 with responses; an empty worker id carries no charge) —
-// see ChargedBackend for the node-side contract.
-func (c *Client) SubmitCharged(shard int, responses []survey.Response, charges []budget.Charge) (*SubmitResult, error) {
-	return c.SubmitFenced(shard, 0, responses, charges)
-}
-
-// SubmitFenced is SubmitCharged with a placement-epoch stamp: the
-// fencing token a manifest-routed frontend sends so a node that has
-// applied a newer manifest refuses the batch (412 → ErrFenced) instead
-// of appending under stale ownership. Epoch 0 sends an unstamped batch.
-func (c *Client) SubmitFenced(shard int, epoch uint64, responses []survey.Response, charges []budget.Charge) (*SubmitResult, error) {
+// Submit sends one routed batch — responses, the placement epoch the
+// sender routed under (0 = unstamped) and any piggybacked budget
+// charges — to the node; see Backend.Submit for the contract. A 412
+// unwraps to ErrFenced, a 429 to OverloadedError.
+func (c *Client) Submit(req *SubmitRequest) (*SubmitResult, error) {
 	var res SubmitResult
-	err := c.do(http.MethodPost, "/shardrpc/v1/submit", nil,
-		&SubmitRequest{Shard: shard, Epoch: epoch, Responses: responses, Charges: charges}, &res)
-	if err != nil {
+	if err := c.do(http.MethodPost, "/shardrpc/v1/submit", nil, req, &res); err != nil {
 		return nil, err
 	}
 	return &res, nil

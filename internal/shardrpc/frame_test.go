@@ -66,7 +66,7 @@ func TestTailWireFrameNegotiation(t *testing.T) {
 	for i := range batch {
 		batch[i] = rpcResponse("sv", i)
 	}
-	if _, err := c.Submit(0, batch); err != nil {
+	if _, err := c.Submit(&SubmitRequest{Shard: 0, Responses: batch}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -99,73 +99,24 @@ func (h *Handler) handleMeta(w http.ResponseWriter, _ *http.Request) {
 	writeOK(w, h.backend.Meta())
 }
 
+// handleSubmit is decode → Backend.Submit → encode; every gate lives
+// behind the backend. A result returned beside an error is the durable
+// prefix of a plain batch that failed mid-way: the sender must not
+// resubmit it.
 func (h *Handler) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
 	if !readJSON(w, r, &req) {
 		return
 	}
-	if len(req.Responses) == 0 {
-		writeErr(w, http.StatusBadRequest, "submit batch is empty")
-		return
-	}
-	if len(req.Charges) > 0 && len(req.Charges) != len(req.Responses) {
-		writeErr(w, http.StatusBadRequest, "charges are not aligned with responses")
-		return
-	}
-	// The epoch fence runs before admission, charging, or appending: a
-	// batch routed under stale shard ownership must not change any state
-	// on a node that knows better.
-	if fb, ok := h.backend.(FencedBackend); ok {
-		if err := fb.CheckFence(req.Shard, req.Epoch); err != nil {
-			writeBackendErr(w, err)
-			return
-		}
-	}
-	// An overload-aware backend runs the batch through its admission
-	// and rate-limit gates and answers per record; with both gates off
-	// its reply is byte-identical to the plain paths below.
-	if ab, ok := h.backend.(AdmittedBackend); ok {
-		res, err := ab.AppendShardBatchAdmitted(req.Shard, req.Responses, req.Charges)
-		if err != nil {
-			var pe *PartialAppendError
-			if errors.As(err, &pe) {
-				w.Header().Set(AppendedHeader, strconv.Itoa(pe.Appended))
-				writeBackendErr(w, pe.Err)
-				return
-			}
-			writeBackendErr(w, err)
-			return
-		}
-		writeOK(w, res)
-		return
-	}
-	if len(req.Charges) > 0 {
-		if len(req.Charges) != len(req.Responses) {
-			writeErr(w, http.StatusBadRequest, "charges are not aligned with responses")
-			return
-		}
-		cb, ok := h.backend.(ChargedBackend)
-		if !ok {
-			writeErr(w, http.StatusBadRequest, "this node does not accept piggybacked budget charges")
-			return
-		}
-		res, err := cb.AppendShardBatchCharged(req.Shard, req.Responses, req.Charges)
-		if err != nil {
-			writeBackendErr(w, err)
-			return
-		}
-		writeOK(w, res)
-		return
-	}
-	counts, err := h.backend.AppendShardBatch(req.Shard, req.Responses)
+	res, err := h.backend.Submit(r.Context(), &req)
 	if err != nil {
-		// Report the partial progress with the error: the counted
-		// prefix is durable, the sender must not resubmit it.
-		w.Header().Set(AppendedHeader, strconv.Itoa(len(counts)))
+		if res != nil {
+			w.Header().Set(AppendedHeader, strconv.Itoa(res.Appended))
+		}
 		writeBackendErr(w, err)
 		return
 	}
-	writeOK(w, SubmitResult{Appended: len(counts), Stored: counts})
+	writeOK(w, res)
 }
 
 func (h *Handler) handleScan(w http.ResponseWriter, r *http.Request) {

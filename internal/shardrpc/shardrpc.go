@@ -29,6 +29,7 @@
 package shardrpc
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -69,9 +70,21 @@ type SubmitRequest struct {
 	// budget shard ON THE RECEIVING NODE before the append, so the
 	// enforce-mode hot path stays one RPC instead of charge + submit.
 	// The sender must route: every non-empty charge's worker hashes to
-	// a budget shard the addressed node hosts (else 421). The receiving
-	// backend must implement ChargedBackend.
+	// a budget shard the addressed node hosts (else 421); a backend that
+	// hosts no budget shards refuses a charged batch whole (400).
 	Charges []budget.Charge `json:"charges,omitempty"`
+}
+
+// Validate refuses a request no backend can act on: an empty batch, or
+// charges that are present but not aligned 1:1 with the responses.
+func (r *SubmitRequest) Validate() error {
+	if len(r.Responses) == 0 {
+		return errors.New("submit batch is empty")
+	}
+	if len(r.Charges) > 0 && len(r.Charges) != len(r.Responses) {
+		return errors.New("charges are not aligned with responses")
+	}
+	return nil
 }
 
 // SubmitResult acknowledges a durable batch.
@@ -187,16 +200,34 @@ type PublishRequest struct {
 }
 
 // Backend is what a cluster node exposes through a Handler. The server
-// package's Node implements it over a journaling shardset.Local plus
-// the node's live partial accumulators.
+// package's Node and Replica implement it over a journaling
+// shardset.Local plus the host's live partial accumulators.
 type Backend interface {
 	// Meta reports the node's shard ownership.
 	Meta() Meta
-	// AppendShardBatch durably appends a routed batch to a global
-	// shard in one durability round, returning per-response stored
-	// counts. On error the returned prefix covers the responses that
-	// were durably appended before the failure.
-	AppendShardBatch(shard int, rs []survey.Response) ([]int, error)
+	// Submit is the one write: run a routed batch through the host's
+	// gates and durably append what passes, in one durability round. ctx
+	// is the caller's — a sender that gave up must not keep a queue slot.
+	//
+	// A whole-batch refusal is an error returned with a nil result,
+	// decided before any per-record state (rate-limit buckets, ledger,
+	// store) changes: a request failing Validate, ErrNotOwned for a shard
+	// (or a charge's budget shard) the host does not hold, FencedError
+	// for a stale or unaccepted placement epoch, OverloadedError when
+	// admission sheds the batch.
+	//
+	// Per-record verdicts travel inside a successful result (see
+	// SubmitResult): throttled entries; and, on a charged batch, budget
+	// rejections, undecided charges (enforce-mode entries are not
+	// appended, log-mode entries are), and appends that failed after an
+	// accepted charge, which the host refunds before replying. Ordering
+	// is charge-then-append: a crash between the two over-counts a
+	// worker's spend, never under-counts it.
+	//
+	// The one result-with-error shape: a plain batch (no charges, nothing
+	// throttled) whose append fails returns the durable prefix beside the
+	// error, which the Handler reports in AppendedHeader.
+	Submit(ctx context.Context, req *SubmitRequest) (*SubmitResult, error)
 	// ScanShard streams one global shard's slice of a survey beyond a
 	// per-shard cursor.
 	ScanShard(shard int, surveyID string, fromSeq uint64, fn func(seq uint64, r *survey.Response) error) error
@@ -222,40 +253,6 @@ type Backend interface {
 	Surveys() ([]*survey.Survey, error)
 }
 
-// ChargedBackend is the optional submit-with-charges surface: a node
-// that hosts budget shards next to its response shards can decide a
-// batch's debits and append its admitted responses in one handler call
-// — the transport-level fusion that keeps the frontend's enforce-mode
-// hot path at one round-trip. Contract per request entry i:
-//
-//   - charge i (when its WorkerID is non-empty) routes to a budget
-//     shard this node hosts, or the whole call fails with ErrNotOwned
-//     before any state changes;
-//   - a rejected or (enforce-mode) undecided charge excludes entry i
-//     from the append;
-//   - an entry whose append fails after an accepted charge is refunded
-//     before the reply.
-//
-// The result is request-aligned (see SubmitResult); append failures
-// travel per entry inside a successful reply, not as a transport error,
-// because the durable set of a charged batch is not a request prefix.
-type ChargedBackend interface {
-	AppendShardBatchCharged(shard int, rs []survey.Response, charges []budget.Charge) (*SubmitResult, error)
-}
-
-// AdmittedBackend is the optional overload-aware submit surface: a
-// node with admission control or per-requester rate limiting runs the
-// whole batch through its gates and answers with per-record verdicts
-// (see SubmitResult.Throttled). A shed batch fails with
-// OverloadedError before any state changes; a partially appended plain
-// batch fails with PartialAppendError so the Handler can keep the
-// AppendedHeader wire contract. With both controls off the result is
-// identical to the plain AppendShardBatch / AppendShardBatchCharged
-// paths.
-type AdmittedBackend interface {
-	AppendShardBatchAdmitted(shard int, rs []survey.Response, charges []budget.Charge) (*SubmitResult, error)
-}
-
 // OverloadedError reports a node that shed the whole batch at
 // admission (queue full): nothing was appended, the sender should
 // retry the entire batch after RetryAfterSeconds. The Handler maps it
@@ -276,21 +273,6 @@ type ThrottledError struct{ RetryAfterSeconds int }
 func (e *ThrottledError) Error() string {
 	return fmt.Sprintf("shardrpc: rate limited, retry after %ds", e.RetryAfterSeconds)
 }
-
-// PartialAppendError wraps a plain batch's append failure with its
-// durable prefix length, so an AdmittedBackend can report partial
-// progress through the same AppendedHeader contract the plain path
-// uses.
-type PartialAppendError struct {
-	Appended int
-	Err      error
-}
-
-// Error implements error.
-func (e *PartialAppendError) Error() string { return e.Err.Error() }
-
-// Unwrap exposes the underlying append failure.
-func (e *PartialAppendError) Unwrap() error { return e.Err }
 
 // ErrNotOwned is the sentinel a Backend returns from shard-addressed
 // calls for global shards outside its owned subset; the Handler maps it
@@ -332,18 +314,6 @@ func (e *FencedError) Error() string {
 
 // Unwrap ties every fencing refusal to the ErrFenced sentinel.
 func (e *FencedError) Unwrap() error { return ErrFenced }
-
-// FencedBackend is the optional epoch-fencing surface: a backend that
-// tracks per-shard placement epochs (a node applying manifest updates,
-// a replica with promoted shards) checks every submit's epoch stamp
-// before the batch is dispatched. The Handler consults it first, so a
-// fenced batch is refused before admission, charging, or appending.
-type FencedBackend interface {
-	// CheckFence returns nil when the shard accepts writes under the
-	// given epoch stamp, a *FencedError when it does not, and may
-	// return *ErrNotOwned for shards outside the backend's subset.
-	CheckFence(shard int, epoch uint64) error
-}
 
 // FailoverError reports a shard whose primary the frontend currently
 // believes dead and whose replica has not been promoted: writes have

@@ -1,6 +1,7 @@
 package shardrpc
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -40,12 +41,16 @@ func (b *testBackend) shard(global int) (int, error) {
 	return 0, &ErrNotOwned{Shard: global}
 }
 
-func (b *testBackend) AppendShardBatch(global int, rs []survey.Response) ([]int, error) {
-	i, err := b.shard(global)
+func (b *testBackend) Submit(_ context.Context, req *SubmitRequest) (*SubmitResult, error) {
+	if err := req.Validate(); err != nil {
+		return nil, err
+	}
+	i, err := b.shard(req.Shard)
 	if err != nil {
 		return nil, err
 	}
-	return b.local.AppendShardBatch(i, rs)
+	counts, err := b.local.AppendShardBatch(i, req.Responses)
+	return &SubmitResult{Appended: len(counts), Stored: counts}, err
 }
 
 func (b *testBackend) ScanShard(global int, surveyID string, fromSeq uint64, fn func(seq uint64, r *survey.Response) error) error {
@@ -178,7 +183,7 @@ func TestRoundTrip(t *testing.T) {
 	}
 
 	batch := []survey.Response{rpcResponse("sv", 0), rpcResponse("sv", 1), rpcResponse("sv", 2)}
-	res, err := c.Submit(1, batch)
+	res, err := c.Submit(&SubmitRequest{Shard: 1, Responses: batch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +268,7 @@ func TestNotOwnedShard(t *testing.T) {
 	if err := c.Publish(sv, false); err != nil {
 		t.Fatal(err)
 	}
-	_, err := c.Submit(5, []survey.Response{rpcResponse("sv", 0)})
+	_, err := c.Submit(&SubmitRequest{Shard: 5, Responses: []survey.Response{rpcResponse("sv", 0)}})
 	var re *remoteError
 	if !errors.As(err, &re) || re.Status != http.StatusMisdirectedRequest {
 		t.Fatalf("unowned shard error = %v", err)
@@ -286,7 +291,7 @@ func TestSubmitPartialFailure(t *testing.T) {
 	// Mem's batch appender validates up front (all-or-nothing), so this
 	// exercises the zero-prefix path; the per-record fallback would
 	// report prefix 2. Either way the header and error must agree.
-	_, err := c.Submit(0, batch)
+	_, err := c.Submit(&SubmitRequest{Shard: 0, Responses: batch})
 	var re *remoteError
 	if !errors.As(err, &re) {
 		t.Fatalf("batch with bad record: %v", err)
@@ -385,7 +390,7 @@ func TestConditionalPartial(t *testing.T) {
 	if err := c.Publish(sv, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Submit(0, []survey.Response{rpcResponse("sv", 0), rpcResponse("sv", 1), rpcResponse("sv", 2)}); err != nil {
+	if _, err := c.Submit(&SubmitRequest{Shard: 0, Responses: []survey.Response{rpcResponse("sv", 0), rpcResponse("sv", 1), rpcResponse("sv", 2)}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -408,7 +413,7 @@ func TestConditionalPartial(t *testing.T) {
 	}
 
 	// Two more responses: a delta covering exactly (3, 5].
-	if _, err := c.Submit(0, []survey.Response{rpcResponse("sv", 3), rpcResponse("sv", 4)}); err != nil {
+	if _, err := c.Submit(&SubmitRequest{Shard: 0, Responses: []survey.Response{rpcResponse("sv", 3), rpcResponse("sv", 4)}}); err != nil {
 		t.Fatal(err)
 	}
 	d, err := c.PartialSince(0, "sv", 3)
