@@ -8,14 +8,21 @@
 //	header | block frame ... | [index | footer]
 //
 // The 8-byte header carries a magic, the format version and the
-// compression codec. Records are opaque payloads (the JSON encoding of
-// whatever struct the subsystem logs — the disk schema is decoupled
-// from Go structs) wrapped in a varint-length + CRC32C envelope and
-// buffered into blocks of ~128 KiB uncompressed, each flate-compressed
-// and framed as
+// compression codec. Records are opaque payloads — whatever the
+// subsystem logs: the file store's response records are the binary
+// encoding survey.Response gives itself (built from this package's field
+// primitives, field.go), its survey records and everything ingest,
+// checkpoint and the wire frames carry are JSON — wrapped in a
+// varint-length + CRC32C envelope and buffered into blocks of ~128 KiB
+// uncompressed, each framed as
 //
 //	uvarint firstSeq | uvarint count | uvarint rawLen | uvarint compLen |
 //	crc32c(comp) | comp bytes
+//
+// where comp is a deflate stream of the block: flate-compressed, or,
+// for a block under StoredBlockMax raw bytes (a one-to-three-record
+// group commit), a single *stored* deflate block — the bytes as they
+// are behind a five-byte header. Readers inflate both the same way.
 //
 // Writer.Flush cuts the open block at a group-commit boundary, so the
 // fsync-before-ack durability contract of the JSON-lines logs carries

@@ -25,25 +25,20 @@ const frameMagic = "LKF1"
 // what a pre-blockio node answers.
 const FrameContentType = "application/x-loki-frame"
 
-// EncodeFrame compresses payload into a wire frame.
+// EncodeFrame compresses payload into a wire frame (stored as-is below
+// StoredBlockMax, like an on-disk block).
 func EncodeFrame(payload []byte) ([]byte, error) {
-	var comp bytes.Buffer
-	fw, err := flate.NewWriter(&comp, flate.BestSpeed)
-	if err != nil {
-		return nil, fmt.Errorf("blockio: frame compressor: %w", err)
-	}
-	if _, err := fw.Write(payload); err != nil {
+	var buf bytes.Buffer
+	if _, err := compress(nil, &buf, payload); err != nil {
 		return nil, fmt.Errorf("blockio: compress frame: %w", err)
 	}
-	if err := fw.Close(); err != nil {
-		return nil, fmt.Errorf("blockio: compress frame: %w", err)
-	}
-	out := make([]byte, 0, len(frameMagic)+2*binary.MaxVarintLen64+4+comp.Len())
+	comp := buf.Bytes()
+	out := make([]byte, 0, len(frameMagic)+2*binary.MaxVarintLen64+4+len(comp))
 	out = append(out, frameMagic...)
 	out = binary.AppendUvarint(out, uint64(len(payload)))
-	out = binary.AppendUvarint(out, uint64(comp.Len()))
-	out = binary.LittleEndian.AppendUint32(out, checksum(comp.Bytes()))
-	return append(out, comp.Bytes()...), nil
+	out = binary.AppendUvarint(out, uint64(len(comp)))
+	out = binary.LittleEndian.AppendUint32(out, checksum(comp))
+	return append(out, comp...), nil
 }
 
 // DecodeFrame verifies and decompresses a wire frame.

@@ -12,11 +12,17 @@ import (
 // (with fuzzer-chosen flush/seal points), replays them back, and then
 // replays a fuzzer-truncated copy to check the repair invariant: a
 // damaged file yields a prefix of the original records, never garbage
-// and never an error.
+// and never an error. The flush cadence comes from the fuzzer too, so
+// blocks of one record up to nine land on both sides of StoredBlockMax:
+// stored and compressed blocks interleave in one file.
 func FuzzBlockRoundTrip(f *testing.F) {
 	f.Add([]byte("hello\x00world"), uint8(3), uint16(7), true)
 	f.Add([]byte(`{"survey_id":"s","answers":[1,2,3]}`), uint8(50), uint16(1), false)
 	f.Add([]byte{}, uint8(1), uint16(0), true)
+	// One record per block, each block one byte under / exactly at the
+	// cut-over (envelope: 2-byte length + crc + 1-byte seq prefix + seed).
+	f.Add(bytes.Repeat([]byte{0xB1}, StoredBlockMax-8), uint8(9), uint16(9), false)
+	f.Add(bytes.Repeat([]byte{0xB1}, StoredBlockMax-7), uint8(9), uint16(18), true)
 	f.Fuzz(func(t *testing.T, seedRec []byte, nRecs uint8, cut uint16, seal bool) {
 		if len(seedRec) > 1<<16 {
 			t.Skip()
@@ -32,6 +38,7 @@ func FuzzBlockRoundTrip(f *testing.F) {
 			t.Fatal(err)
 		}
 		n := int(nRecs)
+		every := 1 + int(cut)%9
 		var want [][]byte
 		for i := 0; i < n; i++ {
 			// Derive a distinct record per seq from the seed.
@@ -40,7 +47,7 @@ func FuzzBlockRoundTrip(f *testing.F) {
 				t.Fatal(err)
 			}
 			want = append(want, rec)
-			if i%7 == 3 {
+			if i%every == every-1 {
 				if err := w.Flush(); err != nil {
 					t.Fatal(err)
 				}

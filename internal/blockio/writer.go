@@ -21,9 +21,9 @@ type Writer struct {
 	f  *os.File
 	bw *bufio.Writer
 
-	comp *flate.Writer
-	cbuf bytes.Buffer // compressed-block scratch
-	raw  []byte       // open block: record envelopes, uncompressed
+	comp *flate.Writer // made by the first block at or above StoredBlockMax
+	cbuf bytes.Buffer  // compressed-block scratch
+	raw  []byte        // open block: record envelopes, uncompressed
 
 	off      int64 // bytes handed to bw (header + sealed frames)
 	firstSeq uint64
@@ -42,7 +42,6 @@ func NewWriter(f *os.File, firstSeq uint64) (*Writer, error) {
 	w := &Writer{
 		f:        f,
 		bw:       bufio.NewWriterSize(f, 1<<16),
-		comp:     newFlateWriter(),
 		nextSeq:  firstSeq,
 		sealable: true,
 	}
@@ -70,20 +69,49 @@ func NewWriterAt(f *os.File, off int64, nextSeq uint64) (*Writer, error) {
 	return &Writer{
 		f:       f,
 		bw:      bufio.NewWriterSize(f, 1<<16),
-		comp:    newFlateWriter(),
 		off:     off,
 		nextSeq: nextSeq,
 	}, nil
 }
 
-func newFlateWriter() *flate.Writer {
-	// BestSpeed: the payloads are JSON, which deflates well even at the
-	// fastest setting, and this sits on the group-commit hot path.
-	fw, err := flate.NewWriter(nil, flate.BestSpeed)
-	if err != nil {
-		panic(err) // only fires on an invalid level constant
+// StoredBlockMax is the raw size below which a block (or wire frame) is
+// framed as one *stored* deflate block instead of being compressed. A
+// group commit of one to three records is a few dozen to a couple of
+// hundred bytes; when those are binary response records they are
+// at-source noise that no Huffman code shortens, and when they are JSON
+// the dynamic-Huffman header costs about what the coding saves, so
+// resetting the compressor and building its tables per commit is CPU
+// spent to learn that. The output is an ordinary deflate stream: every
+// reader, old binaries included, inflates it unchanged.
+const StoredBlockMax = 256
+
+// compress fills dst with raw as a deflate stream: below StoredBlockMax
+// a single block of type "stored" (RFC 1951 §3.2.4: BFINAL=1/BTYPE=00,
+// LEN, ^LEN, the bytes), otherwise fw's output, fw being made on first
+// need and returned for reuse. BestSpeed: blocks long enough to be
+// compressed repeat their survey, worker and question ids, which deflate
+// well even at the fastest setting, and this sits on the group-commit
+// hot path.
+func compress(fw *flate.Writer, dst *bytes.Buffer, raw []byte) (*flate.Writer, error) {
+	dst.Reset()
+	if len(raw) < StoredBlockMax {
+		n := uint16(len(raw))
+		dst.Write([]byte{0x01, byte(n), byte(n >> 8), byte(^n), byte(^n >> 8)})
+		dst.Write(raw)
+		return fw, nil
 	}
-	return fw
+	if fw == nil {
+		var err error
+		if fw, err = flate.NewWriter(dst, flate.BestSpeed); err != nil {
+			return nil, err // only an invalid level constant
+		}
+	} else {
+		fw.Reset(dst)
+	}
+	if _, err := fw.Write(raw); err != nil {
+		return fw, err
+	}
+	return fw, fw.Close()
 }
 
 // Append buffers one record into the open block and returns its seq.
@@ -117,8 +145,8 @@ func (w *Writer) Append(payload []byte) (uint64, error) {
 	return seq, nil
 }
 
-// cutBlock compresses and frames the open block into the buffered file
-// writer.
+// cutBlock frames the open block into the buffered file writer:
+// compressed, or stored as-is when it is below StoredBlockMax.
 func (w *Writer) cutBlock() error {
 	if w.count == 0 {
 		return nil
@@ -127,12 +155,8 @@ func (w *Writer) cutBlock() error {
 		w.err = err
 		return err
 	}
-	w.cbuf.Reset()
-	w.comp.Reset(&w.cbuf)
-	if _, err := w.comp.Write(w.raw); err != nil {
-		return fail(fmt.Errorf("blockio: compress block: %w", err))
-	}
-	if err := w.comp.Close(); err != nil {
+	var err error
+	if w.comp, err = compress(w.comp, &w.cbuf, w.raw); err != nil {
 		return fail(fmt.Errorf("blockio: compress block: %w", err))
 	}
 	comp := w.cbuf.Bytes()

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"loki/internal/aggregate"
+	"loki/internal/blockio"
 	"loki/internal/core"
 	"loki/internal/survey"
 )
@@ -458,5 +459,45 @@ func TestParallelRestoreManySurveys(t *testing.T) {
 		if !ok || rec.Cursor != uint64(i+1) {
 			t.Fatalf("survey %s = %+v", id, rec)
 		}
+	}
+}
+
+// TestStateRecordAboveStoredBlockCutOver pins the coupling between this
+// log and blockio.StoredBlockMax: Put commits one record per block, and
+// even the smallest state-carrying record — an empty fold of a
+// one-question survey — is at or above the cut-over, so checkpoint
+// blocks are deflated exactly as before the stored-block path existed
+// (only Drop's tombstone, a few dozen bytes, is stored raw). If this
+// fails, the cut-over or the record moved: checkpoint.bytes on the
+// benchmark's standalone_mixed workload is what to re-measure.
+func TestStateRecordAboveStoredBlockCutOver(t *testing.T) {
+	dir := t.TempDir()
+	l, err := OpenWith(dir, Options{Codec: blockio.CodecBinary})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sv := &survey.Survey{ID: "s", Title: "t", Questions: []survey.Question{
+		{ID: "q", Kind: survey.MultipleChoice, Options: []string{"a", "b"}},
+	}}
+	if err := l.Put(&Record{SurveyID: sv.ID, Fingerprint: sv.Fingerprint(), State: filledState(t, sv, 0)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "surveys", "*"))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("survey files: %v, %v", files, err)
+	}
+	records := 0
+	if _, err := blockio.Replay(files[0], false, func(_ uint64, p []byte) error {
+		records++
+		// One record per block: varint length + CRC + payload.
+		if raw := len(p) + 6; raw < blockio.StoredBlockMax {
+			t.Errorf("smallest state record makes a %d-byte block, below the %d-byte stored cut-over", raw, blockio.StoredBlockMax)
+		}
+		return nil
+	}); err != nil || records != 1 {
+		t.Fatalf("replay: %d records, %v", records, err)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"loki/internal/blockio"
 	"loki/internal/store"
 	"loki/internal/survey"
 )
@@ -523,5 +524,63 @@ func TestMetaFailureSticky(t *testing.T) {
 	// The failed survey must not be visible.
 	if _, err := s.Survey(benchSurvey(1).ID); err == nil {
 		t.Fatal("failed publish visible to reads")
+	}
+}
+
+// TestObfuscatedCommitAboveStoredBlockCutOver pins the coupling between
+// this store and blockio.StoredBlockMax. The cut-over was chosen so that
+// the commits ingest makes under at-source obfuscation are deflated
+// exactly as before the stored-block path existed: a response with
+// three answers of which two are noisy ratings — what the benchmark's
+// standalone_mixed workload submits, each rating ~17 significant digits
+// of JSON — is above it even when it is committed alone. (A response
+// that lands alone with no noise in it, ~200 bytes, is stored raw;
+// deflate used to take about a tenth off those.) If this fails, the
+// cut-over or the record moved: disk_bytes_per_response on
+// standalone_mixed is what to re-measure.
+func TestObfuscatedCommitAboveStoredBlockCutOver(t *testing.T) {
+	dir := t.TempDir()
+	s := openTest(t, dir, Config{Shards: 1})
+	sv := &survey.Survey{ID: "bench-0000", Title: "t", Questions: []survey.Question{
+		{ID: "q0", Kind: survey.Rating, ScaleMin: 1, ScaleMax: 5},
+		{ID: "q1", Kind: survey.Rating, ScaleMin: 1, ScaleMax: 5},
+		{ID: "q2", Kind: survey.MultipleChoice, Options: []string{"a", "b", "c"}},
+	}}
+	if err := s.PutSurvey(sv); err != nil {
+		t.Fatal(err)
+	}
+	// The shortest such record: a "low" level, choice 0 (omitted by JSON).
+	if err := s.AppendResponse(&survey.Response{
+		SurveyID: sv.ID, WorkerID: "p00000", PrivacyLevel: "low", Obfuscated: true,
+		Answers: []survey.Answer{
+			survey.RatingAnswer("q0", 3.8612345678901234),
+			survey.RatingAnswer("q1", 1.0987654321098765),
+			survey.ChoiceAnswer("q2", 0),
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, segPrefix+"*"+segSuffix))
+	if err != nil {
+		t.Fatal(err)
+	}
+	records := 0
+	for _, seg := range segs {
+		if _, err := blockio.Replay(seg, false, func(_ uint64, p []byte) error {
+			records++
+			// Committed alone: varint length + CRC + payload is the block.
+			if raw := len(p) + 6; raw < blockio.StoredBlockMax {
+				t.Errorf("a one-record commit makes a %d-byte block, below the %d-byte stored cut-over", raw, blockio.StoredBlockMax)
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if records != 1 {
+		t.Fatalf("%d response records in %v, want 1", records, segs)
 	}
 }

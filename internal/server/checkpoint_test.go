@@ -1,12 +1,14 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -142,6 +144,102 @@ func TestRepublishIdenticalKeepsLiveState(t *testing.T) {
 	info := adminInfo(t, ts)
 	if len(info.Accumulators) != 1 || info.Accumulators[0].Cursor != 5 {
 		t.Errorf("identical republish dropped live state: %+v", info.Accumulators)
+	}
+}
+
+// TestRepublishRacingSubmitRebuildsLiveSet: the live set is resolved by
+// ID and kept while the caller's definition is the one it was folded
+// under, so a republish that lands between a submit resolving the
+// definition and that submit reaching liveFor must still end with the
+// set rebuilt. First the interleaving step by step, then submitters
+// and a republisher running free under -race.
+func TestRepublishRacingSubmitRebuildsLiveSet(t *testing.T) {
+	st := store.NewMem()
+	srv, err := New(Config{Store: st, Schedule: core.DefaultSchedule(), RequesterToken: testToken})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	t.Cleanup(func() { st.Close() })
+	// v2 widens the choice question; a v1 response is valid under both.
+	v1, v2 := ckptSurvey(), ckptSurvey()
+	v2.Questions[1].Options = []string{"a", "b", "c"}
+	publish := func(sv *survey.Survey) {
+		t.Helper()
+		if resp, body := doReq(t, http.MethodPost, ts.URL+"/api/v1/surveys", sv, testToken); resp.StatusCode >= 300 {
+			t.Fatalf("publish = %d: %s", resp.StatusCode, body)
+		}
+	}
+	publish(v1)
+	submitOK(t, ts, ckptResponse(v1, 0))
+
+	// A submit resolved v1 ... the republish lands (store replaced, live
+	// set invalidated) ... the submit reaches liveFor with v1 in hand.
+	resolved, err := st.Survey(v1.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	publish(v2)
+	stale, err := srv.liveFor(resolved)
+	if err != nil || stale.fp != v1.Fingerprint() {
+		t.Fatalf("late v1 caller: fp %q, %v", stale.fp, err)
+	}
+	// The next caller resolves v2 and must not be handed v1's bins.
+	fresh, err := srv.liveFor(v2)
+	if err != nil || fresh == stale || fresh.fp != v2.Fingerprint() {
+		t.Fatalf("v2 caller got the stale set (fp %q, %v)", fresh.fp, err)
+	}
+	if again, _ := srv.liveFor(v2.Clone()); again != fresh {
+		t.Fatal("an unchanged definition rebuilt the set")
+	}
+
+	// Free-running: four submitters against a republisher flipping the
+	// definition, ending on v2.
+	var wg sync.WaitGroup
+	var next atomic.Int64
+	next.Store(1)
+	stop := make(chan struct{})
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				b, err := json.Marshal(ckptResponse(v1, int(next.Add(1))))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				resp, err := http.Post(submitURL(ts, v1.ID), "application/json", bytes.NewReader(b))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusCreated {
+					t.Errorf("submit during republish = %d", resp.StatusCode)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 20; i++ {
+		publish([]*survey.Survey{v1, v2}[i%2])
+	}
+	close(stop)
+	wg.Wait()
+	live := getAggregate(t, ts, v2.ID)
+	if got := len(live.Choices[0].Estimated); got != 3 {
+		t.Fatalf("choice domain = %d options after the last republish, want v2's 3", got)
+	}
+	compareAggregate(t, live, recomputeAggregate(t, st, v2))
+	if info := adminInfo(t, ts); len(info.Accumulators) != 1 || info.Accumulators[0].Fingerprint != v2.Fingerprint() {
+		t.Errorf("accumulator not folded under v2: %+v", info.Accumulators)
 	}
 }
 

@@ -61,9 +61,10 @@ type cachedSurvey struct {
 	// Concurrent readers of a stale entry queue here and find it fresh
 	// when their turn comes — one fan-out serves them all.
 	mu sync.Mutex
-	// fp is the definition fingerprint every cached accumulator is
-	// folded under.
-	fp string
+	// def is the definition every cached accumulator is folded under,
+	// fp its fingerprint.
+	def *survey.Survey
+	fp  string
 	// parts[i] is shard i's cached accumulator, covering exactly seqs
 	// [1, cursors[i]]. nil until the first successful fill.
 	parts   []*aggregate.Accumulator
@@ -99,15 +100,17 @@ type cachedSurvey struct {
 // entry returns the survey's cache entry, creating it (or replacing a
 // stale-fingerprint one) as needed. shards is the router's shard count.
 func (c *frontCache) entry(sv *survey.Survey, shards int) *cachedSurvey {
-	fp := sv.Fingerprint()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if cs, ok := c.surveys[sv.ID]; ok && cs.fp == fp {
+	// A field compare, not a fingerprint: every frontend read passes
+	// here, and only a new entry needs the hash.
+	if cs, ok := c.surveys[sv.ID]; ok && cs.def.Equal(sv) {
 		return cs
 	}
 	cs := &cachedSurvey{
 		surveyID: sv.ID,
-		fp:       fp,
+		def:      sv.Clone(),
+		fp:       sv.Fingerprint(),
 		cursors:  make([]uint64, shards),
 		expected: make([]atomic.Uint64, shards),
 	}

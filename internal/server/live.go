@@ -84,32 +84,34 @@ type livePart struct {
 // shard, all folded under the same definition fingerprint.
 type liveSet struct {
 	surveyID string
-	// fp is the fingerprint of the survey definition the partials fold
-	// under. A read that resolves the survey to a different fingerprint
-	// must not use this set: its bins were laid out for a different
-	// question set (the republish staleness bug).
+	// def is the survey definition the partials fold under and fp its
+	// fingerprint. A caller that resolved the survey to a different
+	// definition must not use this set: its bins were laid out for a
+	// different question set (the republish staleness bug).
+	def   *survey.Survey
 	fp    string
 	parts []*livePart
 }
 
 // liveFor returns the survey's live set, creating it on first use — or
-// re-creating it when the stored definition no longer matches the
-// fingerprint the existing set was folded under (the survey was
-// republished).
+// re-creating it when sv is not the definition the existing set was
+// folded under (the survey was republished). The republish handler
+// invalidates the set itself; the comparison here catches a caller that
+// resolved the old definition just before that and arrives just after.
+// It is a field compare, not a fingerprint: this runs on every submit a
+// node takes, and only a rebuild needs the hash.
 func (s *Server) liveFor(sv *survey.Survey) (*liveSet, error) {
-	fp := sv.Fingerprint()
 	s.liveMu.Lock()
 	defer s.liveMu.Unlock()
 	if ls, ok := s.live[sv.ID]; ok {
-		if ls.fp == fp {
+		if ls.def.Equal(sv) {
 			return ls, nil
 		}
-		// Stale: the definition changed under the set (a read raced the
-		// republish handler's invalidation). Rebuild below.
 		delete(s.live, sv.ID)
 	}
+	fp := sv.Fingerprint()
 	shards := s.router.Shards()
-	ls := &liveSet{surveyID: sv.ID, fp: fp, parts: make([]*livePart, shards)}
+	ls := &liveSet{surveyID: sv.ID, def: sv.Clone(), fp: fp, parts: make([]*livePart, shards)}
 	for i := range ls.parts {
 		part := &livePart{surveyID: sv.ID, shard: i, poisonCount: &s.poisoned}
 		// Seed from the shard's durable checkpoint when one matches the

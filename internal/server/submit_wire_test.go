@@ -171,18 +171,49 @@ func (r wireReply) String() string {
 		r.status, shardrpc.AppendedHeader, r.appended, r.retryAfter, r.body)
 }
 
-// doSubmit posts one raw submit; ctx-less and t-less so goroutines other
-// than the test's own can use it.
-func doSubmit(url string, req any) (wireReply, error) {
-	body, err := json.Marshal(req)
+// wireBody is one of the two request encodings the submit endpoint
+// reads. The reply contract is the same for both.
+type wireBody struct {
+	name   string
+	ctype  string // "" sends no Content-Type, as the goldens' generator did
+	encode func(*shardrpc.SubmitRequest) ([]byte, error)
+}
+
+var (
+	jsonBody   = wireBody{name: "json", encode: func(r *shardrpc.SubmitRequest) ([]byte, error) { return json.Marshal(r) }}
+	binaryBody = wireBody{name: "binary", ctype: shardrpc.SubmitContentType,
+		encode: func(r *shardrpc.SubmitRequest) ([]byte, error) { return r.AppendBinary(nil) }}
+)
+
+// do posts one submit; ctx-less and t-less so goroutines other than the
+// test's own can use it.
+func (b wireBody) do(url string, req *shardrpc.SubmitRequest) (wireReply, error) {
+	body, err := b.encode(req)
 	if err != nil {
 		return wireReply{}, err
 	}
+	return postRawSubmit(url, b.ctype, body)
+}
+
+func (b wireBody) post(t *testing.T, url string, req *shardrpc.SubmitRequest) wireReply {
+	t.Helper()
+	r, err := b.do(url, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// postRawSubmit posts body bytes as they are.
+func postRawSubmit(url, ctype string, body []byte) (wireReply, error) {
 	hreq, err := http.NewRequest(http.MethodPost, url+"/shardrpc/v1/submit", bytes.NewReader(body))
 	if err != nil {
 		return wireReply{}, err
 	}
 	hreq.Header.Set("Authorization", "Bearer "+testToken)
+	if ctype != "" {
+		hreq.Header.Set("Content-Type", ctype)
+	}
 	resp, err := http.DefaultClient.Do(hreq)
 	if err != nil {
 		return wireReply{}, err
@@ -200,13 +231,15 @@ func doSubmit(url string, req any) (wireReply, error) {
 	}, nil
 }
 
-func postSubmit(t *testing.T, url string, req any) wireReply {
+// doSubmit and postSubmit are the JSON body, for tests that are not
+// about the encoding.
+func doSubmit(url string, req *shardrpc.SubmitRequest) (wireReply, error) {
+	return jsonBody.do(url, req)
+}
+
+func postSubmit(t *testing.T, url string, req *shardrpc.SubmitRequest) wireReply {
 	t.Helper()
-	r, err := doSubmit(url, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r
+	return jsonBody.post(t, url, req)
 }
 
 // fencedManifest places both shards of the wire node at the given epoch
@@ -261,8 +294,16 @@ var slowLimit = Config{RateLimitRPS: 1e-6, RateLimitBurst: 1}
 
 // TestSubmitWireGolden pins POST /shardrpc/v1/submit byte for byte —
 // status, X-Shardrpc-Appended, Retry-After and body — for every verdict
-// the node's submit pipeline can reach.
+// the node's submit pipeline can reach, once per request encoding: the
+// binary body must draw the very reply the JSON body's golden records.
 func TestSubmitWireGolden(t *testing.T) {
+	for _, body := range []wireBody{jsonBody, binaryBody} {
+		t.Run(body.name, func(t *testing.T) { submitWireGolden(t, body) })
+	}
+}
+
+func submitWireGolden(t *testing.T, wire wireBody) {
+	postSubmit, doSubmit := wire.post, wire.do
 	cases := []struct {
 		name string
 		run  func(t *testing.T) wireReply
@@ -483,5 +524,47 @@ func TestSubmitWireGolden(t *testing.T) {
 				t.Fatalf("wire reply changed\n--- got ---\n%s\n--- want ---\n%s", got, want)
 			}
 		})
+	}
+}
+
+// TestSubmitBinaryBodyMalformed: a binary body that does not decode —
+// cut anywhere, or followed by junk — is a 400 decided before the
+// pipeline runs: no charge reaches the ledger and nothing is appended.
+func TestSubmitBinaryBodyMalformed(t *testing.T) {
+	wn := newWireNode(t, wireNodeOpts{budget: wireBudget(t)})
+	req := wireBatch(t, "enforce", "a", "b")
+	whole, err := binaryBody.encode(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := map[string][]byte{"empty": {}, "trailing junk": append(bytes.Clone(whole), 0)}
+	for cut := 1; cut < len(whole); cut += 7 {
+		bad[fmt.Sprintf("cut at %d", cut)] = whole[:cut]
+	}
+	jsonAsBinary, err := jsonBody.encode(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad["a JSON body under the binary content type"] = jsonAsBinary
+	for name, body := range bad {
+		r, err := postRawSubmit(wn.url, shardrpc.SubmitContentType, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.status != http.StatusBadRequest || r.appended != "" || !bytes.Contains(r.body, []byte(`{"error":"malformed binary body: `)) {
+			t.Errorf("%s: %v", name, r)
+		}
+	}
+	if n := wn.local.CountShard(0, clusterTestSurvey().ID); n != 0 {
+		t.Errorf("%d responses appended from malformed bodies", n)
+	}
+	for _, w := range []string{"a", "b"} {
+		if acct, err := wn.set.Peek(w); err != nil || acct.Charges != 0 {
+			t.Errorf("worker %q charged by a malformed body: %+v, %v", w, acct, err)
+		}
+	}
+	// The same bytes, whole, go through.
+	if r, err := postRawSubmit(wn.url, shardrpc.SubmitContentType, whole); err != nil || r.status != http.StatusOK {
+		t.Fatalf("whole body: %v, %v", r, err)
 	}
 }

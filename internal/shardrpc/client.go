@@ -1,12 +1,14 @@
 package shardrpc
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/url"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"loki/internal/blockio"
@@ -20,6 +22,9 @@ type Client struct {
 	base  string // e.g. "http://10.0.0.7:8080"
 	token string
 	http  *http.Client
+	// binarySubmit is whether the node's newest reply advertised that it
+	// reads binary submit bodies (see AcceptHeader).
+	binarySubmit atomic.Bool
 }
 
 // NewClient builds a client for the node at baseURL. A nil httpClient
@@ -75,27 +80,35 @@ func (e *remoteError) Unwrap() error {
 	}
 }
 
+// do sends one call whose request body, if any, is the JSON of in.
 func (c *Client) do(method, path string, query url.Values, in, out any) error {
+	var buf *bytes.Buffer
+	if in != nil {
+		var err error
+		if buf, err = encodeJSON(in); err != nil {
+			return fmt.Errorf("shardrpc: marshal request: %w", err)
+		}
+	}
+	return c.send(method, path, query, buf, "application/json", out)
+}
+
+// send is do with the request body already encoded, as ctype, into a
+// pooled buffer it takes ownership of (nil: no body). Bodies go through
+// the shared buffer pool because submit batches are the client's hot
+// path, and a per-request []byte would make encoder growth the dominant
+// allocation. The buffer is recycled by pooledBody.Close when the
+// Transport is done with it — recycling any earlier races a background
+// body write.
+func (c *Client) send(method, path string, query url.Values, buf *bytes.Buffer, ctype string, out any) error {
 	u := c.base + path
 	if len(query) > 0 {
 		u += "?" + query.Encode()
 	}
 	var body *pooledBody
 	var bodyReader io.Reader // a typed-nil *pooledBody must not reach NewRequest
-	var bodyLen int
-	if in != nil {
-		// Marshal through the shared buffer pool: submit batches are
-		// the client's hot path, and a per-request []byte would make
-		// encoder growth the dominant allocation. The buffer is
-		// recycled by pooledBody.Close when the Transport is done with
-		// it — recycling any earlier races a background body write.
-		buf, err := encodeJSON(in)
-		if err != nil {
-			return fmt.Errorf("shardrpc: marshal request: %w", err)
-		}
+	if buf != nil {
 		body = newPooledBody(buf)
 		bodyReader = body
-		bodyLen = buf.Len()
 	}
 	req, err := http.NewRequest(method, u, bodyReader)
 	if err != nil {
@@ -105,17 +118,18 @@ func (c *Client) do(method, path string, query url.Values, in, out any) error {
 		return fmt.Errorf("shardrpc: build request: %w", err)
 	}
 	req.Header.Set("Authorization", "Bearer "+c.token)
-	if in != nil {
-		req.Header.Set("Content-Type", "application/json")
+	if buf != nil {
+		req.Header.Set("Content-Type", ctype)
 		// NewRequest cannot size an opaque reader; set the length so
 		// the wire keeps Content-Length framing. GetBody stays nil on
 		// purpose: a replay would read a possibly recycled buffer.
-		req.ContentLength = int64(bodyLen)
+		req.ContentLength = int64(body.r.Len())
 	}
 	resp, err := c.http.Do(req)
 	if err != nil {
 		return fmt.Errorf("shardrpc: %s %s: %w", method, path, err)
 	}
+	c.binarySubmit.Store(resp.Header.Get(AcceptHeader) == SubmitContentType)
 	defer func() {
 		_, _ = io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
@@ -170,10 +184,22 @@ func (c *Client) Meta() (*Meta, error) {
 // Submit sends one routed batch — responses, the placement epoch the
 // sender routed under (0 = unstamped) and any piggybacked budget
 // charges — to the node; see Backend.Submit for the contract. A 412
-// unwraps to ErrFenced, a 429 to OverloadedError.
+// unwraps to ErrFenced, a 429 to OverloadedError. The request body is
+// binary when the node has said it reads that (see AcceptHeader), JSON
+// otherwise; the reply is JSON either way.
 func (c *Client) Submit(req *SubmitRequest) (*SubmitResult, error) {
+	const path = "/shardrpc/v1/submit"
 	var res SubmitResult
-	if err := c.do(http.MethodPost, "/shardrpc/v1/submit", nil, req, &res); err != nil {
+	var err error
+	if c.binarySubmit.Load() {
+		buf := getBuf()
+		b, _ := req.AppendBinary(buf.AvailableBuffer()) // cannot fail
+		buf.Write(b)
+		err = c.send(http.MethodPost, path, nil, buf, SubmitContentType, &res)
+	} else {
+		err = c.do(http.MethodPost, path, nil, req, &res)
+	}
+	if err != nil {
 		return nil, err
 	}
 	return &res, nil

@@ -53,8 +53,13 @@ func NewHandler(backend Backend, token string) (*Handler, error) {
 	return h, nil
 }
 
-// ServeHTTP implements http.Handler.
-func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) { h.mux.ServeHTTP(w, r) }
+// ServeHTTP implements http.Handler. Every reply, whatever the route or
+// status, advertises the binary submit body this handler reads; clients
+// that have seen it stop sending JSON (see AcceptHeader).
+func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set(AcceptHeader, SubmitContentType)
+	h.mux.ServeHTTP(w, r)
+}
 
 func (h *Handler) guard(fn http.HandlerFunc) http.HandlerFunc {
 	want := "Bearer " + h.token
@@ -100,12 +105,17 @@ func (h *Handler) handleMeta(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleSubmit is decode → Backend.Submit → encode; every gate lives
-// behind the backend. A result returned beside an error is the durable
-// prefix of a plain batch that failed mid-way: the sender must not
-// resubmit it.
+// behind the backend. The request body is binary or JSON by its content
+// type; the reply is JSON. A result returned beside an error is the
+// durable prefix of a plain batch that failed mid-way: the sender must
+// not resubmit it.
 func (h *Handler) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	if !readJSON(w, r, &req) {
+	if r.Header.Get("Content-Type") == SubmitContentType {
+		if !readBinary(w, r, &req) {
+			return
+		}
+	} else if !readJSON(w, r, &req) {
 		return
 	}
 	res, err := h.backend.Submit(r.Context(), &req)
@@ -276,6 +286,23 @@ func qDefault(r *http.Request, key, def string) string {
 		return v
 	}
 	return def
+}
+
+// readBinary is readJSON for a submit body in its binary encoding, under
+// the same size cap. The pooled buffer can go straight back: decoding
+// copies every string out of it.
+func readBinary(w http.ResponseWriter, r *http.Request, dst *SubmitRequest) bool {
+	buf := getBuf()
+	defer putBuf(buf)
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
+		writeErr(w, http.StatusBadRequest, "malformed binary body: "+err.Error())
+		return false
+	}
+	if err := dst.UnmarshalBinary(buf.Bytes()); err != nil {
+		writeErr(w, http.StatusBadRequest, "malformed binary body: "+err.Error())
+		return false
+	}
+	return true
 }
 
 func readJSON(w http.ResponseWriter, r *http.Request, dst any) bool {

@@ -7,10 +7,11 @@ import (
 )
 
 // The shardrpc hot paths — batch submits from the frontend's batchers
-// and partial/scan/tail responses on the node — encode one JSON body
-// per request. Marshalling into a fresh []byte every time makes the
-// encoder's growth reallocations the dominant allocation on those
-// paths, so both sides rent a bytes.Buffer from a shared pool instead:
+// and partial/scan/tail responses on the node — encode one body per
+// request (JSON, or the binary submit body). Encoding into a fresh
+// []byte every time makes growth reallocations the dominant allocation
+// on those paths, so both sides rent a bytes.Buffer from a shared pool
+// instead (the node reads a binary submit body into one too):
 // the buffer grows to the working set once and is reused across
 // requests. See BenchmarkEncodePooled/BenchmarkEncodeUnpooled for the
 // allocs/op delta.

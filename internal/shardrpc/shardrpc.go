@@ -6,7 +6,9 @@
 //
 // The wire is JSON over HTTP — the same operational surface as the
 // public API (curl-able, proxy-friendly), but a distinct, token-guarded
-// namespace with its own stability contract:
+// namespace with its own stability contract. The one exception is the
+// submit request body, which is binary between peers that both know it
+// (submitbody.go); its reply is JSON like every other.
 //
 //	POST /shardrpc/v1/submit                    batch append to one shard
 //	GET  /shardrpc/v1/shards/{shard}/scan       cursor scan (paged)

@@ -39,17 +39,20 @@ type FileOptions struct {
 	// Interval is the flush period for SyncInterval (default 100ms).
 	Interval time.Duration
 	// Codec is the encoding for a log created by this open:
-	// blockio.CodecJSON (the default here — readable lines) or
-	// blockio.CodecBinary (compressed, checksummed blockio blocks; what
-	// the server configures). An EXISTING log keeps its own format
-	// regardless: the codec is sniffed from the file's magic on open, so
-	// appends never mix formats within one file.
+	// blockio.CodecJSON (the default here — readable lines, every record
+	// a JSON object) or blockio.CodecBinary (checksummed blockio blocks
+	// whose response records are survey.Response's binary encoding and
+	// whose survey records are JSON; what the server configures). An
+	// EXISTING log keeps its own format regardless: the codec is sniffed
+	// from the file's magic on open, so appends never mix framings within
+	// one file. A binary log written before response records went binary
+	// holds JSON response payloads; replay reads either, per record.
 	Codec string
 }
 
 // File is a durable Store backed by an append-only record log: readable
-// JSON lines (this package's default) or compressed, checksummed blockio
-// blocks (FileOptions.Codec; what the server configures). Every mutation
+// JSON lines (this package's default) or checksummed blockio blocks
+// (FileOptions.Codec; what the server configures). Every mutation
 // is one record; opening the store sniffs the file's format and replays
 // it into an in-memory index. Partial trailing writes (a crash
 // mid-append) are detected and truncated away on open.
@@ -63,6 +66,7 @@ type File struct {
 	f    *os.File
 	w    *bufio.Writer   // JSON-lines writer; nil under the binary codec
 	bw   *blockio.Writer // binary writer; nil under the JSON codec
+	enc  []byte          // binary response record scratch
 	path string
 	opts FileOptions
 	// closed refuses mutations after Close (the writers stay non-nil so
@@ -79,7 +83,10 @@ type File struct {
 	syncErr error
 }
 
-// record is one log entry. Exactly one payload field is set. A
+// record is one JSON log entry: every record of a JSON-lines log, and
+// the survey and republish records of a binary one (whose response
+// records are survey.Response.AppendBinary payloads instead, told apart
+// at replay by their first byte). Exactly one payload field is set. A
 // "republish" record carries a survey definition that overwrites the one
 // currently in effect; replay applies records in order, so responses
 // logged before a republish replay against the definition they were
@@ -211,10 +218,19 @@ func (fs *File) flushLoop(stop <-chan struct{}, done chan<- struct{}) {
 	}
 }
 
-// applyRecord replays one complete log line into the memory index.
-// Corrupt or malformed records refuse the open rather than silently
-// dropping data.
+// applyRecord replays one complete record into the memory index: a
+// binary response payload, or a JSON record of any kind (which is all a
+// JSON-lines log holds, and what a binary log written before response
+// records went binary holds too). Corrupt or malformed records refuse
+// the open rather than silently dropping data.
 func (fs *File) applyRecord(line []byte) error {
+	if len(line) > 0 && line[0] == survey.ResponseBinaryTag {
+		var r survey.Response
+		if err := r.UnmarshalBinary(line); err != nil {
+			return fmt.Errorf("corrupt record: %w", err)
+		}
+		return fs.mem.AppendResponse(&r)
+	}
 	var rec record
 	if err := json.Unmarshal(line, &rec); err != nil {
 		return fmt.Errorf("corrupt record: %w", err)
@@ -248,7 +264,7 @@ func (fs *File) applyRecord(line []byte) error {
 	}
 }
 
-// writeRec buffers one marshaled record in the log's codec framing.
+// writeRec buffers one encoded record in the log's framing.
 func (fs *File) writeRec(b []byte) error {
 	if fs.bw != nil {
 		_, err := fs.bw.Append(b)
@@ -260,6 +276,20 @@ func (fs *File) writeRec(b []byte) error {
 	return fs.w.WriteByte('\n')
 }
 
+// writeResponse buffers one response record: its binary encoding under
+// the binary codec, a JSON line otherwise.
+func (fs *File) writeResponse(r *survey.Response) error {
+	if fs.bw == nil {
+		b, err := json.Marshal(&record{Kind: "response", Response: r})
+		if err != nil {
+			return fmt.Errorf("marshal: %w", err)
+		}
+		return fs.writeRec(b)
+	}
+	fs.enc, _ = r.AppendBinary(fs.enc[:0]) // cannot fail
+	return fs.writeRec(fs.enc)
+}
+
 // flushLog pushes buffered records to the OS; under the binary codec
 // that cuts the open block, so every flush is a recoverable boundary.
 func (fs *File) flushLog() error {
@@ -269,20 +299,17 @@ func (fs *File) flushLog() error {
 	return fs.w.Flush()
 }
 
-// append writes one record and makes it as durable as the sync policy
-// promises: flushed to the OS always, fsynced under SyncAlways
-// (SyncInterval leaves the fsync to the flusher goroutine). Any I/O
-// failure poisons the store: the on-disk state is no longer trustworthy.
-func (fs *File) append(rec *record) error {
+// commit runs write, which buffers one mutation's records, and makes
+// them as durable as the sync policy promises: flushed to the OS always,
+// fsynced under SyncAlways (SyncInterval leaves the fsync to the flusher
+// goroutine). Any failure poisons the store: the on-disk tail is no
+// longer knowable (replay truncates whatever is torn).
+func (fs *File) commit(write func() error) error {
 	if fs.syncErr != nil {
 		return fs.syncErr
 	}
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("store: marshal: %w", err)
-	}
 	werr := func() error {
-		if err := fs.writeRec(b); err != nil {
+		if err := write(); err != nil {
 			return fmt.Errorf("store: write %s: %w", fs.path, err)
 		}
 		if err := fs.flushLog(); err != nil {
@@ -301,6 +328,16 @@ func (fs *File) append(rec *record) error {
 	return werr
 }
 
+// appendSurvey logs one survey or republish record durably. Those stay
+// JSON under both codecs: a definition is rare, and readable.
+func (fs *File) appendSurvey(kind string, s *survey.Survey) error {
+	b, err := json.Marshal(&record{Kind: kind, Survey: s, LoggedUnixNano: time.Now().UnixNano()})
+	if err != nil {
+		return fmt.Errorf("store: marshal: %w", err)
+	}
+	return fs.commit(func() error { return fs.writeRec(b) })
+}
+
 // PutSurvey implements Store: validate, make the record durable, then
 // publish it to the memory index. Log-before-index means a failed disk
 // append never leaves a phantom record visible to reads.
@@ -316,7 +353,7 @@ func (fs *File) PutSurvey(s *survey.Survey) error {
 	if _, err := fs.mem.Survey(s.ID); err == nil {
 		return fmt.Errorf("store: survey %q: %w", s.ID, ErrExists)
 	}
-	if err := fs.append(&record{Kind: "survey", Survey: s, LoggedUnixNano: time.Now().UnixNano()}); err != nil {
+	if err := fs.appendSurvey("survey", s); err != nil {
 		return err
 	}
 	return fs.mem.PutSurvey(s)
@@ -336,7 +373,7 @@ func (fs *File) ReplaceSurvey(s *survey.Survey) error {
 	if err := s.Validate(); err != nil {
 		return err
 	}
-	if err := fs.append(&record{Kind: "republish", Survey: s, LoggedUnixNano: time.Now().UnixNano()}); err != nil {
+	if err := fs.appendSurvey("republish", s); err != nil {
 		return err
 	}
 	return fs.mem.ReplaceSurvey(s)
@@ -369,7 +406,7 @@ func (fs *File) AppendResponse(r *survey.Response) error {
 	if err := r.Validate(s); err != nil {
 		return err
 	}
-	if err := fs.append(&record{Kind: "response", Response: r}); err != nil {
+	if err := fs.commit(func() error { return fs.writeResponse(r) }); err != nil {
 		return err
 	}
 	return fs.mem.AppendResponse(r)
@@ -398,31 +435,16 @@ func (fs *File) AppendResponses(rs []survey.Response) ([]int, error) {
 			return nil, err
 		}
 	}
-	werr := func() error {
+	err := fs.commit(func() error {
 		for i := range rs {
-			b, err := json.Marshal(&record{Kind: "response", Response: &rs[i]})
-			if err != nil {
-				return fmt.Errorf("store: marshal: %w", err)
-			}
-			if err := fs.writeRec(b); err != nil {
-				return fmt.Errorf("store: write %s: %w", fs.path, err)
-			}
-		}
-		if err := fs.flushLog(); err != nil {
-			return fmt.Errorf("store: flush %s: %w", fs.path, err)
-		}
-		if fs.opts.Sync == SyncAlways {
-			if err := fs.f.Sync(); err != nil {
-				return fmt.Errorf("store: sync %s: %w", fs.path, err)
+			if err := fs.writeResponse(&rs[i]); err != nil {
+				return err
 			}
 		}
 		return nil
-	}()
-	if werr != nil {
-		// The on-disk tail is unknowable mid-batch; poison the store and
-		// report nothing appended (replay truncates any torn tail).
-		fs.syncErr = werr
-		return nil, werr
+	})
+	if err != nil {
+		return nil, err // nothing appended: the store is poisoned
 	}
 	counts := make([]int, len(rs))
 	for i := range rs {

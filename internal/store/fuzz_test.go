@@ -4,6 +4,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"loki/internal/blockio"
 )
 
 // FuzzReplay feeds arbitrary bytes to the file store's replay path: it
@@ -20,6 +22,26 @@ func FuzzReplay(f *testing.F) {
 	f.Add([]byte(`{"kind":"survey","survey":{"id":"s","title":"t","questions":[{"id":"q","text":"t","kind":0,"scale_min":1,"scale_max":5}],"reward_cents":0}}` + "\n"))
 	f.Add([]byte(`{"kind":"survey","survey":{"id":"s"` /* truncated, no newline */))
 	f.Add([]byte("not json at all\n{\"kind\":\"survey\"}\n"))
+	// A binary log: a JSON survey record and a binary response record.
+	seed := filepath.Join(f.TempDir(), "seed.log")
+	st, err := OpenFileWith(seed, FileOptions{Sync: SyncNever, Codec: blockio.CodecBinary})
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := st.PutSurvey(sampleSurvey()); err != nil {
+		f.Fatal(err)
+	}
+	if err := st.AppendResponse(sampleResponse("w")); err != nil {
+		f.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		f.Fatal(err)
+	}
+	binLog, err := os.ReadFile(seed)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(binLog)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
