@@ -1,7 +1,13 @@
-// Package blockio is the chunked binary segment format shared by every
-// persistence layer: ingest WAL segments and snapshots, the file store,
-// checkpoint files, and the compressed cluster-RPC frames of the
-// WAL-tail-shipping read path.
+// Package blockio is the durable-file layer shared by every persistence
+// subsystem. Log (log.go) is the one record file the file store, the
+// checkpoint files, the budget ledger and ingest's segments, meta log
+// and snapshots are built on — open/replay with torn-tail repair,
+// append / flush / sync, a sticky first failure, atomic rewrite — in
+// either of two codecs: one JSON record per line, or the chunked binary
+// block format described here, which also frames the compressed
+// cluster-RPC bodies of the WAL-tail-shipping read path (frame.go).
+// WriteFileAtomic and SyncDir are the only place files are published by
+// rename; Sniff and ReplayFile the only place a codec is detected.
 //
 // A blockio file is
 //
@@ -34,7 +40,7 @@
 // ScanFrom then seeks straight to the block containing a requested seq
 // instead of replaying from byte 0. A file without a valid footer — the
 // active segment, or a crash mid-seal — is scanned sequentially with
-// the same torn-tail repair semantics as store.ReplayLines: a torn or
+// the same torn-tail repair semantics as the JSON-lines codec: a torn or
 // corrupt tail is truncated back to the last fully verified block.
 //
 // Compression is stdlib compress/flate so the module keeps zero

@@ -15,12 +15,12 @@ import (
 // errTorn classifies a parse failure as "the file ends or rots here":
 // an incomplete frame, a checksum mismatch, a decompression failure.
 // Repairing scans truncate at the failing frame's start, exactly like
-// store.ReplayLines truncates a torn trailing JSON line.
+// replayLines truncates a torn trailing JSON line.
 var errTorn = errors.New("blockio: torn or corrupt frame")
 
 // Replay streams every record of the file at path to fn, in seq order —
-// the blockio twin of store.ReplayLines and the crash-recovery
-// primitive of every adopting log. A sealed file (valid footer) is
+// the binary half of ReplayFile and the crash-recovery primitive under
+// every Log. A sealed file (valid footer) is
 // scanned strictly: it was made immutable by Seal, so any damage is an
 // error. An unsealed file is scanned sequentially; a torn or corrupt
 // tail is truncated back to the last verified frame (and the truncation

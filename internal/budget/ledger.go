@@ -1,18 +1,15 @@
 package budget
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"os"
 	"path/filepath"
 	"sort"
 	"sync"
 	"sync/atomic"
 
-	"loki/internal/store"
+	"loki/internal/blockio"
 )
 
 // ledgerFile is the Set's journal file name inside -budget-dir.
@@ -58,11 +55,11 @@ type shardState struct {
 	records int
 }
 
-// ledger is the Set's durable journal: a JSON-lines WAL in the style of
-// internal/checkpoint (torn-tail truncation on open, snapshot
-// compaction), with group-committed fsyncs. With an empty path the
-// ledger is memory-only — the bench baseline and the zero-config
-// default — and still provides the commit lock.
+// ledger is the Set's durable journal: a JSON-lines blockio.Log
+// (torn-tail truncation on open, snapshot compaction by Rewrite), with
+// group-committed fsyncs. With no directory the ledger is memory-only —
+// the bench baseline and the zero-config default — and still provides
+// the commit lock.
 //
 // Restart equivalence is the core invariant: the in-memory commit path
 // and the replay path are the same function (Set.applyLocked) fed the
@@ -81,13 +78,10 @@ type shardState struct {
 // acknowledged — an over-count. A crash can cost a worker headroom,
 // never privacy.
 type ledger struct {
-	path string // "" = memory-only
-
-	// mu is the Set-wide commit lock: it guards the file, the writer,
-	// and every shard's accounts.
-	mu sync.Mutex
-	f  *os.File
-	w  *bufio.Writer
+	// mu is the Set-wide commit lock: it guards the log's appends and
+	// every shard's accounts.
+	mu  sync.Mutex
+	log *blockio.Log // nil = memory-only
 	// flushed counts write batches handed to the OS (mutated under mu,
 	// read atomically by the sync cohort).
 	flushed atomic.Uint64
@@ -104,10 +98,9 @@ type ledger struct {
 	// The sync cohort. Lock order is mu → syncMu (compaction swaps the
 	// file while holding both); syncMu holders must never take mu.
 	// synced is the highest flushed batch an fsync (or a compaction's
-	// snapshot fsync) has covered; syncErr is the fsync twin of err.
-	syncMu  sync.Mutex
-	synced  uint64
-	syncErr error
+	// snapshot fsync) has covered. An fsync failure is sticky in the log.
+	syncMu sync.Mutex
+	synced uint64
 }
 
 // open replays the journal through the Set's apply function and leaves
@@ -116,8 +109,8 @@ func (l *ledger) open(dir string, apply func(*walRecord) error) error {
 	if dir == "" {
 		return nil
 	}
-	l.path = filepath.Join(dir, ledgerFile)
-	err := store.ReplayLines(l.path, true, func(line []byte) error {
+	var err error
+	l.log, err = blockio.OpenLog(filepath.Join(dir, ledgerFile), blockio.CodecJSON, func(line []byte) error {
 		var rec walRecord
 		if err := json.Unmarshal(line, &rec); err != nil {
 			// Interior corruption in a budget ledger is not skippable the
@@ -131,19 +124,9 @@ func (l *ledger) open(dir string, apply func(*walRecord) error) error {
 		l.appended++
 		return nil
 	})
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return err
-	}
-	f, err := os.OpenFile(l.path, os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
-		return fmt.Errorf("budget: open ledger %s: %w", l.path, err)
+		return fmt.Errorf("budget: open ledger: %w", err)
 	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		return fmt.Errorf("budget: seek ledger %s: %w", l.path, err)
-	}
-	l.f = f
-	l.w = bufio.NewWriter(f)
 	return nil
 }
 
@@ -151,7 +134,7 @@ func (l *ledger) open(dir string, apply func(*walRecord) error) error {
 // one write batch — durability comes later, from the sync cohort.
 // Memory-only ledgers skip it. Any failure is sticky.
 func (l *ledger) flushLocked(recs []walRecord) error {
-	if l.path == "" {
+	if l.log == nil {
 		return nil
 	}
 	fail := func(err error) error {
@@ -163,12 +146,12 @@ func (l *ledger) flushLocked(recs []walRecord) error {
 		if err != nil {
 			return fail(fmt.Errorf("budget: encode ledger record: %w", err))
 		}
-		if _, err := l.w.Write(append(b, '\n')); err != nil {
-			return fail(fmt.Errorf("budget: append ledger %s: %w", l.path, err))
+		if err := l.log.Append(b); err != nil {
+			return fail(fmt.Errorf("budget: %w", err))
 		}
 	}
-	if err := l.w.Flush(); err != nil {
-		return fail(fmt.Errorf("budget: flush ledger %s: %w", l.path, err))
+	if err := l.log.Flush(); err != nil {
+		return fail(fmt.Errorf("budget: %w", err))
 	}
 	l.flushed.Add(1)
 	return nil
@@ -183,8 +166,8 @@ func (l *ledger) flushLocked(recs []walRecord) error {
 func (l *ledger) syncCohort(seq uint64) error {
 	l.syncMu.Lock()
 	defer l.syncMu.Unlock()
-	if l.syncErr != nil {
-		return l.syncErr
+	if err := l.log.Err(); err != nil {
+		return err
 	}
 	if l.synced >= seq {
 		return nil
@@ -192,9 +175,8 @@ func (l *ledger) syncCohort(seq uint64) error {
 	// Batches flushed after this load ride the fsync too, but only
 	// provably-covered ones are claimed.
 	covered := l.flushed.Load()
-	if err := l.f.Sync(); err != nil {
-		l.syncErr = fmt.Errorf("budget: fsync ledger %s: %w", l.path, err)
-		return l.syncErr
+	if err := l.log.Sync(); err != nil {
+		return fmt.Errorf("budget: %w", err)
 	}
 	if covered > l.synced {
 		l.synced = covered
@@ -217,7 +199,7 @@ func (l *ledger) checkLocked() error {
 func (l *ledger) commitLocked(lines int, compact func()) error {
 	l.appended += lines
 	compact()
-	durable := l.path != ""
+	durable := l.log != nil
 	seq := l.flushed.Load()
 	l.mu.Unlock()
 	if durable {
@@ -226,34 +208,19 @@ func (l *ledger) commitLocked(lines int, compact func()) error {
 	return nil
 }
 
-// publishCompactionLocked swaps the freshly written snapshot file into
-// place: drop the old handle, rename, fsync the directory so the
-// rename itself is durable, reopen for appending. Called with mu held.
-// The sync cohort reads l.f without mu, so the handle may only change —
-// and publish failures must wedge the cohort too — while syncMu is
-// also held (lock order mu → syncMu).
-func (l *ledger) publishCompactionLocked(tmp string) error {
+// rewriteLocked replaces the journal with one snapshot record. Called
+// with mu held. The sync cohort fsyncs the log without mu, and Rewrite
+// swaps the file under it, so syncMu is held too (lock order mu →
+// syncMu); a failure is sticky in the log, which wedges the cohort as
+// well.
+func (l *ledger) rewriteLocked(snapshot []byte) error {
 	l.syncMu.Lock()
 	defer l.syncMu.Unlock()
-	fail := func(err error) error {
-		os.Remove(tmp)
-		l.err = err
-		l.syncErr = err
-		return err
-	}
-	l.f.Close()
-	if err := os.Rename(tmp, l.path); err != nil {
-		return fail(fmt.Errorf("budget: publish compacted ledger: %w", err))
-	}
-	if err := syncDir(filepath.Dir(l.path)); err != nil {
-		return fail(err)
-	}
-	f, err := os.OpenFile(l.path, os.O_WRONLY|os.O_APPEND, 0o644)
+	err := l.log.Rewrite(blockio.CodecJSON, func(nl *blockio.Log) error { return nl.Append(snapshot) })
 	if err != nil {
-		return fail(fmt.Errorf("budget: reopen compacted ledger: %w", err))
+		l.err = fmt.Errorf("budget: compact ledger: %w", err)
+		return l.err
 	}
-	l.f = f
-	l.w = bufio.NewWriter(f)
 	l.appended = 1 // the snapshot line itself
 	l.compactions++
 	// The snapshot covers every record applied so far, including write
@@ -270,40 +237,17 @@ func (l *ledger) close() error {
 		return nil
 	}
 	l.closed = true
-	if l.path == "" || l.f == nil {
+	if l.log == nil {
 		return l.err
 	}
 	// Let any in-flight cohort fsync finish before closing its file.
 	l.syncMu.Lock()
 	defer l.syncMu.Unlock()
 	first := l.err
-	if first == nil {
-		first = l.syncErr
-	}
-	if err := l.w.Flush(); err != nil && first == nil {
-		first = err
-	}
-	if err := l.f.Sync(); err != nil && first == nil {
-		first = err
-	}
-	if err := l.f.Close(); err != nil && first == nil {
+	if err := l.log.Close(); first == nil {
 		first = err
 	}
 	return first
-}
-
-// syncDir fsyncs a directory so a just-renamed file is reachable after
-// a crash.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("budget: open dir %s: %w", dir, err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("budget: fsync dir %s: %w", dir, err)
-	}
-	return nil
 }
 
 // sortedAccounts flattens account maps into a deterministic snapshot

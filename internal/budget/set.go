@@ -364,7 +364,7 @@ func (s *Set) Stats() ([]ShardStats, error) {
 			Rejected:    sh.rejected,
 			WALRecords:  sh.records,
 			Compactions: s.led.compactions,
-			Durable:     s.led.path != "",
+			Durable:     s.led.log != nil,
 		}
 		for _, a := range sh.accounts {
 			st.Charges += a.Charges
@@ -382,7 +382,7 @@ func (s *Set) Stats() ([]ShardStats, error) {
 // compaction, with a higher floor because charge lines accumulate per
 // submit, not per survey.
 func (s *Set) maybeCompactLocked() {
-	if s.led.path == "" {
+	if s.led.log == nil {
 		return
 	}
 	var accounts int
@@ -399,41 +399,16 @@ func (s *Set) maybeCompactLocked() {
 	s.compactLocked()
 }
 
-// compactLocked writes a snapshot of every hosted account to a temp
-// file, fsyncs it, and renames it over the journal — the rename must
-// never publish torn content. Failures are sticky; the original file
-// is untouched until publish.
+// compactLocked rewrites the journal as one snapshot of every hosted
+// account. Failures are sticky; the original file is untouched until
+// the rewrite publishes.
 func (s *Set) compactLocked() {
 	b, err := json.Marshal(&walRecord{T: walSnapshot, Snapshot: sortedAccounts(s.shards)})
 	if err != nil {
 		s.led.err = fmt.Errorf("budget: encode ledger snapshot: %w", err)
 		return
 	}
-	tmp := s.led.path + ".tmp"
-	fail := func(err error) {
-		os.Remove(tmp)
-		s.led.err = err
-	}
-	tf, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		fail(fmt.Errorf("budget: create %s: %w", tmp, err))
-		return
-	}
-	if _, err := tf.Write(append(b, '\n')); err != nil {
-		tf.Close()
-		fail(fmt.Errorf("budget: write %s: %w", tmp, err))
-		return
-	}
-	if err := tf.Sync(); err != nil {
-		tf.Close()
-		fail(fmt.Errorf("budget: fsync %s: %w", tmp, err))
-		return
-	}
-	if err := tf.Close(); err != nil {
-		fail(fmt.Errorf("budget: close %s: %w", tmp, err))
-		return
-	}
-	if s.led.publishCompactionLocked(tmp) != nil {
+	if s.led.rewriteLocked(b) != nil {
 		return
 	}
 	for _, sh := range s.shards {

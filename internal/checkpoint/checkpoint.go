@@ -20,10 +20,10 @@
 // tombstones. New writes only ever go to per-survey files; the legacy
 // file is left untouched for rollback.
 //
-// Open replays every file with the same torn-tail truncation as every
-// other JSON-lines log in the system, so a crash mid-append costs at
-// most the last record — the reader falls back to that shard's previous
-// checkpoint and scans a slightly longer tail.
+// Every file is a blockio.Log, so a crash mid-append costs at most the
+// last record (the torn tail is truncated on open) — the reader falls
+// back to that shard's previous checkpoint and scans a slightly longer
+// tail.
 //
 // Checkpoints are an optimization, never the source of truth: the store
 // is. A missing, stale, or invalidated checkpoint only means more
@@ -31,18 +31,16 @@
 // restore validates the definition fingerprint, the shard layout and
 // the accumulator shape before trusting any state.
 //
-// Each per-survey file rewrites itself (tmp + rename + dir sync) once
+// Each per-survey file rewrites itself (blockio.Log.Rewrite) once
 // enough superseded lines accumulate, so its size tracks the survey's
 // live shard count, not the number of checkpoints ever taken.
 package checkpoint
 
 import (
-	"bufio"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -52,7 +50,6 @@ import (
 
 	"loki/internal/aggregate"
 	"loki/internal/blockio"
-	"loki/internal/store"
 )
 
 const (
@@ -104,36 +101,13 @@ func (r *Record) NumShards() int {
 	return r.ShardCount
 }
 
-// surveyFile is one survey's lazily opened append handle, in either
-// codec (exactly one of w/bw is set — a file never mixes formats).
-type surveyFile struct {
-	f  *os.File
-	w  *bufio.Writer   // JSON lines
-	bw *blockio.Writer // blockio blocks, resumed unsealed
+// surveyLog is one survey's lazily opened file.
+type surveyLog struct {
+	log *blockio.Log
 	// appended counts records written since the last rewrite; once it
 	// sufficiently exceeds the survey's live shard-record count the
 	// file compacts.
 	appended int
-}
-
-// write buffers one marshaled record in the file's codec framing.
-func (sf *surveyFile) write(b []byte) error {
-	if sf.bw != nil {
-		_, err := sf.bw.Append(b)
-		return err
-	}
-	if _, err := sf.w.Write(b); err != nil {
-		return err
-	}
-	return sf.w.WriteByte('\n')
-}
-
-// flush pushes buffered records to the OS.
-func (sf *surveyFile) flush() error {
-	if sf.bw != nil {
-		return sf.bw.Flush()
-	}
-	return sf.w.Flush()
 }
 
 // Options tune a checkpoint log.
@@ -161,7 +135,7 @@ type Log struct {
 	// tombstone in its per-survey file, or the legacy record would
 	// resurrect on the next Open.
 	legacy map[string]bool
-	files  map[string]*surveyFile
+	files  map[string]*surveyLog
 	// err is the first I/O failure, sticky: after a failed write or
 	// fsync the on-disk tail is unknowable, so further appends could
 	// interleave with the buffered wreckage. Reads keep serving the
@@ -205,11 +179,11 @@ func OpenWith(dir string, opts Options) (*Log, error) {
 		codec:  opts.Codec,
 		recs:   make(map[string]map[int]*Record),
 		legacy: make(map[string]bool),
-		files:  make(map[string]*surveyFile),
+		files:  make(map[string]*surveyLog),
 	}
 	// Legacy single-file log: replayed first so per-survey files
 	// supersede and tombstone it.
-	err := store.ReplayLines(filepath.Join(dir, legacyLogName), true, func(line []byte) error {
+	err := blockio.ReplayFile(filepath.Join(dir, legacyLogName), true, func(line []byte) error {
 		if rec, ok := l.decode(line); ok {
 			l.applyLocked(rec)
 			l.legacy[rec.SurveyID] = true
@@ -308,14 +282,7 @@ func (l *Log) replaySurveyFiles() error {
 					st.recs = append(st.recs, &r)
 					return nil
 				}
-				bin, err := blockio.Sniff(path)
-				if err == nil && bin {
-					_, err = blockio.Replay(path, true, func(_ uint64, payload []byte) error {
-						return apply(payload)
-					})
-				} else if err == nil {
-					err = store.ReplayLines(path, true, apply)
-				}
+				err := blockio.ReplayFile(path, true, apply)
 				if err != nil && !errors.Is(err, os.ErrNotExist) && errs[w] == nil {
 					errs[w] = err
 				}
@@ -390,49 +357,18 @@ func (l *Log) CorruptRecords() int {
 }
 
 // ensureFileLocked lazily opens (creating if necessary) the survey's
-// append handle. Caller holds mu.
-func (l *Log) ensureFileLocked(surveyID string) (*surveyFile, error) {
+// file for appending; Open already replayed its records. Caller holds
+// mu.
+func (l *Log) ensureFileLocked(surveyID string) (*surveyLog, error) {
 	if sf, ok := l.files[surveyID]; ok {
 		return sf, nil
 	}
 	path := filepath.Join(l.dir, surveysDir, surveyFileName(surveyID))
-	// A non-empty file dictates its own codec (never mix formats within
-	// one file); a fresh or empty one takes the log's configured codec.
-	binary := l.codec == blockio.CodecBinary
-	if fi, err := os.Stat(path); err == nil && fi.Size() > 0 {
-		if binary, err = blockio.Sniff(path); err != nil {
-			return nil, fmt.Errorf("checkpoint: sniff %s: %w", path, err)
-		}
-	}
-	var nextSeq uint64 = 1
-	if binary {
-		// Re-walk the block log for the resume point (repairing any torn
-		// tail); checkpoint files are compacted small, so this is cheap.
-		if _, err := blockio.Replay(path, true, func(seq uint64, _ []byte) error {
-			nextSeq = seq + 1
-			return nil
-		}); err != nil && !errors.Is(err, os.ErrNotExist) {
-			return nil, fmt.Errorf("checkpoint: resume %s: %w", path, err)
-		}
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644)
+	lg, err := blockio.OpenLog(path, l.codec, func([]byte) error { return nil })
 	if err != nil {
-		return nil, fmt.Errorf("checkpoint: open %s: %w", path, err)
+		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	off, err := f.Seek(0, io.SeekEnd)
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("checkpoint: seek %s: %w", path, err)
-	}
-	sf := &surveyFile{f: f}
-	if binary {
-		if sf.bw, err = blockio.NewWriterAt(f, off, nextSeq); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("checkpoint: resume %s: %w", path, err)
-		}
-	} else {
-		sf.w = bufio.NewWriter(f)
-	}
+	sf := &surveyLog{log: lg}
 	l.files[surveyID] = sf
 	return sf, nil
 }
@@ -482,15 +418,14 @@ func (l *Log) Drop(surveyID string) error {
 func (l *Log) removeFileLocked(surveyID string) error {
 	if sf, ok := l.files[surveyID]; ok {
 		delete(l.files, surveyID)
-		_ = sf.flush()
-		_ = sf.f.Close()
+		_ = sf.log.Close() // the file is about to go
 	}
 	path := filepath.Join(l.dir, surveysDir, surveyFileName(surveyID))
 	if err := os.Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
 		l.err = fmt.Errorf("checkpoint: remove %s: %w", path, err)
 		return l.err
 	}
-	return syncDir(filepath.Join(l.dir, surveysDir))
+	return blockio.SyncDir(filepath.Join(l.dir, surveysDir))
 }
 
 // appendLocked writes one line to the survey's file, flushes and
@@ -511,21 +446,16 @@ func (l *Log) appendLocked(surveyID string, rec *Record) error {
 	if err != nil {
 		return fmt.Errorf("checkpoint: marshal: %w", err)
 	}
-	werr := func() error {
-		if err := sf.write(b); err != nil {
-			return fmt.Errorf("checkpoint: write %s: %w", surveyFileName(surveyID), err)
-		}
-		if err := sf.flush(); err != nil {
-			return fmt.Errorf("checkpoint: flush %s: %w", surveyFileName(surveyID), err)
-		}
-		if err := sf.f.Sync(); err != nil {
-			return fmt.Errorf("checkpoint: sync %s: %w", surveyFileName(surveyID), err)
-		}
-		return nil
-	}()
-	if werr != nil {
-		l.err = werr
-		return werr
+	err = sf.log.Append(b)
+	if err == nil {
+		err = sf.log.Flush()
+	}
+	if err == nil {
+		err = sf.log.Sync()
+	}
+	if err != nil {
+		l.err = fmt.Errorf("checkpoint: %w", err)
+		return l.err
 	}
 	sf.appended++
 	return nil
@@ -573,83 +503,36 @@ func (l *Log) compactSurveyLocked(surveyID string) error {
 	if !ok {
 		return nil
 	}
-	path := filepath.Join(l.dir, surveysDir, surveyFileName(surveyID))
-	tmp := path + tmpSuffix
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("checkpoint: create %s: %w", tmp, err)
-	}
 	// The rewrite targets the log's CONFIGURED codec regardless of the
 	// old file's format: compaction is the in-place migration step.
-	nf := &surveyFile{f: f}
-	if l.codec == blockio.CodecBinary {
-		bw, err := blockio.NewWriter(f, 1)
-		if err != nil {
-			f.Close()
-			os.Remove(tmp)
-			l.err = fmt.Errorf("checkpoint: rewrite %s: %w", tmp, err)
-			return l.err
+	err := sf.log.Rewrite(l.codec, func(nl *blockio.Log) error {
+		put := func(rec *Record) error {
+			b, err := json.Marshal(rec)
+			if err != nil {
+				return fmt.Errorf("marshal: %w", err)
+			}
+			return nl.Append(b)
 		}
-		nf.bw = bw // left unsealed: the reopened handle keeps appending
-	} else {
-		nf.w = bufio.NewWriter(f)
-	}
-	werr := func() error {
 		live := l.recs[surveyID]
 		if len(live) == 0 && l.legacy[surveyID] {
 			// The file exists to shadow a legacy record: keep exactly
 			// one tombstone record.
-			b, err := json.Marshal(&Record{SurveyID: surveyID, SavedUnixNano: time.Now().UnixNano()})
-			if err != nil {
-				return fmt.Errorf("checkpoint: marshal: %w", err)
-			}
-			if err := nf.write(b); err != nil {
-				return fmt.Errorf("checkpoint: write %s: %w", tmp, err)
+			if err := put(&Record{SurveyID: surveyID, SavedUnixNano: time.Now().UnixNano()}); err != nil {
+				return err
 			}
 		}
 		for _, rec := range live {
-			b, err := json.Marshal(rec)
-			if err != nil {
-				return fmt.Errorf("checkpoint: marshal: %w", err)
-			}
-			if err := nf.write(b); err != nil {
-				return fmt.Errorf("checkpoint: write %s: %w", tmp, err)
+			if err := put(rec); err != nil {
+				return err
 			}
 		}
-		if err := nf.flush(); err != nil {
-			return fmt.Errorf("checkpoint: flush %s: %w", tmp, err)
-		}
-		return f.Sync() // the rename must never publish torn content
-	}()
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		os.Remove(tmp)
-		l.err = werr
-		return werr
-	}
-	// Swap the live writer to the compacted file: close the old handle,
-	// publish the rewrite, reopen for appends.
-	delete(l.files, surveyID)
-	if cerr := sf.f.Close(); cerr != nil {
-		l.err = fmt.Errorf("checkpoint: close %s: %w", path, cerr)
-		return l.err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		l.err = fmt.Errorf("checkpoint: publish %s: %w", path, err)
-		return l.err
-	}
-	if err := syncDir(filepath.Join(l.dir, surveysDir)); err != nil {
-		l.err = err
-		return err
-	}
-	nsf, err := l.ensureFileLocked(surveyID)
+		return nil
+	})
 	if err != nil {
-		l.err = err
-		return err
+		l.err = fmt.Errorf("checkpoint: %w", err)
+		return l.err
 	}
-	nsf.appended = 0
+	sf.appended = 0
 	return nil
 }
 
@@ -664,33 +547,10 @@ func (l *Log) Close() error {
 	l.closed = true
 	first := l.err
 	for _, sf := range l.files {
-		flushErr := sf.flush()
-		if flushErr == nil {
-			flushErr = sf.f.Sync()
-		}
-		closeErr := sf.f.Close()
-		if first == nil {
-			if flushErr != nil {
-				first = flushErr
-			} else if closeErr != nil {
-				first = closeErr
-			}
+		if err := sf.log.Close(); err != nil && first == nil {
+			first = err
 		}
 	}
-	l.files = make(map[string]*surveyFile)
+	l.files = make(map[string]*surveyLog)
 	return first
-}
-
-// syncDir fsyncs a directory so a just-renamed file's entry survives a
-// crash.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("checkpoint: open dir %s: %w", dir, err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("checkpoint: sync dir %s: %w", dir, err)
-	}
-	return nil
 }

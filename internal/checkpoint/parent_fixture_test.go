@@ -1,0 +1,171 @@
+package checkpoint
+
+import (
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+
+	"loki/internal/blockio"
+	"loki/internal/survey"
+)
+
+// testdata/parent_dir was written by the commit BEFORE checkpoint moved
+// onto blockio.Log (469b70b), by running dirFixtureScript there
+// (TestWriteParentFixture with LOKI_FIXTURE_OUT set): a legacy
+// single-file log holding two surveys, binary per-survey files (one of
+// them nothing but the tombstone shadowing a legacy survey), and a
+// JSON-lines per-survey file.
+
+func fixtureSurvey(id string) *survey.Survey {
+	sv := testSurvey()
+	sv.ID = id
+	return sv
+}
+
+// fixtureWant is the directory's live contents: survey -> shard -> cursor
+// (and the state is filledState(cursor)). legacy-b is tombstoned.
+var fixtureWant = map[string]map[int]uint64{
+	"legacy-a":    {0: 5},
+	"bin-survey":  {0: 7, 1: 4},
+	"json-survey": {0: 2, 2: 9},
+}
+
+func dirFixtureScript(t *testing.T, dir string) {
+	t.Helper()
+	put := func(l *Log, id string, shard, n int) {
+		rec := record(t, fixtureSurvey(id), n)
+		rec.Shard, rec.ShardCount = shard, 4
+		if err := l.Put(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Nothing writes the legacy file any more; its format is one Record
+	// per JSON line.
+	var legacy []byte
+	for id, n := range map[string]int{"legacy-a": 5, "legacy-b": 6} {
+		b, err := json.Marshal(record(t, fixtureSurvey(id), n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		legacy = append(append(legacy, b...), '\n')
+	}
+	if err := os.WriteFile(filepath.Join(dir, legacyLogName), legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, err := OpenWith(dir, Options{Codec: blockio.CodecBinary})
+	if err != nil {
+		t.Fatal(err)
+	}
+	put(l, "bin-survey", 0, 3)
+	put(l, "bin-survey", 1, 4)
+	put(l, "bin-survey", 0, 7)
+	if err := l.Drop("legacy-b"); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if l, err = OpenWith(dir, Options{Codec: blockio.CodecJSON}); err != nil {
+		t.Fatal(err)
+	}
+	put(l, "json-survey", 0, 2)
+	put(l, "json-survey", 2, 9)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestWriteParentFixture(t *testing.T) {
+	out := os.Getenv("LOKI_FIXTURE_OUT")
+	if out == "" {
+		t.Skip("set LOKI_FIXTURE_OUT to (re)write the fixture with this commit's code")
+	}
+	dir := filepath.Join(out, "parent_dir")
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	dirFixtureScript(t, dir)
+}
+
+func checkFixtureContents(t *testing.T, l *Log, want map[string]map[int]uint64) {
+	t.Helper()
+	got := map[string]map[int]uint64{}
+	for _, rec := range l.Records() {
+		if got[rec.SurveyID] == nil {
+			got[rec.SurveyID] = map[int]uint64{}
+		}
+		got[rec.SurveyID][rec.Shard] = rec.Cursor
+		sv := fixtureSurvey(rec.SurveyID)
+		if rec.Fingerprint != sv.Fingerprint() || !reflect.DeepEqual(rec.State, filledState(t, sv, int(rec.Cursor))) {
+			t.Errorf("%s shard %d: state or fingerprint differs from the one checkpointed", rec.SurveyID, rec.Shard)
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("live checkpoints %v, want %v", got, want)
+	}
+	if n := l.CorruptRecords(); n != 0 {
+		t.Fatalf("%d corrupt records", n)
+	}
+}
+
+// TestParentDirFixture: the parent-written directory opens to its
+// reference contents in either configured codec, takes appends in each
+// file's own framing, survives a compaction (which migrates the JSON
+// file and keeps the tombstone) and reopens.
+func TestParentDirFixture(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "parent_dir"))); err != nil {
+		t.Fatal(err)
+	}
+	isBinary := func(id string) bool {
+		bin, err := blockio.Sniff(filepath.Join(dir, surveysDir, surveyFileName(id)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bin
+	}
+	if !isBinary("bin-survey") || !isBinary("legacy-b") || isBinary("json-survey") {
+		t.Fatal("fixture files are not in the codecs the script wrote them in")
+	}
+	l, err := OpenWith(dir, Options{Codec: blockio.CodecBinary})
+	if err != nil {
+		t.Fatalf("parent-written directory does not open: %v", err)
+	}
+	checkFixtureContents(t, l, fixtureWant)
+
+	want := map[string]map[int]uint64{
+		"legacy-a":    {0: 5, 1: 8},
+		"bin-survey":  {0: 7, 1: 10},
+		"json-survey": {0: 2, 2: 9, 3: 11},
+	}
+	for id, shard := range map[string]int{"legacy-a": 1, "bin-survey": 1, "json-survey": 3} {
+		rec := record(t, fixtureSurvey(id), int(want[id][shard]))
+		rec.Shard, rec.ShardCount = shard, 4
+		if err := l.Put(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if isBinary("json-survey") {
+		t.Fatal("an append changed a JSON file's framing")
+	}
+	if err := l.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if !isBinary("json-survey") {
+		t.Fatal("compaction under the binary codec left the JSON file JSON")
+	}
+	checkFixtureContents(t, l, want)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if l, err = OpenWith(dir, Options{Codec: blockio.CodecJSON}); err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	checkFixtureContents(t, l, want) // legacy-b stays shadowed by its tombstone file
+}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 
+	"loki/internal/blockio"
 	"loki/internal/dp"
 )
 
@@ -102,25 +103,15 @@ func ReadLedger(r io.Reader) (*Ledger, error) {
 	return lg, nil
 }
 
-// SaveFile writes the ledger to path atomically (write to a temp file in
-// the same directory, then rename).
+// SaveFile publishes the ledger at path through
+// blockio.WriteFileAtomic (temp file, fsync, rename, directory sync), so
+// a crash leaves the previous history or the new one, never a torn file.
 func (lg *Ledger) SaveFile(path string) error {
-	tmp, err := os.CreateTemp(dirOf(path), ".ledger-*")
-	if err != nil {
-		return fmt.Errorf("core: save ledger: %w", err)
-	}
-	tmpName := tmp.Name()
-	if _, err := lg.WriteTo(tmp); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
+	err := blockio.WriteFileAtomic(path, func(f *os.File) error {
+		_, err := lg.WriteTo(f)
 		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("core: save ledger: %w", err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
+	})
+	if err != nil {
 		return fmt.Errorf("core: save ledger: %w", err)
 	}
 	return nil
@@ -134,14 +125,4 @@ func LoadLedgerFile(path string) (*Ledger, error) {
 	}
 	defer f.Close()
 	return ReadLedger(f)
-}
-
-// dirOf returns the directory portion of path ("." for bare names).
-func dirOf(path string) string {
-	for i := len(path) - 1; i >= 0; i-- {
-		if path[i] == '/' || path[i] == os.PathSeparator {
-			return path[:i+1]
-		}
-	}
-	return "."
 }

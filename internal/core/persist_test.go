@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -84,6 +85,20 @@ func TestLedgerFileRoundTrip(t *testing.T) {
 	}
 	if back.Events() != lg.Events() || back.Unprotected() != lg.Unprotected() {
 		t.Error("file round trip lost state")
+	}
+	// A crash's stale temp file is replaced, not accumulated: saving
+	// again leaves the ledger and nothing else.
+	if err := os.WriteFile(path+".tmp", []byte(`{"version":1,"ev`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := lg.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if names, _ := filepath.Glob(filepath.Join(filepath.Dir(path), "*")); len(names) != 1 {
+		t.Errorf("directory holds %v", names)
+	}
+	if _, err := LoadLedgerFile(path); err != nil {
+		t.Error(err)
 	}
 	// Restored ledgers keep accumulating.
 	o := newObf(t, DefaultOptions())

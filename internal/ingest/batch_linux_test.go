@@ -6,54 +6,19 @@ package ingest
 // this runs ingest.Sharded and store.File through the same script,
 // including the same injected I/O failure, and requires the same
 // answers. Linux only: the failure is injected from outside either
-// store by swapping the log's file descriptor for a read-only one.
+// store by swapping the log's file descriptor for a read-only one
+// (logtest.BreakWrites, which the per-Log conformance suite shares).
 
 import (
 	"errors"
-	"os"
 	"path/filepath"
 	"reflect"
-	"strconv"
-	"syscall"
 	"testing"
 
+	"loki/internal/logtest"
 	"loki/internal/store"
 	"loki/internal/survey"
 )
-
-// breakWrites makes every write through this process's descriptors for
-// path fail with EBADF, by duplicating a read-only /dev/null over them.
-// Unlike closing the descriptor it keeps the number occupied, so no
-// later open can be handed it and receive the store's writes.
-func breakWrites(t *testing.T, path string) {
-	t.Helper()
-	null, err := os.Open(os.DevNull)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer null.Close()
-	fds, err := os.ReadDir("/proc/self/fd")
-	if err != nil {
-		t.Fatal(err)
-	}
-	broken := 0
-	for _, e := range fds {
-		fd, err := strconv.Atoi(e.Name())
-		if err != nil {
-			continue
-		}
-		if target, err := os.Readlink(filepath.Join("/proc/self/fd", e.Name())); err != nil || target != path {
-			continue
-		}
-		if err := syscall.Dup3(int(null.Fd()), fd, 0); err != nil {
-			t.Fatal(err)
-		}
-		broken++
-	}
-	if broken == 0 {
-		t.Fatalf("no open descriptor for %s", path)
-	}
-}
 
 func TestBatchAppenderMatchesFileStore(t *testing.T) {
 	ingestDir := t.TempDir()
@@ -102,7 +67,7 @@ func TestBatchAppenderMatchesFileStore(t *testing.T) {
 			}
 			// Injected failure: nothing of the batch is acknowledged or
 			// visible, and the store refuses appends from then on.
-			breakWrites(t, impl.logPath())
+			logtest.BreakWrites(t, impl.logPath())
 			if counts, err := ba.AppendResponses(batch); err == nil || len(counts) != 0 {
 				t.Fatalf("batch on a broken log: counts %v, err %v", counts, err)
 			}

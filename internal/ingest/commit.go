@@ -1,11 +1,12 @@
 package ingest
 
 import (
+	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"time"
 
+	"loki/internal/blockio"
 	"loki/internal/survey"
 )
 
@@ -26,22 +27,15 @@ type sealedSeg struct {
 	bytes int64
 }
 
-// openSegment creates the active segment file for s.segSeq and makes its
-// directory entry durable.
+// openSegment creates the active segment file for s.segSeq (OpenLog
+// makes the new directory entry durable).
 func (s *Sharded) openSegment() error {
 	path := filepath.Join(s.dir, segName(s.segSeq))
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+	seg, err := blockio.OpenLog(path, s.cfg.Codec, func([]byte) error {
+		return errors.New("segment already holds records")
+	})
 	if err != nil {
-		return fmt.Errorf("ingest: create segment %s: %w", path, err)
-	}
-	seg, err := newSegAppender(s.cfg.Codec, f)
-	if err != nil {
-		f.Close()
-		return err
-	}
-	if err := syncDir(s.dir); err != nil {
-		f.Close()
-		return err
+		return fmt.Errorf("ingest: create segment: %w", err)
 	}
 	s.seg = seg
 	s.segBytes = 0
@@ -137,23 +131,23 @@ func (s *Sharded) commit(batch []*appendReq) {
 		reply(err)
 		return
 	}
-	before := s.seg.offset()
+	before := s.seg.Size()
 	var werr error
 	records := 0
 write:
 	for _, r := range batch {
 		for _, p := range r.payloads {
-			if werr = s.seg.append(p); werr != nil {
+			if werr = s.seg.Append(p); werr != nil {
 				break write
 			}
 		}
 		records += len(r.payloads)
 	}
 	if werr == nil {
-		werr = s.seg.flush()
+		werr = s.seg.Flush()
 	}
 	if werr == nil {
-		werr = s.seg.sync()
+		werr = s.seg.Sync()
 	}
 	if werr != nil {
 		reply(s.fail(fmt.Errorf("ingest: segment %d: %w", s.segSeq, werr)))
@@ -161,7 +155,7 @@ write:
 	}
 	// Framed (binary: compressed) bytes, measured after the flush so the
 	// rotation threshold tracks the on-disk size, not the logical one.
-	s.segBytes += s.seg.offset() - before
+	s.segBytes += s.seg.Size() - before
 	s.idxMu.Lock()
 	for _, r := range batch {
 		for i := range r.resps {
@@ -190,10 +184,10 @@ write:
 // data is already durable when rotation fails; only future appends are
 // refused.
 func (s *Sharded) rotate() error {
-	if err := s.seg.seal(); err != nil {
+	if err := s.seg.Seal(); err != nil {
 		return fmt.Errorf("ingest: seal segment %d: %w", s.segSeq, err)
 	}
-	if err := s.seg.close(); err != nil {
+	if err := s.seg.Close(); err != nil {
 		return fmt.Errorf("ingest: seal segment %d: %w", s.segSeq, err)
 	}
 	s.logMu.Lock()

@@ -173,7 +173,7 @@ func TestFailedCommitFailsEveryWaiter(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := s.Stats()
-	if err := s.seg.file().Close(); err != nil { // sabotage the active segment
+	if err := s.seg.File().Close(); err != nil { // sabotage the active segment
 		t.Fatal(err)
 	}
 	const waiters = 16

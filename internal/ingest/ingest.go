@@ -44,11 +44,9 @@
 package ingest
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -159,13 +157,11 @@ type Sharded struct {
 	// history is each survey's publish-event log (definition
 	// fingerprints with timestamps), rebuilt from the meta log on open.
 	history map[string][]store.SurveyVersion
-	metaF   *os.File
-	metaW   *bufio.Writer
-	// metaErr is the first meta-log I/O failure, sticky like the commit
-	// path: after a failed write/fsync the buffered tail may surface in
-	// a later flush, so retrying a publish could duplicate the record on
-	// disk and poison the next replay.
-	metaErr error
+	// meta is meta.jsonl. Its first I/O failure is sticky, like the
+	// commit path's: after a failed write/fsync the buffered tail may
+	// surface in a later flush, so retrying a publish could duplicate
+	// the record on disk and poison the next replay.
+	meta *blockio.Log
 
 	reqCh chan *appendReq
 	quit  chan struct{} // closed by Close: the committer drains reqCh and exits
@@ -182,7 +178,7 @@ type Sharded struct {
 	index map[string][]survey.Response
 
 	// Committer-owned state (no locking: single goroutine).
-	seg      segAppender
+	seg      *blockio.Log
 	segSeq   uint64 // active segment sequence number
 	segBytes int64  // bytes appended to the active segment
 
@@ -266,7 +262,7 @@ func Open(dir string, cfg Config) (*Sharded, error) {
 		return nil, err
 	}
 	if err := s.openMeta(); err != nil {
-		s.seg.close()
+		s.seg.Close()
 		return nil, err
 	}
 	go s.run()
@@ -310,11 +306,11 @@ func (s *Sharded) prepareLayout() error {
 		if err != nil {
 			return fmt.Errorf("ingest: marshal layout: %w", err)
 		}
-		if _, err := writeFileAtomic(s.dir, layoutName, func(f *os.File) error {
+		if err := blockio.WriteFileAtomic(path, func(f *os.File) error {
 			_, err := f.Write(append(b, '\n'))
 			return err
 		}); err != nil {
-			return err
+			return fmt.Errorf("ingest: %w", err)
 		}
 	}
 	// The marker says format 2, so any shard directory still here is a
@@ -328,7 +324,7 @@ func (s *Sharded) prepareLayout() error {
 	if len(legacy) == 0 {
 		return nil
 	}
-	return syncDir(s.dir)
+	return blockio.SyncDir(s.dir)
 }
 
 // metaRecord is one meta-log line: the survey definition with the
@@ -342,8 +338,8 @@ type metaRecord struct {
 // openMeta replays the survey log (truncating a torn tail) and positions
 // it for appends.
 func (s *Sharded) openMeta() error {
-	path := filepath.Join(s.dir, metaName)
-	err := store.ReplayLines(path, true, func(line []byte) error {
+	var err error
+	s.meta, err = blockio.OpenLog(filepath.Join(s.dir, metaName), blockio.CodecJSON, func(line []byte) error {
 		var rec metaRecord
 		if err := json.Unmarshal(line, &rec); err != nil {
 			return fmt.Errorf("corrupt survey record: %w", err)
@@ -358,22 +354,9 @@ func (s *Sharded) openMeta() error {
 		s.recordVersion(&sv, rec.PublishedUnixNano)
 		return nil
 	})
-	if errors.Is(err, os.ErrNotExist) {
-		err = nil
-	}
 	if err != nil {
-		return err
+		return fmt.Errorf("ingest: %w", err)
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("ingest: open %s: %w", path, err)
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		return fmt.Errorf("ingest: seek %s: %w", path, err)
-	}
-	s.metaF = f
-	s.metaW = bufio.NewWriter(f)
 	return nil
 }
 
@@ -388,8 +371,8 @@ func (s *Sharded) PutSurvey(sv *survey.Survey) error {
 	if s.closed.Load() {
 		return errors.New("ingest: use after close")
 	}
-	if s.metaErr != nil {
-		return s.metaErr
+	if err := s.meta.Err(); err != nil {
+		return err
 	}
 	if _, dup := s.surveys[sv.ID]; dup {
 		return fmt.Errorf("ingest: survey %q: %w", sv.ID, store.ErrExists)
@@ -409,8 +392,8 @@ func (s *Sharded) ReplaceSurvey(sv *survey.Survey) error {
 	if s.closed.Load() {
 		return errors.New("ingest: use after close")
 	}
-	if s.metaErr != nil {
-		return s.metaErr
+	if err := s.meta.Err(); err != nil {
+		return err
 	}
 	return s.appendMeta(sv)
 }
@@ -445,21 +428,15 @@ func (s *Sharded) appendMeta(sv *survey.Survey) error {
 	if err != nil {
 		return fmt.Errorf("ingest: marshal survey: %w", err)
 	}
-	werr := func() error {
-		if _, err := s.metaW.Write(append(b, '\n')); err != nil {
-			return fmt.Errorf("ingest: write %s: %w", metaName, err)
-		}
-		if err := s.metaW.Flush(); err != nil {
-			return fmt.Errorf("ingest: flush %s: %w", metaName, err)
-		}
-		if err := s.metaF.Sync(); err != nil {
-			return fmt.Errorf("ingest: sync %s: %w", metaName, err)
-		}
-		return nil
-	}()
-	if werr != nil {
-		s.metaErr = werr
-		return werr
+	err = s.meta.Append(b)
+	if err == nil {
+		err = s.meta.Flush()
+	}
+	if err == nil {
+		err = s.meta.Sync()
+	}
+	if err != nil {
+		return fmt.Errorf("ingest: %w", err)
 	}
 	s.surveys[cp.ID] = &cp
 	s.recordVersion(&cp, ts)
@@ -593,13 +570,7 @@ func (s *Sharded) Close() error {
 	<-s.compactDone
 	first := s.failure()
 	if s.seg != nil {
-		err := s.seg.flush()
-		if err == nil {
-			err = s.seg.sync()
-		}
-		if cerr := s.seg.close(); err == nil {
-			err = cerr
-		}
+		err := s.seg.Close()
 		s.seg = nil
 		if err != nil && first == nil {
 			first = fmt.Errorf("ingest: close segment %d: %w", s.segSeq, err)
@@ -607,20 +578,10 @@ func (s *Sharded) Close() error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	err := s.metaErr
-	if err == nil {
-		err = s.metaW.Flush()
+	if err := s.meta.Close(); first == nil {
+		first = err
 	}
-	if err == nil {
-		err = s.metaF.Sync()
-	}
-	if cerr := s.metaF.Close(); err == nil {
-		err = cerr
-	}
-	if first != nil {
-		return first
-	}
-	return err
+	return first
 }
 
 // Stats reports cumulative ingest counters. The commit count equals the

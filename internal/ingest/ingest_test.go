@@ -379,7 +379,7 @@ func TestFailedLogRefusesAppends(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Sabotage the active segment file descriptor.
-	if err := s.seg.file().Close(); err != nil {
+	if err := s.seg.File().Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.AppendResponse(benchResponse(sv.ID, "w2")); err == nil {
@@ -512,7 +512,7 @@ func TestMetaFailureSticky(t *testing.T) {
 	if err := s.PutSurvey(benchSurvey(0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.metaF.Close(); err != nil { // sabotage the meta fd
+	if err := s.meta.File().Close(); err != nil { // sabotage the meta fd
 		t.Fatal(err)
 	}
 	if err := s.PutSurvey(benchSurvey(1)); err == nil {

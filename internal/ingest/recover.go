@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 
 	"loki/internal/blockio"
-	"loki/internal/store"
 	"loki/internal/survey"
 )
 
@@ -18,29 +17,6 @@ type logState struct {
 	sealed      []sealedSeg
 	sealedBytes int64
 	nextSeq     uint64 // first segment seq not yet used
-}
-
-// replayFile streams every complete record of one segment or snapshot
-// to apply and returns how many there were. The codec is sniffed per
-// file: binary files go through blockio.Replay, JSON-lines files through
-// store.ReplayLines; both truncate a torn tail when tornOK and verify
-// strictly otherwise.
-func replayFile(path string, tornOK bool, apply func(rec []byte) error) (int, error) {
-	n := 0
-	count := func(rec []byte) error {
-		n++
-		return apply(rec)
-	}
-	bin, err := blockio.Sniff(path)
-	if err != nil {
-		return 0, fmt.Errorf("ingest: sniff %s: %w", path, err)
-	}
-	if bin {
-		_, err = blockio.Replay(path, tornOK, func(_ uint64, payload []byte) error { return count(payload) })
-	} else {
-		err = store.ReplayLines(path, tornOK, count)
-	}
-	return n, err
 }
 
 // applyRecord appends one replayed response to the index.
@@ -82,8 +58,12 @@ func (s *Sharded) replayDir(dir string) (logState, error) {
 		if seq > st.snapSeq {
 			// Only the newest segment may have a torn tail; older ones
 			// were closed with an fsync before their successor existed.
-			if records, err = replayFile(path, i == len(segs)-1, s.applyRecord); err != nil {
-				return st, err
+			err := blockio.ReplayFile(path, i == len(segs)-1, func(rec []byte) error {
+				records++
+				return s.applyRecord(rec)
+			})
+			if err != nil {
+				return st, fmt.Errorf("ingest: %w", err)
 			}
 		}
 		if records == 0 {

@@ -1,11 +1,9 @@
 package ingest
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"time"
@@ -178,7 +176,7 @@ func (s *Sharded) fold(job compactJob) (int64, error) {
 			return 0, fmt.Errorf("ingest: drop superseded snapshot: %w", err)
 		}
 	}
-	return written, syncDir(s.dir)
+	return written, blockio.SyncDir(s.dir)
 }
 
 // writeSnapshot publishes view as dir's snapshot covering segment
@@ -199,29 +197,13 @@ func (s *Sharded) writeSnapshot(dir string, covers uint64, view map[string][]sur
 	for _, rs := range view {
 		hdr.Count += len(rs)
 	}
-	return writeFileAtomic(dir, snapName(covers), func(f *os.File) error {
-		if err := f.Truncate(sizeHint); err != nil {
-			return err
-		}
-		var emit func(v any) error
-		var finish func() error
-		if s.cfg.Codec == blockio.CodecBinary {
-			w, err := blockio.NewWriter(f, 1)
+	size, err := blockio.WriteLogAtomic(filepath.Join(dir, snapName(covers)), s.cfg.Codec, sizeHint, func(nl *blockio.Log) error {
+		emit := func(v any) error {
+			rec, err := json.Marshal(v)
 			if err != nil {
 				return err
 			}
-			emit = func(v any) error {
-				rec, err := json.Marshal(v)
-				if err == nil {
-					_, err = w.Append(rec)
-				}
-				return err
-			}
-			finish = w.Seal // flushes and fsyncs; writeFileAtomic closes f
-		} else {
-			w := bufio.NewWriterSize(f, 1<<16)
-			emit = json.NewEncoder(w).Encode // Encode appends the newline separator
-			finish = w.Flush
+			return nl.Append(rec)
 		}
 		if err := emit(&hdr); err != nil {
 			return err
@@ -236,15 +218,12 @@ func (s *Sharded) writeSnapshot(dir string, covers uint64, view map[string][]sur
 				}
 			}
 		}
-		if err := finish(); err != nil {
-			return err
-		}
-		end, err := f.Seek(0, io.SeekCurrent)
-		if err != nil {
-			return err
-		}
-		return f.Truncate(end)
+		return nil
 	})
+	if err != nil {
+		return 0, fmt.Errorf("ingest: write snapshot: %w", err)
+	}
+	return size, nil
 }
 
 // loadSnapshot restores the index from dir's newest snapshot, if any,
@@ -263,7 +242,9 @@ func (s *Sharded) loadSnapshot(dir string) (covers uint64, size int64, err error
 	}
 	path := filepath.Join(dir, snapName(latest))
 	var hdr *snapHeader
-	loaded, err := replayFile(path, false, func(line []byte) error {
+	loaded := 0
+	err = blockio.ReplayFile(path, false, func(line []byte) error {
+		loaded++
 		if hdr != nil {
 			return s.applyRecord(line)
 		}

@@ -19,10 +19,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"time"
+
+	"loki/internal/blockio"
 )
 
 // ShardPlacement is one shard's row in the manifest.
@@ -180,8 +181,10 @@ func Load(path string) (*Manifest, error) {
 	return &m, nil
 }
 
-// Save writes the manifest atomically (temp file + rename in the target
-// directory), so a watcher polling the path never reads a torn write.
+// Save publishes the manifest through blockio.WriteFileAtomic (temp
+// file, fsync, rename, directory sync): a watcher polling the path never
+// reads a torn write, and a crash after a promotion cannot roll the
+// fence epochs back to a torn or older file.
 func (m *Manifest) Save(path string) error {
 	if err := m.Validate(); err != nil {
 		return err
@@ -190,22 +193,11 @@ func (m *Manifest) Save(path string) error {
 	if err != nil {
 		return err
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".manifest-*.json")
+	err = blockio.WriteFileAtomic(path, func(f *os.File) error {
+		_, err := f.Write(append(b, '\n'))
+		return err
+	})
 	if err != nil {
-		return fmt.Errorf("placement: write manifest: %w", err)
-	}
-	if _, err := tmp.Write(append(b, '\n')); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("placement: write manifest: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("placement: write manifest: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
 		return fmt.Errorf("placement: write manifest: %w", err)
 	}
 	return nil

@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -133,6 +134,41 @@ func TestSaveLoad(t *testing.T) {
 	bad := &Manifest{Version: 0}
 	if err := bad.Save(path); err == nil {
 		t.Fatal("invalid manifest saved")
+	}
+}
+
+// TestSaveIsAtomicAndLeavesNoLitter: a refused Save leaves the published
+// manifest byte-identical, a crash's stale temp file is replaced rather
+// than accumulated, and the directory holds nothing but the manifest.
+func TestSaveIsAtomicAndLeavesNoLitter(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "manifest.json")
+	m, _ := RoundRobin(2, []string{"http://a"})
+	if err := m.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := os.ReadFile(path)
+	if err := (&Manifest{Version: 0}).Save(path); err == nil {
+		t.Fatal("invalid manifest saved")
+	}
+	if after, _ := os.ReadFile(path); !bytes.Equal(before, after) {
+		t.Fatal("a refused Save changed the published manifest")
+	}
+	// A crash between the temp file's write and its rename.
+	if err := os.WriteFile(path+".tmp", []byte(`{"version":99,"shards":[{"sh`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Promote(0, "http://b"); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := Load(path); err != nil || !reflect.DeepEqual(got, m) {
+		t.Fatalf("after the promotion: %+v (%v)", got, err)
+	}
+	if names, _ := filepath.Glob(filepath.Join(dir, "*")); len(names) != 1 {
+		t.Fatalf("directory holds %v", names)
 	}
 }
 

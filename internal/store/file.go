@@ -1,12 +1,9 @@
 package store
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"os"
 	"sync"
 	"time"
 
@@ -50,37 +47,28 @@ type FileOptions struct {
 	Codec string
 }
 
-// File is a durable Store backed by an append-only record log: readable
-// JSON lines (this package's default) or checksummed blockio blocks
-// (FileOptions.Codec; what the server configures). Every mutation
-// is one record; opening the store sniffs the file's format and replays
-// it into an in-memory index. Partial trailing writes (a crash
-// mid-append) are detected and truncated away on open.
+// File is a durable Store backed by one blockio.Log: readable JSON
+// lines (this package's default) or checksummed blockio blocks
+// (FileOptions.Codec; what the server configures). Every mutation is one
+// record; opening the store replays the log into an in-memory index.
+// Torn-tail repair, the file's codec and the sticky first I/O failure
+// are the Log's (see blockio.Log); the fsync schedule is this type's.
 //
 // Durability: under the default SyncAlways policy every acknowledged
 // mutation has been fsynced before PutSurvey/AppendResponse returns. See
 // SyncPolicy for the weaker modes.
 type File struct {
-	mu   sync.Mutex
-	mem  *Mem
-	f    *os.File
-	w    *bufio.Writer   // JSON-lines writer; nil under the binary codec
-	bw   *blockio.Writer // binary writer; nil under the JSON codec
-	enc  []byte          // binary response record scratch
-	path string
-	opts FileOptions
-	// closed refuses mutations after Close (the writers stay non-nil so
-	// Close itself can flush them exactly once).
-	closed bool
+	mu  sync.Mutex
+	mem *Mem
+	// log holds the records and the first append-path or background
+	// flush/fsync failure; once that is set, every subsequent append and
+	// Close reports it.
+	log    *blockio.Log
+	enc    []byte // binary response record scratch
+	opts   FileOptions
+	closed bool          // refuses mutations after Close
 	stop   chan struct{} // stops the SyncInterval flusher
 	done   chan struct{}
-	// syncErr is the first append-path or background flush/fsync
-	// failure; once set, every subsequent append and Close reports it.
-	// Sticky by design: after a failed fsync the kernel may have dropped
-	// the dirty pages and a later fsync can falsely succeed, so
-	// continuing to acknowledge appends would silently void the
-	// durability bound.
-	syncErr error
 }
 
 // record is one JSON log entry: every record of a JSON-lines log, and
@@ -122,55 +110,12 @@ func OpenFileWith(path string, opts FileOptions) (*File, error) {
 	if opts.Codec == "" {
 		opts.Codec = blockio.CodecJSON
 	}
-	if !blockio.ValidCodec(opts.Codec) {
-		return nil, fmt.Errorf("store: unknown codec %q", opts.Codec)
-	}
-	fs := &File{mem: NewMem(), path: path, opts: opts}
-	// A non-empty log dictates its own codec (never mix formats within
-	// one file); a fresh or empty one takes the configured codec.
-	binary := opts.Codec == blockio.CodecBinary
-	if fi, err := os.Stat(path); err == nil && fi.Size() > 0 {
-		if binary, err = blockio.Sniff(path); err != nil {
-			return nil, fmt.Errorf("store: sniff %s: %w", path, err)
-		}
-	}
-	// Replay complete records into the memory index; a partial trailing
-	// record (crash mid-append) is truncated away. A missing file just
-	// means a fresh store.
-	var nextSeq uint64 = 1
+	fs := &File{mem: NewMem(), opts: opts}
+	// Replay complete records into the memory index; a corrupt or
+	// malformed one refuses the open rather than silently dropping data.
 	var err error
-	if binary {
-		_, err = blockio.Replay(path, true, func(seq uint64, payload []byte) error {
-			nextSeq = seq + 1
-			return fs.applyRecord(payload)
-		})
-	} else {
-		err = ReplayLines(path, true, fs.applyRecord)
-	}
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return nil, err
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("store: open %s: %w", path, err)
-	}
-	off, err := f.Seek(0, io.SeekEnd)
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("store: seek %s: %w", path, err)
-	}
-	fs.f = f
-	if binary {
-		// Resumes the unsealed block log at its repaired tail; the log is
-		// never sealed (appends continue across opens), so replay always
-		// scans it with torn-tail semantics.
-		fs.bw, err = blockio.NewWriterAt(f, off, nextSeq)
-		if err != nil {
-			f.Close()
-			return nil, fmt.Errorf("store: resume %s: %w", path, err)
-		}
-	} else {
-		fs.w = bufio.NewWriter(f)
+	if fs.log, err = blockio.OpenLog(path, opts.Codec, fs.applyRecord); err != nil {
+		return nil, fmt.Errorf("store: %w", err)
 	}
 	if opts.Sync == SyncInterval {
 		fs.stop = make(chan struct{})
@@ -195,22 +140,14 @@ func (fs *File) flushLoop(stop <-chan struct{}, done chan<- struct{}) {
 			// interval, since everything flushed so far is in the page
 			// cache the fsync covers).
 			fs.mu.Lock()
-			if fs.closed || fs.syncErr != nil {
+			if fs.closed {
 				fs.mu.Unlock()
 				continue
 			}
-			err := fs.flushLog()
-			f := fs.f
+			err := fs.log.Flush()
 			fs.mu.Unlock()
 			if err == nil {
-				err = f.Sync()
-			}
-			if err != nil {
-				fs.mu.Lock()
-				if !fs.closed && fs.syncErr == nil {
-					fs.syncErr = fmt.Errorf("store: background sync %s: %w", fs.path, err)
-				}
-				fs.mu.Unlock()
+				_ = fs.log.Sync() // a failure is sticky in the log: the next append reports it
 			}
 		case <-stop:
 			return
@@ -264,39 +201,18 @@ func (fs *File) applyRecord(line []byte) error {
 	}
 }
 
-// writeRec buffers one encoded record in the log's framing.
-func (fs *File) writeRec(b []byte) error {
-	if fs.bw != nil {
-		_, err := fs.bw.Append(b)
-		return err
-	}
-	if _, err := fs.w.Write(b); err != nil {
-		return err
-	}
-	return fs.w.WriteByte('\n')
-}
-
 // writeResponse buffers one response record: its binary encoding under
 // the binary codec, a JSON line otherwise.
 func (fs *File) writeResponse(r *survey.Response) error {
-	if fs.bw == nil {
+	if fs.log.Codec() != blockio.CodecBinary {
 		b, err := json.Marshal(&record{Kind: "response", Response: r})
 		if err != nil {
 			return fmt.Errorf("marshal: %w", err)
 		}
-		return fs.writeRec(b)
+		return fs.log.Append(b)
 	}
 	fs.enc, _ = r.AppendBinary(fs.enc[:0]) // cannot fail
-	return fs.writeRec(fs.enc)
-}
-
-// flushLog pushes buffered records to the OS; under the binary codec
-// that cuts the open block, so every flush is a recoverable boundary.
-func (fs *File) flushLog() error {
-	if fs.bw != nil {
-		return fs.bw.Flush()
-	}
-	return fs.w.Flush()
+	return fs.log.Append(fs.enc)
 }
 
 // commit runs write, which buffers one mutation's records, and makes
@@ -305,27 +221,19 @@ func (fs *File) flushLog() error {
 // goroutine). Any failure poisons the store: the on-disk tail is no
 // longer knowable (replay truncates whatever is torn).
 func (fs *File) commit(write func() error) error {
-	if fs.syncErr != nil {
-		return fs.syncErr
+	err := write()
+	if err == nil {
+		err = fs.log.Flush()
 	}
-	werr := func() error {
-		if err := write(); err != nil {
-			return fmt.Errorf("store: write %s: %w", fs.path, err)
-		}
-		if err := fs.flushLog(); err != nil {
-			return fmt.Errorf("store: flush %s: %w", fs.path, err)
-		}
-		if fs.opts.Sync == SyncAlways {
-			if err := fs.f.Sync(); err != nil {
-				return fmt.Errorf("store: sync %s: %w", fs.path, err)
-			}
-		}
-		return nil
-	}()
-	if werr != nil {
-		fs.syncErr = werr
+	if err == nil && fs.opts.Sync == SyncAlways {
+		err = fs.log.Sync()
 	}
-	return werr
+	if err != nil {
+		// Whatever failed, an encode included, part of the mutation may
+		// sit in the log's buffer unacknowledged.
+		return fs.log.Fail(fmt.Errorf("store: %w", err))
+	}
+	return nil
 }
 
 // appendSurvey logs one survey or republish record durably. Those stay
@@ -335,7 +243,7 @@ func (fs *File) appendSurvey(kind string, s *survey.Survey) error {
 	if err != nil {
 		return fmt.Errorf("store: marshal: %w", err)
 	}
-	return fs.commit(func() error { return fs.writeRec(b) })
+	return fs.commit(func() error { return fs.log.Append(b) })
 }
 
 // PutSurvey implements Store: validate, make the record durable, then
@@ -423,8 +331,8 @@ func (fs *File) AppendResponses(rs []survey.Response) ([]int, error) {
 	if fs.closed {
 		return nil, errors.New("store: use after close")
 	}
-	if fs.syncErr != nil {
-		return nil, fs.syncErr
+	if err := fs.log.Err(); err != nil {
+		return nil, err
 	}
 	for i := range rs {
 		s, err := fs.mem.Survey(rs[i].SurveyID)
@@ -486,22 +394,12 @@ func (fs *File) Close() error {
 	if fs.closed {
 		return nil
 	}
-	flushErr := fs.syncErr
-	if flushErr == nil {
-		flushErr = fs.flushLog()
-	}
-	if flushErr == nil {
-		flushErr = fs.f.Sync()
-	}
 	fs.closed = true
-	closeErr := fs.f.Close()
-	if mErr := fs.mem.Close(); mErr != nil && flushErr == nil {
-		flushErr = mErr
+	err := fs.log.Close()
+	if mErr := fs.mem.Close(); err == nil {
+		err = mErr
 	}
-	if flushErr != nil {
-		return flushErr
-	}
-	return closeErr
+	return err
 }
 
 var _ Store = (*File)(nil)

@@ -153,7 +153,7 @@ func TestFileFailedAppendIsStickyAndInvisible(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Sabotage the fd so the next flush/fsync fails.
-	if err := st.f.Close(); err != nil {
+	if err := st.log.File().Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.AppendResponse(sampleResponse("w2")); err == nil {

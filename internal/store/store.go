@@ -1,8 +1,8 @@
 // Package store provides the persistence layer of the Loki backend: a
 // Store interface with two implementations, an in-memory store for tests
-// and simulations, and an append-only JSON-lines file store with replay
-// recovery for durable deployments (the Django database of the paper's
-// prototype).
+// and simulations, and File, an append-only record log (one blockio.Log,
+// JSON lines or binary blocks) replayed into memory on open, for durable
+// deployments (the Django database of the paper's prototype).
 package store
 
 import (
