@@ -422,9 +422,10 @@ func run(addr, storePath, token string, seedCatalog bool, icfg ingest.Config, st
 				return err
 			}
 			closers = append(closers, bset.Close)
-			// The node's own public API enforces through its hosted
-			// subset; charges for workers on other nodes' shards are
-			// skipped here and enforced at the frontend.
+			// The node's own public API meters through its hosted subset;
+			// enforcing, it refuses (421) workers whose accounts live on
+			// another node rather than admit them unmetered — they submit
+			// through a frontend.
 			scfg.Budget = bset
 			scfg.BudgetEnforce = cf.budgetEnforce
 			logger.Printf("privacy budget %s: hosting budget shards %v, cap ε=%g at δ=%g (ledger %s)",

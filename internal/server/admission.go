@@ -24,9 +24,10 @@ import (
 // short.
 const OverloadRetryAfterSeconds = 1
 
-// OverloadError is the 429 body for submits refused by admission
-// control (code "overloaded") or the per-requester rate limit (code
-// "rate_limited"). It mirrors BudgetExhaustedError's shape: the error
+// OverloadError is the body of a retryable refusal: the 429 for submits
+// refused by admission control (code "overloaded") or the per-requester
+// rate limit (code "rate_limited"), and the 503 for writes refused while
+// a shard fails over. It mirrors BudgetExhaustedError's shape: the error
 // code doubles as the discriminator and Retry-After rides both the
 // header and the body.
 type OverloadError struct {
@@ -191,7 +192,7 @@ func (s *Server) admit(h http.HandlerFunc) http.HandlerFunc {
 	}
 	return func(w http.ResponseWriter, r *http.Request) {
 		if !s.adm.acquire(r.Context()) {
-			writeOverload(w, OverloadedCode, OverloadRetryAfterSeconds)
+			writeRetryable(w, http.StatusTooManyRequests, OverloadedCode, OverloadRetryAfterSeconds)
 			return
 		}
 		defer s.adm.release()
@@ -199,28 +200,11 @@ func (s *Server) admit(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// throttle consults the per-requester rate limit for one record. It
-// returns a refusal when the worker is out of tokens, nil otherwise
-// (including when rate limiting is off).
-func (s *Server) throttle(workerID string) *submitRefusal {
-	if s.limiter == nil {
-		return nil
-	}
-	retryAfter, ok := s.limiter.allow(workerID)
-	if ok {
-		return nil
-	}
-	return &submitRefusal{
-		status:     http.StatusTooManyRequests,
-		code:       RateLimitedCode,
-		msg:        "rate limit exceeded for worker " + workerID,
-		retryAfter: retryAfter,
-	}
-}
-
-func writeOverload(w http.ResponseWriter, code string, retryAfter int) {
+// writeRetryable answers a refusal the client should retry after a
+// pause: the hint rides both the Retry-After header and the body.
+func writeRetryable(w http.ResponseWriter, status int, code string, retryAfter int) {
 	w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
-	writeJSON(w, http.StatusTooManyRequests, OverloadError{
+	writeJSON(w, status, OverloadError{
 		Error:             code,
 		RetryAfterSeconds: retryAfter,
 	})

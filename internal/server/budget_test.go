@@ -315,33 +315,33 @@ func TestClusterBudgetDoubleSpend(t *testing.T) {
 	}
 }
 
-// failAppendRouter wraps a ShardRouter and fails Append on demand — the
-// induced crack between a committed budget charge and its response
-// append that the refund path compensates.
-type failAppendRouter struct {
-	shardset.ShardRouter
+// flakyStore fails appends on demand — the induced crack between a
+// committed budget charge and its response append that the refund path
+// compensates. Embedding the interface hides the Mem's batch appender.
+type flakyStore struct {
+	store.Store
 	fail atomic.Bool
 }
 
-func (f *failAppendRouter) Append(r *survey.Response) (int, error) {
+func (f *flakyStore) AppendResponse(r *survey.Response) error {
 	if f.fail.Load() {
-		return 0, errors.New("induced append failure")
+		return errors.New("induced append failure")
 	}
-	return f.ShardRouter.Append(r)
+	return f.Store.AppendResponse(r)
 }
 
 // TestBudgetRefundOnFailedAppend: when the append fails after the
 // charge committed, the server refunds the charge so the worker is not
 // billed for a response that was never stored.
 func TestBudgetRefundOnFailedAppend(t *testing.T) {
-	router := &failAppendRouter{ShardRouter: shardset.NewLocalSingle(store.NewMem())}
+	st := &flakyStore{Store: store.NewMem()}
 	set, err := budget.NewSet(budget.SetOptions{Shards: 1, Config: budgetTestConfig(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { set.Close() })
 	srv, err := New(Config{
-		Router: router, Schedule: core.DefaultSchedule(), RequesterToken: testToken,
+		Store: st, Schedule: core.DefaultSchedule(), RequesterToken: testToken,
 		Budget: set, BudgetEnforce: "enforce",
 	})
 	if err != nil {
@@ -357,7 +357,7 @@ func TestBudgetRefundOnFailedAppend(t *testing.T) {
 	}
 	const worker = "worker-refund"
 
-	router.fail.Store(true)
+	st.fail.Store(true)
 	if code, body := submitCode(t, ts, budgetResponse(sv, worker, "medium")); code != http.StatusBadRequest {
 		t.Fatalf("failed-append submit = %d: %s", code, body)
 	}
@@ -369,8 +369,8 @@ func TestBudgetRefundOnFailedAppend(t *testing.T) {
 		t.Fatalf("after refund account = %+v; want rho 0, 1 charge, 1 refund", a)
 	}
 
-	// With the router healed the same worker's full budget is available.
-	router.fail.Store(false)
+	// With the store healed the same worker's full budget is available.
+	st.fail.Store(false)
 	if code, body := submitCode(t, ts, budgetResponse(sv, worker, "medium")); code != http.StatusCreated {
 		t.Fatalf("healed submit = %d: %s", code, body)
 	}

@@ -29,28 +29,28 @@ import (
 
 // Node adapts a Server whose router is a journaling shardset.Local into
 // the shardrpc.Backend a cluster frontend and its replicas talk to. The
-// shard-addressed surface and the submit pipeline are the embedded
-// shardHost's; a Node adds durable stores (its Server's), hosted budget
-// shards, and demotion by placement manifest. Every shard starts primary
+// shard-addressed surface and the submit pipeline are the Server's own
+// shardHost, embedded — so a write meets the same fence and the same
+// ledger whether it arrives over shardrpc or on the node's public API; a
+// Node adds durable stores (its Server's), hosted budget shards, and
+// demotion by placement manifest. Every shard starts primary
 // at epoch 0 — a manifest-less node fences nothing.
 type Node struct {
-	shardHost
+	*shardHost
 }
 
 // NewNode wraps a Server for shardrpc serving. The server's router must
 // be a shardset.Local (a node owns real storage); totalShards is the
 // cluster's global shard count.
 func NewNode(srv *Server, totalShards int) (*Node, error) {
-	local, ok := srv.Router().(*shardset.Local)
-	if !ok {
+	if srv.host == nil {
 		return nil, errors.New("server: a cluster node needs a local shard router")
 	}
-	if totalShards < local.Shards() {
-		return nil, fmt.Errorf("server: node owns %d shards of a %d-shard cluster", local.Shards(), totalShards)
+	if owned := srv.host.local.Shards(); totalShards < owned {
+		return nil, fmt.Errorf("server: node owns %d shards of a %d-shard cluster", owned, totalShards)
 	}
-	n := &Node{}
-	n.init(srv, local, totalShards, rolePrimary)
-	return n, nil
+	srv.host.total = totalShards
+	return &Node{srv.host}, nil
 }
 
 // PutSurvey implements shardrpc.Backend.
@@ -114,7 +114,8 @@ func (n *Node) Demoted(global int) bool {
 // Node budget hosting
 
 // HostBudget attaches a budget shard set to the node: frontends debit
-// worker accounts through it before forwarding submits. A Node always
+// worker accounts through it before forwarding submits. (A node built
+// with Config.Budget already hosts that set.) A Node always
 // satisfies shardrpc.BudgetBackend (so the handler always mounts the
 // budget routes); without a hosted set every budget call errors. Call
 // it before serving — the field is not synchronized against traffic.
@@ -273,7 +274,7 @@ type ReplicaConfig struct {
 // primary at the shard's placement epoch (0 = no manifest, accept any
 // stamp).
 type Replica struct {
-	shardHost
+	*shardHost
 	cfg    ReplicaConfig
 	stores []*resettableStore
 
@@ -355,7 +356,11 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.init(srv, local, meta.TotalShards, roleFollowing)
+	r.shardHost = srv.host
+	r.total = meta.TotalShards
+	for i := range r.roles {
+		r.roles[i].role = roleFollowing
+	}
 	go r.loop()
 	return r, nil
 }

@@ -62,6 +62,11 @@ func randomResponse(sv *survey.Survey, rng *rand.Rand, i int) *survey.Response {
 	}
 }
 
+// appendRouted appends one response to the shard placement gives it.
+func appendRouted(l *shardset.Local, r *survey.Response) (int, error) {
+	return l.AppendShard(l.Route(r.SurveyID, r.WorkerID), r)
+}
+
 // collectMerged materializes the seq-merged response stream of a
 // sharded router — the reference data the merged read path is checked
 // against.
@@ -382,7 +387,7 @@ func TestReplicaFollowsNode(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const n = 80
 	for i := 0; i < n; i++ {
-		if _, err := local.Append(randomResponse(sv, rng, i)); err != nil {
+		if _, err := appendRouted(local, randomResponse(sv, rng, i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -437,7 +442,7 @@ func TestReplicaFollowsNode(t *testing.T) {
 	// New appends show up after the next cycle; lag is visible before
 	// it.
 	for i := 0; i < 20; i++ {
-		if _, err := local.Append(randomResponse(sv, rng, n+i)); err != nil {
+		if _, err := appendRouted(local, randomResponse(sv, rng, n+i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -450,7 +455,7 @@ func TestReplicaFollowsNode(t *testing.T) {
 	local2, h2 := newNode()
 	sw.swap(h2)
 	for i := 0; i < 10; i++ {
-		if _, err := local2.Append(randomResponse(sv, rng, n+100+i)); err != nil {
+		if _, err := appendRouted(local2, randomResponse(sv, rng, n+100+i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -722,7 +727,7 @@ func TestReplicaTruncationBootstrap(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	const n = 60 // far beyond the journal's 5 retained entries
 	for i := 0; i < n; i++ {
-		if _, err := local.Append(randomResponse(sv, rng, i)); err != nil {
+		if _, err := appendRouted(local, randomResponse(sv, rng, i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -762,7 +767,7 @@ func TestReplicaTruncationBootstrap(t *testing.T) {
 	// Another burst past the retain bound: the replica (now registered,
 	// but outrun by the bound) must bootstrap again and still converge.
 	for i := 0; i < 30; i++ {
-		if _, err := local.Append(randomResponse(sv, rng, n+i)); err != nil {
+		if _, err := appendRouted(local, randomResponse(sv, rng, n+i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -777,7 +782,7 @@ func TestReplicaTruncationBootstrap(t *testing.T) {
 		before += sh.Bootstraps
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := local.Append(randomResponse(sv, rng, 500+i)); err != nil {
+		if _, err := appendRouted(local, randomResponse(sv, rng, 500+i)); err != nil {
 			t.Fatal(err)
 		}
 		rep.SyncOnce()

@@ -443,7 +443,7 @@ func TestPromotionRaceOldPrimaryFenced(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	const n = 40
 	for i := 0; i < n; i++ {
-		if _, err := nodes[0].local.Append(randomResponse(sv, rng, i)); err != nil {
+		if _, err := appendRouted(nodes[0].local, randomResponse(sv, rng, i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -527,6 +527,26 @@ func TestPromotionRaceOldPrimaryFenced(t *testing.T) {
 			t.Fatalf("old primary accepted a write (epoch %d): %v", epoch, err)
 		}
 	}
+	// Its own public API is no side door: a single or a batch posted to
+	// the demoted node answers the frontend's retryable vocabulary and
+	// stores nothing.
+	before := shardset.Count(nodes[0].local, sv.ID)
+	direct := randomResponse(sv, rng, 9600)
+	resp, body := doReq(t, http.MethodPost, nodes[0].url+"/api/v1/surveys/"+sv.ID+"/responses", direct, "")
+	var refusal OverloadError
+	if err := json.Unmarshal(body, &refusal); err != nil || resp.StatusCode != http.StatusServiceUnavailable ||
+		resp.Header.Get("Retry-After") != "1" || refusal != (OverloadError{Error: FencedCode, RetryAfterSeconds: 1}) {
+		t.Fatalf("public single to the demoted node = %d (Retry-After %q): %s", resp.StatusCode, resp.Header.Get("Retry-After"), body)
+	}
+	resp, body = doReq(t, http.MethodPost, nodes[0].url+"/api/v1/responses", BatchSubmitRequest{Responses: []survey.Response{*direct}}, "")
+	var batch BatchSubmitResult
+	if err := json.Unmarshal(body, &batch); err != nil || resp.StatusCode != http.StatusOK || len(batch.Results) != 1 ||
+		batch.Results[0] != (BatchSubmitItem{SurveyID: sv.ID, Status: http.StatusServiceUnavailable, Error: FencedCode, RetryAfterSeconds: 1}) {
+		t.Fatalf("public batch to the demoted node = %d: %s", resp.StatusCode, body)
+	}
+	if after := shardset.Count(nodes[0].local, sv.ID); after != before {
+		t.Fatalf("the demoted node stored %d records through its public API", after-before)
+	}
 	// Demoted ≠ dead: its shards stay readable for rejoin and audit, and
 	// its health surface reports the fenced role.
 	if got, err := nodes[0].client.Count(0, sv.ID); err != nil || got == 0 {
@@ -588,7 +608,7 @@ func TestBootstrapRetry(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	const n = 50 // far past the retain bound
 	for i := 0; i < n; i++ {
-		if _, err := local.Append(randomResponse(sv, rng, i)); err != nil {
+		if _, err := appendRouted(local, randomResponse(sv, rng, i)); err != nil {
 			t.Fatal(err)
 		}
 	}

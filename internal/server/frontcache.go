@@ -197,7 +197,7 @@ func (s *Server) revalidateLocked(sv *survey.Survey, cs *cachedSurvey) error {
 			if cs.parts != nil {
 				have = cs.cursors[i]
 			}
-			fetched[i], errs[i] = s.partials.PartialSince(i, sv.ID, have)
+			fetched[i], errs[i] = s.remote.PartialSince(i, sv.ID, have)
 		}(i)
 	}
 	wg.Wait()

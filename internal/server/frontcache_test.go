@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"loki/internal/survey"
 )
 
 // cacheInfo fetches the frontend cache's admin report.
@@ -256,8 +258,9 @@ func TestFrontendCacheBackgroundRefresh(t *testing.T) {
 
 	// Submit around the frontend: directly through the remote router.
 	for i := 0; i < 10; i++ {
-		if _, err := remote.Append(randomResponse(sv, rng, 500+i)); err != nil {
-			t.Fatal(err)
+		r := randomResponse(sv, rng, 500+i)
+		if e := remote.Submit(remote.Route(r.SurveyID, r.WorkerID), []survey.Response{*r}, nil)()[0]; e.Err != nil {
+			t.Fatal(e.Err)
 		}
 	}
 	// The refresher must pick the new data up within a few ticks even

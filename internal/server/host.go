@@ -34,36 +34,37 @@ type shardState struct {
 	epoch uint64
 }
 
-// shardHost is the part of the shardrpc.Backend that a Node and a
-// Replica share: a journaling local router addressed by global shard
-// index, the per-shard role, the read surface, the republish broadcast
-// and the submit pipeline (submit.go). What differs stays on the two
-// types — durable stores and hosted budget shards against a tail loop,
-// how a role changes, and how a publish is deduplicated.
+// shardHost is what every server over a local router owns, and the part
+// of the shardrpc.Backend that a Node and a Replica share: the router
+// addressed by global shard index, the per-shard role, the read surface,
+// the republish broadcast and the submit pipeline (submit.go) — which the
+// server's own public API enters in-process. What differs stays on the
+// two types — durable stores and hosted budget shards against a tail
+// loop, how a role changes, and how a publish is deduplicated.
 type shardHost struct {
 	srv   *Server
 	local *shardset.Local
 	total int
 	g2l   map[int]int
 
-	// budget is the hosted budget shard subset (Node.HostBudget); nil on
-	// a host without one, which refuses charged batches.
+	// budget is the hosted budget shard subset (Config.Budget, or
+	// Node.HostBudget); nil on a host without one, which refuses charged
+	// batches.
 	budget *budget.Set
 
 	roleMu sync.RWMutex
 	roles  []shardState // by local shard index
 }
 
-// init fills a zero shardHost; every shard starts in the given role at
-// epoch 0.
-func (h *shardHost) init(srv *Server, local *shardset.Local, total int, role shardRole) {
-	h.srv, h.local, h.total = srv, local, total
-	h.g2l = make(map[int]int, local.Shards())
-	h.roles = make([]shardState, local.Shards())
+// newShardHost builds srv's host over its local router; every shard
+// starts primary at epoch 0. total is the global shard count.
+func newShardHost(srv *Server, local *shardset.Local, total int) *shardHost {
+	h := &shardHost{srv: srv, local: local, total: total,
+		g2l: make(map[int]int, local.Shards()), roles: make([]shardState, local.Shards())}
 	for i := range h.roles {
 		h.g2l[local.GlobalID(i)] = i
-		h.roles[i].role = role
 	}
+	return h
 }
 
 func (h *shardHost) localShard(global int) (int, error) {

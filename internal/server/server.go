@@ -32,6 +32,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -39,7 +40,6 @@ import (
 	"log"
 	"math"
 	"net/http"
-	"net/url"
 	"runtime"
 	"strconv"
 	"sync"
@@ -188,6 +188,15 @@ type Server struct {
 	adm     *admission
 	limiter *rateLimiter
 
+	// dispatch is the one role-bound stage of the public submit pipeline
+	// (submit.go). A server over a local router owns host, the shard host
+	// its records enter in-process (and that NewNode and NewReplica serve
+	// over shardrpc); a frontend holds remote, whose shard batchers they
+	// are queued on.
+	dispatch func(ctx context.Context, recs []*submitRecord)
+	host     *shardHost
+	remote   *shardrpc.Remote
+
 	// live holds per-survey live aggregate state (one partial per
 	// shard) so reads are O(1) in stored responses; see liveSet.
 	liveMu sync.Mutex
@@ -200,15 +209,11 @@ type Server struct {
 	// set by Node.ApplyManifest) for the unauthenticated health probe.
 	shardHealth atomic.Value
 
-	// partials, when non-nil, is the remote-merge read path: the router
-	// can hand over already-folded per-shard partials (a frontend
-	// asking its nodes), so reads Merge fetched state instead of
-	// folding locally.
-	partials partialFetcher
-	// cache, when non-nil, is the frontend partial cache over partials:
-	// reads serve a cached merge keyed by (survey, cursor vector) and
-	// revalidate with conditional delta RPCs instead of re-shipping
-	// full snapshots. See frontcache.go.
+	// cache, when non-nil, is a frontend's partial cache: its reads merge
+	// per-shard partials already folded by the nodes that own them
+	// (remote.PartialSince), and the cache serves a merge keyed by
+	// (survey, cursor vector), revalidating with conditional delta RPCs
+	// instead of re-shipping full snapshots. See frontcache.go.
 	cache *frontCache
 
 	// ckptStop/ckptDone bracket the background checkpointer's lifetime;
@@ -219,14 +224,6 @@ type Server struct {
 	refStop   chan struct{}
 	refDone   chan struct{}
 	closeOnce sync.Once
-}
-
-// partialFetcher is the optional router capability behind the frontend
-// read path: fetch one shard's partial accumulator, already folded by
-// whoever owns the shard — conditionally, against the cursor the
-// caller already holds.
-type partialFetcher interface {
-	PartialSince(shard int, surveyID string, have uint64) (*shardrpc.Partial, error)
 }
 
 // New validates the configuration and builds the server.
@@ -304,14 +301,22 @@ func New(cfg Config) (*Server, error) {
 		return nil, errors.New("server: rate limit rps must be non-negative")
 	}
 	s := &Server{cfg: cfg, router: router, est: est, obf: obf, budgetMode: budgetMode, mux: http.NewServeMux(), live: make(map[string]*liveSet)}
-	if cfg.SubmitInflight > 0 {
-		s.adm = newAdmission(cfg.SubmitInflight, cfg.SubmitQueue)
-	}
-	if cfg.RateLimitRPS > 0 {
-		s.limiter = newRateLimiter(cfg.RateLimitRPS, cfg.RateLimitBurst)
-	}
-	if pf, ok := router.(partialFetcher); ok {
-		s.partials = pf
+	switch r := router.(type) {
+	case *shardset.Local:
+		s.host = newShardHost(s, r, cfg.ClusterShards)
+		s.dispatch = s.dispatchLocal
+		if cfg.Budget != nil {
+			// The host charges in one ledger commit per batch, which only
+			// the in-process set offers.
+			set, ok := cfg.Budget.(*budget.Set)
+			if !ok {
+				return nil, fmt.Errorf("server: a local router charges through a *budget.Set, not %T", cfg.Budget)
+			}
+			s.host.budget = set
+		}
+	case *shardrpc.Remote:
+		s.remote = r
+		s.dispatch = s.dispatchRemote
 		if cfg.FrontendCacheTTL >= 0 {
 			ttl := cfg.FrontendCacheTTL
 			if ttl == 0 {
@@ -319,6 +324,14 @@ func New(cfg Config) (*Server, error) {
 			}
 			s.cache = newFrontCache(ttl)
 		}
+	default:
+		return nil, fmt.Errorf("server: unsupported shard router %T", router)
+	}
+	if cfg.SubmitInflight > 0 {
+		s.adm = newAdmission(cfg.SubmitInflight, cfg.SubmitQueue)
+	}
+	if cfg.RateLimitRPS > 0 {
+		s.limiter = newRateLimiter(cfg.RateLimitRPS, cfg.RateLimitBurst)
 	}
 	s.routes()
 	if cfg.Checkpoints != nil {
@@ -333,10 +346,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	return s, nil
 }
-
-// Router returns the server's shard router (the node glue wires it into
-// the shardrpc surface).
-func (s *Server) Router() shardset.ShardRouter { return s.router }
 
 func (s *Server) routes() {
 	s.mux.HandleFunc("GET /api/v1/healthz", s.handleHealthz)
@@ -537,11 +546,7 @@ func (s *Server) handleListSurveys(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleGetSurvey(w http.ResponseWriter, r *http.Request) {
 	sv, err := s.router.Survey(r.PathValue("id"))
 	if err != nil {
-		status := http.StatusInternalServerError
-		if errors.Is(err, store.ErrNotFound) {
-			status = http.StatusNotFound
-		}
-		writeError(w, status, err.Error())
+		s.writeRefusal(w, surveyRefusal(err))
 		return
 	}
 	writeJSON(w, http.StatusOK, sv)
@@ -603,15 +608,6 @@ func (s *Server) handlePublishSurvey(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSubmitResponse(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	sv, err := s.router.Survey(id)
-	if err != nil {
-		status := http.StatusInternalServerError
-		if errors.Is(err, store.ErrNotFound) {
-			status = http.StatusNotFound
-		}
-		writeError(w, status, err.Error())
-		return
-	}
 	var resp survey.Response
 	if !s.readJSON(w, r, &resp) {
 		return
@@ -620,129 +616,64 @@ func (s *Server) handleSubmitResponse(w http.ResponseWriter, r *http.Request) {
 		resp.SurveyID = id
 	}
 	if resp.SurveyID != id {
+		// The URL names the survey: an unknown one is a 404 before the
+		// body can disagree with it.
+		if _, err := s.router.Survey(id); err != nil {
+			s.writeRefusal(w, surveyRefusal(err))
+			return
+		}
 		writeError(w, http.StatusBadRequest,
 			fmt.Sprintf("response survey_id %q does not match URL %q", resp.SurveyID, id))
 		return
 	}
-	stored, ref := s.submitOne(sv, &resp)
-	if ref != nil {
-		s.writeRefusal(w, ref)
+	rec := s.submit(r.Context(), []survey.Response{resp})[0]
+	if rec.ref != nil {
+		s.writeRefusal(w, rec.ref)
 		return
 	}
 	writeJSON(w, http.StatusCreated, SubmitResult{
 		SurveyID: id,
 		Accepted: true,
-		Stored:   stored,
+		Stored:   rec.stored,
 	})
 }
 
 // submitRefusal is a refused submit before it is written to the wire:
-// the HTTP status, the short wire code (when one exists — batch items
-// report it instead of the long message), the human message, the
+// the HTTP status, the wire error (the short code for shed, throttle,
+// failover and budget refusals, the human message otherwise), the
 // Retry-After hint for retryable refusals, and the budget outcome when
 // the refusal is the enriched budget_exhausted shape.
 type submitRefusal struct {
 	status     int
-	code       string
 	msg        string
 	retryAfter int
 	budget     *budget.Outcome
 }
 
-// wireError is what a batch item reports for this refusal.
-func (ref *submitRefusal) wireError() string {
-	if ref.code != "" {
-		return ref.code
-	}
-	return ref.msg
-}
-
-// writeRefusal renders a refusal as the single-submit error response,
-// preserving the exact pre-batch wire shapes: budget refusals keep the
-// enriched BudgetExhaustedError body, retryable shed/throttle refusals
-// carry Retry-After on header and body, everything else is the plain
-// {"error": msg} envelope.
+// writeRefusal renders a refusal as the single-submit error response:
+// budget refusals get the enriched BudgetExhaustedError body, retryable
+// refusals carry Retry-After on header and body, everything else is the
+// plain {"error": msg} envelope.
 func (s *Server) writeRefusal(w http.ResponseWriter, ref *submitRefusal) {
-	if ref.budget != nil {
-		s.writeBudgetExhausted(w, *ref.budget)
-		return
-	}
-	if ref.retryAfter > 0 && ref.status == http.StatusTooManyRequests {
-		writeOverload(w, ref.wireError(), ref.retryAfter)
-		return
-	}
-	if ref.retryAfter > 0 && ref.status == http.StatusServiceUnavailable {
+	switch {
+	case ref.budget != nil:
 		w.Header().Set("Retry-After", strconv.Itoa(ref.retryAfter))
-		writeJSON(w, http.StatusServiceUnavailable, OverloadError{
-			Error:             ref.wireError(),
+		writeJSON(w, ref.status, BudgetExhaustedError{
+			Error:             ref.msg,
 			RetryAfterSeconds: ref.retryAfter,
+			RemainingEpsilon:  ref.budget.RemainingEpsilon,
+			RemainingDelta:    s.cfg.Budget.Config().Delta,
 		})
-		return
+	case ref.retryAfter > 0:
+		writeRetryable(w, ref.status, ref.msg, ref.retryAfter)
+	default:
+		writeError(w, ref.status, ref.msg)
 	}
-	writeError(w, ref.status, ref.msg)
-}
-
-// submitOne runs the whole submit pipeline for one response whose
-// survey is already resolved: per-requester rate limit, privacy-level
-// contract, validation, budget admission, durable append, and live
-// bookkeeping. A nil refusal means the response is durably stored and
-// counted.
-func (s *Server) submitOne(sv *survey.Survey, resp *survey.Response) (int, *submitRefusal) {
-	if ref := s.throttle(resp.WorkerID); ref != nil {
-		return 0, ref
-	}
-	lvl, err := core.ParseLevel(resp.PrivacyLevel)
-	if err != nil {
-		return 0, &submitRefusal{status: http.StatusBadRequest, msg: err.Error()}
-	}
-	// The server cannot verify noise was added (by design it never sees
-	// the raw answers), but it enforces the declared contract: a level
-	// above none must be marked obfuscated.
-	if lvl != core.None && !resp.Obfuscated {
-		return 0, &submitRefusal{status: http.StatusBadRequest,
-			msg: "responses at privacy levels above none must be obfuscated at source"}
-	}
-	if err := resp.Validate(sv); err != nil {
-		return 0, &submitRefusal{status: http.StatusBadRequest, msg: err.Error()}
-	}
-	// Charge the worker's privacy budget and append — fused into one
-	// node RPC when the router can piggyback the charge, two steps
-	// (charge, then append, refunding on failure) otherwise.
-	stored, ref := s.admitAndAppend(sv, resp, lvl)
-	if ref != nil {
-		return 0, ref
-	}
-	s.served.Add(1)
-	s.levelTally[lvl].Add(1)
-	// Keep the routed shard's partial hot: fold everything newly stored
-	// on that shard (this response included) so the next read pays
-	// nothing. Best-effort — the response is already durably accepted,
-	// and reads catch up from the cursor themselves. A frontend skips
-	// this — its nodes fold their own partials — but tells its partial
-	// cache the shard's cursor floor moved, so the next read through
-	// this frontend revalidates that shard instead of serving a cached
-	// merge that predates this submit (read-your-writes).
-	if s.partials == nil {
-		if ls, err := s.liveFor(sv); err == nil {
-			p := ls.parts[s.router.Route(sv.ID, resp.WorkerID)]
-			if err := p.advance(s.router); err != nil {
-				s.logf("live aggregate catch-up for %q shard %d: %v", sv.ID, p.shard, err)
-			}
-		}
-	} else if s.cache != nil && stored > 0 {
-		s.cache.noteSubmit(sv.ID, s.router.Route(sv.ID, resp.WorkerID), uint64(stored))
-	}
-	return stored, nil
 }
 
 // maxBatchSubmit bounds a batch submit request; the 1 MiB body bound
 // keeps realistic batches far below it, this is a defense in depth.
 const maxBatchSubmit = 1024
-
-// batchSubmitFanout bounds the per-request goroutines a batch fans out
-// across so its appends coalesce in the store's group commit (or the
-// remote router's shard batcher) without unbounded concurrency.
-const batchSubmitFanout = 32
 
 // BatchSubmitRequest is the batching client's submit body: a set of
 // already-obfuscated responses, each carrying its own survey_id.
@@ -774,12 +705,11 @@ type BatchSubmitResult struct {
 }
 
 // handleSubmitBatch is the batching submit endpoint
-// (POST /api/v1/responses): every record runs the same pipeline as a
-// single submit, fanned out over a bounded pool so concurrent appends
-// coalesce downstream, and each record answers for itself in a
-// request-aligned result. Admission control gates the whole request
-// (one queue slot per batch); the per-requester rate limit is spent
-// per record.
+// (POST /api/v1/responses): the records run the same pipeline as a
+// single submit, together — each shard's share of them is one durability
+// round — and each answers for itself in a request-aligned result.
+// Admission control gates the whole request (one queue slot per batch);
+// the per-requester rate limit is spent per record.
 func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchSubmitRequest
 	if !s.readJSON(w, r, &req) {
@@ -794,220 +724,22 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("batch of %d responses exceeds the %d-record bound", len(req.Responses), maxBatchSubmit))
 		return
 	}
-	// Resolve each distinct survey once; a missing survey refuses its
-	// records without failing the batch.
-	svs := make(map[string]*survey.Survey)
-	svRefs := make(map[string]*submitRefusal)
-	for i := range req.Responses {
-		id := req.Responses[i].SurveyID
-		if id == "" {
-			continue
-		}
-		if _, seen := svs[id]; seen {
-			continue
-		}
-		if _, seen := svRefs[id]; seen {
-			continue
-		}
-		sv, err := s.router.Survey(id)
-		if err != nil {
-			status := http.StatusInternalServerError
-			if errors.Is(err, store.ErrNotFound) {
-				status = http.StatusNotFound
-			}
-			svRefs[id] = &submitRefusal{status: status, msg: err.Error()}
-			continue
-		}
-		svs[id] = sv
-	}
-	type slot struct {
-		stored int
-		ref    *submitRefusal
-	}
-	out := make([]slot, len(req.Responses))
-	sem := make(chan struct{}, batchSubmitFanout)
-	var wg sync.WaitGroup
-	for i := range req.Responses {
-		resp := &req.Responses[i]
-		if resp.SurveyID == "" {
-			out[i].ref = &submitRefusal{status: http.StatusBadRequest, msg: "response missing survey_id"}
-			continue
-		}
-		sv := svs[resp.SurveyID]
-		if sv == nil {
-			out[i].ref = svRefs[resp.SurveyID]
-			continue
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, sv *survey.Survey, resp *survey.Response) {
-			defer func() {
-				<-sem
-				wg.Done()
-			}()
-			out[i].stored, out[i].ref = s.submitOne(sv, resp)
-		}(i, sv, resp)
-	}
-	wg.Wait()
-	res := BatchSubmitResult{Results: make([]BatchSubmitItem, len(out))}
-	for i := range out {
-		item := BatchSubmitItem{SurveyID: req.Responses[i].SurveyID}
-		if ref := out[i].ref; ref != nil {
+	res := BatchSubmitResult{Results: make([]BatchSubmitItem, len(req.Responses))}
+	for i, rec := range s.submit(r.Context(), req.Responses) {
+		item := BatchSubmitItem{SurveyID: rec.resp.SurveyID}
+		if ref := rec.ref; ref != nil {
 			item.Status = ref.status
-			item.Error = ref.wireError()
+			item.Error = ref.msg
 			item.RetryAfterSeconds = ref.retryAfter
-			if ref.budget != nil && item.RetryAfterSeconds == 0 {
-				item.RetryAfterSeconds = BudgetRetryAfterSeconds
-			}
 		} else {
 			item.Accepted = true
-			item.Stored = out[i].stored
+			item.Stored = rec.stored
 			res.Accepted++
 		}
 		res.Results[i] = item
 	}
 	writeJSON(w, http.StatusOK, &res)
 }
-
-// piggybackRouter is the optional router surface that fuses a budget
-// charge into the submit RPC itself (shardrpc.Remote implements it):
-// the owning node decides the debit and appends in one handler call,
-// keeping the enforce-mode hot path at a single round-trip.
-type piggybackRouter interface {
-	CanPiggybackCharge(shard int, workerID string) bool
-	AppendCharged(shard int, resp *survey.Response, ch budget.Charge) (int, budget.Outcome, error)
-}
-
-// admitAndAppend is the submit path's admission + durability step:
-// charge the worker's privacy budget (when accounting is on) and
-// durably append the response. When the router can carry the charge on
-// the submit RPC — the worker's budget shard lives on the response
-// shard's node — the two fuse into one round-trip; otherwise the
-// charge ships first and a failed append is compensated by a refund.
-// Returns the stored count, or the refusal to answer with.
-func (s *Server) admitAndAppend(sv *survey.Survey, resp *survey.Response, lvl core.Level) (int, *submitRefusal) {
-	if s.budgetMode != budgetOff {
-		shard := s.router.Route(resp.SurveyID, resp.WorkerID)
-		if pr, ok := s.router.(piggybackRouter); ok && pr.CanPiggybackCharge(shard, resp.WorkerID) {
-			return s.appendCharged(pr, shard, sv, resp, lvl)
-		}
-	}
-	charged, ref := s.chargeBudget(sv, resp, lvl)
-	if ref != nil {
-		return 0, ref
-	}
-	stored, err := s.router.Append(resp)
-	if err != nil {
-		if charged != nil {
-			if rerr := s.cfg.Budget.Refund(*charged); rerr != nil {
-				s.logf("budget refund for worker %q after failed append: %v", resp.WorkerID, rerr)
-			}
-		}
-		return 0, appendRefusal(err)
-	}
-	return stored, nil
-}
-
-// FailoverRetryAfterSeconds is the Retry-After on 503s for writes to a
-// failed-over shard: short, because promotion typically lands within a
-// probe interval or two and the client should retry promptly.
-const FailoverRetryAfterSeconds = 1
-
-// Failover wire codes on 503 refusals.
-const (
-	// FailedOverCode: the shard's primary is down and its replica has
-	// not been promoted yet — writes are fenced until promotion.
-	FailedOverCode = "shard_failed_over"
-	// FencedCode: the write carried a placement epoch older than the
-	// one the owning node has applied (a promotion is propagating).
-	FencedCode = "write_fenced"
-	// NodeUnreachableCode: the RPC to the owning node never completed.
-	NodeUnreachableCode = "node_unreachable"
-)
-
-// appendRefusal maps an append failure to a refusal. A downstream
-// node's shed or throttle verdict (an overloaded cluster node behind
-// this frontend) keeps its retryable 429 vocabulary so the client's
-// backoff engages. Failover refusals — a shard whose primary is down,
-// a write fenced by a newer placement epoch, a node that never answered
-// — are 503 + Retry-After: the condition is the cluster's, not the
-// request's, and clears once promotion lands. Anything else is the
-// pre-admission 400.
-func appendRefusal(err error) *submitRefusal {
-	var oe *shardrpc.OverloadedError
-	if errors.As(err, &oe) {
-		ra := oe.RetryAfterSeconds
-		if ra <= 0 {
-			ra = OverloadRetryAfterSeconds
-		}
-		return &submitRefusal{status: http.StatusTooManyRequests, code: OverloadedCode,
-			msg: err.Error(), retryAfter: ra}
-	}
-	var te *shardrpc.ThrottledError
-	if errors.As(err, &te) {
-		ra := te.RetryAfterSeconds
-		if ra <= 0 {
-			ra = OverloadRetryAfterSeconds
-		}
-		return &submitRefusal{status: http.StatusTooManyRequests, code: RateLimitedCode,
-			msg: err.Error(), retryAfter: ra}
-	}
-	var fo *shardrpc.FailoverError
-	if errors.As(err, &fo) {
-		return &submitRefusal{status: http.StatusServiceUnavailable, code: FailedOverCode,
-			msg: err.Error(), retryAfter: FailoverRetryAfterSeconds}
-	}
-	if errors.Is(err, shardrpc.ErrFenced) {
-		return &submitRefusal{status: http.StatusServiceUnavailable, code: FencedCode,
-			msg: err.Error(), retryAfter: FailoverRetryAfterSeconds}
-	}
-	// A *url.Error is specifically an RPC that never completed (only the
-	// shardrpc client produces one here); local append failures keep the
-	// 400 below.
-	var ue *url.Error
-	if errors.As(err, &ue) {
-		return &submitRefusal{status: http.StatusServiceUnavailable, code: NodeUnreachableCode,
-			msg: err.Error(), retryAfter: FailoverRetryAfterSeconds}
-	}
-	return &submitRefusal{status: http.StatusBadRequest, msg: err.Error()}
-}
-
-// appendCharged is the fused path: one RPC decides the debit and
-// appends. The error vocabulary mirrors chargeBudget's status mapping;
-// a failed append's charge was already refunded on the node.
-func (s *Server) appendCharged(pr piggybackRouter, shard int, sv *survey.Survey, resp *survey.Response, lvl core.Level) (int, *submitRefusal) {
-	ch, ref := s.buildCharge(sv, resp, lvl)
-	if ref != nil {
-		return 0, ref
-	}
-	stored, out, err := pr.AppendCharged(shard, resp, *ch)
-	switch {
-	case errors.Is(err, budget.ErrExhausted):
-		s.budgetRejected.Add(1)
-		return 0, s.budgetRefusal(out)
-	case errors.Is(err, budget.ErrUndecided):
-		return 0, &submitRefusal{status: http.StatusServiceUnavailable,
-			msg: "privacy-budget charge failed: " + err.Error()}
-	case err != nil:
-		return 0, appendRefusal(err)
-	}
-	// A zero outcome on a stored response is the log-mode fail-open
-	// signature: the node could not decide the charge but appended
-	// anyway (enforce-mode charge failures surface as ErrUndecided).
-	if out.WorkerID == "" {
-		s.logf("budget charge for worker %q failed (log mode, submit admitted)", resp.WorkerID)
-	} else if out.OverCap {
-		s.logOverCap(resp.WorkerID, out, lvl)
-	}
-	return stored, nil
-}
-
-// BudgetRetryAfterSeconds is the advisory Retry-After on 429
-// budget_exhausted answers. A privacy budget is cumulative — it does
-// not replenish on a clock — so the hint is a coarse back-off until an
-// operator raises the cap or the worker drops to a cheaper privacy
-// level, not a lease expiry.
-const BudgetRetryAfterSeconds = 3600
 
 // BudgetExhaustedError is the 429 budget_exhausted body: the error
 // code plus the worker's remaining (ε, δ) headroom and the Retry-After
@@ -1022,90 +754,6 @@ type BudgetExhaustedError struct {
 	RemainingDelta float64 `json:"remaining_delta"`
 }
 
-// writeBudgetExhausted answers a rejected charge with the enriched 429.
-func (s *Server) writeBudgetExhausted(w http.ResponseWriter, out budget.Outcome) {
-	w.Header().Set("Retry-After", strconv.Itoa(BudgetRetryAfterSeconds))
-	writeJSON(w, http.StatusTooManyRequests, BudgetExhaustedError{
-		Error:             budget.ErrExhausted.Error(),
-		RetryAfterSeconds: BudgetRetryAfterSeconds,
-		RemainingEpsilon:  out.RemainingEpsilon,
-		RemainingDelta:    s.cfg.Budget.Config().Delta,
-	})
-}
-
-// budgetRefusal is the enriched budget_exhausted refusal: the short
-// wire code, the standing Retry-After hint, and the outcome carrying
-// the worker's remaining headroom for the single-submit body.
-func (s *Server) budgetRefusal(out budget.Outcome) *submitRefusal {
-	return &submitRefusal{
-		status:     http.StatusTooManyRequests,
-		code:       budget.ErrExhausted.Error(),
-		msg:        budget.ErrExhausted.Error(),
-		retryAfter: BudgetRetryAfterSeconds,
-		budget:     &out,
-	}
-}
-
-// buildCharge prices one submit for the ledger.
-func (s *Server) buildCharge(sv *survey.Survey, resp *survey.Response, lvl core.Level) (*budget.Charge, *submitRefusal) {
-	rho, unprotected, err := s.obf.ResponseRho(sv, lvl)
-	if err != nil {
-		return nil, &submitRefusal{status: http.StatusBadRequest, msg: err.Error()}
-	}
-	return &budget.Charge{
-		WorkerID:    resp.WorkerID,
-		SurveyID:    sv.ID,
-		Rho:         rho,
-		Unprotected: unprotected,
-		Enforce:     s.budgetMode == budgetEnforcing,
-	}, nil
-}
-
-func (s *Server) logOverCap(workerID string, out budget.Outcome, lvl core.Level) {
-	s.logf("worker %q over budget cap (spent ε %.4g of %.4g) at level %s; %s mode admits",
-		workerID, out.SpentEpsilon, s.cfg.Budget.Config().CapEpsilon, lvl, s.cfg.BudgetEnforce)
-}
-
-// chargeBudget debits the submitting worker's privacy budget over the
-// separate charge RPC. It returns the charge to refund on a later
-// append failure (nil when nothing was charged) and the refusal to
-// answer with when the submit may not proceed.
-//
-// Failure policy: in enforce mode an undecidable charge (shard down,
-// WAL failure) fails the submit closed with 503 — admitting unmetered
-// spend would defeat the cap. In log mode it fails open: accounting is
-// advisory there, so the submit proceeds and the miss is logged. A
-// charge routed to a budget shard this server's charger does not host
-// (a direct-to-node submit whose worker lives on another node's shard)
-// is skipped: enforcement for that worker happens at the frontier.
-func (s *Server) chargeBudget(sv *survey.Survey, resp *survey.Response, lvl core.Level) (*budget.Charge, *submitRefusal) {
-	if s.budgetMode == budgetOff {
-		return nil, nil
-	}
-	ch, ref := s.buildCharge(sv, resp, lvl)
-	if ref != nil {
-		return nil, ref
-	}
-	out, err := s.cfg.Budget.Charge(*ch)
-	switch {
-	case errors.Is(err, budget.ErrNotHosted):
-		return nil, nil
-	case err != nil && s.budgetMode == budgetEnforcing:
-		return nil, &submitRefusal{status: http.StatusServiceUnavailable,
-			msg: "privacy-budget charge failed: " + err.Error()}
-	case err != nil:
-		s.logf("budget charge for worker %q failed (log mode, submit admitted): %v", resp.WorkerID, err)
-		return nil, nil
-	case out.Rejected:
-		s.budgetRejected.Add(1)
-		return nil, s.budgetRefusal(out)
-	}
-	if out.OverCap {
-		s.logOverCap(resp.WorkerID, out, lvl)
-	}
-	return ch, nil
-}
-
 // surveyEstimate is the shared read path of /aggregate and /quality:
 // resolve the survey, then refresh its per-shard partials (scan only
 // the responses each shard appended since the last read — usually none
@@ -1115,11 +763,7 @@ func (s *Server) chargeBudget(sv *survey.Survey, resp *survey.Response, lvl core
 func (s *Server) surveyEstimate(w http.ResponseWriter, id string) (*survey.Survey, *aggregate.SurveyEstimate, []int, bool) {
 	sv, err := s.router.Survey(id)
 	if err != nil {
-		status := http.StatusInternalServerError
-		if errors.Is(err, store.ErrNotFound) {
-			status = http.StatusNotFound
-		}
-		writeError(w, status, err.Error())
+		s.writeRefusal(w, surveyRefusal(err))
 		return nil, nil, nil, false
 	}
 	var fin *aggregate.SurveyEstimate
@@ -1127,7 +771,7 @@ func (s *Server) surveyEstimate(w http.ResponseWriter, id string) (*survey.Surve
 	switch {
 	case s.cache != nil:
 		fin, degraded, err = s.cachedRemoteEstimate(sv)
-	case s.partials != nil:
+	case s.remote != nil:
 		fin, degraded, err = s.mergedRemoteEstimate(sv)
 	default:
 		var ls *liveSet
@@ -1166,7 +810,7 @@ func (s *Server) mergedRemoteEstimate(sv *survey.Survey) (*aggregate.SurveyEstim
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			parts[i], errs[i] = s.partials.PartialSince(i, sv.ID, 0)
+			parts[i], errs[i] = s.remote.PartialSince(i, sv.ID, 0)
 		}(i)
 	}
 	wg.Wait()
@@ -1478,22 +1122,18 @@ type ingestStatser interface {
 	ShardStats() []ingest.ShardStats
 }
 
-// adminStores returns the concrete stores behind the router: the single
-// configured store, or a local router's per-shard stores. Empty for a
-// remote router (a frontend inspects its nodes' admin surfaces
-// instead).
+// adminStores returns the concrete stores behind a local router, in
+// shard order. Empty on a frontend (it inspects its nodes' admin
+// surfaces instead).
 func (s *Server) adminStores() []store.Store {
-	if s.cfg.Store != nil {
-		return []store.Store{s.cfg.Store}
+	if s.host == nil {
+		return nil
 	}
-	if l, ok := s.router.(*shardset.Local); ok {
-		out := make([]store.Store, l.Shards())
-		for i := range out {
-			out[i] = l.Store(i)
-		}
-		return out
+	out := make([]store.Store, s.host.local.Shards())
+	for i := range out {
+		out[i] = s.host.local.Store(i)
 	}
-	return nil
+	return out
 }
 
 func (s *Server) handleAdminStore(w http.ResponseWriter, _ *http.Request) {
@@ -1506,8 +1146,8 @@ func (s *Server) handleAdminStore(w http.ResponseWriter, _ *http.Request) {
 		FrontendCache:   s.frontendCacheInfo(),
 		Admission:       s.admissionInfo(),
 	}
-	if l, ok := s.router.(*shardset.Local); ok {
-		info.Journals = l.JournalStats()
+	if s.host != nil {
+		info.Journals = s.host.local.JournalStats()
 	}
 	stores := s.adminStores()
 	if len(stores) == 0 {
@@ -1669,13 +1309,6 @@ type HealthInfo struct {
 // the cluster glue when a placement manifest is applied).
 func (s *Server) setShardHealth(hs []ShardHealth) { s.shardHealth.Store(hs) }
 
-// failoverReporter is the optional router capability behind the
-// frontend health view (shardrpc.Remote implements it once a manifest
-// is applied).
-type failoverReporter interface {
-	FailoverInfo() *shardrpc.FailoverInfo
-}
-
 func (s *Server) handleAdminHealth(w http.ResponseWriter, _ *http.Request) {
 	info := HealthInfo{Status: "ok", Role: s.cfg.Role}
 	switch {
@@ -1693,8 +1326,8 @@ func (s *Server) handleAdminHealth(w http.ResponseWriter, _ *http.Request) {
 			}
 		}
 	default:
-		if fr, ok := s.router.(failoverReporter); ok {
-			if fi := fr.FailoverInfo(); fi != nil {
+		if s.remote != nil {
+			if fi := s.remote.FailoverInfo(); fi != nil {
 				// Frontend: the routing table as the failure detector sees
 				// it.
 				info.ManifestVersion = fi.ManifestVersion
@@ -1721,11 +1354,11 @@ func (s *Server) handleAdminHealth(w http.ResponseWriter, _ *http.Request) {
 			info.Shards = append(info.Shards, hs...)
 			break
 		}
-		if l, ok := s.router.(*shardset.Local); ok {
+		if s.host != nil {
 			// Manifest-less node or standalone: every owned shard is an
 			// unfenced primary.
-			for i := 0; i < l.Shards(); i++ {
-				info.Shards = append(info.Shards, ShardHealth{Shard: l.GlobalID(i), Role: "primary"})
+			for i := 0; i < s.router.Shards(); i++ {
+				info.Shards = append(info.Shards, ShardHealth{Shard: s.router.GlobalID(i), Role: "primary"})
 			}
 		}
 	}
@@ -1787,11 +1420,7 @@ type AccumulatorClearResult struct {
 func (s *Server) handleAccumulatorClear(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if _, err := s.router.Survey(id); err != nil {
-		status := http.StatusInternalServerError
-		if errors.Is(err, store.ErrNotFound) {
-			status = http.StatusNotFound
-		}
-		writeError(w, status, err.Error())
+		s.writeRefusal(w, surveyRefusal(err))
 		return
 	}
 	hadCkpt := false

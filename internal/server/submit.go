@@ -2,17 +2,32 @@ package server
 
 import (
 	"context"
+	"errors"
+	"net/http"
+	"net/url"
+	"sync"
 
 	"loki/internal/budget"
+	"loki/internal/core"
 	"loki/internal/shardrpc"
+	"loki/internal/store"
 	"loki/internal/survey"
 )
 
-// Submit implements shardrpc.Backend: the one path a routed batch takes
-// through a shard host, whichever role runs it and whatever the batch
-// carries. The stages run in this order and each is decided once:
+// Submit implements shardrpc.Backend: a routed batch from a frontend.
+func (h *shardHost) Submit(ctx context.Context, req *shardrpc.SubmitRequest) (*shardrpc.SubmitResult, error) {
+	if err := req.Validate(); err != nil {
+		return nil, err
+	}
+	return h.submit(ctx, req, h.srv.adm)
+}
+
+// submit is the one path a batch routed to one shard takes through a
+// shard host, whichever role runs it, whichever door it came in by — the
+// shardrpc surface or the host's own public API (dispatchLocal) — and
+// whatever it carries. The stages run in this order and each is decided
+// once:
 //
-//	validate    400  empty batch, misaligned charges
 //	ownership   421  shard not held by this host
 //	fence       412  stale epoch stamp, demoted or unpromoted shard
 //	admission   429  the bounded submit queue is full (or the caller left it)
@@ -24,6 +39,9 @@ import (
 //	refund      charges accepted for records the store then refused
 //	advance     each touched survey's shard partial
 //
+// gate is the admission stage; nil means the caller already holds its
+// slot (the public handlers' admit wrapper took it before decoding).
+//
 // Everything above "throttle" refuses the batch whole, with an error
 // and before any per-record state — bucket, ledger, store — changes, so
 // a sender that re-routes and resends has lost nothing. From throttle
@@ -33,10 +51,7 @@ import (
 //
 // The common batch — gates off or nothing refused — allocates no mask
 // and no index: the request's own slice is what gets appended.
-func (h *shardHost) Submit(ctx context.Context, req *shardrpc.SubmitRequest) (*shardrpc.SubmitResult, error) {
-	if err := req.Validate(); err != nil {
-		return nil, err
-	}
+func (h *shardHost) submit(ctx context.Context, req *shardrpc.SubmitRequest, gate *admission) (*shardrpc.SubmitResult, error) {
 	shard, err := h.localShard(req.Shard)
 	if err != nil {
 		return nil, err
@@ -44,11 +59,11 @@ func (h *shardHost) Submit(ctx context.Context, req *shardrpc.SubmitRequest) (*s
 	if err := h.checkFence(shard, req.Shard, req.Epoch); err != nil {
 		return nil, err
 	}
-	if a := h.srv.adm; a != nil {
-		if !a.acquire(ctx) {
+	if gate != nil {
+		if !gate.acquire(ctx) {
 			return nil, &shardrpc.OverloadedError{RetryAfterSeconds: OverloadRetryAfterSeconds}
 		}
-		defer a.release()
+		defer gate.release()
 	}
 	rs, charges := req.Responses, req.Charges
 	var set *budget.Set
@@ -155,8 +170,12 @@ func (h *shardHost) Submit(ctx context.Context, req *shardrpc.SubmitRequest) (*s
 		}
 	}
 	counts, aerr := h.local.AppendShardBatch(shard, survivors)
-	for _, id := range uniqueSurveyIDs(survivors[:len(counts)]) {
-		h.srv.advanceShard(id, shard)
+	for j := range counts {
+		// Batches are usually one survey; advancing one twice costs a
+		// count and finds nothing to fold.
+		if id := survivors[j].SurveyID; j == 0 || id != survivors[j-1].SurveyID {
+			h.srv.advanceShard(id, shard)
+		}
 	}
 	res.Appended = len(counts)
 	if set == nil && res.Throttled == nil {
@@ -188,9 +207,7 @@ func (h *shardHost) Submit(ctx context.Context, req *shardrpc.SubmitRequest) (*s
 		// Not durable: compensate an accepted charge before replying, so
 		// the ledger never counts spend for a response the store refused.
 		if set != nil && charges[k].WorkerID != "" && (res.ChargeErrs == nil || res.ChargeErrs[k] == "") {
-			if rerr := set.Refund(charges[k]); rerr != nil {
-				h.srv.logf("budget refund for worker %q after failed charged append: %v", charges[k].WorkerID, rerr)
-			}
+			h.srv.refund(set, charges[k])
 			res.Outcomes[k] = budget.Outcome{}
 		}
 	}
@@ -202,29 +219,10 @@ func throttledAt(res *shardrpc.SubmitResult, k int) bool {
 	return res.Throttled != nil && res.Throttled[k]
 }
 
-// uniqueSurveyIDs returns the distinct survey IDs of a batch, in first-
-// appearance order (batches are usually one survey; the map only pays
-// off when they are not).
-func uniqueSurveyIDs(rs []survey.Response) []string {
-	if len(rs) == 0 {
-		return nil
-	}
-	out := []string{rs[0].SurveyID}
-	if len(rs) == 1 {
-		return out
-	}
-	seen := map[string]bool{rs[0].SurveyID: true}
-	for i := 1; i < len(rs); i++ {
-		if !seen[rs[i].SurveyID] {
-			seen[rs[i].SurveyID] = true
-			out = append(out, rs[i].SurveyID)
-		}
-	}
-	return out
-}
-
-// advanceShard best-effort folds one shard's partial after a routed
-// append (the shardrpc twin of the public submit handler's warm-up).
+// advanceShard keeps a shard's partial hot after an append: it folds
+// what the shard newly stored, so the next read pays nothing. Best
+// effort — the records are already durable, and reads catch up from the
+// cursor themselves.
 func (s *Server) advanceShard(surveyID string, shard int) {
 	sv, err := s.router.Survey(surveyID)
 	if err != nil {
@@ -236,5 +234,384 @@ func (s *Server) advanceShard(surveyID string, shard int) {
 	}
 	if err := ls.parts[shard].advance(s.router); err != nil {
 		s.logf("live aggregate catch-up for %q shard %d: %v", surveyID, shard, err)
+	}
+}
+
+// ---------------------------------------------------------------------------
+// The public submit path
+
+// submitRecord is one response on its way through the public submit
+// pipeline: what the stages learn about it, and the refusal of the first
+// stage that turned it away (nil while it stands, and at the end for a
+// record that is durably stored).
+type submitRecord struct {
+	resp  *survey.Response
+	sv    *survey.Survey
+	lvl   core.Level
+	shard int
+	// charge is the record's price; its WorkerID is empty while budget
+	// accounting is off.
+	charge budget.Charge
+	stored int
+	ref    *submitRefusal
+}
+
+// submit runs public submits — a single is a batch of one — through the
+// one stage list every role shares:
+//
+//	resolve    404  unknown survey (400 for a record that names none)
+//	contract   400  unknown privacy level, a level above none not marked
+//	                obfuscated, answers that do not fit the survey
+//	price      the zCDP cost of the response at its level, when budget
+//	           accounting is on
+//	route      the shard the response belongs to
+//	dispatch   the role-bound stage: dispatchLocal or dispatchRemote
+//	settle     each record's verdict to its HTTP answer, in one mapping
+//	tally      the served counters, and on a frontend the partial cache's
+//	           read-your-writes floor
+//
+// Decoding and admission come before it (the handlers and their admit
+// wrapper), encoding after. The returned records are aligned with rs.
+func (s *Server) submit(ctx context.Context, rs []survey.Response) []submitRecord {
+	recs := make([]submitRecord, len(rs))
+	standing := make([]*submitRecord, 0, len(rs))
+	// Batches are mostly one survey: resolve each distinct one once.
+	type resolved struct {
+		sv  *survey.Survey
+		ref *submitRefusal
+	}
+	var surveys map[string]resolved
+	for i := range rs {
+		rec := &recs[i]
+		rec.resp = &rs[i]
+		if rec.resp.SurveyID == "" {
+			rec.ref = &submitRefusal{status: http.StatusBadRequest, msg: "response missing survey_id"}
+			continue
+		}
+		rv, seen := surveys[rec.resp.SurveyID]
+		if !seen {
+			var err error
+			if rv.sv, err = s.router.Survey(rec.resp.SurveyID); err != nil {
+				rv.ref = surveyRefusal(err)
+			}
+			if len(rs) > 1 {
+				if surveys == nil {
+					surveys = make(map[string]resolved)
+				}
+				surveys[rec.resp.SurveyID] = rv
+			}
+		}
+		if rec.sv, rec.ref = rv.sv, rv.ref; rec.ref != nil {
+			continue
+		}
+		if rec.ref = s.checkContract(rec); rec.ref != nil {
+			continue
+		}
+		if s.budgetMode != budgetOff {
+			if rec.ref = s.price(rec); rec.ref != nil {
+				continue
+			}
+		}
+		rec.shard = s.router.Route(rec.sv.ID, rec.resp.WorkerID)
+		standing = append(standing, rec)
+	}
+	if len(standing) > 0 {
+		s.dispatch(ctx, standing)
+	}
+	for _, rec := range standing {
+		if rec.ref != nil {
+			continue
+		}
+		s.served.Add(1)
+		s.levelTally[rec.lvl].Add(1)
+		// A frontend's nodes fold their own partials; what it owes its
+		// readers is to revalidate the shard on the next read instead of
+		// serving a cached merge that predates this submit.
+		if s.cache != nil && rec.stored > 0 {
+			s.cache.noteSubmit(rec.sv.ID, rec.shard, uint64(rec.stored))
+		}
+	}
+	return recs
+}
+
+// surveyRefusal answers a survey that did not resolve.
+func surveyRefusal(err error) *submitRefusal {
+	status := http.StatusInternalServerError
+	if errors.Is(err, store.ErrNotFound) {
+		status = http.StatusNotFound
+	}
+	return &submitRefusal{status: status, msg: err.Error()}
+}
+
+// checkContract is the privacy-level contract. The server cannot verify
+// noise was added (by design it never sees the raw answers), but it
+// enforces what the response declares: a level above none must be marked
+// obfuscated.
+func (s *Server) checkContract(rec *submitRecord) *submitRefusal {
+	lvl, err := core.ParseLevel(rec.resp.PrivacyLevel)
+	if err != nil {
+		return &submitRefusal{status: http.StatusBadRequest, msg: err.Error()}
+	}
+	if lvl != core.None && !rec.resp.Obfuscated {
+		return &submitRefusal{status: http.StatusBadRequest,
+			msg: "responses at privacy levels above none must be obfuscated at source"}
+	}
+	if err := rec.resp.Validate(rec.sv); err != nil {
+		return &submitRefusal{status: http.StatusBadRequest, msg: err.Error()}
+	}
+	rec.lvl = lvl
+	return nil
+}
+
+// price costs one submit for the ledger.
+func (s *Server) price(rec *submitRecord) *submitRefusal {
+	rho, unprotected, err := s.obf.ResponseRho(rec.sv, rec.lvl)
+	if err != nil {
+		return &submitRefusal{status: http.StatusBadRequest, msg: err.Error()}
+	}
+	rec.charge = budget.Charge{
+		WorkerID:    rec.resp.WorkerID,
+		SurveyID:    rec.sv.ID,
+		Rho:         rho,
+		Unprotected: unprotected,
+		Enforce:     s.budgetMode == budgetEnforcing,
+	}
+	return nil
+}
+
+// groupByShard returns, per shard in first-appearance order, the
+// positions in recs of the records routed to it, leaving out those skip
+// marks (nil skips none).
+func groupByShard(recs []*submitRecord, skip []bool) [][]int {
+	var groups [][]int
+next:
+	for k, rec := range recs {
+		if skip != nil && skip[k] {
+			continue
+		}
+		for g := range groups {
+			if recs[groups[g][0]].shard == rec.shard {
+				groups[g] = append(groups[g], k)
+				continue next
+			}
+		}
+		groups = append(groups, []int{k})
+	}
+	return groups
+}
+
+// dispatchLocal is the dispatch stage of a server that owns its shards
+// (standalone, a node's own public API, a promoted replica): each
+// shard's records enter the shard host's pipeline in-process, below its
+// admission gate — the handler's admit wrapper already holds the slot.
+// Fence, charge routing, throttle, charge, append, refund and advance are
+// the host's, the same code a frontend's batch runs through.
+func (s *Server) dispatchLocal(ctx context.Context, recs []*submitRecord) {
+	run := func(at []int) {
+		req := &shardrpc.SubmitRequest{Shard: s.router.GlobalID(recs[at[0]].shard), Responses: make([]survey.Response, len(at))}
+		for j, k := range at {
+			rec := recs[k]
+			req.Responses[j] = *rec.resp
+			if rec.charge.WorkerID == "" {
+				continue
+			}
+			// A node hosts a slice of the budget shard space. Enforcing, a
+			// worker whose shard lives elsewhere is the host's to refuse
+			// (421: submit through a frontend, which can reach it); in log
+			// mode accounting is advisory, so the submit goes unmetered.
+			if set := s.host.budget; !rec.charge.Enforce && !set.Hosts(budget.Route(rec.charge.WorkerID, set.Shards())) {
+				s.logf("budget shard of worker %q is not hosted here (log mode, submit admitted unmetered)", rec.charge.WorkerID)
+				continue
+			}
+			if req.Charges == nil {
+				req.Charges = make([]budget.Charge, len(at))
+			}
+			req.Charges[j] = rec.charge
+		}
+		res, err := s.host.submit(ctx, req, nil)
+		for j, e := range shardrpc.SubmitEntries(len(at), res, err) {
+			s.settle(recs[at[j]], e)
+		}
+	}
+	// Shards commit independently: a batch spanning several waits for the
+	// slowest durability round, not for their sum.
+	groups := groupByShard(recs, nil)
+	var wg sync.WaitGroup
+	for _, at := range groups[1:] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run(at)
+		}()
+	}
+	run(groups[0])
+	wg.Wait()
+}
+
+// dispatchRemote is a frontend's dispatch stage. What it binds
+// differently from a shard host: the throttle is this frontend's own
+// limiter (the owning node applies its own behind it); a record's charge
+// rides its submit RPC where the node that owns the response shard also
+// hosts the worker's budget shard, and is sent ahead through Config.Budget
+// — then refunded if the record is not stored — only where it does not;
+// and the append is the shard batchers', which coalesce this request's
+// records with every other request's.
+func (s *Server) dispatchRemote(_ context.Context, recs []*submitRecord) {
+	entries := make([]shardrpc.SubmitEntry, len(recs))
+	decided := make([]bool, len(recs)) // has its verdict without asking the node
+	ahead := make([]bool, len(recs))   // charged ahead and admitted: refund unless stored
+	var wg sync.WaitGroup
+	for k, rec := range recs {
+		if l := s.limiter; l != nil {
+			if retryAfter, ok := l.allow(rec.resp.WorkerID); !ok {
+				entries[k] = shardrpc.SubmitEntry{Throttled: true, RetryAfterSeconds: retryAfter}
+				decided[k] = true
+				continue
+			}
+		}
+		if s.budgetMode == budgetOff || s.remote.CanPiggybackCharge(rec.shard, rec.resp.WorkerID) {
+			continue
+		}
+		// Ahead, and concurrently: the charger's per-shard batchers
+		// coalesce a request's charges into one RPC per budget shard.
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out, err := s.cfg.Budget.Charge(rec.charge)
+			switch {
+			case err != nil:
+				entries[k].ChargeErr = err.Error()
+				decided[k] = rec.charge.Enforce
+			case out.Rejected:
+				entries[k].Outcome = out
+				decided[k] = true
+			default:
+				entries[k].Outcome = out
+				ahead[k] = true
+			}
+		}()
+	}
+	wg.Wait()
+	// Queue every shard's records before waiting on any.
+	groups := groupByShard(recs, decided)
+	waits := make([]func() []shardrpc.SubmitEntry, len(groups))
+	for g, at := range groups {
+		rs := make([]survey.Response, len(at))
+		charges := make([]budget.Charge, len(at))
+		for j, k := range at {
+			rs[j] = *recs[k].resp
+			// No charge rides where one went ahead (or failed open).
+			if !ahead[k] && entries[k].ChargeErr == "" {
+				charges[j] = recs[k].charge
+			}
+		}
+		waits[g] = s.remote.Submit(recs[at[0]].shard, rs, charges)
+	}
+	for g, at := range groups {
+		for j, e := range waits[g]() {
+			k := at[j]
+			if ahead[k] || entries[k].ChargeErr != "" {
+				e.Outcome, e.ChargeErr = entries[k].Outcome, entries[k].ChargeErr
+			}
+			if ahead[k] && (e.Err != nil || e.Throttled || e.AppendErr != "") {
+				s.refund(s.cfg.Budget, recs[k].charge)
+			}
+			entries[k] = e
+		}
+	}
+	for k, rec := range recs {
+		s.settle(rec, entries[k])
+	}
+}
+
+// refund credits back a charge the ledger accepted for a record that was
+// then not stored, so the ledger never counts spend for a response the
+// store refused.
+func (s *Server) refund(ledger budget.Charger, ch budget.Charge) {
+	if err := ledger.Refund(ch); err != nil {
+		s.logf("budget refund for worker %q after failed append: %v", ch.WorkerID, err)
+	}
+}
+
+// FailoverRetryAfterSeconds is the Retry-After on 503s for writes to a
+// failed-over shard: short, because promotion typically lands within a
+// probe interval or two and the client should retry promptly.
+const FailoverRetryAfterSeconds = 1
+
+// Failover wire codes on 503 refusals.
+const (
+	// FailedOverCode: the shard's primary is down and its replica has
+	// not been promoted yet — writes are fenced until promotion.
+	FailedOverCode = "shard_failed_over"
+	// FencedCode: the write carried a placement epoch older than the
+	// one the owning node has applied (a promotion is propagating), or
+	// went to a shard this server has been demoted for.
+	FencedCode = "write_fenced"
+	// NodeUnreachableCode: the RPC to the owning node never completed.
+	NodeUnreachableCode = "node_unreachable"
+)
+
+// BudgetRetryAfterSeconds is the advisory Retry-After on 429
+// budget_exhausted answers. A privacy budget is cumulative — it does
+// not replenish on a clock — so the hint is a coarse back-off until an
+// operator raises the cap or the worker drops to a cheaper privacy
+// level, not a lease expiry.
+const BudgetRetryAfterSeconds = 3600
+
+// settle is the one mapping from a dispatched record's verdict — its
+// entry of the shard host's result, whichever side of the wire the host
+// ran on — to the refusal the public API answers with; a record that
+// gets none is stored. Entry verdicts in the order the host decided
+// them: throttled, append failure (any charge already refunded), an
+// enforcing charge that could not be decided (fail closed: admitting
+// unmetered spend would defeat the cap), a rejected charge. A batch-level
+// error keeps the retryable vocabulary — a shed stays 429 so the
+// client's backoff engages; failover refusals (a shard whose primary is
+// down, a write fenced by a newer placement epoch, a node that never
+// answered) are 503 + Retry-After, because the condition is the
+// cluster's, not the request's, and clears once promotion lands; a host
+// that does not hold the worker's budget shard is 421; anything else is
+// the request's own 400.
+func (s *Server) settle(rec *submitRecord, e shardrpc.SubmitEntry) {
+	var overloaded *shardrpc.OverloadedError
+	var failedOver *shardrpc.FailoverError
+	var notOwned *shardrpc.ErrNotOwned
+	var unreachable *url.Error
+	switch {
+	case errors.As(e.Err, &overloaded):
+		rec.ref = &submitRefusal{status: http.StatusTooManyRequests, msg: OverloadedCode,
+			retryAfter: max(overloaded.RetryAfterSeconds, OverloadRetryAfterSeconds)}
+	case errors.As(e.Err, &failedOver):
+		rec.ref = &submitRefusal{status: http.StatusServiceUnavailable, msg: FailedOverCode, retryAfter: FailoverRetryAfterSeconds}
+	case errors.Is(e.Err, shardrpc.ErrFenced):
+		rec.ref = &submitRefusal{status: http.StatusServiceUnavailable, msg: FencedCode, retryAfter: FailoverRetryAfterSeconds}
+	case errors.As(e.Err, &unreachable):
+		// A *url.Error is specifically an RPC that never completed (only
+		// the shardrpc client produces one here).
+		rec.ref = &submitRefusal{status: http.StatusServiceUnavailable, msg: NodeUnreachableCode, retryAfter: FailoverRetryAfterSeconds}
+	case errors.As(e.Err, &notOwned):
+		rec.ref = &submitRefusal{status: http.StatusMisdirectedRequest, msg: e.Err.Error()}
+	case e.Err != nil:
+		rec.ref = &submitRefusal{status: http.StatusBadRequest, msg: e.Err.Error()}
+	case e.Throttled:
+		rec.ref = &submitRefusal{status: http.StatusTooManyRequests, msg: RateLimitedCode,
+			retryAfter: max(e.RetryAfterSeconds, OverloadRetryAfterSeconds)}
+	case e.AppendErr != "":
+		rec.ref = &submitRefusal{status: http.StatusBadRequest, msg: e.AppendErr}
+	case e.ChargeErr != "" && rec.charge.Enforce:
+		rec.ref = &submitRefusal{status: http.StatusServiceUnavailable, msg: "privacy-budget charge failed: " + e.ChargeErr}
+	case e.Outcome.Rejected:
+		s.budgetRejected.Add(1)
+		rec.ref = &submitRefusal{status: http.StatusTooManyRequests, msg: budget.ErrExhausted.Error(),
+			retryAfter: BudgetRetryAfterSeconds, budget: &e.Outcome}
+	case e.ChargeErr != "":
+		s.logf("budget charge for worker %q failed (log mode, submit admitted): %s", rec.resp.WorkerID, e.ChargeErr)
+		fallthrough
+	default:
+		if e.Outcome.OverCap {
+			s.logf("worker %q over budget cap (spent ε %.4g of %.4g) at level %s; %s mode admits",
+				rec.resp.WorkerID, e.Outcome.SpentEpsilon, s.cfg.Budget.Config().CapEpsilon, rec.lvl, s.cfg.BudgetEnforce)
+		}
+		rec.stored = e.Stored
 	}
 }

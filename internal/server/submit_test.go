@@ -8,12 +8,15 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 
 	"loki/internal/budget"
+	"loki/internal/core"
 	"loki/internal/shardrpc"
+	"loki/internal/shardset"
 	"loki/internal/store"
 	"loki/internal/survey"
 )
@@ -91,10 +94,122 @@ func sameOutcome(a, b budget.Outcome) bool {
 		near(a.SpentEpsilon, b.SpentEpsilon) && near(a.RemainingEpsilon, b.RemainingEpsilon)
 }
 
-// TestSubmitPipelineAgainstReference drives shardHost.Submit over every
-// combination of limiter off/on × charges none/all/mixed × append
-// succeeds / fails mid-batch × node / promoted replica, and checks the
-// result, the store, the ledger and the live partials against
+// refWorkers names the five workers of the reference batches so that the
+// batches mean the same thing on every entry: all of their responses (to
+// either test survey) route to shard 0 of two, and on a two-node cluster
+// with three budget shards the worker who submits repeatedly is charged
+// on the node that owns shard 0 — its charges ride one submit RPC and are
+// decided in request order, as the reference decides them — while at
+// least one other worker's charge has to go ahead over the charge RPC.
+func refWorkers(t *testing.T) map[string]string {
+	t.Helper()
+	var onShard0 []string
+	for i := 0; len(onShard0) < 16; i++ {
+		if w := fmt.Sprintf("r%d", i); shardset.Route("cluster", w, 2) == 0 && shardset.Route("cluster2", w, 2) == 0 {
+			onShard0 = append(onShard0, w)
+		}
+	}
+	riding := func(w string) bool { return budget.Route(w, 3) != 1 }
+	names := map[string]string{}
+	for _, role := range []string{"a", "b", "c", "d", "e"} {
+		for i, w := range onShard0 {
+			// a rides; b goes ahead; the rest take what comes.
+			if w != "" && (role != "a" || riding(w)) && (role != "b" || !riding(w)) {
+				names[role], onShard0[i] = w, ""
+				break
+			}
+		}
+		if names[role] == "" {
+			t.Fatalf("no worker name for role %q", role)
+		}
+	}
+	return names
+}
+
+// refEntry is one way into the submit pipeline for the reference test:
+// the batch goes in, request-aligned verdicts come out, and the state it
+// left behind can be read back.
+type refEntry struct {
+	// submit answers with one verdict per request record, or err when the
+	// plain shape failed (stored then holds the durable prefix).
+	submit func(t *testing.T, rs []survey.Response, charges []budget.Charge) (got []refRecord, outcomes []budget.Outcome, err error)
+	// count is shard 0's stored records of a survey, srv the server whose
+	// partials the appends advance, peek a worker's ledger account.
+	count func(surveyID string) int
+	srv   *Server
+	peek  func(worker string) budget.Account
+}
+
+// shardrpcEntry submits through shardHost.Submit, as a frontend's batch
+// arrives.
+func shardrpcEntry(h *shardHost, set *budget.Set) refEntry {
+	return refEntry{
+		submit: func(t *testing.T, rs []survey.Response, charges []budget.Charge) ([]refRecord, []budget.Outcome, error) {
+			res, err := h.Submit(context.Background(), &shardrpc.SubmitRequest{Shard: 0, Responses: rs, Charges: charges})
+			if res == nil {
+				return nil, nil, err
+			}
+			got := make([]refRecord, len(rs))
+			for k, e := range shardrpc.SubmitEntries(len(rs), res, err) {
+				got[k] = refRecord{throttled: e.Throttled, failed: e.AppendErr != "" || e.Err != nil, stored: e.Stored, rejected: e.Outcome.Rejected}
+			}
+			// The two wire shapes: a plain batch is the durable prefix beside
+			// the error, a charged or throttled one is request-aligned and
+			// never fails whole.
+			appended := 0
+			for _, g := range got {
+				if g.stored > 0 {
+					appended++
+				}
+			}
+			plain := charges == nil && res.Throttled == nil
+			if res.Appended != appended || (plain && len(res.Stored) != appended) || (!plain && (err != nil || len(res.Stored) != len(rs))) {
+				t.Errorf("result shape: %+v, err %v", res, err)
+			}
+			return got, res.Outcomes, err
+		},
+		count: func(id string) int { return h.local.CountShard(0, id) },
+		srv:   h.srv,
+		peek: func(w string) budget.Account {
+			a, _ := set.Peek(w)
+			return a
+		},
+	}
+}
+
+// publicEntry submits through POST /api/v1/responses at base.
+func publicEntry(base string, count func(string) int, srv *Server, peek func(string) budget.Account) refEntry {
+	return refEntry{
+		submit: func(t *testing.T, rs []survey.Response, _ []budget.Charge) ([]refRecord, []budget.Outcome, error) {
+			resp, body := doReq(t, http.MethodPost, base+"/api/v1/responses", BatchSubmitRequest{Responses: rs}, "")
+			var res BatchSubmitResult
+			if err := json.Unmarshal(body, &res); err != nil || resp.StatusCode != http.StatusOK || len(res.Results) != len(rs) {
+				t.Fatalf("batch submit = %d: %s", resp.StatusCode, body)
+			}
+			got := make([]refRecord, len(rs))
+			for k, it := range res.Results {
+				got[k] = refRecord{
+					stored:    it.Stored,
+					throttled: it.Status == http.StatusTooManyRequests && it.Error == RateLimitedCode,
+					rejected:  it.Status == http.StatusTooManyRequests && it.Error == budget.ErrExhausted.Error(),
+					failed:    it.Status == http.StatusBadRequest,
+				}
+				if it.Accepted != (it.Status == 0) || (it.Status != 0 && !got[k].throttled && !got[k].rejected && !got[k].failed) {
+					t.Errorf("record %d: unexpected verdict %+v", k, it)
+				}
+			}
+			return got, nil, nil
+		},
+		count: count, srv: srv, peek: peek,
+	}
+}
+
+// TestSubmitPipelineAgainstReference drives one generated batch — limiter
+// off/on × charges none/all/mixed × append succeeds / fails mid-batch —
+// through every entry that ends in the shard host's pipeline: a node's and
+// a promoted replica's shardrpc surface, a standalone server's public
+// batch endpoint, and a frontend's over two nodes. Each time it checks the
+// per-record verdicts, the store, the ledger and the live partials against
 // referenceSubmit.
 func TestSubmitPipelineAgainstReference(t *testing.T) {
 	sv := clusterTestSurvey()
@@ -103,67 +218,52 @@ func TestSubmitPipelineAgainstReference(t *testing.T) {
 	known := map[string]bool{sv.ID: true, sv2.ID: true}
 	// Worker a submits five times: past a burst of four, and past the
 	// three medium responses the budget cap admits.
-	workers := []string{"a", "b", "a", "c", "a", "a", "d", "a", "b", "e"}
+	name := refWorkers(t)
+	roles := []string{"a", "b", "a", "c", "a", "a", "d", "a", "b", "e"}
 	const burst, poisonAt = 4, 6
+	limit := Config{RateLimitRPS: 1e-6, RateLimitBurst: burst}
 
-	for _, host := range []string{"node", "replica"} {
+	for _, entry := range []string{"node", "replica", "standalone", "frontend"} {
 		for _, limited := range []bool{false, true} {
 			for _, charging := range []string{"none", "all", "mixed"} {
 				for _, poisoned := range []bool{false, true} {
-					if host == "replica" && limited {
+					public := entry == "standalone" || entry == "frontend"
+					if entry == "replica" && limited {
 						continue // a replica has no overload gates to turn on
 					}
-					name := fmt.Sprintf("%s/limited=%v/charges=%s/poisoned=%v", host, limited, charging, poisoned)
-					t.Run(name, func(t *testing.T) {
-						var h *shardHost
-						var set *budget.Set
-						if host == "node" {
-							o := wireNodeOpts{
-								budget: wireBudget(t),
-								store:  func(int) store.Store { return seqStore{store.NewMem()} },
-							}
-							if limited {
-								o.cfg = Config{RateLimitRPS: 1e-6, RateLimitBurst: burst}
-							}
-							wn := newWireNode(t, o)
-							h, set = &wn.node.shardHost, wn.set
-						} else {
-							rep, _ := wireReplica(t, true)
-							h = &rep.shardHost
-						}
-						if err := h.local.PutSurvey(sv2); err != nil {
-							t.Fatal(err)
-						}
-
-						req := &shardrpc.SubmitRequest{Shard: 0}
-						for k, w := range workers {
-							r := budgetResponse(sv, w, "medium")
+					if public && charging == "mixed" {
+						continue // a public server charges every record or none
+					}
+					t.Run(fmt.Sprintf("%s/limited=%v/charges=%s/poisoned=%v", entry, limited, charging, poisoned), func(t *testing.T) {
+						// The batch, and what the reference makes of it. The
+						// poisoned record is one the store will refuse: an
+						// unknown survey where the entry lets one through to the
+						// store, a store that fails at that append where the
+						// public path would have answered 404 first.
+						var rs, refRS []survey.Response
+						for k, role := range roles {
+							r := budgetResponse(sv, name[role], "medium")
 							if k%4 == 3 {
 								r.SurveyID = sv2.ID
 							}
+							ref := *r
 							if poisoned && k == poisonAt {
-								r.SurveyID = "ghost"
+								ref.SurveyID = "ghost"
+								if !public {
+									r.SurveyID = "ghost"
+								}
 							}
-							req.Responses = append(req.Responses, *r)
+							rs, refRS = append(rs, *r), append(refRS, ref)
 						}
+						var charges []budget.Charge
 						if charging != "none" {
-							req.Charges = make([]budget.Charge, len(workers))
-							for k := range req.Responses {
+							charges = make([]budget.Charge, len(rs))
+							for k := range rs {
 								if charging == "all" || k%2 == 0 {
-									req.Charges[k] = wireCharge(t, &req.Responses[k], true)
+									charges[k] = wireCharge(t, &rs[k], true)
 								}
 							}
 						}
-
-						res, err := h.Submit(context.Background(), req)
-						if host == "replica" && charging != "none" {
-							// No budget shards: the batch is refused whole.
-							if err == nil || res != nil || h.local.CountShard(0, sv.ID) != 0 {
-								t.Fatalf("charged batch on a replica: res %+v, err %v", res, err)
-							}
-							return
-						}
-
 						refLedger, lerr := budget.NewSet(*wireBudget(t))
 						if lerr != nil {
 							t.Fatal(lerr)
@@ -173,71 +273,168 @@ func TestSubmitPipelineAgainstReference(t *testing.T) {
 						if limited {
 							refBurst = burst
 						}
-						want, rerr := referenceSubmit(refBurst, refLedger, known, req.Responses, req.Charges)
+						want, rerr := referenceSubmit(refBurst, refLedger, known, refRS, charges)
 						if rerr != nil {
 							t.Fatal(rerr)
 						}
+						storedBefore := func(k int) (n int) {
+							for _, w := range want[:k] {
+								if w.stored > 0 {
+									n++
+								}
+							}
+							return n
+						}
+						shard0 := func(int) store.Store { return seqStore{store.NewMem()} }
+						if public && poisoned {
+							shard0 = func(int) store.Store {
+								return &failingStore{Store: store.NewMem(), failAt: storedBefore(poisonAt) + 1}
+							}
+						}
+						cfg := Config{}
+						if limited {
+							cfg = limit
+						}
 
-						anyThrottled, anyFailed := false, false
+						var e refEntry
+						var hosts []*wireNode // the nodes behind the entry
+						switch entry {
+						case "node":
+							wn := newWireNode(t, wireNodeOpts{budget: wireBudget(t), store: shard0, cfg: cfg})
+							e = shardrpcEntry(wn.node.shardHost, wn.set)
+							hosts = []*wireNode{wn}
+						case "replica":
+							rep, _ := wireReplica(t, true)
+							e = shardrpcEntry(rep.shardHost, nil)
+							if err := rep.local.PutSurvey(sv2); err != nil {
+								t.Fatal(err)
+							}
+						case "standalone":
+							st := shard0(0)
+							cfg.Store, cfg.Schedule, cfg.RequesterToken = st, core.DefaultSchedule(), testToken
+							var set *budget.Set
+							if charges != nil {
+								set = pubLedger(t, 1, nil)
+								cfg.Budget, cfg.BudgetEnforce = set, "enforce"
+							}
+							srv, err := New(cfg)
+							if err != nil {
+								t.Fatal(err)
+							}
+							t.Cleanup(func() { srv.Close() })
+							ts := httptest.NewServer(srv)
+							t.Cleanup(ts.Close)
+							for _, def := range []*survey.Survey{sv, sv2} {
+								if err := st.PutSurvey(def); err != nil {
+									t.Fatal(err)
+								}
+							}
+							e = publicEntry(ts.URL, st.ResponseCount, srv, func(w string) budget.Account {
+								a, _ := set.Peek(w)
+								return a
+							})
+						case "frontend":
+							// Node 0 owns response shard 0 and budget shards {0, 2},
+							// node 1 the rest; the limiter is the frontend's.
+							nodes := make([]*wireNode, 2)
+							hosts = nodes
+							clients := make([]*shardrpc.Client, 2)
+							for nd := range clients {
+								o := wireNodeOpts{owned: []int{nd}, total: 2, store: shard0}
+								if charges != nil {
+									o.budget = &budget.SetOptions{Shards: 3, GlobalIDs: shardrpc.RoundRobinPlacement(3, 2)[nd], Config: budgetTestConfig(t)}
+								}
+								nodes[nd] = newWireNode(t, o)
+								clients[nd] = shardrpc.NewClient(nodes[nd].url, testToken, nil)
+							}
+							remote, err := shardrpc.NewRemoteRoundRobin(clients, 2)
+							if err != nil {
+								t.Fatal(err)
+							}
+							t.Cleanup(func() { remote.Close() })
+							cfg.Router, cfg.Schedule, cfg.RequesterToken, cfg.Role = remote, core.DefaultSchedule(), testToken, "frontend"
+							if charges != nil {
+								charger, err := shardrpc.NewRemoteCharger(clients, 3, budgetTestConfig(t))
+								if err != nil {
+									t.Fatal(err)
+								}
+								if err := remote.EnablePiggybackCharges(3); err != nil {
+									t.Fatal(err)
+								}
+								cfg.Budget, cfg.BudgetEnforce = charger, "enforce"
+							}
+							front, err := New(cfg)
+							if err != nil {
+								t.Fatal(err)
+							}
+							t.Cleanup(func() { front.Close() })
+							fts := httptest.NewServer(front)
+							t.Cleanup(fts.Close)
+							e = publicEntry(fts.URL, func(id string) int { return nodes[0].local.CountShard(0, id) }, nodes[0].srv,
+								func(w string) budget.Account {
+									a, _ := nodes[budget.Route(w, 3)%2].set.Peek(w)
+									return a
+								})
+						}
+						for _, wn := range hosts {
+							if err := wn.node.PutSurvey(sv2); err != nil {
+								t.Fatal(err)
+							}
+						}
+
+						got, outcomes, err := e.submit(t, rs, charges)
+						if entry == "replica" && charging != "none" {
+							// No budget shards: the batch is refused whole.
+							if err == nil || got != nil || e.count(sv.ID) != 0 {
+								t.Fatalf("charged batch on a replica: %+v, err %v", got, err)
+							}
+							return
+						}
+						// A plain batch that fails over the wire (the limiter is the
+						// frontend's: what reaches the node is plain) keeps its durable
+						// prefix, but loses the counts with the error reply.
+						countsLost := entry == "frontend" && charges == nil
+						anyFailed := false
+						for _, w := range want {
+							anyFailed = anyFailed || w.failed
+						}
 						stored := map[string]int{}
 						acked := map[string]float64{}
 						for k, w := range want {
-							anyThrottled = anyThrottled || w.throttled
-							anyFailed = anyFailed || w.failed
 							if w.stored > 0 {
-								stored[req.Responses[k].SurveyID]++
-								if req.Charges != nil {
-									acked[req.Charges[k].WorkerID] += req.Charges[k].Rho
+								stored[rs[k].SurveyID]++
+								if charges != nil {
+									acked[charges[k].WorkerID] += charges[k].Rho
 								}
+							}
+							if anyFailed && countsLost {
+								w.stored = 0
+							}
+							if got[k].stored != w.stored || got[k].throttled != w.throttled || got[k].failed != w.failed || got[k].rejected != w.rejected {
+								t.Errorf("record %d: got %+v, reference %+v", k, got[k], w)
+							}
+							if outcomes != nil && !sameOutcome(outcomes[k], w.outcome) {
+								t.Errorf("record %d: outcome %+v, reference %+v", k, outcomes[k], w.outcome)
 							}
 						}
-						if req.Charges == nil && !anyThrottled {
-							// Plain shape: the durable prefix, beside the error
-							// when the append failed.
-							if (err != nil) != anyFailed {
-								t.Fatalf("err = %v, reference failed = %v", err, anyFailed)
-							}
-							var prefix []int
-							for _, w := range want {
-								if w.failed {
-									break
-								}
-								prefix = append(prefix, w.stored)
-							}
-							if res.Appended != len(prefix) || fmt.Sprint(res.Stored) != fmt.Sprint(prefix) {
-								t.Fatalf("plain result %+v, want prefix %v", res, prefix)
-							}
-						} else {
-							if err != nil {
-								t.Fatalf("request-aligned batch failed whole: %v", err)
-							}
-							appended := 0
-							for k, w := range want {
-								if w.stored > 0 {
-									appended++
-								}
-								if res.Stored[k] != w.stored || throttledAt(res, k) != w.throttled ||
-									(res.AppendErrs != nil && res.AppendErrs[k] != "") != w.failed {
-									t.Errorf("record %d: result %+v, reference %+v", k, res, w)
-								}
-								if req.Charges != nil && !sameOutcome(res.Outcomes[k], w.outcome) {
-									t.Errorf("record %d: outcome %+v, reference %+v", k, res.Outcomes[k], w.outcome)
-								}
-							}
-							if res.Appended != appended {
-								t.Errorf("appended = %d, reference stored %d", res.Appended, appended)
-							}
+						// Only the plain shape — nothing charged, nothing throttled (and
+						// a limited run always throttles worker a) — fails whole.
+						if (err != nil) != (anyFailed && !public && charges == nil && !limited) {
+							t.Errorf("err = %v, reference failed = %v", err, anyFailed)
 						}
 
 						// The store holds exactly what the reference stored, and each
 						// touched survey's partial — and no other — was advanced to it.
 						for _, id := range []string{sv.ID, sv2.ID, "ghost"} {
-							if got := h.local.CountShard(0, id); got != stored[id] {
+							if got := e.count(id); got != stored[id] {
 								t.Errorf("survey %q: %d stored, reference %d", id, got, stored[id])
 							}
-							h.srv.liveMu.Lock()
-							ls := h.srv.live[id]
-							h.srv.liveMu.Unlock()
+							if e.srv == nil {
+								continue
+							}
+							e.srv.liveMu.Lock()
+							ls := e.srv.live[id]
+							e.srv.liveMu.Unlock()
 							switch {
 							case stored[id] == 0 && ls != nil:
 								t.Errorf("survey %q was advanced without a stored record", id)
@@ -248,12 +445,10 @@ func TestSubmitPipelineAgainstReference(t *testing.T) {
 						// Ledger spend == acked spend: every worker's account matches
 						// the reference's charge for charge and refund for refund, and
 						// its balance is the cost of exactly the stored charged records.
-						if req.Charges != nil {
-							for _, w := range []string{"a", "b", "c", "d", "e"} {
-								got, err := set.Peek(w)
-								if err != nil {
-									t.Fatal(err)
-								}
+						if charges != nil {
+							for _, role := range []string{"a", "b", "c", "d", "e"} {
+								w := name[role]
+								got := e.peek(w)
 								ref, err := refLedger.Peek(w)
 								if err != nil {
 									t.Fatal(err)
@@ -272,14 +467,16 @@ func TestSubmitPipelineAgainstReference(t *testing.T) {
 
 // TestWholeBatchRefusalCostsNothing: a batch the node refuses whole — a
 // shard it does not own, a charge routed to a budget shard it does not
-// host — must leave the workers' rate-limit buckets untouched. The
-// sender re-routes and resends the same records; a refusal that had
-// already spent their tokens would throttle the resend.
+// host, a shard it has been demoted for — must leave the workers'
+// rate-limit buckets untouched, whichever door it came in by. The sender
+// re-routes and resends the same records; a refusal that had already
+// spent their tokens would throttle the resend.
 func TestWholeBatchRefusalCostsNothing(t *testing.T) {
-	wn := newWireNode(t, wireNodeOpts{
-		cfg:    slowLimit,
-		budget: &budget.SetOptions{Shards: 2, GlobalIDs: []int{0}, Config: budgetTestConfig(t)},
-	})
+	set := pubLedger(t, 2, []int{0})
+	cfg := slowLimit
+	cfg.Budget, cfg.BudgetEnforce = set, "enforce"
+	wn := newWireNode(t, wireNodeOpts{cfg: cfg})
+	wn.node.HostBudget(set)
 	var hosted, unhosted string
 	for i := 0; hosted == "" || unhosted == ""; i++ {
 		w := fmt.Sprintf("w%d", i)
@@ -287,6 +484,20 @@ func TestWholeBatchRefusalCostsNothing(t *testing.T) {
 			hosted = w
 		} else {
 			unhosted = w
+		}
+	}
+	untouched := func(after string) {
+		t.Helper()
+		if info := wn.srv.admissionInfo(); info.Throttled != 0 || info.RateLimitedWorkers != 0 {
+			t.Fatalf("%s touched the limiter: %+v", after, info)
+		}
+		for _, w := range []string{hosted, unhosted} {
+			if a, err := set.Peek(w); budget.Route(w, 2) == 0 && (err != nil || a.Charges != 0) {
+				t.Fatalf("%s charged worker %q: %+v, %v", after, w, a, err)
+			}
+		}
+		if n := shardset.Count(wn.local, clusterTestSurvey().ID); n != 0 {
+			t.Fatalf("%s stored %d records", after, n)
 		}
 	}
 	misrouted := wireBatch(t, "", hosted, unhosted)
@@ -297,9 +508,23 @@ func TestWholeBatchRefusalCostsNothing(t *testing.T) {
 	if r := postSubmit(t, wn.url, wireBatch(t, "enforce", hosted, unhosted)); r.status != http.StatusMisdirectedRequest {
 		t.Fatalf("unhosted budget shard: %v", r)
 	}
-	if info := wn.srv.admissionInfo(); info.Throttled != 0 || info.RateLimitedWorkers != 0 {
-		t.Fatalf("refused batches touched the limiter: %+v", info)
+	// The node's own public API, enforcing: a worker it cannot meter is
+	// refused, not admitted unmetered.
+	for _, e := range []pubEndpoint{pubSingle, pubBatch} {
+		if r := e.post(t, wn.url, pubRec(unhosted, "medium")); !bytes.Contains(r.body, []byte("shardrpc: shard 1 not owned by this node")) ||
+			(r.status != http.StatusMisdirectedRequest && !bytes.Contains(r.body, []byte(`"status":421`))) {
+			t.Fatalf("public %s for an unhosted budget shard: %v", e.name, r)
+		}
 	}
+	untouched("refused batches")
+	wn.node.ApplyManifest(fencedManifest(t, "http://the-new-primary", 4), wn.url)
+	for _, e := range []pubEndpoint{pubSingle, pubBatch} {
+		if r := e.post(t, wn.url, pubRec(hosted, "medium")); !bytes.Contains(r.body, []byte(FencedCode)) {
+			t.Fatalf("public %s to a demoted shard: %v", e.name, r)
+		}
+	}
+	untouched("fenced writes")
+	wn.node.ApplyManifest(fencedManifest(t, wn.url, 5), wn.url)
 	// The resend, routed right, finds full buckets.
 	r := postSubmit(t, wn.url, wireBatch(t, "", hosted, unhosted))
 	if r.status != http.StatusOK || strings.Contains(string(r.body), "throttled") {
@@ -380,5 +605,56 @@ func TestNodeAdmissionHonoursCaller(t *testing.T) {
 	}
 	if acct, err := wn.set.Peek("b"); err != nil || acct.Charges != 0 {
 		t.Fatalf("abandoned batch's worker account: %+v, %v", acct, err)
+	}
+}
+
+// TestPublicSubmitOneSlotOneToken: a public submit passes each gate once,
+// whichever role serves it. With a single admission slot, concurrent
+// singles on a node's own API must all get through — the handler holds
+// the slot, so the shard host's pipeline must not ask for it again — and
+// with a bucket of two tokens a worker's first two records are stored and
+// the third is throttled: an accepted record costs exactly one token.
+// Run with -race.
+func TestPublicSubmitOneSlotOneToken(t *testing.T) {
+	gates := Config{SubmitInflight: 1, SubmitQueue: 64, RateLimitRPS: 1e-6, RateLimitBurst: 2}
+	roles := map[string]func(t *testing.T) string{
+		"standalone": func(t *testing.T) string {
+			base, _ := pubStandalone(t, store.NewMem(), "", gates)
+			return base
+		},
+		"node":     func(t *testing.T) string { return newWireNode(t, wireNodeOpts{cfg: gates}).url },
+		"frontend": func(t *testing.T) string { return newPubCluster(t, pubClusterOpts{frontCfg: gates}).front },
+	}
+	for role, build := range roles {
+		t.Run(role, func(t *testing.T) {
+			base := build(t)
+			const workers = 8
+			round := func(want int) {
+				t.Helper()
+				var wg sync.WaitGroup
+				for w := 0; w < workers; w++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						r, err := pubSingle.do(base, pubRec(fmt.Sprintf("w%d", w), "medium"))
+						if err != nil || r.status != want {
+							t.Errorf("worker %d: %v, %v (want %d)", w, r, err, want)
+						}
+					}()
+				}
+				wg.Wait()
+			}
+			round(http.StatusCreated)
+			round(http.StatusCreated)
+			round(http.StatusTooManyRequests)
+			resp, body := doReq(t, http.MethodGet, base+"/api/v1/admin/store", nil, testToken)
+			var info AdminStoreInfo
+			if err := json.Unmarshal(body, &info); err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("admin store = %d: %s", resp.StatusCode, body)
+			}
+			if a := info.Admission; a.Admitted != 3*workers || a.Shed != 0 || a.Throttled != workers {
+				t.Fatalf("admission counters: %+v", a)
+			}
+		})
 	}
 }

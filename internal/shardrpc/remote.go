@@ -97,7 +97,7 @@ func NewRemote(clients []*Client, placement []int) (*Remote, error) {
 	r := &Remote{clients: clients, placement: placement, metaTTL: time.Second}
 	r.batchers = make([]*shardBatcher, len(placement))
 	for s := range r.batchers {
-		r.batchers[s] = newShardBatcher(s, r)
+		r.batchers[s] = &shardBatcher{shard: s, remote: r}
 	}
 	return r, nil
 }
@@ -281,19 +281,31 @@ func (r *Remote) Surveys() ([]*survey.Survey, error) {
 	return out, nil
 }
 
-// Append implements shardset.ShardRouter.
-func (r *Remote) Append(resp *survey.Response) (int, error) {
-	return r.AppendShard(r.Route(resp.SurveyID, resp.WorkerID), resp)
-}
-
-// AppendShard implements shardset.ShardRouter through the shard's
-// group batcher: concurrent appends to one shard coalesce into batch
-// RPCs, one round-trip amortized across every waiter.
-func (r *Remote) AppendShard(shard int, resp *survey.Response) (int, error) {
-	if shard < 0 || shard >= len(r.placement) {
-		return 0, fmt.Errorf("shardrpc: shard %d outside [0, %d)", shard, len(r.placement))
+// Submit queues records already routed (Route) to one shard on its group
+// batcher: concurrent submits to a shard coalesce into batch RPCs, one
+// round-trip amortized across every waiter. charges is nil or aligned
+// with rs (an empty WorkerID carries none); a charge rides the record's
+// RPC, and the owning node decides the debit and appends in one handler
+// call — callers check CanPiggybackCharge first. Nothing has been sent
+// when Submit returns: the returned function waits for the batches that
+// carry the records and reports their verdicts, so one request can queue
+// on several shards before it waits on any.
+func (r *Remote) Submit(shard int, rs []survey.Response, charges []budget.Charge) (wait func() []SubmitEntry) {
+	ps := make([]pendingSubmit, len(rs))
+	for i := range ps {
+		ps[i] = pendingSubmit{resp: &rs[i], done: make(chan SubmitEntry, 1)}
+		if charges != nil {
+			ps[i].charge = charges[i]
+		}
 	}
-	return r.batchers[shard].append(resp)
+	r.batchers[shard].enqueue(ps)
+	return func() []SubmitEntry {
+		out := make([]SubmitEntry, len(ps))
+		for i := range ps {
+			out[i] = <-ps[i].done
+		}
+		return out
+	}
 }
 
 // EnablePiggybackCharges tells the router the cluster's budget shard
@@ -333,22 +345,6 @@ func (r *Remote) CanPiggybackCharge(shard int, workerID string) bool {
 	owner := r.placement[shard]
 	r.routeMu.RUnlock()
 	return r.budgetPlacement[budget.Route(workerID, len(r.budgetPlacement))] == owner
-}
-
-// AppendCharged submits one response with its budget charge fused into
-// the same group-batched RPC — the owning node decides the debit and
-// appends in one handler call, so the enforce-mode hot path costs the
-// same single round-trip as an uncharged submit. Callers must check
-// CanPiggybackCharge first. Error vocabulary: budget.ErrExhausted (the
-// charge was refused; nothing stored), budget.ErrUndecided (enforce
-// charge undecidable; nothing stored), anything else an append failure
-// whose charge the node already refunded.
-func (r *Remote) AppendCharged(shard int, resp *survey.Response, ch budget.Charge) (int, budget.Outcome, error) {
-	if shard < 0 || shard >= len(r.placement) {
-		return 0, budget.Outcome{}, fmt.Errorf("shardrpc: shard %d outside [0, %d)", shard, len(r.placement))
-	}
-	d := r.batchers[shard].appendCharged(resp, ch)
-	return d.stored, d.out, d.err
 }
 
 // ScanShard implements shardset.ShardRouter by paging through the

@@ -129,6 +129,83 @@ type SubmitResult struct {
 	RetryAfterSeconds int `json:"retry_after_seconds,omitempty"`
 }
 
+// SubmitEntry is one record's verdict on a submit: its entry of the
+// batch's SubmitResult, or the error that refused (or lost) the batch
+// it travelled in. It is what the public submit path maps to an HTTP
+// answer, whichever role dispatched the record.
+type SubmitEntry struct {
+	// Err refused the whole batch — nothing of this record was charged or
+	// stored (a shed, fenced, misrouted or unreachable batch), or the
+	// store failed at or before it in a plain batch.
+	Err error
+	// Throttled: the rate limit refused the record; retry after
+	// RetryAfterSeconds.
+	Throttled         bool
+	RetryAfterSeconds int
+	// Outcome is the ledger's decision when the record was charged; a
+	// Rejected outcome stored nothing.
+	Outcome budget.Outcome
+	// ChargeErr: the charge could not be decided. An enforcing record was
+	// not stored, an advisory one was.
+	ChargeErr string
+	// AppendErr: the store refused the record after the ledger admitted
+	// it; the charge has been refunded.
+	AppendErr string
+	// Stored is the shard's response count for the survey right after a
+	// stored record's append; 0 when that count was lost with an error
+	// reply.
+	Stored int
+}
+
+// SubmitEntries cuts the outcome of one n-record batch — Backend.Submit's
+// return values, or Client.Submit's — into per-record verdicts.
+func SubmitEntries(n int, res *SubmitResult, err error) []SubmitEntry {
+	out := make([]SubmitEntry, n)
+	if err != nil {
+		// A plain batch that failed mid-append leaves a durable prefix the
+		// sender must not resubmit: the result beside the error when the
+		// backend was called in-process, AppendedHeader (the counts are
+		// lost) across the wire.
+		var stored []int
+		durable := 0
+		var re *remoteError
+		if res != nil {
+			stored, durable = res.Stored, res.Appended
+		} else if errors.As(err, &re) {
+			durable = re.Appended
+		}
+		for k := range out {
+			if k >= durable {
+				out[k].Err = err
+			} else if k < len(stored) {
+				out[k].Stored = stored[k]
+			}
+		}
+		return out
+	}
+	// Every per-entry slice is optional: a plain reply carries only Stored.
+	for k := range out {
+		e := &out[k]
+		if k < len(res.Throttled) && res.Throttled[k] {
+			e.Throttled, e.RetryAfterSeconds = true, res.RetryAfterSeconds
+			continue
+		}
+		if k < len(res.Stored) {
+			e.Stored = res.Stored[k]
+		}
+		if k < len(res.Outcomes) {
+			e.Outcome = res.Outcomes[k]
+		}
+		if k < len(res.ChargeErrs) {
+			e.ChargeErr = res.ChargeErrs[k]
+		}
+		if k < len(res.AppendErrs) {
+			e.AppendErr = res.AppendErrs[k]
+		}
+	}
+	return out
+}
+
 // AppendedHeader is the response header a failed submit carries: how
 // many leading records of the batch were durably appended before the
 // failure. Senders must not resubmit that prefix.
@@ -264,16 +341,6 @@ type OverloadedError struct{ RetryAfterSeconds int }
 // Error implements error.
 func (e *OverloadedError) Error() string {
 	return fmt.Sprintf("shardrpc: node overloaded, retry after %ds", e.RetryAfterSeconds)
-}
-
-// ThrottledError reports one record refused by a node's per-requester
-// rate limit (it was not appended). The batcher settles throttled
-// entries with it so the caller's Retry-After-aware backoff engages.
-type ThrottledError struct{ RetryAfterSeconds int }
-
-// Error implements error.
-func (e *ThrottledError) Error() string {
-	return fmt.Sprintf("shardrpc: rate limited, retry after %ds", e.RetryAfterSeconds)
 }
 
 // ErrNotOwned is the sentinel a Backend returns from shard-addressed

@@ -326,13 +326,13 @@ func TestRemoteRouterEquivalence(t *testing.T) {
 	errCh := make(chan error, n)
 	for i := 0; i < n; i++ {
 		go func(i int) {
-			_, err := remote.Append(&survey.Response{
+			r := survey.Response{
 				SurveyID:     "sv",
 				WorkerID:     fmt.Sprintf("w%05d", i),
 				PrivacyLevel: "none",
 				Answers:      []survey.Answer{survey.RatingAnswer("q0", float64(1+i%5))},
-			})
-			errCh <- err
+			}
+			errCh <- remote.Submit(remote.Route(r.SurveyID, r.WorkerID), []survey.Response{r}, nil)()[0].Err
 		}(i)
 	}
 	for i := 0; i < n; i++ {

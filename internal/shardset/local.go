@@ -168,16 +168,13 @@ func (l *Local) Survey(id string) (*survey.Survey, error) { return l.stores[0].S
 // Surveys implements ShardRouter.
 func (l *Local) Surveys() ([]*survey.Survey, error) { return l.stores[0].Surveys() }
 
-// Append implements ShardRouter.
-func (l *Local) Append(r *survey.Response) (int, error) {
-	return l.AppendShard(l.Route(r.SurveyID, r.WorkerID), r)
-}
-
-// AppendShard implements ShardRouter. With journaling on, the store
-// append and the journal entry are made atomic with respect to other
-// appends to the same shard by the journal's lock — the journal offset
-// order must match per-shard seq order or replicas would apply records
-// out of order.
+// AppendShard appends one response to an explicit shard and returns the
+// shard's response count for the survey after the append — how a replica
+// applies a followed shard's records, one at a time, checking each seq.
+// With journaling on, the store append and the journal entry are made
+// atomic with respect to other appends to the same shard by the
+// journal's lock — the journal offset order must match per-shard seq
+// order or replicas would apply records out of order.
 func (l *Local) AppendShard(shard int, r *survey.Response) (int, error) {
 	if shard < 0 || shard >= len(l.stores) {
 		return 0, fmt.Errorf("shardset: shard %d outside [0, %d)", shard, len(l.stores))

@@ -28,7 +28,10 @@ import (
 )
 
 // ShardRouter partitions survey responses across a fixed set of shards.
-// Implementations must be safe for concurrent use.
+// Implementations must be safe for concurrent use. The interface is the
+// placement and read surface the two implementations share; writes go
+// through each one's own batch entry (Local.AppendShardBatch behind the
+// server's shard host, shardrpc.Remote.Submit on a frontend).
 //
 // Survey definitions are metadata replicated to every shard (each shard
 // must validate appends against the current definition on its own), so
@@ -55,15 +58,6 @@ type ShardRouter interface {
 	Survey(id string) (*survey.Survey, error)
 	// Surveys returns all survey definitions sorted by ID.
 	Surveys() ([]*survey.Survey, error)
-	// Append validates and durably appends a response to the shard
-	// Route places it on, returning the shard's response count for the
-	// survey after the append (the submit ack's "stored" figure, free
-	// at append time — a separate count would cost a second RPC on the
-	// remote path).
-	Append(r *survey.Response) (int, error)
-	// AppendShard appends to an explicit shard — the path a cluster
-	// node takes for submissions the frontend already routed.
-	AppendShard(shard int, r *survey.Response) (int, error)
 	// ScanShard streams one shard's slice of a survey with per-shard
 	// sequence numbers strictly greater than fromSeq, in ascending seq
 	// order. Semantics per shard match store.Store.ScanResponses.

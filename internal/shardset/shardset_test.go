@@ -33,6 +33,11 @@ func testResponse(surveyID string, i int) *survey.Response {
 	}
 }
 
+// appendRouted appends one response to the shard placement gives it.
+func appendRouted(l *Local, r *survey.Response) (int, error) {
+	return l.AppendShard(l.Route(r.SurveyID, r.WorkerID), r)
+}
+
 func newMemLocal(t *testing.T, shards int, opts LocalOptions) *Local {
 	t.Helper()
 	stores := make([]store.Store, shards)
@@ -79,7 +84,7 @@ func TestLocalAppendScanMerged(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		if _, err := l.Append(testResponse(sv.ID, i)); err != nil {
+		if _, err := appendRouted(l, testResponse(sv.ID, i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -173,7 +178,7 @@ func TestLocalSingleIsPassthrough(t *testing.T) {
 		if l.Route(sv.ID, fmt.Sprintf("w%d", i)) != 0 {
 			t.Fatal("single-shard route != 0")
 		}
-		stored, err := l.Append(testResponse(sv.ID, i))
+		stored, err := appendRouted(l, testResponse(sv.ID, i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,7 +244,7 @@ func TestJournalTail(t *testing.T) {
 	}
 	const n = 25
 	for i := 0; i < n; i++ {
-		if _, err := l.Append(testResponse(sv.ID, i)); err != nil {
+		if _, err := appendRouted(l, testResponse(sv.ID, i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -294,7 +299,7 @@ func TestJournalRebuildChangesEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if _, err := l1.Append(testResponse(sv.ID, i)); err != nil {
+		if _, err := appendRouted(l1, testResponse(sv.ID, i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -368,7 +373,7 @@ func TestJournalTruncationByAcks(t *testing.T) {
 	}
 	const n = 40
 	for i := 0; i < n; i++ {
-		if _, err := l.Append(testResponse(sv.ID, i)); err != nil {
+		if _, err := appendRouted(l, testResponse(sv.ID, i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -451,7 +456,7 @@ func TestJournalRetainBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 30; i++ {
-		if _, err := l.Append(testResponse(sv.ID, i)); err != nil {
+		if _, err := appendRouted(l, testResponse(sv.ID, i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -473,7 +478,7 @@ func TestJournalRetainBound(t *testing.T) {
 		t.Fatalf("lagging follower reply = %+v", b)
 	}
 	for i := 0; i < 10; i++ {
-		if _, err := l.Append(testResponse(sv.ID, 100+i)); err != nil {
+		if _, err := appendRouted(l, testResponse(sv.ID, 100+i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -503,7 +508,7 @@ func TestFollowerAckTTL(t *testing.T) {
 	}
 	const n = 40
 	for i := 0; i < n; i++ {
-		if _, err := l.Append(testResponse(sv.ID, i)); err != nil {
+		if _, err := appendRouted(l, testResponse(sv.ID, i)); err != nil {
 			t.Fatal(err)
 		}
 	}
