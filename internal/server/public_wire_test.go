@@ -161,14 +161,7 @@ func pubRec2(worker, level string) survey.Response {
 // pubCounters renders the admin counters a submit moves.
 func pubCounters(t *testing.T, base string) string {
 	t.Helper()
-	resp, body := doReq(t, http.MethodGet, base+"/api/v1/admin/store", nil, testToken)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("admin store = %d: %s", resp.StatusCode, body)
-	}
-	var info AdminStoreInfo
-	if err := json.Unmarshal(body, &info); err != nil {
-		t.Fatal(err)
-	}
+	info := adminInfo(t, &httptest.Server{URL: base})
 	out := "\ncounters:"
 	if a := info.Admission; a != nil {
 		out += fmt.Sprintf(" admitted=%d shed=%d throttled=%d", a.Admitted, a.Shed, a.Throttled)
@@ -353,14 +346,7 @@ type pubCase struct {
 // pubInflight reads a server's occupied admission slots off its admin
 // surface.
 func pubInflight(t *testing.T, base string) func() int {
-	return func() int {
-		resp, body := doReq(t, http.MethodGet, base+"/api/v1/admin/store", nil, testToken)
-		var info AdminStoreInfo
-		if err := json.Unmarshal(body, &info); err != nil || resp.StatusCode != http.StatusOK {
-			t.Fatalf("admin store = %d: %s", resp.StatusCode, body)
-		}
-		return info.Admission.Inflight
-	}
+	return func() int { return adminInfo(t, &httptest.Server{URL: base}).Admission.Inflight }
 }
 
 // held parks one submit in a blocking store behind the only admission

@@ -189,7 +189,7 @@ type Server struct {
 	// its records enter in-process (and that NewNode and NewReplica serve
 	// over shardrpc); a frontend holds remote, whose shard batchers they
 	// are queued on.
-	dispatch func(ctx context.Context, recs []*submitRecord)
+	dispatch func(ctx context.Context, recs []submitRecord)
 	host     *shardHost
 	remote   *shardrpc.Remote
 

@@ -222,15 +222,21 @@ func throttledAt(res *shardrpc.SubmitResult, k int) bool {
 // advanceShard keeps a shard's partial hot after an append: it folds
 // what the shard newly stored, so the next read pays nothing. Best
 // effort — the records are already durable, and reads catch up from the
-// cursor themselves.
+// cursor themselves. The survey's live set is taken as it stands: a
+// republish drops it (invalidateLive), so only a missing set costs a
+// lookup of the definition, not every append.
 func (s *Server) advanceShard(surveyID string, shard int) {
-	sv, err := s.router.Survey(surveyID)
-	if err != nil {
-		return
-	}
-	ls, err := s.liveFor(sv)
-	if err != nil {
-		return
+	s.liveMu.Lock()
+	ls := s.live[surveyID]
+	s.liveMu.Unlock()
+	if ls == nil {
+		sv, err := s.router.Survey(surveyID)
+		if err != nil {
+			return
+		}
+		if ls, err = s.liveFor(sv); err != nil {
+			return
+		}
 	}
 	if err := ls.parts[shard].advance(s.router); err != nil {
 		s.logf("live aggregate catch-up for %q shard %d: %v", surveyID, shard, err)
@@ -274,7 +280,7 @@ type submitRecord struct {
 // wrapper), encoding after. The returned records are aligned with rs.
 func (s *Server) submit(ctx context.Context, rs []survey.Response) []submitRecord {
 	recs := make([]submitRecord, len(rs))
-	standing := make([]*submitRecord, 0, len(rs))
+	standing := 0
 	// Batches are mostly one survey: resolve each distinct one once.
 	type resolved struct {
 		sv  *survey.Survey
@@ -313,12 +319,13 @@ func (s *Server) submit(ctx context.Context, rs []survey.Response) []submitRecor
 			}
 		}
 		rec.shard = s.router.Route(rec.sv.ID, rec.resp.WorkerID)
-		standing = append(standing, rec)
+		standing++
 	}
-	if len(standing) > 0 {
-		s.dispatch(ctx, standing)
+	if standing > 0 {
+		s.dispatch(ctx, recs)
 	}
-	for _, rec := range standing {
+	for i := range recs {
+		rec := &recs[i]
 		if rec.ref != nil {
 			continue
 		}
@@ -380,17 +387,17 @@ func (s *Server) price(rec *submitRecord) *submitRefusal {
 }
 
 // groupByShard returns, per shard in first-appearance order, the
-// positions in recs of the records routed to it, leaving out those skip
-// marks (nil skips none).
-func groupByShard(recs []*submitRecord, skip []bool) [][]int {
+// positions in recs of the records still standing (no refusal yet) that
+// are routed to it.
+func groupByShard(recs []submitRecord) [][]int {
 	var groups [][]int
 next:
-	for k, rec := range recs {
-		if skip != nil && skip[k] {
+	for k := range recs {
+		if recs[k].ref != nil {
 			continue
 		}
 		for g := range groups {
-			if recs[groups[g][0]].shard == rec.shard {
+			if recs[groups[g][0]].shard == recs[k].shard {
 				groups[g] = append(groups[g], k)
 				continue next
 			}
@@ -402,50 +409,53 @@ next:
 
 // dispatchLocal is the dispatch stage of a server that owns its shards
 // (standalone, a node's own public API, a promoted replica): each
-// shard's records enter the shard host's pipeline in-process, below its
-// admission gate — the handler's admit wrapper already holds the slot.
-// Fence, charge routing, throttle, charge, append, refund and advance are
-// the host's, the same code a frontend's batch runs through.
-func (s *Server) dispatchLocal(ctx context.Context, recs []*submitRecord) {
-	run := func(at []int) {
-		req := &shardrpc.SubmitRequest{Shard: s.router.GlobalID(recs[at[0]].shard), Responses: make([]survey.Response, len(at))}
-		for j, k := range at {
-			rec := recs[k]
-			req.Responses[j] = *rec.resp
-			if rec.charge.WorkerID == "" {
-				continue
-			}
-			// A node hosts a slice of the budget shard space. Enforcing, a
-			// worker whose shard lives elsewhere is the host's to refuse
-			// (421: submit through a frontend, which can reach it); in log
-			// mode accounting is advisory, so the submit goes unmetered.
-			if set := s.host.budget; !rec.charge.Enforce && !set.Hosts(budget.Route(rec.charge.WorkerID, set.Shards())) {
-				s.logf("budget shard of worker %q is not hosted here (log mode, submit admitted unmetered)", rec.charge.WorkerID)
-				continue
-			}
-			if req.Charges == nil {
-				req.Charges = make([]budget.Charge, len(at))
-			}
-			req.Charges[j] = rec.charge
-		}
-		res, err := s.host.submit(ctx, req, nil)
-		for j, e := range shardrpc.SubmitEntries(len(at), res, err) {
-			s.settle(recs[at[j]], e)
-		}
-	}
-	// Shards commit independently: a batch spanning several waits for the
-	// slowest durability round, not for their sum.
-	groups := groupByShard(recs, nil)
+// shard's standing records enter the shard host's pipeline in-process,
+// below its admission gate — the handler's admit wrapper already holds
+// the slot. Fence, charge routing, throttle, charge, append, refund and
+// advance are the host's, the same code a frontend's batch runs through.
+// Shards commit independently: a batch spanning several waits for the
+// slowest durability round, not for their sum.
+func (s *Server) dispatchLocal(ctx context.Context, recs []submitRecord) {
+	groups := groupByShard(recs)
 	var wg sync.WaitGroup
 	for _, at := range groups[1:] {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			run(at)
+			s.dispatchShard(ctx, recs, at)
 		}()
 	}
-	run(groups[0])
+	s.dispatchShard(ctx, recs, groups[0])
 	wg.Wait()
+}
+
+// dispatchShard runs the records of recs at the given positions, all
+// routed to one shard, through the shard host and settles each.
+func (s *Server) dispatchShard(ctx context.Context, recs []submitRecord, at []int) {
+	req := &shardrpc.SubmitRequest{Shard: s.router.GlobalID(recs[at[0]].shard), Responses: make([]survey.Response, len(at))}
+	for j, k := range at {
+		rec := &recs[k]
+		req.Responses[j] = *rec.resp
+		if rec.charge.WorkerID == "" {
+			continue
+		}
+		// A node hosts a slice of the budget shard space. Enforcing, a
+		// worker whose shard lives elsewhere is the host's to refuse (421:
+		// submit through a frontend, which can reach it); in log mode
+		// accounting is advisory, so the submit goes unmetered.
+		if set := s.host.budget; !rec.charge.Enforce && !set.Hosts(budget.Route(rec.charge.WorkerID, set.Shards())) {
+			s.logf("budget shard of worker %q is not hosted here (log mode, submit admitted unmetered)", rec.charge.WorkerID)
+			continue
+		}
+		if req.Charges == nil {
+			req.Charges = make([]budget.Charge, len(at))
+		}
+		req.Charges[j] = rec.charge
+	}
+	res, err := s.host.submit(ctx, req, nil)
+	for j, e := range shardrpc.SubmitEntries(len(at), res, err) {
+		s.settle(&recs[at[j]], e)
+	}
 }
 
 // dispatchRemote is a frontend's dispatch stage. What it binds
@@ -456,52 +466,55 @@ func (s *Server) dispatchLocal(ctx context.Context, recs []*submitRecord) {
 // — then refunded if the record is not stored — only where it does not;
 // and the append is the shard batchers', which coalesce this request's
 // records with every other request's.
-func (s *Server) dispatchRemote(_ context.Context, recs []*submitRecord) {
-	entries := make([]shardrpc.SubmitEntry, len(recs))
-	decided := make([]bool, len(recs)) // has its verdict without asking the node
-	ahead := make([]bool, len(recs))   // charged ahead and admitted: refund unless stored
+func (s *Server) dispatchRemote(_ context.Context, recs []submitRecord) {
+	// pre holds what a charge sent ahead decided for a record that still
+	// goes to its node; ahead marks the admitted ones (refund unless stored).
+	pre := make([]shardrpc.SubmitEntry, len(recs))
+	ahead := make([]bool, len(recs))
 	var wg sync.WaitGroup
-	for k, rec := range recs {
+	for k := range recs {
+		rec := &recs[k]
+		if rec.ref != nil {
+			continue
+		}
 		if l := s.limiter; l != nil {
 			if retryAfter, ok := l.allow(rec.resp.WorkerID); !ok {
-				entries[k] = shardrpc.SubmitEntry{Throttled: true, RetryAfterSeconds: retryAfter}
-				decided[k] = true
+				s.settle(rec, shardrpc.SubmitEntry{Throttled: true, RetryAfterSeconds: retryAfter})
 				continue
 			}
 		}
 		if s.budgetMode == budgetOff || s.remote.CanPiggybackCharge(rec.shard, rec.resp.WorkerID) {
 			continue
 		}
-		// Ahead, and concurrently: the charger's per-shard batchers
-		// coalesce a request's charges into one RPC per budget shard.
+		// Ahead, and concurrently (a request holds at most maxBatchSubmit
+		// records): the charger's per-shard batchers coalesce a request's
+		// charges into one RPC per budget shard.
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			out, err := s.cfg.Budget.Charge(rec.charge)
 			switch {
+			case err != nil && !rec.charge.Enforce:
+				pre[k].ChargeErr = err.Error() // fails open: goes on uncharged
 			case err != nil:
-				entries[k].ChargeErr = err.Error()
-				decided[k] = rec.charge.Enforce
+				s.settle(rec, shardrpc.SubmitEntry{ChargeErr: err.Error()})
 			case out.Rejected:
-				entries[k].Outcome = out
-				decided[k] = true
+				s.settle(rec, shardrpc.SubmitEntry{Outcome: out})
 			default:
-				entries[k].Outcome = out
-				ahead[k] = true
+				pre[k].Outcome, ahead[k] = out, true
 			}
 		}()
 	}
 	wg.Wait()
 	// Queue every shard's records before waiting on any.
-	groups := groupByShard(recs, decided)
+	groups := groupByShard(recs)
 	waits := make([]func() []shardrpc.SubmitEntry, len(groups))
 	for g, at := range groups {
 		rs := make([]survey.Response, len(at))
 		charges := make([]budget.Charge, len(at))
 		for j, k := range at {
 			rs[j] = *recs[k].resp
-			// No charge rides where one went ahead (or failed open).
-			if !ahead[k] && entries[k].ChargeErr == "" {
+			if !ahead[k] && pre[k].ChargeErr == "" {
 				charges[j] = recs[k].charge
 			}
 		}
@@ -510,17 +523,14 @@ func (s *Server) dispatchRemote(_ context.Context, recs []*submitRecord) {
 	for g, at := range groups {
 		for j, e := range waits[g]() {
 			k := at[j]
-			if ahead[k] || entries[k].ChargeErr != "" {
-				e.Outcome, e.ChargeErr = entries[k].Outcome, entries[k].ChargeErr
+			if ahead[k] || pre[k].ChargeErr != "" {
+				e.Outcome, e.ChargeErr = pre[k].Outcome, pre[k].ChargeErr
 			}
 			if ahead[k] && (e.Err != nil || e.Throttled || e.AppendErr != "") {
 				s.refund(s.cfg.Budget, recs[k].charge)
 			}
-			entries[k] = e
+			s.settle(&recs[k], e)
 		}
-	}
-	for k, rec := range recs {
-		s.settle(rec, entries[k])
 	}
 }
 
@@ -573,26 +583,29 @@ const BudgetRetryAfterSeconds = 3600
 // that does not hold the worker's budget shard is 421; anything else is
 // the request's own 400.
 func (s *Server) settle(rec *submitRecord, e shardrpc.SubmitEntry) {
-	var overloaded *shardrpc.OverloadedError
-	var failedOver *shardrpc.FailoverError
-	var notOwned *shardrpc.ErrNotOwned
-	var unreachable *url.Error
 	switch {
-	case errors.As(e.Err, &overloaded):
-		rec.ref = &submitRefusal{status: http.StatusTooManyRequests, msg: OverloadedCode,
-			retryAfter: max(overloaded.RetryAfterSeconds, OverloadRetryAfterSeconds)}
-	case errors.As(e.Err, &failedOver):
-		rec.ref = &submitRefusal{status: http.StatusServiceUnavailable, msg: FailedOverCode, retryAfter: FailoverRetryAfterSeconds}
-	case errors.Is(e.Err, shardrpc.ErrFenced):
-		rec.ref = &submitRefusal{status: http.StatusServiceUnavailable, msg: FencedCode, retryAfter: FailoverRetryAfterSeconds}
-	case errors.As(e.Err, &unreachable):
-		// A *url.Error is specifically an RPC that never completed (only
-		// the shardrpc client produces one here).
-		rec.ref = &submitRefusal{status: http.StatusServiceUnavailable, msg: NodeUnreachableCode, retryAfter: FailoverRetryAfterSeconds}
-	case errors.As(e.Err, &notOwned):
-		rec.ref = &submitRefusal{status: http.StatusMisdirectedRequest, msg: e.Err.Error()}
 	case e.Err != nil:
-		rec.ref = &submitRefusal{status: http.StatusBadRequest, msg: e.Err.Error()}
+		var overloaded *shardrpc.OverloadedError
+		var failedOver *shardrpc.FailoverError
+		var notOwned *shardrpc.ErrNotOwned
+		var unreachable *url.Error
+		switch {
+		case errors.As(e.Err, &overloaded):
+			rec.ref = &submitRefusal{status: http.StatusTooManyRequests, msg: OverloadedCode,
+				retryAfter: max(overloaded.RetryAfterSeconds, OverloadRetryAfterSeconds)}
+		case errors.As(e.Err, &failedOver):
+			rec.ref = &submitRefusal{status: http.StatusServiceUnavailable, msg: FailedOverCode, retryAfter: FailoverRetryAfterSeconds}
+		case errors.Is(e.Err, shardrpc.ErrFenced):
+			rec.ref = &submitRefusal{status: http.StatusServiceUnavailable, msg: FencedCode, retryAfter: FailoverRetryAfterSeconds}
+		case errors.As(e.Err, &unreachable):
+			// A *url.Error is specifically an RPC that never completed (only
+			// the shardrpc client produces one here).
+			rec.ref = &submitRefusal{status: http.StatusServiceUnavailable, msg: NodeUnreachableCode, retryAfter: FailoverRetryAfterSeconds}
+		case errors.As(e.Err, &notOwned):
+			rec.ref = &submitRefusal{status: http.StatusMisdirectedRequest, msg: e.Err.Error()}
+		default:
+			rec.ref = &submitRefusal{status: http.StatusBadRequest, msg: e.Err.Error()}
+		}
 	case e.Throttled:
 		rec.ref = &submitRefusal{status: http.StatusTooManyRequests, msg: RateLimitedCode,
 			retryAfter: max(e.RetryAfterSeconds, OverloadRetryAfterSeconds)}
@@ -602,8 +615,9 @@ func (s *Server) settle(rec *submitRecord, e shardrpc.SubmitEntry) {
 		rec.ref = &submitRefusal{status: http.StatusServiceUnavailable, msg: "privacy-budget charge failed: " + e.ChargeErr}
 	case e.Outcome.Rejected:
 		s.budgetRejected.Add(1)
+		out := e.Outcome
 		rec.ref = &submitRefusal{status: http.StatusTooManyRequests, msg: budget.ErrExhausted.Error(),
-			retryAfter: BudgetRetryAfterSeconds, budget: &e.Outcome}
+			retryAfter: BudgetRetryAfterSeconds, budget: &out}
 	case e.ChargeErr != "":
 		s.logf("budget charge for worker %q failed (log mode, submit admitted): %s", rec.resp.WorkerID, e.ChargeErr)
 		fallthrough

@@ -647,12 +647,7 @@ func TestPublicSubmitOneSlotOneToken(t *testing.T) {
 			round(http.StatusCreated)
 			round(http.StatusCreated)
 			round(http.StatusTooManyRequests)
-			resp, body := doReq(t, http.MethodGet, base+"/api/v1/admin/store", nil, testToken)
-			var info AdminStoreInfo
-			if err := json.Unmarshal(body, &info); err != nil || resp.StatusCode != http.StatusOK {
-				t.Fatalf("admin store = %d: %s", resp.StatusCode, body)
-			}
-			if a := info.Admission; a.Admitted != 3*workers || a.Shed != 0 || a.Throttled != workers {
+			if a := adminInfo(t, &httptest.Server{URL: base}).Admission; a.Admitted != 3*workers || a.Shed != 0 || a.Throttled != workers {
 				t.Fatalf("admission counters: %+v", a)
 			}
 		})

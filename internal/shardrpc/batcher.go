@@ -115,6 +115,9 @@ func (b *shardBatcher) ship(batch []*pendingSubmit) {
 	}
 	for i, e := range SubmitEntries(len(batch), res, err) {
 		if e.ChargeErr != "" {
+			// What the node could not decide reads, on this side of the
+			// wire, as an undecided charge and then the node's reason — the
+			// text the public 503 has always carried.
 			e.ChargeErr = budget.ErrUndecided.Error() + ": " + e.ChargeErr
 		}
 		batch[i].done <- e
