@@ -471,7 +471,22 @@ func (s *Server) dispatchRemote(_ context.Context, recs []submitRecord) {
 	// goes to its node; ahead marks the admitted ones (refund unless stored).
 	pre := make([]shardrpc.SubmitEntry, len(recs))
 	ahead := make([]bool, len(recs))
+	chargeAhead := func(k int) {
+		rec := &recs[k]
+		out, err := s.cfg.Budget.Charge(rec.charge)
+		switch {
+		case err != nil && !rec.charge.Enforce:
+			pre[k].ChargeErr = err.Error() // fails open: goes on uncharged
+		case err != nil:
+			s.settle(rec, shardrpc.SubmitEntry{ChargeErr: err.Error()})
+		case out.Rejected:
+			s.settle(rec, shardrpc.SubmitEntry{Outcome: out})
+		default:
+			pre[k].Outcome, ahead[k] = out, true
+		}
+	}
 	var wg sync.WaitGroup
+	last := -1 // the latest record found to need a charge ahead
 	for k := range recs {
 		rec := &recs[k]
 		if rec.ref != nil {
@@ -486,24 +501,21 @@ func (s *Server) dispatchRemote(_ context.Context, recs []submitRecord) {
 		if s.budgetMode == budgetOff || s.remote.CanPiggybackCharge(rec.shard, rec.resp.WorkerID) {
 			continue
 		}
-		// Ahead, and concurrently (a request holds at most maxBatchSubmit
-		// records): the charger's per-shard batchers coalesce a request's
-		// charges into one RPC per budget shard.
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			out, err := s.cfg.Budget.Charge(rec.charge)
-			switch {
-			case err != nil && !rec.charge.Enforce:
-				pre[k].ChargeErr = err.Error() // fails open: goes on uncharged
-			case err != nil:
-				s.settle(rec, shardrpc.SubmitEntry{ChargeErr: err.Error()})
-			case out.Rejected:
-				s.settle(rec, shardrpc.SubmitEntry{Outcome: out})
-			default:
-				pre[k].Outcome, ahead[k] = out, true
-			}
-		}()
+		// Charges go ahead concurrently (a request holds at most
+		// maxBatchSubmit records), so the charger's per-shard batchers
+		// coalesce them into one RPC per budget shard; the last one — a
+		// single submit's only one — runs on this goroutine.
+		if last >= 0 {
+			wg.Add(1)
+			go func(k int) {
+				defer wg.Done()
+				chargeAhead(k)
+			}(last)
+		}
+		last = k
+	}
+	if last >= 0 {
+		chargeAhead(last)
 	}
 	wg.Wait()
 	// Queue every shard's records before waiting on any.
