@@ -280,7 +280,6 @@ type submitRecord struct {
 // wrapper), encoding after. The returned records are aligned with rs.
 func (s *Server) submit(ctx context.Context, rs []survey.Response) []submitRecord {
 	recs := make([]submitRecord, len(rs))
-	standing := 0
 	// Batches are mostly one survey: resolve each distinct one once.
 	type resolved struct {
 		sv  *survey.Survey
@@ -319,11 +318,8 @@ func (s *Server) submit(ctx context.Context, rs []survey.Response) []submitRecor
 			}
 		}
 		rec.shard = s.router.Route(rec.sv.ID, rec.resp.WorkerID)
-		standing++
 	}
-	if standing > 0 {
-		s.dispatch(ctx, recs)
-	}
+	s.dispatch(ctx, recs)
 	for i := range recs {
 		rec := &recs[i]
 		if rec.ref != nil {
@@ -418,14 +414,17 @@ next:
 func (s *Server) dispatchLocal(ctx context.Context, recs []submitRecord) {
 	groups := groupByShard(recs)
 	var wg sync.WaitGroup
-	for _, at := range groups[1:] {
+	for g, at := range groups {
+		if g == len(groups)-1 {
+			s.dispatchShard(ctx, recs, at) // the last (usually the only) one inline
+			break
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			s.dispatchShard(ctx, recs, at)
 		}()
 	}
-	s.dispatchShard(ctx, recs, groups[0])
 	wg.Wait()
 }
 
@@ -486,7 +485,6 @@ func (s *Server) dispatchRemote(_ context.Context, recs []submitRecord) {
 		}
 	}
 	var wg sync.WaitGroup
-	last := -1 // the latest record found to need a charge ahead
 	for k := range recs {
 		rec := &recs[k]
 		if rec.ref != nil {
@@ -501,21 +499,18 @@ func (s *Server) dispatchRemote(_ context.Context, recs []submitRecord) {
 		if s.budgetMode == budgetOff || s.remote.CanPiggybackCharge(rec.shard, rec.resp.WorkerID) {
 			continue
 		}
-		// Charges go ahead concurrently (a request holds at most
-		// maxBatchSubmit records), so the charger's per-shard batchers
-		// coalesce them into one RPC per budget shard; the last one — a
-		// single submit's only one — runs on this goroutine.
-		if last >= 0 {
-			wg.Add(1)
-			go func(k int) {
-				defer wg.Done()
-				chargeAhead(k)
-			}(last)
+		if len(recs) == 1 {
+			chargeAhead(k) // a single submit: no handoff to another goroutine
+			continue
 		}
-		last = k
-	}
-	if last >= 0 {
-		chargeAhead(last)
+		// A batch's charges go ahead concurrently (it holds at most
+		// maxBatchSubmit records), so the charger's per-shard batchers
+		// coalesce them into one RPC per budget shard.
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			chargeAhead(k)
+		}()
 	}
 	wg.Wait()
 	// Queue every shard's records before waiting on any.
