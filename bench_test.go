@@ -8,13 +8,7 @@
 package loki_test
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
-	"net/http/httptest"
-	"sync/atomic"
 	"testing"
 
 	"loki"
@@ -359,135 +353,6 @@ func BenchmarkPopulationGenerate(b *testing.B) {
 		if _, err := population.Generate(cfg, rng.New(uint64(i+1))); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkServerSubmit measures the full HTTP submission path: JSON
-// decode, validation, level tally and store append.
-func BenchmarkServerSubmit(b *testing.B) {
-	st := loki.NewMemStore()
-	defer st.Close()
-	sv := survey.Awareness()
-	if err := st.PutSurvey(sv); err != nil {
-		b.Fatal(err)
-	}
-	srv, err := loki.NewServer(loki.ServerConfig{
-		Store:          st,
-		Schedule:       loki.DefaultSchedule(),
-		RequesterToken: "tok",
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	payload, err := json.Marshal(&survey.Response{
-		SurveyID: sv.ID,
-		WorkerID: "bench",
-		Answers: []survey.Answer{
-			survey.ChoiceAnswer("aware", 0),
-			survey.ChoiceAnswer("participate", 1),
-		},
-		PrivacyLevel: "medium",
-		Obfuscated:   true,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	url := ts.URL + "/api/v1/surveys/" + sv.ID + "/responses"
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		resp, err := http.Post(url, "application/json", bytes.NewReader(payload))
-		if err != nil {
-			b.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusCreated {
-			b.Fatalf("HTTP %d", resp.StatusCode)
-		}
-	}
-}
-
-// BenchmarkStoreConcurrentSubmit compares the store backends on the
-// ingest hot path: many goroutines appending responses concurrently,
-// spread over 16 surveys. Durable backends (file, ingest) fsync before
-// acknowledging; ingest amortizes the fsync across one group commit
-// shared by every survey (ingest-1 and ingest-8 differ only in the
-// shard label, so they should measure the same).
-//
-// Run with:
-//
-//	go test -bench=StoreConcurrentSubmit -cpu 8
-func BenchmarkStoreConcurrentSubmit(b *testing.B) {
-	const surveys = 16
-	makeSurvey := func(i int) *survey.Survey {
-		return &survey.Survey{
-			ID:    fmt.Sprintf("bench-submit-%02d", i),
-			Title: fmt.Sprintf("Submit bench %d", i),
-			Questions: []survey.Question{
-				{ID: "q0", Text: "rate", Kind: survey.Rating, ScaleMin: 1, ScaleMax: 5},
-			},
-			RewardCents: 10,
-		}
-	}
-	backends := []struct {
-		name string
-		open func(b *testing.B) loki.Store
-	}{
-		{"mem", func(b *testing.B) loki.Store { return loki.NewMemStore() }},
-		{"file-sync-always", func(b *testing.B) loki.Store {
-			st, err := loki.OpenFileStore(b.TempDir() + "/bench.jsonl")
-			if err != nil {
-				b.Fatal(err)
-			}
-			return st
-		}},
-		{"ingest-1", func(b *testing.B) loki.Store {
-			st, err := loki.OpenIngestStore(b.TempDir(), loki.IngestConfig{Shards: 1})
-			if err != nil {
-				b.Fatal(err)
-			}
-			return st
-		}},
-		{"ingest-8", func(b *testing.B) loki.Store {
-			st, err := loki.OpenIngestStore(b.TempDir(), loki.IngestConfig{Shards: 8})
-			if err != nil {
-				b.Fatal(err)
-			}
-			return st
-		}},
-	}
-	for _, backend := range backends {
-		b.Run(backend.name, func(b *testing.B) {
-			st := backend.open(b)
-			defer st.Close()
-			ids := make([]string, surveys)
-			for i := 0; i < surveys; i++ {
-				sv := makeSurvey(i)
-				ids[i] = sv.ID
-				if err := st.PutSurvey(sv); err != nil {
-					b.Fatal(err)
-				}
-			}
-			var seq atomic.Int64
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					i := seq.Add(1)
-					r := &survey.Response{
-						SurveyID:     ids[int(i)%surveys],
-						WorkerID:     fmt.Sprintf("w%08d", i),
-						Answers:      []survey.Answer{survey.RatingAnswer("q0", 3)},
-						PrivacyLevel: "medium",
-						Obfuscated:   true,
-					}
-					if err := st.AppendResponse(r); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		})
 	}
 }
 

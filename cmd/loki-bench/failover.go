@@ -1,7 +1,7 @@
-// Failover fault injection for the cluster benchmark (-kill-node): one
-// node owning every shard, a replica tailing it, and a manifest-routed
-// frontend with the failure detector and a placement watcher — the full
-// HA wiring loki-server assembles. Mid-run the node's listener starts
+// Failover measurement ("failover" id): one node owning every shard, a
+// replica tailing it, and a manifest-routed frontend with the failure
+// detector and a placement watcher — the full HA wiring loki-server
+// assembles. Mid-run the node's listener starts
 // tearing connections down (what a dead process looks like on the
 // wire), and the bench measures the availability timeline the tentpole
 // promises: reads keep answering through the replica, the detector
@@ -10,7 +10,8 @@
 // applies the new routing. The run fails — CI-visibly — if reads ever
 // black out, if submits never recover, or if the post-failover merged
 // aggregate diverges from a single accumulator folded over the
-// cluster's actual records.
+// cluster's actual records. The timeline goes to -failover-json when
+// that is set.
 package main
 
 import (
@@ -33,8 +34,11 @@ import (
 	"loki/internal/survey"
 )
 
-// clusterKillNode is the -kill-node flag (registered in main.go).
-var clusterKillNode = false
+// Flags (registered in main.go).
+var (
+	failoverJSONPath = ""
+	clusterResponses = 6000
+)
 
 // Failover timing knobs. Tight on purpose: the bench measures the
 // timeline in units of these, and CI runs it with small counts.
@@ -46,9 +50,9 @@ const (
 	failoverPromoteAfter  = 250 * time.Millisecond
 )
 
-// failoverResult is the -kill-node section of BENCH_cluster.json: the
-// availability timeline (milliseconds after the kill) plus the
-// read/submit availability counts through the failover window.
+// failoverResult is the report: the availability timeline
+// (milliseconds after the kill) plus the read/submit availability
+// counts through the failover window.
 type failoverResult struct {
 	Shards             int     `json:"shards"`
 	ProbeMillis        float64 `json:"probe_millis"`
@@ -139,9 +143,24 @@ func submitProbe(h http.Handler, sv *survey.Survey, i int) (accepted bool, retry
 	}
 }
 
-// runFailoverBench executes the kill-node scenario and returns its
-// report section; any broken availability guarantee is an error.
-func runFailoverBench() (*failoverResult, error) {
+// runFailoverBench executes the kill-node scenario, prints the timeline
+// and writes the report; any broken availability guarantee is an error.
+func runFailoverBench() error {
+	fo, err := measureFailover()
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(out, "FAILOVER — primary killed mid-run behind a manifest-routed frontend with a live replica")
+	fmt.Fprintf(out, "  detect %.0fms  first read %.1fms  promote %.0fms  submits resume %.0fms\n",
+		fo.DetectMillis, fo.FirstReadMillis, fo.PromoteMillis, fo.SubmitRecoveryMillis)
+	fmt.Fprintf(out, "  reads through failover %d ok / %d failed (stale-served %d)  submits %d refused (503) then %d accepted  merged==single: %v\n",
+		fo.ReadsDuringFailover, fo.ReadFailures, fo.StaleReads, fo.SubmitsRefused, fo.SubmitsRecovered, fo.Equivalent)
+	fmt.Fprintln(out)
+	return writeReport(failoverJSONPath, fo)
+}
+
+// measureFailover runs the scenario and returns its timeline.
+func measureFailover() (*failoverResult, error) {
 	sv := clusterSurvey()
 	phase1 := clusterResponses
 	phase2 := clusterResponses / 2
@@ -269,7 +288,7 @@ func runFailoverBench() (*failoverResult, error) {
 
 	// Phase 1: load through the healthy cluster, then wait for the
 	// replica to catch up (it is about to become the data's only home).
-	if _, _, err := driveSubmits(frontend, sv, 0, phase1); err != nil {
+	if err := driveSubmits(frontend, sv, 0, phase1); err != nil {
 		return nil, fmt.Errorf("failover bench: phase-1 submits: %w", err)
 	}
 	repClient := shardrpc.NewClient(rts.URL, clusterToken, nil)
@@ -411,7 +430,7 @@ func runFailoverBench() (*failoverResult, error) {
 	// cluster's actual post-failover records (what the promoted replica
 	// holds — asynchronous replication's contract, not the submit
 	// attempt log).
-	if _, _, err := driveSubmits(frontend, sv, 2_000_000, phase2); err != nil {
+	if err := driveSubmits(frontend, sv, 2_000_000, phase2); err != nil {
 		return nil, fmt.Errorf("failover bench: phase-2 submits: %w", err)
 	}
 	wantCount := phase1 + res.SubmitsRecovered + phase2

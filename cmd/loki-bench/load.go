@@ -2,10 +2,9 @@
 // arrival pressure against a real cluster topology with admission
 // control on.
 //
-// Unlike the closed-loop benches (ingest, cluster, budget), where a
-// fixed worker pool waits for each response before sending the next —
-// so offered load self-throttles to whatever the system sustains —
-// this bench generates arrivals on a Poisson clock that does not care
+// Unlike a closed-loop bench, where a fixed worker pool waits for each
+// response before sending the next — so offered load self-throttles to
+// whatever the system sustains — this bench generates arrivals on a Poisson clock that does not care
 // how the server is doing. Simulated respondents drawn from the
 // population behavior models submit through the batching client
 // pipeline; the arrival rate is swept below, at, and above the
@@ -15,7 +14,8 @@
 // Retry-After, and neither the server's queue depth nor the process
 // goroutine count grows monotonically through the overload window —
 // the run fails if either does, or (with -load-expect-shed) if the
-// shed path never fired. Results are teed to BENCH_load.json.
+// shed path never fired. The report goes to -load-json when that is
+// set.
 package main
 
 import (
@@ -46,7 +46,7 @@ import (
 
 // Flags (registered in main.go).
 var (
-	loadJSONPath = "BENCH_load.json"
+	loadJSONPath = ""
 	// loadRatesFlag overrides the swept arrival rates (responses/sec);
 	// empty auto-calibrates to 0.5x / 1x / 1.5x of closed-loop capacity.
 	loadRatesFlag  = ""
@@ -104,18 +104,11 @@ type loadContext struct {
 	Population     int     `json:"population"`
 	// Clients is how many independent batching pipelines carried the
 	// arrival stream.
-	Clients int `json:"clients"`
-	// ShardDevices maps each per-shard store directory to the device
-	// it fsyncs on; SingleFsyncDevice reports they all share one (true
-	// for this in-process run — parallel shard fsyncs serialize on one
-	// filesystem journal, so the capacity here is a floor for
-	// deployments with per-node disks).
-	ShardDevices      map[string]string `json:"shard_devices"`
-	SingleFsyncDevice bool              `json:"single_fsync_device"`
-	Note              string            `json:"note"`
+	Clients int    `json:"clients"`
+	Note    string `json:"note"`
 }
 
-// loadReport is the BENCH_load.json schema.
+// loadReport is the -load-json schema.
 type loadReport struct {
 	Schema  int         `json:"schema"`
 	Context loadContext `json:"context"`
@@ -132,10 +125,9 @@ type loadReport struct {
 // file stores behind a frontend with admission control, the frontend
 // served over real HTTP for the batching client.
 type loadHarness struct {
-	ts        *httptest.Server
-	frontend  http.Handler
-	shardDirs map[string]string // shard store path -> device id
-	closers   []func() error
+	ts       *httptest.Server
+	frontend http.Handler
+	closers  []func() error
 }
 
 func (h *loadHarness) close() {
@@ -148,7 +140,7 @@ func (h *loadHarness) close() {
 // newLoadHarness builds the topology. Admission control guards the
 // frontend's public submit path; queue <= 0 disables it (calibration).
 func newLoadHarness(dir string, sv *survey.Survey, nodes, queue, inflight int) (*loadHarness, error) {
-	h := &loadHarness{shardDirs: map[string]string{}}
+	h := &loadHarness{}
 	fail := func(err error) (*loadHarness, error) {
 		for i := len(h.closers) - 1; i >= 0; i-- {
 			_ = h.closers[i]()
@@ -160,14 +152,12 @@ func newLoadHarness(dir string, sv *survey.Survey, nodes, queue, inflight int) (
 	for n := 0; n < nodes; n++ {
 		stores := make([]store.Store, len(owned[n]))
 		for i, g := range owned[n] {
-			path := filepath.Join(dir, fmt.Sprintf("node%d-gshard%03d.jsonl", n, g))
-			st, err := store.OpenFile(path)
+			st, err := store.OpenFile(filepath.Join(dir, fmt.Sprintf("node%d-gshard%03d.jsonl", n, g)))
 			if err != nil {
 				return fail(err)
 			}
 			h.closers = append(h.closers, st.Close)
 			stores[i] = st
-			h.shardDirs[filepath.Base(path)] = deviceID(dir)
 		}
 		local, err := shardset.NewLocal(stores, shardset.LocalOptions{GlobalIDs: owned[n], Journal: true})
 		if err != nil {
@@ -553,21 +543,15 @@ func runLoadBench() error {
 	}
 	defer h.close()
 
-	devices := map[string]bool{}
-	for _, dev := range h.shardDirs {
-		devices[dev] = true
-	}
 	report := loadReport{
-		Schema:        1,
+		Schema:        2,
 		CalibratedRPS: calibrated,
 		Context: loadContext{
 			GOOS: runtime.GOOS, NumCPU: runtime.NumCPU(),
 			Nodes: loadNodes, Shards: clusterShards,
 			SubmitQueue: loadQueue, SubmitInflight: loadInflight,
 			DurationSecs: loadDuration.Seconds(), Population: pop.Size(),
-			Clients:           loadClients,
-			ShardDevices:      h.shardDirs,
-			SingleFsyncDevice: len(devices) == 1,
+			Clients: loadClients,
 			Note: "open-loop Poisson arrivals through the batching client against an admission-controlled frontend; " +
 				"every shard store fsyncs to one device in this in-process run, so the saturation point is a floor — " +
 				"per-node disks raise capacity but not the shape of the overload contract (bounded p99 for admitted, 429 for the rest).",
@@ -594,8 +578,8 @@ func runLoadBench() error {
 	}
 
 	fmt.Fprintln(out, "LOAD — open-loop Poisson arrivals vs admission-controlled cluster (batching client, fsync-per-append shard stores)")
-	fmt.Fprintf(out, "  context: %d nodes, %d shards, queue %d, inflight %d, one fsync device: %v\n",
-		loadNodes, clusterShards, loadQueue, loadInflight, report.Context.SingleFsyncDevice)
+	fmt.Fprintf(out, "  context: %d nodes, %d shards, queue %d, inflight %d, one fsync device\n",
+		loadNodes, clusterShards, loadQueue, loadInflight)
 	if calibrated > 0 {
 		fmt.Fprintf(out, "  calibrated closed-loop capacity %.0f r/s\n", calibrated)
 	}
@@ -606,17 +590,7 @@ func runLoadBench() error {
 	}
 	fmt.Fprintf(out, "  max sustainable %.0f r/s\n", report.MaxSustainableRPS)
 	fmt.Fprintln(out)
-
-	if loadJSONPath != "" {
-		b, err := json.MarshalIndent(&report, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(loadJSONPath, append(b, '\n'), 0o644); err != nil {
-			return fmt.Errorf("load bench: write report: %w", err)
-		}
-	}
-	return nil
+	return writeReport(loadJSONPath, &report)
 }
 
 // parseLoadRates parses the -load-rates flag.

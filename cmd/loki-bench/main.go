@@ -2,6 +2,11 @@
 // prints the reports experiment by experiment. Use -list to see the
 // experiment ids, -run to select a subset (e.g. -run e1,a2), -seed to
 // change the base seed, and -out to tee the report to a file.
+//
+// Three system measurements that benchmark/ has no workload for yet
+// also live here, each under its own id: failover, load and restart.
+// Every other system number comes from benchmark/ (see
+// benchmark/README.md).
 package main
 
 import (
@@ -38,47 +43,26 @@ var experimentIndex = []struct{ id, what string }{
 	{"a6", "ablation: anonymity collapse survey by survey"},
 	{"a7", "ablation: Gaussian vs Laplace noise"},
 	{"a8", "ablation: budget balancing across the user base"},
-	{"ingest", "ingest throughput: responses/sec per store backend and shard count"},
-	{"readpath", "read path: aggregate queries/sec, batch recompute vs live accumulator"},
-	{"restart", "restart: first-read latency, whole-backlog rescan vs checkpoint restore"},
-	{"cluster", "cluster: N nodes + frontend vs single process; merged-read equivalence"},
-	{"budget", "budget: submit throughput with the privacy-budget ledger off vs enforcing"},
+	{"failover", "failover: kill the primary mid-run; read availability, detection, promotion, submit recovery"},
 	{"load", "load: open-loop Poisson arrivals vs admission control; shed rate and tail latency"},
+	{"restart", "restart: first-read latency, whole-backlog rescan vs checkpoint restore"},
 }
 
 func main() {
-	runFlag := flag.String("run", "all", "comma-separated experiment ids (e1..e7, a1..a8, ingest, readpath) or 'all'")
+	runFlag := flag.String("run", "all", "comma-separated ids (e1..e7, a1..a8, failover, load, restart) or 'all'")
 	seed := flag.Uint64("seed", 1, "base seed for all experiments")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	outPath := flag.String("out", "", "also write the report to this file")
-	flag.StringVar(&ingestJSONPath, "ingest-json", ingestJSONPath,
-		"where the ingest experiment writes its machine-readable report (empty disables)")
-	flag.IntVar(&ingestBenchSize.Responses, "ingest-responses", ingestBenchSize.Responses,
-		"responses the ingest experiment submits per backend")
-	flag.StringVar(&readpathJSONPath, "readpath-json", readpathJSONPath,
-		"where the readpath experiment writes its machine-readable report (empty disables)")
-	flag.StringVar(&readpathSizesFlag, "readpath-sizes", readpathSizesFlag,
-		"comma-separated stored-response counts the readpath experiment measures")
 	flag.StringVar(&restartJSONPath, "restart-json", restartJSONPath,
-		"where the restart experiment writes its machine-readable report (empty disables)")
+		"where the restart measurement writes its machine-readable report (empty: nowhere)")
 	flag.StringVar(&restartSizesFlag, "restart-sizes", restartSizesFlag,
-		"comma-separated stored-response counts the restart experiment measures")
-	flag.StringVar(&clusterJSONPath, "cluster-json", clusterJSONPath,
-		"where the cluster experiment writes its machine-readable report (empty disables)")
-	flag.StringVar(&clusterNodesFlag, "cluster-nodes", clusterNodesFlag,
-		"comma-separated node counts the cluster experiment measures")
+		"comma-separated stored-response counts the restart measurement covers")
+	flag.StringVar(&failoverJSONPath, "failover-json", failoverJSONPath,
+		"where the failover measurement writes its machine-readable report (empty: nowhere)")
 	flag.IntVar(&clusterResponses, "cluster-responses", clusterResponses,
-		"responses the cluster experiment submits per configuration")
-	flag.IntVar(&clusterWorkers, "cluster-workers", clusterWorkers,
-		"concurrent submit workers in the cluster experiment")
-	flag.BoolVar(&clusterKillNode, "kill-node", clusterKillNode,
-		"add the failover fault injection to the cluster experiment: kill the primary mid-run and measure read/submit availability through detection, failover and promotion")
-	flag.StringVar(&budgetJSONPath, "budget-json", budgetJSONPath,
-		"where the budget experiment writes its machine-readable report (empty disables)")
-	flag.IntVar(&budgetResponses, "budget-responses", budgetResponses,
-		"responses the budget experiment submits per mode")
+		"responses the failover measurement submits before the kill (half as many again after recovery)")
 	flag.StringVar(&loadJSONPath, "load-json", loadJSONPath,
-		"where the load experiment writes its machine-readable report (empty disables)")
+		"where the load measurement writes its machine-readable report (empty: nowhere)")
 	flag.StringVar(&loadRatesFlag, "load-rates", loadRatesFlag,
 		"comma-separated open-loop arrival rates in responses/sec (empty auto-calibrates 0.5x/1x/1.5x of closed-loop capacity)")
 	flag.DurationVar(&loadDuration, "load-duration", loadDuration,
@@ -95,7 +79,7 @@ func main() {
 
 	if *list {
 		for _, e := range experimentIndex {
-			fmt.Printf("  %-6s %s\n", e.id, e.what)
+			fmt.Printf("  %-8s %s\n", e.id, e.what)
 		}
 		return
 	}
@@ -240,20 +224,6 @@ func run(sel func(...string) bool, seed uint64) error {
 		}
 		fmt.Fprintln(out, res.Render())
 	}
-	if sel("ingest") {
-		if err := runIngestBench(); err != nil {
-			return err
-		}
-	}
-	if sel("readpath") {
-		sizes, err := parseReadpathSizes(readpathSizesFlag)
-		if err != nil {
-			return err
-		}
-		if err := runReadpathBench(sizes); err != nil {
-			return err
-		}
-	}
 	if sel("restart") {
 		sizes, err := parseReadpathSizes(restartSizesFlag)
 		if err != nil {
@@ -263,17 +233,8 @@ func run(sel func(...string) bool, seed uint64) error {
 			return err
 		}
 	}
-	if sel("cluster") {
-		nodes, err := parseClusterNodes(clusterNodesFlag)
-		if err != nil {
-			return err
-		}
-		if err := runClusterBench(nodes); err != nil {
-			return err
-		}
-	}
-	if sel("budget") {
-		if err := runBudgetBench(); err != nil {
+	if sel("failover") {
+		if err := runFailoverBench(); err != nil {
 			return err
 		}
 	}

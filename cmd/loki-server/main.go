@@ -27,9 +27,8 @@
 //	            delta RPCs within -frontend-cache-ttl, invalidated for
 //	            read-your-writes by submits through this frontend;
 //	            -frontend-refresh keeps hot surveys warm in the
-//	            background). With caching disabled every read fetches
-//	            every shard's partial accumulator and Merges at query
-//	            time.
+//	            background). A negative -frontend-cache-ttl
+//	            revalidates on every read.
 //	replica     tails the node at -follow via WAL shipping and serves
 //	            the read-only half of the public API with a staleness
 //	            cursor on the admin surface. Submits/publishes get 403.
@@ -169,8 +168,6 @@ func main() {
 	commitEvery := flag.Duration("commit-interval", 0, "ingest store: group-commit window (0 = commit as soon as the committer is free)")
 	segmentBytes := flag.Int64("segment-bytes", 16<<20, "ingest store: WAL segment rotation threshold")
 	idleCompact := flag.Duration("idle-compact", time.Minute, "ingest store: compact the WAL tail after this long without commits (negative disables)")
-	storeCodec := flag.String("store-codec", blockio.CodecBinary,
-		`on-disk record codec for new files: "binary" (compressed block format) or "json" (plain JSON lines); existing files keep the format they were written in`)
 	checkpointDir := flag.String("checkpoint-dir", "", "directory for durable live-aggregate checkpoints (empty disables; restart catch-up then rescans whole backlogs)")
 	checkpointEvery := flag.Duration("checkpoint-interval", 15*time.Second, "background checkpointer flush period")
 	var cf clusterFlags
@@ -183,7 +180,7 @@ func main() {
 	flag.StringVar(&cf.clusterToken, "cluster-token", "", "bearer token for the internal shardrpc transport (defaults to -token)")
 	flag.DurationVar(&cf.pollInterval, "replica-poll", 500*time.Millisecond, "replica: journal tail poll interval")
 	flag.DurationVar(&cf.cacheTTL, "frontend-cache-ttl", 250*time.Millisecond,
-		"frontend: partial cache staleness bound — reads within it are served from cache with no node RPCs (negative disables caching)")
+		"frontend: partial cache staleness bound — reads within it are served from cache with no node RPCs (negative revalidates on every read)")
 	flag.DurationVar(&cf.cacheRefresh, "frontend-refresh", 0,
 		"frontend: background cache refresher interval for recently read surveys (0 disables; reads then revalidate inline on expiry)")
 	flag.IntVar(&cf.journalRetain, "journal-retain", 65536,
@@ -222,34 +219,31 @@ func main() {
 	if cf.clusterToken == "" {
 		cf.clusterToken = *token
 	}
-	icfg := ingest.Config{Shards: *shards, CommitInterval: *commitEvery, SegmentBytes: *segmentBytes, IdleCompact: *idleCompact, Codec: *storeCodec}
+	icfg := ingest.Config{Shards: *shards, CommitInterval: *commitEvery, SegmentBytes: *segmentBytes, IdleCompact: *idleCompact}
 	logger := log.New(os.Stderr, "loki-server ", log.LstdFlags)
-	if !blockio.ValidCodec(*storeCodec) {
-		logger.Fatalf("unknown -store-codec %q (binary, json)", *storeCodec)
-	}
-	if err := run(*addr, *storePath, *token, *seedCatalog, icfg, *storeCodec, *checkpointDir, *checkpointEvery, cf, logger); err != nil {
+	if err := run(*addr, *storePath, *token, *seedCatalog, icfg, *checkpointDir, *checkpointEvery, cf, logger); err != nil {
 		logger.Fatal(err)
 	}
 }
 
 // openStore resolves the -store flag: "mem", "ingest:DIR", or a
-// single-log file path. codec picks the on-disk record format for new
-// files (existing files keep whatever format they sniff as).
-func openStore(storePath string, icfg ingest.Config, codec string) (store.Store, error) {
+// single-log file path. New files are written in the binary block
+// format; an existing file keeps whatever format it sniffs as.
+func openStore(storePath string, icfg ingest.Config) (store.Store, error) {
 	switch {
 	case storePath == "mem":
 		return store.NewMem(), nil
 	case strings.HasPrefix(storePath, "ingest:"):
 		return ingest.Open(strings.TrimPrefix(storePath, "ingest:"), icfg)
 	default:
-		return store.OpenFileWith(storePath, store.FileOptions{Codec: codec})
+		return store.OpenFileWith(storePath, store.FileOptions{Codec: blockio.CodecBinary})
 	}
 }
 
 // openShardStore resolves the -store flag for one owned global shard of
 // a node: durable backends get a per-shard location derived from the
 // configured one.
-func openShardStore(storePath string, icfg ingest.Config, codec string, globalShard int) (store.Store, error) {
+func openShardStore(storePath string, icfg ingest.Config, globalShard int) (store.Store, error) {
 	switch {
 	case storePath == "mem":
 		return store.NewMem(), nil
@@ -257,7 +251,7 @@ func openShardStore(storePath string, icfg ingest.Config, codec string, globalSh
 		dir := strings.TrimPrefix(storePath, "ingest:")
 		return ingest.Open(fmt.Sprintf("%s/gshard-%03d", dir, globalShard), icfg)
 	default:
-		return store.OpenFileWith(fmt.Sprintf("%s.gshard-%03d", storePath, globalShard), store.FileOptions{Codec: codec})
+		return store.OpenFileWith(fmt.Sprintf("%s.gshard-%03d", storePath, globalShard), store.FileOptions{Codec: blockio.CodecBinary})
 	}
 }
 
@@ -281,11 +275,11 @@ func ownedShards(clusterShards, clusterNodes, nodeIndex int) ([]int, error) {
 
 // openCheckpoints opens the checkpoint log when enabled, logging its
 // replayed state.
-func openCheckpoints(dir, codec string, every time.Duration, logger *log.Logger) (*checkpoint.Log, error) {
+func openCheckpoints(dir string, every time.Duration, logger *log.Logger) (*checkpoint.Log, error) {
 	if dir == "" {
 		return nil, nil
 	}
-	ckpt, err := checkpoint.OpenWith(dir, checkpoint.Options{Codec: codec})
+	ckpt, err := checkpoint.OpenWith(dir, checkpoint.Options{Codec: blockio.CodecBinary})
 	if err != nil {
 		return nil, err
 	}
@@ -310,7 +304,7 @@ func budgetWhere(dir string) string {
 	return dir
 }
 
-func run(addr, storePath, token string, seedCatalog bool, icfg ingest.Config, storeCodec, checkpointDir string, checkpointEvery time.Duration, cf clusterFlags, logger *log.Logger) error {
+func run(addr, storePath, token string, seedCatalog bool, icfg ingest.Config, checkpointDir string, checkpointEvery time.Duration, cf clusterFlags, logger *log.Logger) error {
 	var handler http.Handler
 	var closers []func() error
 	defer func() {
@@ -323,7 +317,7 @@ func run(addr, storePath, token string, seedCatalog bool, icfg ingest.Config, st
 
 	switch cf.role {
 	case "standalone":
-		st, err := openStore(storePath, icfg, storeCodec)
+		st, err := openStore(storePath, icfg)
 		if err != nil {
 			return err
 		}
@@ -333,7 +327,7 @@ func run(addr, storePath, token string, seedCatalog bool, icfg ingest.Config, st
 				return err
 			}
 		}
-		ckpt, err := openCheckpoints(checkpointDir, storeCodec, checkpointEvery, logger)
+		ckpt, err := openCheckpoints(checkpointDir, checkpointEvery, logger)
 		if err != nil {
 			return err
 		}
@@ -376,7 +370,7 @@ func run(addr, storePath, token string, seedCatalog bool, icfg ingest.Config, st
 		}
 		stores := make([]store.Store, len(owned))
 		for i, g := range owned {
-			st, err := openShardStore(storePath, icfg, storeCodec, g)
+			st, err := openShardStore(storePath, icfg, g)
 			if err != nil {
 				return err
 			}
@@ -395,7 +389,7 @@ func run(addr, storePath, token string, seedCatalog bool, icfg ingest.Config, st
 				return err
 			}
 		}
-		ckpt, err := openCheckpoints(checkpointDir, storeCodec, checkpointEvery, logger)
+		ckpt, err := openCheckpoints(checkpointDir, checkpointEvery, logger)
 		if err != nil {
 			return err
 		}
@@ -561,7 +555,7 @@ func run(addr, storePath, token string, seedCatalog bool, icfg ingest.Config, st
 		}
 		closers = append(closers, srv.Close)
 		if cf.cacheTTL < 0 {
-			logger.Printf("frontend routing %d shards across %d nodes (partial cache disabled)", cf.clusterShards, len(peerURLs))
+			logger.Printf("frontend routing %d shards across %d nodes (partial cache revalidated on every read)", cf.clusterShards, len(peerURLs))
 		} else {
 			logger.Printf("frontend routing %d shards across %d nodes (partial cache TTL %v, refresh %v)",
 				cf.clusterShards, len(peerURLs), cf.cacheTTL, cf.cacheRefresh)

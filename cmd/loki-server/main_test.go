@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"loki/internal/blockio"
 	"loki/internal/ingest"
 	"loki/internal/store"
 )
@@ -15,7 +14,7 @@ import (
 func TestOpenStore(t *testing.T) {
 	icfg := ingest.Config{Shards: 2}
 
-	st, err := openStore("mem", icfg, blockio.CodecBinary)
+	st, err := openStore("mem", icfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +24,7 @@ func TestOpenStore(t *testing.T) {
 	st.Close()
 
 	dir := t.TempDir()
-	st, err = openStore("ingest:"+dir, icfg, blockio.CodecBinary)
+	st, err = openStore("ingest:"+dir, icfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +37,7 @@ func TestOpenStore(t *testing.T) {
 	}
 	st.Close()
 
-	st, err = openStore(filepath.Join(t.TempDir(), "loki.jsonl"), icfg, blockio.CodecBinary)
+	st, err = openStore(filepath.Join(t.TempDir(), "loki.jsonl"), icfg)
 	if err != nil {
 		t.Fatal(err)
 	}

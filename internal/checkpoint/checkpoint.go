@@ -8,17 +8,15 @@
 // cursor (highest sequence number folded in), the shard layout it was
 // taken under, and a fingerprint of the survey definition the state was
 // folded under. Later lines supersede earlier ones for the same (survey,
-// shard); a Record with a nil State is a whole-survey tombstone (the
-// survey's checkpoints were invalidated, e.g. by a republish). Files are
+// shard); a Record with a nil State is a whole-survey tombstone (older
+// versions wrote one where this one removes the file). Files are
 // opened lazily on first write and replayed in parallel on Open — the
 // per-survey split is what lets restore parallelize across surveys
 // instead of grinding through one interleaved log.
 //
-// Migration: a single-file log from earlier versions
-// (checkpoints.jsonl) is still replayed, before the per-survey files, so
-// its records are superseded by anything newer and shadowed by
-// tombstones. New writes only ever go to per-survey files; the legacy
-// file is left untouched for rollback.
+// A single-file log from before the per-survey split (checkpoints.jsonl)
+// is no longer read: a directory holding only that opens empty, and the
+// first reads rescan — the cost of any missing checkpoint.
 //
 // Every file is a blockio.Log, so a crash mid-append costs at most the
 // last record (the torn tail is truncated on open) — the reader falls
@@ -53,10 +51,9 @@ import (
 )
 
 const (
-	legacyLogName = "checkpoints.jsonl"
-	surveysDir    = "surveys"
-	logSuffix     = ".jsonl"
-	tmpSuffix     = ".tmp"
+	surveysDir = "surveys"
+	logSuffix  = ".jsonl"
+	tmpSuffix  = ".tmp"
 )
 
 // Record is one shard's durable checkpoint for one survey: resumable
@@ -129,13 +126,8 @@ type Log struct {
 
 	mu sync.Mutex
 	// recs maps survey -> shard -> record.
-	recs map[string]map[int]*Record
-	// legacy marks surveys whose records came (only) from the legacy
-	// single-file log: dropping such a survey must leave a durable
-	// tombstone in its per-survey file, or the legacy record would
-	// resurrect on the next Open.
-	legacy map[string]bool
-	files  map[string]*surveyLog
+	recs  map[string]map[int]*Record
+	files map[string]*surveyLog
 	// err is the first I/O failure, sticky: after a failed write or
 	// fsync the on-disk tail is unknowable, so further appends could
 	// interleave with the buffered wreckage. Reads keep serving the
@@ -153,9 +145,8 @@ func surveyFileName(surveyID string) string {
 	return hex.EncodeToString([]byte(surveyID)) + logSuffix
 }
 
-// Open replays (or creates) the checkpoint log in dir: the legacy
-// single-file log first (if present), then every per-survey file, in
-// parallel across surveys. A torn trailing line from a crashed append
+// Open replays (or creates) the checkpoint log in dir: every
+// per-survey file, in parallel across surveys. A torn trailing line from a crashed append
 // is truncated away; unreadable interior records are skipped and
 // counted (CorruptRecords), never a refused open — the log is advisory
 // and the store rebuilds anything it cannot provide.
@@ -175,44 +166,15 @@ func OpenWith(dir string, opts Options) (*Log, error) {
 		return nil, fmt.Errorf("checkpoint: mkdir %s: %w", dir, err)
 	}
 	l := &Log{
-		dir:    dir,
-		codec:  opts.Codec,
-		recs:   make(map[string]map[int]*Record),
-		legacy: make(map[string]bool),
-		files:  make(map[string]*surveyLog),
-	}
-	// Legacy single-file log: replayed first so per-survey files
-	// supersede and tombstone it.
-	err := blockio.ReplayFile(filepath.Join(dir, legacyLogName), true, func(line []byte) error {
-		if rec, ok := l.decode(line); ok {
-			l.applyLocked(rec)
-			l.legacy[rec.SurveyID] = true
-		}
-		return nil
-	})
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return nil, err
+		dir:   dir,
+		codec: opts.Codec,
+		recs:  make(map[string]map[int]*Record),
+		files: make(map[string]*surveyLog),
 	}
 	if err := l.replaySurveyFiles(); err != nil {
 		return nil, err
 	}
 	return l, nil
-}
-
-// decode parses one record line, counting (not failing on) garbage.
-func (l *Log) decode(line []byte) (*Record, bool) {
-	var rec Record
-	if err := json.Unmarshal(line, &rec); err != nil || rec.SurveyID == "" {
-		// Checkpoints are advisory: an unreadable record costs the
-		// affected shard a longer catch-up scan, never a refused
-		// startup — the store can rebuild every accumulator. Skipped
-		// records are counted (CorruptRecords) so the operator hears
-		// about the damage, and the next compaction rewrites the file
-		// clean.
-		l.corrupt++
-		return nil, false
-	}
-	return &rec, true
 }
 
 // applyLocked folds one replayed record into the in-memory state.
@@ -276,6 +238,12 @@ func (l *Log) replaySurveyFiles() error {
 				apply := func(rec []byte) error {
 					var r Record
 					if jerr := json.Unmarshal(rec, &r); jerr != nil || r.SurveyID == "" {
+						// Checkpoints are advisory: an unreadable record
+						// costs the affected shard a longer catch-up scan,
+						// never a refused startup. Skipped records are
+						// counted (CorruptRecords) so the operator hears
+						// about the damage, and the next compaction
+						// rewrites the file clean.
 						st.corrupt++
 						return nil
 					}
@@ -392,12 +360,9 @@ func (l *Log) Put(rec *Record) error {
 	return l.maybeCompactLocked(rec.SurveyID)
 }
 
-// Drop durably tombstones every shard checkpoint of a survey — the
-// invalidation path a republish (or an admin accumulator clear) takes.
-// Dropping an absent checkpoint is a no-op. For surveys whose records
-// live only in the legacy single-file log, the tombstone written to the
-// per-survey file is what keeps the legacy record shadowed on the next
-// Open; otherwise the per-survey file is simply removed.
+// Drop durably removes every shard checkpoint of a survey, file and
+// all — the invalidation path a republish (or an admin accumulator
+// clear) takes. Dropping an absent checkpoint is a no-op.
 func (l *Log) Drop(surveyID string) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -405,13 +370,7 @@ func (l *Log) Drop(surveyID string) error {
 		return nil
 	}
 	delete(l.recs, surveyID)
-	if !l.legacy[surveyID] {
-		return l.removeFileLocked(surveyID)
-	}
-	if err := l.appendLocked(surveyID, &Record{SurveyID: surveyID, SavedUnixNano: time.Now().UnixNano()}); err != nil {
-		return err
-	}
-	return l.maybeCompactLocked(surveyID)
+	return l.removeFileLocked(surveyID)
 }
 
 // removeFileLocked closes and deletes a survey's file. Caller holds mu.
@@ -506,23 +465,12 @@ func (l *Log) compactSurveyLocked(surveyID string) error {
 	// The rewrite targets the log's CONFIGURED codec regardless of the
 	// old file's format: compaction is the in-place migration step.
 	err := sf.log.Rewrite(l.codec, func(nl *blockio.Log) error {
-		put := func(rec *Record) error {
+		for _, rec := range l.recs[surveyID] {
 			b, err := json.Marshal(rec)
 			if err != nil {
 				return fmt.Errorf("marshal: %w", err)
 			}
-			return nl.Append(b)
-		}
-		live := l.recs[surveyID]
-		if len(live) == 0 && l.legacy[surveyID] {
-			// The file exists to shadow a legacy record: keep exactly
-			// one tombstone record.
-			if err := put(&Record{SurveyID: surveyID, SavedUnixNano: time.Now().UnixNano()}); err != nil {
-				return err
-			}
-		}
-		for _, rec := range live {
-			if err := put(rec); err != nil {
+			if err := nl.Append(b); err != nil {
 				return err
 			}
 		}

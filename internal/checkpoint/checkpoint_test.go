@@ -1,7 +1,6 @@
 package checkpoint
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -354,71 +353,12 @@ func TestPerShardRecords(t *testing.T) {
 			t.Fatalf("shard %d = cursor %d layout %d", shard, rec.Cursor, rec.NumShards())
 		}
 	}
-	// Drop tombstones every shard at once.
+	// Drop removes every shard at once.
 	if err := l2.Drop(sv.ID); err != nil {
 		t.Fatal(err)
 	}
 	if l2.Len() != 0 {
 		t.Fatal("drop left shard records")
-	}
-}
-
-// TestLegacyMigration: a pre-rotation single-file log is still read;
-// per-survey files supersede it; a Drop shadows it durably across
-// reopens even though the legacy file is never rewritten.
-func TestLegacyMigration(t *testing.T) {
-	dir := t.TempDir()
-	sv := testSurvey()
-	legacy := record(t, sv, 11)
-	other := record(t, testSurvey(), 7)
-	other.SurveyID = "legacy-other"
-	other.State.SurveyID = "legacy-other"
-	b1, _ := json.Marshal(legacy)
-	b2, _ := json.Marshal(other)
-	if err := os.WriteFile(filepath.Join(dir, "checkpoints.jsonl"),
-		append(append(b1, '\n'), append(b2, '\n')...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	l, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Legacy records read as shard 0 of a single-shard layout.
-	rec, ok := l.Get(sv.ID)
-	if !ok || rec.Cursor != 11 || rec.NumShards() != 1 {
-		t.Fatalf("legacy record = %+v", rec)
-	}
-	if _, ok := l.Get("legacy-other"); !ok {
-		t.Fatal("second legacy record lost")
-	}
-	// New writes supersede legacy without touching the legacy file.
-	if err := l.Put(record(t, sv, 20)); err != nil {
-		t.Fatal(err)
-	}
-	if rec, _ := l.Get(sv.ID); rec.Cursor != 20 {
-		t.Fatalf("superseding record lost: %+v", rec)
-	}
-	// Dropping a legacy-only survey must shadow it durably.
-	if err := l.Drop("legacy-other"); err != nil {
-		t.Fatal(err)
-	}
-	l.Close()
-
-	l2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	if rec, _ := l2.Get(sv.ID); rec == nil || rec.Cursor != 20 {
-		t.Fatalf("after reopen: %+v, want cursor 20", rec)
-	}
-	if _, ok := l2.Get("legacy-other"); ok {
-		t.Fatal("dropped legacy record resurrected by replay")
-	}
-	// The legacy file itself is untouched (rollback safety).
-	if _, err := os.Stat(filepath.Join(dir, "checkpoints.jsonl")); err != nil {
-		t.Fatalf("legacy file gone: %v", err)
 	}
 }
 

@@ -13,7 +13,8 @@ import (
 // commit is fsynced. Run with -benchmem: allocs/op is the append path's
 // per-record garbage, records/commit the achieved group-commit batch.
 // The shards=1 and shards=8 rows must agree — the shard label no longer
-// multiplies logs — which is the inversion BENCH_ingest.json recorded.
+// multiplies logs — when it did, throughput fell from 48k to 11k
+// responses/s going from 1 to 8 shards (README "Benchmarks").
 func BenchmarkIngestParallelAppend(b *testing.B) {
 	const appenders, surveys = 32, 16
 	for _, shards := range []int{1, 8} {

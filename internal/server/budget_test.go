@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -13,6 +14,7 @@ import (
 
 	"loki/internal/budget"
 	"loki/internal/core"
+	"loki/internal/placement"
 	"loki/internal/shardrpc"
 	"loki/internal/shardset"
 	"loki/internal/store"
@@ -446,4 +448,87 @@ func TestBudgetConfigValidation(t *testing.T) {
 		t.Fatalf("admin budget without accounting = %d", resp.StatusCode)
 	}
 	_ = fmt.Sprintf // keep fmt for future debugging aids
+}
+
+// TestManifestFrontendChargesWhereBudgetIsHosted: a frontend built from
+// a manifest that places a replica holds one more client than there are
+// nodes hosting budget shards. Its charge-colocation table must still be
+// derived from the nodes (the list the RemoteCharger gets), or a charge
+// rides the submit RPC to a node that does not host the worker's budget
+// shard and the whole batch comes back 421. Enforcing, every submit of a
+// fresh worker is a 201, on both charge paths (on two nodes the path is
+// decided by the survey ID's byte parity, so two surveys cover both).
+func TestManifestFrontendChargesWhereBudgetIsHosted(t *testing.T) {
+	const totalShards = 8
+	nodes := newHANodes(t, 2, totalShards)
+	urls := []string{nodes[0].url, nodes[1].url}
+	for nd, owned := range shardrpc.RoundRobinPlacement(totalShards, len(nodes)) {
+		set, err := budget.NewSet(budget.SetOptions{
+			Shards: totalShards, GlobalIDs: owned, Dir: t.TempDir(), Config: budgetTestConfig(t),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { set.Close() })
+		nodes[nd].node.HostBudget(set)
+	}
+	manifestPath := filepath.Join(t.TempDir(), "manifest.json")
+	_, repURL := newHAReplica(t, nodes[0], manifestPath, 0)
+	m, err := placement.RoundRobin(totalShards, urls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range m.Shards {
+		if m.Shards[i].Primary == urls[0] {
+			m.Shards[i].Replicas = []string{repURL}
+		}
+	}
+	if err := m.Save(manifestPath); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range nodes {
+		n.node.ApplyManifest(m, n.url)
+	}
+
+	remote, err := shardrpc.NewRemoteFromManifest(m, testToken, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { remote.Close() })
+	charger, err := shardrpc.NewRemoteCharger([]*shardrpc.Client{nodes[0].client, nodes[1].client}, totalShards, budgetTestConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := remote.EnablePiggybackCharges(totalShards); err != nil {
+		t.Fatal(err)
+	}
+	frontend, err := New(Config{
+		Router: remote, Schedule: core.DefaultSchedule(), RequesterToken: testToken, Role: "frontend",
+		Budget: charger, BudgetEnforce: "enforce",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { frontend.Close() })
+	fts := httptest.NewServer(frontend)
+	t.Cleanup(fts.Close)
+
+	rode := map[bool]int{}
+	for _, id := range []string{"colocation-a", "colocation-b"} {
+		sv := clusterTestSurvey()
+		sv.ID = id
+		if resp, body := doReq(t, http.MethodPost, fts.URL+"/api/v1/surveys", sv, testToken); resp.StatusCode != http.StatusCreated {
+			t.Fatalf("publish = %d: %s", resp.StatusCode, body)
+		}
+		for i := 0; i < 32; i++ {
+			r := budgetResponse(sv, fmt.Sprintf("fresh-%s-%02d", id, i), "medium")
+			rode[remote.CanPiggybackCharge(remote.Route(r.SurveyID, r.WorkerID), r.WorkerID)]++
+			if code, body := submitCode(t, fts, r); code != http.StatusCreated {
+				t.Fatalf("survey %s submit %d = %d: %s", id, i, code, body)
+			}
+		}
+	}
+	if rode[true] == 0 || rode[false] == 0 {
+		t.Fatalf("one charge path untested: %d rode the submit, %d took the charge RPC", rode[true], rode[false])
+	}
 }

@@ -1,8 +1,8 @@
 // The frontend partial cache: what closes the cluster read gap.
 //
-// Without it, every merged read fans one full PartialState snapshot RPC
-// out per shard (~0.8ms against ~0.06ms for a standalone read — the
-// 12x gap BENCH_cluster.json measured after PR 4). With it, a frontend
+// Without it, every merged read would fan one full PartialState
+// snapshot RPC out per shard (~0.8ms against ~0.06ms for a standalone
+// read when PR 4 measured it). With it, a frontend
 // keeps each survey's per-shard accumulators and the cursor vector they
 // cover; a read within the TTL whose cursor vector satisfies every
 // read-your-writes floor is served from the cached merge with zero
@@ -15,8 +15,16 @@
 // visible to its reads (the submit ack carries the per-shard seq, which
 // becomes the shard's expected-cursor floor and forces revalidation).
 // Submits routed through other frontends become visible within the TTL.
-// A cold cache (or a disabled one, FrontendCacheTTL < 0) degrades to
-// the full fan-out path.
+// A cold entry's first fill is the full fan-out; a negative
+// FrontendCacheTTL makes no entry ever fresh, so every read revalidates.
+//
+// This is the frontend's only read path, so its degrade rule is the
+// only one: a shard whose fetch failed in transport (node down, every
+// replica with it) is labeled in degraded_shards and merged around (or
+// served from its last fetched state), never silently dropped; errors
+// the owner itself answered (fingerprint skew, unknown survey) fail the
+// read whole — the node is alive and disagreeing, which no marker can
+// paper over; a read that reached no shard fails.
 package server
 
 import (
@@ -204,8 +212,7 @@ func (s *Server) revalidateLocked(sv *survey.Survey, cs *cachedSurvey) error {
 	// A shard whose fetch failed in transport (node down, replicas too)
 	// degrades instead of failing the read: a warm cached part keeps
 	// serving its last state, a cold one is merged around and marked.
-	// Errors the owner answered still fail whole — see
-	// mergedRemoteEstimate.
+	// Errors the owner answered still fail whole.
 	var degraded []int
 	reached := 0
 	for i, err := range errs {
@@ -234,8 +241,8 @@ func (s *Server) revalidateLocked(sv *survey.Survey, cs *cachedSurvey) error {
 		if p.Fingerprint != cs.fp {
 			// A republish is still propagating: the node folded under a
 			// different definition than the frontend resolved. Drop the
-			// entry — its state mixes epochs — and refuse, exactly like
-			// the uncached path.
+			// entry — its state mixes epochs — and refuse: that beats
+			// merging bins from two question sets.
 			s.cache.drop(sv.ID)
 			return fmt.Errorf("shard %d partial folded under definition %s, frontend has %s (republish in flight?)",
 				i, p.Fingerprint, cs.fp)
@@ -376,7 +383,7 @@ type FrontendCacheInfo struct {
 }
 
 // frontendCacheInfo snapshots the cache for the admin surface; nil when
-// caching is disabled (or this server is not a frontend).
+// this server is not a frontend.
 func (s *Server) frontendCacheInfo() *FrontendCacheInfo {
 	if s.cache == nil {
 		return nil

@@ -201,7 +201,8 @@ func TestFrontendCacheDeltaEquivalence(t *testing.T) {
 
 // TestFrontendCacheColdAndDisabled: a cold cache's first read degrades
 // to the full fan-out (one full snapshot per shard) and matches a
-// cache-disabled frontend over the same nodes.
+// negative-TTL frontend over the same nodes, whose every read
+// revalidates — conditionally, not with full snapshots again.
 func TestFrontendCacheColdAndDisabled(t *testing.T) {
 	const totalShards = 4
 	clients := newTestNodes(t, 2, totalShards, 0)
@@ -223,17 +224,10 @@ func TestFrontendCacheColdAndDisabled(t *testing.T) {
 	if stats.Full != int64(totalShards) {
 		t.Fatalf("cold fill fetched %d full snapshots, want %d", stats.Full, totalShards)
 	}
-	// The disabled frontend reports no cache on the admin surface.
-	resp, body := doReq(t, http.MethodGet, uncached.URL+"/api/v1/admin/store", nil, testToken)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("admin = %d: %s", resp.StatusCode, body)
-	}
-	var info AdminStoreInfo
-	if err := json.Unmarshal(body, &info); err != nil {
-		t.Fatal(err)
-	}
-	if info.FrontendCache != nil {
-		t.Fatal("cache-disabled frontend still reports frontend_cache")
+	compareAggregate(t, getAggregate(t, uncached, sv.ID), want)
+	stats = surveyCacheStats(t, uncached, sv.ID)
+	if stats.Hits != 0 || stats.Misses != 2 || stats.Full != int64(totalShards) || stats.NotModified != int64(totalShards) {
+		t.Fatalf("negative-TTL frontend after two reads: %+v, want two misses, one cold fill, one not-modified round", stats)
 	}
 }
 

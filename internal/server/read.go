@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sync"
 
 	"loki/internal/aggregate"
 	"loki/internal/shardrpc"
@@ -17,8 +16,8 @@ import (
 // resolve the survey, then refresh its per-shard partials (scan only
 // the responses each shard appended since the last read — usually none
 // — fold, Merge, finalize). On a frontend the partials come from the
-// owning nodes instead of local folds. Cost is independent of how many
-// responses the store holds.
+// owning nodes, through the partial cache, instead of local folds. Cost
+// is independent of how many responses the store holds.
 func (s *Server) surveyEstimate(w http.ResponseWriter, id string) (*survey.Survey, *aggregate.SurveyEstimate, []int, bool) {
 	sv, err := s.router.Survey(id)
 	if err != nil {
@@ -27,12 +26,9 @@ func (s *Server) surveyEstimate(w http.ResponseWriter, id string) (*survey.Surve
 	}
 	var fin *aggregate.SurveyEstimate
 	var degraded []int
-	switch {
-	case s.cache != nil:
+	if s.cache != nil {
 		fin, degraded, err = s.cachedRemoteEstimate(sv)
-	case s.remote != nil:
-		fin, degraded, err = s.mergedRemoteEstimate(sv)
-	default:
+	} else {
 		var ls *liveSet
 		if ls, err = s.liveFor(sv); err == nil {
 			fin, err = s.refresh(ls)
@@ -43,81 +39,6 @@ func (s *Server) surveyEstimate(w http.ResponseWriter, id string) (*survey.Surve
 		return nil, nil, nil, false
 	}
 	return sv, fin, degraded, true
-}
-
-// mergedRemoteEstimate is the uncached frontend read path: fetch every
-// shard's full partial accumulator from the node that owns and folds
-// it, Merge the partials, finalize. The state shipped per shard is
-// O(questions × levels) — independent of response count — so a merged
-// read costs one small RPC per shard regardless of how much data the
-// cluster holds. It is what a frontend runs with caching disabled, and
-// what a cold cache's first fill is equivalent to.
-//
-// A shard whose RPC failed in transport (node down, every replica with
-// it) degrades instead of failing the whole read: the merge proceeds
-// without it and the shard lands in the returned degraded list. Errors
-// the owner itself answered (fingerprint skew, unknown survey) still
-// fail whole — the node is alive and disagreeing, which no marker can
-// paper over. A read where every shard degrades fails: there is
-// nothing left to serve.
-func (s *Server) mergedRemoteEstimate(sv *survey.Survey) (*aggregate.SurveyEstimate, []int, error) {
-	n := s.router.Shards()
-	parts := make([]*shardrpc.Partial, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			parts[i], errs[i] = s.remote.PartialSince(i, sv.ID, 0)
-		}(i)
-	}
-	wg.Wait()
-	var degraded []int
-	for i, err := range errs {
-		if err != nil {
-			if shardrpc.IsTransportError(err) {
-				degraded = append(degraded, i)
-				continue
-			}
-			return nil, nil, fmt.Errorf("shard %d partial: %w", i, err)
-		}
-	}
-	if len(degraded) == n {
-		return nil, nil, fmt.Errorf("every shard unreachable (first: shard %d: %w)", degraded[0], errs[degraded[0]])
-	}
-	if len(degraded) > 0 {
-		s.logf("merged read of %q degraded: shards %v unreachable", sv.ID, degraded)
-	}
-	fp := sv.Fingerprint()
-	merged, err := aggregate.NewAccumulator(s.cfg.Schedule, sv)
-	if err != nil {
-		return nil, nil, err
-	}
-	for i, p := range parts {
-		if p == nil {
-			continue // degraded
-		}
-		if p.Fingerprint != fp {
-			// A republish is still propagating: the node folded under a
-			// different definition than the frontend resolved. Refusing
-			// beats merging bins from two question sets.
-			return nil, nil, fmt.Errorf("shard %d partial folded under definition %s, frontend has %s (republish in flight?)",
-				i, p.Fingerprint, fp)
-		}
-		part, err := aggregate.RestoreAccumulator(s.cfg.Schedule, sv, p.State)
-		if err != nil {
-			return nil, nil, fmt.Errorf("shard %d partial: %w", i, err)
-		}
-		if err := merged.Merge(part); err != nil {
-			return nil, nil, fmt.Errorf("shard %d partial: %w", i, err)
-		}
-	}
-	fin, err := merged.Finalize()
-	if err != nil {
-		return nil, nil, err
-	}
-	return fin, degraded, nil
 }
 
 // errDeltaDone aborts a delta fold once it reaches the partial's

@@ -95,8 +95,9 @@ type Config struct {
 	// merged aggregate without revalidating against the nodes: within
 	// the TTL a read is a pure cache hit (no RPCs) unless a submit
 	// through this frontend bumped the expected cursor for some shard.
-	// Zero means the 250ms default; negative disables caching entirely
-	// (every read fans out full snapshot RPCs, the pre-cache behavior).
+	// Zero means the 250ms default; negative revalidates on every read
+	// (one conditional not-modified/delta RPC per shard, never a cached
+	// answer).
 	// Only frontends (routers that serve partials) consult it. In a
 	// multi-frontend deployment the TTL is the staleness bound for
 	// submits routed through *other* frontends.
@@ -313,13 +314,13 @@ func New(cfg Config) (*Server, error) {
 	case *shardrpc.Remote:
 		s.remote = r
 		s.dispatch = s.dispatchRemote
-		if cfg.FrontendCacheTTL >= 0 {
-			ttl := cfg.FrontendCacheTTL
-			if ttl == 0 {
-				ttl = DefaultFrontendCacheTTL
-			}
-			s.cache = newFrontCache(ttl)
+		// Every frontend reads through the cache; a negative TTL only
+		// means no entry is ever fresh.
+		ttl := max(cfg.FrontendCacheTTL, 0)
+		if cfg.FrontendCacheTTL == 0 {
+			ttl = DefaultFrontendCacheTTL
 		}
+		s.cache = newFrontCache(ttl)
 	default:
 		return nil, fmt.Errorf("server: unsupported shard router %T", router)
 	}

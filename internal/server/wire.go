@@ -56,8 +56,9 @@ type AggregateResult struct {
 	Questions []aggregate.QuestionEstimate `json:"questions"`
 	Choices   []aggregate.ChoiceEstimate   `json:"choices,omitempty"`
 	// DegradedShards lists shards whose owner (and every replica) was
-	// unreachable when this aggregate was merged: their responses are
-	// missing from the estimates. Empty on a complete read. The marker
+	// unreachable when this aggregate was merged: the estimates hold at
+	// most what an earlier read last fetched from them, nothing if none
+	// did. Empty on a complete read. The marker
 	// is how a frontend keeps answering through a node outage instead
 	// of failing the whole merged read.
 	DegradedShards []int `json:"degraded_shards,omitempty"`

@@ -20,12 +20,9 @@ import (
 // shardRoute is one shard's resolved routing row: clients instead of
 // URLs, plus the manifest epoch every write is stamped with.
 type shardRoute struct {
-	primary *Client
-	// primaryIdx is primary's index in Remote.clients — kept so the
-	// budget-colocation test keeps working under manifest routing.
-	primaryIdx int
-	replicas   []*Client
-	epoch      uint64
+	primary  *Client
+	replicas []*Client
+	epoch    uint64
 }
 
 // nodeHealth is the failure detector's per-node belief: down nodes are
@@ -108,22 +105,19 @@ func (r *Remote) ApplyManifest(m *placement.Manifest) error {
 	routes := make([]shardRoute, len(r.placement))
 	for i := range m.Shards {
 		sp := &m.Shards[i]
-		pc, pidx, err := r.clientForURLLocked(sp.Primary)
+		pc, err := r.clientForURLLocked(sp.Primary)
 		if err != nil {
 			return err
 		}
-		rt := shardRoute{primary: pc, primaryIdx: pidx, epoch: sp.Epoch}
+		rt := shardRoute{primary: pc, epoch: sp.Epoch}
 		for _, ru := range sp.Replicas {
-			rc, _, err := r.clientForURLLocked(ru)
+			rc, err := r.clientForURLLocked(ru)
 			if err != nil {
 				return err
 			}
 			rt.replicas = append(rt.replicas, rc)
 		}
 		routes[sp.Shard] = rt
-	}
-	for s := range routes {
-		r.placement[s] = routes[s].primaryIdx
 	}
 	r.routes = routes
 	r.manifestVersion = m.Version
@@ -132,28 +126,23 @@ func (r *Remote) ApplyManifest(m *placement.Manifest) error {
 
 // clientForURLLocked returns (creating if needed) the client for a node
 // base URL. Caller holds routeMu.
-func (r *Remote) clientForURLLocked(url string) (*Client, int, error) {
+func (r *Remote) clientForURLLocked(url string) (*Client, error) {
 	if r.clientsByURL == nil {
 		r.clientsByURL = make(map[string]*Client, len(r.clients))
-		for i, c := range r.clients {
+		for _, c := range r.clients {
 			r.clientsByURL[c.BaseURL()] = c
-			_ = i
 		}
 	}
 	if c, ok := r.clientsByURL[url]; ok {
-		for i, rc := range r.clients {
-			if rc == c {
-				return c, i, nil
-			}
-		}
+		return c, nil
 	}
 	if r.token == "" {
-		return nil, 0, fmt.Errorf("shardrpc: manifest names unknown node %q and the router has no cluster token to dial it", url)
+		return nil, fmt.Errorf("shardrpc: manifest names unknown node %q and the router has no cluster token to dial it", url)
 	}
 	c := NewClient(url, r.token, r.httpc)
 	r.clients = append(r.clients, c)
 	r.clientsByURL[url] = c
-	return c, len(r.clients) - 1, nil
+	return c, nil
 }
 
 // ManifestVersion reports the applied manifest version (0 = positional
@@ -250,10 +239,8 @@ func (r *Remote) noteResult(c *Client, err error) {
 func (r *Remote) submitTarget(shard int) (*Client, uint64, error) {
 	rt, ok := r.routeFor(shard)
 	if !ok {
-		r.routeMu.RLock()
-		c := r.clients[r.placement[shard]]
-		r.routeMu.RUnlock()
-		return c, 0, nil
+		c, err := r.clientFor(shard)
+		return c, 0, err
 	}
 	if r.nodeDown(rt.primary.BaseURL()) {
 		return nil, 0, &FailoverError{Shard: shard}

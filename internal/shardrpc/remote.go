@@ -26,18 +26,22 @@ import (
 // publishing directly to a node), which nodes tolerate anyway — they
 // re-validate every append.
 type Remote struct {
-	// clients and placement are guarded by routeMu: manifest application
-	// can grow the client list (new replicas/primaries) and repoint
-	// placement, both hot-swapped under the lock. A positional router
-	// never mutates them, so the RLock on the hot paths is uncontended.
-	clients   []*Client
-	placement []int // placement[globalShard] = index into clients
+	// clients is guarded by routeMu: manifest application can grow it
+	// (new replicas/primaries) under the lock. A positional router never
+	// mutates it, so the RLock on the hot paths is uncontended. The
+	// first nodes entries are the nodes the router was constructed over
+	// (positional clients; a manifest's Nodes()) and never move.
+	clients []*Client
+	nodes   int
+	// placement[globalShard] indexes clients: the positional routing
+	// table, superseded by routes once a manifest is applied.
+	placement []int
 	// batchers group-batch the submit path per shard (see batcher.go).
 	batchers []*shardBatcher
-	// budgetPlacement, when non-nil, maps budget shards to client
-	// indices (EnablePiggybackCharges): the colocation test for riding
-	// a charge on the submit RPC instead of a separate charge RPC.
-	budgetPlacement []int
+	// budgetOwner, when non-nil, maps budget shards to the node hosting
+	// them (EnablePiggybackCharges): the colocation test for riding a
+	// charge on the submit RPC instead of a separate charge RPC.
+	budgetOwner []*Client
 
 	metaMu    sync.Mutex
 	metaTTL   time.Duration
@@ -94,7 +98,7 @@ func NewRemote(clients []*Client, placement []int) (*Remote, error) {
 			return nil, fmt.Errorf("shardrpc: placement maps shard %d to node %d of %d", s, n, len(clients))
 		}
 	}
-	r := &Remote{clients: clients, placement: placement, metaTTL: time.Second}
+	r := &Remote{clients: clients, nodes: len(clients), placement: placement, metaTTL: time.Second}
 	r.batchers = make([]*shardBatcher, len(placement))
 	for s := range r.batchers {
 		r.batchers[s] = &shardBatcher{shard: s, remote: r}
@@ -137,7 +141,17 @@ func (r *Remote) clientFor(shard int) (*Client, error) {
 	}
 	r.routeMu.RLock()
 	defer r.routeMu.RUnlock()
-	return r.clients[r.placement[shard]], nil
+	return r.primaryLocked(shard), nil
+}
+
+// primaryLocked is the client of the node a shard's writes go to: the
+// manifest's primary, or the positional binding without one. Caller
+// holds routeMu.
+func (r *Remote) primaryLocked(shard int) *Client {
+	if r.routes != nil {
+		return r.routes[shard].primary
+	}
+	return r.clients[r.placement[shard]]
 }
 
 // readTargets orders one shard's read candidates: the primary first
@@ -313,38 +327,41 @@ func (r *Remote) Submit(shard int, rs []survey.Response, charges []budget.Charge
 // whenever the worker's budget shard lives on the same node as the
 // response's shard (always, on a one-node cluster; 1/nodes of the
 // time under round-robin placement otherwise). The derived placement
-// is the canonical round-robin layout — the same one RemoteCharger and
-// the nodes compute — so the colocation test cannot drift from where
+// is the canonical round-robin layout over the nodes the router was
+// constructed over — the same list RemoteCharger is handed and the
+// nodes compute their hosting from, never the client list a manifest's
+// replicas have grown — so the colocation test cannot drift from where
 // charges actually land.
 func (r *Remote) EnablePiggybackCharges(budgetShards int) error {
 	if budgetShards <= 0 {
 		return fmt.Errorf("shardrpc: piggyback charges need a positive budget shard count, got %d", budgetShards)
 	}
 	r.routeMu.RLock()
-	nodes := len(r.clients)
+	nodes := r.clients[:r.nodes]
 	r.routeMu.RUnlock()
-	bp := make([]int, budgetShards)
-	for node, owned := range RoundRobinPlacement(budgetShards, nodes) {
+	owners := make([]*Client, budgetShards)
+	for node, owned := range RoundRobinPlacement(budgetShards, len(nodes)) {
 		for _, s := range owned {
-			bp[s] = node
+			owners[s] = nodes[node]
 		}
 	}
-	r.budgetPlacement = bp
+	r.budgetOwner = owners
 	return nil
 }
 
 // CanPiggybackCharge reports whether a submit routed to the given
 // response shard can carry workerID's budget charge in the same RPC:
-// piggybacking is enabled and the worker's budget shard is owned by
-// the node that owns the response shard.
+// piggybacking is enabled and the worker's budget shard is hosted by
+// the node the response shard's writes go to (the same client, not the
+// same index: a promoted replica hosts no budget shard).
 func (r *Remote) CanPiggybackCharge(shard int, workerID string) bool {
-	if r.budgetPlacement == nil || shard < 0 || shard >= len(r.placement) {
+	if r.budgetOwner == nil || shard < 0 || shard >= len(r.placement) {
 		return false
 	}
 	r.routeMu.RLock()
-	owner := r.placement[shard]
+	owner := r.primaryLocked(shard)
 	r.routeMu.RUnlock()
-	return r.budgetPlacement[budget.Route(workerID, len(r.budgetPlacement))] == owner
+	return r.budgetOwner[budget.Route(workerID, len(r.budgetOwner))] == owner
 }
 
 // ScanShard implements shardset.ShardRouter by paging through the
@@ -409,12 +426,6 @@ func (r *Remote) CountShard(shard int, surveyID string) int {
 		}
 	}
 	return 0
-}
-
-// Partial fetches one shard's full partial accumulator from its owning
-// node — the frontend's merge-at-query-time read path.
-func (r *Remote) Partial(shard int, surveyID string) (*Partial, error) {
-	return r.PartialSince(shard, surveyID, 0)
 }
 
 // PartialSince is the conditional fetch behind the frontend's partial

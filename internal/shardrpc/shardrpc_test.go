@@ -9,7 +9,9 @@ import (
 	"testing"
 
 	"loki/internal/aggregate"
+	"loki/internal/budget"
 	"loki/internal/core"
+	"loki/internal/placement"
 	"loki/internal/shardset"
 	"loki/internal/store"
 	"loki/internal/survey"
@@ -432,5 +434,65 @@ func TestConditionalPartial(t *testing.T) {
 	}
 	if re.Delta || re.NotModified || re.Cursor != 5 || re.State == nil || re.State.N != 5 {
 		t.Fatalf("ahead-of-shard fetch = %+v", re)
+	}
+}
+
+// TestPiggybackColocationFollowsBudgetHosting: nodes host budget shards
+// round-robin by node index over the primaries, so the router's
+// colocation verdict for every (worker, response shard) must equal
+// "the budget shard's host is the response shard's primary" — however
+// many replica clients the manifest has added to the router. A false
+// "colocated" sends the charge to a node that answers 421 for the batch.
+func TestPiggybackColocationFollowsBudgetHosting(t *testing.T) {
+	const shards, primaries, workers = 8, 2, 1000
+	urls := []string{"http://node-0", "http://node-1"}
+	m, err := placement.RoundRobin(shards, urls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range m.Shards {
+		m.Shards[i].Replicas = []string{"http://replica-0"}
+	}
+	manifest, err := NewRemoteFromManifest(m, "tok", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	positional, err := NewRemoteRoundRobin([]*Client{NewClient(urls[0], "tok", nil), NewClient(urls[1], "tok", nil)}, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, r := range map[string]*Remote{"manifest": manifest, "positional": positional} {
+		if err := r.EnablePiggybackCharges(shards); err != nil {
+			t.Fatal(err)
+		}
+		wrong := 0
+		for w := 0; w < workers; w++ {
+			worker := fmt.Sprintf("w%04d", w)
+			host := budget.Route(worker, shards) % primaries
+			for s := 0; s < shards; s++ {
+				if r.CanPiggybackCharge(s, worker) != (host == s%primaries) {
+					wrong++
+				}
+			}
+		}
+		if wrong != 0 {
+			t.Errorf("%s router: %d of %d colocation verdicts disagree with where nodes host budget shards", name, wrong, workers*shards)
+		}
+	}
+
+	// A promoted replica hosts no budget shard: nothing rides to it.
+	promoted := m.Clone()
+	promoted.Version++
+	for i := range promoted.Shards {
+		promoted.Shards[i].Primary, promoted.Shards[i].Replicas = "http://replica-0", nil
+		promoted.Shards[i].Epoch++
+	}
+	if err := manifest.ApplyManifest(promoted); err != nil {
+		t.Fatal(err)
+	}
+	for w := 0; w < workers; w++ {
+		if worker := fmt.Sprintf("w%04d", w); manifest.CanPiggybackCharge(w%shards, worker) {
+			t.Fatalf("shard %d: %s's charge rides to a promoted replica", w%shards, worker)
+		}
 	}
 }
