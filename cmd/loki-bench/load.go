@@ -35,6 +35,7 @@ import (
 
 	"loki/internal/client"
 	"loki/internal/core"
+	"loki/internal/placement"
 	"loki/internal/population"
 	"loki/internal/rng"
 	"loki/internal/server"
@@ -147,7 +148,7 @@ func newLoadHarness(dir string, sv *survey.Survey, nodes, queue, inflight int) (
 		}
 		return nil, err
 	}
-	owned := shardrpc.RoundRobinPlacement(clusterShards, nodes)
+	owned := placement.RoundRobinShards(clusterShards, nodes)
 	clients := make([]*shardrpc.Client, nodes)
 	for n := 0; n < nodes; n++ {
 		stores := make([]store.Store, len(owned[n]))

@@ -6,22 +6,22 @@
 //
 //	loki-server -addr :8080 -token secret -store loki.jsonl -seed-catalog
 //	loki-server -store ingest:/var/lib/loki -shards 8 -commit-interval 1ms
+//	loki-server -role node -manifest cluster.json -advertise http://10.0.0.1:8080 -store ingest:/var/lib/loki
+//	loki-server -role frontend -manifest cluster.json -seed-catalog
 //
 // Cluster roles (-role):
 //
 //	standalone  (default) one process owns everything — the classic
 //	            deployment; responses live on one logical shard.
-//	node        owns a subset of the cluster's shard space and serves
-//	            the internal shardrpc transport (submit-batch, cursor
-//	            scans, partial-aggregate snapshots, WAL-tail shipping)
-//	            alongside the public API. Configure with -cluster-shards
-//	            (global shard count), -cluster-nodes (cluster size) and
-//	            -node-index (this node's slot); the node owns every
-//	            shard s with s % cluster-nodes == node-index. Each owned
+//	node        hosts the response shards the manifest names it
+//	            (-advertise) primary for, plus any shard store already
+//	            on its disk, and serves the internal shardrpc transport
+//	            (submit-batch, cursor scans, partial-aggregate snapshots,
+//	            WAL-tail shipping) alongside the public API. Each hosted
 //	            shard gets its own store (subdirectory for durable
 //	            backends).
-//	frontend    owns no storage: routes submissions to the nodes in
-//	            -peers by the cluster-wide placement hash and answers
+//	frontend    owns no storage: routes submissions to the manifest's
+//	            primaries by the cluster-wide placement hash and answers
 //	            reads from a per-survey partial cache (keyed by the
 //	            per-shard cursor vector, revalidated with conditional
 //	            delta RPCs within -frontend-cache-ttl, invalidated for
@@ -38,16 +38,18 @@
 //	            automatically after -promote-after of the primary being
 //	            unreachable).
 //
-// High availability (-manifest): cluster roles can share a versioned
-// placement manifest (JSON: shard -> primary + replicas, each shard
-// with a fencing epoch) instead of positional -peers. Every role
-// watches the file (-manifest-poll): frontends route by it, probe node
-// health (-probe-interval) and fail reads over to replicas when a
+// Placement (-manifest): node and frontend roles take every placement
+// from one versioned JSON manifest (internal/placement): response shard
+// -> primary + replicas with a fencing epoch each, and budget shard ->
+// host. Its row counts are the cluster's shard counts. Every cluster
+// role watches the file (-manifest-poll): frontends route by it, probe
+// node health (-probe-interval) and fail reads over to replicas when a
 // primary dies (writes to the failed shard answer 503 + Retry-After
 // until promotion); a promotion bumps the shard's epoch in the
-// manifest, which re-routes every frontend and fences the old
-// primary's writes with 412 when it returns. -advertise tells a node
-// or replica which manifest entry is itself.
+// manifest, which re-routes every frontend and fences the old primary's
+// writes with 412 when it returns — it reopens its old shard from disk,
+// fenced. -advertise tells a node or replica which manifest entries are
+// itself.
 //
 // With -store mem the server keeps everything in memory; with -store
 // ingest:DIR it opens the sharded segmented-WAL ingest store rooted at
@@ -65,11 +67,11 @@
 // Privacy budget (-budget-enforce=off|log|enforce): every submit debits
 // the worker's zCDP account against a (-budget-cap-epsilon,
 // -budget-delta) ceiling before it is appended. Standalone servers keep
-// the ledger in process; cluster nodes host the budget shards their
-// slot owns (durable under -budget-dir) and frontends charge through
-// them over shardrpc, so one worker's spend is enforced across every
-// frontend. Set the budget flags identically on node and frontend
-// roles — the shard count and placement must agree.
+// the ledger in process; cluster nodes host the budget shards the
+// manifest's budget rows name (durable under -budget-dir) and frontends
+// charge through them over shardrpc, so one worker's spend is enforced
+// across every frontend. Set the budget flags identically on node and
+// frontend roles.
 //
 // Overload protection (default off): -submit-inflight and -submit-queue
 // bound concurrent and queued submits, shedding the excess with 429 +
@@ -105,14 +107,16 @@ import (
 	"loki/internal/survey"
 )
 
-// clusterFlags carries the -role wiring.
-type clusterFlags struct {
+// config is every flag: main parses it, assemble builds a role from it.
+type config struct {
+	addr, storePath, token string
+	seedCatalog            bool
+	icfg                   ingest.Config
+	checkpointDir          string
+	checkpointEvery        time.Duration
+
 	role           string
-	peers          string // frontend: comma-separated node base URLs
 	follow         string // replica: node base URL
-	clusterShards  int    // node/frontend: global shard count
-	clusterNodes   int    // node: cluster size (for ownership)
-	nodeIndex      int    // node: this node's slot
 	clusterToken   string // shardrpc bearer token (defaults to -token)
 	pollInterval   time.Duration
 	cacheTTL       time.Duration // frontend: partial cache staleness bound
@@ -138,90 +142,92 @@ type clusterFlags struct {
 	rateLimitBurst int     // per-requester burst above the sustained rate
 }
 
-// admission threads the overload knobs into a server config; zero
-// values leave the config untouched (default-off paths stay identical).
-func (cf *clusterFlags) admission(scfg *server.Config) {
-	scfg.SubmitInflight = cf.submitInflight
-	scfg.SubmitQueue = cf.submitQueue
-	scfg.RateLimitRPS = cf.rateLimitRPS
-	scfg.RateLimitBurst = cf.rateLimitBurst
+// serverConfig is what every role's server.Config starts from: the
+// schedule, the requester token, the logger and the overload knobs
+// (zero values leave the default-off paths identical).
+func (c *config) serverConfig(logger *log.Logger) server.Config {
+	return server.Config{
+		Schedule: core.DefaultSchedule(), RequesterToken: c.token, Logger: logger,
+		SubmitInflight: c.submitInflight, SubmitQueue: c.submitQueue,
+		RateLimitRPS: c.rateLimitRPS, RateLimitBurst: c.rateLimitBurst,
+	}
 }
 
 // budgetEnabled reports whether any budget accounting is configured:
 // an enforcement mode past off, or a durable ledger directory (which
 // hosts accounts even when this process does not enforce, so that
 // frontends that do can charge through it).
-func (cf *clusterFlags) budgetEnabled() bool {
-	return cf.budgetEnforce != "off" || cf.budgetDir != ""
+func (c *config) budgetEnabled() bool {
+	return c.budgetEnforce != "off" || c.budgetDir != ""
 }
 
-func (cf *clusterFlags) budgetConfig() budget.Config {
-	return budget.Config{CapEpsilon: cf.budgetCap, Delta: cf.budgetDelta}
+func (c *config) budgetConfig() budget.Config {
+	return budget.Config{CapEpsilon: c.budgetCap, Delta: c.budgetDelta}
+}
+
+// parseFlags defines every flag on fs and parses args into a config.
+func parseFlags(fs *flag.FlagSet, args []string) (config, error) {
+	var c config
+	fs.StringVar(&c.addr, "addr", ":8080", "listen address")
+	fs.StringVar(&c.storePath, "store", "mem", `persistence: "mem", "ingest:DIR" or a JSON-lines file path`)
+	fs.StringVar(&c.token, "token", "requester-secret", "requester bearer token")
+	fs.BoolVar(&c.seedCatalog, "seed-catalog", false, "publish the paper's survey catalog on startup")
+	fs.IntVar(&c.icfg.Shards, "shards", 8, "ingest store: shard label recorded at first open and required to match on reopen; every value shares one WAL and one fsync stream")
+	fs.DurationVar(&c.icfg.CommitInterval, "commit-interval", 0, "ingest store: group-commit window (0 = commit as soon as the committer is free)")
+	fs.Int64Var(&c.icfg.SegmentBytes, "segment-bytes", 16<<20, "ingest store: WAL segment rotation threshold")
+	fs.DurationVar(&c.icfg.IdleCompact, "idle-compact", time.Minute, "ingest store: compact the WAL tail after this long without commits (negative disables)")
+	fs.StringVar(&c.checkpointDir, "checkpoint-dir", "", "directory for durable live-aggregate checkpoints (empty disables; restart catch-up then rescans whole backlogs)")
+	fs.DurationVar(&c.checkpointEvery, "checkpoint-interval", 15*time.Second, "background checkpointer flush period")
+	fs.StringVar(&c.role, "role", "standalone", "deployment role: standalone, node, frontend or replica")
+	fs.StringVar(&c.follow, "follow", "", "replica: base URL of the node to tail")
+	fs.StringVar(&c.clusterToken, "cluster-token", "", "bearer token for the internal shardrpc transport (defaults to -token)")
+	fs.DurationVar(&c.pollInterval, "replica-poll", 500*time.Millisecond, "replica: journal tail poll interval")
+	fs.DurationVar(&c.cacheTTL, "frontend-cache-ttl", 250*time.Millisecond,
+		"frontend: partial cache staleness bound — reads within it are served from cache with no node RPCs (negative revalidates on every read)")
+	fs.DurationVar(&c.cacheRefresh, "frontend-refresh", 0,
+		"frontend: background cache refresher interval for recently read surveys (0 disables; reads then revalidate inline on expiry)")
+	fs.IntVar(&c.journalRetain, "journal-retain", 65536,
+		"node: per-shard append-journal retained-entry bound; lagging replicas past it rebuild from store scans (0 retains until every registered follower acks)")
+	fs.StringVar(&c.followerID, "follower-id", "",
+		"replica: stable follower id for journal-truncation acks (defaults to a process-scoped id)")
+	fs.DurationVar(&c.followerAckTTL, "follower-ack-ttl", 10*time.Minute,
+		"node: drop a replica's journal-truncation ack after this long without a tail from it, so dead replicas stop pinning retention (0 keeps acks forever)")
+	fs.StringVar(&c.manifest, "manifest", "",
+		"path of the shared placement manifest (versioned JSON: response shard -> primary + replicas with per-shard epochs, budget shard -> host); node and frontend roles take all placement from it, and every cluster role watches it, so promotions re-route frontends and fence demoted nodes without restarts")
+	fs.DurationVar(&c.manifestPoll, "manifest-poll", time.Second, "placement manifest watch interval")
+	fs.StringVar(&c.advertise, "advertise", "",
+		"node/replica: this process's base URL exactly as the manifest names it (required on nodes, and with -manifest on replicas)")
+	fs.DurationVar(&c.probeInterval, "probe-interval", 500*time.Millisecond,
+		"frontend: health-probe interval of the per-node failure detector")
+	fs.DurationVar(&c.promoteAfter, "promote-after", 0,
+		"replica: promote a followed shard automatically after its tail has been failing this long (0 promotes only on the operator signal)")
+	fs.StringVar(&c.budgetDir, "budget-dir", "",
+		"directory for the durable per-worker privacy-budget ledgers (empty keeps them in memory)")
+	fs.Float64Var(&c.budgetCap, "budget-cap-epsilon", 10,
+		"per-worker privacy-budget ceiling, quoted as epsilon at -budget-delta")
+	fs.Float64Var(&c.budgetDelta, "budget-delta", 1e-6,
+		"delta the budget epsilon conversion is quoted at")
+	fs.StringVar(&c.budgetEnforce, "budget-enforce", "off",
+		"privacy-budget mode: off (no accounting), log (account and log over-cap workers) or enforce (reject over-cap submits with 429)")
+	fs.IntVar(&c.submitInflight, "submit-inflight", 0,
+		"admission control: submits served concurrently before arrivals queue (0 disables admission control)")
+	fs.IntVar(&c.submitQueue, "submit-queue", 0,
+		"admission control: submits queued behind -submit-inflight before arrivals shed with 429 + Retry-After (setting it without -submit-inflight defaults inflight to 4x GOMAXPROCS)")
+	fs.Float64Var(&c.rateLimitRPS, "rate-limit-rps", 0,
+		"per-requester submit rate ceiling in responses/sec; over-rate submits get 429 + Retry-After (0 disables)")
+	fs.IntVar(&c.rateLimitBurst, "rate-limit-burst", 0,
+		"per-requester burst allowance above -rate-limit-rps (0 defaults to the rate, minimum 1)")
+	err := fs.Parse(args)
+	if c.clusterToken == "" {
+		c.clusterToken = c.token
+	}
+	return c, err
 }
 
 func main() {
-	addr := flag.String("addr", ":8080", "listen address")
-	storePath := flag.String("store", "mem", `persistence: "mem", "ingest:DIR" or a JSON-lines file path`)
-	token := flag.String("token", "requester-secret", "requester bearer token")
-	seedCatalog := flag.Bool("seed-catalog", false, "publish the paper's survey catalog on startup")
-	shards := flag.Int("shards", 8, "ingest store: shard label recorded at first open and required to match on reopen; every value shares one WAL and one fsync stream")
-	commitEvery := flag.Duration("commit-interval", 0, "ingest store: group-commit window (0 = commit as soon as the committer is free)")
-	segmentBytes := flag.Int64("segment-bytes", 16<<20, "ingest store: WAL segment rotation threshold")
-	idleCompact := flag.Duration("idle-compact", time.Minute, "ingest store: compact the WAL tail after this long without commits (negative disables)")
-	checkpointDir := flag.String("checkpoint-dir", "", "directory for durable live-aggregate checkpoints (empty disables; restart catch-up then rescans whole backlogs)")
-	checkpointEvery := flag.Duration("checkpoint-interval", 15*time.Second, "background checkpointer flush period")
-	var cf clusterFlags
-	flag.StringVar(&cf.role, "role", "standalone", "deployment role: standalone, node, frontend or replica")
-	flag.StringVar(&cf.peers, "peers", "", "frontend: comma-separated node base URLs (http://host:port), in node-index order")
-	flag.StringVar(&cf.follow, "follow", "", "replica: base URL of the node to tail")
-	flag.IntVar(&cf.clusterShards, "cluster-shards", 8, "node/frontend: global shard count (fixed for the cluster's lifetime)")
-	flag.IntVar(&cf.clusterNodes, "cluster-nodes", 1, "node: number of nodes in the cluster")
-	flag.IntVar(&cf.nodeIndex, "node-index", 0, "node: this node's slot in [0, cluster-nodes)")
-	flag.StringVar(&cf.clusterToken, "cluster-token", "", "bearer token for the internal shardrpc transport (defaults to -token)")
-	flag.DurationVar(&cf.pollInterval, "replica-poll", 500*time.Millisecond, "replica: journal tail poll interval")
-	flag.DurationVar(&cf.cacheTTL, "frontend-cache-ttl", 250*time.Millisecond,
-		"frontend: partial cache staleness bound — reads within it are served from cache with no node RPCs (negative revalidates on every read)")
-	flag.DurationVar(&cf.cacheRefresh, "frontend-refresh", 0,
-		"frontend: background cache refresher interval for recently read surveys (0 disables; reads then revalidate inline on expiry)")
-	flag.IntVar(&cf.journalRetain, "journal-retain", 65536,
-		"node: per-shard append-journal retained-entry bound; lagging replicas past it rebuild from store scans (0 retains until every registered follower acks)")
-	flag.StringVar(&cf.followerID, "follower-id", "",
-		"replica: stable follower id for journal-truncation acks (defaults to a process-scoped id)")
-	flag.DurationVar(&cf.followerAckTTL, "follower-ack-ttl", 10*time.Minute,
-		"node: drop a replica's journal-truncation ack after this long without a tail from it, so dead replicas stop pinning retention (0 keeps acks forever)")
-	flag.StringVar(&cf.manifest, "manifest", "",
-		"path of the shared placement manifest (versioned JSON mapping shard -> primary + replicas with per-shard epochs); watched by every cluster role, so promotions re-route frontends and fence demoted nodes without restarts")
-	flag.DurationVar(&cf.manifestPoll, "manifest-poll", time.Second, "placement manifest watch interval")
-	flag.StringVar(&cf.advertise, "advertise", "",
-		"node/replica: this process's base URL exactly as the manifest names it (required with -manifest on those roles)")
-	flag.DurationVar(&cf.probeInterval, "probe-interval", 500*time.Millisecond,
-		"frontend: health-probe interval of the per-node failure detector (with -manifest)")
-	flag.DurationVar(&cf.promoteAfter, "promote-after", 0,
-		"replica: promote a followed shard automatically after its tail has been failing this long (0 promotes only on the operator signal)")
-	flag.StringVar(&cf.budgetDir, "budget-dir", "",
-		"directory for the durable per-worker privacy-budget ledgers (empty keeps them in memory)")
-	flag.Float64Var(&cf.budgetCap, "budget-cap-epsilon", 10,
-		"per-worker privacy-budget ceiling, quoted as epsilon at -budget-delta")
-	flag.Float64Var(&cf.budgetDelta, "budget-delta", 1e-6,
-		"delta the budget epsilon conversion is quoted at")
-	flag.StringVar(&cf.budgetEnforce, "budget-enforce", "off",
-		"privacy-budget mode: off (no accounting), log (account and log over-cap workers) or enforce (reject over-cap submits with 429)")
-	flag.IntVar(&cf.submitInflight, "submit-inflight", 0,
-		"admission control: submits served concurrently before arrivals queue (0 disables admission control)")
-	flag.IntVar(&cf.submitQueue, "submit-queue", 0,
-		"admission control: submits queued behind -submit-inflight before arrivals shed with 429 + Retry-After (setting it without -submit-inflight defaults inflight to 4x GOMAXPROCS)")
-	flag.Float64Var(&cf.rateLimitRPS, "rate-limit-rps", 0,
-		"per-requester submit rate ceiling in responses/sec; over-rate submits get 429 + Retry-After (0 disables)")
-	flag.IntVar(&cf.rateLimitBurst, "rate-limit-burst", 0,
-		"per-requester burst allowance above -rate-limit-rps (0 defaults to the rate, minimum 1)")
-	flag.Parse()
-
-	if cf.clusterToken == "" {
-		cf.clusterToken = *token
-	}
-	icfg := ingest.Config{Shards: *shards, CommitInterval: *commitEvery, SegmentBytes: *segmentBytes, IdleCompact: *idleCompact}
+	c, _ := parseFlags(flag.CommandLine, os.Args[1:]) // exits on a bad flag
 	logger := log.New(os.Stderr, "loki-server ", log.LstdFlags)
-	if err := run(*addr, *storePath, *token, *seedCatalog, icfg, *checkpointDir, *checkpointEvery, cf, logger); err != nil {
+	if err := run(c, logger); err != nil {
 		logger.Fatal(err)
 	}
 }
@@ -240,37 +246,33 @@ func openStore(storePath string, icfg ingest.Config) (store.Store, error) {
 	}
 }
 
-// openShardStore resolves the -store flag for one owned global shard of
-// a node: durable backends get a per-shard location derived from the
-// configured one.
-func openShardStore(storePath string, icfg ingest.Config, globalShard int) (store.Store, error) {
+// shardStore rewrites the -store flag for one global shard of a node:
+// durable backends get a per-shard location derived from the configured
+// one (mem stays mem).
+func shardStore(storePath string, globalShard int) string {
 	switch {
 	case storePath == "mem":
-		return store.NewMem(), nil
+		return storePath
 	case strings.HasPrefix(storePath, "ingest:"):
-		dir := strings.TrimPrefix(storePath, "ingest:")
-		return ingest.Open(fmt.Sprintf("%s/gshard-%03d", dir, globalShard), icfg)
+		return fmt.Sprintf("%s/gshard-%03d", storePath, globalShard)
 	default:
-		return store.OpenFileWith(fmt.Sprintf("%s.gshard-%03d", storePath, globalShard), store.FileOptions{Codec: blockio.CodecBinary})
+		return fmt.Sprintf("%s.gshard-%03d", storePath, globalShard)
 	}
 }
 
-// ownedShards returns the global shards a node slot owns. The
-// placement itself lives in shardrpc.RoundRobinPlacement — the same
-// function the frontend routes by — so node ownership and frontend
-// routing cannot drift apart.
-func ownedShards(clusterShards, clusterNodes, nodeIndex int) ([]int, error) {
-	if clusterShards < 1 {
-		return nil, fmt.Errorf("cluster-shards %d < 1", clusterShards)
+// hostedShards is what a node opens: every shard the manifest names it
+// primary for, plus every shard whose store is already on its disk — a
+// demoted primary restarting reopens its old shard, and ApplyManifest
+// fences it.
+func hostedShards(m *placement.Manifest, self, storePath string) []int {
+	var owned []int
+	for g := range m.Shards {
+		_, err := os.Stat(strings.TrimPrefix(shardStore(storePath, g), "ingest:"))
+		if m.Placement(g).Primary == self || (storePath != "mem" && err == nil) {
+			owned = append(owned, g)
+		}
 	}
-	if clusterNodes < 1 || nodeIndex < 0 || nodeIndex >= clusterNodes {
-		return nil, fmt.Errorf("node-index %d outside [0, %d)", nodeIndex, clusterNodes)
-	}
-	owned := shardrpc.RoundRobinPlacement(clusterShards, clusterNodes)[nodeIndex]
-	if len(owned) == 0 {
-		return nil, fmt.Errorf("node %d of %d owns no shards of %d", nodeIndex, clusterNodes, clusterShards)
-	}
-	return owned, nil
+	return owned
 }
 
 // openCheckpoints opens the checkpoint log when enabled, logging its
@@ -304,116 +306,133 @@ func budgetWhere(dir string) string {
 	return dir
 }
 
-func run(addr, storePath, token string, seedCatalog bool, icfg ingest.Config, checkpointDir string, checkpointEvery time.Duration, cf clusterFlags, logger *log.Logger) error {
-	var handler http.Handler
+// assemble builds the role c names — stores, ledgers, routers, manifest
+// watchers — without listening. It returns the role's handler and a
+// function closing everything it opened, newest first; on error it has
+// closed that already.
+func assemble(c config, logger *log.Logger) (handler http.Handler, closer func(), err error) {
 	var closers []func() error
-	defer func() {
+	closeAll := func() {
 		for i := len(closers) - 1; i >= 0; i-- {
 			if err := closers[i](); err != nil {
 				logger.Printf("shutdown: %v", err)
 			}
 		}
-	}()
-
-	switch cf.role {
-	case "standalone":
-		st, err := openStore(storePath, icfg)
+		closers = nil
+	}
+	defer func() {
 		if err != nil {
-			return err
+			closeAll()
+		}
+	}()
+	watch := func(fn func(*placement.Manifest)) (*placement.Watcher, error) {
+		w, err := placement.Watch(c.manifest, c.manifestPoll, fn)
+		if err != nil {
+			return nil, fmt.Errorf("placement manifest %s: %w", c.manifest, err)
+		}
+		closers = append(closers, func() error { w.Close(); return nil })
+		logger.Printf("watching placement manifest %s every %v", c.manifest, c.manifestPoll)
+		return w, nil
+	}
+	var m *placement.Manifest
+	if c.role == "node" || c.role == "frontend" {
+		// The only placement source of both roles.
+		if c.manifest == "" {
+			return nil, nil, fmt.Errorf("%s needs -manifest", c.role)
+		}
+		if m, err = placement.Load(c.manifest); err != nil {
+			return nil, nil, err
+		}
+	}
+
+	switch c.role {
+	case "standalone":
+		st, err := openStore(c.storePath, c.icfg)
+		if err != nil {
+			return nil, nil, err
 		}
 		closers = append(closers, st.Close)
-		if seedCatalog {
+		if c.seedCatalog {
 			if err := seedStore(st, logger); err != nil {
-				return err
+				return nil, nil, err
 			}
 		}
-		ckpt, err := openCheckpoints(checkpointDir, checkpointEvery, logger)
+		ckpt, err := openCheckpoints(c.checkpointDir, c.checkpointEvery, logger)
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
 		if ckpt != nil {
 			closers = append(closers, ckpt.Close)
 		}
-		scfg := server.Config{
-			Store:              st,
-			Schedule:           core.DefaultSchedule(),
-			RequesterToken:     token,
-			Logger:             logger,
-			Checkpoints:        ckpt,
-			CheckpointInterval: checkpointEvery,
-		}
-		cf.admission(&scfg)
-		if cf.budgetEnabled() {
+		scfg := c.serverConfig(logger)
+		scfg.Store, scfg.Checkpoints, scfg.CheckpointInterval = st, ckpt, c.checkpointEvery
+		if c.budgetEnabled() {
 			set, err := budget.NewSet(budget.SetOptions{
-				Shards: 1, Dir: cf.budgetDir, Config: cf.budgetConfig(),
+				Shards: 1, Dir: c.budgetDir, Config: c.budgetConfig(),
 			})
 			if err != nil {
-				return err
+				return nil, nil, err
 			}
 			closers = append(closers, set.Close)
 			scfg.Budget = set
-			scfg.BudgetEnforce = cf.budgetEnforce
+			scfg.BudgetEnforce = c.budgetEnforce
 			logger.Printf("privacy budget %s: cap ε=%g at δ=%g (ledger %s)",
-				cf.budgetEnforce, cf.budgetCap, cf.budgetDelta, budgetWhere(cf.budgetDir))
+				c.budgetEnforce, c.budgetCap, c.budgetDelta, budgetWhere(c.budgetDir))
 		}
 		srv, err := server.New(scfg)
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
 		closers = append(closers, srv.Close)
 		handler = srv
 
 	case "node":
-		owned, err := ownedShards(cf.clusterShards, cf.clusterNodes, cf.nodeIndex)
-		if err != nil {
-			return err
+		if c.advertise == "" {
+			return nil, nil, errors.New("node needs -advertise (its URL as the manifest names it)")
+		}
+		owned := hostedShards(m, c.advertise, c.storePath)
+		if len(owned) == 0 {
+			return nil, nil, fmt.Errorf("node %s is primary for no shard in %s and has no shard store on disk", c.advertise, c.manifest)
 		}
 		stores := make([]store.Store, len(owned))
 		for i, g := range owned {
-			st, err := openShardStore(storePath, icfg, g)
+			st, err := openStore(shardStore(c.storePath, g), c.icfg)
 			if err != nil {
-				return err
+				return nil, nil, err
 			}
 			closers = append(closers, st.Close)
 			stores[i] = st
 		}
 		local, err := shardset.NewLocal(stores, shardset.LocalOptions{
-			GlobalIDs: owned, Journal: true, JournalRetain: cf.journalRetain,
-			FollowerAckTTL: cf.followerAckTTL,
+			GlobalIDs: owned, Journal: true, JournalRetain: c.journalRetain,
+			FollowerAckTTL: c.followerAckTTL,
 		})
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
-		if seedCatalog {
+		if c.seedCatalog {
 			if err := seedStore(local, logger); err != nil {
-				return err
+				return nil, nil, err
 			}
 		}
-		ckpt, err := openCheckpoints(checkpointDir, checkpointEvery, logger)
+		ckpt, err := openCheckpoints(c.checkpointDir, c.checkpointEvery, logger)
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
 		if ckpt != nil {
 			closers = append(closers, ckpt.Close)
 		}
-		scfg := server.Config{
-			Router:             local,
-			Schedule:           core.DefaultSchedule(),
-			RequesterToken:     token,
-			Logger:             logger,
-			Checkpoints:        ckpt,
-			CheckpointInterval: checkpointEvery,
-			Role:               "node",
-			ClusterShards:      cf.clusterShards,
-		}
-		cf.admission(&scfg)
+		scfg := c.serverConfig(logger)
+		scfg.Router, scfg.Checkpoints, scfg.CheckpointInterval = local, ckpt, c.checkpointEvery
+		scfg.Role, scfg.ClusterShards = "node", len(m.Shards)
 		var bset *budget.Set
-		if cf.budgetEnabled() {
+		if c.budgetEnabled() {
+			hosted := m.BudgetShards(c.advertise)
 			bset, err = budget.NewSet(budget.SetOptions{
-				Shards: cf.clusterShards, GlobalIDs: owned, Dir: cf.budgetDir, Config: cf.budgetConfig(),
+				Shards: len(m.Budget), GlobalIDs: hosted, Dir: c.budgetDir, Config: c.budgetConfig(),
 			})
 			if err != nil {
-				return err
+				return nil, nil, err
 			}
 			closers = append(closers, bset.Close)
 			// The node's own public API meters through its hosted subset;
@@ -421,189 +440,134 @@ func run(addr, storePath, token string, seedCatalog bool, icfg ingest.Config, ch
 			// another node rather than admit them unmetered — they submit
 			// through a frontend.
 			scfg.Budget = bset
-			scfg.BudgetEnforce = cf.budgetEnforce
-			logger.Printf("privacy budget %s: hosting budget shards %v, cap ε=%g at δ=%g (ledger %s)",
-				cf.budgetEnforce, owned, cf.budgetCap, cf.budgetDelta, budgetWhere(cf.budgetDir))
+			scfg.BudgetEnforce = c.budgetEnforce
+			logger.Printf("privacy budget %s: hosting budget shards %v of %d, cap ε=%g at δ=%g (ledger %s)",
+				c.budgetEnforce, hosted, len(m.Budget), c.budgetCap, c.budgetDelta, budgetWhere(c.budgetDir))
 		}
 		srv, err := server.New(scfg)
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
 		closers = append(closers, srv.Close)
-		node, err := server.NewNode(srv, cf.clusterShards)
+		node, err := server.NewNode(srv, len(m.Shards))
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
 		if bset != nil {
 			node.HostBudget(bset)
 		}
-		rpc, err := shardrpc.NewHandler(node, cf.clusterToken)
+		rpc, err := shardrpc.NewHandler(node, c.clusterToken)
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
-		if cf.manifest != "" {
-			if cf.advertise == "" {
-				return errors.New("node with -manifest needs -advertise (its URL as the manifest names it)")
-			}
-			w, err := placement.Watch(cf.manifest, cf.manifestPoll, func(m *placement.Manifest) {
-				node.ApplyManifest(m, cf.advertise)
-			})
-			if err != nil {
-				return fmt.Errorf("placement manifest %s: %w", cf.manifest, err)
-			}
-			closers = append(closers, func() error { w.Close(); return nil })
-			logger.Printf("watching placement manifest %s every %v (advertised as %s)", cf.manifest, cf.manifestPoll, cf.advertise)
+		if _, err := watch(func(m *placement.Manifest) { node.ApplyManifest(m, c.advertise) }); err != nil {
+			return nil, nil, err
 		}
-		logger.Printf("node %d/%d owns global shards %v", cf.nodeIndex, cf.clusterNodes, owned)
+		logger.Printf("node %s hosts global shards %v of %d", c.advertise, owned, len(m.Shards))
 		mux := http.NewServeMux()
 		mux.Handle("/shardrpc/", rpc)
 		mux.Handle("/", srv)
 		handler = mux
 
 	case "frontend":
-		if cf.peers == "" && cf.manifest == "" {
-			return errors.New("frontend needs -peers or -manifest")
+		// Routing by the manifest — shard -> primary + replicas with
+		// per-shard epochs, reloaded on file change (a promotion re-routes
+		// without a restart) — plus the health-probing failure detector
+		// that fails reads over to replicas.
+		remote, err := shardrpc.NewRemoteFromManifest(m, c.clusterToken, nil)
+		if err != nil {
+			return nil, nil, err
 		}
-		var remote *shardrpc.Remote
-		var peerURLs []string
-		if cf.manifest != "" {
-			// Manifest-driven routing: shard -> primary + replicas with
-			// per-shard epochs, reloaded on file change (a promotion
-			// re-routes without a restart), plus the health-probing
-			// failure detector that fails reads over to replicas.
-			m, err := placement.Load(cf.manifest)
-			if err != nil {
-				return fmt.Errorf("placement manifest %s: %w", cf.manifest, err)
+		closers = append(closers, remote.Close)
+		w, err := watch(func(m *placement.Manifest) {
+			if err := remote.ApplyManifest(m); err != nil {
+				logger.Printf("placement manifest reload: %v", err)
 			}
-			remote, err = shardrpc.NewRemoteFromManifest(m, cf.clusterToken, nil)
-			if err != nil {
-				return err
-			}
-			peerURLs = m.Nodes()
-			w, err := placement.Watch(cf.manifest, cf.manifestPoll, func(m *placement.Manifest) {
-				if err := remote.ApplyManifest(m); err != nil {
-					logger.Printf("placement manifest reload: %v", err)
-				}
-			})
-			if err != nil {
-				return fmt.Errorf("placement manifest %s: %w", cf.manifest, err)
-			}
-			closers = append(closers, func() error { w.Close(); return nil })
-			// A fenced write means a newer manifest exists somewhere:
-			// re-poll immediately instead of waiting out the interval.
-			remote.OnFenced(w.Poll)
-			remote.EnableFailover(shardrpc.FailoverOptions{ProbeInterval: cf.probeInterval})
-			closers = append(closers, remote.Close)
-			logger.Printf("watching placement manifest %s every %v (probe interval %v)", cf.manifest, cf.manifestPoll, cf.probeInterval)
-		} else {
-			var clients []*shardrpc.Client
-			for _, p := range strings.Split(cf.peers, ",") {
-				p = strings.TrimSpace(p)
-				if p == "" {
-					continue
-				}
-				peerURLs = append(peerURLs, p)
-				clients = append(clients, shardrpc.NewClient(p, cf.clusterToken, nil))
-			}
-			if len(clients) == 0 {
-				return errors.New("frontend needs at least one peer")
-			}
-			rr, err := shardrpc.NewRemoteRoundRobin(clients, cf.clusterShards)
-			if err != nil {
-				return err
-			}
-			remote = rr
+		})
+		if err != nil {
+			return nil, nil, err
 		}
-		if seedCatalog {
+		// A fenced write means a newer manifest exists somewhere: re-poll
+		// immediately instead of waiting out the interval.
+		remote.OnFenced(w.Poll)
+		remote.EnableFailover(shardrpc.FailoverOptions{ProbeInterval: c.probeInterval})
+		if c.seedCatalog {
 			if err := seedStore(remote, logger); err != nil {
-				return err
+				return nil, nil, err
 			}
 		}
-		scfg := server.Config{
-			Router:           remote,
-			Schedule:         core.DefaultSchedule(),
-			RequesterToken:   token,
-			Logger:           logger,
-			Role:             "frontend",
-			FrontendCacheTTL: cf.cacheTTL,
-			FrontendRefresh:  cf.cacheRefresh,
-		}
-		cf.admission(&scfg)
-		if cf.budgetEnforce != "off" {
-			chargeClients := make([]*shardrpc.Client, len(peerURLs))
-			for i, p := range peerURLs {
-				chargeClients[i] = shardrpc.NewClient(p, cf.clusterToken, nil)
-			}
-			charger, err := shardrpc.NewRemoteCharger(chargeClients, cf.clusterShards, cf.budgetConfig())
+		scfg := c.serverConfig(logger)
+		scfg.Router, scfg.Role = remote, "frontend"
+		scfg.FrontendCacheTTL, scfg.FrontendRefresh = c.cacheTTL, c.cacheRefresh
+		if c.budgetEnforce != "off" {
+			// Charge where the manifest's budget rows put the ledgers, and
+			// fuse a charge into the submit RPC when its row names the
+			// response shard's primary; the charger covers the rest (and
+			// refunds, peeks, stats).
+			charger, err := remote.Charger(c.budgetConfig())
 			if err != nil {
-				return err
+				return nil, nil, err
 			}
-			// Fuse charges into the submit RPC for workers whose budget
-			// shard is colocated with the response shard; the charger
-			// covers the rest (and refunds, peeks, stats).
-			if err := remote.EnablePiggybackCharges(cf.clusterShards); err != nil {
-				return err
+			if err := remote.EnablePiggybackCharges(len(m.Budget)); err != nil {
+				return nil, nil, err
 			}
 			scfg.Budget = charger
-			scfg.BudgetEnforce = cf.budgetEnforce
-			logger.Printf("privacy budget %s: charging %d budget shards across %d nodes, cap ε=%g at δ=%g",
-				cf.budgetEnforce, cf.clusterShards, len(peerURLs), cf.budgetCap, cf.budgetDelta)
+			scfg.BudgetEnforce = c.budgetEnforce
+			logger.Printf("privacy budget %s: charging %d budget shards, cap ε=%g at δ=%g",
+				c.budgetEnforce, len(m.Budget), c.budgetCap, c.budgetDelta)
 		}
 		srv, err := server.New(scfg)
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
 		closers = append(closers, srv.Close)
-		if cf.cacheTTL < 0 {
-			logger.Printf("frontend routing %d shards across %d nodes (partial cache revalidated on every read)", cf.clusterShards, len(peerURLs))
+		if c.cacheTTL < 0 {
+			logger.Printf("frontend routing %d shards across %d nodes (partial cache revalidated on every read)", len(m.Shards), len(m.Nodes()))
 		} else {
 			logger.Printf("frontend routing %d shards across %d nodes (partial cache TTL %v, refresh %v)",
-				cf.clusterShards, len(peerURLs), cf.cacheTTL, cf.cacheRefresh)
+				len(m.Shards), len(m.Nodes()), c.cacheTTL, c.cacheRefresh)
 		}
 		handler = srv
 
 	case "replica":
-		if cf.follow == "" {
-			return errors.New("replica needs -follow")
+		if c.follow == "" {
+			return nil, nil, errors.New("replica needs -follow")
 		}
-		if cf.manifest != "" && cf.advertise == "" {
-			return errors.New("replica with -manifest needs -advertise (its URL as the manifest names it)")
+		if c.manifest != "" && c.advertise == "" {
+			return nil, nil, errors.New("replica with -manifest needs -advertise (its URL as the manifest names it)")
 		}
 		rep, err := server.NewReplica(server.ReplicaConfig{
-			Client:         shardrpc.NewClient(cf.follow, cf.clusterToken, nil),
+			Client:         shardrpc.NewClient(c.follow, c.clusterToken, nil),
 			Schedule:       core.DefaultSchedule(),
-			RequesterToken: token,
+			RequesterToken: c.token,
 			Logger:         logger,
-			PollInterval:   cf.pollInterval,
-			FollowerID:     cf.followerID,
-			JournalRetain:  cf.journalRetain,
-			ManifestPath:   cf.manifest,
-			SelfURL:        cf.advertise,
-			PromoteAfter:   cf.promoteAfter,
+			PollInterval:   c.pollInterval,
+			FollowerID:     c.followerID,
+			JournalRetain:  c.journalRetain,
+			ManifestPath:   c.manifest,
+			SelfURL:        c.advertise,
+			PromoteAfter:   c.promoteAfter,
 		})
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
 		closers = append(closers, rep.Close)
 		// The replica serves shardrpc too: frontends fail reads over to
 		// it while its node is down, and after a promotion it is the
 		// shard's write path and its followers' tail source.
-		rpc, err := shardrpc.NewHandler(rep, cf.clusterToken)
+		rpc, err := shardrpc.NewHandler(rep, c.clusterToken)
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
-		if cf.manifest != "" {
-			w, err := placement.Watch(cf.manifest, cf.manifestPoll, rep.ApplyManifest)
-			if err != nil {
-				return fmt.Errorf("placement manifest %s: %w", cf.manifest, err)
+		if c.manifest != "" {
+			if _, err := watch(rep.ApplyManifest); err != nil {
+				return nil, nil, err
 			}
-			closers = append(closers, func() error { w.Close(); return nil })
-			logger.Printf("watching placement manifest %s every %v (advertised as %s)", cf.manifest, cf.manifestPoll, cf.advertise)
 		}
-		if cf.promoteAfter > 0 {
-			logger.Printf("replica tailing %s every %v (auto-promote after %v unreachable)", cf.follow, cf.pollInterval, cf.promoteAfter)
+		if c.promoteAfter > 0 {
+			logger.Printf("replica tailing %s every %v (auto-promote after %v unreachable)", c.follow, c.pollInterval, c.promoteAfter)
 		} else {
-			logger.Printf("replica tailing %s every %v", cf.follow, cf.pollInterval)
+			logger.Printf("replica tailing %s every %v", c.follow, c.pollInterval)
 		}
 		mux := http.NewServeMux()
 		mux.Handle("/shardrpc/", rpc)
@@ -611,17 +575,27 @@ func run(addr, storePath, token string, seedCatalog bool, icfg ingest.Config, ch
 		handler = mux
 
 	default:
-		return fmt.Errorf("unknown role %q (standalone, node, frontend, replica)", cf.role)
+		return nil, nil, fmt.Errorf("unknown role %q (standalone, node, frontend, replica)", c.role)
 	}
+	return handler, closeAll, nil
+}
 
+// run assembles the role, serves it on c.addr until SIGINT/SIGTERM and
+// closes it.
+func run(c config, logger *log.Logger) error {
+	handler, closeAll, err := assemble(c, logger)
+	if err != nil {
+		return err
+	}
+	defer closeAll()
 	httpSrv := &http.Server{
-		Addr:              addr,
+		Addr:              c.addr,
 		Handler:           handler,
 		ReadHeaderTimeout: 5 * time.Second,
 	}
 	errCh := make(chan error, 1)
 	go func() {
-		logger.Printf("listening on %s (%s)", addr, cf.role)
+		logger.Printf("listening on %s (%s)", c.addr, c.role)
 		errCh <- httpSrv.ListenAndServe()
 	}()
 

@@ -1,11 +1,13 @@
-// Package placement is the cluster's shared placement manifest: a
-// versioned JSON document mapping every global shard to the node that
-// owns its writes (the primary), the replicas that tail it, and a
-// per-shard fencing epoch. It replaces positional -peers as the
-// placement source of truth — every role loads the same file (or
-// fetches it from a peer's admin surface), frontends hot-reload it
-// through a Watcher, and a failover is one atomic rewrite: bump the
-// shard's epoch, swap the primary, bump the manifest version.
+// Package placement is the cluster's shared placement manifest and its
+// one source of placement: a versioned JSON document mapping every
+// global response shard to the node that owns its writes (the primary),
+// the replicas that tail it and a per-shard fencing epoch, and every
+// budget shard to the node hosting its ledger. Every role reads the
+// same file: nodes host what it names them for, frontends route and
+// charge by it and hot-reload it through a Watcher, and a positional
+// router synthesizes one in memory (RoundRobin, at version 0). A
+// failover is one atomic rewrite: bump the shard's epoch, swap the
+// primary, bump the manifest version. Budget rows do not move.
 //
 // The epoch is the write fence. A frontend stamps every submit with the
 // epoch of the shard it is routing to; a node compares the stamp
@@ -19,6 +21,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -41,17 +44,26 @@ type ShardPlacement struct {
 	Replicas []string `json:"replicas,omitempty"`
 }
 
+// BudgetPlacement is one budget shard's row: the node hosting the
+// ledger of every worker budget.Route maps to the shard. Budget rows
+// have no epoch and do not move on promotion (a promoted replica hosts
+// no ledger).
+type BudgetPlacement struct {
+	Shard int    `json:"shard"`
+	Host  string `json:"host"`
+}
+
 // Manifest is the versioned placement document. Version must strictly
 // grow on every change — watchers ignore anything older than what they
 // already applied, so a torn half-rollout cannot move routing backwards.
 type Manifest struct {
-	Version int64            `json:"version"`
-	Shards  []ShardPlacement `json:"shards"`
+	Version int64             `json:"version"`
+	Shards  []ShardPlacement  `json:"shards"`
+	Budget  []BudgetPlacement `json:"budget"`
 }
 
-// RoundRobin builds the canonical first manifest: totalShards spread
-// round-robin across the nodes (shard i on node i mod n, the same
-// layout shardrpc.RoundRobinPlacement and -node-index ownership use),
+// RoundRobin builds the canonical first manifest: totalShards response
+// shards and as many budget shards, shard s of each on node s mod n,
 // every epoch 1, version 1, no replicas. Callers attach replicas and
 // Save.
 func RoundRobin(totalShards int, nodes []string) (*Manifest, error) {
@@ -61,42 +73,67 @@ func RoundRobin(totalShards int, nodes []string) (*Manifest, error) {
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("placement: round-robin needs at least one node")
 	}
-	m := &Manifest{Version: 1, Shards: make([]ShardPlacement, totalShards)}
-	for s := 0; s < totalShards; s++ {
-		m.Shards[s] = ShardPlacement{Shard: s, Epoch: 1, Primary: nodes[s%len(nodes)]}
+	m := &Manifest{Version: 1, Shards: make([]ShardPlacement, totalShards), Budget: make([]BudgetPlacement, totalShards)}
+	for n, owned := range RoundRobinShards(totalShards, len(nodes)) {
+		for _, s := range owned {
+			m.Shards[s] = ShardPlacement{Shard: s, Epoch: 1, Primary: nodes[n]}
+			m.Budget[s] = BudgetPlacement{Shard: s, Host: nodes[n]}
+		}
 	}
 	return m, nil
 }
 
+// RoundRobinShards is the round-robin layout, the one place it exists:
+// per node index, the shards s with s mod nodes equal to it.
+func RoundRobinShards(totalShards, nodes int) [][]int {
+	owned := make([][]int, nodes)
+	for s := 0; s < totalShards; s++ {
+		owned[s%nodes] = append(owned[s%nodes], s)
+	}
+	return owned
+}
+
 // Validate checks the manifest is well-formed: a positive version,
-// every shard index 0..n-1 present exactly once, every primary
-// non-empty, and no shard listing its primary as its own replica.
+// every shard index 0..n-1 present exactly once with a non-empty
+// primary that is not also its own replica, and every budget shard
+// index 0..b-1 present exactly once with a non-empty host.
 func (m *Manifest) Validate() error {
 	if m.Version <= 0 {
 		return fmt.Errorf("placement: manifest version %d must be positive", m.Version)
 	}
-	if len(m.Shards) == 0 {
-		return fmt.Errorf("placement: manifest has no shards")
-	}
-	seen := make(map[int]bool, len(m.Shards))
-	for i := range m.Shards {
-		sp := &m.Shards[i]
-		if sp.Shard < 0 || sp.Shard >= len(m.Shards) {
-			return fmt.Errorf("placement: shard index %d outside [0, %d)", sp.Shard, len(m.Shards))
+	shards := make([]string, len(m.Shards))
+	for _, sp := range m.Shards {
+		if err := placeRow(shards, "shard", sp.Shard, sp.Primary); err != nil {
+			return err
 		}
-		if seen[sp.Shard] {
-			return fmt.Errorf("placement: shard %d appears twice", sp.Shard)
-		}
-		seen[sp.Shard] = true
-		if sp.Primary == "" {
-			return fmt.Errorf("placement: shard %d has no primary", sp.Shard)
-		}
-		for _, rep := range sp.Replicas {
-			if rep == sp.Primary {
-				return fmt.Errorf("placement: shard %d lists its primary %q as a replica", sp.Shard, rep)
-			}
+		if slices.Contains(sp.Replicas, sp.Primary) {
+			return fmt.Errorf("placement: shard %d lists its primary %q as a replica", sp.Shard, sp.Primary)
 		}
 	}
+	budget := make([]string, len(m.Budget))
+	for _, b := range m.Budget {
+		if err := placeRow(budget, "budget shard", b.Shard, b.Host); err != nil {
+			return err
+		}
+	}
+	if len(shards) == 0 || len(budget) == 0 {
+		return fmt.Errorf("placement: manifest has %d shards and %d budget shards; it needs both", len(shards), len(budget))
+	}
+	return nil
+}
+
+// placeRow records one row's node in hosts[shard], refusing an index
+// outside the table, a second row for the same index and an empty node.
+func placeRow(hosts []string, kind string, shard int, node string) error {
+	switch {
+	case shard < 0 || shard >= len(hosts):
+		return fmt.Errorf("placement: %s index %d outside [0, %d)", kind, shard, len(hosts))
+	case hosts[shard] != "":
+		return fmt.Errorf("placement: %s %d appears twice", kind, shard)
+	case node == "":
+		return fmt.Errorf("placement: %s %d has no node", kind, shard)
+	}
+	hosts[shard] = node
 	return nil
 }
 
@@ -110,10 +147,24 @@ func (m *Manifest) Placement(shard int) *ShardPlacement {
 	return nil
 }
 
+// BudgetShards returns, ascending, the budget shards node hosts. It is
+// never nil, so it is safe as budget.SetOptions.GlobalIDs (where nil
+// means every shard).
+func (m *Manifest) BudgetShards(node string) []int {
+	out := []int{}
+	for _, b := range m.Budget {
+		if b.Host == node {
+			out = append(out, b.Shard)
+		}
+	}
+	sort.Ints(out)
+	return out
+}
+
 // Nodes returns every distinct primary base URL, in first-appearance
 // order over ascending shard index — for a round-robin manifest that is
-// node-index order, which keeps derived placements (budget shards)
-// agreeing with the nodes' own ownership computation.
+// node-index order. Load derives a parent-written manifest's budget
+// rows from it.
 func (m *Manifest) Nodes() []string {
 	rows := append([]ShardPlacement(nil), m.Shards...)
 	sort.Slice(rows, func(i, j int) bool { return rows[i].Shard < rows[j].Shard })
@@ -130,7 +181,8 @@ func (m *Manifest) Nodes() []string {
 
 // Clone returns an independent deep copy.
 func (m *Manifest) Clone() *Manifest {
-	out := &Manifest{Version: m.Version, Shards: make([]ShardPlacement, len(m.Shards))}
+	out := &Manifest{Version: m.Version, Shards: make([]ShardPlacement, len(m.Shards)),
+		Budget: append([]BudgetPlacement(nil), m.Budget...)}
 	copy(out.Shards, m.Shards)
 	for i := range out.Shards {
 		out.Shards[i].Replicas = append([]string(nil), m.Shards[i].Replicas...)
@@ -143,7 +195,7 @@ func (m *Manifest) Clone() *Manifest {
 // the new primary disappears from the replica list. The demoted primary
 // is NOT added as a replica — it is presumed dead, and a returned node
 // re-registers by being added back explicitly once it has re-synced.
-// Returns the shard's new epoch.
+// Budget rows stay where they are. Returns the shard's new epoch.
 func (m *Manifest) Promote(shard int, newPrimary string) (uint64, error) {
 	sp := m.Placement(shard)
 	if sp == nil {
@@ -165,7 +217,9 @@ func (m *Manifest) Promote(shard int, newPrimary string) (uint64, error) {
 	return sp.Epoch, nil
 }
 
-// Load reads and validates a manifest file.
+// Load reads and validates a manifest file. A file without budget rows
+// gets the layout its writer placed budget shards by: one per response
+// shard, round-robin over Nodes().
 func Load(path string) (*Manifest, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -174,6 +228,12 @@ func Load(path string) (*Manifest, error) {
 	var m Manifest
 	if err := json.Unmarshal(b, &m); err != nil {
 		return nil, fmt.Errorf("placement: parse manifest %s: %w", path, err)
+	}
+	if len(m.Budget) == 0 && len(m.Shards) > 0 {
+		// Written before budget rows existed: nodes hosted as many budget
+		// shards as response shards, round-robin over the primaries.
+		rr, _ := RoundRobin(len(m.Shards), m.Nodes())
+		m.Budget = rr.Budget
 	}
 	if err := m.Validate(); err != nil {
 		return nil, fmt.Errorf("placement: manifest %s: %w", path, err)

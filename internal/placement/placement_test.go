@@ -37,6 +37,16 @@ func TestRoundRobin(t *testing.T) {
 	if got := m.Nodes(); !reflect.DeepEqual(got, []string{"http://a", "http://b"}) {
 		t.Fatalf("nodes = %v", got)
 	}
+	wantBudget := []BudgetPlacement{{0, "http://a"}, {1, "http://b"}, {2, "http://a"}, {3, "http://b"}, {4, "http://a"}}
+	if !reflect.DeepEqual(m.Budget, wantBudget) {
+		t.Fatalf("budget rows = %v", m.Budget)
+	}
+	if got := m.BudgetShards("http://b"); !reflect.DeepEqual(got, []int{1, 3}) {
+		t.Fatalf("b hosts budget shards %v", got)
+	}
+	if got := m.BudgetShards("http://nobody"); got == nil || len(got) != 0 {
+		t.Fatalf("a node hosting nothing gets %#v, which budget.SetOptions reads as every shard", got)
+	}
 	if _, err := RoundRobin(0, []string{"http://a"}); err == nil {
 		t.Fatal("zero shards accepted")
 	}
@@ -60,6 +70,10 @@ func TestValidateRejects(t *testing.T) {
 		{"out of range shard", func(m *Manifest) { m.Shards[1].Shard = 9 }},
 		{"empty primary", func(m *Manifest) { m.Shards[2].Primary = "" }},
 		{"primary as replica", func(m *Manifest) { m.Shards[0].Replicas = []string{"http://a"} }},
+		{"no budget rows", func(m *Manifest) { m.Budget = nil }},
+		{"missing budget row", func(m *Manifest) { m.Budget = []BudgetPlacement{m.Budget[0], m.Budget[2]} }},
+		{"duplicate budget row", func(m *Manifest) { m.Budget[1].Shard = 0 }},
+		{"empty budget host", func(m *Manifest) { m.Budget[2].Host = "" }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -89,6 +103,9 @@ func TestPromote(t *testing.T) {
 	}
 	if m.Version != 2 {
 		t.Fatalf("version = %d, want 2", m.Version)
+	}
+	if m.Budget[0].Host != "http://a" {
+		t.Fatalf("the promotion moved budget shard 0 to %s", m.Budget[0].Host)
 	}
 	// Shard 1 untouched.
 	if sp1 := m.Placement(1); sp1.Epoch != 1 || sp1.Primary != "http://b" {
@@ -238,5 +255,59 @@ func TestWatch(t *testing.T) {
 	defer mu.Unlock()
 	if len(seen) != 2 {
 		t.Fatalf("rollback delivered: %v", seen)
+	}
+}
+
+// TestParentManifestFixture: a manifest the parent's Save wrote has no
+// budget rows. It loads with the rows that code placed budget shards by
+// — one per response shard, budget shard s on Nodes()[s mod n] — and
+// keeps them through a promotion that reorders Nodes() and a Save/Load
+// round trip.
+func TestParentManifestFixture(t *testing.T) {
+	b, err := os.ReadFile(filepath.Join("testdata", "parent_manifest.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(b, []byte(`"budget"`)) {
+		t.Fatal("the fixture already carries budget rows")
+	}
+	path := filepath.Join(t.TempDir(), "manifest.json")
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fixtureManifest(t)
+	if !reflect.DeepEqual(m.Shards, want.Shards) {
+		t.Fatalf("shards = %+v, want %+v", m.Shards, want.Shards)
+	}
+	var parentBudget []BudgetPlacement
+	for s := range m.Shards {
+		parentBudget = append(parentBudget, BudgetPlacement{Shard: s, Host: fixtureNodes[s%len(fixtureNodes)]})
+	}
+	if !reflect.DeepEqual(m.Budget, parentBudget) {
+		t.Fatalf("budget rows = %+v, want the parent's %+v", m.Budget, parentBudget)
+	}
+
+	if _, err := m.Promote(0, "http://replica-a"); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nodes := got.Nodes(); nodes[0] != "http://replica-a" {
+		t.Fatalf("nodes after the promotion = %v", nodes)
+	}
+	if sp := got.Placement(0); got.Version != 2 || sp.Epoch != 2 || sp.Primary != "http://replica-a" {
+		t.Fatalf("after Promote + Save + Load: v%d, shard 0 %+v", got.Version, sp)
+	}
+	if !reflect.DeepEqual(got.Budget, parentBudget) {
+		t.Fatalf("after Promote + Save + Load: budget rows %+v, want %+v", got.Budget, parentBudget)
 	}
 }

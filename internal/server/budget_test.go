@@ -450,15 +450,12 @@ func TestBudgetConfigValidation(t *testing.T) {
 	_ = fmt.Sprintf // keep fmt for future debugging aids
 }
 
-// TestManifestFrontendChargesWhereBudgetIsHosted: a frontend built from
-// a manifest that places a replica holds one more client than there are
-// nodes hosting budget shards. Its charge-colocation table must still be
-// derived from the nodes (the list the RemoteCharger gets), or a charge
-// rides the submit RPC to a node that does not host the worker's budget
-// shard and the whole batch comes back 421. Enforcing, every submit of a
-// fresh worker is a 201, on both charge paths (on two nodes the path is
-// decided by the survey ID's byte parity, so two surveys cover both).
-func TestManifestFrontendChargesWhereBudgetIsHosted(t *testing.T) {
+// budgetHostingCluster is two nodes hosting budget shards round-robin,
+// a replica of node 0, and the manifest (saved at the returned path) that
+// places them: eight response shards and eight budget shards, the
+// replica on node 0's shards.
+func budgetHostingCluster(t *testing.T) ([]*haNode, *Replica, string) {
+	t.Helper()
 	const totalShards = 8
 	nodes := newHANodes(t, 2, totalShards)
 	urls := []string{nodes[0].url, nodes[1].url}
@@ -473,7 +470,7 @@ func TestManifestFrontendChargesWhereBudgetIsHosted(t *testing.T) {
 		nodes[nd].node.HostBudget(set)
 	}
 	manifestPath := filepath.Join(t.TempDir(), "manifest.json")
-	_, repURL := newHAReplica(t, nodes[0], manifestPath, 0)
+	rep, repURL := newHAReplica(t, nodes[0], manifestPath, 0)
 	m, err := placement.RoundRobin(totalShards, urls)
 	if err != nil {
 		t.Fatal(err)
@@ -489,17 +486,28 @@ func TestManifestFrontendChargesWhereBudgetIsHosted(t *testing.T) {
 	for _, n := range nodes {
 		n.node.ApplyManifest(m, n.url)
 	}
+	return nodes, rep, manifestPath
+}
 
+// manifestFrontend serves an enforcing frontend over the manifest at
+// path, wired as loki-server -role frontend wires it: the router, its
+// charger and its colocation table all from the one manifest value.
+func manifestFrontend(t *testing.T, path string) (*httptest.Server, *shardrpc.Remote) {
+	t.Helper()
+	m, err := placement.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	remote, err := shardrpc.NewRemoteFromManifest(m, testToken, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { remote.Close() })
-	charger, err := shardrpc.NewRemoteCharger([]*shardrpc.Client{nodes[0].client, nodes[1].client}, totalShards, budgetTestConfig(t))
+	charger, err := remote.Charger(budgetTestConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := remote.EnablePiggybackCharges(totalShards); err != nil {
+	if err := remote.EnablePiggybackCharges(len(m.Budget)); err != nil {
 		t.Fatal(err)
 	}
 	frontend, err := New(Config{
@@ -512,8 +520,18 @@ func TestManifestFrontendChargesWhereBudgetIsHosted(t *testing.T) {
 	t.Cleanup(func() { frontend.Close() })
 	fts := httptest.NewServer(frontend)
 	t.Cleanup(fts.Close)
+	return fts, remote
+}
 
-	rode := map[bool]int{}
+// submitFreshWorkers publishes two surveys through the frontend and
+// submits 32 fresh workers to each, failing on any answer but 201. It
+// returns how many records each charge path took and how many went to
+// each primary. (On two round-robin nodes the charge path is decided by
+// the survey ID's byte parity, so two surveys cover both.)
+func submitFreshWorkers(t *testing.T, fts *httptest.Server, remote *shardrpc.Remote, prefix string) (rode map[bool]int, primaries map[string]int) {
+	t.Helper()
+	rode, primaries = map[bool]int{}, map[string]int{}
+	info := remote.FailoverInfo()
 	for _, id := range []string{"colocation-a", "colocation-b"} {
 		sv := clusterTestSurvey()
 		sv.ID = id
@@ -521,14 +539,59 @@ func TestManifestFrontendChargesWhereBudgetIsHosted(t *testing.T) {
 			t.Fatalf("publish = %d: %s", resp.StatusCode, body)
 		}
 		for i := 0; i < 32; i++ {
-			r := budgetResponse(sv, fmt.Sprintf("fresh-%s-%02d", id, i), "medium")
-			rode[remote.CanPiggybackCharge(remote.Route(r.SurveyID, r.WorkerID), r.WorkerID)]++
+			r := budgetResponse(sv, fmt.Sprintf("%s-%s-%02d", prefix, id, i), "medium")
+			shard := remote.Route(r.SurveyID, r.WorkerID)
+			rode[remote.CanPiggybackCharge(shard, r.WorkerID)]++
+			primaries[info.Shards[shard].Primary]++
 			if code, body := submitCode(t, fts, r); code != http.StatusCreated {
-				t.Fatalf("survey %s submit %d = %d: %s", id, i, code, body)
+				t.Fatalf("survey %s submit %d (shard %d) = %d: %s", id, i, shard, code, body)
 			}
 		}
 	}
 	if rode[true] == 0 || rode[false] == 0 {
 		t.Fatalf("one charge path untested: %d rode the submit, %d took the charge RPC", rode[true], rode[false])
+	}
+	return rode, primaries
+}
+
+// TestManifestFrontendChargesWhereBudgetIsHosted: a frontend built from
+// a manifest that places a replica holds one more client than there are
+// nodes hosting budget shards. Its charge-colocation table must still
+// follow where the ledgers are, or a charge rides the submit RPC to a
+// node that does not host the worker's budget shard and the whole batch
+// comes back 421. Enforcing, every submit of a fresh worker is a 201,
+// on both charge paths.
+func TestManifestFrontendChargesWhereBudgetIsHosted(t *testing.T) {
+	_, _, path := budgetHostingCluster(t)
+	fts, remote := manifestFrontend(t, path)
+	submitFreshWorkers(t, fts, remote, "fresh")
+}
+
+// TestFrontendRebuiltAfterPromotionChargesWhereBudgetIsHosted: after the
+// replica is promoted on shard 0, the manifest lists its primaries as
+// [replica, node 1, node 0], but the ledgers have not moved. A frontend
+// started from that file must charge every worker on the node hosting
+// its budget shard — through the submit RPC where that node is the
+// response shard's primary, by the charge RPC everywhere else, shard 0
+// included — and every fresh worker's submit is a 201.
+func TestFrontendRebuiltAfterPromotionChargesWhereBudgetIsHosted(t *testing.T) {
+	nodes, rep, path := budgetHostingCluster(t)
+	if _, err := rep.Promote(0); err != nil {
+		t.Fatal(err)
+	}
+	m, err := placement.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Nodes()[0] == nodes[0].url {
+		t.Fatalf("the promotion left node 0 first in %v", m.Nodes())
+	}
+	for _, n := range nodes {
+		n.node.ApplyManifest(m, n.url)
+	}
+	fts, remote := manifestFrontend(t, path)
+	_, primaries := submitFreshWorkers(t, fts, remote, "after")
+	if primaries[m.Placement(0).Primary] == 0 {
+		t.Fatal("no submit reached the promoted shard")
 	}
 }

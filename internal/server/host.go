@@ -93,7 +93,7 @@ func (h *shardHost) setState(i int, st shardState) {
 // A fenced or following shard refuses every write, stamped or not. A
 // primary refuses stamps older than its epoch — a sender still routing
 // by a manifest from before the last promotion — and accepts the rest:
-// unstamped writes (legacy positional senders) and stamps NEWER than
+// unstamped writes (routers without a manifest) and stamps NEWER than
 // its own, which mean the sender read a manifest this host has not seen
 // yet, under which the host is still primary (or the sender would not
 // have routed here).

@@ -120,7 +120,7 @@ func (s *Server) liveFor(sv *survey.Survey) (*liveSet, error) {
 		// means a full rebuild — checkpoints are an optimization, the
 		// store is the source of truth. Checkpoints are keyed by GLOBAL
 		// shard and validated against the global layout: a node
-		// redeployed onto a different shard subset (new -node-index)
+		// redeployed onto a different shard subset (a new manifest)
 		// must never restore another shard's fold state.
 		if s.cfg.Checkpoints != nil {
 			gid := s.router.GlobalID(i)

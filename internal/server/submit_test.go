@@ -15,6 +15,7 @@ import (
 
 	"loki/internal/budget"
 	"loki/internal/core"
+	"loki/internal/placement"
 	"loki/internal/shardrpc"
 	"loki/internal/shardset"
 	"loki/internal/store"
@@ -347,14 +348,26 @@ func TestSubmitPipelineAgainstReference(t *testing.T) {
 								nodes[nd] = newWireNode(t, o)
 								clients[nd] = shardrpc.NewClient(nodes[nd].url, testToken, nil)
 							}
-							remote, err := shardrpc.NewRemoteRoundRobin(clients, 2)
+							// The manifest places three budget shards beside the two
+							// response shards, round-robin like the nodes host them.
+							urls := []string{nodes[0].url, nodes[1].url}
+							m, err := placement.RoundRobin(2, urls)
+							if err != nil {
+								t.Fatal(err)
+							}
+							budgetRows, err := placement.RoundRobin(3, urls)
+							if err != nil {
+								t.Fatal(err)
+							}
+							m.Budget = budgetRows.Budget
+							remote, err := shardrpc.NewRemoteFromManifest(m, testToken, nil)
 							if err != nil {
 								t.Fatal(err)
 							}
 							t.Cleanup(func() { remote.Close() })
 							cfg.Router, cfg.Schedule, cfg.RequesterToken, cfg.Role = remote, core.DefaultSchedule(), testToken, "frontend"
 							if charges != nil {
-								charger, err := shardrpc.NewRemoteCharger(clients, 3, budgetTestConfig(t))
+								charger, err := remote.Charger(budgetTestConfig(t))
 								if err != nil {
 									t.Fatal(err)
 								}

@@ -1,10 +1,10 @@
 package shardrpc
 
 import (
-	"errors"
 	"fmt"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -163,68 +163,72 @@ func (c *Client) BudgetStats() ([]budget.ShardStats, error) {
 // The Config it reports is the frontend's flag-derived copy for the
 // admin surface; the owning shard's own config decides accept/reject.
 type RemoteCharger struct {
-	cfg       budget.Config
-	clients   []*Client
-	placement []int // placement[budgetShard] = index into clients
-	batchers  []*budgetBatcher
+	cfg      budget.Config
+	hosts    []*Client // by budget shard
+	batchers []*budgetBatcher
 }
 
-// NewRemoteCharger builds a remote charger over one client per node
-// with the canonical round-robin placement — the same layout nodes
-// compute their budget shard ownership with.
+// NewRemoteCharger is the Charger of NewRemoteRoundRobin(clients,
+// totalShards): the budget rows of the same round-robin manifest.
 func NewRemoteCharger(clients []*Client, totalShards int, cfg budget.Config) (*RemoteCharger, error) {
-	if len(clients) == 0 {
-		return nil, errors.New("shardrpc: remote charger needs at least one node client")
+	r, err := NewRemoteRoundRobin(clients, totalShards)
+	if err != nil {
+		return nil, err
 	}
-	if totalShards <= 0 {
-		return nil, fmt.Errorf("shardrpc: remote charger needs a positive shard count, got %d", totalShards)
-	}
+	return r.Charger(cfg)
+}
+
+// Charger returns the budget.Charger over the router's manifest: each
+// worker's charges, refunds and peeks go to the host of its budget row,
+// the rows CanPiggybackCharge decides colocation by. Budget rows never
+// move under a router (ApplyManifest refuses), so the charger never
+// needs rebuilding.
+func (r *Remote) Charger(cfg budget.Config) (*RemoteCharger, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	placement := make([]int, totalShards)
-	for node, owned := range RoundRobinPlacement(totalShards, len(clients)) {
-		for _, s := range owned {
-			placement[s] = node
-		}
+	r.routeMu.RLock()
+	hosts := r.table.budget
+	r.routeMu.RUnlock()
+	c := &RemoteCharger{cfg: cfg, hosts: hosts, batchers: make([]*budgetBatcher, len(hosts))}
+	for s, h := range hosts {
+		c.batchers[s] = &budgetBatcher{shard: s, client: h}
 	}
-	r := &RemoteCharger{cfg: cfg, clients: clients, placement: placement}
-	r.batchers = make([]*budgetBatcher, totalShards)
-	for s := range r.batchers {
-		r.batchers[s] = &budgetBatcher{shard: s, client: clients[placement[s]]}
-	}
-	return r, nil
+	return c, nil
 }
 
 // Config implements budget.Charger.
 func (r *RemoteCharger) Config() budget.Config { return r.cfg }
 
 // Shards implements budget.Charger.
-func (r *RemoteCharger) Shards() int { return len(r.placement) }
+func (r *RemoteCharger) Shards() int { return len(r.hosts) }
 
 // Charge implements budget.Charger through the shard's group batcher.
 func (r *RemoteCharger) Charge(c budget.Charge) (budget.Outcome, error) {
-	return r.batchers[budget.Route(c.WorkerID, len(r.placement))].charge(c)
+	return r.batchers[budget.Route(c.WorkerID, len(r.hosts))].charge(c)
 }
 
 // Refund implements budget.Charger. Refunds are rare (they compensate
 // failed appends), so they ship directly rather than batching.
 func (r *RemoteCharger) Refund(c budget.Charge) error {
-	shard := budget.Route(c.WorkerID, len(r.placement))
-	return r.clients[r.placement[shard]].BudgetRefund(shard, c)
+	shard := budget.Route(c.WorkerID, len(r.hosts))
+	return r.hosts[shard].BudgetRefund(shard, c)
 }
 
 // Peek implements budget.Charger.
 func (r *RemoteCharger) Peek(workerID string) (budget.Account, error) {
-	shard := budget.Route(workerID, len(r.placement))
-	return r.clients[r.placement[shard]].BudgetPeek(shard, workerID)
+	shard := budget.Route(workerID, len(r.hosts))
+	return r.hosts[shard].BudgetPeek(shard, workerID)
 }
 
-// Stats implements budget.Charger: every node's hosted shards,
-// concatenated and sorted by global shard index.
+// Stats implements budget.Charger: every host's shards, concatenated
+// and sorted by global shard index.
 func (r *RemoteCharger) Stats() ([]budget.ShardStats, error) {
 	var out []budget.ShardStats
-	for _, c := range r.clients {
+	for i, c := range r.hosts {
+		if slices.Contains(r.hosts[:i], c) {
+			continue
+		}
 		stats, err := c.BudgetStats()
 		if err != nil {
 			return nil, err

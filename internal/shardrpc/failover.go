@@ -1,8 +1,10 @@
 package shardrpc
 
 import (
+	"cmp"
 	"fmt"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
@@ -16,6 +18,19 @@ import (
 // fencing while a shard's primary is down and its replica not yet
 // promoted. The node half (epoch checks, promotion) lives in the server
 // package.
+
+// routing is the router's one routing table: one applied manifest with
+// its rows resolved to clients.
+type routing struct {
+	version int64
+	shards  []shardRoute // by response shard
+	budget  []*Client    // by budget shard: the ledger's host
+}
+
+// positional reports whether the table holds no manifest at all, only
+// NewRemoteRoundRobin's in-memory version 0: its writes go unstamped and
+// are never health-gated, and it has no failover state to report.
+func (t *routing) positional() bool { return t.version == 0 }
 
 // shardRoute is one shard's resolved routing row: clients instead of
 // URLs, plus the manifest epoch every write is stamped with.
@@ -43,43 +58,22 @@ type FailoverOptions struct {
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one probe request. Default 1s.
 	ProbeTimeout time.Duration
-	// ProbePath is fetched from each node's base URL; any 2xx answer
-	// counts as alive. Default the admin health endpoint, which every
-	// role serves unauthenticated.
-	ProbePath string
 }
 
-// NewRemoteFromManifest builds the manifest-routed Remote: one client
-// per distinct primary (in first-appearance order over ascending shard
-// index, so derived placements agree with positional layouts), replica
-// clients for read failover, and epoch stamps on every submit. Later
-// manifests hot-swap the routing through ApplyManifest.
+// NewRemoteFromManifest builds the manifest-routed Remote: clients for
+// every primary (first, in Nodes() order), replica and budget host the
+// manifest names, read failover to the replicas, and epoch stamps on
+// every submit. Later manifests hot-swap the routing through
+// ApplyManifest.
 func NewRemoteFromManifest(m *placement.Manifest, token string, httpClient *http.Client) (*Remote, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	nodes := m.Nodes()
-	clients := make([]*Client, len(nodes))
-	nodeIdx := make(map[string]int, len(nodes))
-	for i, u := range nodes {
-		clients[i] = NewClient(u, token, httpClient)
-		nodeIdx[u] = i
+	var clients []*Client
+	for _, u := range m.Nodes() {
+		clients = append(clients, NewClient(u, token, httpClient))
 	}
-	pl := make([]int, len(m.Shards))
-	for i := range m.Shards {
-		sp := &m.Shards[i]
-		pl[sp.Shard] = nodeIdx[sp.Primary]
-	}
-	r, err := NewRemote(clients, pl)
-	if err != nil {
-		return nil, err
-	}
-	r.token = token
-	r.httpc = httpClient
-	if err := r.ApplyManifest(m); err != nil {
-		return nil, err
-	}
-	return r, nil
+	return newRemote(m, clients, token, httpClient)
 }
 
 // ApplyManifest swaps the routing to a newer manifest without touching
@@ -87,52 +81,58 @@ func NewRemoteFromManifest(m *placement.Manifest, token string, httpClient *http
 // epoch stamp change atomically under the route lock, and the next
 // batch each shard's batcher ships resolves the new target. Manifests
 // at or below the applied version are ignored (watcher redelivery,
-// stale files). Unknown node URLs get clients lazily; that needs the
-// token NewRemoteFromManifest recorded — a positional NewRemote router
-// cannot apply manifests naming nodes it has no client for.
+// stale files); one that moves a budget shard is refused, because a
+// ledger cannot move yet. Unknown node URLs get clients lazily; that
+// needs the token NewRemoteFromManifest recorded — a NewRemoteRoundRobin
+// router cannot apply manifests naming nodes it has no client for.
 func (r *Remote) ApplyManifest(m *placement.Manifest) error {
 	if err := m.Validate(); err != nil {
 		return err
 	}
 	r.routeMu.Lock()
 	defer r.routeMu.Unlock()
-	if m.Version <= r.manifestVersion {
+	if m.Version <= r.table.version {
 		return nil
 	}
-	if len(m.Shards) != len(r.placement) {
-		return fmt.Errorf("shardrpc: manifest has %d shards, router has %d", len(m.Shards), len(r.placement))
+	return r.applyLocked(m)
+}
+
+// applyLocked resolves a manifest into the routing table and installs
+// it. Caller holds routeMu.
+func (r *Remote) applyLocked(m *placement.Manifest) error {
+	if len(m.Shards) != len(r.batchers) {
+		return fmt.Errorf("shardrpc: manifest has %d shards, router has %d", len(m.Shards), len(r.batchers))
 	}
-	routes := make([]shardRoute, len(r.placement))
-	for i := range m.Shards {
-		sp := &m.Shards[i]
-		pc, err := r.clientForURLLocked(sp.Primary)
-		if err != nil {
-			return err
-		}
-		rt := shardRoute{primary: pc, epoch: sp.Epoch}
+	var err error
+	dial := func(url string) *Client {
+		c, derr := r.clientForURLLocked(url)
+		err = cmp.Or(err, derr)
+		return c
+	}
+	t := routing{version: m.Version, shards: make([]shardRoute, len(m.Shards)), budget: make([]*Client, len(m.Budget))}
+	for _, sp := range m.Shards {
+		rt := shardRoute{primary: dial(sp.Primary), epoch: sp.Epoch}
 		for _, ru := range sp.Replicas {
-			rc, err := r.clientForURLLocked(ru)
-			if err != nil {
-				return err
-			}
-			rt.replicas = append(rt.replicas, rc)
+			rt.replicas = append(rt.replicas, dial(ru))
 		}
-		routes[sp.Shard] = rt
+		t.shards[sp.Shard] = rt
 	}
-	r.routes = routes
-	r.manifestVersion = m.Version
+	for _, b := range m.Budget {
+		t.budget[b.Shard] = dial(b.Host)
+	}
+	if err != nil {
+		return err
+	}
+	if r.table.shards != nil && !slices.Equal(t.budget, r.table.budget) {
+		return fmt.Errorf("shardrpc: manifest v%d moves budget shards, and budget placement is fixed", m.Version)
+	}
+	r.table = t
 	return nil
 }
 
 // clientForURLLocked returns (creating if needed) the client for a node
 // base URL. Caller holds routeMu.
 func (r *Remote) clientForURLLocked(url string) (*Client, error) {
-	if r.clientsByURL == nil {
-		r.clientsByURL = make(map[string]*Client, len(r.clients))
-		for _, c := range r.clients {
-			r.clientsByURL[c.BaseURL()] = c
-		}
-	}
 	if c, ok := r.clientsByURL[url]; ok {
 		return c, nil
 	}
@@ -150,18 +150,7 @@ func (r *Remote) clientForURLLocked(url string) (*Client, error) {
 func (r *Remote) ManifestVersion() int64 {
 	r.routeMu.RLock()
 	defer r.routeMu.RUnlock()
-	return r.manifestVersion
-}
-
-// routeFor snapshots one shard's route; ok is false under positional
-// routing (no manifest applied).
-func (r *Remote) routeFor(shard int) (shardRoute, bool) {
-	r.routeMu.RLock()
-	defer r.routeMu.RUnlock()
-	if r.routes == nil || shard < 0 || shard >= len(r.routes) {
-		return shardRoute{}, false
-	}
-	return r.routes[shard], true
+	return r.table.version
 }
 
 // allClients snapshots the client list for broadcasts and meta
@@ -234,15 +223,14 @@ func (r *Remote) noteResult(c *Client, err error) {
 // submitTarget resolves where one shard's next write batch goes: the
 // manifest primary with its epoch stamp, refused with FailoverError
 // while the primary is believed down (promotion will swap the manifest
-// and the next resolution lands on the new primary). Positional routers
-// keep the original fixed binding with an unstamped epoch.
+// and the next resolution lands on the new primary). A positional
+// router's writes are never gated, and its epoch 0 stamps nothing.
 func (r *Remote) submitTarget(shard int) (*Client, uint64, error) {
-	rt, ok := r.routeFor(shard)
-	if !ok {
-		c, err := r.clientFor(shard)
-		return c, 0, err
+	rt, positional, err := r.route(shard)
+	if err != nil {
+		return nil, 0, err
 	}
-	if r.nodeDown(rt.primary.BaseURL()) {
+	if !positional && r.nodeDown(rt.primary.BaseURL()) {
 		return nil, 0, &FailoverError{Shard: shard}
 	}
 	return rt.primary, rt.epoch, nil
@@ -276,9 +264,6 @@ func (r *Remote) EnableFailover(opts FailoverOptions) {
 	if opts.ProbeTimeout <= 0 {
 		opts.ProbeTimeout = time.Second
 	}
-	if opts.ProbePath == "" {
-		opts.ProbePath = "/api/v1/admin/health"
-	}
 	r.probeOnce.Do(func() {
 		r.probeStop = make(chan struct{})
 		r.probeDone = make(chan struct{})
@@ -296,7 +281,7 @@ func (r *Remote) probeLoop(opts FailoverOptions) {
 		case <-t.C:
 			for _, c := range r.allClients() {
 				url := c.BaseURL()
-				resp, err := hc.Get(url + opts.ProbePath)
+				resp, err := hc.Get(url + "/api/v1/admin/health") // unauthenticated on every role
 				if err != nil {
 					r.markDown(url, err)
 					continue
@@ -343,14 +328,14 @@ type FailoverInfo struct {
 // routing (no manifest applied).
 func (r *Remote) FailoverInfo() *FailoverInfo {
 	r.routeMu.RLock()
-	routes := r.routes
-	version := r.manifestVersion
+	t := r.table
 	r.routeMu.RUnlock()
-	if routes == nil {
+	if t.positional() {
 		return nil
 	}
+	routes := t.shards
 	info := &FailoverInfo{
-		ManifestVersion: version,
+		ManifestVersion: t.version,
 		StaleReads:      r.staleReads.Load(),
 		FencedWrites:    r.fencedWrites.Load(),
 		Shards:          make([]ShardRouteInfo, len(routes)),

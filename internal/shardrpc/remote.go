@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"loki/internal/budget"
+	"loki/internal/placement"
 	"loki/internal/shardset"
 	"loki/internal/store"
 	"loki/internal/survey"
@@ -26,22 +27,14 @@ import (
 // publishing directly to a node), which nodes tolerate anyway — they
 // re-validate every append.
 type Remote struct {
-	// clients is guarded by routeMu: manifest application can grow it
-	// (new replicas/primaries) under the lock. A positional router never
-	// mutates it, so the RLock on the hot paths is uncontended. The
-	// first nodes entries are the nodes the router was constructed over
-	// (positional clients; a manifest's Nodes()) and never move.
-	clients []*Client
-	nodes   int
-	// placement[globalShard] indexes clients: the positional routing
-	// table, superseded by routes once a manifest is applied.
-	placement []int
 	// batchers group-batch the submit path per shard (see batcher.go).
+	// There is one per response shard of the manifest, a count fixed for
+	// the router's life.
 	batchers []*shardBatcher
-	// budgetOwner, when non-nil, maps budget shards to the node hosting
-	// them (EnablePiggybackCharges): the colocation test for riding a
-	// charge on the submit RPC instead of a separate charge RPC.
-	budgetOwner []*Client
+	// piggyback is set by EnablePiggybackCharges: a charge may ride the
+	// submit RPC when its budget shard's host is the response shard's
+	// primary.
+	piggyback bool
 
 	metaMu    sync.Mutex
 	metaTTL   time.Duration
@@ -49,16 +42,18 @@ type Remote struct {
 	metaList  []*survey.Survey
 	metaIndex map[string]*survey.Survey
 
-	// Failover state (see failover.go). token and httpc let manifest
-	// application dial nodes the router has no client for yet; routes is
-	// the manifest-derived routing table (nil = positional routing).
+	// token and httpc let manifest application dial nodes the router has
+	// no client for yet (see failover.go).
 	token string
 	httpc *http.Client
 
-	routeMu         sync.RWMutex
-	routes          []shardRoute
-	manifestVersion int64
-	clientsByURL    map[string]*Client
+	// routeMu guards the routing table and the clients it names: manifest
+	// application swaps the table and may grow the client list. Between
+	// applications the RLock on the hot paths is uncontended.
+	routeMu      sync.RWMutex
+	table        routing
+	clients      []*Client
+	clientsByURL map[string]*Client
 
 	healthMu    sync.Mutex
 	healthByURL map[string]*nodeHealth
@@ -72,59 +67,58 @@ type Remote struct {
 	probeDone chan struct{}
 }
 
-// RoundRobinPlacement spreads a global shard space across n nodes:
-// shard i lives on node i mod n. It is the canonical cluster layout
-// cmd/loki-server and the cluster bench use; anything fancier (weighted
-// placement, shard moves) changes only this function's caller.
+// RoundRobinPlacement lists, per node, the shards a round-robin
+// placement.Manifest over nodes nodes makes it primary for.
 func RoundRobinPlacement(totalShards, nodes int) [][]int {
-	owned := make([][]int, nodes)
-	for s := 0; s < totalShards; s++ {
-		owned[s%nodes] = append(owned[s%nodes], s)
-	}
-	return owned
+	return placement.RoundRobinShards(totalShards, nodes)
 }
 
-// NewRemote builds a remote router over one client per node, with
-// placement[globalShard] naming the owning node's client index.
-func NewRemote(clients []*Client, placement []int) (*Remote, error) {
-	if len(clients) == 0 {
-		return nil, errors.New("shardrpc: remote router needs at least one node client")
+// NewRemoteRoundRobin routes totalShards shards round-robin across the
+// given node clients: placement.RoundRobin's layout, held as an
+// in-memory manifest at version 0 with every epoch 0. Version 0 is no
+// manifest at all — writes go unstamped and are never health-gated, and
+// there is no failover state to report — until ApplyManifest installs a
+// real one.
+func NewRemoteRoundRobin(clients []*Client, totalShards int) (*Remote, error) {
+	urls := make([]string, len(clients))
+	for i, c := range clients {
+		urls[i] = c.BaseURL()
 	}
-	if len(placement) == 0 {
-		return nil, errors.New("shardrpc: remote router needs a placement map")
+	m, err := placement.RoundRobin(totalShards, urls)
+	if err != nil {
+		return nil, err
 	}
-	for s, n := range placement {
-		if n < 0 || n >= len(clients) {
-			return nil, fmt.Errorf("shardrpc: placement maps shard %d to node %d of %d", s, n, len(clients))
+	m.Version = 0
+	for i := range m.Shards {
+		m.Shards[i].Epoch = 0
+	}
+	return newRemote(m, clients, "", nil)
+}
+
+// newRemote builds the router over a manifest, reusing the given clients
+// for the nodes they name and dialling any other node with token.
+func newRemote(m *placement.Manifest, clients []*Client, token string, httpc *http.Client) (*Remote, error) {
+	r := &Remote{metaTTL: time.Second, token: token, httpc: httpc, clientsByURL: make(map[string]*Client)}
+	for _, c := range clients {
+		if r.clientsByURL[c.BaseURL()] == nil {
+			r.clients = append(r.clients, c)
+			r.clientsByURL[c.BaseURL()] = c
 		}
 	}
-	r := &Remote{clients: clients, nodes: len(clients), placement: placement, metaTTL: time.Second}
-	r.batchers = make([]*shardBatcher, len(placement))
+	r.batchers = make([]*shardBatcher, len(m.Shards))
 	for s := range r.batchers {
 		r.batchers[s] = &shardBatcher{shard: s, remote: r}
+	}
+	r.routeMu.Lock()
+	defer r.routeMu.Unlock()
+	if err := r.applyLocked(m); err != nil {
+		return nil, err
 	}
 	return r, nil
 }
 
-// NewRemoteRoundRobin wires the canonical layout: totalShards spread
-// round-robin across the given node clients. The placement is derived
-// from RoundRobinPlacement — the same function nodes compute their
-// ownership with — so routing and ownership cannot drift apart.
-func NewRemoteRoundRobin(clients []*Client, totalShards int) (*Remote, error) {
-	if len(clients) == 0 {
-		return nil, errors.New("shardrpc: remote router needs at least one node client")
-	}
-	placement := make([]int, totalShards)
-	for node, owned := range RoundRobinPlacement(totalShards, len(clients)) {
-		for _, s := range owned {
-			placement[s] = node
-		}
-	}
-	return NewRemote(clients, placement)
-}
-
 // Shards implements shardset.ShardRouter.
-func (r *Remote) Shards() int { return len(r.placement) }
+func (r *Remote) Shards() int { return len(r.batchers) }
 
 // GlobalID implements shardset.ShardRouter: a frontend's shard space
 // is the global one.
@@ -132,41 +126,28 @@ func (r *Remote) GlobalID(shard int) int { return shard }
 
 // Route implements shardset.ShardRouter with the canonical hash.
 func (r *Remote) Route(surveyID, workerID string) int {
-	return shardset.Route(surveyID, workerID, len(r.placement))
+	return shardset.Route(surveyID, workerID, len(r.batchers))
 }
 
-func (r *Remote) clientFor(shard int) (*Client, error) {
-	if shard < 0 || shard >= len(r.placement) {
-		return nil, fmt.Errorf("shardrpc: shard %d outside [0, %d)", shard, len(r.placement))
+// route snapshots one shard's row of the routing table, and whether the
+// table is positional (see routing.positional).
+func (r *Remote) route(shard int) (shardRoute, bool, error) {
+	if shard < 0 || shard >= len(r.batchers) {
+		return shardRoute{}, false, fmt.Errorf("shardrpc: shard %d outside [0, %d)", shard, len(r.batchers))
 	}
 	r.routeMu.RLock()
 	defer r.routeMu.RUnlock()
-	return r.primaryLocked(shard), nil
-}
-
-// primaryLocked is the client of the node a shard's writes go to: the
-// manifest's primary, or the positional binding without one. Caller
-// holds routeMu.
-func (r *Remote) primaryLocked(shard int) *Client {
-	if r.routes != nil {
-		return r.routes[shard].primary
-	}
-	return r.clients[r.placement[shard]]
+	return r.table.shards[shard], r.table.positional(), nil
 }
 
 // readTargets orders one shard's read candidates: the primary first
 // unless the detector believes it down, then the replicas. stale[i]
 // marks candidates whose answers must carry the stale-read label
-// (anything that is not the shard's primary). Positional routers get
-// the single fixed client.
+// (anything that is not the shard's primary).
 func (r *Remote) readTargets(shard int) (clients []*Client, stale []bool, err error) {
-	rt, ok := r.routeFor(shard)
-	if !ok {
-		c, err := r.clientFor(shard)
-		if err != nil {
-			return nil, nil, err
-		}
-		return []*Client{c}, []bool{false}, nil
+	rt, _, err := r.route(shard)
+	if err != nil {
+		return nil, nil, err
 	}
 	if !r.nodeDown(rt.primary.BaseURL()) {
 		clients = append(clients, rt.primary)
@@ -322,30 +303,21 @@ func (r *Remote) Submit(shard int, rs []survey.Response, charges []budget.Charge
 	}
 }
 
-// EnablePiggybackCharges tells the router the cluster's budget shard
-// count so it can fuse a worker's budget debit into the submit RPC
-// whenever the worker's budget shard lives on the same node as the
-// response's shard (always, on a one-node cluster; 1/nodes of the
-// time under round-robin placement otherwise). The derived placement
-// is the canonical round-robin layout over the nodes the router was
-// constructed over — the same list RemoteCharger is handed and the
-// nodes compute their hosting from, never the client list a manifest's
-// replicas have grown — so the colocation test cannot drift from where
-// charges actually land.
+// EnablePiggybackCharges lets the router fuse a worker's budget debit
+// into the submit RPC whenever the manifest's budget row for the worker
+// names the response shard's primary (always, on a one-node cluster;
+// 1/nodes of the time under round-robin placement otherwise).
+// budgetShards must be the manifest's budget shard count: the colocation
+// test reads the same rows the router's Charger charges by, so it cannot
+// drift from where charges land.
 func (r *Remote) EnablePiggybackCharges(budgetShards int) error {
-	if budgetShards <= 0 {
-		return fmt.Errorf("shardrpc: piggyback charges need a positive budget shard count, got %d", budgetShards)
-	}
 	r.routeMu.RLock()
-	nodes := r.clients[:r.nodes]
+	placed := len(r.table.budget)
 	r.routeMu.RUnlock()
-	owners := make([]*Client, budgetShards)
-	for node, owned := range RoundRobinPlacement(budgetShards, len(nodes)) {
-		for _, s := range owned {
-			owners[s] = nodes[node]
-		}
+	if budgetShards != placed {
+		return fmt.Errorf("shardrpc: piggyback charges over %d budget shards, but the manifest places %d", budgetShards, placed)
 	}
-	r.budgetOwner = owners
+	r.piggyback = true
 	return nil
 }
 
@@ -355,13 +327,14 @@ func (r *Remote) EnablePiggybackCharges(budgetShards int) error {
 // the node the response shard's writes go to (the same client, not the
 // same index: a promoted replica hosts no budget shard).
 func (r *Remote) CanPiggybackCharge(shard int, workerID string) bool {
-	if r.budgetOwner == nil || shard < 0 || shard >= len(r.placement) {
+	if !r.piggyback || shard < 0 || shard >= len(r.batchers) {
 		return false
 	}
 	r.routeMu.RLock()
-	owner := r.primaryLocked(shard)
+	t := &r.table
+	ok := t.budget[budget.Route(workerID, len(t.budget))] == t.shards[shard].primary
 	r.routeMu.RUnlock()
-	return r.budgetOwner[budget.Route(workerID, len(r.budgetOwner))] == owner
+	return ok
 }
 
 // ScanShard implements shardset.ShardRouter by paging through the

@@ -62,8 +62,8 @@ type SubmitRequest struct {
 	// before any state changes: after a promotion, a frontend still
 	// routing to the demoted primary (or stamping the old epoch at the
 	// new one) cannot land writes. Zero means the sender is not
-	// manifest-routed (legacy positional -peers); such writes pass the
-	// epoch comparison but are still refused wholesale by a demoted
+	// manifest-routed (a NewRemoteRoundRobin router); such writes pass
+	// the epoch comparison but are still refused wholesale by a demoted
 	// node.
 	Epoch uint64 `json:"epoch,omitempty"`
 	// Charges, when present, piggybacks privacy-budget debits on the

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"slices"
 	"testing"
 
 	"loki/internal/aggregate"
@@ -437,57 +439,133 @@ func TestConditionalPartial(t *testing.T) {
 	}
 }
 
-// TestPiggybackColocationFollowsBudgetHosting: nodes host budget shards
-// round-robin by node index over the primaries, so the router's
-// colocation verdict for every (worker, response shard) must equal
-// "the budget shard's host is the response shard's primary" — however
-// many replica clients the manifest has added to the router. A false
-// "colocated" sends the charge to a node that answers 421 for the batch.
+// TestPiggybackColocationFollowsBudgetHosting is the placement agreement
+// table: for 1 000 workers × 8 shards, every consumer of placement must
+// read the manifest's rows — the router's primary, the primary's hosted
+// shards, the charger's target, the target's hosted budget shards and
+// the colocation verdict — on a positional router, a manifest router
+// with a replica placed, the same router after a promotion, and a
+// frontend rebuilt from the file the promotion wrote. A false
+// "colocated" sends the charge to a node that answers 421 for the
+// batch; a wrong charge target draws a 421 or a 404 for the charge.
 func TestPiggybackColocationFollowsBudgetHosting(t *testing.T) {
-	const shards, primaries, workers = 8, 2, 1000
+	const shards, workers = 8, 1000
 	urls := []string{"http://node-0", "http://node-1"}
+	cfg := budget.Config{CapEpsilon: 10, Delta: 1e-6}
 	m, err := placement.RoundRobin(shards, urls)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range m.Shards {
-		m.Shards[i].Replicas = []string{"http://replica-0"}
-	}
-	manifest, err := NewRemoteFromManifest(m, "tok", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	positional, err := NewRemoteRoundRobin([]*Client{NewClient(urls[0], "tok", nil), NewClient(urls[1], "tok", nil)}, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, r := range map[string]*Remote{"manifest": manifest, "positional": positional} {
-		if err := r.EnablePiggybackCharges(shards); err != nil {
+	check := func(name string, m *placement.Manifest, r *Remote, c *RemoteCharger) {
+		t.Helper()
+		if err := r.EnablePiggybackCharges(len(m.Budget)); err != nil {
 			t.Fatal(err)
 		}
 		wrong := 0
+		for s := 0; s < shards; s++ {
+			rt, _, err := r.route(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if primary := m.Placement(s).Primary; rt.primary.BaseURL() != primary {
+				t.Errorf("%s: shard %d routes to %s, the manifest names %s", name, s, rt.primary.BaseURL(), primary)
+			}
+		}
 		for w := 0; w < workers; w++ {
 			worker := fmt.Sprintf("w%04d", w)
-			host := budget.Route(worker, shards) % primaries
+			b := budget.Route(worker, len(m.Budget))
+			host := m.Budget[b].Host
+			if got := c.hosts[b].BaseURL(); got != host || !slices.Contains(m.BudgetShards(host), b) {
+				wrong++
+			}
 			for s := 0; s < shards; s++ {
-				if r.CanPiggybackCharge(s, worker) != (host == s%primaries) {
+				if r.CanPiggybackCharge(s, worker) != (host == m.Placement(s).Primary) {
 					wrong++
 				}
 			}
 		}
 		if wrong != 0 {
-			t.Errorf("%s router: %d of %d colocation verdicts disagree with where nodes host budget shards", name, wrong, workers*shards)
+			t.Errorf("%s: %d of %d charge targets and colocation verdicts disagree with the manifest's rows", name, wrong, workers*(shards+1))
 		}
 	}
 
-	// A promoted replica hosts no budget shard: nothing rides to it.
-	promoted := m.Clone()
-	promoted.Version++
-	for i := range promoted.Shards {
-		promoted.Shards[i].Primary, promoted.Shards[i].Replicas = "http://replica-0", nil
-		promoted.Shards[i].Epoch++
+	clients := []*Client{NewClient(urls[0], "tok", nil), NewClient(urls[1], "tok", nil)}
+	positional, err := NewRemoteRoundRobin(clients, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	charger, err := NewRemoteCharger(clients, shards, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("positional", m, positional, charger)
+
+	// A replica of node-0 placed: one more client than budget hosts.
+	for i := range m.Shards {
+		if m.Shards[i].Primary == urls[0] {
+			m.Shards[i].Replicas = []string{"http://replica-0"}
+		}
+	}
+	path := filepath.Join(t.TempDir(), "manifest.json")
+	if err := m.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	manifest, err := NewRemoteFromManifest(m, "tok", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if charger, err = manifest.Charger(cfg); err != nil {
+		t.Fatal(err)
+	}
+	check("manifest + replica", m, manifest, charger)
+
+	// The replica's promotion on shard 0, as Replica.Promote writes it:
+	// Nodes() is now [replica-0, node-1, node-0], and nothing about
+	// where ledgers live has moved.
+	promoted, err := placement.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := promoted.Promote(0, "http://replica-0"); err != nil {
+		t.Fatal(err)
+	}
+	if err := promoted.Save(path); err != nil {
+		t.Fatal(err)
 	}
 	if err := manifest.ApplyManifest(promoted); err != nil {
+		t.Fatal(err)
+	}
+	check("after promotion", promoted, manifest, charger)
+
+	reloaded, err := placement.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rebuilt, err := NewRemoteFromManifest(reloaded, "tok", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if charger, err = rebuilt.Charger(cfg); err != nil {
+		t.Fatal(err)
+	}
+	check("rebuilt from the promoted file", reloaded, rebuilt, charger)
+
+	// A manifest that moves a ledger is refused: budget rows cannot move.
+	moved := promoted.Clone()
+	moved.Version++
+	moved.Budget[0].Host = "http://replica-0"
+	if err := manifest.ApplyManifest(moved); err == nil {
+		t.Fatal("a manifest moving budget shard 0 was applied")
+	}
+
+	// A promoted replica hosts no budget shard: nothing rides to it.
+	all := promoted.Clone()
+	all.Version++
+	for i := range all.Shards {
+		all.Shards[i].Primary, all.Shards[i].Replicas = "http://replica-0", nil
+		all.Shards[i].Epoch++
+	}
+	if err := manifest.ApplyManifest(all); err != nil {
 		t.Fatal(err)
 	}
 	for w := 0; w < workers; w++ {

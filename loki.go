@@ -371,10 +371,8 @@ var (
 	NewShardRPCClient = shardrpc.NewClient
 	// NewShardRPCHandler serves shardrpc over a node backend.
 	NewShardRPCHandler = shardrpc.NewHandler
-	// NewRemoteShards builds the cluster router over node clients with
-	// an explicit placement map; NewRemoteShardsRoundRobin uses the
-	// canonical round-robin layout.
-	NewRemoteShards           = shardrpc.NewRemote
+	// NewRemoteShardsRoundRobin builds the cluster router over node
+	// clients with the canonical round-robin layout.
 	NewRemoteShardsRoundRobin = shardrpc.NewRemoteRoundRobin
 	// NewClusterNode wraps a Server for shardrpc serving.
 	NewClusterNode = server.NewNode
