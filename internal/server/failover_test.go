@@ -118,12 +118,26 @@ func getHealth(t *testing.T, baseURL string) *HealthInfo {
 	return &info
 }
 
+// getQuality fetches a survey's /quality answer.
+func getQuality(t *testing.T, ts *httptest.Server, id string) *QualityResult {
+	t.Helper()
+	resp, body := doReq(t, http.MethodGet, ts.URL+"/api/v1/surveys/"+id+"/quality", nil, testToken)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("quality = %d: %s", resp.StatusCode, body)
+	}
+	var out QualityResult
+	if err := json.Unmarshal(body, &out); err != nil {
+		t.Fatal(err)
+	}
+	return &out
+}
+
 // TestFrontendDegradedReads: a frontend whose first read of a survey
 // fans out over a cluster with a dead node degrades — it merges the
-// shards that answered and labels the rest in degraded_shards — instead
-// of failing the whole aggregate with a 500. Submits routed to the dead node's
-// shards refuse with 503 + Retry-After, and everything heals when the
-// node returns.
+// shards that answered and labels the rest in degraded_shards, on
+// /aggregate and /quality alike — instead of failing the whole read with
+// a 500. Submits routed to the dead node's shards refuse with 503 +
+// Retry-After, and everything heals when the node returns.
 func TestFrontendDegradedReads(t *testing.T) {
 	const totalShards = 4
 	nodes := newHANodes(t, 2, totalShards)
@@ -157,6 +171,11 @@ func TestFrontendDegradedReads(t *testing.T) {
 	}
 	if got.Choices[0].N != liveN {
 		t.Fatalf("degraded aggregate folded %d responses, want %d from live shards", got.Choices[0].N, liveN)
+	}
+	q := getQuality(t, fts, sv.ID)
+	sort.Ints(q.DegradedShards)
+	if fmt.Sprint(q.DegradedShards) != "[1 3]" || q.Total != liveN {
+		t.Fatalf("degraded quality = %+v, want degraded_shards [1 3] over %d live responses", q, liveN)
 	}
 
 	// A submit that routes to a dead shard is a retryable 503, not a 400.
@@ -193,6 +212,9 @@ func TestFrontendDegradedReads(t *testing.T) {
 		t.Fatalf("healed read still degraded: %v", healed.DegradedShards)
 	}
 	compareAggregate(t, healed, referenceAggregate(t, remote, sv))
+	if q := getQuality(t, fts, sv.ID); len(q.DegradedShards) != 0 || q.Total != n {
+		t.Fatalf("healed quality = %+v, want all %d responses, no label", q, n)
+	}
 }
 
 // TestFrontendDegradedReadsCached: the same read path keeps a warm
@@ -322,13 +344,23 @@ func TestReplicaReadFailoverAndPromotion(t *testing.T) {
 	}
 	rep.SyncOnce() // replica caught up before the failure
 	before := getAggregate(t, fts, sv.ID)
+	if len(before.StaleShards) != 0 {
+		t.Fatalf("primary-served read labelled stale: %v", before.StaleShards)
+	}
 
 	// Primary dies. Reads keep answering — served by the replica, with
-	// the stale-read counter ticking and the health surface reporting
-	// the failed-over route.
+	// every replica-served shard labelled on the answer, the stale-read
+	// counter ticking and the health surface reporting the failed-over
+	// route.
 	nodes[0].kill()
 	during := getAggregate(t, fts, sv.ID)
 	compareAggregate(t, during, before)
+	if fmt.Sprint(during.StaleShards) != "[0 1]" || len(during.DegradedShards) != 0 {
+		t.Fatalf("replica-served read labels stale %v degraded %v, want stale [0 1]", during.StaleShards, during.DegradedShards)
+	}
+	if q := getQuality(t, fts, sv.ID); fmt.Sprint(q.StaleShards) != "[0 1]" {
+		t.Fatalf("replica-served quality labels stale %v, want [0 1]", q.StaleShards)
+	}
 	if remote.StaleReads() == 0 {
 		t.Fatal("failover read did not tick the stale-read counter")
 	}
@@ -411,9 +443,10 @@ func TestReplicaReadFailoverAndPromotion(t *testing.T) {
 	// Clean primary reads again — and equivalent to one accumulator over
 	// the cluster's merged stream.
 	stale := remote.StaleReads()
-	compareAggregate(t, getAggregate(t, fts, sv.ID), referenceAggregate(t, remote, sv))
-	if remote.StaleReads() != stale {
-		t.Fatal("post-promotion read still served stale")
+	after := getAggregate(t, fts, sv.ID)
+	compareAggregate(t, after, referenceAggregate(t, remote, sv))
+	if remote.StaleReads() != stale || len(after.StaleShards) != 0 {
+		t.Fatalf("post-promotion read still served stale: counter %d -> %d, labels %v", stale, remote.StaleReads(), after.StaleShards)
 	}
 }
 

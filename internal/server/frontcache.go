@@ -6,25 +6,28 @@
 // keeps each survey's per-shard accumulators and the cursor vector they
 // cover; a read within the TTL whose cursor vector satisfies every
 // read-your-writes floor is served from the cached merge with zero
-// RPCs, and a revalidation ships only conditional requests — the node
-// answers not-modified (no state) or a delta fold of the responses past
-// the frontend's cursor, which the frontend Merges into its cached copy
-// instead of replacing it.
+// RPCs, and a revalidation is one conditional call per node
+// (shardrpc.Remote.Partials), carrying the cursor held for each of its
+// shards — the node answers each shard not-modified (no state), a delta
+// fold of the responses past the frontend's cursor, which the frontend
+// Merges into its cached copy instead of replacing it, or a full
+// snapshot.
 //
 // Staleness contract: submits routed through THIS frontend are always
 // visible to its reads (the submit ack carries the per-shard seq, which
 // becomes the shard's expected-cursor floor and forces revalidation).
 // Submits routed through other frontends become visible within the TTL.
-// A cold entry's first fill is the full fan-out; a negative
+// A cold entry's first fill is a full fetch of every shard; a negative
 // FrontendCacheTTL makes no entry ever fresh, so every read revalidates.
 //
-// This is the frontend's only read path, so its degrade rule is the
+// This is the frontend's only read path, so its labelling rule is the
 // only one: a shard whose fetch failed in transport (node down, every
 // replica with it) is labeled in degraded_shards and merged around (or
-// served from its last fetched state), never silently dropped; errors
-// the owner itself answered (fingerprint skew, unknown survey) fail the
-// read whole — the node is alive and disagreeing, which no marker can
-// paper over; a read that reached no shard fails.
+// served from its last fetched state), never silently dropped; a shard
+// whose state a replica last validated is labeled in stale_shards;
+// errors the owner itself answered (fingerprint skew, unknown survey)
+// fail the read whole — the node is alive and disagreeing, which no
+// marker can paper over; a read that reached no shard fails.
 package server
 
 import (
@@ -64,10 +67,10 @@ func newFrontCache(ttl time.Duration) *frontCache {
 type cachedSurvey struct {
 	surveyID string
 
-	// mu is the entry's singleflight: the holder may revalidate (fan
-	// conditional RPCs out to the nodes) and rebuild the merge.
-	// Concurrent readers of a stale entry queue here and find it fresh
-	// when their turn comes — one fan-out serves them all.
+	// mu is the entry's singleflight: the holder may revalidate (one
+	// conditional call per node) and rebuild the merge. Concurrent
+	// readers of a stale entry queue here and find it fresh when their
+	// turn comes — one revalidation serves them all.
 	mu sync.Mutex
 	// def is the definition every cached accumulator is folded under,
 	// fp its fingerprint.
@@ -96,6 +99,10 @@ type cachedSurvey struct {
 	// ones contribute their last fetched state. Nil when the last
 	// revalidation covered every shard.
 	degraded []int
+	// stale[i] is whether shard i's cached state was last validated by a
+	// replica rather than the shard's primary. Every answer sets it (a
+	// replica's not-modified too); a degraded shard keeps its bit.
+	stale []bool
 
 	// lastRead (unix nanos) marks the entry hot for the background
 	// refresher.
@@ -121,6 +128,7 @@ func (c *frontCache) entry(sv *survey.Survey, shards int) *cachedSurvey {
 		fp:       sv.Fingerprint(),
 		cursors:  make([]uint64, shards),
 		expected: make([]atomic.Uint64, shards),
+		stale:    make([]bool, shards),
 	}
 	c.surveys[sv.ID] = cs
 	return cs
@@ -170,45 +178,45 @@ func (cs *cachedSurvey) freshLocked(ttl time.Duration) bool {
 // cachedRemoteEstimate is the cached frontend read path. A fresh entry
 // returns the cached merge directly; a stale one revalidates under the
 // entry's singleflight lock — concurrent readers of the same survey
-// wait for one fan-out instead of issuing their own.
-func (s *Server) cachedRemoteEstimate(sv *survey.Survey) (*aggregate.SurveyEstimate, []int, error) {
+// wait for one revalidation instead of issuing their own.
+func (s *Server) cachedRemoteEstimate(sv *survey.Survey) (*aggregate.SurveyEstimate, readLabels, error) {
 	cs := s.cache.entry(sv, s.router.Shards())
 	cs.lastRead.Store(time.Now().UnixNano())
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
 	if cs.freshLocked(s.cache.ttl) {
 		cs.hits.Add(1)
-		return cs.est, append([]int(nil), cs.degraded...), nil
+		return cs.est, cs.labelsLocked(), nil
 	}
 	cs.misses.Add(1)
 	if err := s.revalidateLocked(sv, cs); err != nil {
-		return nil, nil, err
+		return nil, readLabels{}, err
 	}
-	return cs.est, append([]int(nil), cs.degraded...), nil
+	return cs.est, cs.labelsLocked(), nil
 }
 
-// revalidateLocked brings the entry current: one conditional RPC per
-// shard in parallel (carrying the cursor the cache already holds), the
-// answers applied — nothing for not-modified, a Merge for a delta, a
-// replacement for a full snapshot — and the finalized merge rebuilt.
-// Caller holds cs.mu.
+// labelsLocked copies out the entry's degraded and stale shards for one
+// read. Caller holds cs.mu.
+func (cs *cachedSurvey) labelsLocked() readLabels {
+	l := readLabels{degraded: append([]int(nil), cs.degraded...)}
+	for i, st := range cs.stale {
+		if st {
+			l.stale = append(l.stale, i)
+		}
+	}
+	return l
+}
+
+// revalidateLocked brings the entry current: the cursors the cache holds
+// go to the router in one conditional fetch, which asks every node for
+// its shards in one call (and a down node's shards of their replicas);
+// the per-shard answers are applied — nothing for not-modified, a Merge
+// for a delta, a replacement for a full snapshot, and the replica bit
+// from each — and the finalized merge rebuilt. Caller holds cs.mu.
 func (s *Server) revalidateLocked(sv *survey.Survey, cs *cachedSurvey) error {
 	n := len(cs.cursors)
-	fetched := make([]*shardrpc.Partial, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			have := uint64(0)
-			if cs.parts != nil {
-				have = cs.cursors[i]
-			}
-			fetched[i], errs[i] = s.remote.PartialSince(i, sv.ID, have)
-		}(i)
-	}
-	wg.Wait()
+	// A cold entry's cursors are all zero: a full fetch of every shard.
+	fetched, errs := s.remote.Partials(sv.ID, cs.cursors)
 	// A shard whose fetch failed in transport (node down, replicas too)
 	// degrades instead of failing the read: a warm cached part keeps
 	// serving its last state, a cold one is merged around and marked.
@@ -247,6 +255,7 @@ func (s *Server) revalidateLocked(sv *survey.Survey, cs *cachedSurvey) error {
 			return fmt.Errorf("shard %d partial folded under definition %s, frontend has %s (republish in flight?)",
 				i, p.Fingerprint, cs.fp)
 		}
+		cs.stale[i] = p.Stale
 		switch {
 		case p.NotModified:
 			cs.notModified.Add(1)

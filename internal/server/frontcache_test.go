@@ -6,10 +6,13 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"loki/internal/shardrpc"
 	"loki/internal/survey"
 )
 
@@ -199,13 +202,32 @@ func TestFrontendCacheDeltaEquivalence(t *testing.T) {
 	}
 }
 
-// TestFrontendCacheColdAndDisabled: a cold cache's first read degrades
-// to the full fan-out (one full snapshot per shard) and matches a
-// negative-TTL frontend over the same nodes, whose every read
-// revalidates — conditionally, not with full snapshots again.
+// partialCalls is a RoundTripper counting the partial calls it carries:
+// batched or per-shard, every path ending in /partial.
+type partialCalls struct{ n atomic.Int64 }
+
+func (pc *partialCalls) RoundTrip(r *http.Request) (*http.Response, error) {
+	if strings.HasSuffix(r.URL.Path, "/partial") {
+		pc.n.Add(1)
+	}
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// take returns the calls counted since the last take.
+func (pc *partialCalls) take() int64 { return pc.n.Swap(0) }
+
+// TestFrontendCacheColdAndDisabled: a cold cache's first read is a full
+// fetch (one full snapshot per shard) and matches a negative-TTL
+// frontend over the same nodes, whose every read revalidates —
+// conditionally, not with full snapshots again. Either way a read that
+// goes to the nodes is one call per node, not one per shard.
 func TestFrontendCacheColdAndDisabled(t *testing.T) {
-	const totalShards = 4
-	clients := newTestNodes(t, 2, totalShards, 0)
+	const nodes, totalShards = 2, 4
+	calls := &partialCalls{}
+	clients := newTestNodes(t, nodes, totalShards, 0)
+	for i, c := range clients {
+		clients[i] = shardrpc.NewClient(c.BaseURL(), testToken, &http.Client{Transport: calls})
+	}
 	uncached, remote, _ := newTestFrontend(t, clients, totalShards, -1, 0)
 	sv := clusterTestSurvey()
 	if resp, body := doReq(t, http.MethodPost, uncached.URL+"/api/v1/surveys", sv, testToken); resp.StatusCode != http.StatusCreated {
@@ -218,13 +240,17 @@ func TestFrontendCacheColdAndDisabled(t *testing.T) {
 	// A brand-new caching frontend: its first read is the cold path.
 	cached, _, _ := newTestFrontend(t, clients, totalShards, time.Hour, 0)
 	want := referenceAggregate(t, remote, sv)
-	compareAggregate(t, getAggregate(t, cached, sv.ID), want)
-	compareAggregate(t, getAggregate(t, uncached, sv.ID), want)
+	calls.take()
+	for _, fts := range []*httptest.Server{cached, uncached, uncached} {
+		compareAggregate(t, getAggregate(t, fts, sv.ID), want)
+		if got := calls.take(); got != nodes {
+			t.Fatalf("a read that revalidated made %d partial calls, want one per node (%d)", got, nodes)
+		}
+	}
 	stats := surveyCacheStats(t, cached, sv.ID)
 	if stats.Full != int64(totalShards) {
 		t.Fatalf("cold fill fetched %d full snapshots, want %d", stats.Full, totalShards)
 	}
-	compareAggregate(t, getAggregate(t, uncached, sv.ID), want)
 	stats = surveyCacheStats(t, uncached, sv.ID)
 	if stats.Hits != 0 || stats.Misses != 2 || stats.Full != int64(totalShards) || stats.NotModified != int64(totalShards) {
 		t.Fatalf("negative-TTL frontend after two reads: %+v, want two misses, one cold fill, one not-modified round", stats)

@@ -228,11 +228,11 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request) {
-	sv, fin, degraded, ok := s.surveyEstimate(w, r.PathValue("id"))
+	sv, fin, labels, ok := s.surveyEstimate(w, r.PathValue("id"))
 	if !ok {
 		return
 	}
-	out := AggregateResult{SurveyID: sv.ID, DegradedShards: degraded}
+	out := AggregateResult{SurveyID: sv.ID, DegradedShards: labels.degraded, StaleShards: labels.stale}
 	for i := range sv.Questions {
 		if qe, ok := fin.Questions[sv.Questions[i].ID]; ok {
 			out.Questions = append(out.Questions, *qe)
@@ -245,7 +245,7 @@ func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleQuality(w http.ResponseWriter, r *http.Request) {
-	sv, fin, _, ok := s.surveyEstimate(w, r.PathValue("id"))
+	sv, fin, labels, ok := s.surveyEstimate(w, r.PathValue("id"))
 	if !ok {
 		return
 	}
@@ -255,6 +255,8 @@ func (s *Server) handleQuality(w http.ResponseWriter, r *http.Request) {
 		Consistent:           fin.Quality.Consistent,
 		Inconsistent:         fin.Quality.Inconsistent,
 		PerLevelInconsistent: append([]int(nil), fin.Quality.PerLevelInconsistent[:]...),
+		DegradedShards:       labels.degraded,
+		StaleShards:          labels.stale,
 	}
 	writeJSON(w, http.StatusOK, out)
 }

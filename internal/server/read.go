@@ -12,22 +12,31 @@ import (
 	"loki/internal/survey"
 )
 
+// readLabels are the shards a merged read could not take current from
+// their primaries: degraded ones (unreachable, merged around or from
+// their last fetched state) and stale ones (last validated by a
+// replica). Both are nil on a healthy read and on every read of a
+// server that folds its own shards.
+type readLabels struct {
+	degraded, stale []int
+}
+
 // surveyEstimate is the shared read path of /aggregate and /quality:
 // resolve the survey, then refresh its per-shard partials (scan only
 // the responses each shard appended since the last read — usually none
 // — fold, Merge, finalize). On a frontend the partials come from the
 // owning nodes, through the partial cache, instead of local folds. Cost
 // is independent of how many responses the store holds.
-func (s *Server) surveyEstimate(w http.ResponseWriter, id string) (*survey.Survey, *aggregate.SurveyEstimate, []int, bool) {
+func (s *Server) surveyEstimate(w http.ResponseWriter, id string) (*survey.Survey, *aggregate.SurveyEstimate, readLabels, bool) {
 	sv, err := s.router.Survey(id)
 	if err != nil {
 		s.writeRefusal(w, surveyRefusal(err))
-		return nil, nil, nil, false
+		return nil, nil, readLabels{}, false
 	}
 	var fin *aggregate.SurveyEstimate
-	var degraded []int
+	var labels readLabels
 	if s.cache != nil {
-		fin, degraded, err = s.cachedRemoteEstimate(sv)
+		fin, labels, err = s.cachedRemoteEstimate(sv)
 	} else {
 		var ls *liveSet
 		if ls, err = s.liveFor(sv); err == nil {
@@ -36,9 +45,9 @@ func (s *Server) surveyEstimate(w http.ResponseWriter, id string) (*survey.Surve
 	}
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
-		return nil, nil, nil, false
+		return nil, nil, readLabels{}, false
 	}
-	return sv, fin, degraded, true
+	return sv, fin, labels, true
 }
 
 // errDeltaDone aborts a delta fold once it reaches the partial's

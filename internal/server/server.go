@@ -208,9 +208,9 @@ type Server struct {
 
 	// cache, when non-nil, is a frontend's partial cache: its reads merge
 	// per-shard partials already folded by the nodes that own them
-	// (remote.PartialSince), and the cache serves a merge keyed by
-	// (survey, cursor vector), revalidating with conditional delta RPCs
-	// instead of re-shipping full snapshots. See frontcache.go.
+	// (remote.Partials), and the cache serves a merge keyed by
+	// (survey, cursor vector), revalidating with one conditional call per
+	// node instead of re-shipping full snapshots. See frontcache.go.
 	cache *frontCache
 
 	// ckptStop/ckptDone bracket the background checkpointer's lifetime;

@@ -62,6 +62,11 @@ type AggregateResult struct {
 	// is how a frontend keeps answering through a node outage instead
 	// of failing the whole merged read.
 	DegradedShards []int `json:"degraded_shards,omitempty"`
+	// StaleShards lists shards whose state in this aggregate a replica
+	// last validated instead of the shard's primary (down, not yet
+	// replaced by a promotion): it may trail the primary's last durable
+	// appends. Empty when every shard was served by its primary.
+	StaleShards []int `json:"stale_shards,omitempty"`
 }
 
 // QualityResult reports how many stored responses pass the survey's
@@ -76,6 +81,10 @@ type QualityResult struct {
 	Inconsistent int    `json:"inconsistent"`
 	// PerLevel counts inconsistent responses per privacy level.
 	PerLevelInconsistent []int `json:"per_level_inconsistent"`
+	// DegradedShards and StaleShards label the counts exactly as they
+	// label an AggregateResult.
+	DegradedShards []int `json:"degraded_shards,omitempty"`
+	StaleShards    []int `json:"stale_shards,omitempty"`
 }
 
 // Stats reports simple liveness counters.

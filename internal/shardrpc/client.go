@@ -230,25 +230,27 @@ func (c *Client) Count(shard int, surveyID string) (int, error) {
 	return res.Count, nil
 }
 
-// Partial fetches one shard's full partial accumulator state for a
-// survey (the unconditional fetch: have = 0).
-func (c *Client) Partial(shard int, surveyID string) (*Partial, error) {
-	return c.PartialSince(shard, surveyID, 0)
-}
-
-// PartialSince is the conditional fetch: have is the per-shard cursor
-// the caller already holds. The node replies not-modified, a delta
-// covering (have, cursor], or a full snapshot — see Partial.
-func (c *Client) PartialSince(shard int, surveyID string, have uint64) (*Partial, error) {
-	var p Partial
-	q := url.Values{"survey": {surveyID}}
-	if have > 0 {
-		q.Set("have", strconv.FormatUint(have, 10))
-	}
-	if err := c.do(http.MethodGet, "/shardrpc/v1/shards/"+strconv.Itoa(shard)+"/partial", q, nil, &p); err != nil {
+// Partials is the conditional fetch for several of the node's shards in
+// one call: for each entry of req.Shards the node replies not-modified,
+// a delta covering (have, cursor], or a full snapshot — see Partial —
+// in request order. An entry the node cannot answer fails the whole
+// call with that entry's status (421 unowned, 404 unknown survey). A
+// reply that does not answer exactly the shards asked for, in order, is
+// a protocol error, not a transport one.
+func (c *Client) Partials(req *PartialsRequest) ([]*Partial, error) {
+	var res PartialsResult
+	if err := c.do(http.MethodPost, "/shardrpc/v1/partial", nil, req, &res); err != nil {
 		return nil, err
 	}
-	return &p, nil
+	if len(res.Partials) != len(req.Shards) {
+		return nil, fmt.Errorf("%w: %d partials answer %d shards", errProtocol, len(res.Partials), len(req.Shards))
+	}
+	for i, p := range res.Partials {
+		if p == nil || p.Shard != req.Shards[i].Shard {
+			return nil, fmt.Errorf("%w: partial %d does not answer shard %d", errProtocol, i, req.Shards[i].Shard)
+		}
+	}
+	return res.Partials, nil
 }
 
 // Tail fetches one page of WAL-tail shipping. A non-empty follower id

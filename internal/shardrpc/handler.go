@@ -40,6 +40,7 @@ func NewHandler(backend Backend, token string) (*Handler, error) {
 	h.mux.HandleFunc("POST /shardrpc/v1/submit", h.guard(h.handleSubmit))
 	h.mux.HandleFunc("GET /shardrpc/v1/shards/{shard}/scan", h.guard(h.handleScan))
 	h.mux.HandleFunc("GET /shardrpc/v1/shards/{shard}/count", h.guard(h.handleCount))
+	h.mux.HandleFunc("POST /shardrpc/v1/partial", h.guard(h.handlePartials))
 	h.mux.HandleFunc("GET /shardrpc/v1/shards/{shard}/partial", h.guard(h.handlePartial))
 	h.mux.HandleFunc("GET /shardrpc/v1/shards/{shard}/tail", h.guard(h.handleTail))
 	h.mux.HandleFunc("GET /shardrpc/v1/surveys", h.guard(h.handleSurveys))
@@ -192,6 +193,31 @@ func (h *Handler) handlePartial(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeOK(w, p)
+}
+
+// handlePartials answers one partial per requested shard, in request
+// order, each exactly what handlePartial answers for that shard and
+// cursor. An entry the backend refuses fails the whole call with its
+// status: a frontend fails a read whole on an owner's error anyway.
+func (h *Handler) handlePartials(w http.ResponseWriter, r *http.Request) {
+	var req PartialsRequest
+	if !readJSON(w, r, &req) {
+		return
+	}
+	if err := req.Validate(h.backend.Meta().TotalShards); err != nil {
+		writeErr(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	res := PartialsResult{Partials: make([]*Partial, len(req.Shards))}
+	for i, sc := range req.Shards {
+		p, err := h.backend.PartialState(sc.Shard, req.SurveyID, sc.Have)
+		if err != nil {
+			writeBackendErr(w, err)
+			return
+		}
+		res.Partials[i] = p
+	}
+	writeOK(w, &res)
 }
 
 func (h *Handler) handleTail(w http.ResponseWriter, r *http.Request) {

@@ -401,34 +401,97 @@ func (r *Remote) CountShard(shard int, surveyID string) int {
 	return 0
 }
 
-// PartialSince is the conditional fetch behind the frontend's partial
-// cache: the owning node answers not-modified, a delta past have, or a
-// full snapshot. Under manifest routing a down (or just-died) primary
-// fails over to the shard's replicas; a replica-served answer carries
-// the Stale mark and bumps the stale-read counter — degraded reads are
-// labeled, never guessed.
-func (r *Remote) PartialSince(shard int, surveyID string, have uint64) (*Partial, error) {
-	clients, stale, err := r.readTargets(shard)
-	if err != nil {
-		return nil, err
+// Partials is the conditional fetch behind the frontend's partial cache,
+// one call per node: have[s] is the cursor the caller holds for shard s
+// of the router (0 = none), and shard s's answer — not-modified, a delta
+// past have[s], or a full snapshot — comes back as parts[s], or its
+// failure as errs[s].
+//
+// It resolves in rounds. Round k sends every unresolved shard to its
+// k-th read candidate (readTargets: the primary unless believed down,
+// then the replicas), one call per node, the last on the caller's
+// goroutine. A call that fails in transport marks its node down, and
+// its shards move to round k+1; a shard with no candidate left keeps the
+// transport error. An error the node answered fails its shards where
+// they are. A replica-served answer carries the Stale mark and bumps the
+// stale-read counter once per shard — stale reads are labeled, never
+// guessed.
+func (r *Remote) Partials(surveyID string, have []uint64) (parts []*Partial, errs []error) {
+	parts, errs = make([]*Partial, len(have)), make([]error, len(have))
+	targets := make([][]*Client, len(have))
+	stale := make([][]bool, len(have))
+	pending := make([]int, 0, len(have))
+	for s := range have {
+		if targets[s], stale[s], errs[s] = r.readTargets(s); errs[s] == nil {
+			pending = append(pending, s)
+		}
 	}
-	var lastErr error
-	for i, c := range clients {
-		p, err := c.PartialSince(shard, surveyID, have)
-		r.noteResult(c, err)
-		if err == nil {
-			if stale[i] {
-				p.Stale = true
-				r.staleReads.Add(1)
+	for k := 0; len(pending) > 0; k++ {
+		calls := groupByTarget(pending, targets, k)
+		var wg sync.WaitGroup
+		for i := range calls {
+			call := &calls[i]
+			req := &PartialsRequest{SurveyID: surveyID, Shards: make([]ShardCursor, len(call.shards))}
+			for j, s := range call.shards {
+				req.Shards[j] = ShardCursor{Shard: s, Have: have[s]}
 			}
-			return p, nil
+			if i == len(calls)-1 {
+				call.parts, call.err = call.c.Partials(req) // the last (often the only) one inline
+				break
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				call.parts, call.err = call.c.Partials(req)
+			}()
 		}
-		lastErr = err
-		if !IsTransportError(err) {
-			return nil, err
+		wg.Wait()
+		pending = pending[:0]
+		for _, call := range calls {
+			r.noteResult(call.c, call.err)
+			for j, s := range call.shards {
+				if call.err != nil {
+					errs[s] = call.err
+					if IsTransportError(call.err) && k+1 < len(targets[s]) {
+						pending = append(pending, s)
+					}
+					continue
+				}
+				parts[s], errs[s] = call.parts[j], nil
+				if stale[s][k] {
+					parts[s].Stale = true
+					r.staleReads.Add(1)
+				}
+			}
 		}
 	}
-	return nil, lastErr
+	return parts, errs
+}
+
+// partialCall is one node's share of a Partials round.
+type partialCall struct {
+	c      *Client
+	shards []int
+	parts  []*Partial
+	err    error
+}
+
+// groupByTarget groups shards by their k-th read candidate, in order of
+// first appearance.
+func groupByTarget(shards []int, targets [][]*Client, k int) []partialCall {
+	var calls []partialCall
+next:
+	for _, s := range shards {
+		c := targets[s][k]
+		for i := range calls {
+			if calls[i].c == c {
+				calls[i].shards = append(calls[i].shards, s)
+				continue next
+			}
+		}
+		calls = append(calls, partialCall{c: c, shards: []int{s}})
+	}
+	return calls
 }
 
 // Close implements shardset.ShardRouter: stops the failover prober when

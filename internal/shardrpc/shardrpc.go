@@ -13,9 +13,15 @@
 //	POST /shardrpc/v1/submit                    batch append to one shard
 //	GET  /shardrpc/v1/shards/{shard}/scan       cursor scan (paged)
 //	GET  /shardrpc/v1/shards/{shard}/count      per-shard response count
-//	GET  /shardrpc/v1/shards/{shard}/partial    partial accumulator state
-//	                                            (conditional: ?have=cursor
-//	                                            answers not-modified/delta)
+//	POST /shardrpc/v1/partial                   partial accumulator state
+//	                                            for several shards in one
+//	                                            call (conditional: each
+//	                                            shard's have cursor answers
+//	                                            not-modified/delta/full)
+//	GET  /shardrpc/v1/shards/{shard}/partial    the same for one shard
+//	                                            (?have=cursor); kept for
+//	                                            frontends older than the
+//	                                            batched route
 //	GET  /shardrpc/v1/shards/{shard}/tail       WAL-tail shipping
 //	                                            (?follower=id registers a
 //	                                            truncation ack)
@@ -266,9 +272,50 @@ type Partial struct {
 	From  uint64 `json:"from,omitempty"`
 	// Stale marks state served by a replica that has not been promoted:
 	// it may lag the failed primary's last durable appends. Frontends
-	// propagate the mark to their admin surface so degraded reads are
-	// labeled, never guessed.
+	// carry the mark to the requester's answer (stale_shards) and count
+	// it on their health surface, so stale reads are labeled, never
+	// guessed.
 	Stale bool `json:"stale,omitempty"`
+}
+
+// PartialsRequest is one conditional partial fetch for several of a
+// node's shards: the cursor the caller holds for each (0 = none).
+type PartialsRequest struct {
+	SurveyID string        `json:"survey_id"`
+	Shards   []ShardCursor `json:"shards"`
+}
+
+// ShardCursor is one shard of a PartialsRequest and the cursor the
+// caller already holds for it.
+type ShardCursor struct {
+	Shard int    `json:"shard"`
+	Have  uint64 `json:"have"`
+}
+
+// Validate refuses a request no node answers: no shard, a shard named
+// twice, or more shards than the cluster has.
+func (r *PartialsRequest) Validate(totalShards int) error {
+	if len(r.Shards) == 0 {
+		return errors.New("partial request names no shard")
+	}
+	if len(r.Shards) > totalShards {
+		return fmt.Errorf("partial request names %d shards, the cluster has %d", len(r.Shards), totalShards)
+	}
+	seen := make(map[int]bool, len(r.Shards))
+	for _, sc := range r.Shards {
+		if seen[sc.Shard] {
+			return fmt.Errorf("partial request names shard %d twice", sc.Shard)
+		}
+		seen[sc.Shard] = true
+	}
+	return nil
+}
+
+// PartialsResult answers a PartialsRequest: one Partial per requested
+// shard, in request order, each the object the per-shard GET answers
+// for the same shard and cursor.
+type PartialsResult struct {
+	Partials []*Partial `json:"partials"`
 }
 
 // PublishRequest broadcasts a survey definition. Replace selects the
@@ -401,11 +448,17 @@ func (e *FailoverError) Error() string {
 // signature of a dead or unreachable peer, as opposed to a peer that
 // answered with an error. The failover detector treats it as evidence
 // the node is down; every status-carrying failure unwraps through
-// remoteError instead.
+// remoteError instead, and a reply that breaks its contract through
+// errProtocol.
 func IsTransportError(err error) bool {
 	if err == nil {
 		return false
 	}
 	var re *remoteError
-	return !errors.As(err, &re)
+	return !errors.As(err, &re) && !errors.Is(err, errProtocol)
 }
+
+// errProtocol marks a reply that arrived whole but breaks its contract
+// (a batched partial reply that does not answer the shards asked for):
+// the peer is alive and wrong, which no failover can fix.
+var errProtocol = errors.New("shardrpc: protocol error")

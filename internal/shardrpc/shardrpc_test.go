@@ -216,11 +216,11 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatalf("page 2 = %+v", sb)
 	}
 
-	p, err := c.Partial(1, "sv")
+	ps, err := c.Partials(&PartialsRequest{SurveyID: "sv", Shards: []ShardCursor{{Shard: 1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Cursor != 3 || p.State == nil || p.State.N != 3 || p.Fingerprint != sv.Fingerprint() {
+	if p := ps[0]; p.Cursor != 3 || p.State == nil || p.State.N != 3 || p.Fingerprint != sv.Fingerprint() {
 		t.Fatalf("partial = %+v", p)
 	}
 
@@ -398,8 +398,16 @@ func TestConditionalPartial(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	partialSince := func(have uint64) (*Partial, error) {
+		ps, err := c.Partials(&PartialsRequest{SurveyID: "sv", Shards: []ShardCursor{{Shard: 0, Have: have}}})
+		if err != nil {
+			return nil, err
+		}
+		return ps[0], nil
+	}
+
 	// Cold fetch: full snapshot.
-	full, err := c.PartialSince(0, "sv", 0)
+	full, err := partialSince(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +416,7 @@ func TestConditionalPartial(t *testing.T) {
 	}
 
 	// Revalidation at the current cursor: not-modified, no state.
-	nm, err := c.PartialSince(0, "sv", 3)
+	nm, err := partialSince(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +428,7 @@ func TestConditionalPartial(t *testing.T) {
 	if _, err := c.Submit(&SubmitRequest{Shard: 0, Responses: []survey.Response{rpcResponse("sv", 3), rpcResponse("sv", 4)}}); err != nil {
 		t.Fatal(err)
 	}
-	d, err := c.PartialSince(0, "sv", 3)
+	d, err := partialSince(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +438,7 @@ func TestConditionalPartial(t *testing.T) {
 
 	// A cursor ahead of the shard (the caller cached a stream this
 	// store never produced): full resync, not a delta.
-	re, err := c.PartialSince(0, "sv", 99)
+	re, err := partialSince(99)
 	if err != nil {
 		t.Fatal(err)
 	}
