@@ -15,10 +15,10 @@
 //
 // The 8-byte header carries a magic, the format version and the
 // compression codec. Records are opaque payloads — whatever the
-// subsystem logs: the file store's response records are the binary
-// encoding survey.Response gives itself (built from this package's field
-// primitives, field.go), its survey records and everything ingest,
-// checkpoint and the wire frames carry are JSON — wrapped in a
+// subsystem logs: the file store's response records and the budget
+// ledger's records are binary encodings built from this package's field
+// primitives (field.go), the store's survey records and everything
+// ingest, checkpoint and the wire frames carry are JSON — wrapped in a
 // varint-length + CRC32C envelope and buffered into blocks of ~128 KiB
 // uncompressed, each framed as
 //
@@ -41,7 +41,9 @@
 // instead of replaying from byte 0. A file without a valid footer — the
 // active segment, or a crash mid-seal — is scanned sequentially with
 // the same torn-tail repair semantics as the JSON-lines codec: a torn or
-// corrupt tail is truncated back to the last fully verified block.
+// corrupt tail is truncated back to the last fully verified block. A
+// block that fails its checksum but is followed by one that verifies is
+// no tail, and refuses the open (ErrInteriorDamage).
 //
 // Compression is stdlib compress/flate so the module keeps zero
 // external dependencies and tier-1 builds offline.

@@ -27,8 +27,10 @@ const tmpSuffix = ".tmp"
 //     caller's. A file never mixes framings.
 //   - Open streams every complete record to apply, truncates a torn tail
 //     back to the last whole record (JSON) or block (binary), and resumes
-//     appending at the repaired end. Damage that leaves a whole record
-//     unreadable is apply's to judge: an apply error refuses the open.
+//     appending at the repaired end. A binary block that fails its
+//     checksum yet is followed by one that verifies is not a tail:
+//     ErrInteriorDamage refuses the open. Damage that leaves a whole
+//     record unreadable is apply's to judge: an apply error refuses it.
 //   - Append buffers, Flush hands the buffered records to the OS as one
 //     recoverable unit (a binary block is cut there), Sync makes what
 //     was flushed durable. Who calls Sync, and when, is the user's

@@ -249,6 +249,56 @@ func TestLogSealAndReplayFile(t *testing.T) {
 	}
 }
 
+// TestLogInteriorDamageRefused: a flipped byte inside a block that a
+// verified block follows refuses the open and leaves the file as it was;
+// the same flip in the last block is a torn tail, repaired to the prefix.
+func TestLogInteriorDamageRefused(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "log")
+	b, err := openBare(path, blockio.CodecBinary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ends []int64 // file size after each Put: the end of its block
+	for i := 0; i < 5; i++ {
+		if err := b.Put(i); err != nil {
+			t.Fatal(err)
+		}
+		ends = append(ends, b.log.Size())
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	clean, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flip := func(off int64) []byte {
+		mut := append([]byte(nil), clean...)
+		mut[off] ^= 0xFF
+		if err := os.WriteFile(path, mut, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return mut
+	}
+
+	mut := flip(ends[1] - 1) // the second block's last payload byte
+	if _, err := openBare(path, blockio.CodecBinary); !errors.Is(err, blockio.ErrInteriorDamage) {
+		t.Fatalf("interior damage opened: %v", err)
+	}
+	if got, _ := os.ReadFile(path); string(got) != string(mut) {
+		t.Fatalf("the refused open changed the file: %d bytes, was %d", len(got), len(mut))
+	}
+
+	flip(ends[4] - 1)
+	if b, err = openBare(path, blockio.CodecBinary); err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if !reflect.DeepEqual(b.recs, []int{0, 1, 2, 3}) {
+		t.Fatalf("damaged last block reopened to %v, want [0 1 2 3]", b.recs)
+	}
+}
+
 // TestWriteFileAtomic: a failing write callback leaves the old file
 // byte-identical and no temp file behind; a succeeding one replaces it.
 func TestWriteFileAtomic(t *testing.T) {

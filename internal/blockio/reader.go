@@ -18,6 +18,18 @@ import (
 // replayLines truncates a torn trailing JSON line.
 var errTorn = errors.New("blockio: torn or corrupt frame")
 
+// errBadChecksum is the errTorn of a frame whose header parsed but whose
+// payload failed its CRC; the scanner is left at the frame's declared
+// end.
+var errBadChecksum = fmt.Errorf("%w: checksum mismatch", errTorn)
+
+// ErrInteriorDamage refuses the open of an unsealed file whose damage is
+// not a torn tail: a frame failed its checksum, yet a frame starting at
+// its declared end verifies and continues its seqs. Appends are
+// sequential, so those later records were written after the damaged
+// ones, and truncating there would drop them.
+var ErrInteriorDamage = errors.New("blockio: interior damage")
+
 // Replay streams every record of the file at path to fn, in seq order —
 // the binary half of ReplayFile and the crash-recovery primitive under
 // every Log. A sealed file (valid footer) is
@@ -25,9 +37,10 @@ var errTorn = errors.New("blockio: torn or corrupt frame")
 // error. An unsealed file is scanned sequentially; a torn or corrupt
 // tail is truncated back to the last verified frame (and the truncation
 // fsynced) when tornOK, or an error when the caller knows the file may
-// not legally be torn. The returned bool reports whether a repair
-// truncated anything. fn errors abort the replay and are returned
-// as-is (wrapped), never treated as tears.
+// not legally be torn. A checksum-failed frame followed by one that
+// verifies is ErrInteriorDamage either way. The returned bool reports
+// whether a repair truncated anything. fn errors abort the replay and
+// are returned as-is (wrapped), never treated as tears.
 func Replay(path string, tornOK bool, fn func(seq uint64, payload []byte) error) (bool, error) {
 	flag := os.O_RDONLY
 	if tornOK {
@@ -252,7 +265,7 @@ func scanSealed(f *os.File, path string, index []BlockMeta, dataEnd int64, fromS
 }
 
 // scanSequential streams an unsealed file frame by frame, repairing (or
-// refusing) a torn tail per tornOK.
+// refusing) a torn tail per tornOK, and refusing interior damage.
 func scanSequential(f *os.File, path string, tornOK bool, fn func(uint64, []byte) error) (bool, error) {
 	fs, err := newFrameScanner(f, headerSize)
 	if err != nil {
@@ -266,6 +279,9 @@ func scanSequential(f *os.File, path string, tornOK bool, fn func(uint64, []byte
 		if err != nil {
 			if !errors.Is(err, errTorn) {
 				return false, err
+			}
+			if errors.Is(err, errBadChecksum) && fs.resumes(bm) {
+				return false, fmt.Errorf("%w: %s: corrupt block at offset %d is followed by a verified one", ErrInteriorDamage, path, bm.Offset)
 			}
 			if !tornOK {
 				return false, fmt.Errorf("blockio: torn frame at offset %d in sealed log %s", bm.Offset, path)
@@ -341,10 +357,19 @@ func (fs *frameScanner) ReadByte() (byte, error) {
 	return b, err
 }
 
+// resumes reports whether the frame at the scanner's position — the
+// declared end of bad, which failed its checksum — verifies and carries
+// the seq right after bad's records.
+func (fs *frameScanner) resumes(bad BlockMeta) bool {
+	bm, _, _, err := fs.next()
+	return err == nil && bm.FirstSeq == bad.FirstSeq+uint64(bad.Count)
+}
+
 // next parses one block frame. It returns io.EOF exactly at a frame
 // boundary, errTorn for anything that ends or fails mid-frame, and the
 // decompressed block otherwise. The returned BlockMeta carries the
-// frame's start offset even on error (the repair point).
+// frame's start offset even on error (the repair point), and on
+// errBadChecksum its seqs too.
 func (fs *frameScanner) next() (BlockMeta, []byte, int64, error) {
 	bm := BlockMeta{Offset: fs.off}
 	firstSeq, err := binary.ReadUvarint(fs)
@@ -380,7 +405,8 @@ func (fs *frameScanner) next() (BlockMeta, []byte, int64, error) {
 	}
 	fs.off += int64(compLen)
 	if checksum(cmp) != binary.LittleEndian.Uint32(crcb[:]) {
-		return bm, nil, 0, errTorn
+		bm.FirstSeq, bm.Count = firstSeq, int(cnt)
+		return bm, nil, 0, errBadChecksum
 	}
 	if fs.dec == nil {
 		fs.dec = flate.NewReader(bytes.NewReader(cmp))

@@ -23,12 +23,14 @@
 // routes a worker's charge to the same shard, and the shard evaluates
 // the cap under one lock.
 //
-// Durability follows the repo's JSON-lines WAL idiom (internal/
-// checkpoint): one file per hosted shard, one fsync per charge batch,
+// Durability is one shared journal per Set, whatever the number of
+// hosted shards: a binary blockio.Log holding one record per charged
+// batch, refund or compaction snapshot, group-committed fsyncs,
 // torn-tail truncation on open, periodic snapshot compaction. Replaying
-// the WAL reproduces balances exactly — records are applied in WAL
-// order with the same float operations the live path committed, so a
-// kill-9 restart answers the same ε to the last bit.
+// the journal reproduces balances exactly — entries are applied in
+// journal order with the same float operations the live path
+// committed, ρ travels as its IEEE-754 bits, so a kill-9 restart
+// answers the same ε to the last bit.
 package budget
 
 import (
@@ -163,8 +165,8 @@ type ShardStats struct {
 	Rejected uint64 `json:"rejected,omitempty"`
 	// Unprotected sums the accounts' unprotected disclosure counts.
 	Unprotected int `json:"unprotected,omitempty"`
-	// WALRecords is the ledger lines appended since the last
-	// compaction; Compactions counts snapshot rewrites.
+	// WALRecords is the charge and refund entries appended since the
+	// last compaction; Compactions counts snapshot rewrites.
 	WALRecords  int    `json:"wal_records,omitempty"`
 	Compactions uint64 `json:"compactions,omitempty"`
 	// Durable reports whether the shard writes a WAL (false for the

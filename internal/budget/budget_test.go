@@ -1,6 +1,7 @@
 package budget
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -8,6 +9,8 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"loki/internal/blockio"
 )
 
 func testConfig() Config { return Config{CapEpsilon: 2, Delta: 1e-6} }
@@ -209,29 +212,34 @@ func TestRestartEquivalence(t *testing.T) {
 	}
 }
 
-// TestRestartTornTail crashes mid-append: a half-written last line must
-// be truncated away on reopen, restoring the state before the torn
+// TestRestartTornTail crashes mid-append: a half-written last record
+// must be truncated away on reopen, restoring the state before the torn
 // charge.
 func TestRestartTornTail(t *testing.T) {
 	dir := t.TempDir()
+	path := filepath.Join(dir, ledgerFile)
 	cfg := testConfig()
 	s := mustSet(t, SetOptions{Shards: 1, Dir: dir, Config: cfg})
 	if _, err := s.Charge(Charge{WorkerID: "w", Rho: 0.2}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	path := filepath.Join(dir, ledgerFile)
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	fi, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"worker":"w","rho":9`); err != nil {
+	if _, err := s.Charge(Charge{WorkerID: "w", Rho: 9}); err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	end, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, (fi.Size()+end.Size())/2); err != nil {
+		t.Fatal(err)
+	}
 
 	re := mustSet(t, SetOptions{Shards: 1, Dir: dir, Config: cfg})
 	defer re.Close()
@@ -241,6 +249,71 @@ func TestRestartTornTail(t *testing.T) {
 	}
 	if a.Rho != 0.2 || a.Charges != 1 {
 		t.Fatalf("after torn tail: rho=%g charges=%d, want 0.2/1", a.Rho, a.Charges)
+	}
+}
+
+// TestLedgerInteriorDamageRefused: one flipped byte inside the first
+// record of a 20-charge ledger is not a torn tail — truncating there
+// would reopen at zero spend — so the open refuses and the file stays.
+func TestLedgerInteriorDamageRefused(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, ledgerFile)
+	cfg := testConfig()
+	s := mustSet(t, SetOptions{Shards: 1, Dir: dir, Config: cfg})
+	var firstEnd int64
+	for i := 0; i < 20; i++ {
+		if _, err := s.Charge(Charge{WorkerID: "w", SurveyID: "s", Rho: 0.001}); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			fi, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			firstEnd = fi.Size()
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[firstEnd-1] ^= 0xFF
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if re, err := NewSet(SetOptions{Shards: 1, Dir: dir, Config: cfg}); err == nil {
+		a, _ := re.Peek("w")
+		re.Close()
+		t.Fatalf("a damaged first record opened to %d charges, ρ %g", a.Charges, a.Rho)
+	} else if !errors.Is(err, blockio.ErrInteriorDamage) {
+		t.Fatalf("refused for the wrong reason: %v", err)
+	}
+	if after, _ := os.ReadFile(path); !bytes.Equal(after, b) {
+		t.Fatalf("the refused open changed the ledger: %d bytes, was %d", len(after), len(b))
+	}
+}
+
+// TestLedgerRecordRefusals: a record that is not exactly one encoding
+// is refused with the ledger's error, whatever is wrong with it.
+func TestLedgerRecordRefusals(t *testing.T) {
+	good := appendLedgerRecord(nil, []walRecord{{Worker: "w", Survey: "s", Rho: 0.5, Unprot: 1}})
+	for name, b := range map[string][]byte{
+		"unknown tag":   append([]byte{ledgerTag + 1}, good[1:]...),
+		"unknown kind":  append(append([]byte{ledgerTag, 1}, 9), good[3:]...),
+		"trailing byte": append(append([]byte(nil), good...), 0),
+		"truncated":     good[:len(good)-1],
+		"overlong":      append([]byte{ledgerTag, 0x81, 0x00}, good[2:]...),
+		"huge count":    {ledgerTag, 0xFF, 0xFF, 0xFF, 0x0F},
+	} {
+		if _, err := decodeLedgerRecord(nil, b); !errors.Is(err, errBadRecord) {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	if recs, err := decodeLedgerRecord(nil, good); err != nil || len(recs) != 1 || recs[0].Rho != 0.5 {
+		t.Fatalf("good record: %+v, %v", recs, err)
 	}
 }
 

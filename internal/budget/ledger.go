@@ -1,6 +1,8 @@
 package budget
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -12,21 +14,56 @@ import (
 	"loki/internal/blockio"
 )
 
-// ledgerFile is the Set's journal file name inside -budget-dir.
+// ledgerFile is the Set's journal file name inside -budget-dir. It
+// predates the binary record and stays: a Log is sniffed, not named by
+// its codec.
 const ledgerFile = "budget-ledger.jsonl"
 
-// WAL record kinds. A record with an empty kind is a charge — the hot
-// path writes the common case with no discriminator bytes.
+// Entry kinds. An entry with an empty kind is a charge, as in the JSON
+// lines older ledgers hold.
 const (
 	walRefund   = "refund"
 	walSnapshot = "snapshot"
 )
 
-// walRecord is one line of the budget ledger. Charges and refunds are
-// deltas routed to their shard by worker hash; a snapshot record
-// (written by compaction) resets every hosted shard to the embedded
-// accounts, so a compacted file replays to exactly the same state as
-// the original.
+// ledgerTag leads every binary ledger record and names its layout
+// version. Like the store's 0xB1 response tag it is a UTF-8 continuation
+// byte, so no JSON line starts with it and replay dispatches per record
+// on the first byte.
+const ledgerTag = 0xB2
+
+// Binary layout, version 0xB2 (field primitives: blockio.FieldReader):
+//
+//	tag | uvarint len(entries) | entry ...
+//
+//	entry   = kind | str Worker | str Survey | f64 Rho | varint Unprot
+//	        | kindSnapshot | uvarint len(accounts) | account ...
+//	account = str WorkerID | f64 Rho | varint Unprotected |
+//	          uvarint Charges | uvarint Refunds
+//
+// One record is what one flushLocked call writes: a charged batch, a
+// refund, or a compaction snapshot. ρ is its raw IEEE-754 bits, so
+// replay folds the very float the live path folded.
+const (
+	kindCharge byte = iota
+	kindRefund
+	kindSnapshot
+
+	minEntryBytes   = 2  // a snapshot of no accounts
+	minAccountBytes = 12 // empty worker, ρ, three one-byte varints
+)
+
+// errBadRecord refuses a ledger record that does not decode. Interior
+// corruption in a budget ledger is not skippable the way an advisory
+// checkpoint is: dropping a charge would under-count a worker's spend.
+var errBadRecord = errors.New("budget: bad ledger record")
+
+// walRecord is one ledger entry. Charges and refunds are deltas routed
+// to their shard by worker hash; a snapshot entry (written by
+// compaction) resets every hosted shard to the embedded accounts, so a
+// compacted file replays to exactly the same state as the original.
+// The JSON tags read ledgers written before the binary record, one
+// entry per line.
 type walRecord struct {
 	T        string    `json:"t,omitempty"`
 	Worker   string    `json:"worker,omitempty"`
@@ -34,6 +71,84 @@ type walRecord struct {
 	Rho      float64   `json:"rho,omitempty"`
 	Unprot   int       `json:"unprot,omitempty"`
 	Snapshot []Account `json:"snapshot,omitempty"`
+}
+
+// appendLedgerRecord appends the binary record holding recs to b.
+func appendLedgerRecord(b []byte, recs []walRecord) []byte {
+	b = append(b, ledgerTag)
+	b = binary.AppendUvarint(b, uint64(len(recs)))
+	for i := range recs {
+		rec := &recs[i]
+		switch rec.T {
+		case walSnapshot:
+			b = append(b, kindSnapshot)
+			b = binary.AppendUvarint(b, uint64(len(rec.Snapshot)))
+			for j := range rec.Snapshot {
+				a := &rec.Snapshot[j]
+				b = blockio.AppendString(b, a.WorkerID)
+				b = blockio.AppendFloat64(b, a.Rho)
+				b = binary.AppendVarint(b, int64(a.Unprotected))
+				b = binary.AppendUvarint(b, a.Charges)
+				b = binary.AppendUvarint(b, a.Refunds)
+			}
+			continue
+		case walRefund:
+			b = append(b, kindRefund)
+		default:
+			b = append(b, kindCharge)
+		}
+		b = blockio.AppendString(b, rec.Worker)
+		b = blockio.AppendString(b, rec.Survey)
+		b = blockio.AppendFloat64(b, rec.Rho)
+		b = binary.AppendVarint(b, int64(rec.Unprot))
+	}
+	return b
+}
+
+// decodeLedgerRecord decodes one ledger record into dst[:0]: a binary
+// record, or one JSON line of an older ledger. A binary record must be
+// exactly appendLedgerRecord's bytes for what it decodes to — varints
+// also decode from overlong spellings, and a record has one encoding.
+func decodeLedgerRecord(dst []walRecord, b []byte) ([]walRecord, error) {
+	recs := dst[:0]
+	if len(b) == 0 || b[0] != ledgerTag {
+		var rec walRecord
+		if err := json.Unmarshal(b, &rec); err != nil {
+			return nil, fmt.Errorf("%w: %v", errBadRecord, err)
+		}
+		return append(recs, rec), nil
+	}
+	d := blockio.NewFieldReader(b[1:])
+	for n := d.Count(minEntryBytes); n > 0 && d.Err() == nil; n-- {
+		var rec walRecord
+		switch kind := d.Byte(); kind {
+		case kindSnapshot:
+			rec.T = walSnapshot
+			rec.Snapshot = make([]Account, d.Count(minAccountBytes))
+			for i := range rec.Snapshot {
+				rec.Snapshot[i] = Account{WorkerID: d.Str(), Rho: d.Float64(), Unprotected: d.Int(), Charges: d.Uvarint(), Refunds: d.Uvarint()}
+			}
+		case kindRefund:
+			rec.T = walRefund
+			fallthrough
+		case kindCharge:
+			rec.Worker, rec.Survey, rec.Rho, rec.Unprot = d.Str(), d.Str(), d.Float64(), d.Int()
+		default:
+			if d.Err() == nil {
+				return nil, fmt.Errorf("%w: entry kind %#x", errBadRecord, kind)
+			}
+		}
+		recs = append(recs, rec)
+	}
+	switch {
+	case d.Err() != nil:
+		return nil, fmt.Errorf("%w: %v", errBadRecord, d.Err())
+	case d.Len() != 0:
+		return nil, fmt.Errorf("%w: %d trailing bytes", errBadRecord, d.Len())
+	case !bytes.Equal(appendLedgerRecord(make([]byte, 0, len(b)), recs), b):
+		return nil, fmt.Errorf("%w: not in canonical form", errBadRecord)
+	}
+	return recs, nil
 }
 
 // shardState is one hosted budget shard's accounts and counters. It has
@@ -50,14 +165,17 @@ type shardState struct {
 	global   int
 	accounts map[string]*Account
 	rejected uint64
-	// records counts WAL lines applied to this shard since the last
-	// compaction (observability only).
+	// records counts charge and refund entries applied to this shard
+	// since the last compaction (observability only).
 	records int
 }
 
-// ledger is the Set's durable journal: a JSON-lines blockio.Log
-// (torn-tail truncation on open, snapshot compaction by Rewrite), with
-// group-committed fsyncs. With no directory the ledger is memory-only —
+// ledger is the Set's durable journal: a binary blockio.Log holding one
+// record per write batch (torn-tail truncation on open, snapshot
+// compaction by Rewrite), with group-committed fsyncs. A ledger that
+// opens as JSON lines, written before the binary record, is replayed
+// and compacted into a binary snapshot at once (NewSet), so there is
+// one encoding to write. With no directory the ledger is memory-only —
 // the bench baseline and the zero-config default — and still provides
 // the commit lock.
 //
@@ -85,8 +203,10 @@ type ledger struct {
 	// flushed counts write batches handed to the OS (mutated under mu,
 	// read atomically by the sync cohort).
 	flushed atomic.Uint64
-	// appended counts WAL lines since the last compaction; compactions
-	// is a process-lifetime observability counter.
+	// buf is the record encoding scratch, reused under mu.
+	buf []byte
+	// appended counts entries (not records) since the last compaction;
+	// compactions is a process-lifetime observability counter.
 	appended    int
 	compactions uint64
 	// err is sticky: after a write or flush failure the file position
@@ -109,19 +229,19 @@ func (l *ledger) open(dir string, apply func(*walRecord) error) error {
 	if dir == "" {
 		return nil
 	}
+	var recs []walRecord
 	var err error
-	l.log, err = blockio.OpenLog(filepath.Join(dir, ledgerFile), blockio.CodecJSON, func(line []byte) error {
-		var rec walRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			// Interior corruption in a budget ledger is not skippable the
-			// way an advisory checkpoint is: dropping a charge would
-			// under-count a worker's spend.
-			return fmt.Errorf("budget: bad ledger record: %w", err)
-		}
-		if err := apply(&rec); err != nil {
+	l.log, err = blockio.OpenLog(filepath.Join(dir, ledgerFile), blockio.CodecBinary, func(payload []byte) error {
+		var err error
+		if recs, err = decodeLedgerRecord(recs, payload); err != nil {
 			return err
 		}
-		l.appended++
+		for i := range recs {
+			if err := apply(&recs[i]); err != nil {
+				return err
+			}
+		}
+		l.appended += len(recs)
 		return nil
 	})
 	if err != nil {
@@ -130,28 +250,22 @@ func (l *ledger) open(dir string, apply func(*walRecord) error) error {
 	return nil
 }
 
-// flushLocked appends records to the WAL and flushes them to the OS as
-// one write batch — durability comes later, from the sync cohort.
-// Memory-only ledgers skip it. Any failure is sticky.
+// flushLocked appends records to the WAL as one binary record and
+// flushes it to the OS as one write batch — durability comes later,
+// from the sync cohort. Memory-only ledgers skip it. Any failure is
+// sticky.
 func (l *ledger) flushLocked(recs []walRecord) error {
 	if l.log == nil {
 		return nil
 	}
-	fail := func(err error) error {
-		l.err = err
-		return err
+	l.buf = appendLedgerRecord(l.buf[:0], recs)
+	err := l.log.Append(l.buf)
+	if err == nil {
+		err = l.log.Flush()
 	}
-	for i := range recs {
-		b, err := json.Marshal(&recs[i])
-		if err != nil {
-			return fail(fmt.Errorf("budget: encode ledger record: %w", err))
-		}
-		if err := l.log.Append(b); err != nil {
-			return fail(fmt.Errorf("budget: %w", err))
-		}
-	}
-	if err := l.log.Flush(); err != nil {
-		return fail(fmt.Errorf("budget: %w", err))
+	if err != nil {
+		l.err = fmt.Errorf("budget: %w", err)
+		return l.err
 	}
 	l.flushed.Add(1)
 	return nil
@@ -193,11 +307,11 @@ func (l *ledger) checkLocked() error {
 }
 
 // commitLocked finishes a mutation that already flushed and applied its
-// records: it bumps the line count, maybe compacts, releases the commit
+// records: it bumps the entry count, maybe compacts, releases the commit
 // lock, and joins the sync cohort. It must be called with mu held and
 // always unlocks it.
-func (l *ledger) commitLocked(lines int, compact func()) error {
-	l.appended += lines
+func (l *ledger) commitLocked(entries int, compact func()) error {
+	l.appended += entries
 	compact()
 	durable := l.log != nil
 	seq := l.flushed.Load()
@@ -208,20 +322,21 @@ func (l *ledger) commitLocked(lines int, compact func()) error {
 	return nil
 }
 
-// rewriteLocked replaces the journal with one snapshot record. Called
-// with mu held. The sync cohort fsyncs the log without mu, and Rewrite
-// swaps the file under it, so syncMu is held too (lock order mu →
-// syncMu); a failure is sticky in the log, which wedges the cohort as
-// well.
-func (l *ledger) rewriteLocked(snapshot []byte) error {
+// rewriteLocked replaces the journal with one binary snapshot record of
+// accounts. Called with mu held. The sync cohort fsyncs the log without
+// mu, and Rewrite swaps the file under it, so syncMu is held too (lock
+// order mu → syncMu); a failure is sticky in the log, which wedges the
+// cohort as well.
+func (l *ledger) rewriteLocked(accounts []Account) error {
 	l.syncMu.Lock()
 	defer l.syncMu.Unlock()
-	err := l.log.Rewrite(blockio.CodecJSON, func(nl *blockio.Log) error { return nl.Append(snapshot) })
+	l.buf = appendLedgerRecord(l.buf[:0], []walRecord{{T: walSnapshot, Snapshot: accounts}})
+	err := l.log.Rewrite(blockio.CodecBinary, func(nl *blockio.Log) error { return nl.Append(l.buf) })
 	if err != nil {
 		l.err = fmt.Errorf("budget: compact ledger: %w", err)
 		return l.err
 	}
-	l.appended = 1 // the snapshot line itself
+	l.appended = 1 // the snapshot entry itself
 	l.compactions++
 	// The snapshot covers every record applied so far, including write
 	// batches still waiting on the cohort — release them.

@@ -7,18 +7,23 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"loki/internal/blockio"
 )
 
-// testdata/parent_ledger.jsonl was written by the commit BEFORE the
-// ledger moved onto blockio.Log (469b70b), by running fixtureScript
-// there (TestWriteParentFixture with LOKI_FIXTURE_OUT set). The script
-// crosses the compaction threshold once, so the file is a snapshot line
-// followed by charges and one refund. Ledger records carry no
-// timestamp, so the same script must produce the same bytes forever.
+// Two fixtures, both fixtureScript's output:
+//
+//   - testdata/parent_ledger.jsonl was written by the commit BEFORE the
+//     ledger moved onto blockio.Log (469b70b): JSON lines, a snapshot line
+//     followed by charges and one refund. It must open and convert.
+//   - testdata/ledger_binary.log is the first binary ledger (tag 0xB2),
+//     written by TestWriteLedgerFixture with LOKI_FIXTURE_OUT set. Ledger
+//     records carry no timestamp, so the same script must produce the
+//     same bytes until the format is meant to change.
 
 var fixtureWorkers = []string{"ana", "bo", "chidi", "dee", "ezra"}
 
-// fixtureScript drives a Set through 70 single charges (the 64th line
+// fixtureScript drives a Set through 70 single charges (the 64th entry
 // compacts), a three-charge batch, a refund and two more charges.
 func fixtureScript(t *testing.T, s *Set) {
 	t.Helper()
@@ -68,11 +73,10 @@ func fixtureAccounts(t *testing.T, s *Set) []Account {
 	return out
 }
 
-func TestWriteParentFixture(t *testing.T) {
-	out := os.Getenv("LOKI_FIXTURE_OUT")
-	if out == "" {
-		t.Skip("set LOKI_FIXTURE_OUT to (re)write the fixture with this commit's code")
-	}
+// scriptedLedger runs fixtureScript on a fresh durable Set and returns
+// the ledger file's bytes.
+func scriptedLedger(t *testing.T) []byte {
+	t.Helper()
 	dir := t.TempDir()
 	s := fixtureSet(t, dir)
 	fixtureScript(t, s)
@@ -83,15 +87,22 @@ func TestWriteParentFixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(out, "parent_ledger.jsonl"), b, 0o644); err != nil {
+	return b
+}
+
+func TestWriteLedgerFixture(t *testing.T) {
+	out := os.Getenv("LOKI_FIXTURE_OUT")
+	if out == "" {
+		t.Skip("set LOKI_FIXTURE_OUT to (re)write the fixture with this commit's code")
+	}
+	if err := os.WriteFile(filepath.Join(out, "ledger_binary.log"), scriptedLedger(t), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestParentLedgerFixture: the parent-written ledger opens to the
-// balances the script produces in memory, this commit writes the same
-// bytes for the same script, and the file takes charges, a compaction
-// and a reopen.
+// TestParentLedgerFixture: the parent-written JSON ledger opens to the
+// balances the script produces in memory, comes out binary, takes 70
+// charges and a compaction, and reopens equal.
 func TestParentLedgerFixture(t *testing.T) {
 	fixture, err := os.ReadFile(filepath.Join("testdata", "parent_ledger.jsonl"))
 	if err != nil {
@@ -106,25 +117,17 @@ func TestParentLedgerFixture(t *testing.T) {
 	fixtureScript(t, mem)
 	want := fixtureAccounts(t, mem)
 
-	// Same script, this commit's code: byte-identical file.
-	fresh := t.TempDir()
-	s := fixtureSet(t, fresh)
-	fixtureScript(t, s)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := os.ReadFile(filepath.Join(fresh, ledgerFile)); err != nil || !bytes.Equal(got, fixture) {
-		t.Fatalf("this commit wrote %d bytes (%v) where the parent wrote %d: the ledger format moved", len(got), err, len(fixture))
-	}
-
-	// The parent's file: opens, appends, compacts, reopens.
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, ledgerFile), fixture, 0o644); err != nil {
+	path := filepath.Join(dir, ledgerFile)
+	if err := os.WriteFile(path, fixture, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s = fixtureSet(t, dir)
+	s := fixtureSet(t, dir)
 	if got := fixtureAccounts(t, s); !reflect.DeepEqual(got, want) {
 		t.Fatalf("parent ledger opened to\n%+v\nwant\n%+v", got, want)
+	}
+	if bin, err := blockio.Sniff(path); err != nil || !bin {
+		t.Fatalf("the parent ledger did not come out binary after open (%v)", err)
 	}
 	for i := 0; i < 70; i++ { // crosses the compaction threshold again
 		c := Charge{WorkerID: fixtureWorkers[i%len(fixtureWorkers)], SurveyID: "more", Rho: 0.0005}
@@ -136,8 +139,9 @@ func TestParentLedgerFixture(t *testing.T) {
 		}
 	}
 	want = fixtureAccounts(t, mem)
-	if st, _ := s.Stats(); st[0].Compactions == 0 {
-		t.Fatal("70 more lines did not compact the parent's ledger")
+	// One compaction is the conversion at open.
+	if st, _ := s.Stats(); st[0].Compactions < 2 {
+		t.Fatalf("70 more charges did not compact the converted ledger: %d compactions", st[0].Compactions)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -146,5 +150,46 @@ func TestParentLedgerFixture(t *testing.T) {
 	defer s.Close()
 	if got := fixtureAccounts(t, s); !reflect.DeepEqual(got, want) {
 		t.Fatalf("after append + compaction + reopen:\n%+v\nwant\n%+v", got, want)
+	}
+}
+
+// TestLedgerBinaryFixture: the script writes testdata/ledger_binary.log
+// byte for byte, the file holds every entry kind and a batch record, and
+// it opens to the script's balances.
+func TestLedgerBinaryFixture(t *testing.T) {
+	fixture, err := os.ReadFile(filepath.Join("testdata", "ledger_binary.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := scriptedLedger(t); !bytes.Equal(got, fixture) {
+		t.Fatalf("this commit wrote %d bytes where the fixture holds %d: the ledger format moved", len(got), len(fixture))
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, ledgerFile)
+	if err := os.WriteFile(path, fixture, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	kinds := map[string]int{}
+	var widest int
+	if err := blockio.ReplayFile(path, false, func(p []byte) error {
+		recs, err := decodeLedgerRecord(nil, p)
+		for _, rec := range recs {
+			kinds[rec.T]++
+		}
+		widest = max(widest, len(recs))
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if kinds[walSnapshot] != 1 || kinds[walRefund] != 1 || kinds[""] == 0 || widest < 3 {
+		t.Fatalf("fixture entries by kind %v, widest record %d: want a snapshot, a refund, charges and a batch", kinds, widest)
+	}
+
+	mem := fixtureSet(t, "")
+	fixtureScript(t, mem)
+	s := fixtureSet(t, dir)
+	defer s.Close()
+	if got, want := fixtureAccounts(t, s), fixtureAccounts(t, mem); !reflect.DeepEqual(got, want) {
+		t.Fatalf("binary fixture opened to\n%+v\nwant\n%+v", got, want)
 	}
 }

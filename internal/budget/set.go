@@ -1,10 +1,11 @@
 package budget
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"sort"
+
+	"loki/internal/blockio"
 )
 
 // SetOptions tune NewSet.
@@ -75,6 +76,16 @@ func NewSet(opts SetOptions) (*Set, error) {
 	if err := s.led.open(opts.Dir, s.applyLocked); err != nil {
 		return nil, err
 	}
+	if s.led.log != nil && s.led.log.Codec() != blockio.CodecBinary {
+		// A JSON-lines ledger from an older binary: its balances become
+		// one binary snapshot now, and every later write is binary. The
+		// conversion is forward-only — an older binary refuses the file.
+		s.compactLocked()
+		if err := s.led.err; err != nil {
+			s.led.close()
+			return nil, err
+		}
+	}
 	return s, nil
 }
 
@@ -84,9 +95,6 @@ func (s *Set) Config() Config { return s.cfg }
 // Shards implements Charger: the global shard count, not the hosted
 // count.
 func (s *Set) Shards() int { return s.total }
-
-// Hosted returns the sorted global shard indices this Set holds.
-func (s *Set) Hosted() []int { return append([]int(nil), s.ids...) }
 
 // Hosts reports whether one global budget shard lives in this Set —
 // the pre-flight check for callers that must not half-commit a batch
@@ -349,9 +357,10 @@ func (s *Set) PeekShard(global int, workerID string) (Account, error) {
 }
 
 // Stats implements Charger over the hosted shards. WALRecords counts
-// the journal lines attributable to each shard since the last
-// compaction; Compactions and Durable describe the shared journal and
-// repeat on every row.
+// the charge and refund entries attributable to each shard since the
+// last compaction (entries, not the batch records that carry them);
+// Compactions and Durable describe the shared journal and repeat on
+// every row.
 func (s *Set) Stats() ([]ShardStats, error) {
 	s.led.mu.Lock()
 	defer s.led.mu.Unlock()
@@ -377,10 +386,10 @@ func (s *Set) Stats() ([]ShardStats, error) {
 }
 
 // maybeCompactLocked rewrites the journal as one snapshot record once
-// the appended lines outnumber the live accounts enough that the
+// the appended entries outnumber the live accounts enough that the
 // rewrite pays for itself. Same 4x-with-floor policy as checkpoint
-// compaction, with a higher floor because charge lines accumulate per
-// submit, not per survey.
+// compaction, with a higher floor because charge entries accumulate
+// per submit, not per survey.
 func (s *Set) maybeCompactLocked() {
 	if s.led.log == nil {
 		return
@@ -403,12 +412,7 @@ func (s *Set) maybeCompactLocked() {
 // account. Failures are sticky; the original file is untouched until
 // the rewrite publishes.
 func (s *Set) compactLocked() {
-	b, err := json.Marshal(&walRecord{T: walSnapshot, Snapshot: sortedAccounts(s.shards)})
-	if err != nil {
-		s.led.err = fmt.Errorf("budget: encode ledger snapshot: %w", err)
-		return
-	}
-	if s.led.rewriteLocked(b) != nil {
+	if s.led.rewriteLocked(sortedAccounts(s.shards)) != nil {
 		return
 	}
 	for _, sh := range s.shards {

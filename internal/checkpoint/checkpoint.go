@@ -146,10 +146,12 @@ func surveyFileName(surveyID string) string {
 }
 
 // Open replays (or creates) the checkpoint log in dir: every
-// per-survey file, in parallel across surveys. A torn trailing line from a crashed append
-// is truncated away; unreadable interior records are skipped and
-// counted (CorruptRecords), never a refused open — the log is advisory
-// and the store rebuilds anything it cannot provide.
+// per-survey file, in parallel across surveys. A torn trailing line from
+// a crashed append is truncated away; unreadable interior records are
+// skipped and counted (CorruptRecords), and a binary file with interior
+// damage is counted once and rewritten to the records before the
+// damage — never a refused open: the log is advisory and the store
+// rebuilds anything it cannot provide.
 func Open(dir string) (*Log, error) {
 	return OpenWith(dir, Options{})
 }
@@ -223,6 +225,7 @@ func (l *Log) replaySurveyFiles() error {
 	type fileState struct {
 		recs    []*Record
 		corrupt int
+		damaged bool
 	}
 	work := make(chan int)
 	states := make([]fileState, len(names))
@@ -251,6 +254,14 @@ func (l *Log) replaySurveyFiles() error {
 					return nil
 				}
 				err := blockio.ReplayFile(path, true, apply)
+				if errors.Is(err, blockio.ErrInteriorDamage) {
+					// The same call as for an unreadable record: keep what
+					// replayed before the damage, count it, and replace the
+					// file below, since a damaged file refuses every open.
+					st.corrupt++
+					st.damaged = true
+					err = nil
+				}
 				if err != nil && !errors.Is(err, os.ErrNotExist) && errs[w] == nil {
 					errs[w] = err
 				}
@@ -275,8 +286,31 @@ func (l *Log) replaySurveyFiles() error {
 		for _, rec := range states[i].recs {
 			l.applyLocked(rec)
 		}
+		if states[i].damaged {
+			if err := l.replaceDamaged(filepath.Join(l.dir, surveysDir, names[i]), states[i].recs); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
+}
+
+// replaceDamaged swaps a file holding interior damage for one holding
+// the live records of the survey that replayed from it. A crash in
+// between loses the survey's checkpoints, which only lengthens the next
+// catch-up scan.
+func (l *Log) replaceDamaged(path string, replayed []*Record) error {
+	if err := os.Remove(path); err != nil {
+		return fmt.Errorf("checkpoint: remove damaged %s: %w", path, err)
+	}
+	if len(replayed) == 0 {
+		return blockio.SyncDir(filepath.Dir(path))
+	}
+	id := replayed[0].SurveyID
+	if _, err := l.ensureFileLocked(id); err != nil {
+		return err
+	}
+	return l.compactSurveyLocked(id)
 }
 
 // GetShard returns the survey's current checkpoint for one shard, or

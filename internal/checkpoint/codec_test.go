@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -58,6 +59,70 @@ func TestBinaryCodecRoundTrip(t *testing.T) {
 	}
 	if got := l3.CorruptRecords(); got != 0 {
 		t.Fatalf("clean binary log reports %d corrupt records", got)
+	}
+}
+
+// TestBinaryInteriorDamageSkipped: a damaged block with verified blocks
+// behind it refuses a blockio open, but checkpoints are advisory: Open
+// counts it, keeps the records before it, and rewrites the file clean.
+func TestBinaryInteriorDamageSkipped(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{Codec: blockio.CodecBinary}
+	sv := testSurvey()
+	path := filepath.Join(dir, surveysDir, surveyFileName(sv.ID))
+	l, err := OpenWith(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ends []int64
+	for n := 1; n <= 3; n++ {
+		if err := l.Put(record(t, sv, n)); err != nil {
+			t.Fatal(err)
+		}
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ends = append(ends, fi.Size())
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[ends[1]-1] ^= 0xFF // cursor 2's block; cursor 3's verifies behind it
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	l2, err := OpenWith(dir, opts)
+	if err != nil {
+		t.Fatalf("interior damage refused the open: %v", err)
+	}
+	if got := l2.CorruptRecords(); got != 1 {
+		t.Errorf("corrupt records = %d, want 1", got)
+	}
+	if rec, ok := l2.Get(sv.ID); !ok || rec.Cursor != 1 {
+		t.Fatalf("after the damage: %+v, want cursor 1", rec)
+	}
+	if err := l2.Put(record(t, sv, 4)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l3, err := OpenWith(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l3.Close()
+	if got := l3.CorruptRecords(); got != 0 {
+		t.Errorf("the damage survived the rewrite: %d corrupt", got)
+	}
+	if rec, ok := l3.Get(sv.ID); !ok || rec.Cursor != 4 {
+		t.Fatalf("after reopen: %+v, want cursor 4", rec)
 	}
 }
 

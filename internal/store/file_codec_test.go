@@ -1,6 +1,8 @@
 package store
 
 import (
+	"errors"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -83,6 +85,51 @@ func TestFileStoreCodecSticky(t *testing.T) {
 	defer st3.Close()
 	if got := st3.ResponseCount(survey.LecturerID); got != 2 {
 		t.Fatalf("after mixed-open appends: %d responses, want 2", got)
+	}
+}
+
+// TestFileStoreBinaryInteriorDamage: a flipped byte inside an acked
+// response's block, with later acked responses behind it, refuses the
+// open instead of truncating them away.
+func TestFileStoreBinaryInteriorDamage(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "loki.blk")
+	opts := FileOptions{Sync: SyncAlways, Codec: blockio.CodecBinary}
+	st, err := OpenFileWith(path, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.PutSurvey(sampleSurvey()); err != nil {
+		t.Fatal(err)
+	}
+	var firstEnd int64
+	for i, w := range []string{"w1", "w2", "w3"} {
+		if err := st.AppendResponse(sampleResponse(w)); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			fi, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			firstEnd = fi.Size()
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[firstEnd-1] ^= 0xFF // the first response's block
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := OpenFileWith(path, opts); !errors.Is(err, blockio.ErrInteriorDamage) {
+		if err == nil {
+			t.Fatalf("damaged store opened with %d responses", st.ResponseCount(survey.LecturerID))
+		}
+		t.Fatalf("refused for the wrong reason: %v", err)
 	}
 }
 
