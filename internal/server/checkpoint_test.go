@@ -47,7 +47,7 @@ func ckptResponse(sv *survey.Survey, i int) *survey.Response {
 	}
 }
 
-func submitOK(t *testing.T, ts *httptest.Server, r *survey.Response) {
+func submitOK(t testing.TB, ts *httptest.Server, r *survey.Response) {
 	t.Helper()
 	resp, body := doReq(t, http.MethodPost, submitURL(ts, r.SurveyID), r, "")
 	if resp.StatusCode != http.StatusCreated {

@@ -193,7 +193,7 @@ func TestClusterMergeEquivalence(t *testing.T) {
 
 // newTestNodes spins nodes (shardrpc over real HTTP) and returns one
 // client per node.
-func newTestNodes(t *testing.T, nodes, totalShards, journalRetain int) []*shardrpc.Client {
+func newTestNodes(t testing.TB, nodes, totalShards, journalRetain int) []*shardrpc.Client {
 	t.Helper()
 	owned := shardrpc.RoundRobinPlacement(totalShards, nodes)
 	clients := make([]*shardrpc.Client, nodes)
@@ -232,7 +232,7 @@ func newTestNodes(t *testing.T, nodes, totalShards, journalRetain int) []*shardr
 // newTestFrontend builds one frontend server over the given node
 // clients with explicit cache settings (ttl < 0 disables the cache,
 // matching Config semantics).
-func newTestFrontend(t *testing.T, clients []*shardrpc.Client, totalShards int, cacheTTL, refresh time.Duration) (*httptest.Server, *shardrpc.Remote, *Server) {
+func newTestFrontend(t testing.TB, clients []*shardrpc.Client, totalShards int, cacheTTL, refresh time.Duration) (*httptest.Server, *shardrpc.Remote, *Server) {
 	t.Helper()
 	remote, err := shardrpc.NewRemoteRoundRobin(clients, totalShards)
 	if err != nil {

@@ -5,8 +5,11 @@
 // read when PR 4 measured it). With it, a frontend
 // keeps each survey's per-shard accumulators and the cursor vector they
 // cover; a read within the TTL whose cursor vector satisfies every
-// read-your-writes floor is served from the cached merge with zero
-// RPCs, and a revalidation is one conditional call per node
+// read-your-writes floor is a hit: zero RPCs and zero encoding. The
+// entry keeps each read endpoint's rendered body beside the merge it
+// renders — the first read after a revalidation renders it, the next
+// revalidation drops it — so a hit sets a header and writes bytes. A
+// revalidation is one conditional call per node
 // (shardrpc.Remote.Partials), carrying the cursor held for each of its
 // shards — the node answers each shard not-modified (no state), a delta
 // fold of the responses past the frontend's cursor, which the frontend
@@ -80,10 +83,15 @@ type cachedSurvey struct {
 	// [1, cursors[i]]. nil until the first successful fill.
 	parts   []*aggregate.Accumulator
 	cursors []uint64
-	// est is the finalized merge of parts at cursors — what a cache hit
-	// returns. Rebuilt (never mutated) on every revalidation, so a
-	// previously returned estimate is immune to later refreshes.
+	// est is the finalized merge of parts at cursors. Rebuilt (never
+	// mutated) on every revalidation.
 	est *aggregate.SurveyEstimate
+	// bodies[shape] is that read endpoint's reply body for est and the
+	// entry's labels — what a cache hit writes. Rendered lazily by the
+	// first read that needs it, dropped by every revalidation, and never
+	// written to once set: a revalidation starts new slices, because a
+	// reader may still be sending the old one.
+	bodies [numReadShapes][]byte
 	// fetched is when the cursor vector was last validated against the
 	// nodes; the TTL ages against it.
 	fetched time.Time
@@ -175,30 +183,42 @@ func (cs *cachedSurvey) freshLocked(ttl time.Duration) bool {
 	return true
 }
 
-// cachedRemoteEstimate is the cached frontend read path. A fresh entry
-// returns the cached merge directly; a stale one revalidates under the
+// cachedRemoteBody is the cached frontend read path. A fresh entry
+// answers with its memoized body; a stale one revalidates under the
 // entry's singleflight lock — concurrent readers of the same survey
 // wait for one revalidation instead of issuing their own.
-func (s *Server) cachedRemoteEstimate(sv *survey.Survey) (*aggregate.SurveyEstimate, readLabels, error) {
+func (s *Server) cachedRemoteBody(sv *survey.Survey, shape readShape) ([]byte, error) {
 	cs := s.cache.entry(sv, s.router.Shards())
 	cs.lastRead.Store(time.Now().UnixNano())
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
 	if cs.freshLocked(s.cache.ttl) {
 		cs.hits.Add(1)
-		return cs.est, cs.labelsLocked(), nil
+	} else {
+		cs.misses.Add(1)
+		if err := s.revalidateLocked(sv, cs); err != nil {
+			return nil, err
+		}
 	}
-	cs.misses.Add(1)
-	if err := s.revalidateLocked(sv, cs); err != nil {
-		return nil, readLabels{}, err
+	return cs.bodyLocked(shape), nil
+}
+
+// bodyLocked returns the shape's body for the entry's current estimate
+// and labels, rendering it if no read has since the last revalidation.
+// Caller holds cs.mu.
+func (cs *cachedSurvey) bodyLocked(shape readShape) []byte {
+	if b := cs.bodies[shape]; b != nil {
+		return b
 	}
-	return cs.est, cs.labelsLocked(), nil
+	b := shape.render(cs.def, cs.est, cs.labelsLocked())
+	cs.bodies[shape] = b
+	return b
 }
 
 // labelsLocked copies out the entry's degraded and stale shards for one
-// read. Caller holds cs.mu.
+// rendering. Caller holds cs.mu.
 func (cs *cachedSurvey) labelsLocked() readLabels {
-	l := readLabels{degraded: append([]int(nil), cs.degraded...)}
+	l := readLabels{degraded: cs.degraded}
 	for i, st := range cs.stale {
 		if st {
 			l.stale = append(l.stale, i)
@@ -212,8 +232,14 @@ func (cs *cachedSurvey) labelsLocked() readLabels {
 // its shards in one call (and a down node's shards of their replicas);
 // the per-shard answers are applied — nothing for not-modified, a Merge
 // for a delta, a replacement for a full snapshot, and the replica bit
-// from each — and the finalized merge rebuilt. Caller holds cs.mu.
+// from each — and the finalized merge rebuilt. It is the one place the
+// memoized bodies are dropped: the refresher, read-your-writes floors,
+// TTL expiry and label changes all pass through here, and a republish
+// drops the whole entry. Caller holds cs.mu.
 func (s *Server) revalidateLocked(sv *survey.Survey, cs *cachedSurvey) error {
+	// The memoized bodies go first: even a revalidation that fails below
+	// may have moved a stale bit they label.
+	cs.bodies = [numReadShapes][]byte{}
 	n := len(cs.cursors)
 	// A cold entry's cursors are all zero: a full fetch of every shard.
 	fetched, errs := s.remote.Partials(sv.ID, cs.cursors)

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -199,6 +200,217 @@ func TestFrontendCacheDeltaEquivalence(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// cacheEntry is the frontend's cache entry for a survey, nil when it has
+// none.
+func cacheEntry(srv *Server, id string) *cachedSurvey {
+	srv.cache.mu.Lock()
+	defer srv.cache.mu.Unlock()
+	return srv.cache.surveys[id]
+}
+
+// freshBodies renders every read shape from the entry's current state,
+// and returns what the entry has memoized beside them.
+func freshBodies(cs *cachedSurvey) (fresh, memo [numReadShapes][]byte) {
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	for sh := range numReadShapes {
+		fresh[sh] = sh.render(cs.def, cs.est, cs.labelsLocked())
+	}
+	return fresh, cs.bodies
+}
+
+// memoCheck holds a frontend's memoized read bodies to a fresh rendering
+// of the entry they belong to: whatever is memoized before a read must
+// equal it, and a read of each shape must answer it byte for byte. It
+// returns the aggregate read's reply.
+func memoCheck(t *testing.T, srv *Server, ts *httptest.Server, id, step string) *AggregateResult {
+	t.Helper()
+	if cs := cacheEntry(srv, id); cs != nil {
+		fresh, memo := freshBodies(cs)
+		for sh := range numReadShapes {
+			if memo[sh] != nil && !bytes.Equal(memo[sh], fresh[sh]) {
+				t.Fatalf("%s: memoized %s body outlived its estimate\n--- memo ---\n%s--- fresh ---\n%s",
+					step, readWireShapes[sh], memo[sh], fresh[sh])
+			}
+		}
+	}
+	var out AggregateResult
+	for sh := range numReadShapes {
+		r := readGet(t, ts.URL, id, readWireShapes[sh], testToken)
+		fresh, _ := freshBodies(cacheEntry(srv, id))
+		if r.status != http.StatusOK || !bytes.Equal(r.body, fresh[sh]) {
+			t.Fatalf("%s: %s read answered %d, not the fresh rendering\n%s--- fresh ---\n%s",
+				step, readWireShapes[sh], r.status, r.body, fresh[sh])
+		}
+		if sh == aggregateShape {
+			if err := json.Unmarshal(r.body, &out); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return &out
+}
+
+// TestFrontendReadMemo walks a frontend cache entry through every way
+// it changes and holds the memoized bodies to a fresh rendering at each
+// step: read-your-writes after a submit, a delta, TTL expiry, a refresher
+// pass, a degraded read and the healed one, and a republish.
+func TestFrontendReadMemo(t *testing.T) {
+	const totalShards = 4
+	const ttl = 40 * time.Millisecond
+	nodes := newHANodes(t, 2, totalShards)
+	fts, remote, srv := newTestFrontend(t, []*shardrpc.Client{nodes[0].client, nodes[1].client}, totalShards, ttl, 0)
+	sv := clusterTestSurvey()
+	publishOK(t, fts, sv)
+	rng := rand.New(rand.NewSource(61))
+	n := 0
+	submit := func(k int) {
+		for i := 0; i < k; i++ {
+			submitOK(t, fts, randomResponse(sv, rng, n))
+			n++
+		}
+	}
+	// behind submits straight to the nodes: only the TTL or the
+	// refresher can make the frontend see them.
+	behind := func(k int) {
+		for i := 0; i < k; i++ {
+			r := randomResponse(sv, rng, n)
+			n++
+			if e := remote.Submit(remote.Route(r.SurveyID, r.WorkerID), []survey.Response{*r}, nil)()[0]; e.Err != nil {
+				t.Fatal(e.Err)
+			}
+		}
+	}
+	submit(30)
+	compareAggregate(t, memoCheck(t, srv, fts, sv.ID, "cold fill"), referenceAggregate(t, remote, sv))
+
+	submit(1)
+	compareAggregate(t, memoCheck(t, srv, fts, sv.ID, "read-your-writes"), referenceAggregate(t, remote, sv))
+
+	deltas := surveyCacheStats(t, fts, sv.ID).Delta
+	submit(6)
+	compareAggregate(t, memoCheck(t, srv, fts, sv.ID, "delta"), referenceAggregate(t, remote, sv))
+	if got := surveyCacheStats(t, fts, sv.ID).Delta; got <= deltas {
+		t.Fatalf("the delta step drew no delta answers (%d -> %d)", deltas, got)
+	}
+
+	behind(5)
+	time.Sleep(ttl + 10*time.Millisecond)
+	compareAggregate(t, memoCheck(t, srv, fts, sv.ID, "TTL expiry"), referenceAggregate(t, remote, sv))
+
+	// The refresher revalidates an entry at least half a TTL old without
+	// any read; the memo it leaves must already be the new one.
+	behind(5)
+	time.Sleep(ttl/2 + 5*time.Millisecond)
+	deltas = surveyCacheStats(t, fts, sv.ID).Delta
+	srv.refreshHot(time.Hour)
+	if got := surveyCacheStats(t, fts, sv.ID).Delta; got == deltas {
+		t.Fatal("the refresh pass did not revalidate the entry")
+	}
+	compareAggregate(t, memoCheck(t, srv, fts, sv.ID, "refresh pass"), referenceAggregate(t, remote, sv))
+
+	nodes[1].kill()
+	time.Sleep(ttl + 10*time.Millisecond)
+	if got := memoCheck(t, srv, fts, sv.ID, "degraded"); fmt.Sprint(got.DegradedShards) != "[1 3]" {
+		t.Fatalf("degraded read labels %v, want [1 3]", got.DegradedShards)
+	}
+	nodes[1].revive()
+	time.Sleep(ttl + 10*time.Millisecond)
+	healed := memoCheck(t, srv, fts, sv.ID, "healed")
+	if len(healed.DegradedShards) != 0 {
+		t.Fatalf("healed read still labels %v", healed.DegradedShards)
+	}
+	compareAggregate(t, healed, referenceAggregate(t, remote, sv))
+
+	sv2 := clusterTestSurvey()
+	sv2.Questions = sv2.Questions[:2]
+	sv2.Consistency = nil
+	if resp, body := doReq(t, http.MethodPost, fts.URL+"/api/v1/surveys", sv2, testToken); resp.StatusCode != http.StatusOK {
+		t.Fatalf("republish = %d: %s", resp.StatusCode, body)
+	}
+	if got := memoCheck(t, srv, fts, sv.ID, "republish"); len(got.Choices) != 0 {
+		t.Fatalf("republished aggregate still has %d choice questions", len(got.Choices))
+	}
+}
+
+// TestFrontendReadMemoConcurrent: readers of one survey racing each
+// other, the first rendering and revalidations (a TTL short enough that
+// some reads revalidate and some hit) all get identical bytes, and no
+// reader's body is written to under it (-race).
+func TestFrontendReadMemoConcurrent(t *testing.T) {
+	const totalShards = 4
+	clients := newTestNodes(t, 2, totalShards, 0)
+	fts, _, _ := newTestFrontend(t, clients, totalShards, 5*time.Millisecond, 0)
+	sv := clusterTestSurvey()
+	publishOK(t, fts, sv)
+	rng := rand.New(rand.NewSource(67))
+	for i := 0; i < 40; i++ {
+		submitOK(t, fts, randomResponse(sv, rng, i))
+	}
+	const readers, reads = 8, 30
+	got := make([][numReadShapes][]byte, readers*reads)
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := 0; i < reads; i++ {
+				for sh := range numReadShapes {
+					rep := readGet(t, fts.URL, sv.ID, readWireShapes[sh], testToken)
+					if rep.status != http.StatusOK {
+						t.Errorf("%s read = %d: %s", readWireShapes[sh], rep.status, rep.body)
+						return
+					}
+					got[r*reads+i][sh] = rep.body
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+	for i := range got {
+		for sh := range numReadShapes {
+			if !bytes.Equal(got[i][sh], got[0][sh]) {
+				t.Fatalf("concurrent %s reads differ\n%s\n%s", readWireShapes[sh], got[i][sh], got[0][sh])
+			}
+		}
+	}
+	if st := surveyCacheStats(t, fts, sv.ID); st.Hits == 0 || st.Misses < 2 {
+		t.Fatalf("concurrent reads did not mix hits and revalidations: %+v", st)
+	}
+}
+
+// discardReply is a ResponseWriter that keeps nothing, so a benchmark
+// times the handler and not a recorder.
+type discardReply struct{ h http.Header }
+
+func (d discardReply) Header() http.Header       { return d.h }
+func (discardReply) WriteHeader(int)             {}
+func (discardReply) Write(p []byte) (int, error) { return len(p), nil }
+
+// BenchmarkFrontendCachedRead is a frontend's hot /aggregate read: a
+// fresh cache entry over two nodes and eight shards, served in process
+// with no listener in front of the handler.
+func BenchmarkFrontendCachedRead(b *testing.B) {
+	const totalShards = 8
+	fts, _, srv := newTestFrontend(b, newTestNodes(b, 2, totalShards, 0), totalShards, time.Hour, 0)
+	sv := clusterTestSurvey()
+	if resp, body := doReq(b, http.MethodPost, fts.URL+"/api/v1/surveys", sv, testToken); resp.StatusCode != http.StatusCreated {
+		b.Fatalf("publish = %d: %s", resp.StatusCode, body)
+	}
+	rng := rand.New(rand.NewSource(71))
+	for i := 0; i < 200; i++ {
+		submitOK(b, fts, randomResponse(sv, rng, i))
+	}
+	req := httptest.NewRequest(http.MethodGet, "/api/v1/surveys/"+sv.ID+"/aggregate", nil)
+	req.Header.Set("Authorization", "Bearer "+testToken)
+	w := discardReply{h: http.Header{}}
+	srv.ServeHTTP(w, req) // the cold fill
+	b.ReportAllocs()
+	for b.Loop() {
+		srv.ServeHTTP(w, req)
 	}
 }
 

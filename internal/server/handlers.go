@@ -228,35 +228,9 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request) {
-	sv, fin, labels, ok := s.surveyEstimate(w, r.PathValue("id"))
-	if !ok {
-		return
-	}
-	out := AggregateResult{SurveyID: sv.ID, DegradedShards: labels.degraded, StaleShards: labels.stale}
-	for i := range sv.Questions {
-		if qe, ok := fin.Questions[sv.Questions[i].ID]; ok {
-			out.Questions = append(out.Questions, *qe)
-		}
-		if ce, ok := fin.Choices[sv.Questions[i].ID]; ok {
-			out.Choices = append(out.Choices, *ce)
-		}
-	}
-	writeJSON(w, http.StatusOK, out)
+	s.serveRead(w, r.PathValue("id"), aggregateShape)
 }
 
 func (s *Server) handleQuality(w http.ResponseWriter, r *http.Request) {
-	sv, fin, labels, ok := s.surveyEstimate(w, r.PathValue("id"))
-	if !ok {
-		return
-	}
-	out := QualityResult{
-		SurveyID:             sv.ID,
-		Total:                fin.Quality.Total,
-		Consistent:           fin.Quality.Consistent,
-		Inconsistent:         fin.Quality.Inconsistent,
-		PerLevelInconsistent: append([]int(nil), fin.Quality.PerLevelInconsistent[:]...),
-		DegradedShards:       labels.degraded,
-		StaleShards:          labels.stale,
-	}
-	writeJSON(w, http.StatusOK, out)
+	s.serveRead(w, r.PathValue("id"), qualityShape)
 }

@@ -340,16 +340,7 @@ func BatchAggregate(est *aggregate.Estimator, sv *survey.Survey, responses []sur
 	if err != nil {
 		return nil, err
 	}
-	out := &AggregateResult{SurveyID: sv.ID}
-	for i := range sv.Questions {
-		if qe, ok := ests[sv.Questions[i].ID]; ok {
-			out.Questions = append(out.Questions, *qe)
-		}
-		if ce, ok := choices[sv.Questions[i].ID]; ok {
-			out.Choices = append(out.Choices, *ce)
-		}
-	}
-	return out, nil
+	return aggregateResult(sv, ests, choices, readLabels{}), nil
 }
 
 // LiveAccumulator describes one shard partial's live aggregate state on

@@ -21,33 +21,86 @@ type readLabels struct {
 	degraded, stale []int
 }
 
-// surveyEstimate is the shared read path of /aggregate and /quality:
-// resolve the survey, then refresh its per-shard partials (scan only
-// the responses each shard appended since the last read — usually none
-// — fold, Merge, finalize). On a frontend the partials come from the
-// owning nodes, through the partial cache, instead of local folds. Cost
-// is independent of how many responses the store holds.
-func (s *Server) surveyEstimate(w http.ResponseWriter, id string) (*survey.Survey, *aggregate.SurveyEstimate, readLabels, bool) {
+// readShape names one read endpoint's body: /aggregate or /quality.
+type readShape int
+
+const (
+	aggregateShape readShape = iota
+	qualityShape
+	numReadShapes
+)
+
+// render is the one rendering of a read body: the shape's wire value for
+// the survey's finalized estimate and the read's labels, as writeJSON
+// would send it. The local read path calls it on every read; a frontend
+// memoizes its output per cache entry (cachedSurvey.bodyLocked).
+func (sh readShape) render(sv *survey.Survey, fin *aggregate.SurveyEstimate, labels readLabels) []byte {
+	if sh == qualityShape {
+		return encodeJSON(QualityResult{
+			SurveyID:             sv.ID,
+			Total:                fin.Quality.Total,
+			Consistent:           fin.Quality.Consistent,
+			Inconsistent:         fin.Quality.Inconsistent,
+			PerLevelInconsistent: append([]int(nil), fin.Quality.PerLevelInconsistent[:]...),
+			DegradedShards:       labels.degraded,
+			StaleShards:          labels.stale,
+		})
+	}
+	return encodeJSON(aggregateResult(sv, fin.Questions, fin.Choices, labels))
+}
+
+// aggregateResult is the one place an AggregateResult is built: the
+// estimates in the survey's question order, with the read's labels.
+func aggregateResult(sv *survey.Survey, qs map[string]*aggregate.QuestionEstimate, cs map[string]*aggregate.ChoiceEstimate, labels readLabels) *AggregateResult {
+	out := &AggregateResult{SurveyID: sv.ID, DegradedShards: labels.degraded, StaleShards: labels.stale}
+	for i := range sv.Questions {
+		if qe, ok := qs[sv.Questions[i].ID]; ok {
+			out.Questions = append(out.Questions, *qe)
+		}
+		if ce, ok := cs[sv.Questions[i].ID]; ok {
+			out.Choices = append(out.Choices, *ce)
+		}
+	}
+	return out
+}
+
+// serveRead is the shared read path of /aggregate and /quality: resolve
+// the survey, then answer with the shape's body. A server that folds its
+// own shards refreshes its per-shard partials (scan only the responses
+// each shard appended since the last read — usually none — fold, Merge,
+// finalize) and renders; a frontend answers from its partial cache,
+// which renders once per revalidation. Cost is independent of how many
+// responses the store holds.
+func (s *Server) serveRead(w http.ResponseWriter, id string, shape readShape) {
 	sv, err := s.router.Survey(id)
 	if err != nil {
 		s.writeRefusal(w, surveyRefusal(err))
-		return nil, nil, readLabels{}, false
+		return
 	}
-	var fin *aggregate.SurveyEstimate
-	var labels readLabels
+	var body []byte
 	if s.cache != nil {
-		fin, labels, err = s.cachedRemoteEstimate(sv)
+		body, err = s.cachedRemoteBody(sv, shape)
 	} else {
-		var ls *liveSet
-		if ls, err = s.liveFor(sv); err == nil {
-			fin, err = s.refresh(ls)
-		}
+		body, err = s.localBody(sv, shape)
 	}
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
-		return nil, nil, readLabels{}, false
+		return
 	}
-	return sv, fin, labels, true
+	writeBody(w, http.StatusOK, body)
+}
+
+// localBody renders a read from the server's own live partials.
+func (s *Server) localBody(sv *survey.Survey, shape readShape) ([]byte, error) {
+	ls, err := s.liveFor(sv)
+	if err != nil {
+		return nil, err
+	}
+	fin, err := s.refresh(ls)
+	if err != nil {
+		return nil, err
+	}
+	return shape.render(sv, fin, readLabels{}), nil
 }
 
 // errDeltaDone aborts a delta fold once it reaches the partial's

@@ -33,6 +33,7 @@ package server
 
 import (
 	"context"
+	"crypto/subtle"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -383,11 +384,13 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-// requireToken wraps requester-only handlers with bearer-token auth.
+// requireToken wraps requester-only handlers with bearer-token auth. The
+// compare is constant-time: how long a refusal takes must not say how
+// much of the header matched.
 func (s *Server) requireToken(h http.HandlerFunc) http.HandlerFunc {
-	want := "Bearer " + s.cfg.RequesterToken
+	want := []byte("Bearer " + s.cfg.RequesterToken)
 	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Header.Get("Authorization") != want {
+		if subtle.ConstantTimeCompare([]byte(r.Header.Get("Authorization")), want) != 1 {
 			writeError(w, http.StatusUnauthorized, "missing or invalid requester token")
 			return
 		}
@@ -430,13 +433,28 @@ func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, dst any) bool 
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	writeBody(w, status, encodeJSON(v))
+}
+
+// encodeJSON renders v as json.Encoder.Encode would: json.Marshal (which
+// escapes HTML the same way) plus the trailing newline. A value that
+// cannot be encoded (a NaN) renders as nil, and the reply carries the
+// status with an empty body.
+func encodeJSON(v any) []byte {
+	b, err := json.Marshal(v)
+	if err != nil {
+		return nil
+	}
+	return append(b, '\n')
+}
+
+// writeBody is the one place a JSON reply goes out. body is never
+// written to: a frontend hands every concurrent reader of a cache entry
+// the same slice.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(v); err != nil {
-		// Headers are gone; nothing more to do than drop the connection.
-		return
-	}
+	_, _ = w.Write(body)
 }
 
 func writeError(w http.ResponseWriter, status int, msg string) {

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -34,7 +37,7 @@ func newTestServer(t *testing.T) (*httptest.Server, store.Store) {
 	return ts, st
 }
 
-func doReq(t *testing.T, method, url string, body any, token string) (*http.Response, []byte) {
+func doReq(t testing.TB, method, url string, body any, token string) (*http.Response, []byte) {
 	t.Helper()
 	var rd *bytes.Reader
 	if body != nil {
@@ -129,6 +132,47 @@ func TestPublishRequiresToken(t *testing.T) {
 	resp, _ = doReq(t, http.MethodPost, ts.URL+"/api/v1/surveys", sv, testToken)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("dup publish = %d", resp.StatusCode)
+	}
+}
+
+// TestRequireTokenRefusals: the constant-time token compare refuses a
+// missing header, a token of the wrong length and one wrong only in its
+// last byte with the very 401 the parent's plain compare answered
+// (pinned by the read_wire goldens), and still admits the right token.
+func TestRequireTokenRefusals(t *testing.T) {
+	ts, _ := newTestServer(t)
+	sv := clusterTestSurvey()
+	publishOK(t, ts, sv)
+	for _, shape := range readWireShapes {
+		want, err := os.ReadFile(filepath.Join("testdata", "read_wire", "frontend_no_token."+shape+".golden"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, auth := range []string{"", "Bearer " + testToken + "x", "Bearer " + testToken[:len(testToken)-1] + "X", "bearer " + testToken, testToken} {
+			req, err := http.NewRequest(http.MethodGet, ts.URL+"/api/v1/surveys/"+sv.ID+"/"+shape, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if auth != "" {
+				req.Header.Set("Authorization", auth)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := partialReply{status: resp.StatusCode, ctype: resp.Header.Get("Content-Type"), body: body}
+			if got.String() != string(want) {
+				t.Errorf("Authorization %q on %s:\n%s\n--- want ---\n%s", auth, shape, got, want)
+			}
+		}
+		if r := readGet(t, ts.URL, sv.ID, shape, testToken); r.status != http.StatusOK {
+			t.Fatalf("right token on %s = %v", shape, r)
+		}
 	}
 }
 
