@@ -2,12 +2,14 @@
 // subsystem. Log (log.go) is the one record file the file store, the
 // checkpoint files, the budget ledger and ingest's segments, meta log
 // and snapshots are built on — open/replay with torn-tail repair,
-// append / flush / sync, a sticky first failure, atomic rewrite — in
-// either of two codecs: one JSON record per line, or the chunked binary
-// block format described here, which also frames the compressed
-// cluster-RPC bodies of the WAL-tail-shipping read path (frame.go).
-// WriteFileAtomic and SyncDir are the only place files are published by
-// rename; Sniff and ReplayFile the only place a codec is detected.
+// append / flush / sync, a sticky first failure, atomic rewrite, and
+// CopyFrom, which appends another file's records and moves its blocks
+// whole, never inflated or recompressed — in either of two codecs: one
+// JSON record per line, or the chunked binary block format described
+// here, which also frames the compressed cluster-RPC bodies of the
+// WAL-tail-shipping read path (frame.go). WriteFileAtomic and SyncDir
+// are the only place files are published by rename; Sniff and
+// ReplayFile the only place a codec is detected.
 //
 // A blockio file is
 //
@@ -15,12 +17,12 @@
 //
 // The 8-byte header carries a magic, the format version and the
 // compression codec. Records are opaque payloads — whatever the
-// subsystem logs: the file store's response records and the budget
-// ledger's records are binary encodings built from this package's field
-// primitives (field.go), the store's survey records and everything
-// ingest, checkpoint and the wire frames carry are JSON — wrapped in a
-// varint-length + CRC32C envelope and buffered into blocks of ~128 KiB
-// uncompressed, each framed as
+// subsystem logs: the response records of the file store and of ingest
+// and the budget ledger's records are binary encodings built from this
+// package's field primitives (field.go); survey records, ingest's
+// snapshot headers and everything checkpoint and the wire frames carry
+// are JSON — wrapped in a varint-length + CRC32C envelope and buffered
+// into blocks of ~128 KiB uncompressed, each framed as
 //
 //	uvarint firstSeq | uvarint count | uvarint rawLen | uvarint compLen |
 //	crc32c(comp) | comp bytes

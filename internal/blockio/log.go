@@ -284,6 +284,105 @@ func (l *Log) Rewrite(codec string, emit func(nl *Log) error) error {
 	return nil
 }
 
+// CopyFrom appends the records of the file at path after its first
+// skip, in order, and returns how many it appended. The file is read
+// strictly, like a sealed file: any damage in it is an error. From a
+// binary file into a binary Log, every block past the skipped records
+// is copied whole — its checksum verified, its payload neither inflated
+// nor recompressed — behind a cut of the open block. Every other record
+// (those sharing a block with skipped ones, and all of them in any
+// other pairing of codecs) goes through Append, mapped by conv if conv
+// is non-nil. A failed copy leaves part of the file appended, so it
+// fails the log sticky.
+func (l *Log) CopyFrom(path string, skip int, conv func(payload []byte) ([]byte, error)) (int, error) {
+	if err := l.Err(); err != nil {
+		return 0, err
+	}
+	n := 0
+	add := func(p []byte) error {
+		if conv != nil {
+			var err error
+			if p, err = conv(p); err != nil {
+				return err
+			}
+		}
+		n++
+		return l.Append(p)
+	}
+	binary, err := Sniff(path)
+	if err == nil && binary && l.bw != nil {
+		var whole int
+		whole, err = copyBlocks(path, skip, l.bw, add)
+		n += whole
+	} else if err == nil {
+		seen := 0
+		err = ReplayFile(path, false, func(p []byte) error {
+			if seen++; seen <= skip {
+				return nil
+			}
+			return add(p)
+		})
+	}
+	if err != nil {
+		return n, l.Fail(fmt.Errorf("blockio: copy %s into %s: %w", path, l.path, err))
+	}
+	return n, nil
+}
+
+// copyBlocks is CopyFrom between two binary files. Frames wholly past
+// the first skip records go to w as they are; the records past skip in
+// the one frame that straddles it go to add. It returns how many
+// records it copied in whole frames.
+func copyBlocks(path string, skip int, w *Writer, add func([]byte) error) (int, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return 0, err
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return 0, err
+	}
+	var h [headerSize]byte
+	if _, err := io.ReadFull(f, h[:]); err != nil {
+		return 0, err
+	}
+	if err := checkHeader(h[:]); err != nil {
+		return 0, err
+	}
+	end := st.Size()
+	if _, dataEnd, ok := readIndex(f, end); ok {
+		end = dataEnd
+	}
+	fs, err := newFrameScanner(f, headerSize)
+	if err != nil {
+		return 0, err
+	}
+	whole, seen := 0, 0
+	for fs.off < end {
+		bm, rawLen, comp, err := fs.frame()
+		if err != nil {
+			return whole, fmt.Errorf("corrupt block at offset %d: %w", bm.Offset, err)
+		}
+		switch {
+		case seen >= skip:
+			if err = w.appendBlock(bm.Count, rawLen, comp); err == nil {
+				whole += bm.Count
+			}
+		case seen+bm.Count > skip:
+			var raw []byte
+			if raw, err = fs.inflate(comp, rawLen); err == nil {
+				err = walkBlock(raw, bm, bm.FirstSeq+uint64(skip-seen)-1, func(_ uint64, p []byte) error { return add(p) })
+			}
+		}
+		if err != nil {
+			return whole, err
+		}
+		seen += bm.Count
+	}
+	return whole, nil
+}
+
 // WriteLogAtomic publishes a complete, sealed record file at path:
 // emit's records go to <path>.tmp, which is sealed and renamed into
 // place, so a reader sees no file (or the old one) or the whole new one.

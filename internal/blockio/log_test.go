@@ -2,6 +2,7 @@ package blockio_test
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -246,6 +247,84 @@ func TestLogSealAndReplayFile(t *testing.T) {
 				t.Fatalf("replaying a missing file: %v", err)
 			}
 		})
+	}
+}
+
+// TestLogCopyFrom copies a sealed file's records after a skipped prefix
+// into a new file behind one record of its own, for every pairing of
+// codecs and a skip of one record and of several. The copy
+// holds exactly the records after the skip, replays strictly and (binary)
+// seeks by its index. conv sees every copied record except, binary to binary,
+// those of whole blocks, which are copied as they are.
+func TestLogCopyFrom(t *testing.T) {
+	const n = 3000 // ~300 KiB of records: three binary blocks
+	rec := func(i int) []byte { return []byte(strconv.Itoa(i) + strings.Repeat("-", 90) + strconv.Itoa(i*7919)) }
+	for _, from := range codecs {
+		src := filepath.Join(t.TempDir(), "src")
+		if _, err := blockio.WriteLogAtomic(src, from, 0, func(l *blockio.Log) error {
+			for i := 0; i < n; i++ {
+				if err := l.Append(rec(i)); err != nil {
+					return err
+				}
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for _, to := range codecs {
+			for _, skip := range []int{1, 17} {
+				t.Run(fmt.Sprintf("%s-%s/skip=%d", from, to, skip), func(t *testing.T) {
+					dst := filepath.Join(t.TempDir(), "dst")
+					converted, copied := 0, 0
+					if _, err := blockio.WriteLogAtomic(dst, to, 0, func(l *blockio.Log) error {
+						if err := l.Append([]byte("head")); err != nil {
+							return err
+						}
+						var err error
+						copied, err = l.CopyFrom(src, skip, func(p []byte) ([]byte, error) {
+							converted++
+							return p, nil
+						})
+						return err
+					}); err != nil {
+						t.Fatal(err)
+					}
+					if copied != n-skip {
+						t.Fatalf("copied %d records, want %d", copied, n-skip)
+					}
+					if whole := from == blockio.CodecBinary && to == blockio.CodecBinary; whole != (converted < copied) || converted == 0 {
+						t.Fatalf("conv saw %d of %d copied records (codecs %s → %s)", converted, copied, from, to)
+					}
+					var got []string
+					if err := blockio.ReplayFile(dst, false, func(p []byte) error {
+						got = append(got, string(p))
+						return nil
+					}); err != nil {
+						t.Fatal(err)
+					}
+					if len(got) != n-skip+1 || got[0] != "head" {
+						t.Fatalf("the copy holds %d records starting %q", len(got), got[0])
+					}
+					for i, g := range got[1:] {
+						if g != string(rec(skip+i)) {
+							t.Fatalf("record %d is %q, want %q", i+1, g, rec(skip+i))
+						}
+					}
+					if to != blockio.CodecBinary {
+						return
+					}
+					st, err := blockio.ScanFrom(dst, uint64(len(got)-5), func(seq uint64, p []byte) error {
+						if want := got[seq-1]; string(p) != want {
+							return fmt.Errorf("seq %d holds %q, want %q", seq, p, want)
+						}
+						return nil
+					})
+					if err != nil || !st.Indexed || st.Records != 5 {
+						t.Fatalf("an indexed scan of the last records: %+v, %v", st, err)
+					}
+				})
+			}
+		}
 	}
 }
 

@@ -371,61 +371,80 @@ func (fs *frameScanner) resumes(bad BlockMeta) bool {
 // frame's start offset even on error (the repair point), and on
 // errBadChecksum its seqs too.
 func (fs *frameScanner) next() (BlockMeta, []byte, int64, error) {
-	bm := BlockMeta{Offset: fs.off}
+	bm, rawLen, comp, err := fs.frame()
+	if err != nil {
+		return bm, nil, 0, err
+	}
+	raw, err := fs.inflate(comp, rawLen)
+	if err != nil {
+		return bm, nil, 0, err
+	}
+	return bm, raw, fs.off - bm.Offset, nil
+}
+
+// frame parses one block frame as next does, checksum included, but
+// leaves its payload compressed: comp is the scanner's scratch, valid
+// until the next call.
+func (fs *frameScanner) frame() (bm BlockMeta, rawLen uint64, comp []byte, err error) {
+	bm = BlockMeta{Offset: fs.off}
 	firstSeq, err := binary.ReadUvarint(fs)
 	if err == io.EOF && fs.off == bm.Offset {
-		return bm, nil, 0, io.EOF
+		return bm, 0, nil, io.EOF
 	}
 	if err != nil {
-		return bm, nil, 0, errTorn
+		return bm, 0, nil, errTorn
 	}
 	cnt, err := binary.ReadUvarint(fs)
 	if err != nil || cnt == 0 || cnt > maxBlockBytes {
-		return bm, nil, 0, errTorn
+		return bm, 0, nil, errTorn
 	}
-	rawLen, err := binary.ReadUvarint(fs)
+	rawLen, err = binary.ReadUvarint(fs)
 	if err != nil || rawLen > maxBlockBytes {
-		return bm, nil, 0, errTorn
+		return bm, 0, nil, errTorn
 	}
 	compLen, err := binary.ReadUvarint(fs)
 	if err != nil || compLen > maxBlockBytes {
-		return bm, nil, 0, errTorn
+		return bm, 0, nil, errTorn
 	}
 	var crcb [4]byte
 	if _, err := io.ReadFull(fs.br, crcb[:]); err != nil {
-		return bm, nil, 0, errTorn
+		return bm, 0, nil, errTorn
 	}
 	fs.off += 4
 	if uint64(cap(fs.cmp)) < compLen {
 		fs.cmp = make([]byte, compLen)
 	}
-	cmp := fs.cmp[:compLen]
-	if _, err := io.ReadFull(fs.br, cmp); err != nil {
-		return bm, nil, 0, errTorn
+	comp = fs.cmp[:compLen]
+	if _, err := io.ReadFull(fs.br, comp); err != nil {
+		return bm, 0, nil, errTorn
 	}
 	fs.off += int64(compLen)
-	if checksum(cmp) != binary.LittleEndian.Uint32(crcb[:]) {
-		bm.FirstSeq, bm.Count = firstSeq, int(cnt)
-		return bm, nil, 0, errBadChecksum
+	bm.FirstSeq, bm.Count = firstSeq, int(cnt)
+	if checksum(comp) != binary.LittleEndian.Uint32(crcb[:]) {
+		return bm, 0, nil, errBadChecksum
 	}
+	return bm, rawLen, comp, nil
+}
+
+// inflate decompresses a frame's payload into the scanner's scratch,
+// which must come to exactly rawLen bytes.
+func (fs *frameScanner) inflate(comp []byte, rawLen uint64) ([]byte, error) {
 	if fs.dec == nil {
-		fs.dec = flate.NewReader(bytes.NewReader(cmp))
-	} else if err := fs.dec.(flate.Resetter).Reset(bytes.NewReader(cmp), nil); err != nil {
-		return bm, nil, 0, errTorn
+		fs.dec = flate.NewReader(bytes.NewReader(comp))
+	} else if err := fs.dec.(flate.Resetter).Reset(bytes.NewReader(comp), nil); err != nil {
+		return nil, errTorn
 	}
 	if uint64(cap(fs.raw)) < rawLen {
 		fs.raw = make([]byte, rawLen)
 	}
 	raw := fs.raw[:rawLen]
 	if _, err := io.ReadFull(fs.dec, raw); err != nil {
-		return bm, nil, 0, errTorn
+		return nil, errTorn
 	}
 	// The stream must end exactly at rawLen.
 	var one [1]byte
 	if n, _ := fs.dec.Read(one[:]); n != 0 {
-		return bm, nil, 0, errTorn
+		return nil, errTorn
 	}
-	bm.FirstSeq = firstSeq
-	bm.Count = int(cnt)
-	return bm, raw, fs.off - bm.Offset, nil
+	return raw, nil
 }

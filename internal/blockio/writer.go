@@ -151,32 +151,60 @@ func (w *Writer) cutBlock() error {
 	if w.count == 0 {
 		return nil
 	}
-	fail := func(err error) error {
-		w.err = err
-		return err
-	}
 	var err error
 	if w.comp, err = compress(w.comp, &w.cbuf, w.raw); err != nil {
-		return fail(fmt.Errorf("blockio: compress block: %w", err))
+		w.err = fmt.Errorf("blockio: compress block: %w", err)
+		return w.err
 	}
-	comp := w.cbuf.Bytes()
+	if err := w.writeFrame(w.firstSeq, w.count, uint64(len(w.raw)), w.cbuf.Bytes()); err != nil {
+		return err
+	}
+	w.raw = w.raw[:0]
+	w.count = 0
+	return nil
+}
+
+// appendBlock cuts the open block, then frames count records that are
+// already compressed — comp, inflating to rawLen bytes, taken whole from
+// another file's frame — as the next block, under the next seqs. The
+// payload is neither inflated nor recompressed.
+func (w *Writer) appendBlock(count int, rawLen uint64, comp []byte) error {
+	if w.err != nil {
+		return w.err
+	}
+	if w.sealed {
+		return errors.New("blockio: append after seal")
+	}
+	if err := w.cutBlock(); err != nil {
+		return err
+	}
+	if err := w.writeFrame(w.nextSeq, count, rawLen, comp); err != nil {
+		return err
+	}
+	w.nextSeq += uint64(count)
+	return nil
+}
+
+// writeFrame hands one block frame to the buffered file writer and
+// indexes it.
+func (w *Writer) writeFrame(firstSeq uint64, count int, rawLen uint64, comp []byte) error {
 	var hdr [4*binary.MaxVarintLen64 + 4]byte
-	n := binary.PutUvarint(hdr[:], w.firstSeq)
-	n += binary.PutUvarint(hdr[n:], uint64(w.count))
-	n += binary.PutUvarint(hdr[n:], uint64(len(w.raw)))
+	n := binary.PutUvarint(hdr[:], firstSeq)
+	n += binary.PutUvarint(hdr[n:], uint64(count))
+	n += binary.PutUvarint(hdr[n:], rawLen)
 	n += binary.PutUvarint(hdr[n:], uint64(len(comp)))
 	binary.LittleEndian.PutUint32(hdr[n:], checksum(comp))
 	n += 4
 	if _, err := w.bw.Write(hdr[:n]); err != nil {
-		return fail(fmt.Errorf("blockio: write block frame: %w", err))
+		w.err = fmt.Errorf("blockio: write block frame: %w", err)
+		return w.err
 	}
 	if _, err := w.bw.Write(comp); err != nil {
-		return fail(fmt.Errorf("blockio: write block frame: %w", err))
+		w.err = fmt.Errorf("blockio: write block frame: %w", err)
+		return w.err
 	}
-	w.index = append(w.index, BlockMeta{Offset: w.off, FirstSeq: w.firstSeq, Count: w.count})
+	w.index = append(w.index, BlockMeta{Offset: w.off, FirstSeq: firstSeq, Count: count})
 	w.off += int64(n + len(comp))
-	w.raw = w.raw[:0]
-	w.count = 0
 	return nil
 }
 

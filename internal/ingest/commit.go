@@ -15,10 +15,11 @@ import (
 // durable (written and fsynced) and visible to reads, with counts
 // filled in, or the commit error.
 type appendReq struct {
-	resps    []survey.Response // validated; the caller is blocked, so not copied
-	payloads [][]byte          // marshaled JSON records; the codec frames them
-	counts   []int             // per record, its survey's response count right after it
-	errc     chan error
+	resps  []survey.Response // validated; the caller is blocked, so not copied
+	recs   []byte            // the encoded response records, end to end
+	ends   []int             // per record, where it ends in recs
+	counts []int             // per record, its survey's response count right after it
+	errc   chan error
 }
 
 // sealedSeg is a closed segment that no snapshot covers yet.
@@ -136,12 +137,14 @@ func (s *Sharded) commit(batch []*appendReq) {
 	records := 0
 write:
 	for _, r := range batch {
-		for _, p := range r.payloads {
-			if werr = s.seg.Append(p); werr != nil {
+		start := 0
+		for _, end := range r.ends {
+			if werr = s.seg.Append(r.recs[start:end]); werr != nil {
 				break write
 			}
+			start = end
 		}
-		records += len(r.payloads)
+		records += len(r.ends)
 	}
 	if werr == nil {
 		werr = s.seg.Flush()

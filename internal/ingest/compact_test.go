@@ -4,6 +4,9 @@ package ingest
 // crash points, and what a reopen leaves on disk.
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"loki/internal/blockio"
 	"loki/internal/store"
 	"loki/internal/survey"
 )
@@ -330,6 +334,96 @@ func TestCompactorKillPoints(t *testing.T) {
 	}
 }
 
+// snapshotRecordBytes returns the part of a snapshot file that holds its
+// response records: everything after the header's line, or, in a
+// binary file, after the header's block and before the block index.
+func snapshotRecordBytes(t *testing.T, path string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(b, []byte("LKB1")) {
+		return b[bytes.IndexByte(b, '\n')+1:]
+	}
+	indexOff := binary.LittleEndian.Uint64(b[len(b)-20:])
+	r := bytes.NewReader(b[8:]) // the frame of block 0: firstSeq, count, rawLen, compLen, CRC, payload
+	var compLen uint64
+	for range 4 {
+		if compLen, err = binary.ReadUvarint(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b[len(b)-r.Len()+4+int(compLen) : indexOff]
+}
+
+// TestFoldCopiesPreviousSnapshot: a fold encodes only the records past
+// what the superseded snapshot holds. The second of two folds holds all
+// of the first snapshot's record blocks (lines, in a JSON-lines store)
+// byte for byte right behind its own header, and reopens to every
+// survey's stream.
+func TestFoldCopiesPreviousSnapshot(t *testing.T) {
+	for _, codec := range []string{blockio.CodecBinary, blockio.CodecJSON} {
+		t.Run(codec, func(t *testing.T) {
+			const surveys = 3
+			cfg := testConfig(1)
+			cfg.Codec = codec
+			cfg.SegmentBytes = 1 << 20
+			cfg.CompactSegments = 1000 // the folds below come from the idle timer
+			dir := t.TempDir()
+			write := func(tag string, n int) map[string][]survey.Response {
+				s := openTest(t, dir, cfg)
+				defer s.Close()
+				for i := 0; i < surveys; i++ {
+					if err := s.PutSurvey(benchSurvey(i)); err != nil && !errors.Is(err, store.ErrExists) {
+						t.Fatal(err)
+					}
+				}
+				var batch []survey.Response
+				for k := 0; k < n; k++ {
+					batch = append(batch, *benchResponse(benchSurvey(k%surveys).ID, fmt.Sprintf("%s-%05d", tag, k)))
+					if len(batch) == 64 || k == n-1 {
+						if _, err := s.AppendResponses(batch); err != nil {
+							t.Fatal(err)
+						}
+						batch = batch[:0]
+					}
+				}
+				want := make(map[string][]survey.Response)
+				for i := 0; i < surveys; i++ {
+					want[benchSurvey(i).ID] = scanAll(t, s, benchSurvey(i).ID)
+				}
+				return want
+			}
+			fold := func() string {
+				eager := cfg
+				eager.IdleCompact = time.Millisecond
+				s := openTest(t, dir, eager)
+				waitSnapshots(t, s, 1)
+				if err := s.Close(); err != nil {
+					t.Fatal(err)
+				}
+				snaps, err := listSeqs(dir, snapPrefix, snapSuffix)
+				if err != nil || len(snaps) != 1 {
+					t.Fatalf("snapshots after a fold: %v (%v), want one", snaps, err)
+				}
+				return filepath.Join(dir, snapName(snaps[0]))
+			}
+
+			write("first", 3000) // past one 128 KiB block of binary records
+			first := snapshotRecordBytes(t, fold())
+			want := write("second", 600)
+			second := snapshotRecordBytes(t, fold())
+			if len(second) <= len(first) || !bytes.Equal(second[:len(first)], first) {
+				t.Fatalf("the second snapshot's %d record bytes do not start with the first snapshot's %d", len(second), len(first))
+			}
+			s := openTest(t, dir, cfg)
+			defer s.Close()
+			assertStreams(t, s, want)
+		})
+	}
+}
+
 // TestConcurrentAppendScanCompact runs appenders, batch appenders and
 // scanners against a store whose compactor folds again and again
 // underneath them. The stored counts the appends return are per-survey
@@ -471,7 +565,7 @@ func TestSnapshotTempFileKeepsItsSize(t *testing.T) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		size, err := s.writeSnapshot(dir, 7, view, hint)
+		size, err := s.writeSnapshot(dir, compactJob{covers: 7, view: view, sizeHint: hint})
 		done <- result{size, err}
 	}()
 	var sizes []int64 // distinct nonzero sizes of the temp file, in the order seen
@@ -491,7 +585,7 @@ func TestSnapshotTempFileKeepsItsSize(t *testing.T) {
 			if err != nil || fi.Size() != r.size || r.size >= hint {
 				t.Fatalf("published snapshot: %v bytes on disk (%v), %d reported, hint %d", fi.Size(), err, r.size, int64(hint))
 			}
-			if _, _, err := s.loadSnapshot(dir); err != nil {
+			if _, _, _, err := s.loadSnapshot(dir); err != nil {
 				t.Fatalf("published snapshot does not load: %v", err)
 			}
 			return

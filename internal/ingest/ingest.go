@@ -10,12 +10,22 @@
 // gave each of N hash partitions its own log; on one filesystem N logs
 // are N serialized journal commits, and throughput fell as N grew.)
 // The committer's only maintenance duty is rotating a full segment. A
-// background compactor folds the sealed segments into a snapshot from
-// the append-only in-memory index and deletes them, so recovery replays
-// one snapshot plus the WAL tail; it runs when the sealed tail reaches
-// both CompactSegments × SegmentBytes and half the current snapshot's
-// size, which bounds the lifetime rewrite volume at about three times
-// the data however long the history grows.
+// background compactor folds the sealed segments into a snapshot and
+// deletes them, so recovery replays one snapshot plus the WAL tail; it
+// runs when the sealed tail reaches both CompactSegments × SegmentBytes
+// and half the current snapshot's size, which bounds the lifetime
+// rewrite volume at about three times the data however long the history
+// grows. A fold encodes only the tail: the new snapshot starts with the
+// previous one's blocks, copied byte for byte, and only the records
+// past them are encoded, from the append-only in-memory index.
+//
+// Every response is logged as one record, survey.Response's binary
+// encoding (tag 0xB1, as store.File logs it), or, in a JSON-lines store,
+// as a JSON object; replay tells the two apart by the first byte, so
+// files written before records went binary (JSON payloads in binary
+// blocks) still open, and are copied into later snapshots as they are.
+// The change is forward-only: a binary from before it refuses, on the
+// first 0xB1 record, to open a directory holding one.
 //
 // Durability guarantee: when AppendResponse, AppendResponses or
 // PutSurvey returns nil, the record has been written and fsynced (and,
@@ -92,9 +102,10 @@ type Config struct {
 	IdleCompact time.Duration
 	// Codec selects the encoding of new segments and snapshots:
 	// blockio.CodecBinary (the default) writes compressed, checksummed,
-	// block-indexed files; blockio.CodecJSON writes readable JSON lines.
-	// Replay autodetects per file, so the codec may change between opens
-	// of the same directory.
+	// block-indexed files of binary response records;
+	// blockio.CodecJSON writes readable JSON lines. Replay autodetects
+	// per file and per record, so the codec may change between opens of
+	// the same directory.
 	Codec string
 }
 
@@ -189,6 +200,10 @@ type Sharded struct {
 	sealedBytes int64
 	snapSeq     uint64 // highest segment seq the current snapshot covers, 0 if none
 	snapBytes   int64  // size of the current snapshot file
+	// snapCounts is, per survey, how many records (the first of its
+	// history) the current snapshot holds: where the next fold's tail
+	// starts. Replaced on each fold, never modified.
+	snapCounts  map[string]int
 	compacting  bool
 	lastCompact time.Time
 	failed      error // sticky fatal I/O error: durability code must not guess at the disk after one
@@ -254,7 +269,7 @@ func Open(dir string, cfg Config) (*Sharded, error) {
 		return nil, err
 	}
 	s.sealed, s.sealedBytes = st.sealed, st.sealedBytes
-	s.snapSeq, s.snapBytes = st.snapSeq, st.snapBytes
+	s.snapSeq, s.snapBytes, s.snapCounts = st.snapSeq, st.snapBytes, st.snapCounts
 	// Always start appends in a fresh segment: reopening a replayed tail
 	// for append would complicate torn-tail truncation for no benefit.
 	s.segSeq = st.nextSeq
@@ -501,19 +516,34 @@ func (s *Sharded) AppendResponses(rs []survey.Response) ([]int, error) {
 		}
 	}
 	s.mu.RUnlock()
-	req := &appendReq{resps: rs, payloads: make([][]byte, len(rs)), counts: make([]int, len(rs)), errc: make(chan error, 1)}
+	req := &appendReq{resps: rs, ends: make([]int, len(rs)), counts: make([]int, len(rs)), errc: make(chan error, 1)}
+	// Sized for typical binary records, which the encoder then appends
+	// without regrowing the buffer field by field.
+	req.recs = make([]byte, 0, 96*len(rs))
 	for i := range rs {
-		b, err := json.Marshal(&rs[i])
-		if err != nil {
-			return nil, fmt.Errorf("ingest: marshal response: %w", err)
+		var err error
+		if req.recs, err = s.encodeResponse(req.recs, &rs[i]); err != nil {
+			return nil, fmt.Errorf("ingest: encode response: %w", err)
 		}
-		req.payloads[i] = b
+		req.ends[i] = len(req.recs)
 	}
 	s.reqCh <- req
 	if err := <-req.errc; err != nil {
 		return nil, err
 	}
 	return req.counts, nil
+}
+
+// encodeResponse appends r's record to b: survey.Response's binary
+// encoding (tag 0xB1), or, in a JSON-lines store, whose records are
+// lines of text, its JSON object. It is the one place this package
+// encodes a response; decodeResponse reads both.
+func (s *Sharded) encodeResponse(b []byte, r *survey.Response) ([]byte, error) {
+	if s.cfg.Codec == blockio.CodecJSON {
+		j, err := json.Marshal(r)
+		return append(b, j...), err
+	}
+	return r.AppendBinary(b)
 }
 
 // ScanResponses implements store.Store. Per-survey sequence numbers are

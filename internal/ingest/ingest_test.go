@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -527,18 +528,18 @@ func TestMetaFailureSticky(t *testing.T) {
 	}
 }
 
-// TestObfuscatedCommitAboveStoredBlockCutOver pins the coupling between
-// this store and blockio.StoredBlockMax. The cut-over was chosen so that
-// the commits ingest makes under at-source obfuscation are deflated
-// exactly as before the stored-block path existed: a response with
-// three answers of which two are noisy ratings — what the benchmark's
-// standalone_mixed workload submits, each rating ~17 significant digits
-// of JSON — is above it even when it is committed alone. (A response
-// that lands alone with no noise in it, ~200 bytes, is stored raw;
-// deflate used to take about a tenth off those.) If this fails, the
-// cut-over or the record moved: disk_bytes_per_response on
+// TestObfuscatedCommitIsStoredBlock pins the coupling between this store
+// and blockio.StoredBlockMax. A response with three answers of which two
+// are noisy ratings — what the benchmark's standalone_mixed workload
+// submits — is a binary record of under 60 bytes, each rating its eight
+// raw IEEE-754 bytes, so a commit of it alone (or of up to three) is a
+// stored block: its bytes lie in the segment as they are, and no
+// compressor is reset nor Huffman table built for noise deflate cannot
+// shorten. (As JSON, each rating ~17 significant digits, the same
+// response was above the cut-over alone and deflated.) If this fails,
+// the cut-over or the record moved: disk_bytes_per_response on
 // standalone_mixed is what to re-measure.
-func TestObfuscatedCommitAboveStoredBlockCutOver(t *testing.T) {
+func TestObfuscatedCommitIsStoredBlock(t *testing.T) {
 	dir := t.TempDir()
 	s := openTest(t, dir, Config{Shards: 1})
 	sv := &survey.Survey{ID: "bench-0000", Title: "t", Questions: []survey.Question{
@@ -569,11 +570,21 @@ func TestObfuscatedCommitAboveStoredBlockCutOver(t *testing.T) {
 	}
 	records := 0
 	for _, seg := range segs {
+		file, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if _, err := blockio.Replay(seg, false, func(_ uint64, p []byte) error {
 			records++
+			if p[0] != survey.ResponseBinaryTag {
+				t.Errorf("the record starts %#x, not the binary tag", p[0])
+			}
 			// Committed alone: varint length + CRC + payload is the block.
-			if raw := len(p) + 6; raw < blockio.StoredBlockMax {
-				t.Errorf("a one-record commit makes a %d-byte block, below the %d-byte stored cut-over", raw, blockio.StoredBlockMax)
+			if raw := len(p) + 5; 3*raw >= blockio.StoredBlockMax {
+				t.Errorf("a one-record commit makes a %d-byte block; three of them reach the %d-byte stored cut-over", raw, blockio.StoredBlockMax)
+			}
+			if !bytes.Contains(file, p) {
+				t.Error("the record is not in the segment as it is: its block was deflated, not stored")
 			}
 			return nil
 		}); err != nil {

@@ -7,23 +7,48 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"loki/internal/blockio"
 	"loki/internal/survey"
 )
 
-// testdata/parent_dir was written by the commit BEFORE ingest moved onto
-// blockio.Log (469b70b), by running dirFixtureScript there
-// (TestWriteParentFixture with LOKI_FIXTURE_OUT set): a format-2
-// directory in the binary codec holding a snapshot that covers segments
-// 1-2, sealed segment 3 and active (unsealed) segment 4. WAL records
-// carry no timestamp and the script commits one call at a time, so this
-// commit's code must write the same segment and snapshot bytes.
+// Three fixture directories, each fixtureScript's output for its codec
+// and response count:
+//
+//   - testdata/parent_dir and testdata/parent_dir_json were written by
+//     d4d2a40, the commit before ingest's response records went binary,
+//     by running TestWriteParentFixture (LOKI_FIXTURE_OUT set) in a git
+//     archive export of it with this file copied in: a binary-codec
+//     directory whose records are JSON payloads, and a JSON-lines one,
+//     each a snapshot, a sealed segment and the active (unsealed) one.
+//     parent_dir is byte for byte what 469b70b, the commit before ingest
+//     moved onto blockio.Log, wrote for the same script. Both must open,
+//     take appends, fold over their snapshot and reopen.
+//   - testdata/binary_dir holds binary response records (tag 0xB1) and a
+//     snapshot made by two folds, the second a tail-only one, written by
+//     TestWriteBinaryFixture. Records carry no timestamp, and the script
+//     commits one call at a time and waits out every fold, so the same
+//     script must write the same segment and snapshot bytes until the
+//     format is meant to change.
 
-var fixtureFiles = []string{snapName(2), segName(3), segName(4)}
+type dirFixture struct {
+	name  string
+	codec string
+	n     int      // responses the script appends
+	files []string // the snapshot and segments it leaves, in listing order
+}
 
-func fixtureConfig() Config {
-	return Config{Shards: 1, MaxBatch: 64, SegmentBytes: 4096, CompactSegments: 2, IdleCompact: -1, Codec: blockio.CodecBinary}
+var (
+	parentFixtures = []dirFixture{
+		{"parent_dir", blockio.CodecBinary, 96, []string{snapName(2), segName(3), segName(4)}},
+		{"parent_dir_json", blockio.CodecJSON, 96, []string{snapName(2), segName(3), segName(4)}},
+	}
+	binaryFixture = dirFixture{"binary_dir", blockio.CodecBinary, 360, []string{snapName(4), segName(5), segName(6)}}
+)
+
+func fixtureConfig(codec string) Config {
+	return Config{Shards: 1, MaxBatch: 64, SegmentBytes: 4096, CompactSegments: 2, IdleCompact: -1, Codec: codec}
 }
 
 func fixtureResponse(i int) survey.Response {
@@ -33,35 +58,59 @@ func fixtureResponse(i int) survey.Response {
 	return *r
 }
 
-// dirFixtureScript appends 96 responses — single commits, every tenth
-// call a three-record batch — which rotates three times; the second
-// rotation folds segments 1-2 into the snapshot.
-func dirFixtureScript(t *testing.T, dir string) []survey.Response {
+// waitFolded blocks until no fold is in flight. Called before every
+// append, it makes each rotation see the previous fold's outcome, so
+// whether a rotation folds does not depend on scheduling.
+func waitFolded(t *testing.T, s *Sharded) {
 	t.Helper()
-	s := openTest(t, dir, fixtureConfig())
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		s.logMu.Lock()
+		busy := s.compacting
+		s.logMu.Unlock()
+		if !busy {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("a fold never finished: stats %+v", s.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// fixtureScript appends fx.n responses — single commits, every tenth
+// call a three-record batch — rotating and folding as the small
+// segments fill, and returns how many snapshots the store wrote.
+func fixtureScript(t *testing.T, dir string, fx dirFixture) int64 {
+	t.Helper()
+	s := openTest(t, dir, fixtureConfig(fx.codec))
 	if err := s.PutSurvey(benchSurvey(0)); err != nil {
 		t.Fatal(err)
 	}
-	var all []survey.Response
-	for call := 0; len(all) < 96; call++ {
+	for call, done := 0, 0; done < fx.n; call++ {
 		n := 1
 		if call%10 == 9 {
 			n = 3
 		}
-		batch := make([]survey.Response, n)
+		batch := make([]survey.Response, min(n, fx.n-done))
 		for i := range batch {
-			batch[i] = fixtureResponse(len(all) + i)
+			batch[i] = fixtureResponse(done + i)
 		}
+		waitFolded(t, s)
 		if _, err := s.AppendResponses(batch); err != nil {
 			t.Fatal(err)
 		}
-		all = append(all, batch...)
+		done += len(batch)
 	}
-	waitSnapshots(t, s, 1)
+	waitFolded(t, s)
+	snaps := s.Stats().Snapshots
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return all
+	if got := fixtureListing(t, dir); !reflect.DeepEqual(got, fx.files) {
+		t.Fatalf("the script left %v, want %v", got, fx.files)
+	}
+	return snaps
 }
 
 func fixtureListing(t *testing.T, dir string) []string {
@@ -79,53 +128,46 @@ func fixtureListing(t *testing.T, dir string) []string {
 	return names
 }
 
-func TestWriteParentFixture(t *testing.T) {
+func writeFixtures(t *testing.T, fxs ...dirFixture) {
 	out := os.Getenv("LOKI_FIXTURE_OUT")
 	if out == "" {
 		t.Skip("set LOKI_FIXTURE_OUT to (re)write the fixture with this commit's code")
 	}
-	dir := filepath.Join(out, "parent_dir")
-	if err := os.RemoveAll(dir); err != nil {
-		t.Fatal(err)
-	}
-	dirFixtureScript(t, dir)
-	if got := fixtureListing(t, dir); !reflect.DeepEqual(got, fixtureFiles) {
-		t.Fatalf("the script left %v, want %v", got, fixtureFiles)
+	for _, fx := range fxs {
+		dir := filepath.Join(out, fx.name)
+		if err := os.RemoveAll(dir); err != nil {
+			t.Fatal(err)
+		}
+		fixtureScript(t, dir, fx)
 	}
 }
 
-// TestParentDirFixture: this commit writes the parent's segment and
-// snapshot bytes for the same script; the parent-written directory
-// opens to the script's responses, takes appends through a rotation and
-// a fold, and reopens.
-func TestParentDirFixture(t *testing.T) {
-	fresh := t.TempDir()
-	want := dirFixtureScript(t, fresh)
-	if got := fixtureListing(t, fresh); !reflect.DeepEqual(got, fixtureFiles) {
-		t.Fatalf("the script left %v, want %v", got, fixtureFiles)
-	}
-	dir := t.TempDir()
-	copyTree(t, filepath.Join("testdata", "parent_dir"), dir)
-	for _, name := range fixtureFiles {
-		mine, err := os.ReadFile(filepath.Join(fresh, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		parent, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(mine, parent) {
-			t.Errorf("%s: this commit wrote %d bytes that differ from the parent's %d: the format moved", name, len(mine), len(parent))
-		}
-	}
+// TestWriteParentFixture writes the parent fixtures; run it only in an
+// export of the commit they come from.
+func TestWriteParentFixture(t *testing.T) { writeFixtures(t, parentFixtures...) }
 
-	s := openTest(t, dir, fixtureConfig())
+// TestWriteBinaryFixture rewrites testdata/binary_dir; run it only when
+// the record or the fold is meant to change.
+func TestWriteBinaryFixture(t *testing.T) { writeFixtures(t, binaryFixture) }
+
+// checkFixtureDir opens a copy of testdata/<fx.name>, which must hold
+// the script's responses, appends until a fold supersedes the fixture's
+// snapshot, and reopens to everything. It returns the copy's directory.
+func checkFixtureDir(t *testing.T, fx dirFixture) string {
+	t.Helper()
+	dir := t.TempDir()
+	copyTree(t, filepath.Join("testdata", fx.name), dir)
+	want := make([]survey.Response, fx.n)
+	for i := range want {
+		want[i] = fixtureResponse(i)
+	}
+	cfg := fixtureConfig(fx.codec)
+	s := openTest(t, dir, cfg)
 	if got := scanAll(t, s, benchSurvey(0).ID); !reflect.DeepEqual(got, want) {
-		t.Fatalf("parent directory opened to %d responses, want the script's %d", len(got), len(want))
+		t.Fatalf("%s opened to %d responses, want the script's %d", fx.name, len(got), len(want))
 	}
 	snaps := s.Stats().Snapshots
-	for i := 0; i < 60; i++ { // two more segments' worth: rotates and folds
+	for i := 0; i < 100; i++ { // more than a segment's worth: rotates and folds
 		r := fixtureResponse(1000 + i)
 		if err := s.AppendResponse(&r); err != nil {
 			t.Fatal(err)
@@ -133,12 +175,96 @@ func TestParentDirFixture(t *testing.T) {
 		want = append(want, r)
 	}
 	waitSnapshots(t, s, snaps+1)
+	waitFolded(t, s)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s = openTest(t, dir, fixtureConfig())
+	if _, err := os.Stat(filepath.Join(dir, fx.files[0])); !os.IsNotExist(err) {
+		t.Fatalf("the fixture's snapshot %s survived a fold (%v)", fx.files[0], err)
+	}
+	s = openTest(t, dir, cfg)
 	defer s.Close()
 	if got := scanAll(t, s, benchSurvey(0).ID); !reflect.DeepEqual(got, want) {
 		t.Fatalf("after appends, a fold and a reopen: %d responses, want %d", len(got), len(want))
+	}
+	return dir
+}
+
+// snapshotRecords returns the response records of dir's one snapshot.
+func snapshotRecords(t *testing.T, dir string) [][]byte {
+	t.Helper()
+	seqs, err := listSeqs(dir, snapPrefix, snapSuffix)
+	if err != nil || len(seqs) != 1 {
+		t.Fatalf("snapshots in %s: %v (%v), want one", dir, seqs, err)
+	}
+	var recs [][]byte
+	if err := blockio.ReplayFile(filepath.Join(dir, snapName(seqs[0])), false, func(p []byte) error {
+		recs = append(recs, append([]byte(nil), p...))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return recs[1:]
+}
+
+// TestParentDirFixture: each parent-written directory opens to the
+// script's responses, takes appends through a rotation and a fold over
+// its snapshot, and reopens. The fold copies the parent's records, JSON
+// payloads, as they are: only the appended tail is encoded binary.
+func TestParentDirFixture(t *testing.T) {
+	for _, fx := range parentFixtures {
+		t.Run(fx.codec, func(t *testing.T) {
+			parentSnap := len(snapshotRecords(t, filepath.Join("testdata", fx.name)))
+			dir := checkFixtureDir(t, fx)
+			recs := snapshotRecords(t, dir)
+			for i, rec := range recs {
+				if isJSON := rec[0] == '{'; isJSON != (i < parentSnap || fx.codec == blockio.CodecJSON) {
+					t.Fatalf("snapshot record %d of %d starts %#x: want the parent snapshot's %d JSON records first, then binary ones", i, len(recs), rec[0], parentSnap)
+				}
+			}
+		})
+	}
+}
+
+// TestBinaryDirFixture: the script writes testdata/binary_dir byte for
+// byte, every response record in it is binary, and it opens, takes
+// appends, folds and reopens like the parent fixtures.
+func TestBinaryDirFixture(t *testing.T) {
+	fresh := t.TempDir()
+	if snaps := fixtureScript(t, fresh, binaryFixture); snaps != 2 {
+		t.Fatalf("the script folded %d times, want 2 (the second over the first's snapshot)", snaps)
+	}
+	fixture := filepath.Join("testdata", binaryFixture.name)
+	for i, name := range binaryFixture.files {
+		mine, err := os.ReadFile(filepath.Join(fresh, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join(fixture, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(mine, want) {
+			t.Errorf("%s: this commit wrote %d bytes that differ from the fixture's %d: the format moved", name, len(mine), len(want))
+		}
+		records := 0
+		if err := blockio.ReplayFile(filepath.Join(fixture, name), false, func(p []byte) error {
+			if records++; (i > 0 || records > 1) && p[0] != survey.ResponseBinaryTag {
+				return fmt.Errorf("record %d starts %#x, not the binary tag", records, p[0])
+			}
+			return nil
+		}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	checkFixtureDir(t, binaryFixture)
+	// Reopened as a JSON-lines store, the fold writes a line of text per
+	// record: the binary records it copies are re-encoded.
+	asJSON := binaryFixture
+	asJSON.codec = blockio.CodecJSON
+	for i, rec := range snapshotRecords(t, checkFixtureDir(t, asJSON)) {
+		if rec[0] != '{' {
+			t.Fatalf("JSON-lines snapshot record %d starts %#x", i, rec[0])
+		}
 	}
 }

@@ -14,19 +14,39 @@ import (
 type logState struct {
 	snapSeq     uint64
 	snapBytes   int64
+	snapCounts  map[string]int
 	sealed      []sealedSeg
 	sealedBytes int64
 	nextSeq     uint64 // first segment seq not yet used
 }
 
-// applyRecord appends one replayed response to the index.
-func (s *Sharded) applyRecord(rec []byte) error {
+// decodeResponse reads one response record of either encoding, told
+// apart by the first byte exactly as store.File does: a binary record,
+// or a JSON object (what a JSON-lines store writes, and all that files
+// written before ingest's records went binary hold).
+func decodeResponse(rec []byte) (survey.Response, error) {
 	var r survey.Response
-	if err := json.Unmarshal(rec, &r); err != nil {
-		return fmt.Errorf("corrupt response record: %w", err)
+	var err error
+	if len(rec) > 0 && rec[0] == survey.ResponseBinaryTag {
+		err = r.UnmarshalBinary(rec)
+	} else {
+		err = json.Unmarshal(rec, &r)
+	}
+	if err != nil {
+		return r, fmt.Errorf("corrupt response record: %w", err)
+	}
+	return r, nil
+}
+
+// applyRecord appends one replayed response to the index and returns
+// its survey.
+func (s *Sharded) applyRecord(rec []byte) (string, error) {
+	r, err := decodeResponse(rec)
+	if err != nil {
+		return "", err
 	}
 	s.index[r.SurveyID] = append(s.index[r.SurveyID], r)
-	return nil
+	return r.SurveyID, nil
 }
 
 // replayDir loads one log directory into the index — the newest
@@ -43,7 +63,7 @@ func (s *Sharded) replayDir(dir string) (logState, error) {
 		return st, err
 	}
 	var err error
-	if st.snapSeq, st.snapBytes, err = s.loadSnapshot(dir); err != nil {
+	if st.snapSeq, st.snapBytes, st.snapCounts, err = s.loadSnapshot(dir); err != nil {
 		return st, err
 	}
 	segs, err := listSeqs(dir, segPrefix, segSuffix)
@@ -60,7 +80,8 @@ func (s *Sharded) replayDir(dir string) (logState, error) {
 			// were closed with an fsync before their successor existed.
 			err := blockio.ReplayFile(path, i == len(segs)-1, func(rec []byte) error {
 				records++
-				return s.applyRecord(rec)
+				_, err := s.applyRecord(rec)
+				return err
 			})
 			if err != nil {
 				return st, fmt.Errorf("ingest: %w", err)
@@ -129,7 +150,7 @@ func (s *Sharded) migrateLegacy(legacy []string) error {
 	}
 	// Segment seqs start at 1 and none exists yet, so "covers 1" is an
 	// empty claim that still gives the snapshot a nonzero seq.
-	_, err := s.writeSnapshot(s.dir, 1, s.index, 0)
+	_, err := s.writeSnapshot(s.dir, compactJob{covers: 1, view: s.index})
 	// Open replays the store directory next, this snapshot included.
 	clear(s.index)
 	return err

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"time"
 
 	"loki/internal/blockio"
@@ -13,9 +14,11 @@ import (
 )
 
 // snapHeader is the first record of a snapshot file. The remaining Count
-// records are one JSON response each, in index (append) order per survey.
-// Under the binary codec the same records ride in sealed blockio blocks;
-// replay sniffs the format per file.
+// records are one response record each (encodeResponse's, or JSON ones
+// in a snapshot written before records went binary), in index (append)
+// order per survey. Under the binary codec they ride in sealed blockio
+// blocks, the header in a block of its own; replay sniffs the format per
+// file.
 type snapHeader struct {
 	Format int    `json:"format"`
 	Covers uint64 `json:"covers"` // every segment with seq <= Covers is folded in
@@ -35,6 +38,10 @@ type compactJob struct {
 	view   map[string][]survey.Response
 	sealed []sealedSeg // the segments being folded: the sealed list at the cut
 	prev   uint64      // the snapshot being superseded, 0 if none
+	// prevCounts is the superseded snapshot's snapCounts: the first
+	// prevCounts[id] records of view[id] are copied out of it, not
+	// encoded.
+	prevCounts map[string]int
 	// sizeHint is the current snapshot plus the sealed tail in bytes: an
 	// upper estimate of the new snapshot's size (see writeSnapshot).
 	sizeHint int64
@@ -56,9 +63,10 @@ func shouldCompact(sealedBytes, snapBytes, floor int64) bool {
 }
 
 // shouldIdleCompact bounds idle compaction's write amplification: a
-// snapshot rewrites the whole history, so folding a tiny tail into a
-// huge snapshot over and over would turn trickle writes into
-// full-history rewrites. Requiring the unfolded tail to be at least 1/8
+// snapshot rewrites the whole history (copied, not re-encoded, but every
+// byte written again), so folding a tiny tail into a huge snapshot over
+// and over would turn trickle writes into full-history rewrites.
+// Requiring the unfolded tail to be at least 1/8
 // of the current snapshot caps the amplification while still folding
 // promptly when there is no snapshot yet (or a small one). The bar is
 // lower than shouldCompact's because idle folds are at least
@@ -105,11 +113,12 @@ func (s *Sharded) startCompaction(idle bool) {
 	if due {
 		s.compacting = true
 		job = compactJob{
-			covers:   s.segSeq - 1,
-			sealed:   append([]sealedSeg(nil), s.sealed...),
-			prev:     s.snapSeq,
-			sizeHint: s.snapBytes + s.sealedBytes,
-			idle:     idle,
+			covers:     s.segSeq - 1,
+			sealed:     append([]sealedSeg(nil), s.sealed...),
+			prev:       s.snapSeq,
+			prevCounts: s.snapCounts,
+			sizeHint:   s.snapBytes + s.sealedBytes,
+			idle:       idle,
 		}
 	}
 	s.logMu.Unlock()
@@ -131,6 +140,10 @@ func (s *Sharded) compactor() {
 	defer close(s.compactDone)
 	for job := range s.compactCh {
 		written, err := s.fold(job)
+		counts := make(map[string]int, len(job.view))
+		for id, rs := range job.view {
+			counts[id] = len(rs)
+		}
 		s.logMu.Lock()
 		s.compacting = false
 		switch {
@@ -140,7 +153,7 @@ func (s *Sharded) compactor() {
 				s.sealedBytes -= sg.bytes
 			}
 			s.sealed = append(s.sealed[:0], s.sealed[len(job.sealed):]...)
-			s.snapSeq, s.snapBytes, s.lastCompact = job.covers, written, time.Now()
+			s.snapSeq, s.snapBytes, s.snapCounts, s.lastCompact = job.covers, written, counts, time.Now()
 		case !errors.Is(err, errCompactAborted) && s.failed == nil:
 			s.failed = err
 		}
@@ -162,7 +175,7 @@ func (s *Sharded) compactor() {
 // with nothing missing (replayDir discards whichever leftovers it
 // finds). It returns the snapshot's size.
 func (s *Sharded) fold(job compactJob) (int64, error) {
-	written, err := s.writeSnapshot(s.dir, job.covers, job.view, job.sizeHint)
+	written, err := s.writeSnapshot(s.dir, job)
 	if err != nil {
 		return 0, err
 	}
@@ -179,11 +192,19 @@ func (s *Sharded) fold(job compactJob) (int64, error) {
 	return written, blockio.SyncDir(s.dir)
 }
 
-// writeSnapshot publishes view as dir's snapshot covering segment
-// covers, crash-atomically, in the configured codec, and returns the
-// file's size. Binary snapshots are sealed: they are immutable once
+// writeSnapshot publishes job.view as dir's snapshot covering segment
+// job.covers, crash-atomically, in the configured codec, and returns
+// the file's size. Binary snapshots are sealed: they are immutable once
 // published, so they always carry a block index and replay with strict
 // (non-repairing) semantics.
+//
+// Only the tail is encoded. The records the superseded snapshot
+// (job.prev) already holds are copied out of it, behind the new header,
+// with blockio.Log.CopyFrom — whole blocks byte for byte, neither
+// inflated nor re-encoded — and only each survey's records past
+// job.prevCounts go through encodeResponse, in survey ID order. Under
+// the one-half trigger the copied prefix is up to two thirds of the new
+// file, and none of it costs an encode or a deflate again.
 //
 // The temp file is extended (sparsely) to sizeHint before the first
 // write and cut back to what was written after the last. A fold of a
@@ -192,28 +213,54 @@ func (s *Sharded) fold(job compactJob) (int64, error) {
 // publishes, not continuously while it writes, so a hot backup that
 // copies the live directory and rechecks the listing converges instead
 // of chasing a growing file.
-func (s *Sharded) writeSnapshot(dir string, covers uint64, view map[string][]survey.Response, sizeHint int64) (int64, error) {
-	hdr := snapHeader{Format: snapFormat, Covers: covers}
-	for _, rs := range view {
+func (s *Sharded) writeSnapshot(dir string, job compactJob) (int64, error) {
+	hdr := snapHeader{Format: snapFormat, Covers: job.covers}
+	ids := make([]string, 0, len(job.view))
+	copied := 0
+	for id, rs := range job.view {
+		if job.prevCounts[id] > len(rs) {
+			return 0, fmt.Errorf("ingest: snapshot %d holds %d records of survey %q, the index %d", job.prev, job.prevCounts[id], id, len(rs))
+		}
 		hdr.Count += len(rs)
+		copied += job.prevCounts[id]
+		ids = append(ids, id)
 	}
-	size, err := blockio.WriteLogAtomic(filepath.Join(dir, snapName(covers)), s.cfg.Codec, sizeHint, func(nl *blockio.Log) error {
-		emit := func(v any) error {
-			rec, err := json.Marshal(v)
+	sort.Strings(ids)
+	head, err := json.Marshal(&hdr)
+	if err != nil {
+		return 0, fmt.Errorf("ingest: marshal snapshot header: %w", err)
+	}
+	size, err := blockio.WriteLogAtomic(filepath.Join(dir, snapName(job.covers)), s.cfg.Codec, job.sizeHint, func(nl *blockio.Log) error {
+		// The header gets a block of its own, so the next fold skips it
+		// without inflating a block of records along with it.
+		if err := nl.Append(head); err != nil {
+			return err
+		}
+		if err := nl.Flush(); err != nil {
+			return err
+		}
+		if job.prev > 0 {
+			n, err := nl.CopyFrom(filepath.Join(dir, snapName(job.prev)), 1, s.recode)
 			if err != nil {
 				return err
 			}
-			return nl.Append(rec)
+			if n != copied {
+				return fmt.Errorf("snapshot %d holds %d records, want %d", job.prev, n, copied)
+			}
 		}
-		if err := emit(&hdr); err != nil {
-			return err
-		}
-		for _, rs := range view {
-			for i := range rs {
-				if i&0xfff == 0 && s.closed.Load() {
+		var rec []byte
+		encoded := 0
+		for _, id := range ids {
+			rs := job.view[id]
+			for i := job.prevCounts[id]; i < len(rs); i++ {
+				if encoded&0xfff == 0 && s.closed.Load() {
 					return errCompactAborted
 				}
-				if err := emit(&rs[i]); err != nil {
+				encoded++
+				if rec, err = s.encodeResponse(rec[:0], &rs[i]); err != nil {
+					return err
+				}
+				if err := nl.Append(rec); err != nil {
 					return err
 				}
 			}
@@ -226,27 +273,45 @@ func (s *Sharded) writeSnapshot(dir string, covers uint64, view map[string][]sur
 	return size, nil
 }
 
+// recode maps a record the fold copies one at a time rather than in a
+// whole block. A JSON-lines snapshot holds a line of text per record, so
+// a binary record read from an older binary snapshot is re-encoded for
+// it; every other record is copied as it is.
+func (s *Sharded) recode(rec []byte) ([]byte, error) {
+	if s.cfg.Codec != blockio.CodecJSON || len(rec) == 0 || rec[0] != survey.ResponseBinaryTag {
+		return rec, nil
+	}
+	r, err := decodeResponse(rec)
+	if err != nil {
+		return nil, err
+	}
+	return s.encodeResponse(nil, &r)
+}
+
 // loadSnapshot restores the index from dir's newest snapshot, if any,
 // removes superseded older ones, and returns the segment seq the
-// snapshot covers and its size.
-func (s *Sharded) loadSnapshot(dir string) (covers uint64, size int64, err error) {
+// snapshot covers, its size and its per-survey record counts.
+func (s *Sharded) loadSnapshot(dir string) (covers uint64, size int64, counts map[string]int, err error) {
 	seqs, err := listSeqs(dir, snapPrefix, snapSuffix)
 	if err != nil || len(seqs) == 0 {
-		return 0, 0, err
+		return 0, 0, nil, err
 	}
 	latest := seqs[len(seqs)-1]
 	for _, seq := range seqs[:len(seqs)-1] {
 		if err := os.Remove(filepath.Join(dir, snapName(seq))); err != nil {
-			return 0, 0, fmt.Errorf("ingest: drop superseded snapshot: %w", err)
+			return 0, 0, nil, fmt.Errorf("ingest: drop superseded snapshot: %w", err)
 		}
 	}
 	path := filepath.Join(dir, snapName(latest))
 	var hdr *snapHeader
 	loaded := 0
+	counts = make(map[string]int)
 	err = blockio.ReplayFile(path, false, func(line []byte) error {
 		loaded++
 		if hdr != nil {
-			return s.applyRecord(line)
+			id, err := s.applyRecord(line)
+			counts[id]++
+			return err
 		}
 		hdr = new(snapHeader)
 		if err := json.Unmarshal(line, hdr); err != nil {
@@ -261,14 +326,14 @@ func (s *Sharded) loadSnapshot(dir string) (covers uint64, size int64, err error
 		return nil
 	})
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, nil, err
 	}
 	if hdr == nil || loaded-1 != hdr.Count {
-		return 0, 0, fmt.Errorf("ingest: snapshot %s holds %d records, header disagrees (%+v)", path, loaded-1, hdr)
+		return 0, 0, nil, fmt.Errorf("ingest: snapshot %s holds %d records, header disagrees (%+v)", path, loaded-1, hdr)
 	}
 	fi, err := os.Stat(path)
 	if err != nil {
-		return 0, 0, fmt.Errorf("ingest: stat snapshot: %w", err)
+		return 0, 0, nil, fmt.Errorf("ingest: stat snapshot: %w", err)
 	}
-	return latest, fi.Size(), nil
+	return latest, fi.Size(), counts, nil
 }

@@ -101,11 +101,6 @@ func (r *RNG) Intn(n int) int {
 	return int(r.boundedUint64(uint64(n)))
 }
 
-// Int63 returns a uniform non-negative int64.
-func (r *RNG) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // boundedUint64 returns a uniform value in [0, bound) using Lemire's
 // multiply-shift rejection method, which avoids modulo bias.
 func (r *RNG) boundedUint64(bound uint64) uint64 {

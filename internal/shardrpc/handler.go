@@ -1,6 +1,7 @@
 package shardrpc
 
 import (
+	"crypto/subtle"
 	"encoding/json"
 	"errors"
 	"io"
@@ -62,10 +63,13 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	h.mux.ServeHTTP(w, r)
 }
 
+// guard wraps every route with cluster-token auth. The compare is
+// constant-time: how long a refusal takes must not say how much of the
+// header matched.
 func (h *Handler) guard(fn http.HandlerFunc) http.HandlerFunc {
-	want := "Bearer " + h.token
+	want := []byte("Bearer " + h.token)
 	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Header.Get("Authorization") != want {
+		if subtle.ConstantTimeCompare([]byte(r.Header.Get("Authorization")), want) != 1 {
 			writeErr(w, http.StatusUnauthorized, "missing or invalid cluster token")
 			return
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -261,6 +262,41 @@ func TestAuthRequired(t *testing.T) {
 	var re *remoteError
 	if _, err := bad.Count(0, "sv"); !errors.As(err, &re) || re.Status != http.StatusUnauthorized {
 		t.Fatalf("count with wrong token: %v", re)
+	}
+}
+
+// TestGuardRefusals: no header, a token of the wrong length and one
+// wrong only in its last byte each draw the same 401 body, byte for
+// byte, and the right token passes.
+func TestGuardRefusals(t *testing.T) {
+	_, base := newFrameTestNode(t)
+	const want = `{"error":"missing or invalid cluster token"}` + "\n"
+	for _, auth := range []string{"", "Bearer cluster-token-x", "Bearer cluster-tokeN", "Bearer cluster-token"} {
+		req, err := http.NewRequest(http.MethodGet, base+"/shardrpc/v1/meta", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if auth != "" {
+			req.Header.Set("Authorization", auth)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if auth == "Bearer cluster-token" {
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("the right token drew %d %s", resp.StatusCode, body)
+			}
+			continue
+		}
+		if resp.StatusCode != http.StatusUnauthorized || string(body) != want || resp.Header.Get("Content-Type") != "application/json" {
+			t.Errorf("Authorization %q: %d %q (%s), want 401 %q", auth, resp.StatusCode, body, resp.Header.Get("Content-Type"), want)
+		}
 	}
 }
 

@@ -213,13 +213,6 @@ func (j *journal) setEpoch(epoch uint64) {
 	j.mu.Unlock()
 }
 
-// currentEpoch reads the journal's epoch.
-func (j *journal) currentEpoch() uint64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.epoch
-}
-
 // reset empties the journal under a fresh epoch — the pairing operation
 // for a store reset. A replica that wipes a shard store (epoch change or
 // truncation resync from its own upstream) must also wipe the journal it

@@ -271,15 +271,6 @@ func (l *Local) BumpEpoch(shard int) (uint64, error) {
 	return e, nil
 }
 
-// JournalEpoch reports one local shard journal's current epoch; zero
-// when journaling is disabled.
-func (l *Local) JournalEpoch(shard int) uint64 {
-	if l.journals == nil || shard < 0 || shard >= len(l.stores) {
-		return 0
-	}
-	return l.journals[shard].currentEpoch()
-}
-
 // ResetJournal empties one local shard's journal under a fresh epoch.
 // It must accompany any out-of-band wipe of the shard's store (a
 // replica resyncing from its upstream), keeping the journal served to
