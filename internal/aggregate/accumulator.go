@@ -11,6 +11,7 @@
 package aggregate
 
 import (
+	"errors"
 	"fmt"
 
 	"loki/internal/core"
@@ -92,9 +93,12 @@ func (a *Accumulator) Add(r *survey.Response) error {
 	if r.SurveyID != a.sv.ID {
 		return fmt.Errorf("aggregate: response for %q folded into %q", r.SurveyID, a.sv.ID)
 	}
+	// Rejections name no worker and no submitted value: the text reaches
+	// requesters (a poisoned accumulator's error), and the caller adds
+	// the record's coordinates.
 	lvl, err := core.ParseLevel(r.PrivacyLevel)
 	if err != nil {
-		return fmt.Errorf("aggregate: response by %s: %w", r.WorkerID, err)
+		return errors.New("aggregate: response has an unknown privacy level")
 	}
 	// Only the first answer per question counts, matching the batch
 	// estimator's Response.Answer lookup — without this, a response
@@ -115,7 +119,7 @@ func (a *Accumulator) Add(r *survey.Response) error {
 		ans := &r.Answers[i]
 		if ca, ok := a.choices[ans.QuestionID]; ok && first(i) {
 			if ans.Choice < 0 || ans.Choice >= ca.K {
-				return fmt.Errorf("aggregate: response by %s has choice %d outside [0, %d)", r.WorkerID, ans.Choice, ca.K)
+				return fmt.Errorf("aggregate: answer to %q has a choice outside [0, %d)", ans.QuestionID, ca.K)
 			}
 		}
 	}

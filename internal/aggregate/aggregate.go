@@ -163,7 +163,7 @@ func (e *Estimator) EstimateQuestion(s *survey.Survey, q *survey.Question, respo
 		}
 		lvl, err := core.ParseLevel(resp.PrivacyLevel)
 		if err != nil {
-			return nil, fmt.Errorf("aggregate: response by %s: %w", resp.WorkerID, err)
+			return nil, fmt.Errorf("aggregate: answer to %q: response has an unknown privacy level", q.ID)
 		}
 		bins[lvl].add(a.Rating)
 	}

@@ -137,11 +137,11 @@ func (e *Estimator) EstimateChoice(s *survey.Survey, q *survey.Question, respons
 			continue
 		}
 		if a.Choice < 0 || a.Choice >= k {
-			return nil, fmt.Errorf("aggregate: response by %s has choice %d outside [0, %d)", resp.WorkerID, a.Choice, k)
+			return nil, fmt.Errorf("aggregate: answer to %q has a choice outside [0, %d)", q.ID, k)
 		}
 		lvl, err := core.ParseLevel(resp.PrivacyLevel)
 		if err != nil {
-			return nil, fmt.Errorf("aggregate: response by %s: %w", resp.WorkerID, err)
+			return nil, fmt.Errorf("aggregate: answer to %q: response has an unknown privacy level", q.ID)
 		}
 		ca.add(lvl, a.Choice)
 	}

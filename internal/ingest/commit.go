@@ -159,12 +159,17 @@ write:
 	// Framed (binary: compressed) bytes, measured after the flush so the
 	// rotation threshold tracks the on-disk size, not the logical one.
 	s.segBytes += s.seg.Size() - before
+	// The index takes the very bytes the segment just did.
 	s.idxMu.Lock()
 	for _, r := range batch {
-		for i := range r.resps {
+		start := 0
+		for i, end := range r.ends {
 			id := r.resps[i].SurveyID
-			s.index[id] = append(s.index[id], r.resps[i])
-			r.counts[i] = len(s.index[id])
+			a := s.index[id]
+			a.add(r.recs[start:end])
+			s.index[id] = a
+			r.counts[i] = len(a.ends)
+			start = end
 		}
 	}
 	s.idxMu.Unlock()

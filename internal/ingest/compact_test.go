@@ -552,10 +552,15 @@ func TestSnapshotTempFileKeepsItsSize(t *testing.T) {
 	s := openTest(t, t.TempDir(), testConfig(1))
 	defer s.Close()
 	sv := benchSurvey(0)
-	view := map[string][]survey.Response{sv.ID: make([]survey.Response, 20000)}
-	for i := range view[sv.ID] {
-		view[sv.ID][i] = *benchResponse(sv.ID, fmt.Sprintf("w%06d", i))
+	var a arena
+	for i := 0; i < 20000; i++ {
+		rec, err := s.encodeResponse(nil, benchResponse(sv.ID, fmt.Sprintf("w%06d", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.add(rec)
 	}
+	view := map[string]arena{sv.ID: a}
 	const hint = 64 << 20
 	dir := t.TempDir()
 	tmp := filepath.Join(dir, snapName(7)+tmpSuffix)

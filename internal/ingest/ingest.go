@@ -15,9 +15,17 @@
 // runs when the sealed tail reaches both CompactSegments × SegmentBytes
 // and half the current snapshot's size, which bounds the lifetime
 // rewrite volume at about three times the data however long the history
-// grows. A fold encodes only the tail: the new snapshot starts with the
-// previous one's blocks, copied byte for byte, and only the records
-// past them are encoded, from the append-only in-memory index.
+// grows. A fold encodes nothing: the new snapshot starts with the
+// previous one's blocks, copied byte for byte, and the records past them
+// are copied out of the in-memory index.
+//
+// That index holds each survey's history as the records it was logged
+// as, laid end to end in one append-only byte arena per survey (see
+// arena), not as decoded structs: about 80 bytes of heap per stored
+// three-answer response where a survey.Response cost 280, and nothing
+// in it the GC has to scan. A commit appends the bytes it just wrote to the WAL,
+// replay appends the bytes it read once they decode, and a scan decodes
+// each record into one reused survey.Response.
 //
 // Every response is logged as one record, survey.Response's binary
 // encoding (tag 0xB1, as store.File logs it), or, in a JSON-lines store,
@@ -183,10 +191,10 @@ type Sharded struct {
 	compactDone chan struct{} // closed when the compactor has exited
 
 	// idxMu guards index for readers; the committer is the only writer
-	// once the store is open. Each survey's history is append-only, so
-	// a slice header read under the lock is a consistent snapshot.
+	// once the store is open. Each survey's arena is append-only, so a
+	// copy of it read under the lock is a consistent snapshot.
 	idxMu sync.RWMutex
-	index map[string][]survey.Response
+	index map[string]arena
 
 	// Committer-owned state (no locking: single goroutine).
 	seg      *blockio.Log
@@ -254,7 +262,7 @@ func Open(dir string, cfg Config) (*Sharded, error) {
 		dir:         dir,
 		surveys:     make(map[string]*survey.Survey),
 		history:     make(map[string][]store.SurveyVersion),
-		index:       make(map[string][]survey.Response),
+		index:       make(map[string]arena),
 		reqCh:       make(chan *appendReq, cfg.MaxBatch), // a full commit's worth may queue behind the running fsync
 		quit:        make(chan struct{}),
 		done:        make(chan struct{}),
@@ -546,13 +554,36 @@ func (s *Sharded) encodeResponse(b []byte, r *survey.Response) ([]byte, error) {
 	return r.AppendBinary(b)
 }
 
+// arena is one survey's history: its response records, each as logged,
+// laid end to end in recs, where record i ends at ends[i]. Neither slice
+// holds a pointer, so the GC never scans a stored response. Both only
+// grow, and a copy of the two headers is a consistent snapshot: later
+// appends write past its lengths, into the same arrays or new ones.
+type arena struct {
+	recs []byte
+	ends []int
+}
+
+func (a *arena) add(rec []byte) {
+	a.recs = append(a.recs, rec...)
+	a.ends = append(a.ends, len(a.recs))
+}
+
+// rec returns record i, counted from 0.
+func (a *arena) rec(i int) []byte {
+	start := 0
+	if i > 0 {
+		start = a.ends[i-1]
+	}
+	return a.recs[start:a.ends[i]]
+}
+
 // ScanResponses implements store.Store. Per-survey sequence numbers are
 // positions in the survey's append-ordered history — stable across
 // restarts because recovery replays snapshot + WAL tail in the original
-// order. It streams without materializing a copy: the slice header
-// captured under the read lock is a consistent snapshot the iteration
-// walks lock-free (the committer only ever writes beyond the captured
-// length).
+// order. The arena copied under the read lock is a consistent snapshot
+// the iteration walks lock-free, decoding every record into the one
+// survey.Response it passes fn: fn must not keep it (see store.Store).
 func (s *Sharded) ScanResponses(surveyID string, fromSeq uint64, fn func(seq uint64, r *survey.Response) error) error {
 	s.mu.RLock()
 	_, ok := s.surveys[surveyID]
@@ -561,10 +592,27 @@ func (s *Sharded) ScanResponses(surveyID string, fromSeq uint64, fn func(seq uin
 		return fmt.Errorf("ingest: survey %q: %w", surveyID, store.ErrNotFound)
 	}
 	s.idxMu.RLock()
-	rs := s.index[surveyID]
+	a := s.index[surveyID]
 	s.idxMu.RUnlock()
-	return store.ScanSlice(rs, fromSeq, fn)
+	r := scanScratch.Get().(*survey.Response)
+	defer scanScratch.Put(r)
+	r.SurveyID = surveyID // what every record spells, so decoding keeps it
+	for i := fromSeq; i < uint64(len(a.ends)); i++ {
+		if err := decodeResponse(a.rec(int(i)), r); err != nil {
+			return fmt.Errorf("ingest: survey %q seq %d: %w", surveyID, i+1, err)
+		}
+		if err := fn(i+1, r); err != nil {
+			return err
+		}
+	}
+	return nil
 }
+
+// scanScratch holds the structs scans decode into. Most scans are a
+// live aggregate catching up by a record or two, so a struct kept from
+// an earlier scan saves them its allocation, its Answers array and the
+// strings records share (question IDs, privacy levels).
+var scanScratch = sync.Pool{New: func() any { return new(survey.Response) }}
 
 // Responses implements store.Store as a wrapper over ScanResponses.
 func (s *Sharded) Responses(surveyID string) ([]survey.Response, error) {
@@ -575,7 +623,7 @@ func (s *Sharded) Responses(surveyID string) ([]survey.Response, error) {
 func (s *Sharded) ResponseCount(surveyID string) int {
 	s.idxMu.RLock()
 	defer s.idxMu.RUnlock()
-	return len(s.index[surveyID])
+	return len(s.index[surveyID].ends)
 }
 
 // Close implements store.Store: it refuses new appends, waits for

@@ -18,7 +18,7 @@ func scanAll(t *testing.T, s *Sharded, surveyID string) []survey.Response {
 		if seq != uint64(len(out)+1) {
 			return fmt.Errorf("seq %d out of order (have %d)", seq, len(out))
 		}
-		out = append(out, *r)
+		out = append(out, r.Clone())
 		return nil
 	}); err != nil {
 		t.Fatal(err)

@@ -2,9 +2,13 @@ package ingest
 
 import (
 	"fmt"
+	"maps"
+	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
+	"loki/internal/blockio"
 	"loki/internal/survey"
 )
 
@@ -67,6 +71,128 @@ func TestScanResponses(t *testing.T) {
 	for i := 0; i < surveys; i++ {
 		checkScan(s2, i, 0)
 		checkScan(s2, i, 13)
+	}
+}
+
+// TestArenaGrowsUnderScansAndFolds: appends grow the arenas, regrowing
+// their arrays, while scans, the compactor and a hand-run fold read
+// arenas captured before (run it with -race). Every scan delivers a
+// prefix of the appends, each record with its own worker and answer,
+// and the hand-run fold's snapshot holds exactly the view it captured.
+func TestArenaGrowsUnderScansAndFolds(t *testing.T) {
+	cfg := testConfig(1)
+	cfg.CompactSegments, cfg.IdleCompact = 1, -1 // fold on every rotation
+	s := openTest(t, t.TempDir(), cfg)
+	defer s.Close()
+	const surveys, each, batch = 3, 400, 4
+	for i := 0; i < surveys; i++ {
+		if err := s.PutSurvey(benchSurvey(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	resp := func(i, j int) survey.Response {
+		r := benchResponse(benchSurvey(i).ID, fmt.Sprintf("s%d-w%04d", i, j))
+		r.Answers[0].Rating = 1 + float64(j%41)/10
+		return *r
+	}
+	check := func(i int, seq uint64, r *survey.Response) error {
+		if want := resp(i, int(seq-1)); r.WorkerID != want.WorkerID || len(r.Answers) != 1 || r.Answers[0] != want.Answers[0] {
+			return fmt.Errorf("survey %d seq %d holds %+v, want %+v", i, seq, *r, want)
+		}
+		return nil
+	}
+	var wg sync.WaitGroup
+	errc := make(chan error, 4)
+	done := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		for j := 0; j < each; j += batch {
+			for i := 0; i < surveys; i++ {
+				rs := make([]survey.Response, batch)
+				for k := range rs {
+					rs[k] = resp(i, j+k)
+				}
+				if _, err := s.AppendResponses(rs); err != nil {
+					errc <- err
+					return
+				}
+			}
+		}
+	}()
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				for i := 0; i < surveys; i++ {
+					n := uint64(0)
+					if err := s.ScanResponses(benchSurvey(i).ID, 0, func(seq uint64, r *survey.Response) error {
+						if n++; seq != n {
+							return fmt.Errorf("seq %d after %d records", seq, n-1)
+						}
+						return check(i, seq, r)
+					}); err != nil {
+						errc <- err
+						return
+					}
+				}
+			}
+		}()
+	}
+	// The hand-run fold captures a view halfway through the appends.
+	for s.ResponseCount(benchSurvey(surveys-1).ID) < each/2 {
+		time.Sleep(time.Millisecond)
+	}
+	s.idxMu.RLock()
+	view := maps.Clone(s.index)
+	s.idxMu.RUnlock()
+	dir := t.TempDir()
+	if _, err := s.writeSnapshot(dir, compactJob{covers: 1, view: view}); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Fatal(err)
+	}
+
+	got := make(map[string]int)
+	var r survey.Response
+	header := true
+	if err := blockio.ReplayFile(filepath.Join(dir, snapName(1)), false, func(rec []byte) error {
+		if header {
+			header = false
+			return nil
+		}
+		if err := decodeResponse(rec, &r); err != nil {
+			return err
+		}
+		got[r.SurveyID]++
+		var i int
+		fmt.Sscanf(r.SurveyID, "ingest-test-%d", &i)
+		return check(i, uint64(got[r.SurveyID]), &r)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for id, a := range view {
+		if got[id] != len(a.ends) {
+			t.Errorf("snapshot of the view holds %d records of %s, the view %d", got[id], id, len(a.ends))
+		}
+	}
+	for i := 0; i < surveys; i++ {
+		if n := s.ResponseCount(benchSurvey(i).ID); n != each {
+			t.Fatalf("survey %d holds %d responses, want %d", i, n, each)
+		}
+	}
+	if s.Stats().Snapshots == 0 {
+		t.Fatal("no fold ran beside the appends")
 	}
 }
 

@@ -20,33 +20,35 @@ type logState struct {
 	nextSeq     uint64 // first segment seq not yet used
 }
 
-// decodeResponse reads one response record of either encoding, told
-// apart by the first byte exactly as store.File does: a binary record,
+// decodeResponse reads one response record of either encoding into r,
+// told apart by the first byte exactly as store.File does: a binary
+// record, decoded over what r holds (survey.Response.UnmarshalBinaryReuse),
 // or a JSON object (what a JSON-lines store writes, and all that files
-// written before ingest's records went binary hold).
-func decodeResponse(rec []byte) (survey.Response, error) {
-	var r survey.Response
+// written before ingest's records went binary hold), which replaces it.
+func decodeResponse(rec []byte, r *survey.Response) error {
 	var err error
 	if len(rec) > 0 && rec[0] == survey.ResponseBinaryTag {
-		err = r.UnmarshalBinary(rec)
+		err = r.UnmarshalBinaryReuse(rec)
 	} else {
-		err = json.Unmarshal(rec, &r)
+		*r = survey.Response{}
+		err = json.Unmarshal(rec, r)
 	}
 	if err != nil {
-		return r, fmt.Errorf("corrupt response record: %w", err)
+		return fmt.Errorf("corrupt response record: %w", err)
 	}
-	return r, nil
+	return nil
 }
 
-// applyRecord appends one replayed response to the index and returns
-// its survey.
-func (s *Sharded) applyRecord(rec []byte) (string, error) {
-	r, err := decodeResponse(rec)
-	if err != nil {
+// applyRecord checks one replayed record by decoding it into scratch,
+// appends its bytes to its survey's arena and returns the survey.
+func (s *Sharded) applyRecord(rec []byte, scratch *survey.Response) (string, error) {
+	if err := decodeResponse(rec, scratch); err != nil {
 		return "", err
 	}
-	s.index[r.SurveyID] = append(s.index[r.SurveyID], r)
-	return r.SurveyID, nil
+	a := s.index[scratch.SurveyID]
+	a.add(rec)
+	s.index[scratch.SurveyID] = a
+	return scratch.SurveyID, nil
 }
 
 // replayDir loads one log directory into the index — the newest
@@ -71,6 +73,7 @@ func (s *Sharded) replayDir(dir string) (logState, error) {
 		return st, err
 	}
 	st.nextSeq = st.snapSeq + 1
+	var scratch survey.Response
 	for i, seq := range segs {
 		st.nextSeq = max(st.nextSeq, seq+1)
 		path := filepath.Join(dir, segName(seq))
@@ -80,7 +83,7 @@ func (s *Sharded) replayDir(dir string) (logState, error) {
 			// were closed with an fsync before their successor existed.
 			err := blockio.ReplayFile(path, i == len(segs)-1, func(rec []byte) error {
 				records++
-				_, err := s.applyRecord(rec)
+				_, err := s.applyRecord(rec, &scratch)
 				return err
 			})
 			if err != nil {

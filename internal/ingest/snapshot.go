@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
@@ -30,17 +31,16 @@ const snapFormat = 1
 // compactJob is one fold handed to the compactor: the index as it stood
 // when segment covers was sealed and its successor still empty, which
 // is exactly the contents of the current snapshot plus every sealed
-// segment. The view's slices are append-only histories, so the
-// compactor reads them while the committer keeps appending past their
-// captured lengths.
+// segment. The view's arenas are append-only, so the compactor reads
+// them while the committer keeps appending past their captured lengths.
 type compactJob struct {
 	covers uint64
-	view   map[string][]survey.Response
+	view   map[string]arena
 	sealed []sealedSeg // the segments being folded: the sealed list at the cut
 	prev   uint64      // the snapshot being superseded, 0 if none
 	// prevCounts is the superseded snapshot's snapCounts: the first
-	// prevCounts[id] records of view[id] are copied out of it, not
-	// encoded.
+	// prevCounts[id] records of view[id] are copied out of it, not out
+	// of the view.
 	prevCounts map[string]int
 	// sizeHint is the current snapshot plus the sealed tail in bytes: an
 	// upper estimate of the new snapshot's size (see writeSnapshot).
@@ -101,8 +101,8 @@ func (s *Sharded) idleCompact() {
 // startCompaction hands the sealed tail to the compactor if a fold is
 // due and none is running. The committer calls it right after a
 // rotation (or with an empty active segment), the one moment the index
-// equals snapshot + sealed segments exactly; capturing the per-survey
-// slice headers there is the whole cost compaction puts on the commit
+// equals snapshot + sealed segments exactly; copying the per-survey
+// arena headers there is the whole cost compaction puts on the commit
 // path.
 func (s *Sharded) startCompaction(idle bool) {
 	s.logMu.Lock()
@@ -126,10 +126,7 @@ func (s *Sharded) startCompaction(idle bool) {
 		return
 	}
 	// The committer is the index's only writer, so it reads it unlocked.
-	job.view = make(map[string][]survey.Response, len(s.index))
-	for id, rs := range s.index {
-		job.view[id] = rs
-	}
+	job.view = maps.Clone(s.index)
 	s.compactCh <- job
 }
 
@@ -141,8 +138,8 @@ func (s *Sharded) compactor() {
 	for job := range s.compactCh {
 		written, err := s.fold(job)
 		counts := make(map[string]int, len(job.view))
-		for id, rs := range job.view {
-			counts[id] = len(rs)
+		for id, a := range job.view {
+			counts[id] = len(a.ends)
 		}
 		s.logMu.Lock()
 		s.compacting = false
@@ -198,13 +195,14 @@ func (s *Sharded) fold(job compactJob) (int64, error) {
 // published, so they always carry a block index and replay with strict
 // (non-repairing) semantics.
 //
-// Only the tail is encoded. The records the superseded snapshot
-// (job.prev) already holds are copied out of it, behind the new header,
-// with blockio.Log.CopyFrom — whole blocks byte for byte, neither
-// inflated nor re-encoded — and only each survey's records past
-// job.prevCounts go through encodeResponse, in survey ID order. Under
-// the one-half trigger the copied prefix is up to two thirds of the new
-// file, and none of it costs an encode or a deflate again.
+// No record is encoded. The records the superseded snapshot (job.prev)
+// already holds are copied out of it, behind the new header, with
+// blockio.Log.CopyFrom — whole blocks byte for byte, neither inflated
+// nor re-encoded — and each survey's records past job.prevCounts are
+// appended from its arena, in survey ID order, as toCodec returns them:
+// as they are, unless replay read them from a file of the other codec.
+// Under the one-half trigger the copied prefix is up to two thirds of
+// the new file, and none of it costs a deflate again.
 //
 // The temp file is extended (sparsely) to sizeHint before the first
 // write and cut back to what was written after the last. A fold of a
@@ -217,11 +215,11 @@ func (s *Sharded) writeSnapshot(dir string, job compactJob) (int64, error) {
 	hdr := snapHeader{Format: snapFormat, Covers: job.covers}
 	ids := make([]string, 0, len(job.view))
 	copied := 0
-	for id, rs := range job.view {
-		if job.prevCounts[id] > len(rs) {
-			return 0, fmt.Errorf("ingest: snapshot %d holds %d records of survey %q, the index %d", job.prev, job.prevCounts[id], id, len(rs))
+	for id, a := range job.view {
+		if job.prevCounts[id] > len(a.ends) {
+			return 0, fmt.Errorf("ingest: snapshot %d holds %d records of survey %q, the index %d", job.prev, job.prevCounts[id], id, len(a.ends))
 		}
-		hdr.Count += len(rs)
+		hdr.Count += len(a.ends)
 		copied += job.prevCounts[id]
 		ids = append(ids, id)
 	}
@@ -248,16 +246,16 @@ func (s *Sharded) writeSnapshot(dir string, job compactJob) (int64, error) {
 				return fmt.Errorf("snapshot %d holds %d records, want %d", job.prev, n, copied)
 			}
 		}
-		var rec []byte
-		encoded := 0
+		appended := 0
 		for _, id := range ids {
-			rs := job.view[id]
-			for i := job.prevCounts[id]; i < len(rs); i++ {
-				if encoded&0xfff == 0 && s.closed.Load() {
+			a := job.view[id]
+			for i := job.prevCounts[id]; i < len(a.ends); i++ {
+				if appended&0xfff == 0 && s.closed.Load() {
 					return errCompactAborted
 				}
-				encoded++
-				if rec, err = s.encodeResponse(rec[:0], &rs[i]); err != nil {
+				appended++
+				rec, err := s.toCodec(a.rec(i))
+				if err != nil {
 					return err
 				}
 				if err := nl.Append(rec); err != nil {
@@ -273,16 +271,28 @@ func (s *Sharded) writeSnapshot(dir string, job compactJob) (int64, error) {
 	return size, nil
 }
 
-// recode maps a record the fold copies one at a time rather than in a
+// recode maps a record CopyFrom copies one at a time rather than in a
 // whole block. A JSON-lines snapshot holds a line of text per record, so
-// a binary record read from an older binary snapshot is re-encoded for
-// it; every other record is copied as it is.
+// a binary record read from an older binary snapshot is converted for
+// it; a binary snapshot keeps every record, JSON payloads included, as
+// it is.
 func (s *Sharded) recode(rec []byte) ([]byte, error) {
-	if s.cfg.Codec != blockio.CodecJSON || len(rec) == 0 || rec[0] != survey.ResponseBinaryTag {
+	if s.cfg.Codec != blockio.CodecJSON {
 		return rec, nil
 	}
-	r, err := decodeResponse(rec)
-	if err != nil {
+	return s.toCodec(rec)
+}
+
+// toCodec returns rec in the store's codec. Every record this store
+// encoded itself is in it already and comes back as it is; only one
+// replayed from a file of the other codec (or, in a binary store, from
+// before records went binary) is decoded and encoded again.
+func (s *Sharded) toCodec(rec []byte) ([]byte, error) {
+	if isBinary := len(rec) > 0 && rec[0] == survey.ResponseBinaryTag; isBinary == (s.cfg.Codec != blockio.CodecJSON) {
+		return rec, nil
+	}
+	var r survey.Response
+	if err := decodeResponse(rec, &r); err != nil {
 		return nil, err
 	}
 	return s.encodeResponse(nil, &r)
@@ -306,10 +316,11 @@ func (s *Sharded) loadSnapshot(dir string) (covers uint64, size int64, counts ma
 	var hdr *snapHeader
 	loaded := 0
 	counts = make(map[string]int)
+	var scratch survey.Response
 	err = blockio.ReplayFile(path, false, func(line []byte) error {
 		loaded++
 		if hdr != nil {
-			id, err := s.applyRecord(line)
+			id, err := s.applyRecord(line, &scratch)
 			counts[id]++
 			return err
 		}

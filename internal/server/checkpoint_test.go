@@ -360,6 +360,58 @@ func TestPoisonedRecordFailsOnce(t *testing.T) {
 	compareAggregate(t, got, recomputeAggregate(t, ps, v2))
 }
 
+// TestPoisonErrorNamesNoWorker: a stored record the accumulator rejects
+// reaches the requester — the failed read, and poisoned_error on the
+// admin surface — by its coordinates and its question only, never by
+// the worker who sent it or the choice they submitted.
+func TestPoisonErrorNamesNoWorker(t *testing.T) {
+	ts, _ := newTestServer(t)
+	v1 := ckptSurvey()
+	v1.Questions[1].Options = nil
+	for i := 0; i < 60; i++ {
+		v1.Questions[1].Options = append(v1.Questions[1].Options, fmt.Sprint("option ", i))
+	}
+	if resp, body := doReq(t, http.MethodPost, ts.URL+"/api/v1/surveys", v1, testToken); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("publish = %d: %s", resp.StatusCode, body)
+	}
+	r := ckptResponse(v1, 0)
+	r.WorkerID = "w-secret"
+	r.Answers[1] = survey.ChoiceAnswer("q1", 47)
+	submitOK(t, ts, r)
+	// Republished with two options, the stored choice is out of range.
+	if resp, body := doReq(t, http.MethodPost, ts.URL+"/api/v1/surveys", ckptSurvey(), testToken); resp.StatusCode != http.StatusOK {
+		t.Fatalf("republish = %d: %s", resp.StatusCode, body)
+	}
+	resp, read := doReq(t, http.MethodGet, aggregateURL(ts, v1.ID), nil, testToken)
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("poisoned read = %d: %s", resp.StatusCode, read)
+	}
+	resp, admin := doReq(t, http.MethodGet, ts.URL+"/api/v1/admin/store", nil, testToken)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("admin = %d: %s", resp.StatusCode, admin)
+	}
+	var info AdminStoreInfo
+	if err := json.Unmarshal(admin, &info); err != nil {
+		t.Fatal(err)
+	}
+	if len(info.Accumulators) != 1 || info.Accumulators[0].PoisonedSeq != 1 {
+		t.Fatalf("accumulator poison info = %+v", info.Accumulators)
+	}
+	if msg := info.Accumulators[0].PoisonedError; !strings.Contains(msg, `"q1"`) {
+		t.Errorf("poisoned_error %q does not name the question", msg)
+	}
+	for _, leak := range []struct{ where, text, secret string }{
+		{"read body", string(read), "w-secret"},
+		{"read body", string(read), "47"},
+		{"admin body", string(admin), "w-secret"},
+		{"poisoned_error", info.Accumulators[0].PoisonedError, "47"},
+	} {
+		if strings.Contains(leak.text, leak.secret) {
+			t.Errorf("%s names %q: %s", leak.where, leak.secret, leak.text)
+		}
+	}
+}
+
 // scanTrackingStore records the fromSeq of every response scan, to prove
 // restart catch-up starts at the checkpoint cursor instead of 0.
 type scanTrackingStore struct {

@@ -74,7 +74,7 @@ func collectMerged(t *testing.T, r shardset.ShardRouter, surveyID string) []surv
 	t.Helper()
 	var out []survey.Response
 	if _, err := shardset.ScanMerged(r, surveyID, nil, func(_ int, _ uint64, resp *survey.Response) error {
-		out = append(out, *resp)
+		out = append(out, resp.Clone())
 		return nil
 	}); err != nil {
 		t.Fatal(err)

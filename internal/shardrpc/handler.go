@@ -155,7 +155,7 @@ func (h *Handler) handleScan(w http.ResponseWriter, r *http.Request) {
 	}
 	batch := ScanBatch{NextSeq: from}
 	scanErr := h.backend.ScanShard(shard, surveyID, from, func(seq uint64, resp *survey.Response) error {
-		batch.Records = append(batch.Records, ScanRecord{Seq: seq, Response: *resp})
+		batch.Records = append(batch.Records, ScanRecord{Seq: seq, Response: resp.Clone()})
 		batch.NextSeq = seq
 		if len(batch.Records) >= max {
 			return errPageFull

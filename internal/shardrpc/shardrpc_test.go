@@ -14,6 +14,7 @@ import (
 	"loki/internal/aggregate"
 	"loki/internal/budget"
 	"loki/internal/core"
+	"loki/internal/ingest"
 	"loki/internal/placement"
 	"loki/internal/shardset"
 	"loki/internal/store"
@@ -152,6 +153,13 @@ func newTestNode(t *testing.T, shards int) (*Client, *shardset.Local) {
 	for i := range stores {
 		stores[i] = store.NewMem()
 	}
+	return newTestNodeOver(t, stores)
+}
+
+// newTestNodeOver is newTestNode over the given shard stores.
+func newTestNodeOver(t *testing.T, stores []store.Store) (*Client, *shardset.Local) {
+	t.Helper()
+	shards := len(stores)
 	local, err := shardset.NewLocal(stores, shardset.LocalOptions{Journal: true})
 	if err != nil {
 		t.Fatal(err)
@@ -250,6 +258,67 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatalf("surveys = %v, %v", svs, err)
 	}
 	_ = local
+}
+
+// TestIngestPagesKeepTheirRecords: an ingest store lends each scanned
+// record in one reused struct, so everything that pages records out of
+// a scan — the scan page, the journal tail, CollectResponses and
+// ScanMerged — must deep-copy them. Records with different answers come
+// back each with its own.
+func TestIngestPagesKeepTheirRecords(t *testing.T) {
+	st, err := ingest.Open(t.TempDir(), ingest.Config{Shards: 1, IdleCompact: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, local := newTestNodeOver(t, []store.Store{st})
+	if err := c.Publish(rpcSurvey("sv"), false); err != nil {
+		t.Fatal(err)
+	}
+	want := make([]survey.Response, 5)
+	for i := range want {
+		want[i] = rpcResponse("sv", i)
+	}
+	if _, err := c.Submit(&SubmitRequest{Shard: 0, Responses: want}); err != nil {
+		t.Fatal(err)
+	}
+	check := func(what string, i int, r *survey.Response) {
+		t.Helper()
+		if i >= len(want) || !slices.Equal(r.Answers, want[i].Answers) || r.WorkerID != want[i].WorkerID {
+			t.Errorf("%s record %d = %+v, want %+v", what, i, *r, want[min(i, len(want)-1)])
+		}
+	}
+	page, err := c.Scan(0, "sv", 0, 10)
+	if err != nil || len(page.Records) != len(want) {
+		t.Fatalf("scan page: %+v, %v", page, err)
+	}
+	for i := range page.Records {
+		check("scan page", i, &page.Records[i].Response)
+	}
+	tb, err := c.Tail(0, 0, 0, 10, "")
+	if err == nil {
+		tb, err = c.Tail(0, tb.Epoch, 0, 10, "")
+	}
+	if err != nil || len(tb.Entries) != len(want) {
+		t.Fatalf("tail: %+v, %v", tb, err)
+	}
+	for i := range tb.Entries {
+		check("tail", i, &tb.Entries[i].Response)
+	}
+	all, err := store.CollectResponses(st, "sv")
+	if err != nil || len(all) != len(want) {
+		t.Fatalf("collect: %d, %v", len(all), err)
+	}
+	for i := range all {
+		check("collected", i, &all[i])
+	}
+	i := 0
+	if _, err := shardset.ScanMerged(local, "sv", nil, func(_ int, _ uint64, r *survey.Response) error {
+		check("merged", i, r)
+		i++
+		return nil
+	}); err != nil || i != len(want) {
+		t.Fatalf("merged scan: %d records, %v", i, err)
+	}
 }
 
 // TestAuthRequired: every route refuses a missing or wrong token.

@@ -212,7 +212,7 @@ func TestSubmitBodyNegotiation(t *testing.T) {
 	// What arrived through the binary body is what was sent.
 	var got []survey.Response
 	if err := local.ScanShard(0, "s", 0, func(_ uint64, r *survey.Response) error {
-		got = append(got, *r)
+		got = append(got, r.Clone())
 		return nil
 	}); err != nil {
 		t.Fatal(err)

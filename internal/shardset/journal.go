@@ -108,10 +108,10 @@ type followerAck struct {
 }
 
 // rebuildJournal reconstructs a journal from a shard store after a
-// restart: every survey's stream in survey-ID order. The order differs
-// from the original arrival interleaving, which is exactly why the
-// journal gets a fresh epoch — followers resync rather than trust stale
-// offsets.
+// restart: every survey's stream in survey-ID order, seqs 1 through its
+// response count (no record is read). The order differs from the
+// original arrival interleaving, which is exactly why the journal gets a
+// fresh epoch — followers resync rather than trust stale offsets.
 func rebuildJournal(st store.Store, epoch uint64, retain int, ackTTL time.Duration) (*journal, error) {
 	j := &journal{epoch: epoch, retain: retain, ackTTL: ackTTL, now: time.Now, followers: make(map[string]followerAck)}
 	surveys, err := st.Surveys()
@@ -119,14 +119,11 @@ func rebuildJournal(st store.Store, epoch uint64, retain int, ackTTL time.Durati
 		return nil, err
 	}
 	for _, sv := range surveys {
-		err := st.ScanResponses(sv.ID, 0, func(seq uint64, _ *survey.Response) error {
-			e := journalEntry{surveyID: sv.ID, seq: seq}
+		n := st.ResponseCount(sv.ID)
+		for seq := 1; seq <= n; seq++ {
+			e := journalEntry{surveyID: sv.ID, seq: uint64(seq)}
 			j.entries = append(j.entries, e)
 			j.retainedBytes += journalEntrySize(&e)
-			return nil
-		})
-		if err != nil {
-			return nil, err
 		}
 	}
 	j.mu.Lock()
@@ -355,7 +352,7 @@ func (j *journal) tail(st store.Store, epoch, offset uint64, max int, follower s
 			if seq != e.seq {
 				return fmt.Errorf("shardset: journal entry (%s, %d) resolved to seq %d", e.surveyID, e.seq, seq)
 			}
-			te.Response = *r
+			te.Response = r.Clone()
 			found = true
 			return errStopScan
 		})

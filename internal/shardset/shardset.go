@@ -139,7 +139,7 @@ func ScanMerged(r ShardRouter, surveyID string, from Cursor, fn func(shard int, 
 	tails := make([][]rec, n)
 	for i := 0; i < n; i++ {
 		err := r.ScanShard(i, surveyID, from[i], func(seq uint64, resp *survey.Response) error {
-			tails[i] = append(tails[i], rec{seq: seq, resp: *resp})
+			tails[i] = append(tails[i], rec{seq: seq, resp: resp.Clone()})
 			return nil
 		})
 		if err != nil {

@@ -2,6 +2,7 @@ package shardset
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -329,6 +330,54 @@ func TestJournalRebuildChangesEpoch(t *testing.T) {
 	}
 	if len(b3.Entries) != 5 {
 		t.Fatalf("rebuilt journal holds %d entries, want 5", len(b3.Entries))
+	}
+}
+
+// unscanned is a store whose records cannot be read, only counted.
+type unscanned struct{ *store.Mem }
+
+func (unscanned) ScanResponses(string, uint64, func(uint64, *survey.Response) error) error {
+	return fmt.Errorf("the journal rebuild read a record")
+}
+
+// TestJournalRebuildCountsRecords: rebuilding a journal over three
+// surveys, one of them empty, lists every survey's seqs 1..count in
+// survey-ID order — what a scan of every record listed — without
+// reading a record.
+func TestJournalRebuildCountsRecords(t *testing.T) {
+	mem := store.NewMem()
+	counts := map[string]int{"a": 4, "b": 0, "c": 7}
+	for id := range counts {
+		if err := mem.PutSurvey(testSurvey(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 7; i++ {
+		for _, id := range []string{"c", "a"} {
+			if i < counts[id] {
+				if err := mem.AppendResponse(testResponse(id, i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	var want []journalEntry
+	var wantBytes int64
+	for _, id := range []string{"a", "b", "c"} {
+		if err := mem.ScanResponses(id, 0, func(seq uint64, _ *survey.Response) error {
+			want = append(want, journalEntry{surveyID: id, seq: seq})
+			wantBytes += journalEntrySize(&want[len(want)-1])
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j, err := rebuildJournal(unscanned{mem}, 3, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(j.entries, want) || j.retainedBytes != wantBytes || j.epoch != 3 {
+		t.Fatalf("rebuilt journal %+v (%d bytes), want %+v (%d bytes)", j.entries, j.retainedBytes, want, wantBytes)
 	}
 }
 

@@ -59,10 +59,12 @@ type Store interface {
 	// a previous scan delivered resumes exactly after it. The scan
 	// observes a consistent snapshot: responses appended concurrently
 	// with the scan are delivered by a later scan, never this one. The
-	// *Response passed to fn aliases store-internal state to avoid
-	// per-record copies; fn must not modify it or retain it after
-	// returning. A non-nil error from fn aborts the scan and is returned
-	// verbatim. Unknown surveys return ErrNotFound.
+	// *Response passed to fn is lent, to avoid per-record copies: it may
+	// alias store-internal state, or be one struct the store decodes the
+	// next record into. fn must not modify it, nor keep it or anything
+	// reachable from it (its Answers) after returning; a caller that
+	// keeps a record keeps r.Clone(). A non-nil error from fn aborts the
+	// scan and is returned verbatim. Unknown surveys return ErrNotFound.
 	ScanResponses(surveyID string, fromSeq uint64, fn func(seq uint64, r *survey.Response) error) error
 	// Responses returns all responses for a survey in append order; it
 	// returns ErrNotFound for unknown surveys. It is a materializing
@@ -104,29 +106,13 @@ type BatchAppender interface {
 	AppendResponses(rs []survey.Response) ([]int, error)
 }
 
-// ScanSlice streams rs[fromSeq:] through fn with 1-based sequence
-// numbers, the shared scan core for stores whose per-survey history is
-// an append-only slice. Callers must pass a slice snapshot whose
-// elements are never mutated in place (append-only histories qualify:
-// growth writes beyond the captured length, never inside it), which
-// makes the iteration race-free without holding the store's lock across
-// fn callbacks.
-func ScanSlice(rs []survey.Response, fromSeq uint64, fn func(seq uint64, r *survey.Response) error) error {
-	for i := fromSeq; i < uint64(len(rs)); i++ {
-		if err := fn(i+1, &rs[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // CollectResponses materializes a survey's full response history through
 // ScanResponses — the compatibility path for callers that still want a
-// slice.
+// slice. Each response is a deep copy.
 func CollectResponses(st Store, surveyID string) ([]survey.Response, error) {
 	out := make([]survey.Response, 0, st.ResponseCount(surveyID))
 	err := st.ScanResponses(surveyID, 0, func(_ uint64, r *survey.Response) error {
-		out = append(out, *r)
+		out = append(out, r.Clone())
 		return nil
 	})
 	if err != nil {
@@ -288,8 +274,8 @@ func (m *Mem) AppendResponses(rs []survey.Response) ([]int, error) {
 
 // ScanResponses implements Store. The response history is an
 // append-only slice, so the snapshot is just the slice header captured
-// under the read lock; the iteration itself runs unlocked (see
-// ScanSlice).
+// under the read lock, and the iteration runs unlocked: growth writes
+// beyond the captured length, never inside it.
 func (m *Mem) ScanResponses(surveyID string, fromSeq uint64, fn func(seq uint64, r *survey.Response) error) error {
 	m.mu.RLock()
 	if _, ok := m.surveys[surveyID]; !ok {
@@ -298,7 +284,12 @@ func (m *Mem) ScanResponses(surveyID string, fromSeq uint64, fn func(seq uint64,
 	}
 	rs := m.responses[surveyID]
 	m.mu.RUnlock()
-	return ScanSlice(rs, fromSeq, fn)
+	for i := fromSeq; i < uint64(len(rs)); i++ {
+		if err := fn(i+1, &rs[i]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Responses implements Store as a wrapper over ScanResponses.

@@ -93,8 +93,19 @@ func (r *Response) AppendBinary(b []byte) ([]byte, error) {
 // replacing its contents. Malformed, truncated and over-long input is an
 // error, never a panic, and leaves r unspecified.
 func (r *Response) UnmarshalBinary(data []byte) error {
+	*r = Response{}
+	return r.UnmarshalBinaryReuse(data)
+}
+
+// UnmarshalBinaryReuse is UnmarshalBinary for a struct decoded into
+// record after record: r ends up exactly as UnmarshalBinary would leave
+// it, but keeps its Answers array when that is long enough and each of
+// its strings whose bytes are unchanged, so a scan over one survey's
+// records allocates little beyond the worker IDs. The answers it
+// overwrites must be r's own, shared with nothing still in use.
+func (r *Response) UnmarshalBinaryReuse(data []byte) error {
 	d := blockio.NewFieldReader(data)
-	if err := r.DecodeBinary(d); err != nil {
+	if err := r.decode(d); err != nil {
 		return err
 	}
 	if d.Len() != 0 {
@@ -108,25 +119,49 @@ func (r *Response) UnmarshalBinary(data []byte) error {
 // body) reads responses laid end to end. On error r is unspecified. A
 // response with no answers decodes to a nil Answers slice.
 func (r *Response) DecodeBinary(d *blockio.FieldReader) error {
+	*r = Response{}
+	return r.decode(d)
+}
+
+// reuseStr reads one string field, returning old itself when the bytes
+// spell it.
+func reuseStr(d *blockio.FieldReader, old string) string {
+	if b := d.Bytes(d.Uvarint()); string(b) != old {
+		return string(b)
+	}
+	return old
+}
+
+// decode reads one AppendBinary encoding from d over r's contents,
+// setting every field and reusing what UnmarshalBinaryReuse says.
+func (r *Response) decode(d *blockio.FieldReader) error {
 	if tag := d.Byte(); d.Err() == nil && tag != ResponseBinaryTag {
 		return fmt.Errorf("survey: not a binary response (tag %#x)", tag)
 	}
-	*r = Response{SurveyID: d.Str(), WorkerID: d.Str(), PrivacyLevel: d.Str()}
+	r.SurveyID = reuseStr(d, r.SurveyID)
+	r.WorkerID = reuseStr(d, r.WorkerID)
+	r.PrivacyLevel = reuseStr(d, r.PrivacyLevel)
 	flags := d.Byte()
 	r.Obfuscated = flags&flagObfuscated != 0
 	r.Day = d.Int()
-	if n := d.Count(minAnswerBytes); n > 0 {
+	switch n := d.Count(minAnswerBytes); {
+	case n == 0:
+		r.Answers = nil
+	case n <= cap(r.Answers):
+		r.Answers = r.Answers[:n]
+	default:
 		r.Answers = make([]Answer, n)
 	}
 	for i := range r.Answers {
 		a := &r.Answers[i]
-		a.QuestionID = d.Str()
+		a.QuestionID = reuseStr(d, a.QuestionID)
 		head := d.Byte()
 		if k := head >> kindShift; k != 0 {
 			a.Kind = QuestionKind(k - 1)
 		} else {
 			a.Kind = QuestionKind(d.Int())
 		}
+		a.Rating, a.Choice, a.Text = 0, 0, ""
 		if head&hasRating != 0 {
 			a.Rating = d.Float64()
 		}
@@ -134,7 +169,7 @@ func (r *Response) DecodeBinary(d *blockio.FieldReader) error {
 			a.Choice = d.Int()
 		}
 		if head&hasText != 0 {
-			a.Text = d.Str()
+			a.Text = reuseStr(d, a.Text)
 		}
 	}
 	if d.Err() != nil {

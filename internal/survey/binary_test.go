@@ -62,7 +62,8 @@ func FuzzResponseBinary(f *testing.F) {
 	f.Add([]byte(`{"kind":"response"}`), "é\x00\xff", math.Float64bits(3.86), int64(12), int64(31))
 	f.Fuzz(func(t *testing.T, data []byte, text string, bits uint64, day, kind int64) {
 		var dec survey.Response
-		if err := dec.UnmarshalBinary(data); err == nil {
+		decErr := dec.UnmarshalBinary(data)
+		if decErr == nil {
 			again := encode(t, &dec)
 			var dec2 survey.Response
 			if err := dec2.UnmarshalBinary(again); err != nil || !sameResponse(&dec, &dec2) {
@@ -89,6 +90,42 @@ func FuzzResponseBinary(f *testing.F) {
 		}
 		if !sameResponse(&want, &got) {
 			t.Fatalf("round trip changed the response\nwant %+v\ngot  %+v", want, got)
+		}
+		// Decoding over a struct that holds another record — more or fewer
+		// answers, text where this one has none, NaN ratings, a Kind past
+		// the head byte's range — equals decoding into a zero struct, both
+		// ways round and for the fuzzer's own bytes.
+		other := survey.Response{SurveyID: "other", WorkerID: text + "x", PrivacyLevel: "high", Obfuscated: true, Day: 7}
+		for i := 0; i < 1+4*(len(text)%2); i++ {
+			other.Answers = append(other.Answers, survey.Answer{
+				QuestionID: fmt.Sprint("o", i), Kind: survey.QuestionKind(99 + i),
+				Rating: math.Float64frombits(nan), Choice: i + 1, Text: "stale text",
+			})
+		}
+		var fresh survey.Response
+		if err := fresh.UnmarshalBinary(encode(t, &other)); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			held, next []byte
+			want       *survey.Response
+			wantErr    bool
+		}{
+			{encode(t, &other), enc, &got, false},
+			{enc, encode(t, &other), &fresh, false},
+			{enc, data, &dec, decErr != nil},
+		} {
+			var reused survey.Response
+			if err := reused.UnmarshalBinaryReuse(c.held); err != nil {
+				t.Fatal(err)
+			}
+			err := reused.UnmarshalBinaryReuse(c.next)
+			if (err != nil) != c.wantErr {
+				t.Fatalf("decode over a held record: %v, want error %v", err, c.wantErr)
+			}
+			if err == nil && (!sameResponse(&reused, c.want) || (reused.Answers == nil) != (c.want.Answers == nil)) {
+				t.Fatalf("decode over a held record differs from a fresh decode\nwant %+v\ngot  %+v", *c.want, reused)
+			}
 		}
 		if err := got.UnmarshalBinary(append(enc[:len(enc):len(enc)], 0)); err == nil {
 			t.Fatal("trailing byte accepted")

@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // QuestionKind enumerates the supported question types.
@@ -405,6 +406,14 @@ type Response struct {
 	Obfuscated bool `json:"obfuscated,omitempty"`
 	// Day is the simulated day the response was submitted.
 	Day int `json:"day"`
+}
+
+// Clone returns a deep copy of r: a caller that keeps a response a scan
+// lent it keeps the clone, whose Answers share no array with r's.
+func (r *Response) Clone() Response {
+	c := *r
+	c.Answers = slices.Clone(r.Answers)
+	return c
 }
 
 // Answer returns the response's answer to the given question ID, or nil.
