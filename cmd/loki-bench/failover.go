@@ -1,7 +1,7 @@
-// Failover measurement ("failover" id): one node owning every shard, a
-// replica tailing it, and a manifest-routed frontend with the failure
-// detector and a placement watcher — the full HA wiring loki-server
-// assembles. Mid-run the node's listener starts
+// Failover measurement ("failover" id): one node primary for every
+// shard, a second node the manifest lists as every shard's replica, and
+// a manifest-routed frontend with the failure detector and a placement
+// watcher — the full HA wiring loki-server assembles. Mid-run the node's listener starts
 // tearing connections down (what a dead process looks like on the
 // wire), and the bench measures the availability timeline the tentpole
 // promises: reads keep answering through the replica, the detector
@@ -143,6 +143,48 @@ func submitProbe(h http.Handler, sv *survey.Survey, i int) (accepted bool, retry
 	}
 }
 
+// failoverNode builds one cluster node hosting every shard behind a
+// stable URL whose handler the bench can swap, its follow loop armed
+// with the failover lease; the manifest decides what the node is for
+// each shard. done closes it.
+func failoverNode(manifestPath string) (node *server.Node, sw *swapHandler, ts *httptest.Server, done func(), err error) {
+	stores := make([]store.Store, clusterShards)
+	globals := make([]int, clusterShards)
+	for i := range stores {
+		stores[i] = store.NewMem()
+		globals[i] = i
+	}
+	local, err := shardset.NewLocal(stores, shardset.LocalOptions{GlobalIDs: globals, Journal: true})
+	if err != nil {
+		return nil, nil, nil, nil, err
+	}
+	srv, err := server.New(server.Config{
+		Router: local, Schedule: core.DefaultSchedule(),
+		RequesterToken: clusterToken, Role: "node",
+	})
+	if err == nil {
+		node, err = server.NewNode(srv, clusterShards)
+	}
+	var rpc *shardrpc.Handler
+	if err == nil {
+		rpc, err = shardrpc.NewHandler(node, clusterToken)
+	}
+	if err != nil {
+		local.Close()
+		return nil, nil, nil, nil, err
+	}
+	mux := http.NewServeMux()
+	mux.Handle("/shardrpc/", rpc)
+	mux.Handle("/", srv)
+	sw = &swapHandler{h: mux}
+	ts = httptest.NewServer(sw)
+	node.Follow(server.FollowOptions{
+		PollInterval: failoverPollInterval, PromoteAfter: failoverPromoteAfter,
+		ManifestPath: manifestPath, ClusterToken: clusterToken,
+	})
+	return node, sw, ts, func() { node.Close(); ts.Close(); srv.Close(); local.Close() }, nil
+}
+
 // runFailoverBench executes the kill-node scenario, prints the timeline
 // and writes the report; any broken availability guarantee is an error.
 func runFailoverBench() error {
@@ -173,74 +215,24 @@ func measureFailover() (*failoverResult, error) {
 	}
 	defer os.RemoveAll(dir)
 
-	// The node: journaled in-memory shard stores (this scenario measures
-	// availability, not fsync throughput) serving the public API and
-	// shardrpc on one listener, like a production node.
-	stores := make([]store.Store, clusterShards)
-	globals := make([]int, clusterShards)
-	for i := range stores {
-		stores[i] = store.NewMem()
-		globals[i] = i
-	}
-	local, err := shardset.NewLocal(stores, shardset.LocalOptions{GlobalIDs: globals, Journal: true})
-	if err != nil {
-		return nil, err
-	}
-	defer local.Close()
-	nsrv, err := server.New(server.Config{
-		Router: local, Schedule: core.DefaultSchedule(),
-		RequesterToken: clusterToken, Role: "node",
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer nsrv.Close()
-	node, err := server.NewNode(nsrv, clusterShards)
-	if err != nil {
-		return nil, err
-	}
-	rpc, err := shardrpc.NewHandler(node, clusterToken)
-	if err != nil {
-		return nil, err
-	}
-	nodeMux := http.NewServeMux()
-	nodeMux.Handle("/shardrpc/", rpc)
-	nodeMux.Handle("/", nsrv)
-	nodeSW := &swapHandler{h: nodeMux}
-	nts := httptest.NewServer(nodeSW)
-	defer nts.Close()
-
-	// The replica: started behind its own stable URL (the manifest names
-	// it), serving the read-only public API and shardrpc, with the
-	// failover lease armed.
-	repSW := &swapHandler{h: http.NotFoundHandler()}
-	rts := httptest.NewServer(repSW)
-	defer rts.Close()
+	// Two nodes behind stable URLs, each serving the public API and
+	// shardrpc on one listener, like production nodes: journaled
+	// in-memory shard stores (this scenario measures availability, not
+	// fsync throughput), the follow loop armed with the failover lease.
 	manifestPath := filepath.Join(dir, "manifest.json")
-	rep, err := server.NewReplica(server.ReplicaConfig{
-		Client:         shardrpc.NewClient(nts.URL, clusterToken, nil),
-		Schedule:       core.DefaultSchedule(),
-		RequesterToken: clusterToken,
-		PollInterval:   failoverPollInterval,
-		FollowerID:     "bench-failover",
-		ManifestPath:   manifestPath,
-		SelfURL:        rts.URL,
-		PromoteAfter:   failoverPromoteAfter,
-	})
+	node, nodeSW, nts, done, err := failoverNode(manifestPath)
 	if err != nil {
 		return nil, err
 	}
-	defer rep.Close()
-	repRPC, err := shardrpc.NewHandler(rep, clusterToken)
+	defer done()
+	rep, _, rts, done, err := failoverNode(manifestPath)
 	if err != nil {
 		return nil, err
 	}
-	repMux := http.NewServeMux()
-	repMux.Handle("/shardrpc/", repRPC)
-	repMux.Handle("/", rep)
-	repSW.swap(repMux)
+	defer done()
 
-	// The shared manifest, and the node's view of it.
+	// The shared manifest: every shard primary on the first node, the
+	// second its replica. Each node applies it, as its watcher would.
 	m, err := placement.RoundRobin(clusterShards, []string{nts.URL})
 	if err != nil {
 		return nil, err
@@ -252,6 +244,7 @@ func measureFailover() (*failoverResult, error) {
 		return nil, err
 	}
 	node.ApplyManifest(m, nts.URL)
+	rep.ApplyManifest(m, rts.URL)
 
 	// The frontend: manifest routing, active prober, watcher-driven
 	// reloads, fenced-write fast re-poll — the loki-server wiring.

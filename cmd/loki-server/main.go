@@ -14,12 +14,21 @@
 //	standalone  (default) one process owns everything — the classic
 //	            deployment; responses live on one logical shard.
 //	node        hosts the response shards the manifest names it
-//	            (-advertise) primary for, plus any shard store already
-//	            on its disk, and serves the internal shardrpc transport
-//	            (submit-batch, cursor scans, partial-aggregate snapshots,
-//	            WAL-tail shipping) alongside the public API. Each hosted
-//	            shard gets its own store (subdirectory for durable
-//	            backends).
+//	            (-advertise) primary or replica for, plus any shard store
+//	            already on its disk, and serves the internal shardrpc
+//	            transport (submit-batch, cursor scans, partial-aggregate
+//	            snapshots, WAL-tail shipping) alongside the public API.
+//	            Each hosted shard gets its own store (subdirectory for
+//	            durable backends) and one role, from the manifest:
+//	            primary (takes writes), replica (tails the shard's
+//	            primary every -replica-poll into its own store, serves
+//	            stale reads, refuses writes) or fenced (readable, refuses
+//	            writes). A node whose every shard follows refuses public
+//	            submits and publishes with 403. A following shard is
+//	            promoted to primary by POST
+//	            /api/v1/admin/promote/{shard}, automatically after
+//	            -promote-after of its primary being unreachable, or by a
+//	            manifest naming the node primary.
 //	frontend    owns no storage: routes submissions to the manifest's
 //	            primaries by the cluster-wide placement hash and answers
 //	            reads from a per-survey partial cache (keyed by the
@@ -29,14 +38,6 @@
 //	            -frontend-refresh keeps hot surveys warm in the
 //	            background). A negative -frontend-cache-ttl
 //	            revalidates on every read.
-//	replica     tails the node at -follow via WAL shipping and serves
-//	            the read-only half of the public API with a staleness
-//	            cursor on the admin surface. Submits/publishes get 403.
-//	            Also serves shardrpc, so frontends can fail reads over
-//	            to it, and can be promoted to a shard's writable
-//	            primary (POST /api/v1/admin/promote/{shard}, or
-//	            automatically after -promote-after of the primary being
-//	            unreachable).
 //
 // Placement (-manifest): node and frontend roles take every placement
 // from one versioned JSON manifest (internal/placement): response shard
@@ -46,10 +47,13 @@
 // node health (-probe-interval) and fail reads over to replicas when a
 // primary dies (writes to the failed shard answer 503 + Retry-After
 // until promotion); a promotion bumps the shard's epoch in the
-// manifest, which re-routes every frontend and fences the old primary's
-// writes with 412 when it returns — it reopens its old shard from disk,
-// fenced. -advertise tells a node or replica which manifest entries are
-// itself.
+// manifest, which re-routes every frontend, re-sources the shard's other
+// replicas and fences the old primary's writes with 412 when it returns
+// — it reopens its old shard from disk, fenced. Listing a fenced node
+// among a shard's replicas rejoins it without a restart: the shard
+// resyncs from the new primary, discarding records the node accepted
+// and never shipped. -advertise tells a node which manifest entries are
+// itself, and is the follower ID its sources account journal acks to.
 //
 // With -store mem the server keeps everything in memory; with -store
 // ingest:DIR it opens the sharded segmented-WAL ingest store rooted at
@@ -90,6 +94,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -116,20 +121,18 @@ type config struct {
 	checkpointEvery        time.Duration
 
 	role           string
-	follow         string // replica: node base URL
-	clusterToken   string // shardrpc bearer token (defaults to -token)
-	pollInterval   time.Duration
+	clusterToken   string        // shardrpc bearer token (defaults to -token)
+	pollInterval   time.Duration // node: journal tail poll interval of following shards
 	cacheTTL       time.Duration // frontend: partial cache staleness bound
 	cacheRefresh   time.Duration // frontend: background refresher interval
 	journalRetain  int           // node: journal retained-entry bound
-	followerID     string        // replica: stable follower id for truncation acks
 	followerAckTTL time.Duration // node: expire silent follower acks after this long
 
 	manifest      string        // all cluster roles: shared placement manifest path
 	manifestPoll  time.Duration // manifest watch interval
-	advertise     string        // node/replica: this process's base URL in the manifest
+	advertise     string        // node: this process's base URL in the manifest, and its follower ID
 	probeInterval time.Duration // frontend: health-probe interval of the failure detector
-	promoteAfter  time.Duration // replica: auto-promote after the tail has failed this long (0 = operator only)
+	promoteAfter  time.Duration // node: auto-promote a following shard after its tail has failed this long (0 = operator only)
 
 	budgetDir     string  // node/standalone: budget WAL directory (empty = in-memory)
 	budgetCap     float64 // epsilon ceiling per worker
@@ -178,29 +181,26 @@ func parseFlags(fs *flag.FlagSet, args []string) (config, error) {
 	fs.DurationVar(&c.icfg.IdleCompact, "idle-compact", time.Minute, "ingest store: compact the WAL tail after this long without commits (negative disables)")
 	fs.StringVar(&c.checkpointDir, "checkpoint-dir", "", "directory for durable live-aggregate checkpoints (empty disables; restart catch-up then rescans whole backlogs)")
 	fs.DurationVar(&c.checkpointEvery, "checkpoint-interval", 15*time.Second, "background checkpointer flush period")
-	fs.StringVar(&c.role, "role", "standalone", "deployment role: standalone, node, frontend or replica")
-	fs.StringVar(&c.follow, "follow", "", "replica: base URL of the node to tail")
+	fs.StringVar(&c.role, "role", "standalone", "deployment role: standalone, node or frontend")
 	fs.StringVar(&c.clusterToken, "cluster-token", "", "bearer token for the internal shardrpc transport (defaults to -token)")
-	fs.DurationVar(&c.pollInterval, "replica-poll", 500*time.Millisecond, "replica: journal tail poll interval")
+	fs.DurationVar(&c.pollInterval, "replica-poll", 500*time.Millisecond, "node: journal tail poll interval of the shards the manifest lists this node a replica of")
 	fs.DurationVar(&c.cacheTTL, "frontend-cache-ttl", 250*time.Millisecond,
 		"frontend: partial cache staleness bound — reads within it are served from cache with no node RPCs (negative revalidates on every read)")
 	fs.DurationVar(&c.cacheRefresh, "frontend-refresh", 0,
 		"frontend: background cache refresher interval for recently read surveys (0 disables; reads then revalidate inline on expiry)")
 	fs.IntVar(&c.journalRetain, "journal-retain", 65536,
-		"node: per-shard append-journal retained-entry bound; lagging replicas past it rebuild from store scans (0 retains until every registered follower acks)")
-	fs.StringVar(&c.followerID, "follower-id", "",
-		"replica: stable follower id for journal-truncation acks (defaults to a process-scoped id)")
+		"node: per-shard append-journal retained-entry bound; lagging followers past it rebuild from store scans (0 retains until every registered follower acks)")
 	fs.DurationVar(&c.followerAckTTL, "follower-ack-ttl", 10*time.Minute,
-		"node: drop a replica's journal-truncation ack after this long without a tail from it, so dead replicas stop pinning retention (0 keeps acks forever)")
+		"node: drop a follower's journal-truncation ack after this long without a tail from it, so dead followers stop pinning retention (0 keeps acks forever)")
 	fs.StringVar(&c.manifest, "manifest", "",
-		"path of the shared placement manifest (versioned JSON: response shard -> primary + replicas with per-shard epochs, budget shard -> host); node and frontend roles take all placement from it, and every cluster role watches it, so promotions re-route frontends and fence demoted nodes without restarts")
+		"path of the shared placement manifest (versioned JSON: response shard -> primary + replicas with per-shard epochs, budget shard -> host); node and frontend roles take all placement from it and watch it, so promotions re-route frontends, re-source replicas and fence demoted nodes without restarts")
 	fs.DurationVar(&c.manifestPoll, "manifest-poll", time.Second, "placement manifest watch interval")
 	fs.StringVar(&c.advertise, "advertise", "",
-		"node/replica: this process's base URL exactly as the manifest names it (required on nodes, and with -manifest on replicas)")
+		"node: this process's base URL exactly as the manifest names it (required); also the follower ID its sources account journal acks to")
 	fs.DurationVar(&c.probeInterval, "probe-interval", 500*time.Millisecond,
 		"frontend: health-probe interval of the per-node failure detector")
 	fs.DurationVar(&c.promoteAfter, "promote-after", 0,
-		"replica: promote a followed shard automatically after its tail has been failing this long (0 promotes only on the operator signal)")
+		"node: promote a following shard automatically after its tail has been failing this long (0 promotes only on the operator signal or the manifest)")
 	fs.StringVar(&c.budgetDir, "budget-dir", "",
 		"directory for the durable per-worker privacy-budget ledgers (empty keeps them in memory)")
 	fs.Float64Var(&c.budgetCap, "budget-cap-epsilon", 10,
@@ -261,18 +261,32 @@ func shardStore(storePath string, globalShard int) string {
 }
 
 // hostedShards is what a node opens: every shard the manifest names it
-// primary for, plus every shard whose store is already on its disk — a
-// demoted primary restarting reopens its old shard, and ApplyManifest
-// fences it.
+// primary or replica for, plus every shard whose store is already on its
+// disk — a demoted primary restarting reopens its old shard, and
+// ApplyManifest fences it.
 func hostedShards(m *placement.Manifest, self, storePath string) []int {
 	var owned []int
 	for g := range m.Shards {
+		sp := m.Placement(g)
 		_, err := os.Stat(strings.TrimPrefix(shardStore(storePath, g), "ingest:"))
-		if m.Placement(g).Primary == self || (storePath != "mem" && err == nil) {
+		if sp.Primary == self || slices.Contains(sp.Replicas, self) || (storePath != "mem" && err == nil) {
 			owned = append(owned, g)
 		}
 	}
 	return owned
+}
+
+// emptyShardStore opens an empty store for one global shard of a node,
+// removing whatever the shard's store held on disk: the store a
+// following shard resyncs into. The old store must be closed.
+func emptyShardStore(storePath string, icfg ingest.Config, globalShard int) (store.Store, error) {
+	path := shardStore(storePath, globalShard)
+	if path != "mem" {
+		if err := os.RemoveAll(strings.TrimPrefix(path, "ingest:")); err != nil {
+			return nil, err
+		}
+	}
+	return openStore(path, icfg)
 }
 
 // openCheckpoints opens the checkpoint log when enabled, logging its
@@ -392,16 +406,22 @@ func assemble(c config, logger *log.Logger) (handler http.Handler, closer func()
 		}
 		owned := hostedShards(m, c.advertise, c.storePath)
 		if len(owned) == 0 {
-			return nil, nil, fmt.Errorf("node %s is primary for no shard in %s and has no shard store on disk", c.advertise, c.manifest)
+			return nil, nil, fmt.Errorf("node %s is primary for no shard in %s, a replica of none, and has no shard store on disk", c.advertise, c.manifest)
 		}
-		stores := make([]store.Store, len(owned))
-		for i, g := range owned {
+		var stores []store.Store
+		closers = append(closers, func() error {
+			var errs []error
+			for _, st := range stores {
+				errs = append(errs, st.Close())
+			}
+			return errors.Join(errs...)
+		})
+		for _, g := range owned {
 			st, err := openStore(shardStore(c.storePath, g), c.icfg)
 			if err != nil {
 				return nil, nil, err
 			}
-			closers = append(closers, st.Close)
-			stores[i] = st
+			stores = append(stores, st)
 		}
 		local, err := shardset.NewLocal(stores, shardset.LocalOptions{
 			GlobalIDs: owned, Journal: true, JournalRetain: c.journalRetain,
@@ -410,6 +430,11 @@ func assemble(c config, logger *log.Logger) (handler http.Handler, closer func()
 		if err != nil {
 			return nil, nil, err
 		}
+		// The router owns the stores from here: a following shard's
+		// resync replaces its store, and the router closes whichever is
+		// current.
+		stores = nil
+		closers = append(closers, local.Close)
 		if c.seedCatalog {
 			if err := seedStore(local, logger); err != nil {
 				return nil, nil, err
@@ -460,10 +485,19 @@ func assemble(c config, logger *log.Logger) (handler http.Handler, closer func()
 		if err != nil {
 			return nil, nil, err
 		}
+		node.Follow(server.FollowOptions{
+			PollInterval: c.pollInterval, PromoteAfter: c.promoteAfter,
+			ManifestPath: c.manifest, ClusterToken: c.clusterToken,
+			OpenStore: func(g int) (store.Store, error) { return emptyShardStore(c.storePath, c.icfg, g) },
+		})
+		closers = append(closers, node.Close)
+		// The first manifest sets every shard's role before the node
+		// serves; until then no shard follows.
 		if _, err := watch(func(m *placement.Manifest) { node.ApplyManifest(m, c.advertise) }); err != nil {
 			return nil, nil, err
 		}
-		logger.Printf("node %s hosts global shards %v of %d", c.advertise, owned, len(m.Shards))
+		logger.Printf("node %s hosts global shards %v of %d (replicas poll every %v, auto-promote after %v)",
+			c.advertise, owned, len(m.Shards), c.pollInterval, c.promoteAfter)
 		mux := http.NewServeMux()
 		mux.Handle("/shardrpc/", rpc)
 		mux.Handle("/", srv)
@@ -530,52 +564,10 @@ func assemble(c config, logger *log.Logger) (handler http.Handler, closer func()
 		handler = srv
 
 	case "replica":
-		if c.follow == "" {
-			return nil, nil, errors.New("replica needs -follow")
-		}
-		if c.manifest != "" && c.advertise == "" {
-			return nil, nil, errors.New("replica with -manifest needs -advertise (its URL as the manifest names it)")
-		}
-		rep, err := server.NewReplica(server.ReplicaConfig{
-			Client:         shardrpc.NewClient(c.follow, c.clusterToken, nil),
-			Schedule:       core.DefaultSchedule(),
-			RequesterToken: c.token,
-			Logger:         logger,
-			PollInterval:   c.pollInterval,
-			FollowerID:     c.followerID,
-			JournalRetain:  c.journalRetain,
-			ManifestPath:   c.manifest,
-			SelfURL:        c.advertise,
-			PromoteAfter:   c.promoteAfter,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		closers = append(closers, rep.Close)
-		// The replica serves shardrpc too: frontends fail reads over to
-		// it while its node is down, and after a promotion it is the
-		// shard's write path and its followers' tail source.
-		rpc, err := shardrpc.NewHandler(rep, c.clusterToken)
-		if err != nil {
-			return nil, nil, err
-		}
-		if c.manifest != "" {
-			if _, err := watch(rep.ApplyManifest); err != nil {
-				return nil, nil, err
-			}
-		}
-		if c.promoteAfter > 0 {
-			logger.Printf("replica tailing %s every %v (auto-promote after %v unreachable)", c.follow, c.pollInterval, c.promoteAfter)
-		} else {
-			logger.Printf("replica tailing %s every %v", c.follow, c.pollInterval)
-		}
-		mux := http.NewServeMux()
-		mux.Handle("/shardrpc/", rpc)
-		mux.Handle("/", rep)
-		handler = mux
+		return nil, nil, errors.New(`unknown role "replica": run a follower as -role node, listed among the shard's replicas in -manifest`)
 
 	default:
-		return nil, nil, fmt.Errorf("unknown role %q (standalone, node, frontend, replica)", c.role)
+		return nil, nil, fmt.Errorf("unknown role %q (standalone, node, frontend)", c.role)
 	}
 	return handler, closeAll, nil
 }

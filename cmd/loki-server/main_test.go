@@ -13,10 +13,12 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"loki/internal/ingest"
 	"loki/internal/placement"
 	"loki/internal/server"
+	"loki/internal/shardrpc"
 	"loki/internal/shardset"
 	"loki/internal/store"
 	"loki/internal/survey"
@@ -153,14 +155,16 @@ func shardRoles(t *testing.T, h http.Handler) map[int]string {
 	return out
 }
 
-// TestRolesFromOneManifest assembles a node, a replica and a frontend
-// in-process from one manifest file, as the binary does, and submits
-// through the frontend with the ledger enforcing. After the replica is
-// promoted on shard 0, a frontend started from the rewritten file
-// charges every fresh worker on the node (shard 0's writes go to the
-// replica, which hosts no ledger). A restarted node reopens the shard it
-// lost from disk, fenced, and a node the manifest names for nothing,
-// with nothing on disk, refuses to start.
+// TestRolesFromOneManifest assembles a node, a second node the manifest
+// lists as every shard's replica, and a frontend in-process from one
+// manifest file, as the binary does, and submits through the frontend
+// with the ledger enforcing. After the replica is promoted on shard 0, a
+// frontend started from the rewritten file charges every fresh worker
+// on the node (shard 0's writes go to the replica, which hosts no
+// ledger). A restarted node reopens the shard it lost from disk, fenced,
+// and a node the manifest names for nothing, with nothing on disk,
+// refuses to start; so does the retired replica role, naming its
+// replacement.
 func TestRolesFromOneManifest(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "manifest.json")
@@ -184,8 +188,8 @@ func TestRolesFromOneManifest(t *testing.T) {
 	var closeNode func()
 	nodeTS.Config.Handler, closeNode = mustAssemble(t, nodeArgs...)
 	nodeTS.Start()
-	repTS.Config.Handler, _ = mustAssemble(t, append([]string{"-role", "replica", "-follow", nodeURL,
-		"-advertise", repURL, "-replica-poll", "20ms", "-follower-id", "r1"}, common...)...)
+	repTS.Config.Handler, _ = mustAssemble(t, append([]string{"-role", "node", "-advertise", repURL,
+		"-store", filepath.Join(dir, "rep.log"), "-replica-poll", "20ms"}, common...)...)
 	repTS.Start()
 	frontendArgs := append([]string{"-role", "frontend", "-seed-catalog", "-budget-enforce", "enforce"}, common...)
 	front, _ := mustAssemble(t, frontendArgs...)
@@ -232,5 +236,111 @@ func TestRolesFromOneManifest(t *testing.T) {
 		"-store", filepath.Join(t.TempDir(), "fresh.log")}, common...)...)
 	if err == nil || !strings.Contains(err.Error(), "primary for no shard") {
 		t.Fatalf("a node placed nowhere, with nothing on disk, started: %v", err)
+	}
+	_, _, err = assembleArgs(t, append([]string{"-role", "replica"}, common...)...)
+	if err == nil || !strings.Contains(err.Error(), "-role node") {
+		t.Fatalf("-role replica = %v, want an error naming -role node", err)
+	}
+}
+
+// get fetches path from base with the requester token: status and body.
+func get(t *testing.T, base, path string) (int, []byte) {
+	t.Helper()
+	req, _ := http.NewRequest(http.MethodGet, base+path, nil)
+	req.Header.Set("Authorization", "Bearer tok")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	return resp.StatusCode, body
+}
+
+// TestPromotedFollowerKeepsWritesAcrossRestart: a follower stores into
+// the node's own durable -store, so the writes it acknowledges after a
+// promotion are on disk. Follow, promote, submit, close the follower,
+// and reassemble it over the same directory with the current manifest:
+// its per-shard counts and its merged aggregate are what it
+// acknowledged.
+func TestPromotedFollowerKeepsWritesAcrossRestart(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "manifest.json")
+	nodeTS, nodeURL := reserve(t)
+	repTS, repURL := reserve(t)
+	m, err := placement.RoundRobin(2, []string{nodeURL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range m.Shards {
+		m.Shards[i].Replicas = []string{repURL}
+	}
+	if err := m.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	common := []string{"-token", "tok", "-manifest", path, "-manifest-poll", "20ms", "-replica-poll", "20ms"}
+	nodeTS.Config.Handler, _ = mustAssemble(t, append([]string{"-role", "node", "-advertise", nodeURL,
+		"-store", "ingest:" + filepath.Join(dir, "node"), "-seed-catalog"}, common...)...)
+	nodeTS.Start()
+	repArgs := append([]string{"-role", "node", "-advertise", repURL, "-store", "ingest:" + filepath.Join(dir, "rep")}, common...)
+	var closeRep func()
+	repTS.Config.Handler, closeRep = mustAssemble(t, repArgs...)
+	repTS.Start()
+	submitFresh(t, nodeURL, "w0", "w1", "w2", "w3", "w4", "w5")
+
+	// The follower catches up, then takes both shards.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		code, body := get(t, repURL, "/api/v1/surveys/"+survey.AwarenessID+"/aggregate")
+		if code == http.StatusOK && strings.Contains(string(body), `"n":6`) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("follower never caught up: %d %s", code, body)
+		}
+	}
+	for s := 0; s < 2; s++ {
+		req, _ := http.NewRequest(http.MethodPost, fmt.Sprintf("%s/api/v1/admin/promote/%d", repURL, s), nil)
+		req.Header.Set("Authorization", "Bearer tok")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("promote %d = %d", s, resp.StatusCode)
+		}
+	}
+	var fresh []string
+	for i := 0; i < 20; i++ {
+		fresh = append(fresh, fmt.Sprintf("after-%02d", i))
+	}
+	submitFresh(t, repURL, fresh...)
+	counts := func(base string) [2]int {
+		c := shardrpc.NewClient(base, "tok", nil)
+		var out [2]int
+		for s := range out {
+			n, err := c.Count(s, survey.AwarenessID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[s] = n
+		}
+		return out
+	}
+	acked := counts(repURL)
+	if acked[0]+acked[1] != 26 {
+		t.Fatalf("promoted follower holds %v, want 26 records", acked)
+	}
+	_, wantAgg := get(t, repURL, "/api/v1/surveys/"+survey.AwarenessID+"/aggregate")
+
+	closeRep()
+	restarted, _ := mustAssemble(t, repArgs...)
+	rts := httptest.NewServer(restarted)
+	t.Cleanup(rts.Close)
+	if got := counts(rts.URL); got != acked {
+		t.Fatalf("after a restart the follower holds %v, it acknowledged %v", got, acked)
+	}
+	if _, got := get(t, rts.URL, "/api/v1/surveys/"+survey.AwarenessID+"/aggregate"); !bytes.Equal(got, wantAgg) {
+		t.Fatalf("aggregate after a restart:\n%s\nacknowledged:\n%s", got, wantAgg)
 	}
 }

@@ -33,17 +33,16 @@ type SurveyHistoryInfo struct {
 	Versions []SurveyVersionInfo `json:"versions"`
 }
 
-// ReplicaShardInfo is one followed shard's staleness cursor on a
-// replica's admin surface.
+// ReplicaShardInfo is one following shard's staleness cursor on a
+// node's admin surface.
 type ReplicaShardInfo struct {
 	// Shard is the global shard index being followed.
 	Shard int `json:"shard"`
-	// Role is "replica" while the shard follows its primary, "primary"
-	// once this replica has been promoted for it.
-	Role string `json:"role,omitempty"`
-	// Epoch is the source journal epoch the replica is applying.
+	// Source is the node followed: the shard's manifest primary.
+	Source string `json:"source"`
+	// Epoch is the source journal epoch the node is applying.
 	Epoch uint64 `json:"epoch"`
-	// AppliedOffset is how far into the source journal the replica has
+	// AppliedOffset is how far into the source journal the node has
 	// applied; SourceEnd is the journal length at the last poll, so
 	// SourceEnd − AppliedOffset is the lag in records.
 	AppliedOffset uint64 `json:"applied_offset"`
@@ -60,25 +59,24 @@ type ReplicaShardInfo struct {
 	LastError  string    `json:"last_error,omitempty"`
 }
 
-// ReplicationInfo is the replica's staleness report.
+// ReplicationInfo is a node's staleness report over its following
+// shards.
 type ReplicationInfo struct {
-	// Source is the node address the replica follows.
-	Source string `json:"source"`
-	// Shards holds per-followed-shard cursors.
+	// Shards holds one cursor per following shard.
 	Shards []ReplicaShardInfo `json:"shards"`
 }
 
 // AdminStoreInfo is the requester-facing observability view of the
 // persistence layer and the live read path: per-log WAL shape for the
 // ingest store, every live partial's catch-up cursor, republish
-// history, and — on a replica — the replication staleness cursors.
+// history, and — on a node with following shards — the replication
+// staleness cursors.
 type AdminStoreInfo struct {
 	// Backend names the store implementation ("mem", "file", "ingest",
 	// "remote" for a frontend, or the concrete Go type for custom
 	// stores).
 	Backend string `json:"backend"`
-	// Role is the deployment role (standalone, node, frontend,
-	// replica).
+	// Role is the deployment role (standalone, node, frontend).
 	Role string `json:"role"`
 	// RouterShards is the shard count responses partition across (1 in
 	// the classic standalone deployment).
@@ -111,7 +109,8 @@ type AdminStoreInfo struct {
 	// fingerprints with publish timestamps); only for stores that
 	// record it.
 	Surveys []SurveyHistoryInfo `json:"surveys,omitempty"`
-	// Replication is the replica's staleness report; only on replicas.
+	// Replication is the staleness report of a node's following
+	// shards; only while some shard follows.
 	Replication *ReplicationInfo `json:"replication,omitempty"`
 	// Budget reports the privacy-budget ledger (mode, cap, per-shard
 	// stats); only when a budget charger is configured.
@@ -234,8 +233,8 @@ func (s *Server) handleAdminStore(w http.ResponseWriter, _ *http.Request) {
 		}
 	}
 	info.Surveys = s.surveyHistories(stores)
-	if s.cfg.ReplicationInfo != nil {
-		info.Replication = s.cfg.ReplicationInfo()
+	if s.host != nil {
+		info.Replication = s.host.replicationInfo()
 	}
 	if s.cfg.Budget != nil {
 		bcfg := s.cfg.Budget.Config()
@@ -289,21 +288,17 @@ func (s *Server) handleAdminBudget(w http.ResponseWriter, r *http.Request) {
 }
 
 // surveyHistories collects republish history from the first store that
-// records it (definitions are replicated to every shard, so any one
+// answers (definitions are replicated to every shard, so any one
 // store's history covers the deployment).
 func (s *Server) surveyHistories(stores []store.Store) []SurveyHistoryInfo {
 	for _, st := range stores {
-		h, ok := st.(store.Historian)
-		if !ok {
-			continue
-		}
 		svs, err := st.Surveys()
 		if err != nil {
 			continue
 		}
 		out := make([]SurveyHistoryInfo, 0, len(svs))
 		for _, sv := range svs {
-			versions := h.SurveyHistory(sv.ID)
+			versions := st.SurveyHistory(sv.ID)
 			info := SurveyHistoryInfo{SurveyID: sv.ID}
 			for _, v := range versions {
 				vi := SurveyVersionInfo{Fingerprint: v.Fingerprint}
@@ -320,8 +315,9 @@ func (s *Server) surveyHistories(stores []store.Store) []SurveyHistoryInfo {
 }
 
 // ShardHealth is one shard's row on the health surface: the role this
-// server plays for it, the placement epoch it is at, its replication
-// lag (replica rows only), and the last error touching it.
+// server plays for it, the epoch it is at (the placement epoch; on a
+// replica row the source journal epoch it applies), its replication lag
+// (replica rows only), and the last error touching it.
 type ShardHealth struct {
 	Shard int    `json:"shard"`
 	Role  string `json:"role"`
@@ -337,9 +333,9 @@ type ShardHealth struct {
 // HealthInfo is the GET /api/v1/admin/health body — the probe target
 // for failover detectors, load balancers, and the bench harness. It is
 // served without auth (like healthz) and assembled per role: a node
-// reports its owned shards' fence state, a replica its staleness
-// cursors and promotions, a frontend its routing table with the
-// failure detector's verdicts.
+// (or standalone server) reports each hosted shard's role — primary,
+// fenced, or replica with its staleness cursor — and a frontend its
+// routing table with the failure detector's verdicts.
 type HealthInfo struct {
 	Status string        `json:"status"`
 	Role   string        `json:"role"`
@@ -353,80 +349,81 @@ type HealthInfo struct {
 	FencedWrites uint64 `json:"fenced_writes,omitempty"`
 }
 
-// setShardHealth publishes a node's per-shard health rows (called by
-// the cluster glue when a placement manifest is applied).
-func (s *Server) setShardHealth(hs []ShardHealth) { s.shardHealth.Store(hs) }
-
 func (s *Server) handleAdminHealth(w http.ResponseWriter, _ *http.Request) {
 	info := HealthInfo{Status: "ok", Role: s.cfg.Role}
-	switch {
-	case s.cfg.ReplicationInfo != nil:
-		// Replica: staleness cursors, with promoted shards as primaries.
-		if ri := s.cfg.ReplicationInfo(); ri != nil {
-			for _, sh := range ri.Shards {
-				info.Shards = append(info.Shards, ShardHealth{
-					Shard:      sh.Shard,
-					Role:       sh.Role,
-					Epoch:      sh.Epoch,
-					LagRecords: sh.LagRecords,
-					LastError:  sh.LastError,
-				})
+	if s.host != nil {
+		info.Shards = s.host.healthRows()
+	} else if fi := s.remote.FailoverInfo(); fi != nil {
+		// Frontend: the routing table as the failure detector sees it.
+		info.ManifestVersion = fi.ManifestVersion
+		info.StaleReads = fi.StaleReads
+		info.FencedWrites = fi.FencedWrites
+		for _, sh := range fi.Shards {
+			role := "primary"
+			if sh.PrimaryDown {
+				role = "failed-over"
 			}
-		}
-	default:
-		if s.remote != nil {
-			if fi := s.remote.FailoverInfo(); fi != nil {
-				// Frontend: the routing table as the failure detector sees
-				// it.
-				info.ManifestVersion = fi.ManifestVersion
-				info.StaleReads = fi.StaleReads
-				info.FencedWrites = fi.FencedWrites
-				for _, sh := range fi.Shards {
-					role := "primary"
-					if sh.PrimaryDown {
-						role = "failed-over"
-					}
-					info.Shards = append(info.Shards, ShardHealth{
-						Shard:       sh.Shard,
-						Role:        role,
-						Epoch:       sh.Epoch,
-						PrimaryDown: sh.PrimaryDown,
-						LastError:   sh.LastError,
-					})
-				}
-				break
-			}
-		}
-		if hs, ok := s.shardHealth.Load().([]ShardHealth); ok {
-			// Node with a manifest applied: fence state per owned shard.
-			info.Shards = append(info.Shards, hs...)
-			break
-		}
-		if s.host != nil {
-			// Manifest-less node or standalone: every owned shard is an
-			// unfenced primary.
-			for i := 0; i < s.router.Shards(); i++ {
-				info.Shards = append(info.Shards, ShardHealth{Shard: s.router.GlobalID(i), Role: "primary"})
-			}
+			info.Shards = append(info.Shards, ShardHealth{
+				Shard:       sh.Shard,
+				Role:        role,
+				Epoch:       sh.Epoch,
+				PrimaryDown: sh.PrimaryDown,
+				LastError:   sh.LastError,
+			})
 		}
 	}
 	writeJSON(w, http.StatusOK, info)
+}
+
+// healthRows derives one health row per hosted shard from its role and,
+// for a following shard, its follow cursor.
+func (h *shardHost) healthRows() []ShardHealth {
+	rows := make([]ShardHealth, len(h.roles))
+	for i := range rows {
+		st := h.state(i)
+		rows[i] = ShardHealth{Shard: h.local.GlobalID(i), Role: "primary", Epoch: st.epoch}
+		switch st.role {
+		case roleFenced:
+			rows[i].Role = "fenced"
+		case roleFollowing:
+			c := h.cursor(i)
+			rows[i].Role, rows[i].Epoch = "replica", c.Epoch
+			rows[i].LagRecords, rows[i].LastError = c.LagRecords, c.LastError
+		}
+	}
+	return rows
+}
+
+// replicationInfo snapshots the following shards' staleness cursors;
+// nil while no shard follows.
+func (h *shardHost) replicationInfo() *ReplicationInfo {
+	var info *ReplicationInfo
+	for i := range h.roles {
+		if h.state(i).role != roleFollowing {
+			continue
+		}
+		if info == nil {
+			info = &ReplicationInfo{}
+		}
+		info.Shards = append(info.Shards, h.cursor(i))
+	}
+	return info
 }
 
 // PromoteResult acknowledges an operator promotion.
 type PromoteResult struct {
 	Shard int `json:"shard"`
 	// Epoch is the shard's placement epoch after promotion (0 when the
-	// replica manages no manifest).
+	// node manages no manifest).
 	Epoch uint64 `json:"epoch"`
 }
 
-// handlePromote is the operator failover signal: flip one followed
-// shard writable on this replica (bumping its placement epoch through
-// the shared manifest when one is configured). Idempotent.
+// handlePromote is the operator failover signal: flip one following
+// shard writable on this node (bumping its placement epoch through the
+// shared manifest when one is configured). Idempotent.
 func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.Promote == nil {
-		writeError(w, http.StatusNotFound, "promotion is not available on this server (not a replica)")
+	if s.host == nil || s.host.follow == nil {
+		writeError(w, http.StatusNotFound, "promotion is not available on this server (not a following node)")
 		return
 	}
 	shard, err := strconv.Atoi(r.PathValue("shard"))
@@ -434,12 +431,15 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "shard must be a non-negative integer")
 		return
 	}
-	epoch, err := s.cfg.Promote(shard)
+	epoch, err := (&Node{s.host}).Promote(shard)
 	if err != nil {
 		status := http.StatusInternalServerError
 		var no *shardrpc.ErrNotOwned
-		if errors.As(err, &no) {
+		switch {
+		case errors.As(err, &no):
 			status = http.StatusMisdirectedRequest
+		case errors.Is(err, errNotFollowing):
+			status = http.StatusConflict
 		}
 		writeError(w, status, err.Error())
 		return

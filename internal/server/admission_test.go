@@ -29,6 +29,10 @@ func (b *blockingStore) AppendResponse(r *survey.Response) error {
 	return b.Store.AppendResponse(r)
 }
 
+func (b *blockingStore) AppendResponses(rs []survey.Response) ([]int, error) {
+	return appendEach(b, rs)
+}
+
 func newAdmissionServer(t *testing.T, st store.Store, cfg Config) *httptest.Server {
 	t.Helper()
 	cfg.Store = st

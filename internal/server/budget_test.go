@@ -319,7 +319,8 @@ func TestClusterBudgetDoubleSpend(t *testing.T) {
 
 // flakyStore fails appends on demand — the induced crack between a
 // committed budget charge and its response append that the refund path
-// compensates. Embedding the interface hides the Mem's batch appender.
+// compensates. Its batch append goes record by record through the
+// failing single append.
 type flakyStore struct {
 	store.Store
 	fail atomic.Bool
@@ -331,6 +332,8 @@ func (f *flakyStore) AppendResponse(r *survey.Response) error {
 	}
 	return f.Store.AppendResponse(r)
 }
+
+func (f *flakyStore) AppendResponses(rs []survey.Response) ([]int, error) { return appendEach(f, rs) }
 
 // TestBudgetRefundOnFailedAppend: when the append fails after the
 // charge committed, the server refunds the charge so the worker is not
@@ -454,7 +457,7 @@ func TestBudgetConfigValidation(t *testing.T) {
 // a replica of node 0, and the manifest (saved at the returned path) that
 // places them: eight response shards and eight budget shards, the
 // replica on node 0's shards.
-func budgetHostingCluster(t *testing.T) ([]*haNode, *Replica, string) {
+func budgetHostingCluster(t *testing.T) ([]*haNode, *Node, string) {
 	t.Helper()
 	const totalShards = 8
 	nodes := newHANodes(t, 2, totalShards)
@@ -486,6 +489,7 @@ func budgetHostingCluster(t *testing.T) ([]*haNode, *Replica, string) {
 	for _, n := range nodes {
 		n.node.ApplyManifest(m, n.url)
 	}
+	rep.ApplyManifest(m, repURL)
 	return nodes, rep, manifestPath
 }
 

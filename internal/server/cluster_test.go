@@ -12,6 +12,7 @@ import (
 
 	"loki/internal/checkpoint"
 	"loki/internal/core"
+	"loki/internal/placement"
 	"loki/internal/shardrpc"
 	"loki/internal/shardset"
 	"loki/internal/store"
@@ -346,9 +347,72 @@ func (s *switchableHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	h.ServeHTTP(w, r)
 }
 
+// newFollower builds a node that mirrors src's shard layout — the
+// shards it will follow — behind its own URL, serving the public API and
+// shardrpc on one mux like a production node. Its follow loop is armed
+// with o (PollInterval an hour unless set: tests drive SyncOnce), and it
+// follows nothing until a manifest lists it as a replica.
+func newFollower(t testing.TB, src *shardrpc.Client, o FollowOptions) (*Node, *httptest.Server) {
+	t.Helper()
+	meta, err := src.Meta()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stores := make([]store.Store, len(meta.OwnedShards))
+	for i := range stores {
+		stores[i] = store.NewMem()
+	}
+	local, err := shardset.NewLocal(stores, shardset.LocalOptions{GlobalIDs: meta.OwnedShards, Journal: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { local.Close() })
+	srv, err := New(Config{Router: local, Schedule: core.DefaultSchedule(), RequesterToken: testToken, Role: "node"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	node, err := NewNode(srv, meta.TotalShards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := shardrpc.NewHandler(node, testToken)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux := http.NewServeMux()
+	mux.Handle("/shardrpc/", h)
+	mux.Handle("/", srv)
+	ts := httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
+	if o.PollInterval == 0 {
+		o.PollInterval = time.Hour
+	}
+	o.ClusterToken = testToken
+	node.Follow(o)
+	t.Cleanup(func() { node.Close() })
+	return node, ts
+}
+
+// followManifest places every shard of a total-shard cluster on primary
+// at epoch, with follower as its replica.
+func followManifest(t testing.TB, total int, primary, follower string, epoch uint64) *placement.Manifest {
+	t.Helper()
+	m, err := placement.RoundRobin(total, []string{primary})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range m.Shards {
+		m.Shards[i].Epoch = epoch
+		m.Shards[i].Replicas = []string{follower}
+	}
+	return m
+}
+
 // TestReplicaFollowsNode: WAL-tail shipping end to end — catch-up,
 // read-only serving, staleness reporting, and the epoch reset after a
-// node restart.
+// node restart. The follower is a node the manifest lists as every
+// shard's replica.
 func TestReplicaFollowsNode(t *testing.T) {
 	const shards = 2
 	stores := make([]store.Store, shards)
@@ -392,20 +456,9 @@ func TestReplicaFollowsNode(t *testing.T) {
 		}
 	}
 
-	rep, err := NewReplica(ReplicaConfig{
-		Client:         shardrpc.NewClient(nts.URL, testToken, nil),
-		Schedule:       core.DefaultSchedule(),
-		RequesterToken: testToken,
-		PollInterval:   time.Hour, // tests drive SyncOnce directly
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { rep.Close() })
+	rep, rts := newFollower(t, shardrpc.NewClient(nts.URL, testToken, nil), FollowOptions{})
+	rep.ApplyManifest(followManifest(t, shards, nts.URL, rts.URL, 1), rts.URL)
 	rep.SyncOnce()
-
-	rts := httptest.NewServer(rep)
-	t.Cleanup(rts.Close)
 
 	// The replica serves the same merged aggregates the node data
 	// implies.
@@ -430,11 +483,11 @@ func TestReplicaFollowsNode(t *testing.T) {
 	if err := json.Unmarshal(body, &info); err != nil {
 		t.Fatal(err)
 	}
-	if info.Role != "replica" || info.Replication == nil {
+	if info.Role != "node" || info.Replication == nil || len(info.Replication.Shards) != shards {
 		t.Fatalf("replica admin info = %+v", info)
 	}
 	for _, sh := range info.Replication.Shards {
-		if sh.LagRecords != 0 || sh.Epoch == 0 || sh.LastError != "" {
+		if sh.LagRecords != 0 || sh.Epoch == 0 || sh.LastError != "" || sh.Source != nts.URL {
 			t.Fatalf("shard %d staleness = %+v", sh.Shard, sh)
 		}
 	}
@@ -725,7 +778,7 @@ func TestReplicaTruncationBootstrap(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(17))
-	const n = 60 // far beyond the journal's 5 retained entries
+	const n = 2*tailPage + 60 // far beyond the journal's 5 retained entries, and over a scan page per shard
 	for i := 0; i < n; i++ {
 		if _, err := appendRouted(local, randomResponse(sv, rng, i)); err != nil {
 			t.Fatal(err)
@@ -735,21 +788,9 @@ func TestReplicaTruncationBootstrap(t *testing.T) {
 		t.Fatalf("retain bound never truncated: %+v", st)
 	}
 
-	rep, err := NewReplica(ReplicaConfig{
-		Client:         shardrpc.NewClient(nts.URL, testToken, nil),
-		Schedule:       core.DefaultSchedule(),
-		RequesterToken: testToken,
-		PollInterval:   time.Hour, // tests drive SyncOnce directly
-		TailPage:       7,         // force paging through both paths
-		FollowerID:     "bootstrap-test",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { rep.Close() })
+	rep, rts := newFollower(t, shardrpc.NewClient(nts.URL, testToken, nil), FollowOptions{})
+	rep.ApplyManifest(followManifest(t, shards, nts.URL, rts.URL, 1), rts.URL)
 	rep.SyncOnce()
-	rts := httptest.NewServer(rep)
-	t.Cleanup(rts.Close)
 
 	compareAggregate(t, getAggregate(t, rts, sv.ID), referenceAggregate(t, local, sv))
 	ri := rep.replicationInfo()

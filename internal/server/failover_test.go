@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -54,7 +55,9 @@ type haNode struct {
 func (n *haNode) kill()   { n.sw.swap(deadHandler{}) }
 func (n *haNode) revive() { n.sw.swap(n.live) }
 
-// newHANodes spins killable nodes over the round-robin placement.
+// newHANodes spins killable nodes over the round-robin placement, each
+// with its follow loop armed (tests drive SyncOnce) so a manifest can
+// make it a replica.
 func newHANodes(t *testing.T, nodes, totalShards int) []*haNode {
 	t.Helper()
 	owned := shardrpc.RoundRobinPlacement(totalShards, nodes)
@@ -80,6 +83,8 @@ func newHANodes(t *testing.T, nodes, totalShards int) []*haNode {
 		if err != nil {
 			t.Fatal(err)
 		}
+		node.Follow(FollowOptions{PollInterval: time.Hour, ClusterToken: testToken})
+		t.Cleanup(func() { node.Close() })
 		h, err := shardrpc.NewHandler(node, testToken)
 		if err != nil {
 			t.Fatal(err)
@@ -253,53 +258,25 @@ func TestFrontendDegradedReadsCached(t *testing.T) {
 	}
 }
 
-// newHAReplica builds a replica of node serving BOTH the public API and
-// shardrpc on one mux (the production replica mount), with promotion
-// wired to the shared manifest at manifestPath.
-func newHAReplica(t *testing.T, node *haNode, manifestPath string, promoteAfter time.Duration) (*Replica, string) {
+// newHAReplica builds a follower of node's shards, with promotion wired
+// to the shared manifest at manifestPath. It follows once a manifest
+// lists it as a replica.
+func newHAReplica(t *testing.T, node *haNode, manifestPath string, promoteAfter time.Duration) (*Node, string) {
 	t.Helper()
-	sw := &switchableHandler{h: http.NotFoundHandler()}
-	rts := httptest.NewServer(sw)
-	t.Cleanup(rts.Close)
-	rep, err := NewReplica(ReplicaConfig{
-		Client:         shardrpc.NewClient(node.url, testToken, nil),
-		Schedule:       core.DefaultSchedule(),
-		RequesterToken: testToken,
-		PollInterval:   time.Hour, // tests drive SyncOnce directly
-		FollowerID:     "ha-test",
-		ManifestPath:   manifestPath,
-		SelfURL:        rts.URL,
-		PromoteAfter:   promoteAfter,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { rep.Close() })
-	rpc, err := shardrpc.NewHandler(rep, testToken)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mux := http.NewServeMux()
-	mux.Handle("/shardrpc/", rpc)
-	mux.Handle("/", rep)
-	sw.swap(mux)
-	return rep, rts.URL
+	rep, ts := newFollower(t, node.client, FollowOptions{ManifestPath: manifestPath, PromoteAfter: promoteAfter})
+	return rep, ts.URL
 }
 
-// haManifest writes the initial manifest: every shard primary on the
-// node, the replica attached, epoch 1.
-func haManifest(t *testing.T, path string, totalShards int, nodeURL, repURL string) *placement.Manifest {
+// haManifest writes the initial manifest — every shard primary on the
+// node at epoch 1, the replica attached — and applies it to the replica,
+// as its watcher would.
+func haManifest(t *testing.T, path string, totalShards int, nodeURL string, rep *Node, repURL string) *placement.Manifest {
 	t.Helper()
-	m, err := placement.RoundRobin(totalShards, []string{nodeURL})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range m.Shards {
-		m.Shards[i].Replicas = []string{repURL}
-	}
+	m := followManifest(t, totalShards, nodeURL, repURL, 1)
 	if err := m.Save(path); err != nil {
 		t.Fatal(err)
 	}
+	rep.ApplyManifest(m, repURL)
 	return m
 }
 
@@ -314,7 +291,7 @@ func TestReplicaReadFailoverAndPromotion(t *testing.T) {
 	nodes := newHANodes(t, 1, totalShards)
 	manifestPath := filepath.Join(t.TempDir(), "manifest.json")
 	rep, repURL := newHAReplica(t, nodes[0], manifestPath, 0)
-	m := haManifest(t, manifestPath, totalShards, nodes[0].url, repURL)
+	m := haManifest(t, manifestPath, totalShards, nodes[0].url, rep, repURL)
 	nodes[0].node.ApplyManifest(m, nodes[0].url)
 
 	remote, err := shardrpc.NewRemoteFromManifest(m, testToken, nil)
@@ -455,14 +432,17 @@ func TestReplicaReadFailoverAndPromotion(t *testing.T) {
 // writers hammer it concurrently, and then the old primary RETURNS —
 // loads the rewritten manifest, demotes, and every write against it
 // (stale stamp, no stamp, even the new epoch) is refused by the fence
-// while its data stays readable. Run with -race: the writers overlap
+// while its data stays readable. Then it rejoins without a restart: a
+// manifest listing it as a replica turns its shards following, it
+// resyncs from the promoted host to the same counts and aggregate, and
+// its writes stay fenced throughout. Run with -race: the writers overlap
 // the promotion flip on purpose.
 func TestPromotionRaceOldPrimaryFenced(t *testing.T) {
 	const totalShards = 2
 	nodes := newHANodes(t, 1, totalShards)
 	manifestPath := filepath.Join(t.TempDir(), "manifest.json")
 	rep, repURL := newHAReplica(t, nodes[0], manifestPath, 30*time.Millisecond)
-	m := haManifest(t, manifestPath, totalShards, nodes[0].url, repURL)
+	m := haManifest(t, manifestPath, totalShards, nodes[0].url, rep, repURL)
 	nodes[0].node.ApplyManifest(m, nodes[0].url)
 
 	sv := clusterTestSurvey()
@@ -545,9 +525,9 @@ func TestPromotionRaceOldPrimaryFenced(t *testing.T) {
 	// epoch-2 stamp, because a demoted shard holds no writes at all.
 	nodes[0].revive()
 	nodes[0].node.ApplyManifest(m2, nodes[0].url)
-	for s := 0; s < totalShards; s++ {
-		if !nodes[0].node.Demoted(s) {
-			t.Fatalf("shard %d not demoted by the new manifest", s)
+	for i := 0; i < totalShards; i++ {
+		if st := nodes[0].node.state(i); st.role != roleFenced {
+			t.Fatalf("shard %d not demoted by the new manifest: %+v", i, st)
 		}
 	}
 	for _, epoch := range []uint64{1, 0, 2} {
@@ -586,6 +566,357 @@ func TestPromotionRaceOldPrimaryFenced(t *testing.T) {
 		if sh.Role != "fenced" {
 			t.Fatalf("demoted node health row = %+v", sh)
 		}
+	}
+
+	// Restart-free rejoin: the operator lists the demoted node as every
+	// shard's replica. Its shards follow the promoted host and resync.
+	writeFenced := func(when string) {
+		t.Helper()
+		for _, epoch := range []uint64{0, 2, 3} {
+			_, err := nodes[0].client.Submit(&shardrpc.SubmitRequest{Shard: 0, Epoch: epoch, Responses: []survey.Response{*randomResponse(sv, rng, 9700)}})
+			if !errors.Is(err, shardrpc.ErrFenced) {
+				t.Fatalf("rejoining node accepted a write %s (epoch %d): %v", when, epoch, err)
+			}
+		}
+	}
+	m3, err := placement.Load(manifestPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range m3.Shards {
+		m3.Shards[i].Replicas = []string{nodes[0].url}
+	}
+	m3.Version++
+	if err := m3.Save(manifestPath); err != nil {
+		t.Fatal(err)
+	}
+	nodes[0].node.ApplyManifest(m3, nodes[0].url)
+	rep.ApplyManifest(m3, repURL)
+	for _, sh := range getHealth(t, nodes[0].url).Shards {
+		if sh.Role != "replica" {
+			t.Fatalf("rejoined node health row = %+v", sh)
+		}
+	}
+	writeFenced("before its resync")
+	nodes[0].node.SyncOnce()
+	writeFenced("after its resync")
+	for s := 0; s < totalShards; s++ {
+		want, err := repClient.Count(s, sv.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := nodes[0].client.Count(s, sv.ID); err != nil || got != want {
+			t.Fatalf("rejoined shard %d holds %d (%v), the promoted host %d", s, got, err, want)
+		}
+	}
+	resp, body = doReq(t, http.MethodGet, nodes[0].url+"/api/v1/surveys/"+sv.ID+"/aggregate", nil, testToken)
+	var rejoined AggregateResult
+	if err := json.Unmarshal(body, &rejoined); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("rejoined node's aggregate = %d: %s", resp.StatusCode, body)
+	}
+	compareAggregate(t, &rejoined, referenceAggregate(t, rep.local, sv))
+	for _, sh := range nodes[0].node.replicationInfo().Shards {
+		if sh.Source != repURL || sh.LagRecords != 0 || sh.LastError != "" {
+			t.Fatalf("rejoined shard cursor = %+v", sh)
+		}
+	}
+}
+
+// TestSupersededPromotedHostFenced: a promoted follower that a newer
+// manifest moves the shard away from (another host, higher epoch) is
+// fenced like any demoted primary — unstamped writes, writes stamped
+// with its old epoch and with the new one all bounce, and its health
+// row reads fenced. A manifest older than its promotion is ignored.
+func TestSupersededPromotedHostFenced(t *testing.T) {
+	const totalShards = 2
+	nodes := newHANodes(t, 1, totalShards)
+	manifestPath := filepath.Join(t.TempDir(), "manifest.json")
+	rep, repURL := newHAReplica(t, nodes[0], manifestPath, 0)
+	m := haManifest(t, manifestPath, totalShards, nodes[0].url, rep, repURL)
+	nodes[0].node.ApplyManifest(m, nodes[0].url)
+	sv := clusterTestSurvey()
+	if err := nodes[0].local.PutSurvey(sv); err != nil {
+		t.Fatal(err)
+	}
+	rep.SyncOnce()
+	if _, err := rep.Promote(0); err != nil {
+		t.Fatal(err)
+	}
+	m2, err := placement.Load(manifestPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sp := m2.Placement(0); sp.Primary != repURL || sp.Epoch != 2 {
+		t.Fatalf("promotion left placement %+v", sp)
+	}
+	// A watcher that loaded the file before the promotion rewrote it
+	// delivers the older manifest late: it changes nothing.
+	rep.ApplyManifest(m, repURL)
+	if got := getHealth(t, repURL).Shards[0]; got.Role != "primary" || got.Epoch != 2 {
+		t.Fatalf("a stale manifest moved the promoted shard: %+v", got)
+	}
+	sp := m2.Placement(0)
+	sp.Primary, sp.Replicas, sp.Epoch = "http://the-next-primary", nil, 3
+	m2.Version++
+	if err := m2.Save(manifestPath); err != nil {
+		t.Fatal(err)
+	}
+	rep.ApplyManifest(m2, repURL)
+
+	client := shardrpc.NewClient(repURL, testToken, nil)
+	rng := rand.New(rand.NewSource(43))
+	for _, epoch := range []uint64{0, 2, 3} {
+		_, err := client.Submit(&shardrpc.SubmitRequest{Shard: 0, Epoch: epoch, Responses: []survey.Response{*randomResponse(sv, rng, int(epoch))}})
+		if !errors.Is(err, shardrpc.ErrFenced) {
+			t.Fatalf("superseded host accepted a write (epoch %d): %v", epoch, err)
+		}
+	}
+	if got := getHealth(t, repURL).Shards[0]; got.Role != "fenced" || got.Epoch != 3 {
+		t.Fatalf("superseded host's shard 0 health = %+v", got)
+	}
+}
+
+// TestFollowersResourceAfterPromotion: two followers of one primary.
+// The primary dies and both leases run out; one follower promotes, and
+// the other — reading the manifest the promotion rewrote — re-sources to
+// it instead of promoting over it: its next cycle is an epoch reset, a
+// resync and lag 0 against the new primary. And a follower restarted
+// under the same URL registers as the same follower on its source.
+func TestFollowersResourceAfterPromotion(t *testing.T) {
+	const totalShards = 2
+	nodes := newHANodes(t, 1, totalShards)
+	manifestPath := filepath.Join(t.TempDir(), "manifest.json")
+	const lease = 30 * time.Millisecond
+	b, bURL := newHAReplica(t, nodes[0], manifestPath, lease)
+	c, cURL := newHAReplica(t, nodes[0], manifestPath, lease)
+	m := followManifest(t, totalShards, nodes[0].url, bURL, 1)
+	for i := range m.Shards {
+		m.Shards[i].Replicas = []string{bURL, cURL}
+	}
+	if err := m.Save(manifestPath); err != nil {
+		t.Fatal(err)
+	}
+	nodes[0].node.ApplyManifest(m, nodes[0].url)
+	b.ApplyManifest(m, bURL)
+	c.ApplyManifest(m, cURL)
+
+	sv := clusterTestSurvey()
+	if err := nodes[0].local.PutSurvey(sv); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(47))
+	for i := 0; i < 30; i++ {
+		if _, err := appendRouted(nodes[0].local, randomResponse(sv, rng, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b.SyncOnce()
+	c.SyncOnce()
+	if st := nodes[0].local.JournalStats(); st[0].Followers != 2 {
+		t.Fatalf("source journal registers %d followers, want 2", st[0].Followers)
+	}
+
+	nodes[0].kill()
+	b.SyncOnce() // both lease clocks start
+	c.SyncOnce()
+	time.Sleep(2 * lease)
+	b.SyncOnce() // b's lease runs out first: b promotes
+	m2, err := placement.Load(manifestPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SyncOnce() // c's lease runs out too, on a file that names b
+	m3, err := placement.Load(manifestPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m3.Version != m2.Version {
+		t.Fatalf("the second follower rewrote the manifest: v%d -> v%d", m2.Version, m3.Version)
+	}
+	for s := 0; s < totalShards; s++ {
+		if sp := m3.Placement(s); sp.Primary != bURL || sp.Epoch != 2 {
+			t.Fatalf("placement %d after the race = %+v", s, sp)
+		}
+	}
+
+	// New writes land on b; c's next cycle tails b from scratch.
+	bClient := shardrpc.NewClient(bURL, testToken, nil)
+	for i := 0; i < 12; i++ {
+		r := randomResponse(sv, rng, 100+i)
+		s := shardset.Route(sv.ID, r.WorkerID, totalShards)
+		if _, err := bClient.Submit(&shardrpc.SubmitRequest{Shard: s, Epoch: 2, Responses: []survey.Response{*r}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.SyncOnce()
+	for _, sh := range c.replicationInfo().Shards {
+		if sh.Source != bURL || sh.Resets == 0 || sh.LagRecords != 0 || sh.LastError != "" {
+			t.Fatalf("re-sourced shard cursor = %+v", sh)
+		}
+	}
+	for _, sh := range getHealth(t, cURL).Shards {
+		if sh.Role != "replica" {
+			t.Fatalf("re-sourced follower health row = %+v", sh)
+		}
+	}
+	for s := 0; s < totalShards; s++ {
+		want, _ := bClient.Count(s, sv.ID)
+		if got := c.local.CountShard(s, sv.ID); got != want {
+			t.Fatalf("re-sourced shard %d holds %d, the new primary %d", s, got, want)
+		}
+	}
+
+	// c restarts under its stable URL: b still accounts one follower c.
+	before := b.local.JournalStats()[0].Followers
+	c2, _ := newFollower(t, bClient, FollowOptions{})
+	c2.ApplyManifest(m3, cURL)
+	c2.SyncOnce()
+	if after := b.local.JournalStats()[0].Followers; after != before || after != 1 {
+		t.Fatalf("a follower restart left %d registered followers (was %d), want 1", after, before)
+	}
+}
+
+// closeChecked is a store whose scans fail once it is closed (the stores
+// here keep serving reads after Close, which would hide a read that
+// outlived its store).
+type closeChecked struct {
+	store.Store
+	closed atomic.Bool
+}
+
+func (c *closeChecked) ScanResponses(id string, fromSeq uint64, fn func(uint64, *survey.Response) error) error {
+	if c.closed.Load() {
+		return errors.New("scan of a closed store")
+	}
+	return c.Store.ScanResponses(id, fromSeq, func(seq uint64, r *survey.Response) error {
+		if c.closed.Load() {
+			return errors.New("scan of a store closed under it")
+		}
+		return fn(seq, r)
+	})
+}
+
+func (c *closeChecked) Close() error {
+	c.closed.Store(true)
+	return c.Store.Close()
+}
+
+// TestFollowerResetUnderReads: scans and partial reads run against a
+// following shard while epoch resets replace its durable store under
+// them. Every read finishes on one store's contents — never a closed
+// store, never a gap in the seqs it delivers. Run with -race.
+func TestFollowerResetUnderReads(t *testing.T) {
+	const shards = 1
+	stores := []store.Store{store.NewMem()}
+	sv := clusterTestSurvey()
+	if err := stores[0].PutSurvey(sv); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(53))
+	for i := 0; i < 300; i++ {
+		if err := stores[0].AppendResponse(randomResponse(sv, rng, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Each "restart" of the source is a new router over the same store:
+	// a new journal epoch, so the follower resets and resyncs.
+	restart := func() http.Handler {
+		local, err := shardset.NewLocal(stores, shardset.LocalOptions{Journal: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := New(Config{Router: local, Schedule: core.DefaultSchedule(), RequesterToken: testToken, Role: "node"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		node, err := NewNode(srv, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := shardrpc.NewHandler(node, testToken)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	sw := &switchableHandler{h: restart()}
+	nts := httptest.NewServer(sw)
+	t.Cleanup(nts.Close)
+
+	dir := t.TempDir()
+	rep, rts := newFollower(t, shardrpc.NewClient(nts.URL, testToken, nil), FollowOptions{
+		OpenStore: func(g int) (store.Store, error) {
+			path := filepath.Join(dir, fmt.Sprintf("gshard-%03d.log", g))
+			if err := os.RemoveAll(path); err != nil {
+				return nil, err
+			}
+			st, err := store.OpenFile(path)
+			if err != nil {
+				return nil, err
+			}
+			return &closeChecked{Store: st}, nil
+		},
+	})
+	rep.ApplyManifest(followManifest(t, shards, nts.URL, rts.URL, 1), rts.URL)
+	rep.SyncOnce()
+
+	stop := make(chan struct{})
+	errs := make(chan error, 2)
+	var wg sync.WaitGroup
+	read := func(fn func() error) {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				errs <- nil
+				return
+			default:
+			}
+			if err := fn(); err != nil {
+				errs <- err
+				return
+			}
+		}
+	}
+	wg.Add(2)
+	go read(func() error {
+		var next uint64 = 1
+		return rep.ScanShard(0, sv.ID, 0, func(seq uint64, r *survey.Response) error {
+			if seq != next || r.SurveyID != sv.ID {
+				return fmt.Errorf("scan delivered seq %d (%q), want %d", seq, r.SurveyID, next)
+			}
+			next++
+			return nil
+		})
+	})
+	go read(func() error {
+		p, err := rep.PartialState(0, sv.ID, 0)
+		if err != nil && !errors.Is(err, store.ErrNotFound) {
+			return err
+		}
+		if err == nil && !p.Stale {
+			return fmt.Errorf("following shard's partial not marked stale")
+		}
+		return nil
+	})
+	for k := 0; k < 5; k++ {
+		sw.swap(restart())
+		rep.SyncOnce()
+	}
+	close(stop)
+	wg.Wait()
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	resets := 0
+	for _, sh := range rep.replicationInfo().Shards {
+		resets += sh.Resets
+	}
+	if resets < 5 || rep.local.CountShard(0, sv.ID) != 300 {
+		t.Fatalf("after the resets: %d resets, %d records", resets, rep.local.CountShard(0, sv.ID))
 	}
 }
 
@@ -642,24 +973,13 @@ func TestBootstrapRetry(t *testing.T) {
 		}
 	}
 
-	rep, err := NewReplica(ReplicaConfig{
-		Client:         shardrpc.NewClient(nts.URL, testToken, nil),
-		Schedule:       core.DefaultSchedule(),
-		RequesterToken: testToken,
-		PollInterval:   time.Hour,
-		FollowerID:     "retry-test",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { rep.Close() })
+	rep, rts := newFollower(t, shardrpc.NewClient(nts.URL, testToken, nil), FollowOptions{})
+	rep.ApplyManifest(followManifest(t, shards, nts.URL, rts.URL, 1), rts.URL)
 	rep.SyncOnce()
 
 	if scanFails.Load() < 2 {
 		t.Fatalf("flaky proxy saw %d scans — bootstrap never hit it", scanFails.Load())
 	}
-	rts := httptest.NewServer(rep)
-	t.Cleanup(rts.Close)
 	compareAggregate(t, getAggregate(t, rts, sv.ID), referenceAggregate(t, local, sv))
 	for _, sh := range rep.replicationInfo().Shards {
 		if sh.LagRecords != 0 || sh.LastError != "" {

@@ -3,6 +3,8 @@ package server
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"loki/internal/budget"
 	"loki/internal/shardrpc"
@@ -17,30 +19,31 @@ const (
 	// rolePrimary accepts writes whose epoch stamp is not older than the
 	// shard's (unstamped writes included).
 	rolePrimary shardRole = iota
-	// roleFenced is a primary the placement manifest has demoted: its
-	// data stays readable, every write bounces.
+	// roleFenced is a shard the placement manifest neither makes this
+	// host primary for nor lists it a replica of: its data stays
+	// readable, every write bounces.
 	roleFenced
-	// roleFollowing is a replica's shard before promotion: every write
-	// bounces, and reads are marked stale — the copy trails its source
-	// by up to one poll plus a round-trip.
+	// roleFollowing is a shard the manifest lists this host a replica
+	// of: the follow loop (follow.go) tails the manifest primary into it,
+	// every write bounces, and reads are marked stale — the copy trails
+	// its source by up to one poll plus a round-trip.
 	roleFollowing
 )
 
 // shardState is one shard's role with the placement epoch it holds that
 // role at (0 = no manifest applied). The two change together under
-// shardHost.roleMu.
+// shardHost.roleMu; only Node.ApplyManifest and a promotion change them.
 type shardState struct {
 	role  shardRole
 	epoch uint64
 }
 
-// shardHost is what every server over a local router owns, and the part
-// of the shardrpc.Backend that a Node and a Replica share: the router
-// addressed by global shard index, the per-shard role, the read surface,
-// the republish broadcast and the submit pipeline (submit.go) — which the
-// server's own public API enters in-process. What differs stays on the
-// two types — durable stores and hosted budget shards against a tail
-// loop, how a role changes, and how a publish is deduplicated.
+// shardHost is what every server over a local router owns, and most of
+// the shardrpc.Backend a Node serves: the router addressed by global
+// shard index, the per-shard role, the read surface, the republish
+// broadcast and the submit pipeline (submit.go) — which the server's own
+// public API enters in-process — plus the follow loop's state, which
+// Node drives (follow.go).
 type shardHost struct {
 	srv   *Server
 	local *shardset.Local
@@ -54,6 +57,42 @@ type shardHost struct {
 
 	roleMu sync.RWMutex
 	roles  []shardState // by local shard index
+	// readOnly is set while every shard follows: the public publish and
+	// submit routes then refuse outright (see Server.mutating). follows
+	// is set while any does.
+	readOnly, follows atomic.Bool
+
+	follower
+}
+
+// follower is a host's follow loop state (follow.go): the knobs
+// Node.Follow set (nil until then), this host's manifest URL, one client
+// per source and a staleness cursor per shard.
+type follower struct {
+	follow *FollowOptions
+	// self is this host's URL as the manifest names it, and the follower
+	// ID its sources account journal acks to.
+	self string
+	// version is the newest manifest version applied or written by a
+	// promotion here; an older one is stale (a watcher that loaded the
+	// file before this host's promotion rewrote it) and is ignored.
+	version int64
+	sources map[string]*shardrpc.Client
+
+	curMu   sync.Mutex
+	cursors []ReplicaShardInfo // by local shard index
+	// failSince is when each shard's tail started failing with transport
+	// errors, for the PromoteAfter lease.
+	failSince []time.Time
+
+	// syncMu serializes follow cycles, promotions and manifest
+	// application: an overlapping cycle would read the same journal
+	// offset twice and double-apply, and a role must not flip under one.
+	syncMu sync.Mutex
+
+	stop     chan struct{}
+	done     chan struct{}
+	stopOnce sync.Once
 }
 
 // newShardHost builds srv's host over its local router; every shard
@@ -61,8 +100,12 @@ type shardHost struct {
 func newShardHost(srv *Server, local *shardset.Local, total int) *shardHost {
 	h := &shardHost{srv: srv, local: local, total: total,
 		g2l: make(map[int]int, local.Shards()), roles: make([]shardState, local.Shards())}
+	h.sources = make(map[string]*shardrpc.Client)
+	h.cursors = make([]ReplicaShardInfo, local.Shards())
+	h.failSince = make([]time.Time, local.Shards())
 	for i := range h.roles {
 		h.g2l[local.GlobalID(i)] = i
+		h.cursors[i].Shard = local.GlobalID(i)
 	}
 	return h
 }
@@ -82,10 +125,18 @@ func (h *shardHost) state(i int) shardState {
 	return h.roles[i]
 }
 
+// setState sets local shard i's role and epoch, and whether the host's
+// shards all follow, or any does.
 func (h *shardHost) setState(i int, st shardState) {
 	h.roleMu.Lock()
+	defer h.roleMu.Unlock()
 	h.roles[i] = st
-	h.roleMu.Unlock()
+	all, any := true, false
+	for _, r := range h.roles {
+		all, any = all && r.role == roleFollowing, any || r.role == roleFollowing
+	}
+	h.readOnly.Store(all)
+	h.follows.Store(any)
 }
 
 // checkFence is the epoch gate every submit to local shard i (global
@@ -159,8 +210,8 @@ func (h *shardHost) PartialState(global int, surveyID string, have uint64) (*sha
 	return p, nil
 }
 
-// Tail implements shardrpc.Backend: the host's own journal. A replica
-// serves it to downstream followers — including a demoted old primary
+// Tail implements shardrpc.Backend: the host's own journal, which its
+// followers tail — including, after a promotion, the demoted old primary
 // rejoining as a replica of the shard's new home.
 func (h *shardHost) Tail(global int, epoch, offset uint64, max int, follower string) (*shardset.TailBatch, error) {
 	i, err := h.localShard(global)

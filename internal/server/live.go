@@ -188,13 +188,25 @@ func (s *Server) invalidateLive(id string) bool {
 	return had
 }
 
-// ResetLive drops every survey's live aggregate state. A replica calls
-// it after an epoch reset wiped its local stores: cursors into the old
-// stream must not survive into the new one.
-func (s *Server) ResetLive() {
+// resetLive drops every survey's live aggregate state and checkpoints. A
+// node calls it after a resync wiped one of its stores: cursors into the
+// old contents must not survive into the new ones.
+func (s *Server) resetLive() {
 	s.liveMu.Lock()
 	s.live = make(map[string]*liveSet)
 	s.liveMu.Unlock()
+	if s.cfg.Checkpoints == nil {
+		return
+	}
+	dropped := make(map[string]bool)
+	for _, rec := range s.cfg.Checkpoints.Records() {
+		if !dropped[rec.SurveyID] {
+			dropped[rec.SurveyID] = true
+			if err := s.cfg.Checkpoints.Drop(rec.SurveyID); err != nil {
+				s.logf("dropping checkpoint for %q: %v", rec.SurveyID, err)
+			}
+		}
+	}
 }
 
 // catchUp folds everything the shard holds beyond the cursor. A record

@@ -7,15 +7,12 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
 	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
-	"loki/internal/core"
 	"loki/internal/shardrpc"
 )
 
@@ -75,24 +72,9 @@ func newPartialWireFixture(t *testing.T) partialWireFixture {
 	if r := postSubmit(t, wn.url, req); r.status != http.StatusOK {
 		t.Fatalf("fixture submit: %v", r)
 	}
-	rep, err := NewReplica(ReplicaConfig{
-		Client:         shardrpc.NewClient(wn.url, testToken, nil),
-		Schedule:       core.DefaultSchedule(),
-		RequesterToken: testToken,
-		PollInterval:   time.Hour,
-		FollowerID:     "partial-wire",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { rep.Close() })
+	rep, ts := newFollower(t, shardrpc.NewClient(wn.url, testToken, nil), FollowOptions{})
+	rep.ApplyManifest(followManifest(t, 2, wn.url, ts.URL, 1), ts.URL)
 	rep.SyncOnce()
-	h, err := shardrpc.NewHandler(rep, testToken)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(h)
-	t.Cleanup(ts.Close)
 	return partialWireFixture{node: wn.url, replica: ts.URL}
 }
 

@@ -104,7 +104,7 @@ func readWireScript(t *testing.T, shape string, pin func(name string, r partialR
 	rnodes := newHANodes(t, 1, 2)
 	manifestPath := filepath.Join(t.TempDir(), "manifest.json")
 	rep, repURL := newHAReplica(t, rnodes[0], manifestPath, 0)
-	m := haManifest(t, manifestPath, 2, rnodes[0].url, repURL)
+	m := haManifest(t, manifestPath, 2, rnodes[0].url, rep, repURL)
 	rnodes[0].node.ApplyManifest(m, rnodes[0].url)
 	remote, err := shardrpc.NewRemoteFromManifest(m, testToken, nil)
 	if err != nil {

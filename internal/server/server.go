@@ -26,9 +26,9 @@
 // query time — so /aggregate and /quality cost O(1) in the number of
 // stored responses with no cross-shard lock anywhere. The same Server
 // type serves every cluster role: standalone (local single-shard
-// router), node (local multi-shard router + the shardrpc surface),
-// frontend (remote router merging node partials), and read replica
-// (local router fed by WAL-tail shipping, mutating routes refused).
+// router), node (local multi-shard router + the shardrpc surface, each
+// shard primary, following its primary by WAL-tail shipping, or fenced),
+// and frontend (remote router merging node partials).
 package server
 
 import (
@@ -61,8 +61,7 @@ type Config struct {
 	// is wrapped in a one-shard local router.
 	Store store.Store
 	// Router is the sharded persistence backend: a shardset.Local over
-	// per-shard stores (node, replica) or a shardrpc remote router
-	// (frontend).
+	// per-shard stores (node) or a shardrpc remote router (frontend).
 	Router shardset.ShardRouter
 	// Schedule is the published noise schedule; workers obfuscate with
 	// it and aggregation attributes per-bin noise from it.
@@ -109,18 +108,8 @@ type Config struct {
 	// node RPCs. Zero disables (reads refresh inline on expiry).
 	FrontendRefresh time.Duration
 	// Role names the deployment role on the admin surface ("standalone"
-	// when empty; cmd/loki-server sets node/frontend/replica).
+	// when empty; cmd/loki-server sets node/frontend).
 	Role string
-	// ReadOnly refuses every mutating route (publish, submit, admin
-	// clear) with 403 — the read-replica mode.
-	ReadOnly bool
-	// ReplicationInfo, when non-nil, is polled by the admin surface for
-	// the replica's staleness cursors.
-	ReplicationInfo func() *ReplicationInfo
-	// Promote, when non-nil, handles POST /api/v1/admin/promote/{shard}:
-	// the operator's failover signal. A replica wires its promotion here;
-	// every other role answers 404.
-	Promote func(shard int) (uint64, error)
 	// Budget, when non-nil, is the privacy-budget charger the submit
 	// path debits per-worker epsilon accounts through before appending:
 	// an in-process budget.Set (standalone, node) or a shardrpc remote
@@ -188,9 +177,9 @@ type Server struct {
 
 	// dispatch is the one role-bound stage of the public submit pipeline
 	// (submit.go). A server over a local router owns host, the shard host
-	// its records enter in-process (and that NewNode and NewReplica serve
-	// over shardrpc); a frontend holds remote, whose shard batchers they
-	// are queued on.
+	// its records enter in-process (and that NewNode serves over
+	// shardrpc); a frontend holds remote, whose shard batchers they are
+	// queued on.
 	dispatch func(ctx context.Context, recs []submitRecord)
 	host     *shardHost
 	remote   *shardrpc.Remote
@@ -202,10 +191,6 @@ type Server struct {
 	// poisoned counts stored records the live read path has rejected
 	// (see PoisonError), for the admin surface.
 	poisoned atomic.Int64
-
-	// shardHealth holds the node's per-shard health rows ([]ShardHealth,
-	// set by Node.ApplyManifest) for the unauthenticated health probe.
-	shardHealth atomic.Value
 
 	// cache, when non-nil, is a frontend's partial cache: its reads merge
 	// per-shard partials already folded by the nodes that own them
@@ -362,7 +347,7 @@ func (s *Server) routes() {
 	// probe target of failover detectors and load balancers.
 	s.mux.HandleFunc("GET /api/v1/admin/health", s.handleAdminHealth)
 	// Promote is NOT wrapped in mutating: the whole point is flipping a
-	// read-only replica writable.
+	// following shard writable.
 	s.mux.HandleFunc("POST /api/v1/admin/promote/{shard}", s.requireToken(s.handlePromote))
 }
 
@@ -398,13 +383,18 @@ func (s *Server) requireToken(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// mutating refuses writes on a read-only replica.
+// mutating refuses writes on a host whose every shard follows its
+// primary: such a host is a read replica, and its public API says so.
 func (s *Server) mutating(h http.HandlerFunc) http.HandlerFunc {
-	if !s.cfg.ReadOnly {
+	if s.host == nil {
 		return h
 	}
-	return func(w http.ResponseWriter, _ *http.Request) {
-		writeError(w, http.StatusForbidden, "read-only replica: submit and publish go to the primary")
+	return func(w http.ResponseWriter, r *http.Request) {
+		if s.host.readOnly.Load() {
+			writeError(w, http.StatusForbidden, "read-only replica: submit and publish go to the primary")
+			return
+		}
+		h(w, r)
 	}
 }
 

@@ -404,11 +404,11 @@ next:
 }
 
 // dispatchLocal is the dispatch stage of a server that owns its shards
-// (standalone, a node's own public API, a promoted replica): each
-// shard's standing records enter the shard host's pipeline in-process,
-// below its admission gate — the handler's admit wrapper already holds
-// the slot. Fence, charge routing, throttle, charge, append, refund and
-// advance are the host's, the same code a frontend's batch runs through.
+// (standalone, a node's own public API): each shard's standing records
+// enter the shard host's pipeline in-process, below its admission gate
+// — the handler's admit wrapper already holds the slot. Fence, charge
+// routing, throttle, charge, append, refund and advance are the host's,
+// the same code a frontend's batch runs through.
 // Shards commit independently: a batch spanning several waits for the
 // slowest durability round, not for their sum.
 func (s *Server) dispatchLocal(ctx context.Context, recs []submitRecord) {

@@ -22,10 +22,26 @@ import (
 	"loki/internal/survey"
 )
 
-// seqStore hides a Mem's batch appender: a batch lands record by record
-// (like a replica's stores), so a record the store refuses mid-batch
-// leaves a durable prefix instead of failing the batch whole.
+// seqStore hides a Mem's batch appender: a batch lands record by record,
+// so a record the store refuses mid-batch leaves a durable prefix
+// instead of failing the batch whole.
 type seqStore struct{ store.Store }
+
+func (s seqStore) AppendResponses(rs []survey.Response) ([]int, error) { return appendEach(s, rs) }
+
+// appendEach is a batch append made of st's single appends, in order,
+// stopping at the first refusal: the batch path of a test store whose
+// AppendResponse injects a fault.
+func appendEach(st store.Store, rs []survey.Response) ([]int, error) {
+	counts := make([]int, 0, len(rs))
+	for i := range rs {
+		if err := st.AppendResponse(&rs[i]); err != nil {
+			return counts, err
+		}
+		counts = append(counts, st.ResponseCount(rs[i].SurveyID))
+	}
+	return counts, nil
+}
 
 // refRecord is the reference's verdict on one request record.
 type refRecord struct {

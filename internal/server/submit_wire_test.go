@@ -14,7 +14,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"loki/internal/budget"
 	"loki/internal/core"
@@ -50,6 +49,8 @@ func (f *failingStore) AppendResponse(r *survey.Response) error {
 	}
 	return f.Store.AppendResponse(r)
 }
+
+func (f *failingStore) AppendResponses(rs []survey.Response) ([]int, error) { return appendEach(f, rs) }
 
 // wireNode is one real Node behind shardrpc.NewHandler, the unit the
 // wire goldens (and the pipeline tests) drive.
@@ -256,34 +257,23 @@ func fencedManifest(t *testing.T, primary string, epoch uint64) *placement.Manif
 	return m
 }
 
-// wireReplica follows a fresh wire node; promoted flips shard 0
-// writable first.
-func wireReplica(t *testing.T, promoted bool) (*Replica, string) {
+// wireReplica follows a fresh wire node, by a manifest at epoch 0 (no
+// fence epoch, like a manifest-less cluster); promoted flips shard 0
+// writable first. The stores its resync opens land a batch record by
+// record (seqStore), like the node entry's of the pipeline test.
+func wireReplica(t *testing.T, promoted bool) (*Node, string) {
 	t.Helper()
 	wn := newWireNode(t, wireNodeOpts{})
-	rep, err := NewReplica(ReplicaConfig{
-		Client:         shardrpc.NewClient(wn.url, testToken, nil),
-		Schedule:       core.DefaultSchedule(),
-		RequesterToken: testToken,
-		PollInterval:   time.Hour,
-		FollowerID:     "wire-golden",
+	rep, ts := newFollower(t, shardrpc.NewClient(wn.url, testToken, nil), FollowOptions{
+		OpenStore: func(int) (store.Store, error) { return seqStore{store.NewMem()}, nil },
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { rep.Close() })
+	rep.ApplyManifest(followManifest(t, 2, wn.url, ts.URL, 0), ts.URL)
 	rep.SyncOnce()
 	if promoted {
 		if _, err := rep.Promote(0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	h, err := shardrpc.NewHandler(rep, testToken)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(h)
-	t.Cleanup(ts.Close)
 	return rep, ts.URL
 }
 

@@ -201,7 +201,7 @@ type JournalStats struct {
 }
 
 // setEpoch installs a fresh epoch without touching the entries: a
-// promoted replica's history is intact, but followers that tailed the
+// promoted follower's history is intact, but followers that tailed the
 // shard under the old ownership must resync from zero before trusting
 // offsets again.
 func (j *journal) setEpoch(epoch uint64) {
@@ -211,8 +211,8 @@ func (j *journal) setEpoch(epoch uint64) {
 }
 
 // reset empties the journal under a fresh epoch — the pairing operation
-// for a store reset. A replica that wipes a shard store (epoch change or
-// truncation resync from its own upstream) must also wipe the journal it
+// for a store reset. A follower that wipes a shard store (epoch change or
+// truncation resync from its source) must also wipe the journal it
 // serves to downstream followers, or tail would hand out entries whose
 // records no longer exist.
 func (j *journal) reset(epoch uint64) {
@@ -263,26 +263,13 @@ func (j *journal) append(st store.Store, r *survey.Response) (int, error) {
 }
 
 // appendBatch is append's batch twin: one journal lock acquisition and
-// — with a BatchAppender store — one fsync for the whole batch. The
-// store computes each record's per-shard seq under its own lock; the
-// journal lock keeps other appenders out, so those seqs are exact.
+// one store batch append — one fsync — for the whole batch. The store
+// computes each record's per-shard seq under its own lock; the journal
+// lock keeps other appenders out, so those seqs are exact.
 func (j *journal) appendBatch(st store.Store, rs []survey.Response) ([]int, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	var counts []int
-	var err error
-	if ba, ok := st.(store.BatchAppender); ok {
-		counts, err = ba.AppendResponses(rs)
-	} else {
-		counts = make([]int, 0, len(rs))
-		for i := range rs {
-			if aerr := st.AppendResponse(&rs[i]); aerr != nil {
-				err = aerr
-				break
-			}
-			counts = append(counts, st.ResponseCount(rs[i].SurveyID))
-		}
-	}
+	counts, err := st.AppendResponses(rs)
 	// Journal exactly the durable prefix, error or not.
 	for i, c := range counts {
 		e := journalEntry{surveyID: rs[i].SurveyID, seq: uint64(c)}

@@ -21,18 +21,18 @@ func nextEpoch() uint64 {
 }
 
 // Local is the in-process ShardRouter: N store.Store instances, one per
-// shard. Each shard keeps its own durability (a store.Mem for tests and
-// replicas, an ingest store per shard directory for durable nodes), its
-// own per-shard sequence numbers, and — when journaling is enabled — an
-// in-memory append journal that WAL-tail shipping to read replicas is
-// served from.
+// shard. Each shard keeps its own durability (a store.Mem for tests, an
+// ingest store per shard directory for durable nodes), its own
+// per-shard sequence numbers, and — when journaling is enabled — an
+// in-memory append journal that WAL-tail shipping to followers is served
+// from.
 //
 // Wrapping a single store in a one-shard Local is exactly the
 // pre-cluster deployment: Route always answers 0 and every call passes
 // straight through, which is how the standalone server adopts the
 // router interface without changing behavior.
 type Local struct {
-	stores []store.Store
+	shards []localShard
 	// ids are the global shard indices the local shards correspond to
 	// (identity for a standalone deployment; a node owning a subset of
 	// the cluster's shard space maps global->local through them).
@@ -46,14 +46,41 @@ type Local struct {
 	mu     sync.Mutex // guards closed and Close vs mutations
 }
 
+// localShard is one shard's store. On a journaling router every call
+// on it holds mu for reading, so ResetShard (the writer) swaps the store
+// only once the calls in flight on the old one have finished. A router
+// without a journal is never reset, and its calls take no lock.
+type localShard struct {
+	mu sync.RWMutex
+	st store.Store
+	// gone marks a store ResetShard closed but could not replace, so a
+	// retried reset does not close it twice.
+	gone bool
+}
+
+// acquire returns shard i's store, held against ResetShard until
+// release(i).
+func (l *Local) acquire(i int) store.Store {
+	if l.journals != nil {
+		l.shards[i].mu.RLock()
+	}
+	return l.shards[i].st
+}
+
+func (l *Local) release(i int) {
+	if l.journals != nil {
+		l.shards[i].mu.RUnlock()
+	}
+}
+
 // LocalOptions tune NewLocal.
 type LocalOptions struct {
 	// GlobalIDs maps each local shard to its global shard index. Nil
 	// means identity (shard i is global shard i).
 	GlobalIDs []int
 	// Journal enables the per-shard append journal that serves WAL-tail
-	// shipping (Tail). Nodes that feed replicas need it; standalone
-	// servers and replicas themselves do not. On open the journal is
+	// shipping (Tail) and makes shards resettable (ResetShard). Cluster
+	// nodes need it; standalone servers do not. On open the journal is
 	// rebuilt from the stores (survey by survey, in ID order) under a
 	// fresh epoch, so a restarted node's replicas detect the epoch
 	// change and resync.
@@ -87,7 +114,10 @@ func NewLocal(stores []store.Store, opts LocalOptions) (*Local, error) {
 	if len(ids) != len(stores) {
 		return nil, fmt.Errorf("shardset: %d global ids for %d shards", len(ids), len(stores))
 	}
-	l := &Local{stores: stores, ids: ids}
+	l := &Local{shards: make([]localShard, len(stores)), ids: ids}
+	for i, st := range stores {
+		l.shards[i].st = st
+	}
 	if opts.Journal {
 		epoch := nextEpoch()
 		l.journals = make([]*journal, len(stores))
@@ -114,21 +144,25 @@ func NewLocalSingle(st store.Store) *Local {
 }
 
 // Shards implements ShardRouter.
-func (l *Local) Shards() int { return len(l.stores) }
+func (l *Local) Shards() int { return len(l.shards) }
 
 // GlobalID implements ShardRouter.
 func (l *Local) GlobalID(i int) int { return l.ids[i] }
 
 // Store exposes the underlying store of local shard i (the server's
-// admin surface reports per-backend stats through it).
-func (l *Local) Store(i int) store.Store { return l.stores[i] }
+// admin surface reports per-backend stats through it). A ResetShard may
+// close it after the call returns.
+func (l *Local) Store(i int) store.Store {
+	defer l.release(i)
+	return l.acquire(i)
+}
 
 // Route implements ShardRouter with the canonical placement hash.
 func (l *Local) Route(surveyID, workerID string) int {
-	if len(l.stores) == 1 {
+	if len(l.shards) == 1 {
 		return 0
 	}
-	return Route(surveyID, workerID, len(l.stores))
+	return Route(surveyID, workerID, len(l.shards))
 }
 
 // PutSurvey implements ShardRouter: broadcast to every shard. A shard
@@ -139,8 +173,10 @@ func (l *Local) Route(surveyID, workerID string) int {
 // contract.
 func (l *Local) PutSurvey(sv *survey.Survey) error {
 	var exists error
-	for _, st := range l.stores {
-		if err := st.PutSurvey(sv); err != nil {
+	for i := range l.shards {
+		err := l.acquire(i).PutSurvey(sv)
+		l.release(i)
+		if err != nil {
 			if errors.Is(err, store.ErrExists) {
 				exists = err
 				continue
@@ -153,8 +189,10 @@ func (l *Local) PutSurvey(sv *survey.Survey) error {
 
 // ReplaceSurvey implements ShardRouter: broadcast to every shard.
 func (l *Local) ReplaceSurvey(sv *survey.Survey) error {
-	for _, st := range l.stores {
-		if err := st.ReplaceSurvey(sv); err != nil {
+	for i := range l.shards {
+		err := l.acquire(i).ReplaceSurvey(sv)
+		l.release(i)
+		if err != nil {
 			return err
 		}
 	}
@@ -163,10 +201,16 @@ func (l *Local) ReplaceSurvey(sv *survey.Survey) error {
 
 // Survey implements ShardRouter. Definitions are replicated, so any
 // shard can answer; shard 0 is the convention.
-func (l *Local) Survey(id string) (*survey.Survey, error) { return l.stores[0].Survey(id) }
+func (l *Local) Survey(id string) (*survey.Survey, error) {
+	defer l.release(0)
+	return l.acquire(0).Survey(id)
+}
 
 // Surveys implements ShardRouter.
-func (l *Local) Surveys() ([]*survey.Survey, error) { return l.stores[0].Surveys() }
+func (l *Local) Surveys() ([]*survey.Survey, error) {
+	defer l.release(0)
+	return l.acquire(0).Surveys()
+}
 
 // AppendShard appends one response to an explicit shard and returns the
 // shard's response count for the survey after the append — how a replica
@@ -176,16 +220,18 @@ func (l *Local) Surveys() ([]*survey.Survey, error) { return l.stores[0].Surveys
 // journal's lock — the journal offset order must match per-shard seq
 // order or replicas would apply records out of order.
 func (l *Local) AppendShard(shard int, r *survey.Response) (int, error) {
-	if shard < 0 || shard >= len(l.stores) {
-		return 0, fmt.Errorf("shardset: shard %d outside [0, %d)", shard, len(l.stores))
+	if err := l.check(shard); err != nil {
+		return 0, err
 	}
+	st := l.acquire(shard)
+	defer l.release(shard)
 	if l.journals == nil {
-		if err := l.stores[shard].AppendResponse(r); err != nil {
+		if err := st.AppendResponse(r); err != nil {
 			return 0, err
 		}
-		return l.stores[shard].ResponseCount(r.SurveyID), nil
+		return st.ResponseCount(r.SurveyID), nil
 	}
-	return l.journals[shard].append(l.stores[shard], r)
+	return l.journals[shard].append(st, r)
 }
 
 // AppendShardBatch appends several routed responses to one shard in a
@@ -195,48 +241,38 @@ func (l *Local) AppendShard(shard int, r *survey.Response) (int, error) {
 // per-shard seqs); on error the returned prefix covers what was durably
 // appended.
 func (l *Local) AppendShardBatch(shard int, rs []survey.Response) ([]int, error) {
-	if shard < 0 || shard >= len(l.stores) {
-		return nil, fmt.Errorf("shardset: shard %d outside [0, %d)", shard, len(l.stores))
+	if err := l.check(shard); err != nil {
+		return nil, err
 	}
 	if len(rs) == 0 {
 		return nil, nil
 	}
+	st := l.acquire(shard)
+	defer l.release(shard)
 	if l.journals == nil {
-		return appendBatch(l.stores[shard], rs)
+		return st.AppendResponses(rs)
 	}
-	return l.journals[shard].appendBatch(l.stores[shard], rs)
+	return l.journals[shard].appendBatch(st, rs)
 }
 
-// appendBatch is the storage half of AppendShardBatch: one call for
-// batch-capable stores, a sequential fallback otherwise.
-func appendBatch(st store.Store, rs []survey.Response) ([]int, error) {
-	if ba, ok := st.(store.BatchAppender); ok {
-		return ba.AppendResponses(rs)
-	}
-	counts := make([]int, 0, len(rs))
-	for i := range rs {
-		if err := st.AppendResponse(&rs[i]); err != nil {
-			return counts, err
-		}
-		counts = append(counts, st.ResponseCount(rs[i].SurveyID))
-	}
-	return counts, nil
-}
-
-// ScanShard implements ShardRouter.
+// ScanShard implements ShardRouter. The scan holds the shard's store
+// against ResetShard until it returns, so fn must not call back into
+// this router.
 func (l *Local) ScanShard(shard int, surveyID string, fromSeq uint64, fn func(seq uint64, r *survey.Response) error) error {
-	if shard < 0 || shard >= len(l.stores) {
-		return fmt.Errorf("shardset: shard %d outside [0, %d)", shard, len(l.stores))
+	if err := l.check(shard); err != nil {
+		return err
 	}
-	return l.stores[shard].ScanResponses(surveyID, fromSeq, fn)
+	defer l.release(shard)
+	return l.acquire(shard).ScanResponses(surveyID, fromSeq, fn)
 }
 
 // CountShard implements ShardRouter.
 func (l *Local) CountShard(shard int, surveyID string) int {
-	if shard < 0 || shard >= len(l.stores) {
+	if shard < 0 || shard >= len(l.shards) {
 		return 0
 	}
-	return l.stores[shard].ResponseCount(surveyID)
+	defer l.release(shard)
+	return l.acquire(shard).ResponseCount(surveyID)
 }
 
 // Tail serves WAL-tail shipping for one local shard: journal entries
@@ -247,10 +283,11 @@ func (l *Local) Tail(shard int, epoch uint64, offset uint64, max int, follower s
 	if l.journals == nil {
 		return nil, errors.New("shardset: tail shipping needs a journaling router")
 	}
-	if shard < 0 || shard >= len(l.stores) {
-		return nil, fmt.Errorf("shardset: shard %d outside [0, %d)", shard, len(l.stores))
+	if err := l.check(shard); err != nil {
+		return nil, err
 	}
-	return l.journals[shard].tail(l.stores[shard], epoch, offset, max, follower)
+	defer l.release(shard)
+	return l.journals[shard].tail(l.acquire(shard), epoch, offset, max, follower)
 }
 
 // BumpEpoch installs a fresh epoch on one local shard's journal and
@@ -263,26 +300,54 @@ func (l *Local) BumpEpoch(shard int) (uint64, error) {
 	if l.journals == nil {
 		return 0, errors.New("shardset: epoch bump needs a journaling router")
 	}
-	if shard < 0 || shard >= len(l.stores) {
-		return 0, fmt.Errorf("shardset: shard %d outside [0, %d)", shard, len(l.stores))
+	if err := l.check(shard); err != nil {
+		return 0, err
 	}
 	e := nextEpoch()
 	l.journals[shard].setEpoch(e)
 	return e, nil
 }
 
-// ResetJournal empties one local shard's journal under a fresh epoch.
-// It must accompany any out-of-band wipe of the shard's store (a
-// replica resyncing from its upstream), keeping the journal served to
-// downstream followers coherent with the records actually present.
-// No-op without journaling.
-func (l *Local) ResetJournal(shard int) error {
+// ResetShard replaces local shard i's store with an empty one and
+// empties its journal under a fresh epoch: how a follower discards its
+// copy of a shard to resync it from the source. It waits out the calls
+// in flight on the old store, so they finish on the old contents, then
+// closes it and only then calls open, which may reuse the old store's
+// files. The survey definitions carry over (every shard holds every
+// definition), so the shard keeps taking appends for known surveys.
+// Errors without journaling: a follower journals what it applies.
+func (l *Local) ResetShard(shard int, open func() (store.Store, error)) error {
 	if l.journals == nil {
-		return nil
+		return errors.New("shardset: a shard reset needs a journaling router")
 	}
-	if shard < 0 || shard >= len(l.stores) {
-		return fmt.Errorf("shardset: shard %d outside [0, %d)", shard, len(l.stores))
+	if err := l.check(shard); err != nil {
+		return err
 	}
+	sh := &l.shards[shard]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	var svs []*survey.Survey
+	if !sh.gone {
+		var err error
+		if svs, err = sh.st.Surveys(); err != nil {
+			return err
+		}
+		sh.gone = true
+		if err := sh.st.Close(); err != nil {
+			return err
+		}
+	}
+	st, err := open()
+	if err != nil {
+		return err
+	}
+	for _, sv := range svs {
+		if err := st.PutSurvey(sv); err != nil {
+			st.Close()
+			return err
+		}
+	}
+	sh.st, sh.gone = st, false
 	l.journals[shard].reset(nextEpoch())
 	return nil
 }
@@ -311,12 +376,26 @@ func (l *Local) Close() error {
 	}
 	l.closed = true
 	var first error
-	for _, st := range l.stores {
-		if err := st.Close(); err != nil && first == nil {
-			first = err
+	for i := range l.shards {
+		sh := &l.shards[i]
+		sh.mu.Lock()
+		if !sh.gone {
+			if err := sh.st.Close(); err != nil && first == nil {
+				first = err
+			}
 		}
+		sh.gone = true
+		sh.mu.Unlock()
 	}
 	return first
+}
+
+// check refuses a local shard index outside the router.
+func (l *Local) check(shard int) error {
+	if shard < 0 || shard >= len(l.shards) {
+		return fmt.Errorf("shardset: shard %d outside [0, %d)", shard, len(l.shards))
+	}
+	return nil
 }
 
 var _ ShardRouter = (*Local)(nil)

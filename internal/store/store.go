@@ -75,6 +75,8 @@ type Store interface {
 	ResponseCount(surveyID string) int
 	// Close releases resources. The store must not be used afterwards.
 	Close() error
+	BatchAppender
+	Historian
 }
 
 // SurveyVersion is one entry in a survey's republish history: the
@@ -85,7 +87,7 @@ type SurveyVersion struct {
 	PublishedUnixNano int64  `json:"published_unix_nano,omitempty"`
 }
 
-// Historian is the optional Store interface behind the admin surface's
+// Historian is the part of a Store behind the admin surface's
 // republish history: every definition fingerprint a survey has held,
 // oldest first (the current definition last). Stores that replay a
 // durable log reconstruct it from the log, so history survives
@@ -94,8 +96,8 @@ type Historian interface {
 	SurveyHistory(surveyID string) []SurveyVersion
 }
 
-// BatchAppender is the optional Store interface for appending several
-// responses in one durability round: a file-backed store writes every
+// BatchAppender is the part of a Store that appends several responses
+// in one durability round: a file-backed store writes every
 // record and fsyncs once, so the fsync cost amortizes across the batch
 // — the store-level half of the cluster transport's group batching. On
 // success the returned slice holds, per response, the survey's response

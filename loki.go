@@ -250,12 +250,10 @@ type (
 	// ShardRPCHandler serves the cluster transport over a node backend.
 	ShardRPCHandler = shardrpc.Handler
 	// ClusterNode adapts a Server with a local router into the shardrpc
-	// backend a frontend and its replicas talk to.
+	// backend frontends and other nodes talk to; by the placement
+	// manifest it is each hosted shard's primary, follower or fenced
+	// copy.
 	ClusterNode = server.Node
-	// Replica is a read-only follower fed by WAL-tail shipping.
-	Replica = server.Replica
-	// ReplicaConfig configures it.
-	ReplicaConfig = server.ReplicaConfig
 	// ShardPartial is one shard's partial-accumulator answer on the
 	// cluster transport (full, delta, or not-modified — the frontend
 	// cache's conditional fetch).
@@ -376,8 +374,6 @@ var (
 	NewRemoteShardsRoundRobin = shardrpc.NewRemoteRoundRobin
 	// NewClusterNode wraps a Server for shardrpc serving.
 	NewClusterNode = server.NewNode
-	// NewReplica starts a read-only follower tailing one node.
-	NewReplica = server.NewReplica
 	// NewEstimator builds the noise-aware aggregator.
 	NewEstimator = aggregate.NewEstimator
 	// NewAccumulator builds an empty incremental aggregator for one
