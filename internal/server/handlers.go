@@ -79,7 +79,7 @@ func (s *Server) handleGetSurvey(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handlePublishSurvey(w http.ResponseWriter, r *http.Request) {
 	var sv survey.Survey
-	if !s.readJSON(w, r, &sv) {
+	if !s.readJSON(w, r, &sv, nil) {
 		return
 	}
 	status := http.StatusCreated
@@ -124,7 +124,11 @@ func (s *Server) handlePublishSurvey(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleSubmitResponse(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	var resp survey.Response
-	if !s.readJSON(w, r, &resp) {
+	scan := func(body []byte) bool {
+		resp.SurveyID = id // kept, not copied, when the body names it
+		return resp.ScanJSON(body)
+	}
+	if !s.readJSON(w, r, &resp, scan) {
 		return
 	}
 	if resp.SurveyID == "" {
@@ -146,11 +150,7 @@ func (s *Server) handleSubmitResponse(w http.ResponseWriter, r *http.Request) {
 		s.writeRefusal(w, rec.ref)
 		return
 	}
-	writeJSON(w, http.StatusCreated, SubmitResult{
-		SurveyID: id,
-		Accepted: true,
-		Stored:   rec.stored,
-	})
+	writeBody(w, http.StatusCreated, submitAck(id, rec.stored))
 }
 
 // submitRefusal is a refused submit before it is written to the wire:
@@ -198,7 +198,11 @@ const maxBatchSubmit = 1024
 // the per-requester rate limit is spent per record.
 func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchSubmitRequest
-	if !s.readJSON(w, r, &req) {
+	scan := func(body []byte) (ok bool) {
+		req.Responses, ok = survey.ScanResponsesJSON(body)
+		return ok
+	}
+	if !s.readJSON(w, r, &req, scan) {
 		return
 	}
 	if len(req.Responses) == 0 {

@@ -34,10 +34,11 @@ import (
 //	LOKI_FIXTURE_OUT=<repo>/internal/server/testdata/public_wire \
 //	    go test -run TestWritePublicWireGoldens ./internal/server
 //
-// and must keep passing unchanged. The cases marked fixed are the two
-// holes that commit had (a fenced shard and an unmetered enforce-mode
-// admit on a node's own public API); their files come from this commit
-// (add LOKI_FIXTURE_FIXED=1).
+// and must keep passing unchanged. The cases marked fixed are holes that
+// commit had (a fenced shard and an unmetered enforce-mode admit on a
+// node's own public API, and a valid body followed by closing brackets
+// accepted and stored); their files come from the commit that fixed
+// each (add LOKI_FIXTURE_FIXED=1).
 
 // pubReply is the part of a public submit answer the contract pins.
 type pubReply struct {
@@ -406,6 +407,21 @@ func publicWireCases() []pubCase {
 		{name: "standalone_unknown_field", run: func(t *testing.T, e pubEndpoint) string {
 			base, _ := pubStandalone(t, store.NewMem(), "", Config{})
 			return e.postRaw(t, base, "cluster", `{"survey_id":"cluster","hacker":true}`).String()
+		}},
+		{name: "standalone_trailing_bytes", fixed: true, run: func(t *testing.T, e pubEndpoint) string {
+			// A valid body with bytes after it is refused and stores
+			// nothing: the clean retry is the survey's first response.
+			base, _ := pubStandalone(t, store.NewMem(), "", Config{})
+			rec := pubRec("a", "medium")
+			var v any = &rec
+			if e.name == pubBatch.name {
+				v = BatchSubmitRequest{Responses: []survey.Response{rec}}
+			}
+			body, err := json.Marshal(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return e.postRaw(t, base, rec.SurveyID, string(body)+"}}}garbage").String() + "\nretry:\n" + e.post(t, base, rec).String()
 		}},
 		{name: "standalone_survey_id_mismatch", only: "single", run: func(t *testing.T, e pubEndpoint) string {
 			base, _ := pubStandalone(t, store.NewMem(), "", Config{})

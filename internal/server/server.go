@@ -32,6 +32,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"crypto/subtle"
 	"encoding/json"
@@ -41,9 +42,11 @@ import (
 	"log"
 	"net/http"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"loki/internal/aggregate"
 	"loki/internal/budget"
@@ -401,9 +404,37 @@ func (s *Server) mutating(h http.HandlerFunc) http.HandlerFunc {
 // ---------------------------------------------------------------------------
 // JSON helpers
 
-func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
+// bodyBufs holds the buffers request bodies are read into whole; one
+// grown past maxPooledBody by a large body is dropped, not kept.
+var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledBody = 64 << 10
+
+// readJSON reads the request body whole, under the body bound, and
+// decodes it into dst. scan, when given, is dst's schema scanner: it
+// decodes the body itself, or declines and leaves dst zero. A declined
+// body, and every body when scan is nil, goes to json.Decoder with
+// DisallowUnknownFields over the same bytes (an oversize body as the
+// bytes read plus the rest of the stream), which alone writes the 400
+// and 413 replies. Nothing but whitespace may follow the value.
+func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, dst any, scan func([]byte) bool) bool {
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
+	buf := bodyBufs.Get().(*bytes.Buffer)
+	buf.Reset()
+	defer func() {
+		if buf.Cap() <= maxPooledBody {
+			bodyBufs.Put(buf)
+		}
+	}()
+	var src io.Reader
+	if _, err := buf.ReadFrom(body); err != nil {
+		src = io.MultiReader(bytes.NewReader(buf.Bytes()), body)
+	} else if scan != nil && scan(buf.Bytes()) {
+		return true
+	} else {
+		src = bytes.NewReader(buf.Bytes())
+	}
+	dec := json.NewDecoder(src)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
 		var maxErr *http.MaxBytesError
@@ -414,12 +445,28 @@ func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, dst any) bool 
 		writeError(w, http.StatusBadRequest, "malformed JSON: "+err.Error())
 		return false
 	}
-	if dec.More() {
+	if !onlySpace(io.MultiReader(dec.Buffered(), src)) {
 		writeError(w, http.StatusBadRequest, "request body must contain a single JSON value")
 		return false
 	}
-	_, _ = io.Copy(io.Discard, body)
 	return true
+}
+
+// onlySpace reports whether r holds nothing but JSON whitespace up to
+// its first error: its end, or the body bound.
+func onlySpace(r io.Reader) bool {
+	var chunk [512]byte
+	for {
+		n, err := r.Read(chunk[:])
+		for _, c := range chunk[:n] {
+			if c != ' ' && c != '\t' && c != '\n' && c != '\r' {
+				return false
+			}
+		}
+		if err != nil {
+			return true
+		}
+	}
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -436,6 +483,23 @@ func encodeJSON(v any) []byte {
 		return nil
 	}
 	return append(b, '\n')
+}
+
+// submitAck is the 201 single-submit reply, encodeJSON(SubmitResult{id,
+// true, stored}) byte for byte: appended directly when id needs no JSON
+// escaping, encoded otherwise.
+func submitAck(id string, stored int) []byte {
+	for i := 0; i < len(id); i++ {
+		if c := id[i]; c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			return encodeJSON(SubmitResult{SurveyID: id, Accepted: true, Stored: stored})
+		}
+	}
+	b := make([]byte, 0, len(id)+48)
+	b = append(b, `{"survey_id":"`...)
+	b = append(b, id...)
+	b = append(b, `","accepted":true,"stored":`...)
+	b = strconv.AppendInt(b, int64(stored), 10)
+	return append(b, "}\n"...)
 }
 
 // writeBody is the one place a JSON reply goes out. body is never

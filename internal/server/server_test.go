@@ -356,6 +356,72 @@ func TestSubmitBodyTooLarge(t *testing.T) {
 	}
 }
 
+// TestSingleJSONValue: on publish and on both submit endpoints, a body
+// is one JSON value and whitespace; anything else after the value is
+// the single-value 400, whatever byte it starts with.
+func TestSingleJSONValue(t *testing.T) {
+	ts, st := newTestServer(t)
+	if err := st.PutSurvey(survey.Awareness()); err != nil {
+		t.Fatal(err)
+	}
+	post := func(url string, v any, suffix string, token string) (int, string) {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req, err := http.NewRequest(http.MethodPost, url, strings.NewReader(string(b)+suffix))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Authorization", "Bearer "+token)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(body)
+	}
+	const single = `{"error":"request body must contain a single JSON value"}` + "\n"
+	for i, suffix := range []string{"}", "]", "}}}garbage", " x", "{}", "\n0", "\n\t\r "} {
+		sv := survey.Awareness()
+		sv.ID = fmt.Sprintf("published-%d", i)
+		rec := validResponse("none", false)
+		rec.WorkerID = fmt.Sprintf("w%d", i)
+		ok := strings.TrimSpace(suffix) == ""
+		for _, c := range []struct {
+			url    string
+			v      any
+			status int
+		}{
+			{ts.URL + "/api/v1/surveys", sv, http.StatusCreated},
+			{submitURL(ts, survey.AwarenessID), rec, http.StatusCreated},
+			{ts.URL + "/api/v1/responses", BatchSubmitRequest{Responses: []survey.Response{*rec}}, http.StatusOK},
+		} {
+			status, body := post(c.url, c.v, suffix, testToken)
+			if ok && status != c.status {
+				t.Errorf("POST %s with %q after the value = %d %s, want %d", c.url, suffix, status, body, c.status)
+			}
+			if !ok && (status != http.StatusBadRequest || body != single) {
+				t.Errorf("POST %s with %q after the value = %d %s, want 400 %s", c.url, suffix, status, body, single)
+			}
+		}
+	}
+}
+
+// TestSubmitAck: the directly appended 201 reply is encodeJSON's, byte
+// for byte, and an ID that needs escaping still gets encodeJSON's.
+func TestSubmitAck(t *testing.T) {
+	for _, id := range []string{"awareness", "bench-0003", "", "a b~\x7f", `q"uote`, `back\slash`, "<b>&", "tab\t", "é", "\u2028", "\xff"} {
+		for _, stored := range []int{0, 1, 12345, -1} {
+			want := encodeJSON(SubmitResult{SurveyID: id, Accepted: true, Stored: stored})
+			if got := submitAck(id, stored); !bytes.Equal(got, want) {
+				t.Errorf("submitAck(%q, %d) = %s, want %s", id, stored, got, want)
+			}
+		}
+	}
+}
+
 func TestAggregateEndpoint(t *testing.T) {
 	ts, st := newTestServer(t)
 	sv := survey.Lecturers([]string{"A"})
