@@ -273,7 +273,7 @@ func TestResumeAppend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := NewWriterAt(f, fi.Size(), count+1)
+	w, err := newWriterAt(f, fi.Size(), count+1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -121,7 +121,7 @@ func resumeLog(path string, f *os.File, off int64, binary bool, nextSeq uint64) 
 	// The binary log stays unsealed across opens (appends continue), so
 	// replay always scans it with torn-tail semantics.
 	var err error
-	l.bw, err = NewWriterAt(f, off, nextSeq)
+	l.bw, err = newWriterAt(f, off, nextSeq)
 	return l, err
 }
 

@@ -123,7 +123,7 @@ func TestTornStoredBlock(t *testing.T) {
 		if _, err := f.Seek(ends[1], io.SeekStart); err != nil {
 			t.Fatal(err)
 		}
-		w, err := NewWriterAt(f, ends[1], 3)
+		w, err := newWriterAt(f, ends[1], 3)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -52,14 +52,14 @@ func NewWriter(f *os.File, firstSeq uint64) (*Writer, error) {
 	return w, nil
 }
 
-// NewWriterAt resumes appending to an unsealed blockio file: f must be
+// newWriterAt resumes appending to an unsealed blockio file: f must be
 // positioned at off, the current end of fully written frames (the
 // caller got both from a repairing Replay). nextSeq continues the
 // file's record numbering. A resumed writer cannot Seal — it does not
 // know the offsets of the blocks already on disk — which is fine for
 // the logs that resume (file store, checkpoints): they are replayed
 // whole and never seek. With off == 0 this is NewWriter on a fresh file.
-func NewWriterAt(f *os.File, off int64, nextSeq uint64) (*Writer, error) {
+func newWriterAt(f *os.File, off int64, nextSeq uint64) (*Writer, error) {
 	if off == 0 {
 		return NewWriter(f, nextSeq)
 	}

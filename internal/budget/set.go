@@ -174,8 +174,7 @@ func (s *Set) Charge(c Charge) (Outcome, error) {
 	return outs[0], nil
 }
 
-// ChargeShard debits a batch against one hosted shard — the node-side
-// entry point shardrpc charge batches land on. The shard is the
+// ChargeShard debits a batch against one hosted shard. The shard is the
 // caller's addressing claim; every charge still lands on its worker's
 // routed shard (the hash the replay path uses), and a worker routed to
 // an unhosted shard fails the whole batch before anything commits.
@@ -188,9 +187,9 @@ func (s *Set) ChargeShard(global int, charges []Charge) ([]Outcome, error) {
 }
 
 // ChargeShards decides and commits several routed charge groups
-// transactionally under the Set's commit lock — the fused submit path's
-// entry point, where one request batch's charges scatter across most of
-// the hosted shards. The whole call is one WAL flush and one
+// transactionally under the Set's commit lock — the node-side entry
+// point of a submit call's charges and of a charge call's groups, which
+// scatter across most of the hosted shards. The whole call is one WAL flush and one
 // group-committed fsync, no matter how many shards it touches.
 //
 // Each charge is evaluated in order against the account's committed

@@ -139,17 +139,34 @@ func (n *Node) applyLocked(m *placement.Manifest) {
 // it before serving — the field is not synchronized against traffic.
 func (n *Node) HostBudget(set *budget.Set) { n.budget = set }
 
-// BudgetCharge implements shardrpc.BudgetBackend.
-func (n *Node) BudgetCharge(shard int, charges []budget.Charge) ([]budget.Outcome, error) {
-	set, err := n.budgetSet()
+// BudgetCharge implements shardrpc.BudgetBackend: the charge endpoint
+// shares the submit pipeline's ledger commit (commitCharges). A group
+// the set does not host — or whose charges route to one it does not —
+// fails the call naming the first such group, else the first group.
+func (n *Node) BudgetCharge(groups []shardrpc.BudgetChargeRequest) ([][]budget.Outcome, error) {
+	byShard := make(map[int][]budget.Charge, len(groups))
+	for _, g := range groups {
+		byShard[g.Shard] = g.Charges
+	}
+	outs, err := n.commitCharges(byShard)
+	if errors.Is(err, budget.ErrNotHosted) {
+		named := groups[0].Shard
+		for _, g := range groups {
+			if !n.budget.Hosts(g.Shard) {
+				named = g.Shard
+				break
+			}
+		}
+		return nil, &shardrpc.ErrNotOwned{Shard: named}
+	}
 	if err != nil {
 		return nil, err
 	}
-	outs, err := set.ChargeShard(shard, charges)
-	if errors.Is(err, budget.ErrNotHosted) {
-		return nil, &shardrpc.ErrNotOwned{Shard: shard}
+	res := make([][]budget.Outcome, len(groups))
+	for i, g := range groups {
+		res[i] = outs[g.Shard]
 	}
-	return outs, err
+	return res, nil
 }
 
 // BudgetRefund implements shardrpc.BudgetBackend.

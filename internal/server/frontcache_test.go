@@ -279,7 +279,7 @@ func TestFrontendReadMemo(t *testing.T) {
 		for i := 0; i < k; i++ {
 			r := randomResponse(sv, rng, n)
 			n++
-			if e := remote.Submit(remote.Route(r.SurveyID, r.WorkerID), []survey.Response{*r}, nil)()[0]; e.Err != nil {
+			if e := remote.Submit([]int{remote.Route(r.SurveyID, r.WorkerID)}, []survey.Response{*r}, nil)()[0]; e.Err != nil {
 				t.Fatal(e.Err)
 			}
 		}
@@ -491,7 +491,7 @@ func TestFrontendCacheBackgroundRefresh(t *testing.T) {
 	// Submit around the frontend: directly through the remote router.
 	for i := 0; i < 10; i++ {
 		r := randomResponse(sv, rng, 500+i)
-		if e := remote.Submit(remote.Route(r.SurveyID, r.WorkerID), []survey.Response{*r}, nil)()[0]; e.Err != nil {
+		if e := remote.Submit([]int{remote.Route(r.SurveyID, r.WorkerID)}, []survey.Response{*r}, nil)()[0]; e.Err != nil {
 			t.Fatal(e.Err)
 		}
 	}

@@ -237,6 +237,7 @@ type pubClusterOpts struct {
 	frontCfg Config
 	nodeCfg  Config
 	store    func(local int) store.Store
+	wrap     func(http.Handler) http.Handler
 }
 
 func newPubCluster(t *testing.T, o pubClusterOpts) *pubCluster {
@@ -244,7 +245,7 @@ func newPubCluster(t *testing.T, o pubClusterOpts) *pubCluster {
 	pc := &pubCluster{}
 	clients := make([]*shardrpc.Client, 2)
 	for nd, owned := range shardrpc.RoundRobinPlacement(pubShards, 2) {
-		no := wireNodeOpts{owned: owned, total: pubShards, cfg: o.nodeCfg, store: o.store}
+		no := wireNodeOpts{owned: owned, total: pubShards, cfg: o.nodeCfg, store: o.store, wrap: o.wrap}
 		if o.mode != "" {
 			no.budget = &budget.SetOptions{Shards: pubShards, GlobalIDs: owned, Config: budgetTestConfig(t)}
 		}

@@ -181,11 +181,13 @@ type Server struct {
 	// dispatch is the one role-bound stage of the public submit pipeline
 	// (submit.go). A server over a local router owns host, the shard host
 	// its records enter in-process (and that NewNode serves over
-	// shardrpc); a frontend holds remote, whose shard batchers they are
-	// queued on.
+	// shardrpc); a frontend holds remote, whose node queue they are
+	// queued on, and with a budget the charger its charges that cannot
+	// ride a submit call go ahead through.
 	dispatch func(ctx context.Context, recs []submitRecord)
 	host     *shardHost
 	remote   *shardrpc.Remote
+	charger  *shardrpc.RemoteCharger
 
 	// live holds per-survey live aggregate state (one partial per
 	// shard) so reads are O(1) in stored responses; see liveSet.
@@ -303,6 +305,15 @@ func New(cfg Config) (*Server, error) {
 	case *shardrpc.Remote:
 		s.remote = r
 		s.dispatch = s.dispatchRemote
+		if cfg.Budget != nil {
+			// Charges that cannot ride a submit call go ahead grouped by
+			// node, which only the remote charger's node queue offers.
+			c, ok := cfg.Budget.(*shardrpc.RemoteCharger)
+			if !ok {
+				return nil, fmt.Errorf("server: a remote router charges through a *shardrpc.RemoteCharger, not %T", cfg.Budget)
+			}
+			s.charger = c
+		}
 		// Every frontend reads through the cache; a negative TTL only
 		// means no entry is ever fresh.
 		ttl := max(cfg.FrontendCacheTTL, 0)

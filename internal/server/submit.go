@@ -14,136 +14,248 @@ import (
 	"loki/internal/survey"
 )
 
-// Submit implements shardrpc.Backend: a routed batch from a frontend.
-func (h *shardHost) Submit(ctx context.Context, req *shardrpc.SubmitRequest) (*shardrpc.SubmitResult, error) {
-	if err := req.Validate(); err != nil {
-		return nil, err
-	}
-	return h.submit(ctx, req, h.srv.adm)
+// Submit implements shardrpc.Backend: a node call from a frontend.
+func (h *shardHost) Submit(ctx context.Context, secs []shardrpc.SubmitRequest) []shardrpc.SubmitOutcome {
+	return h.submit(ctx, secs, h.srv.adm)
 }
 
-// submit is the one path a batch routed to one shard takes through a
-// shard host, whichever role runs it, whichever door it came in by — the
-// shardrpc surface or the host's own public API (dispatchLocal) — and
-// whatever it carries. The stages run in this order and each is decided
-// once:
+// submit is the one path a node call takes through a shard host —
+// sections, each a batch routed to one shard; a per-shard request is
+// the call of one section — whichever role runs it, whichever door it
+// came in by — the shardrpc surface or the host's own public API
+// (dispatchLocal) — and whatever it carries. The stages run in this
+// order and each is decided once:
 //
+//	validate    400  an empty section, charges not aligned with responses
 //	ownership   421  shard not held by this host
 //	fence       412  stale epoch stamp, demoted or unpromoted shard
-//	admission   429  the bounded submit queue is full (or the caller left it)
+//	admission   429  the bounded submit queue is full (or the caller left
+//	                 it); one slot for the whole call
 //	routing     400  charges sent to a host without budget shards
 //	            421  a charge's worker hashes to an unhosted budget shard
 //	throttle    per record: the worker's rate-limit bucket is empty
-//	charge      per record: rejected, or undecided while enforcing
-//	append      the survivors, one durability round
+//	charge      per record: rejected, or undecided while enforcing; every
+//	            section's charges in one ledger commit (commitCharges)
+//	append      each section's survivors to its shard, one durability
+//	            round; the sections side by side
 //	refund      charges accepted for records the store then refused
 //	advance     each touched survey's shard partial
 //
 // gate is the admission stage; nil means the caller already holds its
 // slot (the public handlers' admit wrapper took it before decoding).
 //
-// Everything above "throttle" refuses the batch whole, with an error
-// and before any per-record state — bucket, ledger, store — changes, so
-// a sender that re-routes and resends has lost nothing. From throttle
-// down, verdicts are per record and travel in the request-aligned
-// result. Charge-then-append is the privacy-safe order: a crash between
-// the two over-counts a worker's spend, never under-counts it.
+// Everything above "throttle" refuses a section whole, with an error and
+// before any of its per-record state — bucket, ledger, store — changes,
+// so a sender that re-routes and resends has lost nothing; a refused
+// section fails alone. From throttle down, verdicts are per record and
+// travel in the section's request-aligned result. Charge-then-append is
+// the privacy-safe order: a crash between the two over-counts a worker's
+// spend, never under-counts it. The outcomes are aligned with reqs.
 //
-// The common batch — gates off or nothing refused — allocates no mask
+// The common section — gates off or nothing refused — allocates no mask
 // and no index: the request's own slice is what gets appended.
-func (h *shardHost) submit(ctx context.Context, req *shardrpc.SubmitRequest, gate *admission) (*shardrpc.SubmitResult, error) {
-	shard, err := h.localShard(req.Shard)
-	if err != nil {
-		return nil, err
+func (h *shardHost) submit(ctx context.Context, reqs []shardrpc.SubmitRequest, gate *admission) []shardrpc.SubmitOutcome {
+	outs := make([]shardrpc.SubmitOutcome, len(reqs))
+	secs := make([]hostSection, 0, len(reqs))
+	for i := range reqs {
+		sec := hostSection{req: &reqs[i], out: &outs[i], res: &shardrpc.SubmitResult{}}
+		err := sec.req.Validate()
+		if err == nil {
+			sec.shard, err = h.localShard(sec.req.Shard)
+		}
+		if err == nil {
+			err = h.checkFence(sec.shard, sec.req.Shard, sec.req.Epoch)
+		}
+		if err != nil {
+			outs[i].Err = err
+			continue
+		}
+		secs = append(secs, sec)
 	}
-	if err := h.checkFence(shard, req.Shard, req.Epoch); err != nil {
-		return nil, err
+	if len(secs) == 0 {
+		return outs
 	}
 	if gate != nil {
 		if !gate.acquire(ctx) {
-			return nil, &shardrpc.OverloadedError{RetryAfterSeconds: OverloadRetryAfterSeconds}
+			for _, sec := range secs {
+				sec.out.Err = &shardrpc.OverloadedError{RetryAfterSeconds: OverloadRetryAfterSeconds}
+			}
+			return outs
 		}
 		defer gate.release()
 	}
-	rs, charges := req.Responses, req.Charges
-	var set *budget.Set
-	if len(charges) > 0 {
-		if set, err = h.budgetSet(); err != nil {
-			return nil, err
-		}
-		// A batch spanning hosted and unhosted budget shards fails whole
-		// (the sender's colocation test is wrong), never half-commits.
-		for k := range charges {
-			if w := charges[k].WorkerID; w != "" {
-				if b := budget.Route(w, set.Shards()); !set.Hosts(b) {
-					return nil, &shardrpc.ErrNotOwned{Shard: b}
-				}
-			}
+	live := secs[:0]
+	for _, sec := range secs {
+		if err := h.routeCharges(&sec); err != nil {
+			sec.out.Err = err
+		} else if h.throttle(&sec) {
+			live = append(live, sec)
 		}
 	}
+	h.charge(live)
+	var wg sync.WaitGroup
+	for i := range live {
+		sec := &live[i]
+		sec.survive()
+		appendSection := func() {
+			sec.counts, sec.aerr = h.local.AppendShardBatch(sec.shard, sec.survivors)
+		}
+		if i == len(live)-1 {
+			appendSection() // the last (usually the only) one inline
+			break
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			appendSection()
+		}()
+	}
+	wg.Wait()
+	for i := range live {
+		h.settleSection(&live[i])
+	}
+	return outs
+}
 
-	res := &shardrpc.SubmitResult{}
-	if l := h.srv.limiter; l != nil {
-		throttled := 0
-		for k := range rs {
-			retryAfter, ok := l.allow(rs[k].WorkerID)
-			if ok {
-				continue
-			}
-			if res.Throttled == nil {
-				res.Throttled = make([]bool, len(rs))
-			}
-			res.Throttled[k] = true
-			res.RetryAfterSeconds = max(res.RetryAfterSeconds, retryAfter)
-			throttled++
-		}
-		if throttled == len(rs) {
-			res.Stored = make([]int, len(rs))
-			return res, nil
-		}
+// hostSection is one section of a node call on its way through submit.
+type hostSection struct {
+	req   *shardrpc.SubmitRequest
+	out   *shardrpc.SubmitOutcome
+	shard int // local index
+	// set is the host's budget set when the section carries charges.
+	set *budget.Set
+	res *shardrpc.SubmitResult
+	// survivors are what gets appended; at[j] is survivor j's request
+	// position, nil when every record survived.
+	survivors []survey.Response
+	at        []int
+	counts    []int
+	aerr      error
+}
+
+// routeCharges is the routing stage: a section that carries charges
+// needs a budget set here, and every charge's worker must hash to a
+// budget shard it hosts — a section spanning hosted and unhosted budget
+// shards fails whole (the sender's colocation test is wrong), never
+// half-commits.
+func (h *shardHost) routeCharges(sec *hostSection) error {
+	charges := sec.req.Charges
+	if len(charges) == 0 {
+		return nil
 	}
-	if set != nil {
-		// Debit every charged, unthrottled record in ONE ledger commit: a
-		// submit batch scatters across most of the hosted budget shards,
-		// and the shared journal turns that scatter into a single
-		// group-committed fsync. Each record's outcome, or the commit's
-		// error, lands at its request position.
-		res.Outcomes = make([]budget.Outcome, len(rs))
-		groups := make(map[int][]budget.Charge)
-		pos := make(map[int][]int) // pos[b][j]: request position of groups[b][j]
-		for k := range charges {
-			if charges[k].WorkerID == "" || throttledAt(res, k) {
-				continue
-			}
-			b := budget.Route(charges[k].WorkerID, set.Shards())
-			groups[b] = append(groups[b], charges[k])
-			pos[b] = append(pos[b], k)
-		}
-		if len(groups) > 0 {
-			outs, err := set.ChargeShards(groups)
-			if err != nil {
-				res.ChargeErrs = make([]string, len(rs))
-			}
-			for b, ks := range pos {
-				for j, k := range ks {
-					if err != nil {
-						res.ChargeErrs[k] = err.Error()
-					} else {
-						res.Outcomes[k] = outs[b][j]
-					}
-				}
+	set, err := h.budgetSet()
+	if err != nil {
+		return err
+	}
+	for k := range charges {
+		if w := charges[k].WorkerID; w != "" {
+			if b := budget.Route(w, set.Shards()); !set.Hosts(b) {
+				return &shardrpc.ErrNotOwned{Shard: b}
 			}
 		}
 	}
-	// keep reports whether record k goes on to the append. The ledger
-	// keeps out a rejected charge and an undecided one that asked for
-	// enforcement; uncharged entries and log-mode entries whose charge
-	// errored fail open.
+	sec.set = set
+	return nil
+}
+
+// throttle is the rate-limit stage. It reports whether anything of the
+// section goes on; a section whose every record the limit refused is
+// answered here.
+func (h *shardHost) throttle(sec *hostSection) bool {
+	l, rs, res := h.srv.limiter, sec.req.Responses, sec.res
+	if l == nil {
+		return true
+	}
+	throttled := 0
+	for k := range rs {
+		retryAfter, ok := l.allow(rs[k].WorkerID)
+		if ok {
+			continue
+		}
+		if res.Throttled == nil {
+			res.Throttled = make([]bool, len(rs))
+		}
+		res.Throttled[k] = true
+		res.RetryAfterSeconds = max(res.RetryAfterSeconds, retryAfter)
+		throttled++
+	}
+	if throttled < len(rs) {
+		return true
+	}
+	res.Stored = make([]int, len(rs))
+	sec.out.Result = res
+	return false
+}
+
+// charge is the charge stage: it debits every charged, unthrottled
+// record of the call's sections in ONE ledger commit — a call scatters
+// across most of the hosted budget shards, and the shared journal turns
+// that scatter into a single group-committed fsync. Each record's
+// outcome, or the commit's error, lands at its request position.
+func (h *shardHost) charge(secs []hostSection) {
+	var groups map[int][]budget.Charge
+	var pos map[int][][2]int // pos[b][j]: section and request position of groups[b][j]
+	for i := range secs {
+		sec := &secs[i]
+		if sec.set == nil {
+			continue
+		}
+		sec.res.Outcomes = make([]budget.Outcome, len(sec.req.Responses))
+		for k, c := range sec.req.Charges {
+			if c.WorkerID == "" || throttledAt(sec.res, k) {
+				continue
+			}
+			if groups == nil {
+				groups, pos = make(map[int][]budget.Charge), make(map[int][][2]int)
+			}
+			b := budget.Route(c.WorkerID, sec.set.Shards())
+			groups[b] = append(groups[b], c)
+			pos[b] = append(pos[b], [2]int{i, k})
+		}
+	}
+	if groups == nil {
+		return
+	}
+	outs, err := h.commitCharges(groups)
+	for b, ps := range pos {
+		for j, p := range ps {
+			res := secs[p[0]].res
+			if err == nil {
+				res.Outcomes[p[1]] = outs[b][j]
+				continue
+			}
+			if res.ChargeErrs == nil {
+				res.ChargeErrs = make([]string, len(res.Outcomes))
+			}
+			res.ChargeErrs[p[1]] = err.Error()
+		}
+	}
+}
+
+// commitCharges is the ledger commit both charge doors share — a submit
+// call's charges (charge) and the budget charge endpoint's groups
+// (Node.BudgetCharge): every group in one ChargeShards call, so one
+// journal flush, one group-committed fsync and one ledger record per
+// call.
+func (h *shardHost) commitCharges(groups map[int][]budget.Charge) (map[int][]budget.Outcome, error) {
+	set, err := h.budgetSet()
+	if err != nil {
+		return nil, err
+	}
+	return set.ChargeShards(groups)
+}
+
+// survive picks the records that go on to the append. The ledger keeps
+// out a rejected charge and an undecided one that asked for
+// enforcement; uncharged entries and log-mode entries whose charge
+// errored fail open.
+func (sec *hostSection) survive() {
+	rs, charges, res := sec.req.Responses, sec.req.Charges, sec.res
 	keep := func(k int) bool {
 		switch {
 		case throttledAt(res, k):
 			return false
-		case set == nil || charges[k].WorkerID == "":
+		case sec.set == nil || charges[k].WorkerID == "":
 			return true
 		case res.ChargeErrs != nil && res.ChargeErrs[k] != "":
 			return !charges[k].Enforce
@@ -156,62 +268,65 @@ func (h *shardHost) submit(ctx context.Context, req *shardrpc.SubmitRequest, gat
 			kept++
 		}
 	}
-	// survivors are what gets appended; at[j] is survivor j's request
-	// position, nil when every record survived.
-	survivors, at := rs, []int(nil)
+	sec.survivors = rs
 	if kept < len(rs) {
-		survivors = make([]survey.Response, 0, kept)
-		at = make([]int, 0, kept)
+		sec.survivors = make([]survey.Response, 0, kept)
+		sec.at = make([]int, 0, kept)
 		for k := range rs {
 			if keep(k) {
-				survivors = append(survivors, rs[k])
-				at = append(at, k)
+				sec.survivors = append(sec.survivors, rs[k])
+				sec.at = append(sec.at, k)
 			}
 		}
 	}
-	counts, aerr := h.local.AppendShardBatch(shard, survivors)
+}
+
+// settleSection runs the refund and advance stages for one appended
+// section and writes its outcome.
+func (h *shardHost) settleSection(sec *hostSection) {
+	charges, res, counts, survivors := sec.req.Charges, sec.res, sec.counts, sec.survivors
 	for j := range counts {
 		// Batches are usually one survey; advancing one twice costs a
 		// count and finds nothing to fold.
 		if id := survivors[j].SurveyID; j == 0 || id != survivors[j-1].SurveyID {
-			h.srv.advanceShard(id, shard)
+			h.srv.advanceShard(id, sec.shard)
 		}
 	}
 	res.Appended = len(counts)
-	if set == nil && res.Throttled == nil {
+	sec.out.Result = res
+	if sec.set == nil && res.Throttled == nil {
 		// The plain shape: Stored is the durable prefix, and a failure is
-		// the call's error with that prefix beside it.
-		res.Stored = counts
-		return res, aerr
+		// the section's error with that prefix beside it.
+		res.Stored, sec.out.Err = counts, sec.aerr
+		return
 	}
 	// A charged or throttled reply is request-aligned: a refusal in the
 	// middle of the batch means the durable set is no longer a prefix,
 	// and append failures travel per record inside the reply.
-	res.Stored = make([]int, len(rs))
+	res.Stored = make([]int, len(sec.req.Responses))
 	for j := range survivors {
 		k := j
-		if at != nil {
-			k = at[j]
+		if sec.at != nil {
+			k = sec.at[j]
 		}
 		if j < len(counts) {
 			res.Stored[k] = counts[j]
 			continue
 		}
 		if res.AppendErrs == nil {
-			res.AppendErrs = make([]string, len(rs))
+			res.AppendErrs = make([]string, len(sec.req.Responses))
 		}
 		res.AppendErrs[k] = "append did not report this record durable"
-		if aerr != nil {
-			res.AppendErrs[k] = aerr.Error()
+		if sec.aerr != nil {
+			res.AppendErrs[k] = sec.aerr.Error()
 		}
 		// Not durable: compensate an accepted charge before replying, so
 		// the ledger never counts spend for a response the store refused.
-		if set != nil && charges[k].WorkerID != "" && (res.ChargeErrs == nil || res.ChargeErrs[k] == "") {
-			h.srv.refund(set, charges[k])
+		if sec.set != nil && charges[k].WorkerID != "" && (res.ChargeErrs == nil || res.ChargeErrs[k] == "") {
+			h.srv.refund(sec.set, charges[k])
 			res.Outcomes[k] = budget.Outcome{}
 		}
 	}
-	return res, nil
 }
 
 // throttledAt reports whether the rate limit refused record k.
@@ -404,34 +519,30 @@ next:
 }
 
 // dispatchLocal is the dispatch stage of a server that owns its shards
-// (standalone, a node's own public API): each shard's standing records
-// enter the shard host's pipeline in-process, below its admission gate
-// — the handler's admit wrapper already holds the slot. Fence, charge
-// routing, throttle, charge, append, refund and advance are the host's,
-// the same code a frontend's batch runs through.
-// Shards commit independently: a batch spanning several waits for the
-// slowest durability round, not for their sum.
+// (standalone, a node's own public API): the standing records enter the
+// shard host's pipeline in-process as one call, a section per shard,
+// below its admission gate — the handler's admit wrapper already holds
+// the slot. Fence, charge routing, throttle, charge, append, refund and
+// advance are the host's, the same code a frontend's call runs through;
+// the sections commit side by side, so a batch spanning several shards
+// waits for the slowest durability round, not for their sum.
 func (s *Server) dispatchLocal(ctx context.Context, recs []submitRecord) {
 	groups := groupByShard(recs)
-	var wg sync.WaitGroup
+	secs := make([]shardrpc.SubmitRequest, len(groups))
 	for g, at := range groups {
-		if g == len(groups)-1 {
-			s.dispatchShard(ctx, recs, at) // the last (usually the only) one inline
-			break
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s.dispatchShard(ctx, recs, at)
-		}()
+		secs[g] = s.localSection(recs, at)
 	}
-	wg.Wait()
+	for g, o := range s.host.submit(ctx, secs, nil) {
+		for j, e := range shardrpc.SubmitEntries(len(groups[g]), o.Result, o.Err) {
+			s.settle(&recs[groups[g][j]], e)
+		}
+	}
 }
 
-// dispatchShard runs the records of recs at the given positions, all
-// routed to one shard, through the shard host and settles each.
-func (s *Server) dispatchShard(ctx context.Context, recs []submitRecord, at []int) {
-	req := &shardrpc.SubmitRequest{Shard: s.router.GlobalID(recs[at[0]].shard), Responses: make([]survey.Response, len(at))}
+// localSection is the section for the records of recs at the given
+// positions, all routed to one shard.
+func (s *Server) localSection(recs []submitRecord, at []int) shardrpc.SubmitRequest {
+	req := shardrpc.SubmitRequest{Shard: s.router.GlobalID(recs[at[0]].shard), Responses: make([]survey.Response, len(at))}
 	for j, k := range at {
 		rec := &recs[k]
 		req.Responses[j] = *rec.resp
@@ -451,40 +562,25 @@ func (s *Server) dispatchShard(ctx context.Context, recs []submitRecord, at []in
 		}
 		req.Charges[j] = rec.charge
 	}
-	res, err := s.host.submit(ctx, req, nil)
-	for j, e := range shardrpc.SubmitEntries(len(at), res, err) {
-		s.settle(&recs[at[j]], e)
-	}
+	return req
 }
 
 // dispatchRemote is a frontend's dispatch stage. What it binds
 // differently from a shard host: the throttle is this frontend's own
 // limiter (the owning node applies its own behind it); a record's charge
-// rides its submit RPC where the node that owns the response shard also
-// hosts the worker's budget shard, and is sent ahead through Config.Budget
+// rides its submit call where the node that owns the response shard also
+// hosts the worker's budget shard, and is sent ahead through the charger
 // — then refunded if the record is not stored — only where it does not;
-// and the append is the shard batchers', which coalesce this request's
-// records with every other request's.
+// and the append is the router's node queue, which coalesces this
+// request's records with every other request's. Both the charges sent
+// ahead and the submits are queued whole before waiting on any, so the
+// request costs at most one charge call and one submit call per node.
 func (s *Server) dispatchRemote(_ context.Context, recs []submitRecord) {
 	// pre holds what a charge sent ahead decided for a record that still
 	// goes to its node; ahead marks the admitted ones (refund unless stored).
 	pre := make([]shardrpc.SubmitEntry, len(recs))
 	ahead := make([]bool, len(recs))
-	chargeAhead := func(k int) {
-		rec := &recs[k]
-		out, err := s.cfg.Budget.Charge(rec.charge)
-		switch {
-		case err != nil && !rec.charge.Enforce:
-			pre[k].ChargeErr = err.Error() // fails open: goes on uncharged
-		case err != nil:
-			s.settle(rec, shardrpc.SubmitEntry{ChargeErr: err.Error()})
-		case out.Rejected:
-			s.settle(rec, shardrpc.SubmitEntry{Outcome: out})
-		default:
-			pre[k].Outcome, ahead[k] = out, true
-		}
-	}
-	var wg sync.WaitGroup
+	var sendAhead []int
 	for k := range recs {
 		rec := &recs[k]
 		if rec.ref != nil {
@@ -496,48 +592,55 @@ func (s *Server) dispatchRemote(_ context.Context, recs []submitRecord) {
 				continue
 			}
 		}
-		if s.budgetMode == budgetOff || s.remote.CanPiggybackCharge(rec.shard, rec.resp.WorkerID) {
-			continue
+		if s.budgetMode != budgetOff && !s.remote.CanPiggybackCharge(rec.shard, rec.resp.WorkerID) {
+			sendAhead = append(sendAhead, k)
 		}
-		if len(recs) == 1 {
-			chargeAhead(k) // a single submit: no handoff to another goroutine
-			continue
-		}
-		// A batch's charges go ahead concurrently (it holds at most
-		// maxBatchSubmit records), so the charger's per-shard batchers
-		// coalesce them into one RPC per budget shard.
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			chargeAhead(k)
-		}()
 	}
-	wg.Wait()
-	// Queue every shard's records before waiting on any.
-	groups := groupByShard(recs)
-	waits := make([]func() []shardrpc.SubmitEntry, len(groups))
-	for g, at := range groups {
-		rs := make([]survey.Response, len(at))
-		charges := make([]budget.Charge, len(at))
-		for j, k := range at {
-			rs[j] = *recs[k].resp
-			if !ahead[k] && pre[k].ChargeErr == "" {
-				charges[j] = recs[k].charge
+	if len(sendAhead) > 0 {
+		charges := make([]budget.Charge, len(sendAhead))
+		for j, k := range sendAhead {
+			charges[j] = recs[k].charge
+		}
+		for j, v := range s.charger.ChargeEach(charges) {
+			k := sendAhead[j]
+			rec := &recs[k]
+			switch {
+			case v.Err != nil && !rec.charge.Enforce:
+				pre[k].ChargeErr = v.Err.Error() // fails open: goes on uncharged
+			case v.Err != nil:
+				s.settle(rec, shardrpc.SubmitEntry{ChargeErr: v.Err.Error()})
+			case v.Outcome.Rejected:
+				s.settle(rec, shardrpc.SubmitEntry{Outcome: v.Outcome})
+			default:
+				pre[k].Outcome, ahead[k] = v.Outcome, true
 			}
 		}
-		waits[g] = s.remote.Submit(recs[at[0]].shard, rs, charges)
 	}
-	for g, at := range groups {
-		for j, e := range waits[g]() {
-			k := at[j]
-			if ahead[k] || pre[k].ChargeErr != "" {
-				e.Outcome, e.ChargeErr = pre[k].Outcome, pre[k].ChargeErr
-			}
-			if ahead[k] && (e.Err != nil || e.Throttled || e.AppendErr != "") {
-				s.refund(s.cfg.Budget, recs[k].charge)
-			}
-			s.settle(&recs[k], e)
+	var at []int // positions of the records still standing
+	for k := range recs {
+		if recs[k].ref == nil {
+			at = append(at, k)
 		}
+	}
+	if len(at) == 0 {
+		return
+	}
+	shards, rs, charges := make([]int, len(at)), make([]survey.Response, len(at)), make([]budget.Charge, len(at))
+	for j, k := range at {
+		shards[j], rs[j] = recs[k].shard, *recs[k].resp
+		if !ahead[k] && pre[k].ChargeErr == "" {
+			charges[j] = recs[k].charge
+		}
+	}
+	for j, e := range s.remote.Submit(shards, rs, charges)() {
+		k := at[j]
+		if ahead[k] || pre[k].ChargeErr != "" {
+			e.Outcome, e.ChargeErr = pre[k].Outcome, pre[k].ChargeErr
+		}
+		if ahead[k] && (e.Err != nil || e.Throttled || e.AppendErr != "") {
+			s.refund(s.cfg.Budget, recs[k].charge)
+		}
+		s.settle(&recs[k], e)
 	}
 }
 

@@ -162,7 +162,8 @@ type refEntry struct {
 func shardrpcEntry(h *shardHost, set *budget.Set) refEntry {
 	return refEntry{
 		submit: func(t *testing.T, rs []survey.Response, charges []budget.Charge) ([]refRecord, []budget.Outcome, error) {
-			res, err := h.Submit(context.Background(), &shardrpc.SubmitRequest{Shard: 0, Responses: rs, Charges: charges})
+			o := h.Submit(context.Background(), []shardrpc.SubmitRequest{{Shard: 0, Responses: rs, Charges: charges}})[0]
+			res, err := o.Result, o.Err
 			if res == nil {
 				return nil, nil, err
 			}

@@ -70,6 +70,8 @@ type wireNodeOpts struct {
 	store  func(local int) store.Store
 	cfg    Config
 	budget *budget.SetOptions
+	// wrap, when set, fronts the node's shardrpc handler.
+	wrap func(http.Handler) http.Handler
 }
 
 func newWireNode(t *testing.T, o wireNodeOpts) *wireNode {
@@ -119,8 +121,12 @@ func newWireNode(t *testing.T, o wireNodeOpts) *wireNode {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var rpc http.Handler = h
+	if o.wrap != nil {
+		rpc = o.wrap(h)
+	}
 	mux := http.NewServeMux()
-	mux.Handle("/shardrpc/", h)
+	mux.Handle("/shardrpc/", rpc)
 	mux.Handle("/", srv)
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"sort"
 	"strconv"
-	"sync"
 
 	"loki/internal/budget"
 )
@@ -17,6 +16,8 @@ import (
 // submits. Routes (token-guarded like everything else):
 //
 //	POST /shardrpc/v1/budget/charge  body BudgetChargeRequest  → BudgetChargeResult
+//	                                 (one budget shard, or with groups
+//	                                 several in one ledger commit)
 //	POST /shardrpc/v1/budget/refund  body BudgetRefundRequest  → {}
 //	GET  /shardrpc/v1/budget/{shard}/peek?worker=W             → budget.Account
 //	GET  /shardrpc/v1/budget/stats                             → BudgetStatsResult
@@ -30,10 +31,11 @@ import (
 // Backend. NewHandler registers the budget routes only when its backend
 // implements it.
 type BudgetBackend interface {
-	// BudgetCharge debits a batch of charges against one hosted budget
-	// shard, transactionally. Shards the node does not host must error
-	// with ErrNotOwned.
-	BudgetCharge(shard int, charges []budget.Charge) ([]budget.Outcome, error)
+	// BudgetCharge debits charge groups, each against one hosted budget
+	// shard, in one transaction: the outcomes are aligned with groups and
+	// each group's charges. A group naming a shard the node does not host
+	// must fail the call with ErrNotOwned, before anything is written.
+	BudgetCharge(groups []BudgetChargeRequest) ([][]budget.Outcome, error)
 	// BudgetRefund credits one charge back on a hosted shard.
 	BudgetRefund(shard int, c budget.Charge) error
 	// BudgetPeek reads one worker's account off a hosted shard.
@@ -43,15 +45,20 @@ type BudgetBackend interface {
 }
 
 // BudgetChargeRequest is a routed charge batch: every charge's worker
-// hashes to Shard under budget.Route.
+// hashes to Shard under budget.Route. With Groups it is a node call
+// instead — one group per budget shard, decided in one ledger commit —
+// and Shard and Charges go unused.
 type BudgetChargeRequest struct {
-	Shard   int             `json:"shard"`
-	Charges []budget.Charge `json:"charges"`
+	Shard   int                   `json:"shard"`
+	Charges []budget.Charge       `json:"charges,omitempty"`
+	Groups  []BudgetChargeRequest `json:"groups,omitempty"`
 }
 
-// BudgetChargeResult carries one outcome per request charge, in order.
+// BudgetChargeResult carries one outcome per request charge, in order;
+// a node call's carries one result per group in Groups instead.
 type BudgetChargeResult struct {
-	Outcomes []budget.Outcome `json:"outcomes"`
+	Outcomes []budget.Outcome     `json:"outcomes,omitempty"`
+	Groups   []BudgetChargeResult `json:"groups,omitempty"`
 }
 
 // BudgetRefundRequest credits one charge back.
@@ -71,16 +78,36 @@ func (h *Handler) registerBudget(bb BudgetBackend) {
 		if !readJSON(w, r, &req) {
 			return
 		}
-		if len(req.Charges) == 0 {
-			writeErr(w, http.StatusBadRequest, "charge batch is empty")
-			return
+		groups := req.Groups
+		if groups == nil {
+			groups = []BudgetChargeRequest{req}
 		}
-		outs, err := bb.BudgetCharge(req.Shard, req.Charges)
+		for i, g := range groups {
+			if len(g.Charges) == 0 {
+				writeErr(w, http.StatusBadRequest, "charge batch is empty")
+				return
+			}
+			for _, prev := range groups[:i] {
+				if prev.Shard == g.Shard {
+					writeErr(w, http.StatusBadRequest, fmt.Sprintf("charge call names budget shard %d twice", g.Shard))
+					return
+				}
+			}
+		}
+		outs, err := bb.BudgetCharge(groups)
 		if err != nil {
 			writeBackendErr(w, err)
 			return
 		}
-		writeOK(w, BudgetChargeResult{Outcomes: outs})
+		if req.Groups == nil {
+			writeOK(w, BudgetChargeResult{Outcomes: outs[0]})
+			return
+		}
+		res := BudgetChargeResult{Groups: make([]BudgetChargeResult, len(outs))}
+		for i := range outs {
+			res.Groups[i].Outcomes = outs[i]
+		}
+		writeOK(w, &res)
 	}))
 	h.mux.HandleFunc("POST /shardrpc/v1/budget/refund", h.guard(func(w http.ResponseWriter, r *http.Request) {
 		var req BudgetRefundRequest
@@ -125,10 +152,50 @@ func (c *Client) BudgetCharge(shard int, charges []budget.Charge) ([]budget.Outc
 	var res BudgetChargeResult
 	err := c.do(http.MethodPost, "/shardrpc/v1/budget/charge", nil,
 		&BudgetChargeRequest{Shard: shard, Charges: charges}, &res)
+	if err == nil && len(res.Outcomes) != len(charges) {
+		err = fmt.Errorf("%w: %d outcomes for %d charges", errProtocol, len(res.Outcomes), len(charges))
+	}
 	if err != nil {
 		return nil, err
 	}
 	return res.Outcomes, nil
+}
+
+// chargeGroups debits several budget shards' batches in one call (one
+// ledger commit on the node) and returns each group's outcomes or the
+// error that left it undecided. A lone group goes as the per-shard
+// request; to a node that has not advertised node calls it sends one
+// BudgetCharge per group, side by side.
+func (c *Client) chargeGroups(groups []BudgetChargeRequest) []chargeOutcome {
+	outs := make([]chargeOutcome, len(groups))
+	if len(groups) == 1 || !c.sections.Load() {
+		each(len(groups), func(i int) {
+			outs[i].outs, outs[i].err = c.BudgetCharge(groups[i].Shard, groups[i].Charges)
+		})
+		return outs
+	}
+	var res BudgetChargeResult
+	err := c.do(http.MethodPost, "/shardrpc/v1/budget/charge", nil, &BudgetChargeRequest{Groups: groups}, &res)
+	if err == nil && len(res.Groups) != len(groups) {
+		err = fmt.Errorf("%w: %d results for %d charge groups", errProtocol, len(res.Groups), len(groups))
+	}
+	for i := range outs {
+		switch {
+		case err != nil:
+			outs[i].err = err
+		case len(res.Groups[i].Outcomes) != len(groups[i].Charges):
+			outs[i].err = fmt.Errorf("%w: %d outcomes for %d charges", errProtocol, len(res.Groups[i].Outcomes), len(groups[i].Charges))
+		default:
+			outs[i].outs = res.Groups[i].Outcomes
+		}
+	}
+	return outs
+}
+
+// chargeOutcome is one charge group's answer.
+type chargeOutcome struct {
+	outs []budget.Outcome
+	err  error
 }
 
 // BudgetRefund credits one charge back on its budget shard.
@@ -155,17 +222,18 @@ func (c *Client) BudgetStats() ([]budget.ShardStats, error) {
 }
 
 // RemoteCharger is the frontend's budget.Charger: it routes every
-// charge to the node hosting the worker's budget shard, group-batching
-// per shard exactly like the submit path (see batcher.go), so a busy
-// frontend amortizes one charge RPC across every submit waiting in the
-// same window and the hot path stays one extra round-trip, not N.
+// charge to the node hosting the worker's budget shard through a node
+// queue exactly like the submit path's (see queue.go) — one lane per
+// budget shard — so a busy frontend amortizes one charge call per node
+// across every submit waiting in the same window, and the node decides
+// each call in one ledger commit.
 //
 // The Config it reports is the frontend's flag-derived copy for the
 // admin surface; the owning shard's own config decides accept/reject.
 type RemoteCharger struct {
-	cfg      budget.Config
-	hosts    []*Client // by budget shard
-	batchers []*budgetBatcher
+	cfg   budget.Config
+	hosts []*Client // by budget shard
+	queue *nodeQueue
 }
 
 // NewRemoteCharger is the Charger of NewRemoteRoundRobin(clients,
@@ -190,10 +258,8 @@ func (r *Remote) Charger(cfg budget.Config) (*RemoteCharger, error) {
 	r.routeMu.RLock()
 	hosts := r.table.budget
 	r.routeMu.RUnlock()
-	c := &RemoteCharger{cfg: cfg, hosts: hosts, batchers: make([]*budgetBatcher, len(hosts))}
-	for s, h := range hosts {
-		c.batchers[s] = &budgetBatcher{shard: s, client: h}
-	}
+	c := &RemoteCharger{cfg: cfg, hosts: hosts}
+	c.queue = newNodeQueue(len(hosts), func(b int) (*Client, uint64, error) { return hosts[b], 0, nil }, c.ship)
 	return c, nil
 }
 
@@ -203,9 +269,45 @@ func (r *RemoteCharger) Config() budget.Config { return r.cfg }
 // Shards implements budget.Charger.
 func (r *RemoteCharger) Shards() int { return len(r.hosts) }
 
-// Charge implements budget.Charger through the shard's group batcher.
+// Charge implements budget.Charger through the node queue.
 func (r *RemoteCharger) Charge(c budget.Charge) (budget.Outcome, error) {
-	return r.batchers[budget.Route(c.WorkerID, len(r.hosts))].charge(c)
+	e := r.ChargeEach([]budget.Charge{c})[0]
+	return e.Outcome, e.Err
+}
+
+// ChargeEach debits several workers' charges and waits for every
+// verdict: the charges of one node leave in one call. The entries are
+// aligned with cs, each holding the ledger's Outcome or the Err that
+// left the charge undecided.
+func (r *RemoteCharger) ChargeEach(cs []budget.Charge) []SubmitEntry {
+	ps := make([]pending, len(cs))
+	for i := range ps {
+		ps[i] = pending{lane: budget.Route(cs[i].WorkerID, len(r.hosts)), charge: cs[i]}
+	}
+	return r.queue.enqueue(ps)()
+}
+
+// ship sends one charge call — a group per budget shard — and hands
+// every waiter its outcome. The node decides the whole call
+// transactionally, so an error fails every charge of the groups it
+// covers: a failed call recorded nothing the caller may act on.
+func (r *RemoteCharger) ship(c *Client, secs []section) {
+	groups := make([]BudgetChargeRequest, len(secs))
+	for i, sec := range secs {
+		groups[i] = BudgetChargeRequest{Shard: sec.lane, Charges: make([]budget.Charge, len(sec.recs))}
+		for j, p := range sec.recs {
+			groups[i].Charges[j] = p.charge
+		}
+	}
+	for i, o := range c.chargeGroups(groups) {
+		for j, p := range secs[i].recs {
+			if o.err != nil {
+				p.done <- SubmitEntry{Err: o.err}
+			} else {
+				p.done <- SubmitEntry{Outcome: o.outs[j]}
+			}
+		}
+	}
 }
 
 // Refund implements budget.Charger. Refunds are rare (they compensate
@@ -244,83 +346,3 @@ func (r *RemoteCharger) Stats() ([]budget.ShardStats, error) {
 func (r *RemoteCharger) Close() error { return nil }
 
 var _ budget.Charger = (*RemoteCharger)(nil)
-
-// budgetBatcher group-batches one budget shard's charges, the exact
-// discipline of shardBatcher: while one charge RPC is in flight,
-// concurrent charges for the same shard queue and ship as the next
-// batch; a lone charge still ships immediately.
-type budgetBatcher struct {
-	shard  int
-	client *Client
-
-	mu      sync.Mutex
-	queue   []*pendingCharge
-	running bool
-}
-
-type pendingCharge struct {
-	c    budget.Charge
-	done chan chargeDone
-}
-
-type chargeDone struct {
-	out budget.Outcome
-	err error
-}
-
-// charge enqueues one debit and blocks until its batch is decided.
-func (b *budgetBatcher) charge(c budget.Charge) (budget.Outcome, error) {
-	p := &pendingCharge{c: c, done: make(chan chargeDone, 1)}
-	b.mu.Lock()
-	b.queue = append(b.queue, p)
-	if !b.running {
-		b.running = true
-		go b.run()
-	}
-	b.mu.Unlock()
-	d := <-p.done
-	return d.out, d.err
-}
-
-func (b *budgetBatcher) run() {
-	for {
-		b.mu.Lock()
-		if len(b.queue) == 0 {
-			b.running = false
-			b.mu.Unlock()
-			return
-		}
-		n := len(b.queue)
-		if n > maxSubmitBatch {
-			n = maxSubmitBatch
-		}
-		batch := b.queue[:n:n]
-		b.queue = append([]*pendingCharge(nil), b.queue[n:]...)
-		b.mu.Unlock()
-		b.ship(batch)
-	}
-}
-
-// ship sends one charge batch and distributes per-charge outcomes. The
-// shard decides the whole batch transactionally, so an error fails
-// every waiter — there is no durable-prefix subtlety like the submit
-// path's: a failed batch recorded nothing the caller may act on.
-func (b *budgetBatcher) ship(batch []*pendingCharge) {
-	charges := make([]budget.Charge, len(batch))
-	for i, p := range batch {
-		charges[i] = p.c
-	}
-	outs, err := b.client.BudgetCharge(b.shard, charges)
-	if err != nil || len(outs) != len(batch) {
-		if err == nil {
-			err = fmt.Errorf("shardrpc: %d outcomes for %d charges", len(outs), len(batch))
-		}
-		for _, p := range batch {
-			p.done <- chargeDone{err: err}
-		}
-		return
-	}
-	for i, p := range batch {
-		p.done <- chargeDone{out: outs[i]}
-	}
-}

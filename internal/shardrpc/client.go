@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -22,9 +23,10 @@ type Client struct {
 	base  string // e.g. "http://10.0.0.7:8080"
 	token string
 	http  *http.Client
-	// binarySubmit is whether the node's newest reply advertised that it
-	// reads binary submit bodies (see AcceptHeader).
-	binarySubmit atomic.Bool
+	// binarySubmit and sections are whether the node's newest reply
+	// advertised that it reads binary submit bodies and node calls (see
+	// AcceptHeader).
+	binarySubmit, sections atomic.Bool
 }
 
 // NewClient builds a client for the node at baseURL. A nil httpClient
@@ -129,7 +131,9 @@ func (c *Client) send(method, path string, query url.Values, buf *bytes.Buffer, 
 	if err != nil {
 		return fmt.Errorf("shardrpc: %s %s: %w", method, path, err)
 	}
-	c.binarySubmit.Store(resp.Header.Get(AcceptHeader) == SubmitContentType)
+	accept := resp.Header.Values(AcceptHeader)
+	c.binarySubmit.Store(len(accept) > 0 && accept[0] == SubmitContentType)
+	c.sections.Store(len(accept) > 1 && accept[1] == SectionsAccept)
 	defer func() {
 		_, _ = io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
@@ -203,6 +207,67 @@ func (c *Client) Submit(req *SubmitRequest) (*SubmitResult, error) {
 		return nil, err
 	}
 	return &res, nil
+}
+
+// SubmitSections sends one node call — a section per shard, see
+// SubmitSections — and returns each section's outcome, aligned: its
+// result, or its refusal as the error Submit returns for the same
+// status. A call that fails whole fails every section. A lone section
+// goes as the per-shard body, which costs the node no section plumbing;
+// to a node that has not advertised node calls it sends one Submit per
+// section, side by side.
+func (c *Client) SubmitSections(secs SubmitSections) []SubmitOutcome {
+	outs := make([]SubmitOutcome, len(secs))
+	if len(secs) == 1 || !c.sections.Load() {
+		each(len(secs), func(i int) { outs[i].Result, outs[i].Err = c.Submit(&secs[i]) })
+		return outs
+	}
+	buf := getBuf()
+	b, _ := secs.AppendBinary(buf.AvailableBuffer()) // cannot fail
+	buf.Write(b)
+	var res SectionsResult
+	err := c.send(http.MethodPost, "/shardrpc/v1/submit", nil, buf, SubmitContentType, &res)
+	if err == nil && len(res.Sections) != len(secs) {
+		err = fmt.Errorf("%w: %d section results for %d sections", errProtocol, len(res.Sections), len(secs))
+	}
+	for i := range outs {
+		if err != nil {
+			outs[i].Err = err
+			continue
+		}
+		switch sr := &res.Sections[i]; {
+		case sr.Status == http.StatusOK && sr.SubmitResult != nil:
+			outs[i].Result = sr.SubmitResult
+		case sr.Status == http.StatusOK:
+			outs[i].Err = fmt.Errorf("%w: section %d answered without a result", errProtocol, i)
+		default:
+			re := &remoteError{Status: sr.Status, Msg: sr.Error, RetryAfter: sr.RetryAfter}
+			if sr.SubmitResult != nil {
+				re.Appended = sr.Appended
+			}
+			outs[i].Err = re
+		}
+	}
+	return outs
+}
+
+// each runs fn(i) for every i in [0, n) — past the first on goroutines
+// of its own — and returns when all have: the per-shard calls that stand
+// in for a node call go out side by side, so one parked shard holds up
+// none of the others.
+func each(n int, fn func(i int)) {
+	var wg sync.WaitGroup
+	for i := 1; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(i)
+		}()
+	}
+	if n > 0 {
+		fn(0)
+	}
+	wg.Wait()
 }
 
 // Scan fetches one page of a cursor scan.

@@ -79,7 +79,7 @@ func NewRemoteFromManifest(m *placement.Manifest, token string, httpClient *http
 // ApplyManifest swaps the routing to a newer manifest without touching
 // in-flight work: shard → primary/replica clients and the per-shard
 // epoch stamp change atomically under the route lock, and the next
-// batch each shard's batcher ships resolves the new target. Manifests
+// call each shard's records wait for resolves the new target. Manifests
 // at or below the applied version are ignored (watcher redelivery,
 // stale files); one that moves a budget shard is refused, because a
 // ledger cannot move yet. Unknown node URLs get clients lazily; that
@@ -100,8 +100,8 @@ func (r *Remote) ApplyManifest(m *placement.Manifest) error {
 // applyLocked resolves a manifest into the routing table and installs
 // it. Caller holds routeMu.
 func (r *Remote) applyLocked(m *placement.Manifest) error {
-	if len(m.Shards) != len(r.batchers) {
-		return fmt.Errorf("shardrpc: manifest has %d shards, router has %d", len(m.Shards), len(r.batchers))
+	if len(m.Shards) != len(r.submits.lanes) {
+		return fmt.Errorf("shardrpc: manifest has %d shards, router has %d", len(m.Shards), len(r.submits.lanes))
 	}
 	var err error
 	dial := func(url string) *Client {

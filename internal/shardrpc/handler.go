@@ -56,10 +56,11 @@ func NewHandler(backend Backend, token string) (*Handler, error) {
 }
 
 // ServeHTTP implements http.Handler. Every reply, whatever the route or
-// status, advertises the binary submit body this handler reads; clients
-// that have seen it stop sending JSON (see AcceptHeader).
+// status, advertises the binary submit body this handler reads, then
+// node calls; clients that have seen them stop sending JSON and
+// per-shard calls (see AcceptHeader).
 func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set(AcceptHeader, SubmitContentType)
+	w.Header()[AcceptHeader] = []string{SubmitContentType, SectionsAccept}
 	h.mux.ServeHTTP(w, r)
 }
 
@@ -77,32 +78,39 @@ func (h *Handler) guard(fn http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// writeBackendErr maps backend errors to transport statuses: unknown
-// survey → 404, duplicate publish → 409, unowned shard → 421 (the
-// caller's placement map is wrong), anything else → 400 (validation)
-// so the sender does not blindly retry a rejected record.
+// writeBackendErr maps backend errors to transport statuses (see
+// backendStatus), with the shed's Retry-After.
 func writeBackendErr(w http.ResponseWriter, err error) {
+	status, retryAfter := backendStatus(err)
+	if status == http.StatusTooManyRequests {
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
+	}
+	writeErr(w, status, err.Error())
+}
+
+// backendStatus maps a backend error to its transport status: unknown
+// survey → 404, duplicate publish → 409, unowned shard → 421 (the
+// caller's placement map is wrong), an epoch fence → 412 (nothing was
+// appended; the sender refreshes its manifest, not the batch), a shed →
+// 429 with the retry hint in seconds (nothing was appended; the sender
+// retries the whole batch after it), anything else → 400 (validation) so
+// the sender does not blindly retry a rejected record.
+func backendStatus(err error) (status, retryAfter int) {
 	var notOwned *ErrNotOwned
 	var overloaded *OverloadedError
 	switch {
 	case errors.As(err, &notOwned):
-		writeErr(w, http.StatusMisdirectedRequest, err.Error())
+		return http.StatusMisdirectedRequest, 0
 	case errors.Is(err, ErrFenced):
-		// An epoch fence: the sender's placement view is stale. Nothing
-		// was appended; the sender refreshes its manifest, not the batch.
-		writeErr(w, http.StatusPreconditionFailed, err.Error())
+		return http.StatusPreconditionFailed, 0
 	case errors.As(err, &overloaded):
-		// The node shed the batch at admission: nothing was appended,
-		// the sender retries the whole batch after the hint.
-		w.Header().Set("Retry-After", strconv.Itoa(overloaded.RetryAfterSeconds))
-		writeErr(w, http.StatusTooManyRequests, err.Error())
+		return http.StatusTooManyRequests, overloaded.RetryAfterSeconds
 	case errors.Is(err, store.ErrNotFound):
-		writeErr(w, http.StatusNotFound, err.Error())
+		return http.StatusNotFound, 0
 	case errors.Is(err, store.ErrExists):
-		writeErr(w, http.StatusConflict, err.Error())
-	default:
-		writeErr(w, http.StatusBadRequest, err.Error())
+		return http.StatusConflict, 0
 	}
+	return http.StatusBadRequest, 0
 }
 
 func (h *Handler) handleMeta(w http.ResponseWriter, _ *http.Request) {
@@ -110,28 +118,49 @@ func (h *Handler) handleMeta(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleSubmit is decode → Backend.Submit → encode; every gate lives
-// behind the backend. The request body is binary or JSON by its content
-// type; the reply is JSON. A result returned beside an error is the
-// durable prefix of a plain batch that failed mid-way: the sender must
-// not resubmit it.
+// behind the backend. A per-shard body — binary or JSON by its content
+// type — is a call of one section answered as it always was: its
+// status, with AppendedHeader beside an error when a plain batch failed
+// mid-way (the durable prefix the sender must not resubmit). A sections
+// body is answered 200 with a SectionsResult.
 func (h *Handler) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req SubmitRequest
+	var secs SubmitSections
+	sections := false
 	if r.Header.Get("Content-Type") == SubmitContentType {
-		if !readBinary(w, r, &req) {
+		if sections, secs = readSubmitBody(w, r); secs == nil {
 			return
 		}
-	} else if !readJSON(w, r, &req) {
-		return
-	}
-	res, err := h.backend.Submit(r.Context(), &req)
-	if err != nil {
-		if res != nil {
-			w.Header().Set(AppendedHeader, strconv.Itoa(res.Appended))
+	} else {
+		secs = make(SubmitSections, 1)
+		if !readJSON(w, r, &secs[0]) {
+			return
 		}
-		writeBackendErr(w, err)
+	}
+	outs := h.backend.Submit(r.Context(), secs)
+	if !sections {
+		if o := outs[0]; o.Err != nil {
+			if o.Result != nil {
+				w.Header().Set(AppendedHeader, strconv.Itoa(o.Result.Appended))
+			}
+			writeBackendErr(w, o.Err)
+		} else {
+			writeOK(w, o.Result)
+		}
 		return
 	}
-	writeOK(w, res)
+	res := SectionsResult{Sections: make([]SectionResult, len(outs))}
+	for i, o := range outs {
+		sr := &res.Sections[i]
+		sr.Status, sr.SubmitResult = http.StatusOK, o.Result
+		if o.Result != nil {
+			res.Appended += o.Result.Appended
+		}
+		if o.Err != nil {
+			sr.Status, sr.RetryAfter = backendStatus(o.Err)
+			sr.Error = o.Err.Error()
+		}
+	}
+	writeOK(w, &res)
 }
 
 func (h *Handler) handleScan(w http.ResponseWriter, r *http.Request) {
@@ -318,21 +347,33 @@ func qDefault(r *http.Request, key, def string) string {
 	return def
 }
 
-// readBinary is readJSON for a submit body in its binary encoding, under
-// the same size cap. The pooled buffer can go straight back: decoding
-// copies every string out of it.
-func readBinary(w http.ResponseWriter, r *http.Request, dst *SubmitRequest) bool {
+// readSubmitBody is readJSON for a binary submit body, under the same
+// size cap: the sections it carries, and whether it was a sections body
+// (one section otherwise); nil after writing the 400. The pooled buffer
+// can go straight back: decoding copies every string out of it.
+func readSubmitBody(w http.ResponseWriter, r *http.Request) (bool, SubmitSections) {
 	buf := getBuf()
 	defer putBuf(buf)
 	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
 		writeErr(w, http.StatusBadRequest, "malformed binary body: "+err.Error())
-		return false
+		return false, nil
 	}
-	if err := dst.UnmarshalBinary(buf.Bytes()); err != nil {
+	var secs SubmitSections
+	var err error
+	sections := len(buf.Bytes()) > 0 && buf.Bytes()[0] == sectionsBodyTag
+	if sections {
+		if err = secs.UnmarshalBinary(buf.Bytes()); err == nil && len(secs) == 0 {
+			err = errors.New("shardrpc: submit call has no section")
+		}
+	} else {
+		secs = make(SubmitSections, 1)
+		err = secs[0].UnmarshalBinary(buf.Bytes())
+	}
+	if err != nil {
 		writeErr(w, http.StatusBadRequest, "malformed binary body: "+err.Error())
-		return false
+		return false, nil
 	}
-	return true
+	return sections, secs
 }
 
 func readJSON(w http.ResponseWriter, r *http.Request, dst any) bool {

@@ -27,10 +27,10 @@ import (
 // publishing directly to a node), which nodes tolerate anyway — they
 // re-validate every append.
 type Remote struct {
-	// batchers group-batch the submit path per shard (see batcher.go).
-	// There is one per response shard of the manifest, a count fixed for
-	// the router's life.
-	batchers []*shardBatcher
+	// submits is the write path's node queue (queue.go): one lane per
+	// response shard of the manifest, a count fixed for the router's
+	// life.
+	submits *nodeQueue
 	// piggyback is set by EnablePiggybackCharges: a charge may ride the
 	// submit RPC when its budget shard's host is the response shard's
 	// primary.
@@ -105,10 +105,7 @@ func newRemote(m *placement.Manifest, clients []*Client, token string, httpc *ht
 			r.clientsByURL[c.BaseURL()] = c
 		}
 	}
-	r.batchers = make([]*shardBatcher, len(m.Shards))
-	for s := range r.batchers {
-		r.batchers[s] = &shardBatcher{shard: s, remote: r}
-	}
+	r.submits = newNodeQueue(len(m.Shards), r.submitTarget, r.shipSubmits)
 	r.routeMu.Lock()
 	defer r.routeMu.Unlock()
 	if err := r.applyLocked(m); err != nil {
@@ -118,7 +115,7 @@ func newRemote(m *placement.Manifest, clients []*Client, token string, httpc *ht
 }
 
 // Shards implements shardset.ShardRouter.
-func (r *Remote) Shards() int { return len(r.batchers) }
+func (r *Remote) Shards() int { return len(r.submits.lanes) }
 
 // GlobalID implements shardset.ShardRouter: a frontend's shard space
 // is the global one.
@@ -126,14 +123,14 @@ func (r *Remote) GlobalID(shard int) int { return shard }
 
 // Route implements shardset.ShardRouter with the canonical hash.
 func (r *Remote) Route(surveyID, workerID string) int {
-	return shardset.Route(surveyID, workerID, len(r.batchers))
+	return shardset.Route(surveyID, workerID, len(r.submits.lanes))
 }
 
 // route snapshots one shard's row of the routing table, and whether the
 // table is positional (see routing.positional).
 func (r *Remote) route(shard int) (shardRoute, bool, error) {
-	if shard < 0 || shard >= len(r.batchers) {
-		return shardRoute{}, false, fmt.Errorf("shardrpc: shard %d outside [0, %d)", shard, len(r.batchers))
+	if shard < 0 || shard >= len(r.submits.lanes) {
+		return shardRoute{}, false, fmt.Errorf("shardrpc: shard %d outside [0, %d)", shard, len(r.submits.lanes))
 	}
 	r.routeMu.RLock()
 	defer r.routeMu.RUnlock()
@@ -276,30 +273,61 @@ func (r *Remote) Surveys() ([]*survey.Survey, error) {
 	return out, nil
 }
 
-// Submit queues records already routed (Route) to one shard on its group
-// batcher: concurrent submits to a shard coalesce into batch RPCs, one
-// round-trip amortized across every waiter. charges is nil or aligned
-// with rs (an empty WorkerID carries none); a charge rides the record's
-// RPC, and the owning node decides the debit and appends in one handler
-// call — callers check CanPiggybackCharge first. Nothing has been sent
-// when Submit returns: the returned function waits for the batches that
-// carry the records and reports their verdicts, so one request can queue
-// on several shards before it waits on any.
-func (r *Remote) Submit(shard int, rs []survey.Response, charges []budget.Charge) (wait func() []SubmitEntry) {
-	ps := make([]pendingSubmit, len(rs))
+// Submit queues records already routed (Route) — record i to shard
+// shards[i] — on the router's node queue: a request's records for one
+// node leave in one call, coalesced with every other request's. charges
+// is nil or aligned with rs (an empty WorkerID carries none); a charge
+// rides its record's call, and the owning node decides the debit and
+// appends in one handler call — callers check CanPiggybackCharge first.
+// Nothing has been sent when Submit returns: the returned function
+// waits for the calls that carry the records and reports their
+// verdicts, aligned with rs.
+func (r *Remote) Submit(shards []int, rs []survey.Response, charges []budget.Charge) (wait func() []SubmitEntry) {
+	ps := make([]pending, len(rs))
 	for i := range ps {
-		ps[i] = pendingSubmit{resp: &rs[i], done: make(chan SubmitEntry, 1)}
+		ps[i] = pending{lane: shards[i], resp: &rs[i]}
 		if charges != nil {
 			ps[i].charge = charges[i]
 		}
 	}
-	r.batchers[shard].enqueue(ps)
-	return func() []SubmitEntry {
-		out := make([]SubmitEntry, len(ps))
-		for i := range ps {
-			out[i] = <-ps[i].done
+	return r.submits.enqueue(ps)
+}
+
+// shipSubmits sends one node call — a section per shard, charges riding
+// along wherever a record carries one — and hands every caller its
+// entry of its section's reply (SubmitEntries).
+func (r *Remote) shipSubmits(c *Client, secs []section) {
+	reqs := make(SubmitSections, len(secs))
+	for i, sec := range secs {
+		req := &reqs[i]
+		*req = SubmitRequest{Shard: sec.lane, Epoch: sec.epoch, Responses: make([]survey.Response, len(sec.recs))}
+		for j, p := range sec.recs {
+			req.Responses[j] = *p.resp
+			if p.charge.WorkerID != "" {
+				if req.Charges == nil {
+					req.Charges = make([]budget.Charge, len(sec.recs))
+				}
+				req.Charges[j] = p.charge
+			}
 		}
-		return out
+	}
+	for i, o := range c.SubmitSections(reqs) {
+		// Feed the router's failure detector and fence accounting: a
+		// transport error marks the node down (the next call fails fast
+		// and reads fail over), a fenced section nudges a manifest refresh.
+		r.noteResult(c, o.Err)
+		if errors.Is(o.Err, ErrFenced) {
+			r.noteFenced()
+		}
+		for j, e := range SubmitEntries(len(secs[i].recs), o.Result, o.Err) {
+			if e.ChargeErr != "" {
+				// What the node could not decide reads, on this side of the
+				// wire, as an undecided charge and then the node's reason —
+				// the text the public 503 has always carried.
+				e.ChargeErr = budget.ErrUndecided.Error() + ": " + e.ChargeErr
+			}
+			secs[i].recs[j].done <- e
+		}
 	}
 }
 
@@ -327,7 +355,7 @@ func (r *Remote) EnablePiggybackCharges(budgetShards int) error {
 // the node the response shard's writes go to (the same client, not the
 // same index: a promoted replica hosts no budget shard).
 func (r *Remote) CanPiggybackCharge(shard int, workerID string) bool {
-	if !r.piggyback || shard < 0 || shard >= len(r.batchers) {
+	if !r.piggyback || shard < 0 || shard >= len(r.submits.lanes) {
 		return false
 	}
 	r.routeMu.RLock()

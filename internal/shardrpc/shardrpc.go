@@ -10,7 +10,10 @@
 // submit request body, which is binary between peers that both know it
 // (submitbody.go); its reply is JSON like every other.
 //
-//	POST /shardrpc/v1/submit                    batch append to one shard
+//	POST /shardrpc/v1/submit                    batch append to one shard,
+//	                                            or to several of a node's
+//	                                            shards in one call (the
+//	                                            sections body)
 //	GET  /shardrpc/v1/shards/{shard}/scan       cursor scan (paged)
 //	GET  /shardrpc/v1/shards/{shard}/count      per-shard response count
 //	POST /shardrpc/v1/partial                   partial accumulator state
@@ -135,6 +138,33 @@ type SubmitResult struct {
 	RetryAfterSeconds int `json:"retry_after_seconds,omitempty"`
 }
 
+// SubmitOutcome is one section's answer from Backend.Submit: the
+// result, the error that refused the section, or — a plain section whose
+// append failed — both, the result holding the durable prefix.
+type SubmitOutcome struct {
+	Result *SubmitResult
+	Err    error
+}
+
+// SectionsResult answers a sections body: the call's total of durably
+// appended records, which leads the body, and one entry per request
+// section, in order.
+type SectionsResult struct {
+	Appended int             `json:"appended"`
+	Sections []SectionResult `json:"sections"`
+}
+
+// SectionResult is one section's answer: the status, error and
+// Retry-After a per-shard request for the section would have drawn, and
+// inline the SubmitResult of a 200 or the durable prefix (Appended) of
+// a plain section whose append failed.
+type SectionResult struct {
+	Status     int    `json:"status"`
+	Error      string `json:"error,omitempty"`
+	RetryAfter int    `json:"retry_after,omitempty"`
+	*SubmitResult
+}
+
 // SubmitEntry is one record's verdict on a submit: its entry of the
 // batch's SubmitResult, or the error that refused (or lost) the batch
 // it travelled in. It is what the public submit path maps to an HTTP
@@ -163,8 +193,9 @@ type SubmitEntry struct {
 	Stored int
 }
 
-// SubmitEntries cuts the outcome of one n-record batch — Backend.Submit's
-// return values, or Client.Submit's — into per-record verdicts.
+// SubmitEntries cuts the outcome of one n-record batch — a section's
+// SubmitOutcome, or Client.Submit's return values — into per-record
+// verdicts.
 func SubmitEntries(n int, res *SubmitResult, err error) []SubmitEntry {
 	out := make([]SubmitEntry, n)
 	if err != nil {
@@ -331,16 +362,21 @@ type PublishRequest struct {
 type Backend interface {
 	// Meta reports the node's shard ownership.
 	Meta() Meta
-	// Submit is the one write: run a routed batch through the host's
-	// gates and durably append what passes, in one durability round. ctx
-	// is the caller's — a sender that gave up must not keep a queue slot.
+	// Submit is the one write: run a node call's sections — each a
+	// routed batch for one shard, a per-shard request being the call of
+	// one section — through the host's gates, and durably append what
+	// passes. The call takes one admission slot and one ledger commit, and
+	// its sections' appends run concurrently. ctx is the caller's — a
+	// sender that gave up must not keep a queue slot. The outcomes are
+	// aligned with sections.
 	//
-	// A whole-batch refusal is an error returned with a nil result,
-	// decided before any per-record state (rate-limit buckets, ledger,
-	// store) changes: a request failing Validate, ErrNotOwned for a shard
-	// (or a charge's budget shard) the host does not hold, FencedError
-	// for a stale or unaccepted placement epoch, OverloadedError when
-	// admission sheds the batch.
+	// A section's refusal is its outcome's error with a nil result,
+	// decided before any of its per-record state (rate-limit buckets,
+	// ledger, store) changes, and it refuses that section alone: a
+	// section failing Validate, ErrNotOwned for a shard (or a charge's
+	// budget shard) the host does not hold, FencedError for a stale or
+	// unaccepted placement epoch, OverloadedError when admission sheds
+	// the call.
 	//
 	// Per-record verdicts travel inside a successful result (see
 	// SubmitResult): throttled entries; and, on a charged batch, budget
@@ -353,7 +389,7 @@ type Backend interface {
 	// The one result-with-error shape: a plain batch (no charges, nothing
 	// throttled) whose append fails returns the durable prefix beside the
 	// error, which the Handler reports in AppendedHeader.
-	Submit(ctx context.Context, req *SubmitRequest) (*SubmitResult, error)
+	Submit(ctx context.Context, sections []SubmitRequest) []SubmitOutcome
 	// ScanShard streams one global shard's slice of a survey beyond a
 	// per-shard cursor.
 	ScanShard(shard int, surveyID string, fromSeq uint64, fn func(seq uint64, r *survey.Response) error) error

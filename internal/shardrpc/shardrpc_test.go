@@ -47,16 +47,21 @@ func (b *testBackend) shard(global int) (int, error) {
 	return 0, &ErrNotOwned{Shard: global}
 }
 
-func (b *testBackend) Submit(_ context.Context, req *SubmitRequest) (*SubmitResult, error) {
-	if err := req.Validate(); err != nil {
-		return nil, err
+func (b *testBackend) Submit(_ context.Context, secs []SubmitRequest) []SubmitOutcome {
+	outs := make([]SubmitOutcome, len(secs))
+	for s, req := range secs {
+		if outs[s].Err = req.Validate(); outs[s].Err != nil {
+			continue
+		}
+		i, err := b.shard(req.Shard)
+		if err != nil {
+			outs[s].Err = err
+			continue
+		}
+		counts, err := b.local.AppendShardBatch(i, req.Responses)
+		outs[s] = SubmitOutcome{Result: &SubmitResult{Appended: len(counts), Stored: counts}, Err: err}
 	}
-	i, err := b.shard(req.Shard)
-	if err != nil {
-		return nil, err
-	}
-	counts, err := b.local.AppendShardBatch(i, req.Responses)
-	return &SubmitResult{Appended: len(counts), Stored: counts}, err
+	return outs
 }
 
 func (b *testBackend) ScanShard(global int, surveyID string, fromSeq uint64, fn func(seq uint64, r *survey.Response) error) error {
@@ -416,7 +421,7 @@ func TestSubmitPartialFailure(t *testing.T) {
 
 // TestRemoteRouterEquivalence: the Remote router over the wire behaves
 // like a Local router over the same data — same placement, counts and
-// scans — and the submit batcher keeps per-record acks straight under
+// scans — and the node queue keeps per-record acks straight under
 // concurrency.
 func TestRemoteRouterEquivalence(t *testing.T) {
 	const shards, n = 2, 60
@@ -431,7 +436,7 @@ func TestRemoteRouterEquivalence(t *testing.T) {
 	if err := remote.PutSurvey(sv); err != nil {
 		t.Fatal(err)
 	}
-	// Concurrent appends through the batcher.
+	// Concurrent appends through the node queue.
 	errCh := make(chan error, n)
 	for i := 0; i < n; i++ {
 		go func(i int) {
@@ -441,7 +446,7 @@ func TestRemoteRouterEquivalence(t *testing.T) {
 				PrivacyLevel: "none",
 				Answers:      []survey.Answer{survey.RatingAnswer("q0", float64(1+i%5))},
 			}
-			errCh <- remote.Submit(remote.Route(r.SurveyID, r.WorkerID), []survey.Response{r}, nil)()[0].Err
+			errCh <- remote.Submit([]int{remote.Route(r.SurveyID, r.WorkerID)}, []survey.Response{r}, nil)()[0].Err
 		}(i)
 	}
 	for i := 0; i < n; i++ {

@@ -271,3 +271,63 @@ func TestSubmitBodyOverLimit(t *testing.T) {
 		t.Fatalf("%d responses stored from refused bodies", n)
 	}
 }
+
+func encodeSections(t testing.TB, secs SubmitSections) []byte {
+	t.Helper()
+	b, err := secs.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// FuzzNodeSubmitBody: the sections body decoder never panics and never
+// sizes a slice from a count the remaining bytes cannot hold (it keeps
+// what it sized even when it fails, so every input is checked); what
+// decodes re-encodes to a fixed point; and a legacy body's section,
+// wrapped as the one section of a sections body, decodes to the same
+// request as the legacy body.
+func FuzzNodeSubmitBody(f *testing.F) {
+	charged := benchSubmitRequest()
+	charged.Epoch = 3
+	charged.Charges = make([]budget.Charge, len(charged.Responses))
+	charged.Charges[1] = budget.Charge{WorkerID: "w", SurveyID: "s", Rho: 0.25, Unprotected: 2, Enforce: true}
+	f.Add([]byte{})
+	f.Add([]byte{sectionsBodyTag, 0})
+	f.Add([]byte{sectionsBodyTag, 1, 0, 0, 0, 0})
+	f.Add([]byte{sectionsBodyTag, 0xff, 0xff, 0xff, 0xff, 0x0f, 0, 0, 0, 0})
+	f.Add([]byte{sectionsBodyTag, 1, 2, 7, 0xff, 0xff, 0xff, 0x7f, 0})
+	f.Add(encodeBody(f, benchSubmitRequest()))
+	f.Add(encodeSections(f, SubmitSections{*benchSubmitRequest(), *charged, {Shard: -4, Epoch: 1 << 40}}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var secs SubmitSections
+		err := secs.UnmarshalBinary(data)
+		if len(secs)*minSectionBytes > len(data) {
+			t.Fatalf("%d sections sized from a %d-byte body", len(secs), len(data))
+		}
+		for i, s := range secs {
+			if len(s.Responses)*minResponseBytes > len(data) || len(s.Charges)*minChargeBytes > len(data) {
+				t.Fatalf("section %d: %d responses and %d charges sized from a %d-byte body", i, len(s.Responses), len(s.Charges), len(data))
+			}
+		}
+		if err == nil {
+			again := encodeSections(t, secs)
+			var secs2 SubmitSections
+			if err := secs2.UnmarshalBinary(again); err != nil || !bytes.Equal(again, encodeSections(t, secs2)) {
+				t.Fatalf("decoded body does not re-encode to a fixed point: %v", err)
+			}
+		}
+		var legacy SubmitRequest
+		if len(data) == 0 || legacy.UnmarshalBinary(data) != nil {
+			return
+		}
+		wrapped := append([]byte{sectionsBodyTag, 1}, data[1:]...)
+		if err := secs.UnmarshalBinary(wrapped); err != nil || len(secs) != 1 {
+			t.Fatalf("the legacy body as one section: %d sections, %v", len(secs), err)
+		}
+		// Compare through the encoding: NaN ratings defeat DeepEqual.
+		if !bytes.Equal(encodeBody(t, &secs[0]), encodeBody(t, &legacy)) {
+			t.Fatalf("one section decodes to\n%+v\nthe legacy body to\n%+v", secs[0], legacy)
+		}
+	})
+}
