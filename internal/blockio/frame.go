@@ -20,9 +20,8 @@ import (
 
 const frameMagic = "LKF1"
 
-// FrameContentType is the HTTP content type of a wire frame; peers fall
-// back to plain JSON when they see application/json instead, which is
-// what a pre-blockio node answers.
+// FrameContentType is the HTTP content type of a wire frame: the one
+// reply encoding of shardrpc's scan and tail routes.
 const FrameContentType = "application/x-loki-frame"
 
 // EncodeFrame compresses payload into a wire frame (stored as-is below

@@ -143,7 +143,7 @@ func (n *Node) HostBudget(set *budget.Set) { n.budget = set }
 // shares the submit pipeline's ledger commit (commitCharges). A group
 // the set does not host — or whose charges route to one it does not —
 // fails the call naming the first such group, else the first group.
-func (n *Node) BudgetCharge(groups []shardrpc.BudgetChargeRequest) ([][]budget.Outcome, error) {
+func (n *Node) BudgetCharge(groups []shardrpc.ChargeGroup) ([][]budget.Outcome, error) {
 	byShard := make(map[int][]budget.Charge, len(groups))
 	for _, g := range groups {
 		byShard[g.Shard] = g.Charges

@@ -415,7 +415,7 @@ func BenchmarkFrontendCachedRead(b *testing.B) {
 }
 
 // partialCalls is a RoundTripper counting the partial calls it carries:
-// batched or per-shard, every path ending in /partial.
+// every path ending in /partial.
 type partialCalls struct{ n atomic.Int64 }
 
 func (pc *partialCalls) RoundTrip(r *http.Request) (*http.Response, error) {

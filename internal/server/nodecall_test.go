@@ -4,12 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"path/filepath"
 	"strconv"
-	"strings"
 	"sync"
 	"testing"
 
@@ -93,9 +91,9 @@ func onShard(t *testing.T, shard int, mode string, workers ...string) shardrpc.S
 	return *req
 }
 
-// TestSectionsWireGolden pins the sections body's reply byte for byte,
-// like TestSubmitWireGolden pins the per-shard one, and holds every
-// reply's first "appended" key to the call's total.
+// TestSectionsWireGolden pins the reply to calls of several sections
+// byte for byte, and holds every reply's first "appended" key to the
+// call's total.
 func TestSectionsWireGolden(t *testing.T) {
 	cases := []struct {
 		name string
@@ -164,8 +162,8 @@ func TestSectionsWireGolden(t *testing.T) {
 
 // TestSectionsFencedSectionAlone: a call mixing a fenced section with a
 // live one lands the live section and answers 412 for the fenced one
-// only — the status a per-shard request for it draws — charging nothing
-// for it.
+// only — what a call of the fenced section alone draws — charging
+// nothing for it.
 func TestSectionsFencedSectionAlone(t *testing.T) {
 	wn := newWireNode(t, wireNodeOpts{budget: wireBudget(t)})
 	wn.node.ApplyManifest(splitManifest(t, wn.url), wn.url)
@@ -194,8 +192,9 @@ func TestSectionsFencedSectionAlone(t *testing.T) {
 	}
 }
 
-// postCharge posts a charge request to a node's budget endpoint.
-func postCharge(t *testing.T, url string, req *shardrpc.BudgetChargeRequest) wireReply {
+// postCharge posts a charge request, or any other JSON value, to a
+// node's budget endpoint.
+func postCharge(t *testing.T, url string, req any) wireReply {
 	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -220,8 +219,8 @@ func postCharge(t *testing.T, url string, req *shardrpc.BudgetChargeRequest) wir
 
 // TestChargeCallUnhostedGroupWritesNothing: a charge call one of whose
 // groups names a budget shard the node does not host is refused whole
-// with the per-shard call's 421, and writes no ledger record for any
-// group; the hosted group alone then goes through.
+// with a 421, and writes no ledger record for any group; the hosted
+// group alone then goes through.
 func TestChargeCallUnhostedGroupWritesNothing(t *testing.T) {
 	wn := newWireNode(t, wireNodeOpts{budget: &budget.SetOptions{Shards: 2, GlobalIDs: []int{0}, Config: budgetTestConfig(t)}})
 	var hosted, unhosted string
@@ -236,8 +235,8 @@ func TestChargeCallUnhostedGroupWritesNothing(t *testing.T) {
 	charge := func(w string) budget.Charge {
 		return budget.Charge{WorkerID: w, SurveyID: r.ID, Rho: responseRho(t, r, "medium"), Enforce: true}
 	}
-	hostedGroup := shardrpc.BudgetChargeRequest{Shard: 0, Charges: []budget.Charge{charge(hosted)}}
-	got := postCharge(t, wn.url, &shardrpc.BudgetChargeRequest{Groups: []shardrpc.BudgetChargeRequest{
+	hostedGroup := shardrpc.ChargeGroup{Shard: 0, Charges: []budget.Charge{charge(hosted)}}
+	got := postCharge(t, wn.url, &shardrpc.BudgetChargeRequest{Groups: []shardrpc.ChargeGroup{
 		hostedGroup, {Shard: 1, Charges: []budget.Charge{charge(unhosted)}}}})
 	if got.status != http.StatusMisdirectedRequest || !bytes.Contains(got.body, []byte("shard 1 not owned")) {
 		t.Fatalf("call naming an unhosted group: %v", got)
@@ -251,7 +250,7 @@ func TestChargeCallUnhostedGroupWritesNothing(t *testing.T) {
 			t.Errorf("budget shard %d after a refused call: %+v", s.Shard, s)
 		}
 	}
-	got = postCharge(t, wn.url, &shardrpc.BudgetChargeRequest{Groups: []shardrpc.BudgetChargeRequest{hostedGroup}})
+	got = postCharge(t, wn.url, &shardrpc.BudgetChargeRequest{Groups: []shardrpc.ChargeGroup{hostedGroup}})
 	var res shardrpc.BudgetChargeResult
 	if err := json.Unmarshal(got.body, &res); err != nil || got.status != http.StatusOK || len(res.Groups) != 1 || len(res.Groups[0].Outcomes) != 1 {
 		t.Fatalf("hosted group alone: %v (%v)", got, err)
@@ -290,9 +289,6 @@ func TestNodeQueueWedgedShardHoldsNoOther(t *testing.T) {
 	unblock := sync.OnceFunc(func() { close(wedged.release) })
 	t.Cleanup(unblock)
 	client := shardrpc.NewClient(wn.url, testToken, nil)
-	if _, err := client.Meta(); err != nil { // the node advertises node calls
-		t.Fatal(err)
-	}
 	remote, err := shardrpc.NewRemoteRoundRobin([]*shardrpc.Client{client}, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -318,124 +314,32 @@ func TestNodeQueueWedgedShardHoldsNoOther(t *testing.T) {
 	}
 }
 
-// callSpy fronts a node's shardrpc handler: it records how each submit
-// and charge call came in and, while legacy is set, drops the second
-// X-Shardrpc-Accept value from every reply — which is all that tells a
-// node that reads node calls from one that does not.
-type callSpy struct {
-	next   http.Handler
-	mu     sync.Mutex
-	legacy bool
-	// sections and groups count node calls; perShard counts submit and
-	// charge calls of one shard.
-	sections, groups, perShard int
-}
-
-type legacyWriter struct{ http.ResponseWriter }
-
-func (w legacyWriter) WriteHeader(code int) {
-	if v := w.Header().Values(shardrpc.AcceptHeader); len(v) > 1 {
-		w.Header()[shardrpc.AcceptHeader] = v[:1]
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (s *callSpy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	var body bytes.Buffer
-	if r.Body != nil {
-		if _, err := body.ReadFrom(r.Body); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		r.Body.Close()
-		r.Body = io.NopCloser(bytes.NewReader(body.Bytes()))
-	}
-	s.mu.Lock()
-	switch {
-	case strings.HasSuffix(r.URL.Path, "/submit") && body.Len() > 0 && body.Bytes()[0] == 0xB3:
-		s.sections++
-	case strings.HasSuffix(r.URL.Path, "/budget/charge") && bytes.Contains(body.Bytes(), []byte(`"groups"`)):
-		s.groups++
-	case strings.HasSuffix(r.URL.Path, "/submit"), strings.HasSuffix(r.URL.Path, "/budget/charge"):
-		s.perShard++
-	}
-	legacy := s.legacy
-	s.mu.Unlock()
-	if legacy {
-		w = legacyWriter{w}
-	}
-	s.next.ServeHTTP(w, r)
-}
-
-func (s *callSpy) counts() (sections, groups, perShard int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.sections, s.groups, s.perShard
-}
-
-// TestNodeCallsEitherUpgradeOrder: a new frontend in front of nodes that
-// read only per-shard calls (no second accept value) sends them only
-// per-shard calls, and every submit and charge lands; once the nodes
-// advertise node calls, the same frontend sends node calls, and every
-// submit and charge lands.
-func TestNodeCallsEitherUpgradeOrder(t *testing.T) {
-	var spies []*callSpy
-	var mu sync.Mutex
-	pc := newPubCluster(t, pubClusterOpts{mode: "enforce", wrap: func(h http.Handler) http.Handler {
-		s := &callSpy{next: h, legacy: true}
-		mu.Lock()
-		spies = append(spies, s)
-		mu.Unlock()
-		return s
-	}})
-	// "cluster" colocates every charge with its response, "cluster3"
-	// none: both charge paths, over every shard.
-	batch := func(round int) []survey.Response {
-		var rs []survey.Response
-		for i := 0; i < 8; i++ {
-			w := fmt.Sprintf("r%dw%d", round, i)
-			rs = append(rs, pubRec(w, "medium"), pubRec2(w, "medium"))
-		}
-		return rs
-	}
-	total := func() (sections, groups, perShard int) {
-		for _, s := range spies {
-			a, b, c := s.counts()
-			sections, groups, perShard = sections+a, groups+b, perShard+c
-		}
-		return
-	}
-	pubBatch.accepted(t, pc.front, batch(0)...)
-	if sections, groups, perShard := total(); sections != 0 || groups != 0 || perShard == 0 {
-		t.Fatalf("to nodes without node calls: %d sections bodies, %d grouped charges, %d per-shard calls", sections, groups, perShard)
-	}
-	for _, s := range spies {
-		s.mu.Lock()
-		s.legacy, s.perShard = false, 0
-		s.mu.Unlock()
-	}
-	pubBatch.accepted(t, pc.front, batch(1)...) // its replies advertise node calls
-	pubBatch.accepted(t, pc.front, batch(2)...)
-	if sections, groups, _ := total(); sections == 0 || groups == 0 {
-		t.Fatalf("to upgraded nodes: %d sections bodies, %d grouped charges", sections, groups)
-	}
-	for round := 0; round < 3; round++ {
-		for i := 0; i < 8; i++ {
-			w := fmt.Sprintf("r%dw%d", round, i)
-			set := pc.nodes[budget.Route(w, pubShards)%2].set
-			if acct, err := set.Peek(w); err != nil || acct.Charges != 2 {
-				t.Errorf("worker %q: %+v, %v; want 2 charges", w, acct, err)
-			}
+// TestChargeCallOtherShapesRefused: a charge body with no groups — empty,
+// an empty list, or the single-shard {"shard", "charges"} shape charge
+// calls had before groups — is a 400 that writes no ledger record.
+func TestChargeCallOtherShapesRefused(t *testing.T) {
+	wn := newWireNode(t, wireNodeOpts{budget: wireBudget(t)})
+	r := clusterTestSurvey()
+	charges := []budget.Charge{{WorkerID: "a", SurveyID: r.ID, Rho: responseRho(t, r, "medium"), Enforce: true}}
+	for name, body := range map[string]any{
+		"no groups":      struct{}{},
+		"empty groups":   map[string]any{"groups": []any{}},
+		"a single shard": map[string]any{"shard": budget.Route("a", 2), "charges": charges},
+	} {
+		if got := postCharge(t, wn.url, body); got.status != http.StatusBadRequest || !bytes.Contains(got.body, []byte("charge call has no group")) {
+			t.Errorf("%s: %v", name, got)
 		}
 	}
-	id, id2 := clusterTestSurvey().ID, pubSurvey2().ID
-	stored := 0
-	for _, wn := range pc.nodes {
-		for i := 0; i < wn.local.Shards(); i++ {
-			stored += wn.local.CountShard(i, id) + wn.local.CountShard(i, id2)
+	stats, err := wn.set.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range stats {
+		if s.WALRecords != 0 || s.Charges != 0 {
+			t.Errorf("budget shard %d after refused calls: %+v", s.Shard, s)
 		}
 	}
-	if stored != 48 {
-		t.Errorf("stored %d records, want 48", stored)
+	if acct, err := wn.set.Peek("a"); err != nil || acct.Charges != 0 {
+		t.Errorf("worker a: %+v, %v", acct, err)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
@@ -16,21 +15,16 @@ import (
 	"loki/internal/shardrpc"
 )
 
-// The node-side partial wire — GET /shardrpc/v1/shards/{shard}/partial —
-// pinned byte for byte: status, Content-Type and body for every answer a
-// frontend's conditional fetch can draw from a node or a replica.
+// The node-side partial wire — POST /shardrpc/v1/partial — held byte for
+// byte to the answers a frontend's conditional fetch can draw from a node
+// or a replica.
 //
 // testdata/partial_wire/*.golden were written by the commit before the
-// batched partial route existed (47cec2f), from an export of it with this
-// file copied in:
-//
-//	LOKI_FIXTURE_OUT=<repo>/internal/server/testdata/partial_wire \
-//	    go test -run TestWritePartialWireGoldens ./internal/server
-//
-// The GET route must keep answering them exactly: a frontend from before
-// the batched route reads through it while nodes are upgraded first. And
-// every entry of a batched reply must be the very object the GET answers
-// for the same shard and cursor.
+// batched partial route existed (47cec2f), from the per-shard GET route
+// that route replaced: status, Content-Type and body of each answer. They
+// stay as they are, as the oracle for the batched route: a partial entry
+// is the very object the GET answered for the same shard and cursor, and
+// a refused fetch draws the GET's status for the whole call.
 
 // partialWireCase is one conditional fetch: which server, shard, survey
 // and have cursor it asks for, and with which credentials.
@@ -39,21 +33,18 @@ type partialWireCase struct {
 	replica bool // ask the replica following the node
 	shard   int
 	survey  string
-	// have is the cursor as sent: the GET's query value ("" sends none)
-	// and, in the batched body, the raw JSON token ("" sends 0).
-	have    string
+	have    uint64
 	noToken bool
 }
 
 var partialWireCases = []partialWireCase{
 	{name: "full", survey: "cluster"},
-	{name: "not_modified", survey: "cluster", have: "5"},
-	{name: "delta", survey: "cluster", have: "3"},
-	{name: "resync_full", survey: "cluster", have: "99"},
+	{name: "not_modified", survey: "cluster", have: 5},
+	{name: "delta", survey: "cluster", have: 3},
+	{name: "resync_full", survey: "cluster", have: 99},
 	{name: "replica_stale", replica: true, survey: "cluster"},
 	{name: "unowned", shard: 7, survey: "cluster"},
 	{name: "unknown_survey", survey: "ghost"},
-	{name: "bad_have", survey: "cluster", have: "x"},
 	{name: "no_token", survey: "cluster", noToken: true},
 }
 
@@ -89,16 +80,42 @@ func (r partialReply) String() string {
 	return fmt.Sprintf("status: %d\nContent-Type: %s\nbody:\n%s", r.status, r.ctype, r.body)
 }
 
-func (c partialWireCase) do(t *testing.T, method, u string, body io.Reader) partialReply {
+// goldenPartial reads a case's golden.
+func goldenPartial(t *testing.T, name string) string {
 	t.Helper()
-	req, err := http.NewRequest(method, u, body)
+	raw, err := os.ReadFile(filepath.Join("testdata", "partial_wire", name+".golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(raw)
+}
+
+// fetch asks for the case's shard and cursor through the batched route,
+// behind the given other shards (each asked with no cursor), and returns
+// the reply with, for a 200, the case's entry as its body.
+func (c partialWireCase) fetch(t *testing.T, f partialWireFixture, others ...int) partialReply {
+	t.Helper()
+	req := shardrpc.PartialsRequest{SurveyID: c.survey}
+	for _, s := range others {
+		req.Shards = append(req.Shards, shardrpc.ShardCursor{Shard: s})
+	}
+	req.Shards = append(req.Shards, shardrpc.ShardCursor{Shard: c.shard, Have: c.have})
+	body, err := json.Marshal(&req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := f.node
+	if c.replica {
+		base = f.replica
+	}
+	hreq, err := http.NewRequest(http.MethodPost, base+"/shardrpc/v1/partial", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !c.noToken {
-		req.Header.Set("Authorization", "Bearer "+testToken)
+		hreq.Header.Set("Authorization", "Bearer "+testToken)
 	}
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := http.DefaultClient.Do(hreq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,96 +124,55 @@ func (c partialWireCase) do(t *testing.T, method, u string, body io.Reader) part
 	if err != nil {
 		t.Fatal(err)
 	}
-	return partialReply{status: resp.StatusCode, ctype: resp.Header.Get("Content-Type"), body: raw}
-}
-
-func (c partialWireCase) base(f partialWireFixture) string {
-	if c.replica {
-		return f.replica
+	r := partialReply{status: resp.StatusCode, ctype: resp.Header.Get("Content-Type"), body: raw}
+	if r.status != http.StatusOK {
+		return r
 	}
-	return f.node
-}
-
-// get is the per-shard fetch, with the query a frontend sends.
-func (c partialWireCase) get(t *testing.T, f partialWireFixture) partialReply {
-	q := url.Values{"survey": {c.survey}}
-	if c.have != "" {
-		q.Set("have", c.have)
+	var res struct{ Partials []json.RawMessage }
+	if err := json.Unmarshal(raw, &res); err != nil || len(res.Partials) != len(req.Shards) {
+		t.Fatalf("reply does not answer %d shards (%v): %s", len(req.Shards), err, raw)
 	}
-	return c.do(t, http.MethodGet, fmt.Sprintf("%s/shardrpc/v1/shards/%d/partial?%s", c.base(f), c.shard, q.Encode()), nil)
+	r.body = append(res.Partials[len(others)], '\n')
+	return r
 }
 
-// batched asks for the same shard and cursor through the batched route.
-func (c partialWireCase) batched(t *testing.T, f partialWireFixture) partialReply {
-	have := c.have
-	if have == "" {
-		have = "0"
+// checkPartial holds a reply to the case's golden: the status and
+// Content-Type, and the body — a 200's entry or a refusal's error.
+func checkPartial(t *testing.T, c partialWireCase, got partialReply) {
+	t.Helper()
+	if want := goldenPartial(t, c.name); got.String() != want {
+		t.Fatalf("partial wire reply changed\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
-	body := fmt.Sprintf(`{"survey_id":%q,"shards":[{"shard":%d,"have":%s}]}`, c.survey, c.shard, have)
-	return c.do(t, http.MethodPost, c.base(f)+"/shardrpc/v1/partial", strings.NewReader(body))
 }
 
-// eachPartialWire runs every case's GET against one fixture.
-func eachPartialWire(t *testing.T, fn func(t *testing.T, path, got string)) {
+// TestPartialWireGolden holds a call for the case's one shard to the
+// goldens.
+func TestPartialWireGolden(t *testing.T) {
 	f := newPartialWireFixture(t)
 	for _, c := range partialWireCases {
-		t.Run(c.name, func(t *testing.T) {
-			fn(t, filepath.Join("partial_wire", c.name+".golden"), c.get(t, f).String())
-		})
+		t.Run(c.name, func(t *testing.T) { checkPartial(t, c, c.fetch(t, f)) })
 	}
 }
 
-// TestWritePartialWireGoldens is the script that records the goldens; it
-// does nothing unless LOKI_FIXTURE_OUT names the directory to write.
-func TestWritePartialWireGoldens(t *testing.T) {
-	out := os.Getenv("LOKI_FIXTURE_OUT")
-	if out == "" {
-		t.Skip("LOKI_FIXTURE_OUT not set")
-	}
-	if err := os.MkdirAll(out, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	eachPartialWire(t, func(t *testing.T, path, got string) {
-		if err := os.WriteFile(filepath.Join(out, filepath.Base(path)), []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	})
-}
-
-// TestPartialWireGolden holds the per-shard GET to the goldens.
-func TestPartialWireGolden(t *testing.T) {
-	eachPartialWire(t, func(t *testing.T, path, got string) {
-		want, err := os.ReadFile(filepath.Join("testdata", path))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != string(want) {
-			t.Fatalf("partial wire reply changed\n--- got ---\n%s\n--- want ---\n%s", got, want)
-		}
-	})
-}
-
-// TestPartialWireBatchedMatchesGet: for every case, the batched route's
-// one entry is byte for byte the object the GET answers, and a refused
-// fetch draws the GET's status for the whole call.
+// TestPartialWireBatchedMatchesGet: the case's entry of a call that asks
+// for the node's other shard first is still the object the GET answered,
+// and a refused fetch draws the GET's status for the whole call.
 func TestPartialWireBatchedMatchesGet(t *testing.T) {
 	f := newPartialWireFixture(t)
 	for _, c := range partialWireCases {
 		t.Run(c.name, func(t *testing.T) {
-			get, bat := c.get(t, f), c.batched(t, f)
-			if bat.status != get.status {
-				t.Fatalf("batched status %d, GET %d\n%s", bat.status, get.status, bat.body)
+			other := 1
+			if c.shard == 1 {
+				other = 0
 			}
-			if get.status != http.StatusOK {
+			got := c.fetch(t, f, other)
+			if got.status != http.StatusOK {
+				if want := fmt.Sprintf("status: %d\n", got.status); !strings.HasPrefix(goldenPartial(t, c.name), want) {
+					t.Fatalf("status %d, not the GET's\n%s", got.status, got.body)
+				}
 				return
 			}
-			var res struct{ Partials []json.RawMessage }
-			if err := json.Unmarshal(bat.body, &res); err != nil {
-				t.Fatal(err)
-			}
-			if len(res.Partials) != 1 || !bytes.Equal(res.Partials[0], bytes.TrimSuffix(get.body, []byte("\n"))) {
-				t.Fatalf("batched entries differ from the GET's object\n--- batched ---\n%s\n--- GET ---\n%s", bat.body, get.body)
-			}
+			checkPartial(t, c, got)
 		})
 	}
 }

@@ -20,11 +20,10 @@ func (h *shardHost) Submit(ctx context.Context, secs []shardrpc.SubmitRequest) [
 }
 
 // submit is the one path a node call takes through a shard host —
-// sections, each a batch routed to one shard; a per-shard request is
-// the call of one section — whichever role runs it, whichever door it
-// came in by — the shardrpc surface or the host's own public API
-// (dispatchLocal) — and whatever it carries. The stages run in this
-// order and each is decided once:
+// sections, each a batch routed to one shard — whichever role runs it,
+// whichever door it came in by — the shardrpc surface or the host's own
+// public API (dispatchLocal) — and whatever it carries. The stages run
+// in this order and each is decided once:
 //
 //	validate    400  an empty section, charges not aligned with responses
 //	ownership   421  shard not held by this host

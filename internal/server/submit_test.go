@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"loki/internal/budget"
 	"loki/internal/core"
@@ -420,10 +421,6 @@ func TestSubmitPipelineAgainstReference(t *testing.T) {
 							}
 							return
 						}
-						// A plain batch that fails over the wire (the limiter is the
-						// frontend's: what reaches the node is plain) keeps its durable
-						// prefix, but loses the counts with the error reply.
-						countsLost := entry == "frontend" && charges == nil
 						anyFailed := false
 						for _, w := range want {
 							anyFailed = anyFailed || w.failed
@@ -436,9 +433,6 @@ func TestSubmitPipelineAgainstReference(t *testing.T) {
 								if charges != nil {
 									acked[charges[k].WorkerID] += charges[k].Rho
 								}
-							}
-							if anyFailed && countsLost {
-								w.stored = 0
 							}
 							if got[k].stored != w.stored || got[k].throttled != w.throttled || got[k].failed != w.failed || got[k].rejected != w.rejected {
 								t.Errorf("record %d: got %+v, reference %+v", k, got[k], w)
@@ -593,7 +587,7 @@ func TestNodeAdmissionHonoursCaller(t *testing.T) {
 		return wn.srv.admissionInfo().Inflight == 1
 	})
 
-	body, err := json.Marshal(wireBatch(t, "enforce", "b"))
+	body, err := shardrpc.SubmitSections{*wireBatch(t, "enforce", "b")}.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -603,6 +597,7 @@ func TestNodeAdmissionHonoursCaller(t *testing.T) {
 		t.Fatal(err)
 	}
 	hreq.Header.Set("Authorization", "Bearer "+testToken)
+	hreq.Header.Set("Content-Type", shardrpc.SubmitContentType)
 	gaveUp := make(chan error, 1)
 	go func() {
 		resp, err := http.DefaultClient.Do(hreq)
@@ -681,5 +676,48 @@ func TestPublicSubmitOneSlotOneToken(t *testing.T) {
 				t.Fatalf("admission counters: %+v", a)
 			}
 		})
+	}
+}
+
+// TestFrontendFailedPlainBatchKeepsCounts: a plain four-record batch
+// whose store fails at its third record answers its first two records
+// stored 1 and 2 and refuses the rest, through a frontend exactly as
+// standalone, and the frontend's next read — its cache warm, with an
+// hour to live — counts the two.
+func TestFrontendFailedPlainBatchKeepsCounts(t *testing.T) {
+	failing := func(int) store.Store { return &failingStore{Store: store.NewMem(), failAt: 3} }
+	var rs []survey.Response
+	for i := 0; len(rs) < 4; i++ {
+		if w := fmt.Sprintf("p%d", i); shardset.Route(clusterTestSurvey().ID, w, pubShards) == 0 {
+			rs = append(rs, pubRec(w, "medium"))
+		}
+	}
+	standalone, _ := pubStandalone(t, failing(0), "", Config{})
+	pc := newPubCluster(t, pubClusterOpts{store: failing, frontCfg: Config{FrontendCacheTTL: time.Hour}})
+	read := func() int {
+		r := readGet(t, pc.front, clusterTestSurvey().ID, "quality", testToken)
+		var res QualityResult
+		if err := json.Unmarshal(r.body, &res); err != nil || r.status != http.StatusOK {
+			t.Fatalf("frontend read: %d %s (%v)", r.status, r.body, err)
+		}
+		return res.Total
+	}
+	if n := read(); n != 0 {
+		t.Fatalf("frontend reads %d responses before the batch", n)
+	}
+	for name, base := range map[string]string{"standalone": standalone, "frontend": pc.front} {
+		r := pubBatch.post(t, base, rs...)
+		var res BatchSubmitResult
+		if err := json.Unmarshal(r.body, &res); err != nil || r.status != http.StatusOK || len(res.Results) != len(rs) {
+			t.Fatalf("%s: %v (%v)", name, r, err)
+		}
+		for k, item := range res.Results {
+			if stored := k + 1; k < 2 && (!item.Accepted || item.Stored != stored) || k >= 2 && (item.Accepted || item.Status != http.StatusBadRequest) {
+				t.Errorf("%s: record %d answered %+v", name, k, item)
+			}
+		}
+	}
+	if n := read(); n != 2 {
+		t.Errorf("frontend reads %d responses after the batch stored 2", n)
 	}
 }

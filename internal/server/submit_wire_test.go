@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -24,11 +25,12 @@ import (
 	"loki/internal/survey"
 )
 
-// updateGolden regenerates testdata/submit_wire/*.golden from whatever
-// the code under test answers. The committed files were generated by
-// the commit BEFORE the submit pipeline was unified and must keep
-// passing unchanged: they are the shardrpc submit wire contract.
-var updateGolden = flag.Bool("update-golden", false, "rewrite the submit wire goldens from the current code")
+// updateGolden regenerates testdata/submit_wire/sections_*.golden from
+// whatever the code under test answers. The other goldens there were
+// generated by the commit BEFORE the submit pipeline was unified, from
+// the per-shard request that calls of one section replaced; they stay as
+// they are, as the oracle for those calls (TestSubmitWireGolden).
+var updateGolden = flag.Bool("update-golden", false, "rewrite the sections wire goldens from the current code")
 
 // failingStore fails every append from the failAt-th on (1-based) with
 // a fixed error. Embedding the interface hides the Mem's batch appender,
@@ -165,6 +167,11 @@ func wireBatch(t *testing.T, mode string, workers ...string) *shardrpc.SubmitReq
 	return req
 }
 
+// appendedHeader carried a failed per-shard request's durable prefix
+// before every submit became a node call. The per-shard goldens record
+// it, and the sections goldens pin that no reply carries it now.
+const appendedHeader = "X-Shardrpc-Appended"
+
 // wireReply is the part of a submit answer the contract pins.
 type wireReply struct {
 	status     int
@@ -175,43 +182,12 @@ type wireReply struct {
 
 func (r wireReply) String() string {
 	return fmt.Sprintf("status: %d\n%s: %s\nRetry-After: %s\nbody:\n%s",
-		r.status, shardrpc.AppendedHeader, r.appended, r.retryAfter, r.body)
+		r.status, appendedHeader, r.appended, r.retryAfter, r.body)
 }
 
-// wireBody is one of the two request encodings the submit endpoint
-// reads. The reply contract is the same for both.
-type wireBody struct {
-	name   string
-	ctype  string // "" sends no Content-Type, as the goldens' generator did
-	encode func(*shardrpc.SubmitRequest) ([]byte, error)
-}
-
-var (
-	jsonBody   = wireBody{name: "json", encode: func(r *shardrpc.SubmitRequest) ([]byte, error) { return json.Marshal(r) }}
-	binaryBody = wireBody{name: "binary", ctype: shardrpc.SubmitContentType,
-		encode: func(r *shardrpc.SubmitRequest) ([]byte, error) { return r.AppendBinary(nil) }}
-)
-
-// do posts one submit; ctx-less and t-less so goroutines other than the
+// postRawSubmit posts body bytes as they are; ctype "" sends no
+// Content-Type. It is ctx-less and t-less so goroutines other than the
 // test's own can use it.
-func (b wireBody) do(url string, req *shardrpc.SubmitRequest) (wireReply, error) {
-	body, err := b.encode(req)
-	if err != nil {
-		return wireReply{}, err
-	}
-	return postRawSubmit(url, b.ctype, body)
-}
-
-func (b wireBody) post(t *testing.T, url string, req *shardrpc.SubmitRequest) wireReply {
-	t.Helper()
-	r, err := b.do(url, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r
-}
-
-// postRawSubmit posts body bytes as they are.
 func postRawSubmit(url, ctype string, body []byte) (wireReply, error) {
 	hreq, err := http.NewRequest(http.MethodPost, url+"/shardrpc/v1/submit", bytes.NewReader(body))
 	if err != nil {
@@ -232,21 +208,135 @@ func postRawSubmit(url, ctype string, body []byte) (wireReply, error) {
 	}
 	return wireReply{
 		status:     resp.StatusCode,
-		appended:   resp.Header.Get(shardrpc.AppendedHeader),
+		appended:   resp.Header.Get(appendedHeader),
 		retryAfter: resp.Header.Get("Retry-After"),
 		body:       raw,
 	}, nil
 }
 
-// doSubmit and postSubmit are the JSON body, for tests that are not
-// about the encoding.
+// doSubmit posts req as a call of one section and answers with that
+// section read as the per-shard reply the goldens record (asPerShard).
 func doSubmit(url string, req *shardrpc.SubmitRequest) (wireReply, error) {
-	return jsonBody.do(url, req)
+	body, err := shardrpc.SubmitSections{*req}.AppendBinary(nil)
+	if err != nil {
+		return wireReply{}, err
+	}
+	r, err := postRawSubmit(url, shardrpc.SubmitContentType, body)
+	if err != nil {
+		return wireReply{}, err
+	}
+	return asPerShard(r)
 }
 
 func postSubmit(t *testing.T, url string, req *shardrpc.SubmitRequest) wireReply {
 	t.Helper()
-	return jsonBody.post(t, url, req)
+	r, err := doSubmit(url, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// asPerShard reads the reply to a call of one section in the shape of a
+// per-shard reply: the section's status and Retry-After are the reply's;
+// a refused section's error is the body, written as the node writes an
+// error body, and its durable prefix, if any, the appendedHeader value;
+// a 200 section's body is its result, byte for byte. A call refused
+// whole is returned as it is.
+func asPerShard(r wireReply) (wireReply, error) {
+	if r.status != http.StatusOK {
+		return r, nil
+	}
+	var res struct{ Sections []json.RawMessage }
+	if err := json.Unmarshal(r.body, &res); err != nil || len(res.Sections) != 1 {
+		return r, fmt.Errorf("not the reply to a call of one section (%v): %s", err, r.body)
+	}
+	raw := res.Sections[0]
+	var sec shardrpc.SectionResult
+	if err := json.Unmarshal(raw, &sec); err != nil {
+		return r, err
+	}
+	out := wireReply{status: sec.Status}
+	if sec.RetryAfter != 0 {
+		out.retryAfter = strconv.Itoa(sec.RetryAfter)
+	}
+	if sec.Status == http.StatusOK {
+		head := []byte(`{"status":200,`)
+		if !bytes.HasPrefix(raw, head) {
+			return r, fmt.Errorf("a 200 section does not lead with its status: %s", raw)
+		}
+		out.body = append(append([]byte("{"), raw[len(head):]...), '\n')
+		return out, nil
+	}
+	if sec.SubmitResult != nil {
+		out.appended = strconv.Itoa(sec.Appended)
+	}
+	var body bytes.Buffer
+	if err := json.NewEncoder(&body).Encode(map[string]string{"error": sec.Error}); err != nil {
+		return r, err
+	}
+	out.body = body.Bytes()
+	return out, nil
+}
+
+// postJSONRefused posts req's JSON with no Content-Type, the per-shard
+// request frontends sent before the binary body, and holds the node to
+// refusing it before the pipeline runs: a 400 that leaves every shard
+// count and ledger account the request names as it was.
+func postJSONRefused(t *testing.T, url string, req *shardrpc.SubmitRequest) wireReply {
+	t.Helper()
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := touched(t, url, req)
+	r, err := postRawSubmit(url, "", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.status != http.StatusBadRequest || r.appended != "" {
+		t.Errorf("JSON submit body: %v", r)
+	}
+	if after := touched(t, url, req); after != before {
+		t.Errorf("a refused JSON body changed the node\n--- before ---\n%s--- after ---\n%s", before, after)
+	}
+	return r
+}
+
+// touched reads, through the node's shardrpc surface, the shard count of
+// every survey req's responses name and the account of every worker they
+// and its charges name, on a two-shard budget space.
+func touched(t *testing.T, url string, req *shardrpc.SubmitRequest) string {
+	t.Helper()
+	var paths []string
+	for _, r := range req.Responses {
+		paths = append(paths, fmt.Sprintf("/shardrpc/v1/shards/%d/count?survey=%s", req.Shard, r.SurveyID),
+			fmt.Sprintf("/shardrpc/v1/budget/%d/peek?worker=%s", budget.Route(r.WorkerID, 2), r.WorkerID))
+	}
+	for _, c := range req.Charges {
+		if c.WorkerID != "" {
+			paths = append(paths, fmt.Sprintf("/shardrpc/v1/budget/%d/peek?worker=%s", budget.Route(c.WorkerID, 2), c.WorkerID))
+		}
+	}
+	var out strings.Builder
+	for _, p := range paths {
+		hreq, err := http.NewRequest(http.MethodGet, url+p, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hreq.Header.Set("Authorization", "Bearer "+testToken)
+		resp, err := http.DefaultClient.Do(hreq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&out, "%s %d %s", p, resp.StatusCode, raw)
+	}
+	return out.String()
 }
 
 // fencedManifest places both shards of the wire node at the given epoch
@@ -288,18 +378,22 @@ func wireReplica(t *testing.T, promoted bool) (*Node, string) {
 // Retry-After whenever the test runs.
 var slowLimit = Config{RateLimitRPS: 1e-6, RateLimitBurst: 1}
 
-// TestSubmitWireGolden pins POST /shardrpc/v1/submit byte for byte —
-// status, X-Shardrpc-Appended, Retry-After and body — for every verdict
-// the node's submit pipeline can reach, once per request encoding: the
-// binary body must draw the very reply the JSON body's golden records.
+// TestSubmitWireGolden holds POST /shardrpc/v1/submit, for every verdict
+// the node's submit pipeline can reach, to the goldens the per-shard
+// request recorded: the case sent as a call of one section (binary/)
+// answers, read by asPerShard, with the golden's status, appendedHeader,
+// Retry-After and body, byte for byte. The same request as JSON (json/),
+// the body frontends sent before the binary one, is refused with no
+// side effect.
 func TestSubmitWireGolden(t *testing.T) {
-	for _, body := range []wireBody{jsonBody, binaryBody} {
-		t.Run(body.name, func(t *testing.T) { submitWireGolden(t, body) })
-	}
+	t.Run("json", func(t *testing.T) { submitWireGolden(t, postJSONRefused, false) })
+	t.Run("binary", func(t *testing.T) { submitWireGolden(t, postSubmit, true) })
 }
 
-func submitWireGolden(t *testing.T, wire wireBody) {
-	postSubmit, doSubmit := wire.post, wire.do
+// submitWireGolden runs every case, sending its pinned request through
+// post, and holds the reply to the case's golden when pinned is set.
+// Requests that only set a case up go as calls of one section.
+func submitWireGolden(t *testing.T, post func(*testing.T, string, *shardrpc.SubmitRequest) wireReply, pinned bool) {
 	cases := []struct {
 		name string
 		run  func(t *testing.T) wireReply
@@ -309,29 +403,29 @@ func submitWireGolden(t *testing.T, wire wireBody) {
 		permit [][2]string
 	}{
 		{name: "plain_ok", run: func(t *testing.T) wireReply {
-			return postSubmit(t, newWireNode(t, wireNodeOpts{}).url, wireBatch(t, "", "a", "b", "c"))
+			return post(t, newWireNode(t, wireNodeOpts{}).url, wireBatch(t, "", "a", "b", "c"))
 		}},
 		{name: "plain_fail_midbatch", run: func(t *testing.T) wireReply {
 			wn := newWireNode(t, wireNodeOpts{store: func(int) store.Store {
 				return &failingStore{Store: store.NewMem(), failAt: 3}
 			}})
-			return postSubmit(t, wn.url, wireBatch(t, "", "a", "b", "c", "d"))
+			return post(t, wn.url, wireBatch(t, "", "a", "b", "c", "d"))
 		}},
 		{name: "plain_unknown_survey", run: func(t *testing.T) wireReply {
 			req := wireBatch(t, "", "a", "b")
 			req.Responses[1].SurveyID = "ghost"
-			return postSubmit(t, newWireNode(t, wireNodeOpts{}).url, req)
+			return post(t, newWireNode(t, wireNodeOpts{}).url, req)
 		}},
 		{name: "charged_ok", run: func(t *testing.T) wireReply {
 			req := wireBatch(t, "enforce", "a", "b", "c")
 			req.Charges[1] = budget.Charge{} // an uncharged entry rides along
-			return postSubmit(t, newWireNode(t, wireNodeOpts{budget: wireBudget(t)}).url, req)
+			return post(t, newWireNode(t, wireNodeOpts{budget: wireBudget(t)}).url, req)
 		}},
 		{name: "charged_rejected", run: func(t *testing.T) wireReply {
 			// The cap admits three medium responses; the fourth charge of
 			// one worker in one batch is refused mid-batch.
 			req := wireBatch(t, "enforce", "a", "a", "a", "a", "b")
-			return postSubmit(t, newWireNode(t, wireNodeOpts{budget: wireBudget(t)}).url, req)
+			return post(t, newWireNode(t, wireNodeOpts{budget: wireBudget(t)}).url, req)
 		}},
 		{name: "charged_enforce_undecided", run: func(t *testing.T) wireReply {
 			// A malformed charge fails the whole ledger call: every charged
@@ -339,22 +433,22 @@ func submitWireGolden(t *testing.T, wire wireBody) {
 			req := wireBatch(t, "enforce", "a", "b", "c")
 			req.Charges[1].Rho = -1
 			req.Charges[2] = budget.Charge{}
-			return postSubmit(t, newWireNode(t, wireNodeOpts{budget: wireBudget(t)}).url, req)
+			return post(t, newWireNode(t, wireNodeOpts{budget: wireBudget(t)}).url, req)
 		}},
 		{name: "charged_log_fail_open", run: func(t *testing.T) wireReply {
 			req := wireBatch(t, "log", "a", "b")
 			req.Charges[1].Rho = -1
-			return postSubmit(t, newWireNode(t, wireNodeOpts{budget: wireBudget(t)}).url, req)
+			return post(t, newWireNode(t, wireNodeOpts{budget: wireBudget(t)}).url, req)
 		}},
 		{name: "charged_mixed_undecided", run: func(t *testing.T) wireReply {
 			req := wireBatch(t, "enforce", "a", "b")
 			req.Charges[0].Rho = -1
 			req.Charges[1].Enforce = false
-			return postSubmit(t, newWireNode(t, wireNodeOpts{budget: wireBudget(t)}).url, req)
+			return post(t, newWireNode(t, wireNodeOpts{budget: wireBudget(t)}).url, req)
 		}},
 		{name: "charged_log_over_cap", run: func(t *testing.T) wireReply {
 			req := wireBatch(t, "log", "a", "a", "a", "a")
-			return postSubmit(t, newWireNode(t, wireNodeOpts{budget: wireBudget(t)}).url, req)
+			return post(t, newWireNode(t, wireNodeOpts{budget: wireBudget(t)}).url, req)
 		}},
 		{name: "charged_append_failure_refund", run: func(t *testing.T) wireReply {
 			wn := newWireNode(t, wireNodeOpts{budget: wireBudget(t), store: func(int) store.Store {
@@ -362,21 +456,21 @@ func submitWireGolden(t *testing.T, wire wireBody) {
 			}})
 			req := wireBatch(t, "enforce", "a", "b", "c")
 			req.Charges[2] = budget.Charge{}
-			return postSubmit(t, wn.url, req)
+			return post(t, wn.url, req)
 		}},
 		{name: "throttled_plain", run: func(t *testing.T) wireReply {
 			wn := newWireNode(t, wireNodeOpts{cfg: slowLimit})
-			return postSubmit(t, wn.url, wireBatch(t, "", "a", "a", "b"))
+			return post(t, wn.url, wireBatch(t, "", "a", "a", "b"))
 		}},
 		{name: "throttled_plain_append_failure", run: func(t *testing.T) wireReply {
 			wn := newWireNode(t, wireNodeOpts{cfg: slowLimit, store: func(int) store.Store {
 				return &failingStore{Store: store.NewMem(), failAt: 2}
 			}})
-			return postSubmit(t, wn.url, wireBatch(t, "", "a", "a", "b", "c"))
+			return post(t, wn.url, wireBatch(t, "", "a", "a", "b", "c"))
 		}},
 		{name: "throttled_charged", run: func(t *testing.T) wireReply {
 			wn := newWireNode(t, wireNodeOpts{cfg: slowLimit, budget: wireBudget(t)})
-			return postSubmit(t, wn.url, wireBatch(t, "enforce", "a", "b", "a", "c"))
+			return post(t, wn.url, wireBatch(t, "enforce", "a", "b", "a", "c"))
 		}},
 		{name: "throttled_charged_append_failure", run: func(t *testing.T) wireReply {
 			// Three per-record verdicts in one reply: stored, throttled,
@@ -384,18 +478,18 @@ func submitWireGolden(t *testing.T, wire wireBody) {
 			wn := newWireNode(t, wireNodeOpts{cfg: slowLimit, budget: wireBudget(t), store: func(int) store.Store {
 				return &failingStore{Store: store.NewMem(), failAt: 2}
 			}})
-			return postSubmit(t, wn.url, wireBatch(t, "enforce", "a", "a", "b", "c"))
+			return post(t, wn.url, wireBatch(t, "enforce", "a", "a", "b", "c"))
 		}},
 		{name: "throttled_all_charged", run: func(t *testing.T) wireReply {
 			wn := newWireNode(t, wireNodeOpts{cfg: slowLimit, budget: wireBudget(t)})
 			if r := postSubmit(t, wn.url, wireBatch(t, "enforce", "a", "b")); r.status != http.StatusOK {
 				t.Fatalf("bucket-draining batch: %v", r)
 			}
-			return postSubmit(t, wn.url, wireBatch(t, "enforce", "a", "b"))
+			return post(t, wn.url, wireBatch(t, "enforce", "a", "b"))
 		}},
 		{name: "limiter_on_nothing_throttled", run: func(t *testing.T) wireReply {
 			wn := newWireNode(t, wireNodeOpts{cfg: slowLimit})
-			return postSubmit(t, wn.url, wireBatch(t, "", "a", "b"))
+			return post(t, wn.url, wireBatch(t, "", "a", "b"))
 		}},
 		{name: "shed", run: func(t *testing.T) wireReply {
 			release := make(chan struct{})
@@ -419,7 +513,7 @@ func submitWireGolden(t *testing.T, wire wireBody) {
 			waitFor(t, "the first batch to hold the only slot", func() bool {
 				return wn.srv.admissionInfo().Inflight == 1
 			})
-			shed := postSubmit(t, wn.url, wireBatch(t, "", "b"))
+			shed := post(t, wn.url, wireBatch(t, "", "b"))
 			unblock()
 			if r := <-first; r.status != http.StatusOK {
 				t.Fatalf("admitted batch: %v", r)
@@ -431,30 +525,30 @@ func submitWireGolden(t *testing.T, wire wireBody) {
 			wn.node.ApplyManifest(fencedManifest(t, wn.url, 3), wn.url)
 			req := wireBatch(t, "", "a")
 			req.Epoch = 2
-			return postSubmit(t, wn.url, req)
+			return post(t, wn.url, req)
 		}},
 		{name: "fenced_demoted", run: func(t *testing.T) wireReply {
 			wn := newWireNode(t, wireNodeOpts{})
 			wn.node.ApplyManifest(fencedManifest(t, "http://the-new-primary", 4), wn.url)
-			return postSubmit(t, wn.url, wireBatch(t, "", "a"))
+			return post(t, wn.url, wireBatch(t, "", "a"))
 		}},
 		{name: "fenced_replica_unpromoted", run: func(t *testing.T) wireReply {
 			req := wireBatch(t, "", "a")
 			req.Epoch = 1
 			_, url := wireReplica(t, false)
-			return postSubmit(t, url, req)
+			return post(t, url, req)
 		}},
 		{name: "epoch_current_ok", run: func(t *testing.T) wireReply {
 			wn := newWireNode(t, wireNodeOpts{})
 			wn.node.ApplyManifest(fencedManifest(t, wn.url, 3), wn.url)
 			req := wireBatch(t, "", "a")
 			req.Epoch = 3
-			return postSubmit(t, wn.url, req)
+			return post(t, wn.url, req)
 		}},
 		{name: "not_owned", run: func(t *testing.T) wireReply {
 			req := wireBatch(t, "", "a")
 			req.Shard = 7
-			return postSubmit(t, newWireNode(t, wireNodeOpts{}).url, req)
+			return post(t, newWireNode(t, wireNodeOpts{}).url, req)
 		}},
 		{name: "unhosted_budget_shard", run: func(t *testing.T) wireReply {
 			wn := newWireNode(t, wireNodeOpts{budget: &budget.SetOptions{
@@ -471,26 +565,26 @@ func submitWireGolden(t *testing.T, wire wireBody) {
 					unhosted = w
 				}
 			}
-			return postSubmit(t, wn.url, wireBatch(t, "enforce", hosted, unhosted))
+			return post(t, wn.url, wireBatch(t, "enforce", hosted, unhosted))
 		}},
 		{name: "charged_no_budget", run: func(t *testing.T) wireReply {
-			return postSubmit(t, newWireNode(t, wireNodeOpts{}).url, wireBatch(t, "enforce", "a"))
+			return post(t, newWireNode(t, wireNodeOpts{}).url, wireBatch(t, "enforce", "a"))
 		}},
 		{name: "misaligned_charges", run: func(t *testing.T) wireReply {
 			req := wireBatch(t, "enforce", "a", "b")
 			req.Charges = req.Charges[:1]
-			return postSubmit(t, newWireNode(t, wireNodeOpts{budget: wireBudget(t)}).url, req)
+			return post(t, newWireNode(t, wireNodeOpts{budget: wireBudget(t)}).url, req)
 		}},
 		{name: "empty_batch", run: func(t *testing.T) wireReply {
-			return postSubmit(t, newWireNode(t, wireNodeOpts{}).url, &shardrpc.SubmitRequest{Shard: 0})
+			return post(t, newWireNode(t, wireNodeOpts{}).url, &shardrpc.SubmitRequest{Shard: 0})
 		}},
 		{name: "replica_promoted_plain_ok", run: func(t *testing.T) wireReply {
 			_, url := wireReplica(t, true)
-			return postSubmit(t, url, wireBatch(t, "", "a", "b"))
+			return post(t, url, wireBatch(t, "", "a", "b"))
 		}},
 		{name: "replica_promoted_charged", run: func(t *testing.T) wireReply {
 			_, url := wireReplica(t, true)
-			return postSubmit(t, url, wireBatch(t, "enforce", "a"))
+			return post(t, url, wireBatch(t, "enforce", "a"))
 		}, permit: [][2]string{{
 			"this node does not accept piggybacked budget charges",
 			"server: node hosts no budget shards",
@@ -499,17 +593,10 @@ func submitWireGolden(t *testing.T, wire wireBody) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			got := tc.run(t).String()
-			path := filepath.Join("testdata", "submit_wire", tc.name+".golden")
-			if *updateGolden {
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-					t.Fatal(err)
-				}
+			if !pinned {
 				return
 			}
-			want, err := os.ReadFile(path)
+			want, err := os.ReadFile(filepath.Join("testdata", "submit_wire", tc.name+".golden"))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -523,31 +610,49 @@ func submitWireGolden(t *testing.T, wire wireBody) {
 	}
 }
 
-// TestSubmitBinaryBodyMalformed: a binary body that does not decode —
-// cut anywhere, or followed by junk — is a 400 decided before the
-// pipeline runs: no charge reaches the ledger and nothing is appended.
+// TestSubmitBinaryBodyMalformed: a body that is not a sections body
+// under SubmitContentType — cut anywhere, followed by junk, of no
+// section, a per-shard 0xB2 body, JSON, or sent without that content
+// type — is a 400 decided before the pipeline runs: no charge reaches
+// the ledger and nothing is appended.
 func TestSubmitBinaryBodyMalformed(t *testing.T) {
 	wn := newWireNode(t, wireNodeOpts{budget: wireBudget(t)})
 	req := wireBatch(t, "enforce", "a", "b")
-	whole, err := binaryBody.encode(req)
+	whole, err := shardrpc.SubmitSections{*req}.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := map[string][]byte{"empty": {}, "trailing junk": append(bytes.Clone(whole), 0)}
+	js, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type body struct {
+		ctype string
+		bytes []byte
+	}
+	binary := func(b []byte) body { return body{shardrpc.SubmitContentType, b} }
+	bad := map[string]body{
+		"empty":            binary(nil),
+		"trailing junk":    binary(append(bytes.Clone(whole), 0)),
+		"no section":       binary([]byte{0xB3, 0}),
+		"a per-shard body": binary(append([]byte{0xB2}, whole[2:]...)),
+		"a JSON body under the binary content type": binary(js),
+		"a JSON body":     {"application/json", js},
+		"no content type": {"", whole},
+	}
 	for cut := 1; cut < len(whole); cut += 7 {
-		bad[fmt.Sprintf("cut at %d", cut)] = whole[:cut]
+		bad[fmt.Sprintf("cut at %d", cut)] = binary(whole[:cut])
 	}
-	jsonAsBinary, err := jsonBody.encode(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad["a JSON body under the binary content type"] = jsonAsBinary
-	for name, body := range bad {
-		r, err := postRawSubmit(wn.url, shardrpc.SubmitContentType, body)
+	for name, b := range bad {
+		r, err := postRawSubmit(wn.url, b.ctype, b.bytes)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r.status != http.StatusBadRequest || r.appended != "" || !bytes.Contains(r.body, []byte(`{"error":"malformed binary body: `)) {
+		want := `{"error":"malformed binary body: `
+		if b.ctype != shardrpc.SubmitContentType {
+			want = `{"error":"submit body must be application/x-loki-submit`
+		}
+		if r.status != http.StatusBadRequest || r.appended != "" || !bytes.HasPrefix(r.body, []byte(want)) {
 			t.Errorf("%s: %v", name, r)
 		}
 	}

@@ -16,8 +16,8 @@ import (
 // submits. Routes (token-guarded like everything else):
 //
 //	POST /shardrpc/v1/budget/charge  body BudgetChargeRequest  → BudgetChargeResult
-//	                                 (one budget shard, or with groups
-//	                                 several in one ledger commit)
+//	                                 (a group per budget shard, all in
+//	                                 one ledger commit)
 //	POST /shardrpc/v1/budget/refund  body BudgetRefundRequest  → {}
 //	GET  /shardrpc/v1/budget/{shard}/peek?worker=W             → budget.Account
 //	GET  /shardrpc/v1/budget/stats                             → BudgetStatsResult
@@ -35,7 +35,7 @@ type BudgetBackend interface {
 	// shard, in one transaction: the outcomes are aligned with groups and
 	// each group's charges. A group naming a shard the node does not host
 	// must fail the call with ErrNotOwned, before anything is written.
-	BudgetCharge(groups []BudgetChargeRequest) ([][]budget.Outcome, error)
+	BudgetCharge(groups []ChargeGroup) ([][]budget.Outcome, error)
 	// BudgetRefund credits one charge back on a hosted shard.
 	BudgetRefund(shard int, c budget.Charge) error
 	// BudgetPeek reads one worker's account off a hosted shard.
@@ -44,21 +44,28 @@ type BudgetBackend interface {
 	BudgetStats() ([]budget.ShardStats, error)
 }
 
-// BudgetChargeRequest is a routed charge batch: every charge's worker
-// hashes to Shard under budget.Route. With Groups it is a node call
-// instead — one group per budget shard, decided in one ledger commit —
-// and Shard and Charges go unused.
+// BudgetChargeRequest is one charge call to a node: a group per budget
+// shard, decided in one ledger commit.
 type BudgetChargeRequest struct {
-	Shard   int                   `json:"shard"`
-	Charges []budget.Charge       `json:"charges,omitempty"`
-	Groups  []BudgetChargeRequest `json:"groups,omitempty"`
+	Groups []ChargeGroup `json:"groups"`
 }
 
-// BudgetChargeResult carries one outcome per request charge, in order;
-// a node call's carries one result per group in Groups instead.
+// ChargeGroup is a routed charge batch: every charge's worker hashes to
+// Shard under budget.Route.
+type ChargeGroup struct {
+	Shard   int             `json:"shard"`
+	Charges []budget.Charge `json:"charges,omitempty"`
+}
+
+// BudgetChargeResult answers a BudgetChargeRequest: one entry per group,
+// in order.
 type BudgetChargeResult struct {
-	Outcomes []budget.Outcome     `json:"outcomes,omitempty"`
-	Groups   []BudgetChargeResult `json:"groups,omitempty"`
+	Groups []GroupOutcomes `json:"groups"`
+}
+
+// GroupOutcomes carries one outcome per group charge, in order.
+type GroupOutcomes struct {
+	Outcomes []budget.Outcome `json:"outcomes,omitempty"`
 }
 
 // BudgetRefundRequest credits one charge back.
@@ -79,8 +86,9 @@ func (h *Handler) registerBudget(bb BudgetBackend) {
 			return
 		}
 		groups := req.Groups
-		if groups == nil {
-			groups = []BudgetChargeRequest{req}
+		if len(groups) == 0 {
+			writeErr(w, http.StatusBadRequest, "charge call has no group")
+			return
 		}
 		for i, g := range groups {
 			if len(g.Charges) == 0 {
@@ -99,11 +107,7 @@ func (h *Handler) registerBudget(bb BudgetBackend) {
 			writeBackendErr(w, err)
 			return
 		}
-		if req.Groups == nil {
-			writeOK(w, BudgetChargeResult{Outcomes: outs[0]})
-			return
-		}
-		res := BudgetChargeResult{Groups: make([]BudgetChargeResult, len(outs))}
+		res := BudgetChargeResult{Groups: make([]GroupOutcomes, len(outs))}
 		for i := range outs {
 			res.Groups[i].Outcomes = outs[i]
 		}
@@ -147,33 +151,11 @@ func (h *Handler) registerBudget(bb BudgetBackend) {
 	}))
 }
 
-// BudgetCharge debits a routed batch against one budget shard.
-func (c *Client) BudgetCharge(shard int, charges []budget.Charge) ([]budget.Outcome, error) {
-	var res BudgetChargeResult
-	err := c.do(http.MethodPost, "/shardrpc/v1/budget/charge", nil,
-		&BudgetChargeRequest{Shard: shard, Charges: charges}, &res)
-	if err == nil && len(res.Outcomes) != len(charges) {
-		err = fmt.Errorf("%w: %d outcomes for %d charges", errProtocol, len(res.Outcomes), len(charges))
-	}
-	if err != nil {
-		return nil, err
-	}
-	return res.Outcomes, nil
-}
-
 // chargeGroups debits several budget shards' batches in one call (one
 // ledger commit on the node) and returns each group's outcomes or the
-// error that left it undecided. A lone group goes as the per-shard
-// request; to a node that has not advertised node calls it sends one
-// BudgetCharge per group, side by side.
-func (c *Client) chargeGroups(groups []BudgetChargeRequest) []chargeOutcome {
+// error that left it undecided.
+func (c *Client) chargeGroups(groups []ChargeGroup) []chargeOutcome {
 	outs := make([]chargeOutcome, len(groups))
-	if len(groups) == 1 || !c.sections.Load() {
-		each(len(groups), func(i int) {
-			outs[i].outs, outs[i].err = c.BudgetCharge(groups[i].Shard, groups[i].Charges)
-		})
-		return outs
-	}
 	var res BudgetChargeResult
 	err := c.do(http.MethodPost, "/shardrpc/v1/budget/charge", nil, &BudgetChargeRequest{Groups: groups}, &res)
 	if err == nil && len(res.Groups) != len(groups) {
@@ -292,9 +274,9 @@ func (r *RemoteCharger) ChargeEach(cs []budget.Charge) []SubmitEntry {
 // transactionally, so an error fails every charge of the groups it
 // covers: a failed call recorded nothing the caller may act on.
 func (r *RemoteCharger) ship(c *Client, secs []section) {
-	groups := make([]BudgetChargeRequest, len(secs))
+	groups := make([]ChargeGroup, len(secs))
 	for i, sec := range secs {
-		groups[i] = BudgetChargeRequest{Shard: sec.lane, Charges: make([]budget.Charge, len(sec.recs))}
+		groups[i] = ChargeGroup{Shard: sec.lane, Charges: make([]budget.Charge, len(sec.recs))}
 		for j, p := range sec.recs {
 			groups[i].Charges[j] = p.charge
 		}

@@ -8,8 +8,6 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"loki/internal/blockio"
@@ -23,10 +21,6 @@ type Client struct {
 	base  string // e.g. "http://10.0.0.7:8080"
 	token string
 	http  *http.Client
-	// binarySubmit and sections are whether the node's newest reply
-	// advertised that it reads binary submit bodies and node calls (see
-	// AcceptHeader).
-	binarySubmit, sections atomic.Bool
 }
 
 // NewClient builds a client for the node at baseURL. A nil httpClient
@@ -48,9 +42,6 @@ func (c *Client) BaseURL() string { return c.base }
 type remoteError struct {
 	Status int
 	Msg    string
-	// Appended is the durable prefix of a failed submit batch (from
-	// AppendedHeader); 0 for every other call.
-	Appended int
 	// RetryAfter is the peer's Retry-After header in seconds (a shed
 	// batch from an overloaded node); 0 when absent.
 	RetryAfter int
@@ -131,9 +122,6 @@ func (c *Client) send(method, path string, query url.Values, buf *bytes.Buffer, 
 	if err != nil {
 		return fmt.Errorf("shardrpc: %s %s: %w", method, path, err)
 	}
-	accept := resp.Header.Values(AcceptHeader)
-	c.binarySubmit.Store(len(accept) > 0 && accept[0] == SubmitContentType)
-	c.sections.Store(len(accept) > 1 && accept[1] == SectionsAccept)
 	defer func() {
 		_, _ = io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
@@ -146,17 +134,13 @@ func (c *Client) send(method, path string, query url.Values, buf *bytes.Buffer, 
 		if payload.Error == "" {
 			payload.Error = resp.Status
 		}
-		appended, _ := strconv.Atoi(resp.Header.Get(AppendedHeader))
 		retryAfter, _ := strconv.Atoi(resp.Header.Get("Retry-After"))
-		return &remoteError{Status: resp.StatusCode, Msg: payload.Error, Appended: appended, RetryAfter: retryAfter}
+		return &remoteError{Status: resp.StatusCode, Msg: payload.Error, RetryAfter: retryAfter}
 	}
 	if out == nil {
 		return nil
 	}
-	// The bulk read paths request codec=binary; a peer that granted it
-	// marks the body with the frame content type. A plain JSON answer
-	// means an older peer that ignored the parameter — fall through.
-	if resp.Header.Get("Content-Type") == blockio.FrameContentType {
+	if f, ok := out.(framed); ok {
 		frame, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
 		if err != nil {
 			return fmt.Errorf("shardrpc: read %s response: %w", path, err)
@@ -165,7 +149,7 @@ func (c *Client) send(method, path string, query url.Values, buf *bytes.Buffer, 
 		if err != nil {
 			return fmt.Errorf("shardrpc: decode %s frame: %w", path, err)
 		}
-		if err := json.Unmarshal(raw, out); err != nil {
+		if err := json.Unmarshal(raw, f.v); err != nil {
 			return fmt.Errorf("shardrpc: decode %s response: %w", path, err)
 		}
 		return nil
@@ -175,6 +159,10 @@ func (c *Client) send(method, path string, query url.Values, buf *bytes.Buffer, 
 	}
 	return nil
 }
+
+// framed is the out of a call whose reply is one blockio frame of the
+// JSON of v (scan and tail).
+type framed struct{ v any }
 
 // Meta fetches the node's shard ownership map.
 func (c *Client) Meta() (*Meta, error) {
@@ -187,41 +175,23 @@ func (c *Client) Meta() (*Meta, error) {
 
 // Submit sends one routed batch — responses, the placement epoch the
 // sender routed under (0 = unstamped) and any piggybacked budget
-// charges — to the node; see Backend.Submit for the contract. A 412
-// unwraps to ErrFenced, a 429 to OverloadedError. The request body is
-// binary when the node has said it reads that (see AcceptHeader), JSON
-// otherwise; the reply is JSON either way.
+// charges — to the node as a call of one section; see Backend.Submit
+// for the contract. A 412 unwraps to ErrFenced, a 429 to
+// OverloadedError.
 func (c *Client) Submit(req *SubmitRequest) (*SubmitResult, error) {
-	const path = "/shardrpc/v1/submit"
-	var res SubmitResult
-	var err error
-	if c.binarySubmit.Load() {
-		buf := getBuf()
-		b, _ := req.AppendBinary(buf.AvailableBuffer()) // cannot fail
-		buf.Write(b)
-		err = c.send(http.MethodPost, path, nil, buf, SubmitContentType, &res)
-	} else {
-		err = c.do(http.MethodPost, path, nil, req, &res)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return &res, nil
+	o := c.SubmitSections(SubmitSections{*req})[0]
+	return o.Result, o.Err
 }
 
-// SubmitSections sends one node call — a section per shard, see
-// SubmitSections — and returns each section's outcome, aligned: its
-// result, or its refusal as the error Submit returns for the same
-// status. A call that fails whole fails every section. A lone section
-// goes as the per-shard body, which costs the node no section plumbing;
-// to a node that has not advertised node calls it sends one Submit per
-// section, side by side.
+// SubmitSections sends one node call — a section per shard, the binary
+// sections body — and returns each section's outcome, aligned: its
+// result; its refusal, an error that unwraps as a reply of the
+// section's status would (a 412 to ErrFenced, a 429 to
+// OverloadedError); or — a plain section whose append failed — both,
+// the result holding the durable prefix. A call that fails whole fails
+// every section.
 func (c *Client) SubmitSections(secs SubmitSections) []SubmitOutcome {
 	outs := make([]SubmitOutcome, len(secs))
-	if len(secs) == 1 || !c.sections.Load() {
-		each(len(secs), func(i int) { outs[i].Result, outs[i].Err = c.Submit(&secs[i]) })
-		return outs
-	}
 	buf := getBuf()
 	b, _ := secs.AppendBinary(buf.AvailableBuffer()) // cannot fail
 	buf.Write(b)
@@ -241,36 +211,15 @@ func (c *Client) SubmitSections(secs SubmitSections) []SubmitOutcome {
 		case sr.Status == http.StatusOK:
 			outs[i].Err = fmt.Errorf("%w: section %d answered without a result", errProtocol, i)
 		default:
-			re := &remoteError{Status: sr.Status, Msg: sr.Error, RetryAfter: sr.RetryAfter}
-			if sr.SubmitResult != nil {
-				re.Appended = sr.Appended
-			}
-			outs[i].Err = re
+			outs[i].Result = sr.SubmitResult
+			outs[i].Err = &remoteError{Status: sr.Status, Msg: sr.Error, RetryAfter: sr.RetryAfter}
 		}
 	}
 	return outs
 }
 
-// each runs fn(i) for every i in [0, n) — past the first on goroutines
-// of its own — and returns when all have: the per-shard calls that stand
-// in for a node call go out side by side, so one parked shard holds up
-// none of the others.
-func each(n int, fn func(i int)) {
-	var wg sync.WaitGroup
-	for i := 1; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			fn(i)
-		}()
-	}
-	if n > 0 {
-		fn(0)
-	}
-	wg.Wait()
-}
-
-// Scan fetches one page of a cursor scan.
+// Scan fetches one page of a cursor scan. The reply is always framed;
+// codec=binary asks a node from before that for the frame too.
 func (c *Client) Scan(shard int, surveyID string, from uint64, max int) (*ScanBatch, error) {
 	q := url.Values{
 		"survey": {surveyID},
@@ -279,7 +228,7 @@ func (c *Client) Scan(shard int, surveyID string, from uint64, max int) (*ScanBa
 		"codec":  {blockio.CodecBinary},
 	}
 	var batch ScanBatch
-	if err := c.do(http.MethodGet, "/shardrpc/v1/shards/"+strconv.Itoa(shard)+"/scan", q, nil, &batch); err != nil {
+	if err := c.do(http.MethodGet, "/shardrpc/v1/shards/"+strconv.Itoa(shard)+"/scan", q, nil, framed{&batch}); err != nil {
 		return nil, err
 	}
 	return &batch, nil
@@ -318,9 +267,10 @@ func (c *Client) Partials(req *PartialsRequest) ([]*Partial, error) {
 	return res.Partials, nil
 }
 
-// Tail fetches one page of WAL-tail shipping. A non-empty follower id
-// registers the caller with the node's journal-truncation accounting
-// (the offset doubles as the ack of everything before it).
+// Tail fetches one page of WAL-tail shipping, framed like Scan's. A
+// non-empty follower id registers the caller with the node's
+// journal-truncation accounting (the offset doubles as the ack of
+// everything before it).
 func (c *Client) Tail(shard int, epoch, offset uint64, max int, follower string) (*shardset.TailBatch, error) {
 	q := url.Values{
 		"epoch":  {strconv.FormatUint(epoch, 10)},
@@ -332,7 +282,7 @@ func (c *Client) Tail(shard int, epoch, offset uint64, max int, follower string)
 		q.Set("follower", follower)
 	}
 	var batch shardset.TailBatch
-	if err := c.do(http.MethodGet, "/shardrpc/v1/shards/"+strconv.Itoa(shard)+"/tail", q, nil, &batch); err != nil {
+	if err := c.do(http.MethodGet, "/shardrpc/v1/shards/"+strconv.Itoa(shard)+"/tail", q, nil, framed{&batch}); err != nil {
 		return nil, err
 	}
 	return &batch, nil

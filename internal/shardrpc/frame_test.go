@@ -53,9 +53,10 @@ func rawGet(t *testing.T, base, path string) (*http.Response, []byte) {
 	return resp, body
 }
 
-// TestTailWireFrameNegotiation: codec=binary compresses the tail-ship
-// and scan bodies into blockio wire frames; without the parameter the
-// node answers plain JSON, which is what keeps old peers working.
+// TestTailWireFrameNegotiation: tail-ship and scan replies are always
+// one blockio wire frame of their JSON, whether or not the request
+// names codec=binary (a client keeps naming it for nodes from before),
+// and the client reads them.
 func TestTailWireFrameNegotiation(t *testing.T) {
 	c, base := newFrameTestNode(t)
 	sv := rpcSurvey("sv")
@@ -70,52 +71,16 @@ func TestTailWireFrameNegotiation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Bootstrap a follower cursor so the framed drain below has entries.
+	// Bootstrap a follower cursor so the tails below have entries.
 	tb, err := c.Tail(0, 0, 0, 100, "t")
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	framedResp, framed := rawGet(t, base,
-		fmt.Sprintf("/shardrpc/v1/shards/0/tail?epoch=%d&offset=0&max=100&follower=t&codec=binary", tb.Epoch))
-	if ct := framedResp.Header.Get("Content-Type"); ct != blockio.FrameContentType {
-		t.Fatalf("framed tail content type = %q", ct)
-	}
-	raw, err := blockio.DecodeFrame(framed)
-	if err != nil {
+	if tb, err = c.Tail(0, tb.Epoch, 0, 100, "t"); err != nil {
 		t.Fatal(err)
 	}
-	var framedBatch shardset.TailBatch
-	if err := json.Unmarshal(raw, &framedBatch); err != nil {
-		t.Fatal(err)
-	}
-	if len(framedBatch.Entries) != len(batch) {
-		t.Fatalf("framed tail carried %d entries, want %d", len(framedBatch.Entries), len(batch))
-	}
-
-	jsonResp, plain := rawGet(t, base,
-		fmt.Sprintf("/shardrpc/v1/shards/0/tail?epoch=%d&offset=0&max=100&follower=t", tb.Epoch))
-	if ct := jsonResp.Header.Get("Content-Type"); ct != "application/json" {
-		t.Fatalf("plain tail content type = %q", ct)
-	}
-	var plainBatch shardset.TailBatch
-	if err := json.Unmarshal(plain, &plainBatch); err != nil {
-		t.Fatal(err)
-	}
-	if len(plainBatch.Entries) != len(batch) {
-		t.Fatalf("plain tail carried %d entries, want %d", len(plainBatch.Entries), len(batch))
-	}
-	if len(framed) >= len(plain) {
-		t.Fatalf("framed body (%d bytes) did not compress the JSON one (%d bytes)", len(framed), len(plain))
-	}
-
-	// The high-level client negotiates frames transparently.
-	tb2, err := c.Tail(0, tb.Epoch, 0, 100, "t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tb2.Entries) != len(batch) {
-		t.Fatalf("client tail carried %d entries, want %d", len(tb2.Entries), len(batch))
+	if len(tb.Entries) != len(batch) {
+		t.Fatalf("client tail carried %d entries, want %d", len(tb.Entries), len(batch))
 	}
 	sb, err := c.Scan(0, "sv", 0, 100)
 	if err != nil {
@@ -123,5 +88,35 @@ func TestTailWireFrameNegotiation(t *testing.T) {
 	}
 	if len(sb.Records) != len(batch) {
 		t.Fatalf("client scan carried %d records, want %d", len(sb.Records), len(batch))
+	}
+
+	for _, codec := range []string{"&codec=binary", ""} {
+		for path, records := range map[string]func(raw []byte) (int, error){
+			fmt.Sprintf("/shardrpc/v1/shards/0/tail?epoch=%d&offset=0&max=100&follower=t", tb.Epoch): func(raw []byte) (int, error) {
+				var b shardset.TailBatch
+				err := json.Unmarshal(raw, &b)
+				return len(b.Entries), err
+			},
+			"/shardrpc/v1/shards/0/scan?survey=sv&from=0&max=100": func(raw []byte) (int, error) {
+				var b ScanBatch
+				err := json.Unmarshal(raw, &b)
+				return len(b.Records), err
+			},
+		} {
+			resp, body := rawGet(t, base, path+codec)
+			if ct := resp.Header.Get("Content-Type"); ct != blockio.FrameContentType {
+				t.Fatalf("%s: content type %q", path+codec, ct)
+			}
+			raw, err := blockio.DecodeFrame(body)
+			if err != nil {
+				t.Fatalf("%s: %v", path+codec, err)
+			}
+			if n, err := records(raw); err != nil || n != len(batch) {
+				t.Fatalf("%s: framed reply carried %d records (%v), want %d", path+codec, n, err, len(batch))
+			}
+			if len(body) >= len(raw) {
+				t.Fatalf("%s: frame (%d bytes) did not compress the JSON (%d bytes)", path+codec, len(body), len(raw))
+			}
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"crypto/subtle"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"strconv"
@@ -42,7 +43,6 @@ func NewHandler(backend Backend, token string) (*Handler, error) {
 	h.mux.HandleFunc("GET /shardrpc/v1/shards/{shard}/scan", h.guard(h.handleScan))
 	h.mux.HandleFunc("GET /shardrpc/v1/shards/{shard}/count", h.guard(h.handleCount))
 	h.mux.HandleFunc("POST /shardrpc/v1/partial", h.guard(h.handlePartials))
-	h.mux.HandleFunc("GET /shardrpc/v1/shards/{shard}/partial", h.guard(h.handlePartial))
 	h.mux.HandleFunc("GET /shardrpc/v1/shards/{shard}/tail", h.guard(h.handleTail))
 	h.mux.HandleFunc("GET /shardrpc/v1/surveys", h.guard(h.handleSurveys))
 	h.mux.HandleFunc("GET /shardrpc/v1/surveys/{id}", h.guard(h.handleSurvey))
@@ -55,12 +55,8 @@ func NewHandler(backend Backend, token string) (*Handler, error) {
 	return h, nil
 }
 
-// ServeHTTP implements http.Handler. Every reply, whatever the route or
-// status, advertises the binary submit body this handler reads, then
-// node calls; clients that have seen them stop sending JSON and
-// per-shard calls (see AcceptHeader).
+// ServeHTTP implements http.Handler.
 func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	w.Header()[AcceptHeader] = []string{SubmitContentType, SectionsAccept}
 	h.mux.ServeHTTP(w, r)
 }
 
@@ -118,36 +114,17 @@ func (h *Handler) handleMeta(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleSubmit is decode → Backend.Submit → encode; every gate lives
-// behind the backend. A per-shard body — binary or JSON by its content
-// type — is a call of one section answered as it always was: its
-// status, with AppendedHeader beside an error when a plain batch failed
-// mid-way (the durable prefix the sender must not resubmit). A sections
-// body is answered 200 with a SectionsResult.
+// behind the backend. A body that is not a sections body is a 400
+// before the backend runs. The call is answered 200 with a
+// SectionsResult: each section's status, and inline its result — for a
+// plain batch that failed mid-way, the durable prefix the sender must
+// not resubmit.
 func (h *Handler) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var secs SubmitSections
-	sections := false
-	if r.Header.Get("Content-Type") == SubmitContentType {
-		if sections, secs = readSubmitBody(w, r); secs == nil {
-			return
-		}
-	} else {
-		secs = make(SubmitSections, 1)
-		if !readJSON(w, r, &secs[0]) {
-			return
-		}
-	}
-	outs := h.backend.Submit(r.Context(), secs)
-	if !sections {
-		if o := outs[0]; o.Err != nil {
-			if o.Result != nil {
-				w.Header().Set(AppendedHeader, strconv.Itoa(o.Result.Appended))
-			}
-			writeBackendErr(w, o.Err)
-		} else {
-			writeOK(w, o.Result)
-		}
+	secs := readSubmitBody(w, r)
+	if secs == nil {
 		return
 	}
+	outs := h.backend.Submit(r.Context(), secs)
 	res := SectionsResult{Sections: make([]SectionResult, len(outs))}
 	for i, o := range outs {
 		sr := &res.Sections[i]
@@ -196,7 +173,7 @@ func (h *Handler) handleScan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	batch.More = errors.Is(scanErr, errPageFull)
-	writeMaybeFramed(w, r, batch)
+	writeFramed(w, batch)
 }
 
 // errPageFull aborts a scan once a page is full.
@@ -210,28 +187,10 @@ func (h *Handler) handleCount(w http.ResponseWriter, r *http.Request) {
 	writeOK(w, CountResult{Count: h.backend.CountShard(shard, r.URL.Query().Get("survey"))})
 }
 
-func (h *Handler) handlePartial(w http.ResponseWriter, r *http.Request) {
-	shard, ok := pathShard(w, r)
-	if !ok {
-		return
-	}
-	have, err := strconv.ParseUint(qDefault(r, "have", "0"), 10, 64)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "bad have cursor")
-		return
-	}
-	p, err := h.backend.PartialState(shard, r.URL.Query().Get("survey"), have)
-	if err != nil {
-		writeBackendErr(w, err)
-		return
-	}
-	writeOK(w, p)
-}
-
 // handlePartials answers one partial per requested shard, in request
-// order, each exactly what handlePartial answers for that shard and
-// cursor. An entry the backend refuses fails the whole call with its
-// status: a frontend fails a read whole on an owner's error anyway.
+// order, each the backend's PartialState for that shard and cursor. An
+// entry the backend refuses fails the whole call with its status: a
+// frontend fails a read whole on an owner's error anyway.
 func (h *Handler) handlePartials(w http.ResponseWriter, r *http.Request) {
 	var req PartialsRequest
 	if !readJSON(w, r, &req) {
@@ -281,7 +240,7 @@ func (h *Handler) handleTail(w http.ResponseWriter, r *http.Request) {
 		writeBackendErr(w, err)
 		return
 	}
-	writeMaybeFramed(w, r, batch)
+	writeFramed(w, batch)
 }
 
 func (h *Handler) handleSurveys(w http.ResponseWriter, _ *http.Request) {
@@ -347,33 +306,27 @@ func qDefault(r *http.Request, key, def string) string {
 	return def
 }
 
-// readSubmitBody is readJSON for a binary submit body, under the same
-// size cap: the sections it carries, and whether it was a sections body
-// (one section otherwise); nil after writing the 400. The pooled buffer
-// can go straight back: decoding copies every string out of it.
-func readSubmitBody(w http.ResponseWriter, r *http.Request) (bool, SubmitSections) {
+// readSubmitBody is readJSON for the sections body, under the same size
+// cap: the sections it carries, or nil after writing the 400. The
+// pooled buffer can go straight back: decoding copies every string out
+// of it.
+func readSubmitBody(w http.ResponseWriter, r *http.Request) SubmitSections {
+	if ct := r.Header.Get("Content-Type"); ct != SubmitContentType {
+		writeErr(w, http.StatusBadRequest, fmt.Sprintf("submit body must be %s, not %q", SubmitContentType, ct))
+		return nil
+	}
 	buf := getBuf()
 	defer putBuf(buf)
-	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
-		writeErr(w, http.StatusBadRequest, "malformed binary body: "+err.Error())
-		return false, nil
-	}
 	var secs SubmitSections
-	var err error
-	sections := len(buf.Bytes()) > 0 && buf.Bytes()[0] == sectionsBodyTag
-	if sections {
-		if err = secs.UnmarshalBinary(buf.Bytes()); err == nil && len(secs) == 0 {
-			err = errors.New("shardrpc: submit call has no section")
-		}
-	} else {
-		secs = make(SubmitSections, 1)
-		err = secs[0].UnmarshalBinary(buf.Bytes())
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err == nil {
+		err = secs.UnmarshalBinary(buf.Bytes())
 	}
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "malformed binary body: "+err.Error())
-		return false, nil
+		return nil
 	}
-	return sections, secs
+	return secs
 }
 
 func readJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
@@ -403,16 +356,10 @@ func writeOK(w http.ResponseWriter, v any) {
 	putBuf(buf)
 }
 
-// writeMaybeFramed answers the bulk read paths (tail shipping, replica
-// bootstrap scans): callers that negotiated codec=binary get the JSON
-// body compressed into one blockio wire frame, marked by its content
-// type; everyone else (and every older peer) gets plain JSON. The
-// negotiation is per request, so mixed-version clusters keep working.
-func writeMaybeFramed(w http.ResponseWriter, r *http.Request, v any) {
-	if r.URL.Query().Get("codec") != blockio.CodecBinary {
-		writeOK(w, v)
-		return
-	}
+// writeFramed answers the bulk read paths (tail shipping, replica
+// bootstrap scans): the JSON body compressed into one blockio wire
+// frame, marked by its content type.
+func writeFramed(w http.ResponseWriter, v any) {
 	buf, err := encodeJSON(v)
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, "encode response: "+err.Error())

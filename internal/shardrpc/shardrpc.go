@@ -6,27 +6,23 @@
 //
 // The wire is JSON over HTTP — the same operational surface as the
 // public API (curl-able, proxy-friendly), but a distinct, token-guarded
-// namespace with its own stability contract. The one exception is the
-// submit request body, which is binary between peers that both know it
-// (submitbody.go); its reply is JSON like every other.
+// namespace with its own stability contract. Each call has one request
+// shape and one reply shape. Two are not plain JSON: the submit request
+// body is binary (submitbody.go), and scan and tail replies are their
+// JSON in one blockio frame.
 //
-//	POST /shardrpc/v1/submit                    batch append to one shard,
-//	                                            or to several of a node's
-//	                                            shards in one call (the
-//	                                            sections body)
-//	GET  /shardrpc/v1/shards/{shard}/scan       cursor scan (paged)
+//	POST /shardrpc/v1/submit                    batch append to one or more
+//	                                            of a node's shards in one
+//	                                            call, a section per shard
+//	GET  /shardrpc/v1/shards/{shard}/scan       cursor scan (paged, framed)
 //	GET  /shardrpc/v1/shards/{shard}/count      per-shard response count
 //	POST /shardrpc/v1/partial                   partial accumulator state
-//	                                            for several shards in one
-//	                                            call (conditional: each
+//	                                            for one or more shards in
+//	                                            one call (conditional: each
 //	                                            shard's have cursor answers
 //	                                            not-modified/delta/full)
-//	GET  /shardrpc/v1/shards/{shard}/partial    the same for one shard
-//	                                            (?have=cursor); kept for
-//	                                            frontends older than the
-//	                                            batched route
-//	GET  /shardrpc/v1/shards/{shard}/tail       WAL-tail shipping
-//	                                            (?follower=id registers a
+//	GET  /shardrpc/v1/shards/{shard}/tail       WAL-tail shipping (framed;
+//	                                            ?follower=id registers a
 //	                                            truncation ack)
 //	GET  /shardrpc/v1/meta                      shard ownership map
 //	GET  /shardrpc/v1/surveys                   survey definitions
@@ -63,8 +59,8 @@ type Meta struct {
 // frontend/node definition skew surfaces as a 400, not silent
 // corruption.
 type SubmitRequest struct {
-	Shard     int               `json:"shard"`
-	Responses []survey.Response `json:"responses"`
+	Shard     int
+	Responses []survey.Response
 	// Epoch is the placement epoch the sender routed under — the
 	// fencing token from the shared placement manifest. A node that has
 	// applied a newer manifest refuses the batch with FencedError (412)
@@ -74,7 +70,7 @@ type SubmitRequest struct {
 	// manifest-routed (a NewRemoteRoundRobin router); such writes pass
 	// the epoch comparison but are still refused wholesale by a demoted
 	// node.
-	Epoch uint64 `json:"epoch,omitempty"`
+	Epoch uint64
 	// Charges, when present, piggybacks privacy-budget debits on the
 	// submit round-trip: aligned 1:1 with Responses (an empty WorkerID
 	// carries no charge), each debit is decided against the worker's
@@ -83,7 +79,7 @@ type SubmitRequest struct {
 	// The sender must route: every non-empty charge's worker hashes to
 	// a budget shard the addressed node hosts (else 421); a backend that
 	// hosts no budget shards refuses a charged batch whole (400).
-	Charges []budget.Charge `json:"charges,omitempty"`
+	Charges []budget.Charge
 }
 
 // Validate refuses a request no backend can act on: an empty batch, or
@@ -154,10 +150,10 @@ type SectionsResult struct {
 	Sections []SectionResult `json:"sections"`
 }
 
-// SectionResult is one section's answer: the status, error and
-// Retry-After a per-shard request for the section would have drawn, and
-// inline the SubmitResult of a 200 or the durable prefix (Appended) of
-// a plain section whose append failed.
+// SectionResult is one section's answer: its status (see
+// backendStatus), error and Retry-After, and inline the SubmitResult of
+// a 200 or the durable prefix (Appended, Stored) of a plain section
+// whose append failed.
 type SectionResult struct {
 	Status     int    `json:"status"`
 	Error      string `json:"error,omitempty"`
@@ -199,17 +195,12 @@ type SubmitEntry struct {
 func SubmitEntries(n int, res *SubmitResult, err error) []SubmitEntry {
 	out := make([]SubmitEntry, n)
 	if err != nil {
-		// A plain batch that failed mid-append leaves a durable prefix the
-		// sender must not resubmit: the result beside the error when the
-		// backend was called in-process, AppendedHeader (the counts are
-		// lost) across the wire.
+		// A plain batch that failed mid-append leaves a durable prefix,
+		// the result beside the error, the sender must not resubmit.
 		var stored []int
 		durable := 0
-		var re *remoteError
 		if res != nil {
 			stored, durable = res.Stored, res.Appended
-		} else if errors.As(err, &re) {
-			durable = re.Appended
 		}
 		for k := range out {
 			if k >= durable {
@@ -242,11 +233,6 @@ func SubmitEntries(n int, res *SubmitResult, err error) []SubmitEntry {
 	}
 	return out
 }
-
-// AppendedHeader is the response header a failed submit carries: how
-// many leading records of the batch were durably appended before the
-// failure. Senders must not resubmit that prefix.
-const AppendedHeader = "X-Shardrpc-Appended"
 
 // ScanRecord is one response with its per-shard sequence number.
 type ScanRecord struct {
@@ -343,8 +329,7 @@ func (r *PartialsRequest) Validate(totalShards int) error {
 }
 
 // PartialsResult answers a PartialsRequest: one Partial per requested
-// shard, in request order, each the object the per-shard GET answers
-// for the same shard and cursor.
+// shard, in request order.
 type PartialsResult struct {
 	Partials []*Partial `json:"partials"`
 }
@@ -363,8 +348,7 @@ type Backend interface {
 	// Meta reports the node's shard ownership.
 	Meta() Meta
 	// Submit is the one write: run a node call's sections — each a
-	// routed batch for one shard, a per-shard request being the call of
-	// one section — through the host's gates, and durably append what
+	// routed batch for one shard — through the host's gates, and durably append what
 	// passes. The call takes one admission slot and one ledger commit, and
 	// its sections' appends run concurrently. ctx is the caller's — a
 	// sender that gave up must not keep a queue slot. The outcomes are
@@ -388,7 +372,7 @@ type Backend interface {
 	//
 	// The one result-with-error shape: a plain batch (no charges, nothing
 	// throttled) whose append fails returns the durable prefix beside the
-	// error, which the Handler reports in AppendedHeader.
+	// error, which the Handler reports inline in the section's answer.
 	Submit(ctx context.Context, sections []SubmitRequest) []SubmitOutcome
 	// ScanShard streams one global shard's slice of a survey beyond a
 	// per-shard cursor.

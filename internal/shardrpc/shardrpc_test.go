@@ -404,18 +404,22 @@ func TestSubmitPartialFailure(t *testing.T) {
 	}
 	// Mem's batch appender validates up front (all-or-nothing), so this
 	// exercises the zero-prefix path; the per-record fallback would
-	// report prefix 2. Either way the header and error must agree.
-	_, err := c.Submit(&SubmitRequest{Shard: 0, Responses: batch})
+	// report prefix 2. Either way the store and the reply must agree.
+	res, err := c.Submit(&SubmitRequest{Shard: 0, Responses: batch})
 	var re *remoteError
 	if !errors.As(err, &re) {
 		t.Fatalf("batch with bad record: %v", err)
+	}
+	durable := 0
+	if res != nil {
+		durable = res.Appended
 	}
 	n, err := c.Count(0, "sv")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != re.Appended {
-		t.Fatalf("node stored %d records, error reported %d", n, re.Appended)
+	if n != durable {
+		t.Fatalf("node stored %d records, the reply reported %d", n, durable)
 	}
 }
 
