@@ -153,7 +153,7 @@ func newLoadHarness(dir string, sv *survey.Survey, nodes, queue, inflight int) (
 	for n := 0; n < nodes; n++ {
 		stores := make([]store.Store, len(owned[n]))
 		for i, g := range owned[n] {
-			st, err := store.OpenFile(filepath.Join(dir, fmt.Sprintf("node%d-gshard%03d.jsonl", n, g)))
+			st, err := store.OpenFile(filepath.Join(dir, fmt.Sprintf("node%d-gshard%03d.log", n, g)))
 			if err != nil {
 				return fail(err)
 			}

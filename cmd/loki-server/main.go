@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	loki-server -addr :8080 -token secret -store loki.jsonl -seed-catalog
+//	loki-server -addr :8080 -token secret -store loki.log -seed-catalog
 //	loki-server -store ingest:/var/lib/loki -shards 8 -commit-interval 1ms
 //	loki-server -role node -manifest cluster.json -advertise http://10.0.0.1:8080 -store ingest:/var/lib/loki
 //	loki-server -role frontend -manifest cluster.json -seed-catalog
@@ -58,8 +58,8 @@
 // With -store mem the server keeps everything in memory; with -store
 // ingest:DIR it opens the sharded segmented-WAL ingest store rooted at
 // DIR (tuned by -shards, -commit-interval and -segment-bytes); otherwise
-// the given JSON-lines file is opened (and replayed) as the durable
-// store. -seed-catalog publishes the paper's survey catalog on startup
+// the given file is opened (and replayed) as the durable store: one
+// blockio log, a JSON-lines file from before blocks converted on open. -seed-catalog publishes the paper's survey catalog on startup
 // so a fresh server has something to serve.
 //
 // -checkpoint-dir DIR enables durable live-aggregate checkpoints (one
@@ -99,7 +99,6 @@ import (
 	"syscall"
 	"time"
 
-	"loki/internal/blockio"
 	"loki/internal/budget"
 	"loki/internal/checkpoint"
 	"loki/internal/core"
@@ -172,7 +171,7 @@ func (c *config) budgetConfig() budget.Config {
 func parseFlags(fs *flag.FlagSet, args []string) (config, error) {
 	var c config
 	fs.StringVar(&c.addr, "addr", ":8080", "listen address")
-	fs.StringVar(&c.storePath, "store", "mem", `persistence: "mem", "ingest:DIR" or a JSON-lines file path`)
+	fs.StringVar(&c.storePath, "store", "mem", `persistence: "mem", "ingest:DIR" or a store file path`)
 	fs.StringVar(&c.token, "token", "requester-secret", "requester bearer token")
 	fs.BoolVar(&c.seedCatalog, "seed-catalog", false, "publish the paper's survey catalog on startup")
 	fs.IntVar(&c.icfg.Shards, "shards", 8, "ingest store: shard label recorded at first open and required to match on reopen; every value shares one WAL and one fsync stream")
@@ -242,7 +241,7 @@ func openStore(storePath string, icfg ingest.Config) (store.Store, error) {
 	case strings.HasPrefix(storePath, "ingest:"):
 		return ingest.Open(strings.TrimPrefix(storePath, "ingest:"), icfg)
 	default:
-		return store.OpenFileWith(storePath, store.FileOptions{Codec: blockio.CodecBinary})
+		return store.OpenFile(storePath)
 	}
 }
 
@@ -295,7 +294,7 @@ func openCheckpoints(dir string, every time.Duration, logger *log.Logger) (*chec
 	if dir == "" {
 		return nil, nil
 	}
-	ckpt, err := checkpoint.OpenWith(dir, checkpoint.Options{Codec: blockio.CodecBinary})
+	ckpt, err := checkpoint.Open(dir)
 	if err != nil {
 		return nil, err
 	}

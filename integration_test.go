@@ -64,7 +64,7 @@ func TestEndToEndPlatform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	responses, err := st.Responses(sv.ID)
+	responses, err := loki.CollectResponses(st, sv.ID)
 	if err != nil {
 		t.Fatal(err)
 	}

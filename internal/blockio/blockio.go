@@ -4,12 +4,14 @@
 // and snapshots are built on — open/replay with torn-tail repair,
 // append / flush / sync, a sticky first failure, atomic rewrite, and
 // CopyFrom, which appends another file's records and moves its blocks
-// whole, never inflated or recompressed — in either of two codecs: one
-// JSON record per line, or the chunked binary block format described
-// here, which also frames the compressed cluster-RPC bodies of the
-// WAL-tail-shipping read path (frame.go). WriteFileAtomic and SyncDir
-// are the only place files are published by rename; Sniff and
-// ReplayFile the only place a codec is detected.
+// whole, never inflated or recompressed. Every Log writes the chunked
+// block format described here, which also frames the compressed
+// cluster-RPC bodies of the WAL-tail-shipping read path (frame.go).
+// JSON lines (one record per line), the format these files had before,
+// are read only: ReplayFile and CopyFrom read them, and OpenLog
+// converts such a file to blocks once. WriteFileAtomic and SyncDir are
+// the only place files are published by rename; Sniff and ReplayFile
+// the only place a file's framing is detected.
 //
 // A blockio file is
 //
@@ -32,17 +34,16 @@
 // group commit), a single *stored* deflate block — the bytes as they
 // are behind a five-byte header. Readers inflate both the same way.
 //
-// Writer.Flush cuts the open block at a group-commit boundary, so the
-// fsync-before-ack durability contract of the JSON-lines logs carries
-// over unchanged: everything acknowledged is inside a fully framed,
-// checksummed block.
+// Writer.Flush cuts the open block at a group-commit boundary, so
+// everything acknowledged (flushed, then fsynced) is inside a fully
+// framed, checksummed block.
 //
 // Seal appends a trailing block index (offset, first seq and record
 // count per block) and a fixed-size footer, turning the file immutable:
 // ScanFrom then seeks straight to the block containing a requested seq
 // instead of replaying from byte 0. A file without a valid footer — the
 // active segment, or a crash mid-seal — is scanned sequentially with
-// the same torn-tail repair semantics as the JSON-lines codec: a torn or
+// the same torn-tail repair semantics as a JSON-lines file: a torn or
 // corrupt tail is truncated back to the last fully verified block. A
 // block that fails its checksum but is followed by one that verifies is
 // no tail, and refuses the open (ErrInteriorDamage).
@@ -82,16 +83,9 @@ const (
 	maxBlockBytes = 1 << 27
 )
 
-// Codec names shared by every subsystem's configuration surface.
-const (
-	// CodecBinary selects this package's compressed block format.
-	CodecBinary = "binary"
-	// CodecJSON selects the readable JSON-lines fallback.
-	CodecJSON = "json"
-)
-
-// ValidCodec reports whether s names a known codec.
-func ValidCodec(s string) bool { return s == CodecBinary || s == CodecJSON }
+// CodecBinary names this package's compressed block format: the value
+// of shardrpc's codec query parameter, and the one format a Log writes.
+const CodecBinary = "binary"
 
 // castagnoli is the CRC32C table used for every checksum in the format.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -123,7 +117,8 @@ func checkHeader(h []byte) error {
 
 // Sniff reports whether the file at path is a blockio file (starts with
 // the format magic). An empty or shorter-than-header file is not: both
-// codecs replay it as zero records, and the JSON path owns that case.
+// framings replay it as zero records, and the JSON-lines path owns that
+// case.
 func Sniff(path string) (bool, error) {
 	f, err := os.Open(path)
 	if err != nil {

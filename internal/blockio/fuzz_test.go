@@ -117,12 +117,14 @@ func FuzzBlockRoundTrip(f *testing.F) {
 }
 
 // FuzzLogTruncate is the crash model of every durable structure in the
-// system, fuzzed: a Log in a fuzzer-chosen codec takes fuzzer-sized
-// records (the corpus straddles StoredBlockMax) at a fuzzer-chosen flush
-// cadence, the file is cut at a fuzzer-chosen offset, and the reopen
-// must never panic or refuse, never yield a record that was not
-// appended or skip one, never lose a flush that lay wholly before the
-// cut, and must take an append and reopen with it.
+// system, fuzzed: fuzzer-sized records (the corpus straddles
+// StoredBlockMax) go to a Log at a fuzzer-chosen flush cadence, or, with
+// bin false, into a JSON-lines file built byte by byte (the framing no
+// Log writes any more, one recoverable unit per line). The file is cut
+// at a fuzzer-chosen offset, and the reopen must never panic or refuse,
+// never yield a record that was not appended or skip one, never lose a
+// flush (or line) that lay wholly before the cut, leave a block file,
+// and take an append and reopen with it.
 func FuzzLogTruncate(f *testing.F) {
 	f.Add(false, []byte("hello"), uint8(5), uint8(2), uint16(40))
 	f.Add(true, []byte("hello"), uint8(5), uint8(2), uint16(40))
@@ -134,14 +136,10 @@ func FuzzLogTruncate(f *testing.F) {
 		if len(seedRec) > 1<<12 {
 			t.Skip()
 		}
-		codec := CodecJSON
-		if bin {
-			codec = CodecBinary
-		}
 		path := filepath.Join(t.TempDir(), "fuzz.log")
 		reopen := func() (*Log, []string) {
 			var got []string
-			l, err := OpenLog(path, codec, func(p []byte) error {
+			l, err := OpenLog(path, func(p []byte) error {
 				got = append(got, string(p))
 				return nil
 			})
@@ -150,18 +148,27 @@ func FuzzLogTruncate(f *testing.F) {
 			}
 			return l, got
 		}
-		l, _ := reopen()
 		every := 1 + int(cadence)%9
 		var want []string
 		flushed := map[int64]int{0: 0} // file size after a flush -> records it covers
+		var lines []byte
+		var l *Log
+		if bin {
+			l, _ = reopen()
+		}
 		for i := 0; i < int(nRecs); i++ {
 			// Hex keeps a JSON line free of newlines; the seq prefix makes
 			// every record distinct.
 			rec := hex.EncodeToString(append(binary.AppendUvarint(nil, uint64(i)), seedRec...))
+			want = append(want, rec)
+			if !bin {
+				lines = append(append(lines, rec...), '\n')
+				flushed[int64(len(lines))] = len(want)
+				continue
+			}
 			if err := l.Append([]byte(rec)); err != nil {
 				t.Fatal(err)
 			}
-			want = append(want, rec)
 			if i%every == every-1 {
 				if err := l.Flush(); err != nil {
 					t.Fatal(err)
@@ -169,7 +176,11 @@ func FuzzLogTruncate(f *testing.F) {
 				flushed[l.Size()] = len(want)
 			}
 		}
-		if err := l.Close(); err != nil {
+		if bin {
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+		} else if err := os.WriteFile(path, lines, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		fi, err := os.Stat(path)
@@ -200,6 +211,9 @@ func FuzzLogTruncate(f *testing.F) {
 		}
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
+		}
+		if isBlocks, err := Sniff(path); err != nil || !isBlocks {
+			t.Fatalf("cut at %d: the reopened file is not a block file (%v)", cutAt, err)
 		}
 		l, again := reopen()
 		defer l.Close()

@@ -15,26 +15,28 @@ import (
 const tmpSuffix = ".tmp"
 
 // Log is the one durable record file of the system: an append-only file
-// of opaque records in either codec (blockio blocks, or one JSON record
-// per line). The file store, the checkpoint files, the budget ledger
-// and ingest's segments, meta log and snapshots are all a Log plus
-// their own record type and their own fsync schedule — Log is the file,
-// not the scheduler.
+// of opaque records in blockio blocks. The file store, the checkpoint
+// files, the budget ledger and ingest's segments, meta log and snapshots
+// are all a Log plus their own record type and their own fsync schedule
+// — Log is the file, not the scheduler.
 //
 // The contract, in one place:
 //
-//   - A non-empty file dictates its codec (Sniff); a fresh one takes the
-//     caller's. A file never mixes framings.
+//   - A Log writes blocks and nothing else. A non-empty JSON-lines file
+//     (one record per line, what these files held before) is an import:
+//     Open replays it, then republishes the same payloads, in order and
+//     byte for byte, as a block file (tmp → fsync → rename → dir-sync)
+//     before appending to it. A crash mid-conversion leaves the JSON
+//     file, which the next open converts again.
 //   - Open streams every complete record to apply, truncates a torn tail
-//     back to the last whole record (JSON) or block (binary), and resumes
-//     appending at the repaired end. A binary block that fails its
-//     checksum yet is followed by one that verifies is not a tail:
-//     ErrInteriorDamage refuses the open. Damage that leaves a whole
-//     record unreadable is apply's to judge: an apply error refuses it.
-//   - Append buffers, Flush hands the buffered records to the OS as one
-//     recoverable unit (a binary block is cut there), Sync makes what
-//     was flushed durable. Who calls Sync, and when, is the user's
-//     group-commit policy.
+//     back to the last whole block (or JSON line), and resumes appending
+//     at the repaired end. A block that fails its checksum yet is
+//     followed by one that verifies is not a tail: ErrInteriorDamage
+//     refuses the open. Damage that leaves a whole record unreadable is
+//     apply's to judge: an apply error refuses it.
+//   - Append buffers, Flush cuts the open block and hands it to the OS
+//     as one recoverable unit, Sync makes what was flushed durable. Who
+//     calls Sync, and when, is the user's group-commit policy.
 //   - The first I/O failure is sticky: after a failed write or fsync the
 //     on-disk tail is unknowable (the kernel may have dropped the dirty
 //     pages, and a later fsync can falsely succeed), so every later call
@@ -45,15 +47,13 @@ const tmpSuffix = ".tmp"
 //     removed by the next open.
 //
 // A Log is not safe for concurrent use, with one exception: Sync may run
-// beside Append and Flush (an interval flusher or a sync cohort fsyncs
-// outside the lock its appenders hold). It must not run beside Rewrite
-// or Close, which swap or close the descriptor.
+// beside Append and Flush (a sync cohort fsyncs outside the lock its
+// appenders hold). It must not run beside Rewrite or Close, which swap
+// or close the descriptor.
 type Log struct {
 	path string
 	f    *os.File
-	lw   *bufio.Writer // JSON lines; nil under the binary codec
-	bw   *Writer       // blockio blocks; nil under the JSON codec
-	size int64         // JSON: bytes appended so far (binary: bw.Offset)
+	bw   *Writer
 	// sealed files take no more appends and are already durable.
 	sealed bool
 	failed atomic.Pointer[error]
@@ -61,16 +61,13 @@ type Log struct {
 
 // OpenLog opens the record file at path, creating it (and making its
 // directory entry durable) if it does not exist, replays it through
-// apply and leaves it positioned for appends. codec applies to a fresh
-// or empty file only.
-func OpenLog(path, codec string, apply func(payload []byte) error) (*Log, error) {
-	if !ValidCodec(codec) {
-		return nil, fmt.Errorf("blockio: unknown codec %q", codec)
-	}
+// apply and leaves it positioned for appends. A JSON-lines file is
+// converted to blocks first (see Log).
+func OpenLog(path string, apply func(payload []byte) error) (*Log, error) {
 	if err := os.Remove(path + tmpSuffix); err != nil && !errors.Is(err, os.ErrNotExist) {
 		return nil, fmt.Errorf("blockio: remove stale %s: %w", path+tmpSuffix, err)
 	}
-	var binary bool
+	binary := true
 	var nextSeq uint64
 	fi, err := os.Stat(path)
 	fresh := errors.Is(err, os.ErrNotExist)
@@ -87,18 +84,25 @@ func OpenLog(path, codec string, apply func(payload []byte) error) (*Log, error)
 			return nil, err
 		}
 	}
+	if !binary && nextSeq > 0 {
+		l, err := publishLog(path, 0, func(nl *Log) error {
+			return replayLines(path, false, func(_ uint64, p []byte) error { return nl.Append(p) })
+		})
+		if err != nil {
+			return nil, fmt.Errorf("blockio: convert %s: %w", path, err)
+		}
+		return l, nil
+	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("blockio: open %s: %w", path, err)
 	}
 	var l *Log
+	// Fresh, empty, or a JSON file that held nothing but a torn first
+	// record: off is 0 and the writer starts a block file.
 	off, err := f.Seek(0, io.SeekEnd)
 	if err == nil {
-		if off == 0 {
-			// Fresh, empty, or nothing but a torn first record.
-			binary = codec == CodecBinary
-		}
-		l, err = resumeLog(path, f, off, binary, nextSeq+1)
+		l, err = resumeLog(path, f, off, nextSeq+1)
 	}
 	if err == nil && fresh {
 		err = SyncDir(filepath.Dir(path))
@@ -110,19 +114,15 @@ func OpenLog(path, codec string, apply func(payload []byte) error) (*Log, error)
 	return l, nil
 }
 
-// resumeLog wraps f, an open record file positioned at its end off, for
-// appending.
-func resumeLog(path string, f *os.File, off int64, binary bool, nextSeq uint64) (*Log, error) {
-	l := &Log{path: path, f: f, size: off}
-	if !binary {
-		l.lw = bufio.NewWriterSize(f, 1<<16)
-		return l, nil
+// resumeLog wraps f, an open block file positioned at its end off, for
+// appending. The log stays unsealed across opens (appends continue), so
+// replay always scans it with torn-tail semantics.
+func resumeLog(path string, f *os.File, off int64, nextSeq uint64) (*Log, error) {
+	bw, err := newWriterAt(f, off, nextSeq)
+	if err != nil {
+		return nil, err
 	}
-	// The binary log stays unsealed across opens (appends continue), so
-	// replay always scans it with torn-tail semantics.
-	var err error
-	l.bw, err = newWriterAt(f, off, nextSeq)
-	return l, err
+	return &Log{path: path, f: f, bw: bw}, nil
 }
 
 // Err returns the sticky first failure, or nil.
@@ -147,16 +147,7 @@ func (l *Log) fail(op string, err error) error {
 	return l.Fail(fmt.Errorf("blockio: %s %s: %w", op, l.path, err))
 }
 
-// Codec reports the framing the file is in.
-func (l *Log) Codec() string {
-	if l.bw != nil {
-		return CodecBinary
-	}
-	return CodecJSON
-}
-
-// Append buffers one record in the file's own framing. The payload is
-// copied; a JSON-lines payload must not contain a newline.
+// Append buffers one record. The payload is copied.
 func (l *Log) Append(payload []byte) error {
 	if err := l.Err(); err != nil {
 		return err
@@ -167,35 +158,20 @@ func (l *Log) Append(payload []byte) error {
 	if len(payload) > maxRecordBytes {
 		return fmt.Errorf("blockio: record of %d bytes exceeds the %d limit", len(payload), maxRecordBytes)
 	}
-	var err error
-	if l.bw != nil {
-		_, err = l.bw.Append(payload)
-	} else {
-		if _, err = l.lw.Write(payload); err == nil {
-			err = l.lw.WriteByte('\n')
-		}
-		l.size += int64(len(payload)) + 1
-	}
-	if err != nil {
+	if _, err := l.bw.Append(payload); err != nil {
 		return l.fail("write", err)
 	}
 	return nil
 }
 
-// Flush hands every buffered record to the OS. Under the binary codec
-// it cuts the open block, so what one Flush covers replays whole or not
-// at all. Durability still needs Sync.
+// Flush hands every buffered record to the OS. It cuts the open block,
+// so what one Flush covers replays whole or not at all. Durability
+// still needs Sync.
 func (l *Log) Flush() error {
 	if err := l.Err(); err != nil {
 		return err
 	}
-	var err error
-	if l.bw != nil {
-		err = l.bw.Flush()
-	} else {
-		err = l.lw.Flush()
-	}
-	if err != nil {
+	if err := l.bw.Flush(); err != nil {
 		return l.fail("flush", err)
 	}
 	return nil
@@ -213,20 +189,16 @@ func (l *Log) Sync() error {
 	return nil
 }
 
-// Seal completes the file: flushed, fsynced and closed to appends. A
-// binary file gains its block index and footer, so scans can seek into
-// it and replay verifies it strictly; only a file written by this Log
-// since it was empty can be sealed.
+// Seal completes the file: flushed, fsynced and closed to appends. It
+// gains its block index and footer, so scans can seek into it and
+// replay verifies it strictly; only a file written by this Log since it
+// was empty can be sealed.
 func (l *Log) Seal() error {
 	if err := l.Err(); err != nil || l.sealed {
 		return err
 	}
-	if l.bw != nil {
-		if err := l.bw.Seal(); err != nil {
-			return l.fail("seal", err)
-		}
-	} else if err := l.flushSync(); err != nil {
-		return err
+	if err := l.bw.Seal(); err != nil {
+		return l.fail("seal", err)
 	}
 	l.sealed = true
 	return nil
@@ -241,13 +213,8 @@ func (l *Log) flushSync() error {
 }
 
 // Size returns the file's size in bytes once everything appended has
-// been flushed (binary: framed, compressed bytes).
-func (l *Log) Size() int64 {
-	if l.bw != nil {
-		return l.bw.Offset()
-	}
-	return l.size
-}
+// been flushed: framed, compressed bytes.
+func (l *Log) Size() int64 { return l.bw.Offset() }
 
 // File exposes the descriptor, for tests that sabotage it.
 func (l *Log) File() *os.File { return l.f }
@@ -266,33 +233,31 @@ func (l *Log) Close() error {
 }
 
 // Rewrite atomically replaces the file's contents with the records emit
-// appends to nl, a fresh file in codec, and resumes appending after
-// them. Until the rename the old file is untouched; any failure is
-// sticky.
-func (l *Log) Rewrite(codec string, emit func(nl *Log) error) error {
+// appends to nl, a fresh file, and resumes appending after them. Until
+// the rename the old file is untouched; any failure is sticky.
+func (l *Log) Rewrite(emit func(nl *Log) error) error {
 	if err := l.Err(); err != nil {
 		return err
 	}
-	nl, err := publishLog(l.path, codec, 0, emit)
+	nl, err := publishLog(l.path, 0, emit)
 	if err != nil {
 		return l.fail("rewrite", err)
 	}
 	// The old descriptor names an unlinked file now; nothing durable
 	// depends on how its close goes.
 	l.f.Close()
-	l.f, l.lw, l.bw, l.size = nl.f, nl.lw, nl.bw, nl.size
+	l.f, l.bw = nl.f, nl.bw
 	return nil
 }
 
 // CopyFrom appends the records of the file at path after its first
 // skip, in order, and returns how many it appended. The file is read
 // strictly, like a sealed file: any damage in it is an error. From a
-// binary file into a binary Log, every block past the skipped records
-// is copied whole — its checksum verified, its payload neither inflated
-// nor recompressed — behind a cut of the open block. Every other record
-// (those sharing a block with skipped ones, and all of them in any
-// other pairing of codecs) goes through Append, mapped by conv if conv
-// is non-nil. A failed copy leaves part of the file appended, so it
+// block file, every block past the skipped records is copied whole —
+// its checksum verified, its payload neither inflated nor recompressed
+// — behind a cut of the open block. Every other record (those sharing a
+// block with skipped ones, and all of a JSON-lines file's) goes through
+// Append, mapped by conv if conv is non-nil. A failed copy leaves part of the file appended, so it
 // fails the log sticky.
 func (l *Log) CopyFrom(path string, skip int, conv func(payload []byte) ([]byte, error)) (int, error) {
 	if err := l.Err(); err != nil {
@@ -310,7 +275,7 @@ func (l *Log) CopyFrom(path string, skip int, conv func(payload []byte) ([]byte,
 		return l.Append(p)
 	}
 	binary, err := Sniff(path)
-	if err == nil && binary && l.bw != nil {
+	if err == nil && binary {
 		var whole int
 		whole, err = copyBlocks(path, skip, l.bw, add)
 		n += whole
@@ -329,7 +294,7 @@ func (l *Log) CopyFrom(path string, skip int, conv func(payload []byte) ([]byte,
 	return n, nil
 }
 
-// copyBlocks is CopyFrom between two binary files. Frames wholly past
+// copyBlocks is CopyFrom from a block file. Frames wholly past
 // the first skip records go to w as they are; the records past skip in
 // the one frame that straddles it go to add. It returns how many
 // records it copied in whole frames.
@@ -390,8 +355,8 @@ func copyBlocks(path string, skip int, w *Writer, add func([]byte) error) (int, 
 // sizeHint before the first write and cut back afterwards, so a
 // directory listing changes when a long write publishes, not
 // continuously while it runs.
-func WriteLogAtomic(path, codec string, sizeHint int64, emit func(nl *Log) error) (int64, error) {
-	nl, err := publishLog(path, codec, sizeHint, func(nl *Log) error {
+func WriteLogAtomic(path string, sizeHint int64, emit func(nl *Log) error) (int64, error) {
+	nl, err := publishLog(path, sizeHint, func(nl *Log) error {
 		if err := emit(nl); err != nil {
 			return err
 		}
@@ -405,13 +370,10 @@ func WriteLogAtomic(path, codec string, sizeHint int64, emit func(nl *Log) error
 
 // publishLog fills <path>.tmp with emit's records and publishes it over
 // path. The returned Log is still open on the file.
-func publishLog(path, codec string, sizeHint int64, emit func(nl *Log) error) (*Log, error) {
-	if !ValidCodec(codec) {
-		return nil, fmt.Errorf("blockio: unknown codec %q", codec)
-	}
+func publishLog(path string, sizeHint int64, emit func(nl *Log) error) (*Log, error) {
 	var nl *Log
 	_, err := publishFile(path, func(f *os.File) (err error) {
-		if nl, err = resumeLog(path, f, 0, codec == CodecBinary, 1); err != nil {
+		if nl, err = resumeLog(path, f, 0, 1); err != nil {
 			return err
 		}
 		if sizeHint > 0 {
@@ -489,7 +451,7 @@ func SyncDir(dir string) error {
 }
 
 // ReplayFile streams every complete record of the file at path to fn,
-// whichever codec wrote it. With tornOK a torn tail is truncated away
+// a block file or a JSON-lines one. With tornOK a torn tail is truncated away
 // (and the truncation fsynced); without, for files that were closed
 // behind an fsync and may not legally be torn, it is an error. An fn
 // error aborts the replay: interior corruption is surfaced, never
@@ -500,7 +462,7 @@ func ReplayFile(path string, tornOK bool, fn func(payload []byte) error) error {
 }
 
 // replay is ReplayFile with record seqs (JSON lines count from 1), also
-// reporting which codec the file is in.
+// reporting whether the file is a block file.
 func replay(path string, tornOK bool, fn func(seq uint64, payload []byte) error) (bool, error) {
 	binary, err := Sniff(path)
 	if err != nil {

@@ -14,8 +14,7 @@ import (
 // open block and cuts the block — compress, checksum, frame, hand to
 // the buffered file writer — when the block reaches DefaultBlockBytes
 // or on Flush. Nothing reaches the OS before Flush, and nothing is
-// durable before Sync, mirroring the bufio+fsync discipline of the
-// JSON-lines logs it replaces. Writers are not safe for concurrent use;
+// durable before Sync. Writers are not safe for concurrent use;
 // every adopting subsystem already serializes its appends.
 type Writer struct {
 	f  *os.File

@@ -231,7 +231,7 @@ func (l *ledger) open(dir string, apply func(*walRecord) error) error {
 	}
 	var recs []walRecord
 	var err error
-	l.log, err = blockio.OpenLog(filepath.Join(dir, ledgerFile), blockio.CodecBinary, func(payload []byte) error {
+	l.log, err = blockio.OpenLog(filepath.Join(dir, ledgerFile), func(payload []byte) error {
 		var err error
 		if recs, err = decodeLedgerRecord(recs, payload); err != nil {
 			return err
@@ -331,7 +331,7 @@ func (l *ledger) rewriteLocked(accounts []Account) error {
 	l.syncMu.Lock()
 	defer l.syncMu.Unlock()
 	l.buf = appendLedgerRecord(l.buf[:0], []walRecord{{T: walSnapshot, Snapshot: accounts}})
-	err := l.log.Rewrite(blockio.CodecBinary, func(nl *blockio.Log) error { return nl.Append(l.buf) })
+	err := l.log.Rewrite(func(nl *blockio.Log) error { return nl.Append(l.buf) })
 	if err != nil {
 		l.err = fmt.Errorf("budget: compact ledger: %w", err)
 		return l.err

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-
-	"loki/internal/blockio"
 )
 
 // SetOptions tune NewSet.
@@ -75,16 +73,6 @@ func NewSet(opts SetOptions) (*Set, error) {
 	sort.Ints(s.ids)
 	if err := s.led.open(opts.Dir, s.applyLocked); err != nil {
 		return nil, err
-	}
-	if s.led.log != nil && s.led.log.Codec() != blockio.CodecBinary {
-		// A JSON-lines ledger from an older binary: its balances become
-		// one binary snapshot now, and every later write is binary. The
-		// conversion is forward-only — an older binary refuses the file.
-		s.compactLocked()
-		if err := s.led.err; err != nil {
-			s.led.close()
-			return nil, err
-		}
 	}
 	return s, nil
 }

@@ -2,17 +2,18 @@
 // resumes folding from where it left off instead of rescanning every
 // survey's whole response backlog.
 //
-// The log is a directory of JSON-lines files, one per survey
-// (surveys/<hex(survey-id)>.jsonl), each holding Records: one line
-// carries one shard's partial aggregate.AccumulatorState, the per-shard
-// cursor (highest sequence number folded in), the shard layout it was
-// taken under, and a fingerprint of the survey definition the state was
-// folded under. Later lines supersede earlier ones for the same (survey,
-// shard); a Record with a nil State is a whole-survey tombstone (older
-// versions wrote one where this one removes the file). Files are
-// opened lazily on first write and replayed in parallel on Open — the
-// per-survey split is what lets restore parallelize across surveys
-// instead of grinding through one interleaved log.
+// The log is a directory of record files, one per survey
+// (surveys/<hex(survey-id)>.jsonl: the name predates blocks, and a
+// file's framing is sniffed, not named), each a blockio.Log of JSON
+// Records: one carries one shard's partial aggregate.AccumulatorState,
+// the per-shard cursor (highest sequence number folded in), the shard
+// layout it was taken under, and a fingerprint of the survey definition
+// the state was folded under. Later records supersede earlier ones for
+// the same (survey, shard); a Record with a nil State is a whole-survey
+// tombstone (older versions wrote one where this one removes the file).
+// Files are opened lazily on first write and replayed in parallel on
+// Open — the per-survey split is what lets restore parallelize across
+// surveys instead of grinding through one interleaved log.
 //
 // A single-file log from before the per-survey split (checkpoints.jsonl)
 // is no longer read: a directory holding only that opens empty, and the
@@ -21,7 +22,8 @@
 // Every file is a blockio.Log, so a crash mid-append costs at most the
 // last record (the torn tail is truncated on open) — the reader falls
 // back to that shard's previous checkpoint and scans a slightly longer
-// tail.
+// tail. A JSON-lines file written before blocks replays as it is and is
+// converted to blocks when its survey's first Put opens it.
 //
 // Checkpoints are an optimization, never the source of truth: the store
 // is. A missing, stale, or invalidated checkpoint only means more
@@ -30,7 +32,7 @@
 // the accumulator shape before trusting any state.
 //
 // Each per-survey file rewrites itself (blockio.Log.Rewrite) once
-// enough superseded lines accumulate, so its size tracks the survey's
+// enough superseded records accumulate, so its size tracks the survey's
 // live shard count, not the number of checkpoints ever taken.
 package checkpoint
 
@@ -107,22 +109,19 @@ type surveyLog struct {
 	appended int
 }
 
-// Options tune a checkpoint log.
+// Options is a compile shim for the benchmark module, which sets
+// Codec; its next change drops the field and this type with it.
 type Options struct {
-	// Codec is the encoding for files created (or rewritten by
-	// compaction) under this log: blockio.CodecJSON (default — readable
-	// lines) or blockio.CodecBinary (compressed blockio blocks; what the
-	// server configures). Existing files keep their own sniffed format
-	// for appends until a compaction rewrites them, which is how a
-	// directory migrates codecs in place.
+	// Codec must be "" or blockio.CodecBinary: every file is written in
+	// blockio blocks, and any other value (the retired "json" among
+	// them) is refused.
 	Codec string
 }
 
 // Log is a durable checkpoint log rooted in one directory. It is safe
 // for concurrent use.
 type Log struct {
-	dir   string
-	codec string
+	dir string
 
 	mu sync.Mutex
 	// recs maps survey -> shard -> record.
@@ -146,30 +145,26 @@ func surveyFileName(surveyID string) string {
 }
 
 // Open replays (or creates) the checkpoint log in dir: every
-// per-survey file, in parallel across surveys. A torn trailing line from
-// a crashed append is truncated away; unreadable interior records are
-// skipped and counted (CorruptRecords), and a binary file with interior
-// damage is counted once and rewritten to the records before the
-// damage — never a refused open: the log is advisory and the store
+// per-survey file, in parallel across surveys. A torn trailing record
+// from a crashed append is truncated away; unreadable interior records
+// are skipped and counted (CorruptRecords), and a block file with
+// interior damage is counted once and rewritten to the records before
+// the damage — never a refused open: the log is advisory and the store
 // rebuilds anything it cannot provide.
 func Open(dir string) (*Log, error) {
 	return OpenWith(dir, Options{})
 }
 
-// OpenWith opens the checkpoint log with explicit options.
+// OpenWith is Open for callers that still pass Options.
 func OpenWith(dir string, opts Options) (*Log, error) {
-	if opts.Codec == "" {
-		opts.Codec = blockio.CodecJSON
-	}
-	if !blockio.ValidCodec(opts.Codec) {
-		return nil, fmt.Errorf("checkpoint: unknown codec %q", opts.Codec)
+	if opts.Codec != "" && opts.Codec != blockio.CodecBinary {
+		return nil, fmt.Errorf("checkpoint: codec %q: checkpoint files are blockio blocks only (the json codec is retired)", opts.Codec)
 	}
 	if err := os.MkdirAll(filepath.Join(dir, surveysDir), 0o755); err != nil {
 		return nil, fmt.Errorf("checkpoint: mkdir %s: %w", dir, err)
 	}
 	l := &Log{
 		dir:   dir,
-		codec: opts.Codec,
 		recs:  make(map[string]map[int]*Record),
 		files: make(map[string]*surveyLog),
 	}
@@ -359,14 +354,14 @@ func (l *Log) CorruptRecords() int {
 }
 
 // ensureFileLocked lazily opens (creating if necessary) the survey's
-// file for appending; Open already replayed its records. Caller holds
-// mu.
+// file for appending, converting a JSON-lines file to blocks; Open
+// already replayed its records. Caller holds mu.
 func (l *Log) ensureFileLocked(surveyID string) (*surveyLog, error) {
 	if sf, ok := l.files[surveyID]; ok {
 		return sf, nil
 	}
 	path := filepath.Join(l.dir, surveysDir, surveyFileName(surveyID))
-	lg, err := blockio.OpenLog(path, l.codec, func([]byte) error { return nil })
+	lg, err := blockio.OpenLog(path, func([]byte) error { return nil })
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
@@ -377,7 +372,7 @@ func (l *Log) ensureFileLocked(surveyID string) (*surveyLog, error) {
 
 // Put durably appends a checkpoint record to its survey's file: by the
 // time it returns nil, the record is written and fsynced. Superseded
-// lines are rewritten away once they outnumber the live records enough.
+// records are rewritten away once they outnumber the live records enough.
 func (l *Log) Put(rec *Record) error {
 	if rec.SurveyID == "" || rec.State == nil {
 		return errors.New("checkpoint: Put needs a survey ID and state")
@@ -421,7 +416,7 @@ func (l *Log) removeFileLocked(surveyID string) error {
 	return blockio.SyncDir(filepath.Join(l.dir, surveysDir))
 }
 
-// appendLocked writes one line to the survey's file, flushes and
+// appendLocked writes one record to the survey's file, flushes and
 // fsyncs. Caller holds mu.
 func (l *Log) appendLocked(surveyID string, rec *Record) error {
 	if l.err != nil {
@@ -454,8 +449,8 @@ func (l *Log) appendLocked(surveyID string, rec *Record) error {
 	return nil
 }
 
-// maybeCompactLocked rewrites a survey's file when superseded lines
-// dominate. The threshold (a handful of lines per live shard record,
+// maybeCompactLocked rewrites a survey's file when superseded records
+// dominate. The threshold (a handful of records per live shard record,
 // floor 8) keeps the rewrite amortized against the appends that earned
 // it.
 func (l *Log) maybeCompactLocked(surveyID string) error {
@@ -496,9 +491,7 @@ func (l *Log) compactSurveyLocked(surveyID string) error {
 	if !ok {
 		return nil
 	}
-	// The rewrite targets the log's CONFIGURED codec regardless of the
-	// old file's format: compaction is the in-place migration step.
-	err := sf.log.Rewrite(l.codec, func(nl *blockio.Log) error {
+	err := sf.log.Rewrite(func(nl *blockio.Log) error {
 		for _, rec := range l.recs[surveyID] {
 			b, err := json.Marshal(rec)
 			if err != nil {

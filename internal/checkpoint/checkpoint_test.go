@@ -11,6 +11,7 @@ import (
 	"loki/internal/aggregate"
 	"loki/internal/blockio"
 	"loki/internal/core"
+	"loki/internal/logtest"
 	"loki/internal/survey"
 )
 
@@ -162,8 +163,9 @@ func TestDropTombstone(t *testing.T) {
 	}
 }
 
-// TestTornTailTruncated: a crash mid-append leaves a partial last line;
-// Open must drop it and serve the previous record for that survey.
+// TestTornTailTruncated: a crash mid-append leaves a partial last line
+// in a JSON-lines file; Open must drop it and serve the previous record
+// for that survey, and the next Put converts the file to blocks.
 func TestTornTailTruncated(t *testing.T) {
 	dir := t.TempDir()
 	sv := testSurvey()
@@ -177,6 +179,9 @@ func TestTornTailTruncated(t *testing.T) {
 	l.Close()
 
 	path := filepath.Join(dir, surveysDir, surveyFileName(sv.ID))
+	if err := logtest.WriteJSONLines(path, nil); err != nil {
+		t.Fatal(err)
+	}
 	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -203,16 +208,19 @@ func TestTornTailTruncated(t *testing.T) {
 	if strings.Contains(string(b), `"cursor":99`) {
 		t.Fatal("torn record still on disk")
 	}
-	// And the log still appends after the repair.
+	// And the log still appends after the repair, in blocks.
 	if err := l2.Put(record(t, sv, 6)); err != nil {
 		t.Fatal(err)
 	}
+	if bin, err := blockio.Sniff(path); err != nil || !bin {
+		t.Fatalf("the first Put left a JSON-lines file: %v %v", bin, err)
+	}
 }
 
-// TestInteriorCorruptionSkipped: garbage in the middle of the log is
-// skipped and counted, never a refused open — checkpoints are advisory,
-// so damage costs catch-up scanning, not startup. A compaction then
-// rewrites the log clean.
+// TestInteriorCorruptionSkipped: garbage lines in the middle of a
+// JSON-lines file are skipped and counted, never a refused open —
+// checkpoints are advisory, so damage costs catch-up scanning, not
+// startup. A compaction then rewrites the log clean.
 func TestInteriorCorruptionSkipped(t *testing.T) {
 	dir := t.TempDir()
 	sv := testSurvey()
@@ -225,6 +233,9 @@ func TestInteriorCorruptionSkipped(t *testing.T) {
 	}
 	l.Close()
 	path := filepath.Join(dir, surveysDir, surveyFileName(sv.ID))
+	if err := logtest.WriteJSONLines(path, nil); err != nil {
+		t.Fatal(err)
+	}
 	f, _ := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
 	f.WriteString("not json\n")
 	f.WriteString(`{"cursor":3}` + "\n") // parseable but no survey ID
@@ -262,8 +273,8 @@ func TestInteriorCorruptionSkipped(t *testing.T) {
 	}
 }
 
-// TestCompaction: superseded lines are rewritten away and the compacted
-// log replays to the same state.
+// TestCompaction: superseded records are rewritten away and the
+// compacted log replays to the same state.
 func TestCompaction(t *testing.T) {
 	dir := t.TempDir()
 	sv := testSurvey()
@@ -281,12 +292,12 @@ func TestCompaction(t *testing.T) {
 	if err := l.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	b, err := os.ReadFile(filepath.Join(dir, surveysDir, surveyFileName(sv.ID)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lines := strings.Count(string(b), "\n"); lines != 1 {
-		t.Fatalf("compacted log has %d lines, want 1", lines)
+	records := 0
+	if err := blockio.ReplayFile(filepath.Join(dir, surveysDir, surveyFileName(sv.ID)), false, func([]byte) error {
+		records++
+		return nil
+	}); err != nil || records != 1 {
+		t.Fatalf("compacted log has %d records (%v), want 1", records, err)
 	}
 	l.Close()
 

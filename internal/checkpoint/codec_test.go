@@ -1,16 +1,20 @@
 package checkpoint
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"loki/internal/blockio"
+	"loki/internal/logtest"
 )
 
-// TestBinaryCodecRoundTrip: a binary-codec checkpoint log persists,
-// replays, appends across reopens and compacts — the full lifecycle the
-// JSON tests cover, on blockio files.
+// TestBinaryCodecRoundTrip: under the options the benchmark module
+// passes, a checkpoint log persists, replays, appends across reopens and
+// compacts, in blockio files.
 func TestBinaryCodecRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{Codec: blockio.CodecBinary}
@@ -29,7 +33,7 @@ func TestBinaryCodecRoundTrip(t *testing.T) {
 	}
 	path := filepath.Join(dir, surveysDir, surveyFileName(sv.ID))
 	if bin, err := blockio.Sniff(path); err != nil || !bin {
-		t.Fatalf("binary-codec checkpoint did not sniff binary: %v %v", bin, err)
+		t.Fatalf("checkpoint file did not sniff as blocks: %v %v", bin, err)
 	}
 
 	l2, err := OpenWith(dir, opts)
@@ -126,13 +130,13 @@ func TestBinaryInteriorDamageSkipped(t *testing.T) {
 	}
 }
 
-// TestCodecMigrationViaCompaction: a JSON-era checkpoint dir opened with
-// the binary codec keeps appending JSON to the existing file (a file
-// never mixes formats) until compaction rewrites it binary.
-func TestCodecMigrationViaCompaction(t *testing.T) {
+// TestCodecMigrationAtFirstPut: a JSON-era checkpoint file replays as
+// it is on Open, and its survey's first Put converts it to blocks, which
+// takes the append and stays blocks through a compaction.
+func TestCodecMigrationAtFirstPut(t *testing.T) {
 	dir := t.TempDir()
 	sv := testSurvey()
-	l, err := Open(dir) // JSON era
+	l, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,23 +146,33 @@ func TestCodecMigrationViaCompaction(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-
 	path := filepath.Join(dir, surveysDir, surveyFileName(sv.ID))
-	l2, err := OpenWith(dir, Options{Codec: blockio.CodecBinary})
+	if err := logtest.WriteJSONLines(path, nil); err != nil { // the JSON era
+		t.Fatal(err)
+	}
+	lines, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
+	}
+
+	l2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec, ok := l2.Get(sv.ID); !ok || rec.Cursor != 5 {
+		t.Fatalf("the JSON-era file opened to %+v, want cursor 5", rec)
+	}
+	if b, _ := os.ReadFile(path); !bytes.Equal(b, lines) {
+		t.Fatal("Open rewrote a file no Put had touched")
 	}
 	if err := l2.Put(record(t, sv, 6)); err != nil {
 		t.Fatal(err)
 	}
-	if bin, err := blockio.Sniff(path); err != nil || bin {
-		t.Fatalf("append flipped an existing JSON file to binary: %v %v", bin, err)
+	if bin, err := blockio.Sniff(path); err != nil || !bin {
+		t.Fatalf("the first Put did not convert the file: %v %v", bin, err)
 	}
 	if err := l2.Compact(); err != nil {
 		t.Fatal(err)
-	}
-	if bin, err := blockio.Sniff(path); err != nil || !bin {
-		t.Fatalf("compaction did not migrate to binary: %v %v", bin, err)
 	}
 	if err := l2.Put(record(t, sv, 7)); err != nil {
 		t.Fatal(err)
@@ -166,12 +180,27 @@ func TestCodecMigrationViaCompaction(t *testing.T) {
 	if err := l2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	l3, err := OpenWith(dir, Options{Codec: blockio.CodecBinary})
+	if bin, err := blockio.Sniff(path); err != nil || !bin {
+		t.Fatalf("the file left blocks: %v %v", bin, err)
+	}
+	l3, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l3.Close()
 	if rec, ok := l3.Get(sv.ID); !ok || rec.Cursor != 7 {
 		t.Fatalf("after migration: %+v, want cursor 7", rec)
+	}
+}
+
+// TestOpenWithRejectsRetiredCodec: Options.Codec takes "" or
+// blockio.CodecBinary; the retired JSON-lines codec and anything else
+// are refused by name.
+func TestOpenWithRejectsRetiredCodec(t *testing.T) {
+	for _, codec := range []string{"json", "msgpack"} {
+		_, err := OpenWith(t.TempDir(), Options{Codec: codec})
+		if err == nil || !strings.Contains(err.Error(), strconv.Quote(codec)) || !strings.Contains(err.Error(), "json codec is retired") {
+			t.Fatalf("codec %q: %v", codec, err)
+		}
 	}
 }

@@ -18,7 +18,8 @@ import (
 // them nothing but the tombstone that shadowed a legacy survey), and a
 // JSON-lines per-survey file. The legacy log is no longer read, so its
 // two surveys are absent from what the directory opens to; the
-// tombstone file still has to replay (to nothing).
+// tombstone file still has to replay (to nothing). This commit writes
+// the JSON-lines file by hand: no Log writes that framing any more.
 
 func fixtureSurvey(id string) *survey.Survey {
 	sv := testSurvey()
@@ -56,7 +57,7 @@ func dirFixtureScript(t *testing.T, dir string) {
 	if err := os.WriteFile(filepath.Join(dir, "checkpoints.jsonl"), legacy, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	l, err := OpenWith(dir, Options{Codec: blockio.CodecBinary})
+	l, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,12 +70,17 @@ func dirFixtureScript(t *testing.T, dir string) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if l, err = OpenWith(dir, Options{Codec: blockio.CodecJSON}); err != nil {
-		t.Fatal(err)
+	var lines []byte
+	for _, c := range []struct{ shard, n int }{{0, 2}, {2, 9}} {
+		rec := record(t, fixtureSurvey("json-survey"), c.n)
+		rec.Shard, rec.ShardCount = c.shard, 4
+		b, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines = append(append(lines, b...), '\n')
 	}
-	put(l, "json-survey", 0, 2)
-	put(l, "json-survey", 2, 9)
-	if err := l.Close(); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, surveysDir, surveyFileName("json-survey")), lines, 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -116,9 +122,9 @@ func checkFixtureContents(t *testing.T, l *Log, want map[string]map[int]uint64) 
 }
 
 // TestParentDirFixture: the parent-written directory opens to its
-// reference contents in either configured codec, takes appends in each
-// file's own framing, survives a compaction (which migrates the JSON
-// file) and reopens.
+// reference contents, leaving the JSON-lines file as it is until its
+// survey's first Put converts it; every file takes appends, survives a
+// compaction and reopens.
 func TestParentDirFixture(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "parent_dir"))); err != nil {
@@ -134,11 +140,14 @@ func TestParentDirFixture(t *testing.T) {
 	if !isBinary("bin-survey") || !isBinary("legacy-b") || isBinary("json-survey") {
 		t.Fatal("fixture files are not in the codecs the script wrote them in")
 	}
-	l, err := OpenWith(dir, Options{Codec: blockio.CodecBinary})
+	l, err := Open(dir)
 	if err != nil {
 		t.Fatalf("parent-written directory does not open: %v", err)
 	}
 	checkFixtureContents(t, l, fixtureWant)
+	if isBinary("json-survey") {
+		t.Fatal("Open converted a file no Put had touched")
+	}
 
 	want := map[string]map[int]uint64{
 		"legacy-a":    {1: 8},
@@ -152,20 +161,25 @@ func TestParentDirFixture(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if isBinary("json-survey") {
-		t.Fatal("an append changed a JSON file's framing")
-	}
-	if err := l.Compact(); err != nil {
-		t.Fatal(err)
-	}
 	if !isBinary("json-survey") {
-		t.Fatal("compaction under the binary codec left the JSON file JSON")
+		t.Fatal("the first Put left the JSON-lines file JSON")
 	}
 	checkFixtureContents(t, l, want)
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if l, err = OpenWith(dir, Options{Codec: blockio.CodecJSON}); err != nil {
+	if l, err = Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	checkFixtureContents(t, l, want)
+	if err := l.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	checkFixtureContents(t, l, want)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if l, err = Open(dir); err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()

@@ -109,7 +109,7 @@ func TestTakeObfuscatesBeforeUpload(t *testing.T) {
 		t.Fatalf("result = %+v", res)
 	}
 	// The stored response is the noisy one, not the raw one.
-	stored, err := st.Responses(sv.ID)
+	stored, err := store.CollectResponses(st, sv.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestTakeNonePassthrough(t *testing.T) {
 	if res.Unprotected != 1 {
 		t.Errorf("unprotected = %d", res.Unprotected)
 	}
-	stored, _ := st.Responses(sv.ID)
+	stored, _ := store.CollectResponses(st, sv.ID)
 	if stored[0].Obfuscated {
 		t.Error("level none marked obfuscated")
 	}

@@ -32,7 +32,7 @@ type sealedSeg struct {
 // makes the new directory entry durable).
 func (s *Sharded) openSegment() error {
 	path := filepath.Join(s.dir, segName(s.segSeq))
-	seg, err := blockio.OpenLog(path, s.cfg.Codec, func([]byte) error {
+	seg, err := blockio.OpenLog(path, func([]byte) error {
 		return errors.New("segment already holds records")
 	})
 	if err != nil {
@@ -186,7 +186,7 @@ write:
 }
 
 // rotate seals the active segment (record data already fsynced by the
-// last commit; the binary codec appends and fsyncs its block index here)
+// last commit; sealing appends and fsyncs its block index here)
 // and opens its successor. Only rotation seals: the active segment stays
 // unsealed so a crash mid-append truncates cleanly on replay. In-flight
 // data is already durable when rotation fails; only future appends are

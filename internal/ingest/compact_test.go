@@ -14,7 +14,7 @@ import (
 	"testing"
 	"time"
 
-	"loki/internal/blockio"
+	"loki/internal/logtest"
 	"loki/internal/store"
 	"loki/internal/survey"
 )
@@ -335,16 +335,13 @@ func TestCompactorKillPoints(t *testing.T) {
 }
 
 // snapshotRecordBytes returns the part of a snapshot file that holds its
-// response records: everything after the header's line, or, in a
-// binary file, after the header's block and before the block index.
+// response records: after the header's block and before the block
+// index.
 func snapshotRecordBytes(t *testing.T, path string) []byte {
 	t.Helper()
 	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(b, []byte("LKB1")) {
-		return b[bytes.IndexByte(b, '\n')+1:]
 	}
 	indexOff := binary.LittleEndian.Uint64(b[len(b)-20:])
 	r := bytes.NewReader(b[8:]) // the frame of block 0: firstSeq, count, rawLen, compLen, CRC, payload
@@ -357,17 +354,28 @@ func snapshotRecordBytes(t *testing.T, path string) []byte {
 	return b[len(b)-r.Len()+4+int(compLen) : indexOff]
 }
 
+// payloadBytes is the response payloads of the snapshot at path, in
+// either framing, each followed by a newline.
+func payloadBytes(t *testing.T, path string) []byte {
+	t.Helper()
+	lines, err := logtest.Lines(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lines[bytes.IndexByte(lines, '\n')+1:] // past the header
+}
+
 // TestFoldCopiesPreviousSnapshot: a fold encodes only the records past
 // what the superseded snapshot holds. The second of two folds holds all
-// of the first snapshot's record blocks (lines, in a JSON-lines store)
-// byte for byte right behind its own header, and reopens to every
-// survey's stream.
+// of the first snapshot's record blocks byte for byte right behind its
+// own header — or, when the directory was rewritten as JSON lines in
+// between ("json"), all of the first snapshot's records, payloads byte
+// for byte, in blocks — and reopens to every survey's stream.
 func TestFoldCopiesPreviousSnapshot(t *testing.T) {
-	for _, codec := range []string{blockio.CodecBinary, blockio.CodecJSON} {
+	for _, codec := range []string{"binary", "json"} {
 		t.Run(codec, func(t *testing.T) {
 			const surveys = 3
 			cfg := testConfig(1)
-			cfg.Codec = codec
 			cfg.SegmentBytes = 1 << 20
 			cfg.CompactSegments = 1000 // the folds below come from the idle timer
 			dir := t.TempDir()
@@ -411,11 +419,20 @@ func TestFoldCopiesPreviousSnapshot(t *testing.T) {
 			}
 
 			write("first", 3000) // past one 128 KiB block of binary records
-			first := snapshotRecordBytes(t, fold())
+			firstPath := fold()
+			first := snapshotRecordBytes(t, firstPath)
 			want := write("second", 600)
-			second := snapshotRecordBytes(t, fold())
-			if len(second) <= len(first) || !bytes.Equal(second[:len(first)], first) {
-				t.Fatalf("the second snapshot's %d record bytes do not start with the first snapshot's %d", len(second), len(first))
+			if codec == "json" {
+				toJSONLines(t, dir)
+				first = payloadBytes(t, firstPath)
+			}
+			secondPath := fold()
+			records := snapshotRecordBytes(t, secondPath)
+			if codec == "json" {
+				records = payloadBytes(t, secondPath)
+			}
+			if len(records) <= len(first) || !bytes.Equal(records[:len(first)], first) {
+				t.Fatalf("the second snapshot's %d record bytes do not start with the first snapshot's %d", len(records), len(first))
 			}
 			s := openTest(t, dir, cfg)
 			defer s.Close()
@@ -530,7 +547,7 @@ func TestConcurrentAppendScanCompact(t *testing.T) {
 	want := make(map[string][]survey.Response)
 	for i := 0; i < surveys; i++ {
 		id := benchSurvey(i).ID
-		if want[id], _ = mem.Responses(id); len(want[id]) == 0 {
+		if want[id], _ = store.CollectResponses(mem, id); len(want[id]) == 0 {
 			t.Fatalf("survey %s got no appends", id)
 		}
 	}
@@ -554,7 +571,7 @@ func TestSnapshotTempFileKeepsItsSize(t *testing.T) {
 	sv := benchSurvey(0)
 	var a arena
 	for i := 0; i < 20000; i++ {
-		rec, err := s.encodeResponse(nil, benchResponse(sv.ID, fmt.Sprintf("w%06d", i)))
+		rec, err := encodeResponse(nil, benchResponse(sv.ID, fmt.Sprintf("w%06d", i)))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"testing"
 
-	"loki/internal/blockio"
 	"loki/internal/logtest"
 	"loki/internal/store"
 	"loki/internal/survey"
@@ -60,17 +59,19 @@ func TestLogConformance(t *testing.T) {
 			},
 		})
 	})
-	for _, codec := range []string{blockio.CodecJSON, blockio.CodecBinary} {
-		t.Run("segment/"+codec, func(t *testing.T) {
-			cfg := testConfig(1)
-			cfg.Codec = codec
-			logtest.Run(t, logtest.User{
+	// "segment/json" starts from a segment rewritten as JSON lines. A
+	// store opens a new segment beside an old one, so the reopen converts
+	// only the meta log; the segment is read as JSON lines until a fold,
+	// and the suite's Puts land in the new segment.
+	for _, arm := range []string{"json", "binary"} {
+		t.Run("segment/"+arm, func(t *testing.T) {
+			u := logtest.User{
 				LogFile: func(dir string) string {
 					segs, _ := listSeqs(dir, segPrefix, segSuffix)
 					return filepath.Join(dir, segName(segs[len(segs)-1]))
 				},
 				Open: func(dir string) (logtest.Store, error) {
-					s, err := Open(dir, cfg)
+					s, err := Open(dir, testConfig(1))
 					if err != nil {
 						return nil, err
 					}
@@ -79,7 +80,11 @@ func TestLogConformance(t *testing.T) {
 					}
 					return segUser{s}, nil
 				},
-			})
+			}
+			if arm == "json" {
+				u.Imported = jsonRecord
+			}
+			logtest.Run(t, u)
 		})
 	}
 }

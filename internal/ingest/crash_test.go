@@ -9,6 +9,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"loki/internal/store"
 )
 
 // tornBytes is the prefix of a record as a crashed append would leave it:
@@ -79,7 +81,7 @@ func TestTornTailTruncated(t *testing.T) {
 
 	s := openTest(t, dir, cfg)
 	sv := benchSurvey(0)
-	rs, err := s.Responses(sv.ID)
+	rs, err := store.CollectResponses(s, sv.ID)
 	if err != nil {
 		t.Fatal(err)
 	}

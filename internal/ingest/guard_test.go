@@ -14,10 +14,11 @@ import (
 
 // One response record in ingest, held on this package's own source:
 //
-//  1. encodeResponse is the only function that encodes a response. It
-//     makes the binary record, and JSON only in its JSON-codec branch.
-//  2. The fold's tail calls no encoder for a record already in the
-//     store's codec: every function writeSnapshot reaches that calls
+//  1. encodeResponse is the only function that encodes a response, and
+//     it makes the binary record alone: exactly one AppendBinary, no
+//     JSON encode.
+//  2. The fold's tail calls no encoder for a record that is binary
+//     already: every function writeSnapshot reaches that calls
 //     encodeResponse first returns such a record unchanged.
 
 // nonResponseMarshals are the json.Marshal arguments in this package
@@ -132,17 +133,30 @@ func reachable(funcs map[string][]*ast.FuncDecl, root string) []string {
 	return out
 }
 
+// testsBinary reports whether cond holds an == comparison with
+// ResponseBinaryTag and no != one: it is true of a binary record.
+func testsBinary(cond ast.Expr) bool {
+	eq, ne := false, false
+	ast.Inspect(cond, func(n ast.Node) bool {
+		if be, ok := n.(*ast.BinaryExpr); ok && (be.Op == token.EQL || be.Op == token.NEQ) && mentions("ResponseBinaryTag", be.X, be.Y) {
+			eq = eq || be.Op == token.EQL
+			ne = ne || be.Op == token.NEQ
+		}
+		return true
+	})
+	return eq && !ne
+}
+
 // returnsRecordFirst reports whether fd, before any statement that
 // calls encodeResponse, returns its first parameter unchanged when the
-// record's encoding (ResponseBinaryTag) matches the store's Codec.
+// record is binary (its first byte is ResponseBinaryTag).
 func returnsRecordFirst(fd *ast.FuncDecl) bool {
 	if len(fd.Type.Params.List) == 0 || len(fd.Type.Params.List[0].Names) == 0 {
 		return false
 	}
 	rec := fd.Type.Params.List[0].Names[0].Name
 	for _, st := range fd.Body.List {
-		if is, ok := st.(*ast.IfStmt); ok && mentions("ResponseBinaryTag", is.Init, is.Cond) && mentions("Codec", is.Init, is.Cond) &&
-			len(is.Body.List) == 1 {
+		if is, ok := st.(*ast.IfStmt); ok && is.Init == nil && testsBinary(is.Cond) && len(is.Body.List) == 1 {
 			if ret, ok := is.Body.List[0].(*ast.ReturnStmt); ok && len(ret.Results) == 2 &&
 				types.ExprString(ret.Results[0]) == rec && types.ExprString(ret.Results[1]) == "nil" {
 				return true
@@ -174,20 +188,18 @@ func recordViolations(funcs map[string][]*ast.FuncDecl) []string {
 		return append(bad, "want exactly one encodeResponse")
 	}
 	enc := funcs["encodeResponse"][0].Body
-	inBranch := 0
-	ast.Inspect(enc, func(n ast.Node) bool {
-		if is, ok := n.(*ast.IfStmt); ok && mentions("CodecJSON", is.Cond) {
-			inBranch += countCalls(is.Body, "json.Marshal")
+	if countCalls(enc, "AppendBinary") != 1 {
+		bad = append(bad, "encodeResponse must hold exactly one AppendBinary")
+	}
+	for _, name := range []string{"json.Marshal", "json.MarshalIndent", "json.NewEncoder"} {
+		if countCalls(enc, name) > 0 {
+			bad = append(bad, "encodeResponse must not encode JSON ("+name+")")
 		}
-		return true
-	})
-	if countCalls(enc, "AppendBinary") != 1 || countCalls(enc, "json.Marshal") != 1 || inBranch != 1 {
-		bad = append(bad, "encodeResponse must make the binary record, and JSON only in its JSON-codec branch")
 	}
 	for _, name := range reachable(funcs, "writeSnapshot") {
 		for _, fd := range funcs[name] {
 			if countCalls(fd.Body, "encodeResponse") > 0 && !returnsRecordFirst(fd) {
-				bad = append(bad, fmt.Sprintf("the fold reaches %s, which encodes a record without first returning one already in the store's codec", name))
+				bad = append(bad, fmt.Sprintf("the fold reaches %s, which encodes a record without first returning one that is binary already", name))
 			}
 		}
 	}
@@ -227,15 +239,21 @@ func TestOneResponseRecord(t *testing.T) {
 func TestOneResponseRecordCatches(t *testing.T) {
 	for _, m := range []struct{ name, file, old, new string }{
 		{"a commit marshals the response itself", "ingest.go",
-			"req.recs, err = s.encodeResponse(req.recs, &rs[i])", "req.recs, err = json.Marshal(&rs[i])"},
+			"req.recs, err = encodeResponse(req.recs, &rs[i])", "req.recs, err = json.Marshal(&rs[i])"},
 		{"a second binary encoder", "commit.go",
 			"a.add(r.recs[start:end])", "rec, _ := r.resps[i].AppendBinary(nil)\n\t\t\ta.add(rec)"},
 		{"marshal hoisted above the JSON branch", "ingest.go",
-			"\tif s.cfg.Codec == blockio.CodecJSON {\n\t\tj, err := json.Marshal(r)", "\tj, err := json.Marshal(r)\n\tif s.cfg.Codec == blockio.CodecJSON {"},
+			"\treturn r.AppendBinary(b)\n", "\tif _, err := json.Marshal(r); err != nil {\n\t\treturn nil, err\n\t}\n\treturn r.AppendBinary(b)\n"},
+		{"a restored JSON encode", "ingest.go",
+			"\treturn r.AppendBinary(b)\n", "\tif r.Obfuscated {\n\t\tj, err := json.Marshal(r)\n\t\treturn append(b, j...), err\n\t}\n\treturn r.AppendBinary(b)\n"},
+		{"JSON encoding instead of binary", "ingest.go",
+			"\treturn r.AppendBinary(b)\n", "\tj, err := json.Marshal(r)\n\treturn append(b, j...), err\n"},
 		{"the fold encodes its tail", "snapshot.go",
-			"rec, err := s.toCodec(a.rec(i))", "rec, err := s.encodeResponse(nil, decoded(a.rec(i)))"},
+			"rec, err := toCodec(a.rec(i))", "rec, err := encodeResponse(nil, decoded(a.rec(i)))"},
 		{"toCodec re-encodes a record already in the codec", "snapshot.go",
-			"isBinary == (s.cfg.Codec != blockio.CodecJSON) {\n\t\treturn rec, nil\n\t}", "isBinary == (s.cfg.Codec != blockio.CodecJSON) {\n\t}"},
+			"rec[0] == survey.ResponseBinaryTag {\n\t\treturn rec, nil\n\t}", "rec[0] == survey.ResponseBinaryTag {\n\t}"},
+		{"toCodec passes JSON records through", "snapshot.go",
+			"rec[0] == survey.ResponseBinaryTag {\n\t\treturn rec, nil\n\t}", "rec[0] != survey.ResponseBinaryTag {\n\t\treturn rec, nil\n\t}"},
 	} {
 		t.Run(m.name, func(t *testing.T) {
 			srcs := packageSources(t)

@@ -28,12 +28,12 @@
 // each record into one reused survey.Response.
 //
 // Every response is logged as one record, survey.Response's binary
-// encoding (tag 0xB1, as store.File logs it), or, in a JSON-lines store,
-// as a JSON object; replay tells the two apart by the first byte, so
-// files written before records went binary (JSON payloads in binary
-// blocks) still open, and are copied into later snapshots as they are.
-// The change is forward-only: a binary from before it refuses, on the
-// first 0xB1 record, to open a directory holding one.
+// encoding (tag 0xB1, as store.File logs it). Replay also reads a JSON
+// object, told apart by the first byte, so files written before records
+// went binary (JSON payloads in blocks, or JSON lines) still open; the
+// JSON payloads of a block file are copied into later snapshots as they
+// are. The change is forward-only: a binary from before it refuses, on
+// the first 0xB1 record, to open a directory holding one.
 //
 // Durability guarantee: when AppendResponse, AppendResponses or
 // PutSurvey returns nil, the record has been written and fsynced (and,
@@ -41,24 +41,25 @@
 // point loses no acknowledged record; a torn trailing commit from an
 // unacknowledged append is detected and truncated on reopen.
 //
-// Surveys are low-volume metadata and live in a JSON-lines log
-// (meta.jsonl) synced on every publish.
+// Surveys are low-volume metadata and live in their own log of JSON
+// records (meta.jsonl: the name predates blocks, and a log's framing is
+// sniffed, not named) synced on every publish.
 //
 // Layout of an ingest directory (format 2):
 //
 //	dir/
 //	  layout.json         format marker and the shard label
 //	  meta.jsonl          survey definitions
-//	  wal-<seq>.seg       response segments (blockio binary blocks, or JSON lines)
-//	  snap-<seq>.snap     snapshot covering segments <= seq (same codecs)
+//	  wal-<seq>.seg       response segments
+//	  snap-<seq>.snap     snapshot covering segments <= seq
 //
-// Segments and snapshots are written in the configured codec (binary by
-// default) but replayed by sniffing each file's magic, so a directory
-// written under the other codec — or a mix — reopens in place and
-// converts as new files are written. A format-1 directory (a shard-NNN/
-// subdirectory of segments and a snapshot per hash partition) is read
-// by the same replay code and folded into this layout on first open;
-// see migrateLegacy.
+// Every file is written in blockio blocks (blockio.Log) but replayed by
+// sniffing its magic, so a directory written in JSON lines — or a mix —
+// reopens in place: the meta log converts on open, and the next fold
+// copies JSON-lines segments and snapshots into a block snapshot. A
+// format-1 directory (a shard-NNN/ subdirectory of segments and a
+// snapshot per hash partition) is read by the same replay code and
+// folded into this layout on first open; see migrateLegacy.
 package ingest
 
 import (
@@ -108,13 +109,6 @@ type Config struct {
 	// since ordinary compaction is only considered on segment rotation.
 	// Default 1 minute; negative disables idle compaction.
 	IdleCompact time.Duration
-	// Codec selects the encoding of new segments and snapshots:
-	// blockio.CodecBinary (the default) writes compressed, checksummed,
-	// block-indexed files of binary response records;
-	// blockio.CodecJSON writes readable JSON lines. Replay autodetects
-	// per file and per record, so the codec may change between opens of
-	// the same directory.
-	Codec string
 }
 
 func (c Config) withDefaults() Config {
@@ -132,9 +126,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.IdleCompact == 0 {
 		c.IdleCompact = time.Minute
-	}
-	if c.Codec == "" {
-		c.Codec = blockio.CodecBinary
 	}
 	return c
 }
@@ -155,9 +146,6 @@ func (c Config) Validate() error {
 	}
 	if c.CommitInterval < 0 {
 		return fmt.Errorf("ingest: negative commit interval %v", c.CommitInterval)
-	}
-	if !blockio.ValidCodec(c.Codec) {
-		return fmt.Errorf("ingest: unknown codec %q", c.Codec)
 	}
 	return nil
 }
@@ -350,7 +338,7 @@ func (s *Sharded) prepareLayout() error {
 	return blockio.SyncDir(s.dir)
 }
 
-// metaRecord is one meta-log line: the survey definition with the
+// metaRecord is one meta-log record: the survey definition with the
 // publish timestamp alongside. Logs written before the timestamp
 // existed are plain survey JSON; they decode with a zero timestamp.
 type metaRecord struct {
@@ -358,11 +346,11 @@ type metaRecord struct {
 	PublishedUnixNano int64 `json:"published_unix_nano,omitempty"`
 }
 
-// openMeta replays the survey log (truncating a torn tail) and positions
-// it for appends.
+// openMeta replays the survey log (truncating a torn tail, converting a
+// JSON-lines log to blocks) and positions it for appends.
 func (s *Sharded) openMeta() error {
 	var err error
-	s.meta, err = blockio.OpenLog(filepath.Join(s.dir, metaName), blockio.CodecJSON, func(line []byte) error {
+	s.meta, err = blockio.OpenLog(filepath.Join(s.dir, metaName), func(line []byte) error {
 		var rec metaRecord
 		if err := json.Unmarshal(line, &rec); err != nil {
 			return fmt.Errorf("corrupt survey record: %w", err)
@@ -530,7 +518,7 @@ func (s *Sharded) AppendResponses(rs []survey.Response) ([]int, error) {
 	req.recs = make([]byte, 0, 96*len(rs))
 	for i := range rs {
 		var err error
-		if req.recs, err = s.encodeResponse(req.recs, &rs[i]); err != nil {
+		if req.recs, err = encodeResponse(req.recs, &rs[i]); err != nil {
 			return nil, fmt.Errorf("ingest: encode response: %w", err)
 		}
 		req.ends[i] = len(req.recs)
@@ -543,14 +531,9 @@ func (s *Sharded) AppendResponses(rs []survey.Response) ([]int, error) {
 }
 
 // encodeResponse appends r's record to b: survey.Response's binary
-// encoding (tag 0xB1), or, in a JSON-lines store, whose records are
-// lines of text, its JSON object. It is the one place this package
-// encodes a response; decodeResponse reads both.
-func (s *Sharded) encodeResponse(b []byte, r *survey.Response) ([]byte, error) {
-	if s.cfg.Codec == blockio.CodecJSON {
-		j, err := json.Marshal(r)
-		return append(b, j...), err
-	}
+// encoding (tag 0xB1). It is the one place this package encodes a
+// response; decodeResponse also reads the JSON records of older files.
+func encodeResponse(b []byte, r *survey.Response) ([]byte, error) {
 	return r.AppendBinary(b)
 }
 
@@ -613,11 +596,6 @@ func (s *Sharded) ScanResponses(surveyID string, fromSeq uint64, fn func(seq uin
 // an earlier scan saves them its allocation, its Answers array and the
 // strings records share (question IDs, privacy levels).
 var scanScratch = sync.Pool{New: func() any { return new(survey.Response) }}
-
-// Responses implements store.Store as a wrapper over ScanResponses.
-func (s *Sharded) Responses(surveyID string) ([]survey.Response, error) {
-	return store.CollectResponses(s, surveyID)
-}
 
 // ResponseCount implements store.Store.
 func (s *Sharded) ResponseCount(surveyID string) int {

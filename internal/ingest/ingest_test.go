@@ -133,14 +133,14 @@ func TestStoreContract(t *testing.T) {
 		t.Fatal("invalid response stored")
 	}
 
-	rs, err := s.Responses(sv.ID)
+	rs, err := store.CollectResponses(s, sv.ID)
 	if err != nil || len(rs) != 2 {
 		t.Fatalf("Responses: %d, %v", len(rs), err)
 	}
 	if rs[0].WorkerID != "w1" || rs[1].WorkerID != "w2" {
 		t.Fatalf("append order lost: %q, %q", rs[0].WorkerID, rs[1].WorkerID)
 	}
-	if _, err := s.Responses("nope"); !errors.Is(err, store.ErrNotFound) {
+	if _, err := store.CollectResponses(s, "nope"); !errors.Is(err, store.ErrNotFound) {
 		t.Fatalf("responses of unknown survey: %v", err)
 	}
 	if n := s.ResponseCount(sv.ID); n != 2 {
@@ -253,7 +253,7 @@ func TestReopenReplaysEverything(t *testing.T) {
 	}
 	for i := 0; i < surveys; i++ {
 		id := benchSurvey(i).ID
-		rs, err := s2.Responses(id)
+		rs, err := store.CollectResponses(s2, id)
 		if err != nil {
 			t.Fatal(err)
 		}

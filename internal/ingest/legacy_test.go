@@ -12,7 +12,7 @@ import (
 	"reflect"
 	"testing"
 
-	"loki/internal/blockio"
+	"loki/internal/logtest"
 	"loki/internal/survey"
 )
 
@@ -33,19 +33,19 @@ func writeFile(t *testing.T, path string, b []byte) {
 }
 
 // buildLegacy writes a format-1 directory as the parent commit laid it
-// out: layout.json at format 1, one meta.jsonl, and per shard-NNN/ the
-// segments (and, withSnapshot, a snapshot) of that shard's surveys. The
-// per-log files are produced by the current writer — their formats did
-// not change, only where the logs live — one single-log store per
-// shard, whose files are then moved into place. It returns every
-// survey's expected stream.
+// out: layout.json at format 1, one JSON-lines meta.jsonl, and per
+// shard-NNN/ the segments (and, withSnapshot, a snapshot) of that
+// shard's surveys, in blocks or (codec "json") JSON lines. The per-log
+// files are produced by the current writer — their formats did not
+// change, only where the logs live — one single-log store per shard,
+// whose files are then moved into place. It returns every survey's
+// expected stream.
 func buildLegacy(t *testing.T, dir string, shards int, codec string, withSnapshot, tornTail bool) map[string][]survey.Response {
 	t.Helper()
 	want := make(map[string][]survey.Response)
 	var meta []byte
 	for i := 0; i < shards; i++ {
 		cfg := testConfig(1)
-		cfg.Codec = codec
 		cfg.CompactSegments = 1000
 		if withSnapshot {
 			cfg.CompactSegments = 1
@@ -72,6 +72,11 @@ func buildLegacy(t *testing.T, dir string, shards int, codec string, withSnapsho
 			want[id] = scanAll(t, s, id)
 		}
 		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if codec == "json" {
+			toJSONLines(t, tmp)
+		} else if err := logtest.WriteJSONLines(filepath.Join(tmp, metaName), nil); err != nil {
 			t.Fatal(err)
 		}
 		shardDir := filepath.Join(dir, shardDirName(i))
@@ -135,7 +140,7 @@ func assertStreams(t *testing.T, s *Sharded, want map[string][]survey.Response) 
 // opens with identical per-survey sequences, is in the store-level
 // layout after the first open, accepts appends, and reopens.
 func TestLegacyDirectoryMigrates(t *testing.T) {
-	for _, codec := range []string{blockio.CodecBinary, blockio.CodecJSON} {
+	for _, codec := range []string{"binary", "json"} {
 		for _, withSnapshot := range []bool{false, true} {
 			for _, tornTail := range []bool{false, true} {
 				t.Run(fmt.Sprintf("%s/snapshot=%v/torn=%v", codec, withSnapshot, tornTail), func(t *testing.T) {
@@ -167,7 +172,7 @@ func TestLegacyDirectoryMigrates(t *testing.T) {
 // is still enforced, before anything is migrated.
 func TestLegacyShardCountChecked(t *testing.T) {
 	dir := t.TempDir()
-	buildLegacy(t, dir, 2, blockio.CodecBinary, false, false)
+	buildLegacy(t, dir, 2, "binary", false, false)
 	if _, err := Open(dir, testConfig(4)); err == nil {
 		t.Fatal("format-1 directory opened under a different shard count")
 	}
@@ -184,7 +189,7 @@ func TestMigrationKillPoints(t *testing.T) {
 	const shards = 3
 	cfg := testConfig(shards)
 	legacy := t.TempDir()
-	want := buildLegacy(t, legacy, shards, blockio.CodecBinary, true, false)
+	want := buildLegacy(t, legacy, shards, "binary", true, false)
 
 	// A completed migration supplies the store-level snapshot.
 	done := filepath.Join(t.TempDir(), "done")

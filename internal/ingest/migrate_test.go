@@ -1,12 +1,14 @@
 package ingest
 
 import (
+	"encoding/json"
 	"fmt"
 	"path/filepath"
 	"reflect"
 	"testing"
 
 	"loki/internal/blockio"
+	"loki/internal/logtest"
 	"loki/internal/survey"
 )
 
@@ -48,17 +50,51 @@ func segCodecs(t *testing.T, dir string) (binary, json int) {
 	return binary, json
 }
 
-// TestMigrateJSONDirToBinary: a directory written entirely under the
-// JSON-lines codec reopens under the binary codec (the default), replays
-// identically, and writes its NEW segments in binary — per-file
-// autodetection migrates the directory in place, no rewrite step.
+// jsonRecord maps a payload of this store's files to the JSON line a
+// JSON-lines store held for it: a binary response record becomes the
+// response's JSON object, a JSON record (survey, snapshot header)
+// stays as it is.
+func jsonRecord(p []byte) ([]byte, error) {
+	if len(p) == 0 || p[0] != survey.ResponseBinaryTag {
+		return p, nil
+	}
+	var r survey.Response
+	if err := r.UnmarshalBinary(p); err != nil {
+		return nil, err
+	}
+	return json.Marshal(&r)
+}
+
+// toJSONLines rewrites a closed store's directory as a store writing
+// JSON lines left it: the meta log, every segment and every snapshot,
+// record for record. No Log writes that framing any more.
+func toJSONLines(t *testing.T, dir string) {
+	t.Helper()
+	paths := []string{filepath.Join(dir, metaName)}
+	for _, pat := range []string{segPrefix + "*" + segSuffix, snapPrefix + "*" + snapSuffix} {
+		m, err := filepath.Glob(filepath.Join(dir, pat))
+		if err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, m...)
+	}
+	for _, p := range paths {
+		if err := logtest.WriteJSONLines(p, jsonRecord); err != nil {
+			t.Fatalf("%s: %v", p, err)
+		}
+	}
+}
+
+// TestMigrateJSONDirToBinary: a directory written entirely in JSON lines
+// reopens, replays identically, converts its meta log and writes its NEW
+// segments in blocks — per-file autodetection migrates the directory in
+// place; the old segments are not rewritten.
 func TestMigrateJSONDirToBinary(t *testing.T) {
 	dir := t.TempDir()
-	cfgJSON := testConfig(2)
-	cfgJSON.CompactSegments = 1000 // keep segments so the reopen replays real JSON files
-	cfgJSON.Codec = blockio.CodecJSON
+	cfg := testConfig(2)
+	cfg.CompactSegments = 1000 // keep segments so the reopen replays real JSON files
 
-	s := openTest(t, dir, cfgJSON)
+	s := openTest(t, dir, cfg)
 	sv := benchSurvey(0)
 	if err := s.PutSurvey(sv); err != nil {
 		t.Fatal(err)
@@ -73,17 +109,19 @@ func TestMigrateJSONDirToBinary(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
+	toJSONLines(t, dir)
 	if bin, jsn := segCodecs(t, dir); bin != 0 || jsn == 0 {
 		t.Fatalf("JSON-era directory holds %d binary / %d json segments", bin, jsn)
 	}
 
-	// Reopen with the binary codec: same records, then new binary segments.
-	cfgBin := cfgJSON
-	cfgBin.Codec = "" // defaulted: binary
-	s2 := openTest(t, dir, cfgBin)
+	// Reopen: same records, then new block segments.
+	s2 := openTest(t, dir, cfg)
 	defer s2.Close()
 	if got := scanAll(t, s2, sv.ID); !reflect.DeepEqual(got, want) {
 		t.Fatalf("reopened scan diverged: %d records vs %d", len(got), len(want))
+	}
+	if bin, err := blockio.Sniff(filepath.Join(dir, metaName)); err != nil || !bin {
+		t.Fatalf("the open left the meta log JSON lines (%v)", err)
 	}
 	for k := 0; k < oldN; k++ {
 		if err := s2.AppendResponse(benchResponse(sv.ID, fmt.Sprintf("new-%03d", k))); err != nil {
@@ -99,32 +137,32 @@ func TestMigrateJSONDirToBinary(t *testing.T) {
 	}
 	bin, jsn := segCodecs(t, dir)
 	if bin == 0 {
-		t.Fatal("no binary segments written after reopening with the binary codec")
+		t.Fatal("no block segments written after reopening")
 	}
 	if jsn == 0 {
 		t.Fatal("old JSON segments vanished — migration must be in place, not a rewrite")
 	}
 
-	// A third open replays the mixed-codec directory end to end.
-	s3 := openTest(t, dir, cfgBin)
+	// A third open replays the mixed directory end to end.
+	s3 := openTest(t, dir, cfg)
 	defer s3.Close()
 	if got := scanAll(t, s3, sv.ID); !reflect.DeepEqual(got, want2) {
 		t.Fatalf("mixed-codec scan diverged: %d records vs %d", len(got), len(want2))
 	}
 }
 
-// TestCodecEquivalence: the same append sequence through the binary and
-// JSON codecs — across rotations, snapshots and a reopen — yields
-// byte-identical record streams. The codec is a storage detail, never a
-// semantic one.
+// TestCodecEquivalence: the same append sequence into a directory kept
+// in blocks and into one rewritten as JSON lines halfway — across
+// rotations, snapshots, a fold over the JSON-lines files and a reopen —
+// yields identical record streams. The framing is a storage detail,
+// never a semantic one.
 func TestCodecEquivalence(t *testing.T) {
-	stores := map[string]*Sharded{}
+	arms := []string{"binary", "json"}
 	dirs := map[string]string{}
-	for _, codec := range []string{blockio.CodecBinary, blockio.CodecJSON} {
-		cfg := testConfig(2)
-		cfg.Codec = codec
-		dirs[codec] = t.TempDir()
-		stores[codec] = openTest(t, dirs[codec], cfg)
+	stores := map[string]*Sharded{}
+	for _, arm := range arms {
+		dirs[arm] = t.TempDir()
+		stores[arm] = openTest(t, dirs[arm], testConfig(2))
 	}
 	surveys := []*survey.Survey{benchSurvey(0), benchSurvey(1), benchSurvey(2)}
 	for _, sv := range surveys {
@@ -135,37 +173,52 @@ func TestCodecEquivalence(t *testing.T) {
 		}
 	}
 	// Enough volume to rotate 4KiB segments and trigger snapshots in both.
-	for k := 0; k < 400; k++ {
-		sv := surveys[k%len(surveys)]
-		r := benchResponse(sv.ID, fmt.Sprintf("w-%04d", k))
-		for _, s := range stores {
-			if err := s.AppendResponse(r); err != nil {
-				t.Fatal(err)
+	appendAll := func(from, to int) {
+		for k := from; k < to; k++ {
+			sv := surveys[k%len(surveys)]
+			r := benchResponse(sv.ID, fmt.Sprintf("w-%04d", k))
+			for _, s := range stores {
+				if err := s.AppendResponse(r); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 	}
-	for _, sv := range surveys {
-		b := scanAll(t, stores[blockio.CodecBinary], sv.ID)
-		j := scanAll(t, stores[blockio.CodecJSON], sv.ID)
-		if !reflect.DeepEqual(b, j) {
-			t.Fatalf("survey %s: binary (%d records) and JSON (%d records) streams diverge", sv.ID, len(b), len(j))
+	compare := func(when string) {
+		for _, sv := range surveys {
+			b := scanAll(t, stores["binary"], sv.ID)
+			j := scanAll(t, stores["json"], sv.ID)
+			if len(b) == 0 || !reflect.DeepEqual(b, j) {
+				t.Fatalf("survey %s %s: binary (%d records) and JSON (%d records) streams diverge", sv.ID, when, len(b), len(j))
+			}
 		}
 	}
-	// Recovery must preserve the equivalence, codec by codec.
-	for codec, s := range stores {
-		if err := s.Close(); err != nil {
+	reopen := func() {
+		for _, arm := range arms {
+			waitFolded(t, stores[arm])
+			if err := stores[arm].Close(); err != nil {
+				t.Fatal(err)
+			}
+			if arm == "json" {
+				toJSONLines(t, dirs[arm])
+			}
+			stores[arm] = openTest(t, dirs[arm], testConfig(2))
+		}
+	}
+	appendAll(0, 400)
+	compare("before the rewrite")
+	reopen()
+	compare("after the rewrite")
+	appendAll(400, 800)
+	compare("after more appends")
+	// Recovery must preserve the equivalence.
+	for _, arm := range arms {
+		waitFolded(t, stores[arm])
+		if err := stores[arm].Close(); err != nil {
 			t.Fatal(err)
 		}
-		cfg := testConfig(2)
-		cfg.Codec = codec
-		stores[codec] = openTest(t, dirs[codec], cfg)
-		defer stores[codec].Close()
+		stores[arm] = openTest(t, dirs[arm], testConfig(2))
+		defer stores[arm].Close()
 	}
-	for _, sv := range surveys {
-		b := scanAll(t, stores[blockio.CodecBinary], sv.ID)
-		j := scanAll(t, stores[blockio.CodecJSON], sv.ID)
-		if len(b) == 0 || !reflect.DeepEqual(b, j) {
-			t.Fatalf("survey %s after reopen: binary (%d) and JSON (%d) streams diverge", sv.ID, len(b), len(j))
-		}
-	}
+	compare("after a reopen")
 }

@@ -13,18 +13,20 @@ import (
 	"loki/internal/survey"
 )
 
-// Three fixture directories, each fixtureScript's output for its codec
+// Three fixture directories, each fixtureScript's output for its framing
 // and response count:
 //
 //   - testdata/parent_dir and testdata/parent_dir_json were written by
 //     d4d2a40, the commit before ingest's response records went binary,
-//     by running TestWriteParentFixture (LOKI_FIXTURE_OUT set) in a git
-//     archive export of it with this file copied in: a binary-codec
-//     directory whose records are JSON payloads, and a JSON-lines one,
-//     each a snapshot, a sealed segment and the active (unsealed) one.
+//     by running its TestWriteParentFixture (LOKI_FIXTURE_OUT set) in a
+//     git archive export of it: a block directory whose records are JSON
+//     payloads, and a JSON-lines one, each a JSON-lines meta log, a
+//     snapshot, a sealed segment and the active (unsealed) one.
 //     parent_dir is byte for byte what 469b70b, the commit before ingest
-//     moved onto blockio.Log, wrote for the same script. Both must open,
-//     take appends, fold over their snapshot and reopen.
+//     moved onto blockio.Log, wrote for the same script. No commit since
+//     writes either again. Both must open (converting the meta log to
+//     blocks), take appends, fold over their snapshot into a block
+//     snapshot and reopen.
 //   - testdata/binary_dir holds binary response records (tag 0xB1) and a
 //     snapshot made by two folds, the second a tail-only one, written by
 //     TestWriteBinaryFixture. Records carry no timestamp, and the script
@@ -34,21 +36,21 @@ import (
 
 type dirFixture struct {
 	name  string
-	codec string
+	codec string   // the framing its response files were written in
 	n     int      // responses the script appends
 	files []string // the snapshot and segments it leaves, in listing order
 }
 
 var (
 	parentFixtures = []dirFixture{
-		{"parent_dir", blockio.CodecBinary, 96, []string{snapName(2), segName(3), segName(4)}},
-		{"parent_dir_json", blockio.CodecJSON, 96, []string{snapName(2), segName(3), segName(4)}},
+		{"parent_dir", "binary", 96, []string{snapName(2), segName(3), segName(4)}},
+		{"parent_dir_json", "json", 96, []string{snapName(2), segName(3), segName(4)}},
 	}
-	binaryFixture = dirFixture{"binary_dir", blockio.CodecBinary, 360, []string{snapName(4), segName(5), segName(6)}}
+	binaryFixture = dirFixture{"binary_dir", "binary", 360, []string{snapName(4), segName(5), segName(6)}}
 )
 
-func fixtureConfig(codec string) Config {
-	return Config{Shards: 1, MaxBatch: 64, SegmentBytes: 4096, CompactSegments: 2, IdleCompact: -1, Codec: codec}
+func fixtureConfig() Config {
+	return Config{Shards: 1, MaxBatch: 64, SegmentBytes: 4096, CompactSegments: 2, IdleCompact: -1}
 }
 
 func fixtureResponse(i int) survey.Response {
@@ -83,7 +85,7 @@ func waitFolded(t *testing.T, s *Sharded) {
 // segments fill, and returns how many snapshots the store wrote.
 func fixtureScript(t *testing.T, dir string, fx dirFixture) int64 {
 	t.Helper()
-	s := openTest(t, dir, fixtureConfig(fx.codec))
+	s := openTest(t, dir, fixtureConfig())
 	if err := s.PutSurvey(benchSurvey(0)); err != nil {
 		t.Fatal(err)
 	}
@@ -128,31 +130,25 @@ func fixtureListing(t *testing.T, dir string) []string {
 	return names
 }
 
-func writeFixtures(t *testing.T, fxs ...dirFixture) {
+// TestWriteBinaryFixture rewrites testdata/binary_dir; run it only when
+// the record or the fold is meant to change.
+func TestWriteBinaryFixture(t *testing.T) {
 	out := os.Getenv("LOKI_FIXTURE_OUT")
 	if out == "" {
 		t.Skip("set LOKI_FIXTURE_OUT to (re)write the fixture with this commit's code")
 	}
-	for _, fx := range fxs {
-		dir := filepath.Join(out, fx.name)
-		if err := os.RemoveAll(dir); err != nil {
-			t.Fatal(err)
-		}
-		fixtureScript(t, dir, fx)
+	dir := filepath.Join(out, binaryFixture.name)
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
 	}
+	fixtureScript(t, dir, binaryFixture)
 }
 
-// TestWriteParentFixture writes the parent fixtures; run it only in an
-// export of the commit they come from.
-func TestWriteParentFixture(t *testing.T) { writeFixtures(t, parentFixtures...) }
-
-// TestWriteBinaryFixture rewrites testdata/binary_dir; run it only when
-// the record or the fold is meant to change.
-func TestWriteBinaryFixture(t *testing.T) { writeFixtures(t, binaryFixture) }
-
 // checkFixtureDir opens a copy of testdata/<fx.name>, which must hold
-// the script's responses, appends until a fold supersedes the fixture's
-// snapshot, and reopens to everything. It returns the copy's directory.
+// the script's responses; its meta log, opened for appends, is a block
+// file that takes a survey. It appends until a fold supersedes the
+// fixture's snapshot with a block snapshot, and reopens to everything.
+// It returns the copy's directory.
 func checkFixtureDir(t *testing.T, fx dirFixture) string {
 	t.Helper()
 	dir := t.TempDir()
@@ -161,11 +157,22 @@ func checkFixtureDir(t *testing.T, fx dirFixture) string {
 	for i := range want {
 		want[i] = fixtureResponse(i)
 	}
-	cfg := fixtureConfig(fx.codec)
+	cfg := fixtureConfig()
 	s := openTest(t, dir, cfg)
 	if got := scanAll(t, s, benchSurvey(0).ID); !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s opened to %d responses, want the script's %d", fx.name, len(got), len(want))
 	}
+	wantSurveys, err := s.Surveys()
+	if err != nil || len(wantSurveys) != 1 {
+		t.Fatalf("%s opened to surveys %v (%v), want the script's one", fx.name, wantSurveys, err)
+	}
+	if bin, err := blockio.Sniff(filepath.Join(dir, metaName)); err != nil || !bin {
+		t.Fatalf("the open left %s's meta log JSON lines (%v)", fx.name, err)
+	}
+	if err := s.PutSurvey(benchSurvey(1)); err != nil {
+		t.Fatal(err)
+	}
+	wantSurveys = append(wantSurveys, benchSurvey(1))
 	snaps := s.Stats().Snapshots
 	for i := 0; i < 100; i++ { // more than a segment's worth: rotates and folds
 		r := fixtureResponse(1000 + i)
@@ -182,10 +189,20 @@ func checkFixtureDir(t *testing.T, fx dirFixture) string {
 	if _, err := os.Stat(filepath.Join(dir, fx.files[0])); !os.IsNotExist(err) {
 		t.Fatalf("the fixture's snapshot %s survived a fold (%v)", fx.files[0], err)
 	}
+	seqs, err := listSeqs(dir, snapPrefix, snapSuffix)
+	if err != nil || len(seqs) != 1 {
+		t.Fatalf("snapshots after the fold: %v (%v)", seqs, err)
+	}
+	if bin, err := blockio.Sniff(filepath.Join(dir, snapName(seqs[0]))); err != nil || !bin {
+		t.Fatalf("the fold wrote a snapshot that is no block file (%v)", err)
+	}
 	s = openTest(t, dir, cfg)
 	defer s.Close()
 	if got := scanAll(t, s, benchSurvey(0).ID); !reflect.DeepEqual(got, want) {
 		t.Fatalf("after appends, a fold and a reopen: %d responses, want %d", len(got), len(want))
+	}
+	if got, err := s.Surveys(); err != nil || !reflect.DeepEqual(got, wantSurveys) {
+		t.Fatalf("after a reopen: surveys %v (%v), want %v", got, err, wantSurveys)
 	}
 	return dir
 }
@@ -209,8 +226,9 @@ func snapshotRecords(t *testing.T, dir string) [][]byte {
 
 // TestParentDirFixture: each parent-written directory opens to the
 // script's responses, takes appends through a rotation and a fold over
-// its snapshot, and reopens. The fold copies the parent's records, JSON
-// payloads, as they are: only the appended tail is encoded binary.
+// its snapshot, and reopens. The fold copies the parent snapshot's
+// records, JSON payloads, as they are; the tail — the parent's JSON
+// segment records and the appended ones — is binary.
 func TestParentDirFixture(t *testing.T) {
 	for _, fx := range parentFixtures {
 		t.Run(fx.codec, func(t *testing.T) {
@@ -218,7 +236,7 @@ func TestParentDirFixture(t *testing.T) {
 			dir := checkFixtureDir(t, fx)
 			recs := snapshotRecords(t, dir)
 			for i, rec := range recs {
-				if isJSON := rec[0] == '{'; isJSON != (i < parentSnap || fx.codec == blockio.CodecJSON) {
+				if isJSON := rec[0] == '{'; isJSON != (i < parentSnap) {
 					t.Fatalf("snapshot record %d of %d starts %#x: want the parent snapshot's %d JSON records first, then binary ones", i, len(recs), rec[0], parentSnap)
 				}
 			}
@@ -258,13 +276,4 @@ func TestBinaryDirFixture(t *testing.T) {
 		}
 	}
 	checkFixtureDir(t, binaryFixture)
-	// Reopened as a JSON-lines store, the fold writes a line of text per
-	// record: the binary records it copies are re-encoded.
-	asJSON := binaryFixture
-	asJSON.codec = blockio.CodecJSON
-	for i, rec := range snapshotRecords(t, checkFixtureDir(t, asJSON)) {
-		if rec[0] != '{' {
-			t.Fatalf("JSON-lines snapshot record %d starts %#x", i, rec[0])
-		}
-	}
 }

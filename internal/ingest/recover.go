@@ -23,8 +23,8 @@ type logState struct {
 // decodeResponse reads one response record of either encoding into r,
 // told apart by the first byte exactly as store.File does: a binary
 // record, decoded over what r holds (survey.Response.UnmarshalBinaryReuse),
-// or a JSON object (what a JSON-lines store writes, and all that files
-// written before ingest's records went binary hold), which replaces it.
+// or a JSON object (all that files written before ingest's records went
+// binary hold), which replaces it.
 func decodeResponse(rec []byte, r *survey.Response) error {
 	var err error
 	if len(rec) > 0 && rec[0] == survey.ResponseBinaryTag {

@@ -17,9 +17,9 @@ import (
 // snapHeader is the first record of a snapshot file. The remaining Count
 // records are one response record each (encodeResponse's, or JSON ones
 // in a snapshot written before records went binary), in index (append)
-// order per survey. Under the binary codec they ride in sealed blockio
-// blocks, the header in a block of its own; replay sniffs the format per
-// file.
+// order per survey. They ride in sealed blockio blocks, the header in a
+// block of its own; replay sniffs the framing per file, so a JSON-lines
+// snapshot written before blocks still loads.
 type snapHeader struct {
 	Format int    `json:"format"`
 	Covers uint64 `json:"covers"` // every segment with seq <= Covers is folded in
@@ -190,17 +190,17 @@ func (s *Sharded) fold(job compactJob) (int64, error) {
 }
 
 // writeSnapshot publishes job.view as dir's snapshot covering segment
-// job.covers, crash-atomically, in the configured codec, and returns
-// the file's size. Binary snapshots are sealed: they are immutable once
-// published, so they always carry a block index and replay with strict
-// (non-repairing) semantics.
+// job.covers, crash-atomically, and returns the file's size. Snapshots
+// are sealed: they are immutable once published, so they always carry a
+// block index and replay with strict (non-repairing) semantics.
 //
 // No record is encoded. The records the superseded snapshot (job.prev)
 // already holds are copied out of it, behind the new header, with
 // blockio.Log.CopyFrom — whole blocks byte for byte, neither inflated
 // nor re-encoded — and each survey's records past job.prevCounts are
 // appended from its arena, in survey ID order, as toCodec returns them:
-// as they are, unless replay read them from a file of the other codec.
+// as they are, unless replay read them as JSON from a file written
+// before records went binary.
 // Under the one-half trigger the copied prefix is up to two thirds of
 // the new file, and none of it costs a deflate again.
 //
@@ -228,7 +228,7 @@ func (s *Sharded) writeSnapshot(dir string, job compactJob) (int64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("ingest: marshal snapshot header: %w", err)
 	}
-	size, err := blockio.WriteLogAtomic(filepath.Join(dir, snapName(job.covers)), s.cfg.Codec, job.sizeHint, func(nl *blockio.Log) error {
+	size, err := blockio.WriteLogAtomic(filepath.Join(dir, snapName(job.covers)), job.sizeHint, func(nl *blockio.Log) error {
 		// The header gets a block of its own, so the next fold skips it
 		// without inflating a block of records along with it.
 		if err := nl.Append(head); err != nil {
@@ -238,7 +238,7 @@ func (s *Sharded) writeSnapshot(dir string, job compactJob) (int64, error) {
 			return err
 		}
 		if job.prev > 0 {
-			n, err := nl.CopyFrom(filepath.Join(dir, snapName(job.prev)), 1, s.recode)
+			n, err := nl.CopyFrom(filepath.Join(dir, snapName(job.prev)), 1, nil)
 			if err != nil {
 				return err
 			}
@@ -254,7 +254,7 @@ func (s *Sharded) writeSnapshot(dir string, job compactJob) (int64, error) {
 					return errCompactAborted
 				}
 				appended++
-				rec, err := s.toCodec(a.rec(i))
+				rec, err := toCodec(a.rec(i))
 				if err != nil {
 					return err
 				}
@@ -271,31 +271,19 @@ func (s *Sharded) writeSnapshot(dir string, job compactJob) (int64, error) {
 	return size, nil
 }
 
-// recode maps a record CopyFrom copies one at a time rather than in a
-// whole block. A JSON-lines snapshot holds a line of text per record, so
-// a binary record read from an older binary snapshot is converted for
-// it; a binary snapshot keeps every record, JSON payloads included, as
-// it is.
-func (s *Sharded) recode(rec []byte) ([]byte, error) {
-	if s.cfg.Codec != blockio.CodecJSON {
-		return rec, nil
-	}
-	return s.toCodec(rec)
-}
-
-// toCodec returns rec in the store's codec. Every record this store
-// encoded itself is in it already and comes back as it is; only one
-// replayed from a file of the other codec (or, in a binary store, from
-// before records went binary) is decoded and encoded again.
-func (s *Sharded) toCodec(rec []byte) ([]byte, error) {
-	if isBinary := len(rec) > 0 && rec[0] == survey.ResponseBinaryTag; isBinary == (s.cfg.Codec != blockio.CodecJSON) {
+// toCodec returns rec as a binary record. Every record this store
+// encoded itself is one already and comes back as it is; only a JSON
+// record replayed from a file written before records went binary is
+// decoded and encoded again.
+func toCodec(rec []byte) ([]byte, error) {
+	if len(rec) > 0 && rec[0] == survey.ResponseBinaryTag {
 		return rec, nil
 	}
 	var r survey.Response
 	if err := decodeResponse(rec, &r); err != nil {
 		return nil, err
 	}
-	return s.encodeResponse(nil, &r)
+	return encodeResponse(nil, &r)
 }
 
 // loadSnapshot restores the index from dir's newest snapshot, if any,

@@ -14,8 +14,8 @@ import (
 //	wal-<seq>.seg    append-only segments, seq strictly increasing
 //	snap-<seq>.snap  a snapshot covering every segment with seq' <= seq
 //
-// each in whichever codec wrote it (blockio binary blocks or JSON
-// lines; see blockio.Log). <seq> is a zero-padded hexadecimal sequence
+// each in blockio blocks, or, written before blocks, in JSON lines (see
+// blockio.Log). <seq> is a zero-padded hexadecimal sequence
 // number, so lexicographic order equals numeric order.
 const (
 	segPrefix  = "wal-"

@@ -7,10 +7,14 @@
 package logtest
 
 import (
+	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"loki/internal/blockio"
 )
 
 // Store is one durable structure reduced to numbered records.
@@ -36,6 +40,13 @@ type User struct {
 	// Compact, when set, rewrites the log file of an open Store to its
 	// live records (the structure's compaction).
 	Compact func(Store) error
+	// Imported, when set, starts every script from a JSON-lines file:
+	// the records a script begins with are Put, the store is closed,
+	// LogFile is rewritten by WriteJSONLines with Imported as its conv,
+	// and the reopen must hold the same records, with the file LogFile
+	// names then a block file (the converted one, or a fresh file the
+	// store appends to beside it).
+	Imported func(payload []byte) ([]byte, error)
 }
 
 func (u User) open(t *testing.T, dir string) Store {
@@ -45,6 +56,67 @@ func (u User) open(t *testing.T, dir string) Store {
 		t.Fatalf("open %s: %v", dir, err)
 	}
 	return st
+}
+
+// start opens a fresh structure at dir holding records is (see
+// User.Imported).
+func (u User) start(t *testing.T, dir string, is ...int) Store {
+	t.Helper()
+	st := u.open(t, dir)
+	put(t, st, is...)
+	if u.Imported == nil {
+		return st
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := u.LogFile(dir)
+	if err := WriteJSONLines(path, u.Imported); err != nil {
+		t.Fatal(err)
+	}
+	st = u.open(t, dir)
+	wantRecords(t, st, is...)
+	if _, err := blockio.Replay(u.LogFile(dir), false, func(uint64, []byte) error { return nil }); err != nil {
+		t.Fatalf("after the open, %s is no whole block file: %v", u.LogFile(dir), err)
+	}
+	return st
+}
+
+// WriteJSONLines rewrites the closed record file at path as JSON lines,
+// the framing every Log wrote before blocks: one line per record, its
+// payload mapped by conv when conv is non-nil. No Log writes that
+// framing any more, so tests build such files with this.
+func WriteJSONLines(path string, conv func(payload []byte) ([]byte, error)) error {
+	var lines []byte
+	err := blockio.ReplayFile(path, false, func(p []byte) error {
+		if conv != nil {
+			var err error
+			if p, err = conv(p); err != nil {
+				return err
+			}
+		}
+		if bytes.IndexByte(p, '\n') >= 0 {
+			return fmt.Errorf("record %q holds a newline", p)
+		}
+		lines = append(append(lines, p...), '\n')
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, lines, 0o644)
+}
+
+// Lines returns the records of the file at path, in either framing, each
+// followed by a newline: for a file converted from JSON lines, the
+// bytes of the JSON-lines file it was.
+func Lines(path string) ([]byte, error) {
+	var out []byte
+	err := blockio.ReplayFile(path, false, func(p []byte) error {
+		out = append(append(out, p...), '\n')
+		return nil
+	})
+	return out, err
 }
 
 func put(t *testing.T, st Store, is ...int) {
@@ -97,8 +169,7 @@ func Run(t *testing.T, u User) {
 // and reopen again with that append.
 func tornTail(t *testing.T, u User) {
 	dir := t.TempDir()
-	st := u.open(t, dir)
-	put(t, st, 0, 1, 2)
+	st := u.start(t, dir, 0, 1, 2)
 	rel, err := filepath.Rel(dir, u.LogFile(dir))
 	if err != nil {
 		t.Fatal(err)
@@ -144,8 +215,7 @@ func tornTail(t *testing.T, u User) {
 // reports it, and a reopen shows exactly what was acknowledged before.
 func brokenLog(t *testing.T, u User, inject func(testing.TB, string)) {
 	dir := t.TempDir()
-	st := u.open(t, dir)
-	put(t, st, 0, 1)
+	st := u.start(t, dir, 0, 1)
 	inject(t, u.LogFile(dir))
 	for _, i := range []int{2, 3} {
 		if err := st.Put(i); err == nil {
@@ -171,8 +241,7 @@ func brokenLog(t *testing.T, u User, inject func(testing.TB, string)) {
 // acknowledged record lost, and no temp file left after the reopen.
 func rewriteCrash(t *testing.T, u User) {
 	dir := t.TempDir()
-	st := u.open(t, dir)
-	put(t, st, 0, 1, 2, 3, 4, 5)
+	st := u.start(t, dir, 0, 1, 2, 3, 4, 5)
 	rel, err := filepath.Rel(dir, u.LogFile(dir))
 	if err != nil {
 		t.Fatal(err)

@@ -381,7 +381,7 @@ func TestSinkPersistsStreams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	persisted, err := sink.Responses(sv.ID)
+	persisted, err := store.CollectResponses(sink, sv.ID)
 	if err != nil {
 		t.Fatal(err)
 	}

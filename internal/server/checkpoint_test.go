@@ -502,7 +502,7 @@ func TestCheckpointRestartEquivalence(t *testing.T) {
 	if got.Choices[0].N != n+5 {
 		t.Fatalf("restored aggregate folded %d, want %d", got.Choices[0].N, n+5)
 	}
-	compareAggregate(t, got, recomputeAggregate(t, tracking, sv))
+	compareAggregate(t, got, recomputeAggregate(t, st2, sv)) // the reference scan, untracked
 
 	// Every catch-up scan in the second life resumed from the
 	// checkpoint cursor or beyond — never a whole-backlog rescan.

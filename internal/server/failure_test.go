@@ -29,13 +29,6 @@ func (f *faultyStore) Surveys() ([]*survey.Survey, error) {
 	return f.Mem.Surveys()
 }
 
-func (f *faultyStore) Responses(id string) ([]survey.Response, error) {
-	if f.failResponses {
-		return nil, errors.New("disk on fire")
-	}
-	return f.Mem.Responses(id)
-}
-
 // ScanResponses is the read path /aggregate and /quality actually use.
 func (f *faultyStore) ScanResponses(id string, fromSeq uint64, fn func(uint64, *survey.Response) error) error {
 	if f.failResponses {

@@ -28,7 +28,7 @@ func recomputeAggregate(t *testing.T, st store.Store, sv *survey.Survey) *Aggreg
 	if err != nil {
 		t.Fatal(err)
 	}
-	responses, err := st.Responses(sv.ID)
+	responses, err := store.CollectResponses(st, sv.ID)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,8 +19,8 @@ import (
 // questions to three, 40 more single commits and a 3-response batch —
 // 303 responses with every answer kind, full-mantissa noisy ratings and
 // non-ASCII free text. The .log is a blockio file whose every payload is
-// JSON; the .jsonl is the same history in the JSON-lines codec, which
-// this change does not touch.
+// JSON; the .jsonl is the same history as JSON lines, which an open
+// converts to blocks.
 
 // copyFixture copies a testdata file somewhere writable: opening a log
 // repairs and appends in place.
@@ -53,11 +53,11 @@ func sameContents(t *testing.T, got, want Store) {
 		t.Fatalf("surveys differ:\n%+v\n%+v", gs, ws)
 	}
 	for _, sv := range ws {
-		gr, err := got.Responses(sv.ID)
+		gr, err := CollectResponses(got, sv.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wr, err := want.Responses(sv.ID)
+		wr, err := CollectResponses(want, sv.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,20 +115,24 @@ func lecturerResponse3(worker string, noise float64) *survey.Response {
 
 // TestParentBinaryLogOpensAndTakesAppends: a binary log the parent
 // commit's binary wrote opens with the same contents as the JSON-lines
-// reference, takes new appends — which land as binary payloads behind
+// reference (which the open converts to blocks), takes new appends — which land as binary payloads behind
 // the old JSON ones, in the same file — and reopens with both kinds of
 // payload replayed in order.
 func TestParentBinaryLogOpensAndTakesAppends(t *testing.T) {
 	path := copyFixture(t, "parent_binary.log")
-	opts := FileOptions{Sync: SyncAlways, Codec: blockio.CodecBinary}
+	opts := FileOptions{Sync: SyncAlways, Codec: blockio.CodecBinary} // the benchmark's shim values
 	if j, b := payloadKinds(t, path); j != 303 || b != 0 {
 		t.Fatalf("fixture holds %d JSON and %d binary response payloads, want 303 and 0", j, b)
 	}
-	ref, err := OpenFile(copyFixture(t, "parent_reference.jsonl"))
+	refPath := copyFixture(t, "parent_reference.jsonl")
+	ref, err := OpenFile(refPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ref.Close()
+	if bin, err := blockio.Sniff(refPath); err != nil || !bin {
+		t.Fatalf("the JSON-lines reference did not convert on open (%v)", err)
+	}
 	st, err := OpenFileWith(path, opts)
 	if err != nil {
 		t.Fatalf("parent-written log does not open: %v", err)
@@ -173,8 +177,7 @@ func TestParentBinaryLogOpensAndTakesAppends(t *testing.T) {
 // to the last whole block on open, as a torn compressed block is.
 func TestTornStoredBlockRepaired(t *testing.T) {
 	path := copyFixture(t, "parent_binary.log")
-	opts := FileOptions{Sync: SyncAlways, Codec: blockio.CodecBinary}
-	st, err := OpenFileWith(path, opts)
+	st, err := OpenFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +205,7 @@ func TestTornStoredBlockRepaired(t *testing.T) {
 	if err := os.Truncate(path, (whole.Size()+full.Size())/2); err != nil {
 		t.Fatal(err)
 	}
-	st2, err := OpenFileWith(path, opts)
+	st2, err := OpenFile(path)
 	if err != nil {
 		t.Fatalf("torn log does not open: %v", err)
 	}
@@ -213,7 +216,7 @@ func TestTornStoredBlockRepaired(t *testing.T) {
 	if fi, _ := os.Stat(path); fi.Size() != whole.Size() {
 		t.Fatalf("repaired to %d bytes, want the last whole block at %d", fi.Size(), whole.Size())
 	}
-	rs, err := st2.Responses(survey.LecturerID)
+	rs, err := CollectResponses(st2, survey.LecturerID)
 	if err != nil {
 		t.Fatal(err)
 	}

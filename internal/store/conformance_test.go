@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"testing"
 
-	"loki/internal/blockio"
 	"loki/internal/logtest"
 	"loki/internal/survey"
 )
@@ -27,14 +26,16 @@ func (u fileUser) Records() []int {
 	return out
 }
 
+// TestFileLogConformance runs the suite on a store log written through
+// File ("binary") and on one that began as a JSON-lines log ("json").
 func TestFileLogConformance(t *testing.T) {
-	for _, codec := range []string{blockio.CodecJSON, blockio.CodecBinary} {
-		t.Run(codec, func(t *testing.T) {
+	for _, arm := range []string{"json", "binary"} {
+		t.Run(arm, func(t *testing.T) {
 			path := func(dir string) string { return filepath.Join(dir, "loki.log") }
-			logtest.Run(t, logtest.User{
+			u := logtest.User{
 				LogFile: path,
 				Open: func(dir string) (logtest.Store, error) {
-					fs, err := OpenFileWith(path(dir), FileOptions{Codec: codec})
+					fs, err := OpenFile(path(dir))
 					if err != nil {
 						return nil, err
 					}
@@ -43,7 +44,11 @@ func TestFileLogConformance(t *testing.T) {
 					}
 					return fileUser{fs}, nil
 				},
-			})
+			}
+			if arm == "json" {
+				u.Imported = jsonRecord
+			}
+			logtest.Run(t, u)
 		})
 	}
 }

@@ -12,73 +12,56 @@ import (
 )
 
 // SyncPolicy selects when the file store makes appended records durable
-// with fsync.
+// with fsync. SyncAlways is the only policy: the type stays because the
+// benchmark module compiles against FileOptions.Sync, and goes with that
+// field.
 type SyncPolicy int
 
-const (
-	// SyncAlways fsyncs after every append: an acknowledged mutation
-	// survives a machine crash. This is the default.
-	SyncAlways SyncPolicy = iota
-	// SyncInterval flushes and fsyncs on a timer: a crash can lose at
-	// most the last interval's worth of acknowledged mutations. Use for
-	// throughput when bounded loss is acceptable.
-	SyncInterval
-	// SyncNever flushes to the OS on every append but never fsyncs
-	// (except on Close): a process crash loses nothing, a machine crash
-	// may lose anything the kernel had not written back.
-	SyncNever
-)
+// SyncAlways fsyncs after every append: an acknowledged mutation
+// survives a machine crash.
+const SyncAlways SyncPolicy = 0
 
-// FileOptions tune a file-backed store.
+// FileOptions tune a file-backed store. Both fields are compile shims
+// for the benchmark module, which sets them; its next change drops them
+// and this type with them.
 type FileOptions struct {
-	// Sync is the durability policy (default SyncAlways).
+	// Sync must be SyncAlways.
 	Sync SyncPolicy
-	// Interval is the flush period for SyncInterval (default 100ms).
-	Interval time.Duration
-	// Codec is the encoding for a log created by this open:
-	// blockio.CodecJSON (the default here — readable lines, every record
-	// a JSON object) or blockio.CodecBinary (checksummed blockio blocks
-	// whose response records are survey.Response's binary encoding and
-	// whose survey records are JSON; what the server configures). An
-	// EXISTING log keeps its own format regardless: the codec is sniffed
-	// from the file's magic on open, so appends never mix framings within
-	// one file. A binary log written before response records went binary
-	// holds JSON response payloads; replay reads either, per record.
+	// Codec must be "" or blockio.CodecBinary: a File writes blockio
+	// blocks only, and any other value (the retired "json" among them)
+	// is refused.
 	Codec string
 }
 
-// File is a durable Store backed by one blockio.Log: readable JSON
-// lines (this package's default) or checksummed blockio blocks
-// (FileOptions.Codec; what the server configures). Every mutation is one
-// record; opening the store replays the log into an in-memory index.
-// Torn-tail repair, the file's codec and the sticky first I/O failure
-// are the Log's (see blockio.Log); the fsync schedule is this type's.
+// File is a durable Store backed by one blockio.Log of blocks: survey
+// and republish records are JSON payloads, response records
+// survey.Response's binary encoding, told apart per record on replay.
+// Every mutation is one record; opening the store replays the log into
+// an in-memory index. A JSON-lines log written before blocks (every
+// record a JSON object) is converted by the open. Torn-tail repair, the
+// conversion and the sticky first I/O failure are the Log's (see
+// blockio.Log); the fsync schedule is this type's.
 //
-// Durability: under the default SyncAlways policy every acknowledged
-// mutation has been fsynced before PutSurvey/AppendResponse returns. See
-// SyncPolicy for the weaker modes.
+// Durability: every acknowledged mutation has been fsynced before
+// PutSurvey/AppendResponse returns.
 type File struct {
 	mu  sync.Mutex
 	mem *Mem
-	// log holds the records and the first append-path or background
-	// flush/fsync failure; once that is set, every subsequent append and
-	// Close reports it.
+	// log holds the records and the first append-path flush/fsync
+	// failure; once that is set, every subsequent append and Close
+	// reports it.
 	log    *blockio.Log
 	enc    []byte // binary response record scratch
-	opts   FileOptions
-	closed bool          // refuses mutations after Close
-	stop   chan struct{} // stops the SyncInterval flusher
-	done   chan struct{}
+	closed bool   // refuses mutations after Close
 }
 
-// record is one JSON log entry: every record of a JSON-lines log, and
-// the survey and republish records of a binary one (whose response
-// records are survey.Response.AppendBinary payloads instead, told apart
-// at replay by their first byte). Exactly one payload field is set. A
-// "republish" record carries a survey definition that overwrites the one
-// currently in effect; replay applies records in order, so responses
-// logged before a republish replay against the definition they were
-// validated under.
+// record is one JSON log entry: the survey and republish records (and,
+// in a log written before response records went binary, the response
+// records too; binary ones are told apart at replay by their first
+// byte). Exactly one payload field is set. A "republish" record carries
+// a survey definition that overwrites the one currently in effect;
+// replay applies records in order, so responses logged before a
+// republish replay against the definition they were validated under.
 type record struct {
 	Kind     string           `json:"kind"` // "survey" | "republish" | "response"
 	Survey   *survey.Survey   `json:"survey,omitempty"`
@@ -90,75 +73,33 @@ type record struct {
 }
 
 // OpenFile opens (creating if necessary) a file-backed store at path and
-// replays its log. Appends are fsynced before they are acknowledged
-// (SyncAlways); use OpenFileWith to relax that.
+// replays its log. Appends are fsynced before they are acknowledged.
 func OpenFile(path string) (*File, error) {
-	return OpenFileWith(path, FileOptions{Sync: SyncAlways})
+	return OpenFileWith(path, FileOptions{})
 }
 
-// OpenFileWith opens a file-backed store with an explicit durability
-// policy.
+// OpenFileWith is OpenFile for callers that still pass FileOptions.
 func OpenFileWith(path string, opts FileOptions) (*File, error) {
-	switch opts.Sync {
-	case SyncAlways, SyncInterval, SyncNever:
-	default:
+	if opts.Sync != SyncAlways {
 		return nil, fmt.Errorf("store: unknown sync policy %d", int(opts.Sync))
 	}
-	if opts.Interval <= 0 {
-		opts.Interval = 100 * time.Millisecond
+	if opts.Codec != "" && opts.Codec != blockio.CodecBinary {
+		return nil, fmt.Errorf("store: codec %q: a file store writes blockio blocks only (the json codec is retired)", opts.Codec)
 	}
-	if opts.Codec == "" {
-		opts.Codec = blockio.CodecJSON
-	}
-	fs := &File{mem: NewMem(), opts: opts}
+	fs := &File{mem: NewMem()}
 	// Replay complete records into the memory index; a corrupt or
 	// malformed one refuses the open rather than silently dropping data.
 	var err error
-	if fs.log, err = blockio.OpenLog(path, opts.Codec, fs.applyRecord); err != nil {
+	if fs.log, err = blockio.OpenLog(path, fs.applyRecord); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
-	}
-	if opts.Sync == SyncInterval {
-		fs.stop = make(chan struct{})
-		fs.done = make(chan struct{})
-		go fs.flushLoop(fs.stop, fs.done)
 	}
 	return fs, nil
 }
 
-// flushLoop periodically flushes and fsyncs under SyncInterval. The
-// channels are passed in because Close nils the fields while the loop
-// runs.
-func (fs *File) flushLoop(stop <-chan struct{}, done chan<- struct{}) {
-	defer close(done)
-	t := time.NewTicker(fs.opts.Interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			// Flush under the lock, but fsync outside it: a slow fsync
-			// must not stall appenders (it still bounds loss to one
-			// interval, since everything flushed so far is in the page
-			// cache the fsync covers).
-			fs.mu.Lock()
-			if fs.closed {
-				fs.mu.Unlock()
-				continue
-			}
-			err := fs.log.Flush()
-			fs.mu.Unlock()
-			if err == nil {
-				_ = fs.log.Sync() // a failure is sticky in the log: the next append reports it
-			}
-		case <-stop:
-			return
-		}
-	}
-}
-
 // applyRecord replays one complete record into the memory index: a
 // binary response payload, or a JSON record of any kind (which is all a
-// JSON-lines log holds, and what a binary log written before response
-// records went binary holds too). Corrupt or malformed records refuse
+// JSON-lines log holds, and what a log written before response records
+// went binary holds too). Corrupt or malformed records refuse
 // the open rather than silently dropping data.
 func (fs *File) applyRecord(line []byte) error {
 	if len(line) > 0 && line[0] == survey.ResponseBinaryTag {
@@ -201,31 +142,22 @@ func (fs *File) applyRecord(line []byte) error {
 	}
 }
 
-// writeResponse buffers one response record: its binary encoding under
-// the binary codec, a JSON line otherwise.
+// writeResponse buffers one response record: its binary encoding.
 func (fs *File) writeResponse(r *survey.Response) error {
-	if fs.log.Codec() != blockio.CodecBinary {
-		b, err := json.Marshal(&record{Kind: "response", Response: r})
-		if err != nil {
-			return fmt.Errorf("marshal: %w", err)
-		}
-		return fs.log.Append(b)
-	}
 	fs.enc, _ = r.AppendBinary(fs.enc[:0]) // cannot fail
 	return fs.log.Append(fs.enc)
 }
 
 // commit runs write, which buffers one mutation's records, and makes
-// them as durable as the sync policy promises: flushed to the OS always,
-// fsynced under SyncAlways (SyncInterval leaves the fsync to the flusher
-// goroutine). Any failure poisons the store: the on-disk tail is no
-// longer knowable (replay truncates whatever is torn).
+// them durable: flushed, then fsynced. Any failure poisons the store:
+// the on-disk tail is no longer knowable (replay truncates whatever is
+// torn).
 func (fs *File) commit(write func() error) error {
 	err := write()
 	if err == nil {
 		err = fs.log.Flush()
 	}
-	if err == nil && fs.opts.Sync == SyncAlways {
+	if err == nil {
 		err = fs.log.Sync()
 	}
 	if err != nil {
@@ -236,8 +168,8 @@ func (fs *File) commit(write func() error) error {
 	return nil
 }
 
-// appendSurvey logs one survey or republish record durably. Those stay
-// JSON under both codecs: a definition is rare, and readable.
+// appendSurvey logs one survey or republish record durably. Those are
+// JSON payloads: a definition is rare, and readable.
 func (fs *File) appendSurvey(kind string, s *survey.Survey) error {
 	b, err := json.Marshal(&record{Kind: kind, Survey: s, LoggedUnixNano: time.Now().UnixNano()})
 	if err != nil {
@@ -371,24 +303,11 @@ func (fs *File) ScanResponses(surveyID string, fromSeq uint64, fn func(seq uint6
 	return fs.mem.ScanResponses(surveyID, fromSeq, fn)
 }
 
-// Responses implements Store.
-func (fs *File) Responses(surveyID string) ([]survey.Response, error) {
-	return fs.mem.Responses(surveyID)
-}
-
 // ResponseCount implements Store.
 func (fs *File) ResponseCount(surveyID string) int { return fs.mem.ResponseCount(surveyID) }
 
 // Close flushes, fsyncs and closes the log file.
 func (fs *File) Close() error {
-	fs.mu.Lock()
-	stop, done := fs.stop, fs.done
-	fs.stop, fs.done = nil, nil
-	fs.mu.Unlock()
-	if stop != nil {
-		close(stop) // must not hold mu: the flusher needs it to exit
-		<-done
-	}
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	if fs.closed {

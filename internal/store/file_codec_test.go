@@ -1,18 +1,23 @@
 package store
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"loki/internal/blockio"
+	"loki/internal/logtest"
 	"loki/internal/survey"
 )
 
-// TestFileStoreBinaryCodec: the blockio-backed file store passes the
-// same contract as the JSON one and survives reopen (resuming appends
-// into the unsealed block log).
+// TestFileStoreBinaryCodec: the file store passes the store contract
+// under the options the benchmark module passes, writes a block file
+// and survives reopen (resuming appends into the unsealed block log).
 func TestFileStoreBinaryCodec(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "loki.blk")
 	opts := FileOptions{Sync: SyncAlways, Codec: blockio.CodecBinary}
@@ -25,7 +30,7 @@ func TestFileStoreBinaryCodec(t *testing.T) {
 		t.Fatal(err)
 	}
 	if bin, err := blockio.Sniff(path); err != nil || !bin {
-		t.Fatalf("binary-codec log did not sniff binary: %v %v", bin, err)
+		t.Fatalf("the log did not sniff as blocks: %v %v", bin, err)
 	}
 	// Reopen twice: replay restores everything, and the resumed writer
 	// keeps appending to the same file.
@@ -47,9 +52,32 @@ func TestFileStoreBinaryCodec(t *testing.T) {
 	}
 }
 
-// TestFileStoreCodecSticky: an existing JSON log opened with the binary
-// codec keeps its JSON format — the file's own magic wins, so a single
-// log never mixes codecs.
+// jsonRecord maps a block log's payload to the JSON line a JSON-lines
+// log held for it: a binary response record becomes a "response"
+// record, a JSON record stays as it is.
+func jsonRecord(p []byte) ([]byte, error) {
+	if len(p) == 0 || p[0] != survey.ResponseBinaryTag {
+		return p, nil
+	}
+	var r survey.Response
+	if err := r.UnmarshalBinary(p); err != nil {
+		return nil, err
+	}
+	return json.Marshal(&record{Kind: "response", Response: &r})
+}
+
+// toJSONLines rewrites the closed store log at path as the JSON-lines
+// log a store wrote before blocks, record for record.
+func toJSONLines(t *testing.T, path string) {
+	t.Helper()
+	if err := logtest.WriteJSONLines(path, jsonRecord); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFileStoreCodecSticky: a JSON-lines log is converted to blocks by
+// the open, payloads byte for byte, and stays blocks: a file never goes
+// back to JSON lines, nor mixes framings.
 func TestFileStoreCodecSticky(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "loki.jsonl")
 	st, err := OpenFile(path)
@@ -65,9 +93,24 @@ func TestFileStoreCodecSticky(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st2, err := OpenFileWith(path, FileOptions{Sync: SyncAlways, Codec: blockio.CodecBinary})
+	toJSONLines(t, path)
+	lines, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
+	}
+	st2, err := OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bin, err := blockio.Sniff(path); err != nil || !bin {
+		t.Fatalf("the open left a JSON-lines log: %v %v", bin, err)
+	}
+	payloads, err := logtest.Lines(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(payloads, lines) {
+		t.Fatalf("the converted log holds other payloads than the JSON lines:\n%s\n%s", payloads, lines)
 	}
 	if err := st2.AppendResponse(sampleResponse("w2")); err != nil {
 		t.Fatal(err)
@@ -75,16 +118,16 @@ func TestFileStoreCodecSticky(t *testing.T) {
 	if err := st2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if bin, err := blockio.Sniff(path); err != nil || bin {
-		t.Fatalf("JSON log flipped codec mid-file: %v %v", bin, err)
-	}
 	st3, err := OpenFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st3.Close()
 	if got := st3.ResponseCount(survey.LecturerID); got != 2 {
-		t.Fatalf("after mixed-open appends: %d responses, want 2", got)
+		t.Fatalf("after the conversion and an append: %d responses, want 2", got)
+	}
+	if bin, err := blockio.Sniff(path); err != nil || !bin {
+		t.Fatalf("the log left blocks: %v %v", bin, err)
 	}
 }
 
@@ -133,8 +176,14 @@ func TestFileStoreBinaryInteriorDamage(t *testing.T) {
 	}
 }
 
+// TestOpenFileWithRejectsUnknownCodec: FileOptions.Codec takes "" or
+// blockio.CodecBinary; the retired JSON-lines codec and anything else
+// are refused by name.
 func TestOpenFileWithRejectsUnknownCodec(t *testing.T) {
-	if _, err := OpenFileWith(filepath.Join(t.TempDir(), "x"), FileOptions{Codec: "msgpack"}); err == nil {
-		t.Fatal("unknown codec accepted")
+	for _, codec := range []string{"json", "msgpack"} {
+		_, err := OpenFileWith(filepath.Join(t.TempDir(), "x"), FileOptions{Codec: codec})
+		if err == nil || !strings.Contains(err.Error(), strconv.Quote(codec)) || !strings.Contains(err.Error(), "json codec is retired") {
+			t.Fatalf("codec %q: %v", codec, err)
+		}
 	}
 }

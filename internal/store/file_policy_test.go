@@ -1,15 +1,15 @@
 package store
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"loki/internal/survey"
 )
 
-// TestFileSyncPolicies: every policy accepts appends, survives a clean
+// TestFileSyncPolicies: the one policy accepts appends, survives a clean
 // close, and replays in full.
 func TestFileSyncPolicies(t *testing.T) {
 	for _, tc := range []struct {
@@ -17,8 +17,6 @@ func TestFileSyncPolicies(t *testing.T) {
 		opts FileOptions
 	}{
 		{"always", FileOptions{Sync: SyncAlways}},
-		{"interval", FileOptions{Sync: SyncInterval, Interval: 5 * time.Millisecond}},
-		{"never", FileOptions{Sync: SyncNever}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "loki.jsonl")
@@ -33,10 +31,6 @@ func TestFileSyncPolicies(t *testing.T) {
 				if err := st.AppendResponse(sampleResponse("w")); err != nil {
 					t.Fatal(err)
 				}
-			}
-			if tc.opts.Sync == SyncInterval {
-				// Let the flusher run at least once while appends exist.
-				time.Sleep(3 * tc.opts.Interval)
 			}
 			if err := st.Close(); err != nil {
 				t.Fatal(err)
@@ -83,56 +77,66 @@ func TestFileSyncAlwaysDataOnDisk(t *testing.T) {
 
 // TestFileTornBatchTail: a crash can persist any byte prefix of the last
 // append; every prefix must recover to exactly the acknowledged records
-// before it.
+// before it — in a block log, and in a JSON-lines log, which the open
+// also converts.
 func TestFileTornBatchTail(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "loki.jsonl")
-	st, err := OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.PutSurvey(sampleSurvey()); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if err := st.AppendResponse(sampleResponse("w")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	whole, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Find the start of the last record.
-	lastStart := 0
-	for i := 0; i < len(whole)-1; i++ {
-		if whole[i] == '\n' {
-			lastStart = i + 1
-		}
-	}
-	for cut := lastStart + 1; cut < len(whole); cut++ {
-		truncated := filepath.Join(t.TempDir(), "torn.jsonl")
-		if err := os.WriteFile(truncated, whole[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		st2, err := OpenFile(truncated)
-		if err != nil {
-			t.Fatalf("cut at %d: %v", cut, err)
-		}
-		if n := st2.ResponseCount(survey.LecturerID); n != 2 {
-			t.Fatalf("cut at %d: %d responses, want 2", cut, n)
-		}
-		st2.Close()
+	for _, arm := range []string{"blocks", "json lines"} {
+		t.Run(arm, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "loki.log")
+			st, err := OpenFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.PutSurvey(sampleSurvey()); err != nil {
+				t.Fatal(err)
+			}
+			var lastStart int // where the last commit starts
+			for i := 0; i < 3; i++ {
+				if fi, err := os.Stat(path); err == nil {
+					lastStart = int(fi.Size())
+				}
+				if err := st.AppendResponse(sampleResponse("w")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if arm == "json lines" {
+				toJSONLines(t, path)
+			}
+			whole, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if arm == "json lines" {
+				lastStart = bytes.LastIndexByte(whole[:len(whole)-1], '\n') + 1
+			}
+			for cut := lastStart + 1; cut < len(whole); cut++ {
+				truncated := filepath.Join(t.TempDir(), "torn.log")
+				if err := os.WriteFile(truncated, whole[:cut], 0o644); err != nil {
+					t.Fatal(err)
+				}
+				st2, err := OpenFile(truncated)
+				if err != nil {
+					t.Fatalf("cut at %d: %v", cut, err)
+				}
+				if n := st2.ResponseCount(survey.LecturerID); n != 2 {
+					t.Fatalf("cut at %d: %d responses, want 2", cut, n)
+				}
+				st2.Close()
+			}
+		})
 	}
 }
 
 // TestOpenFileWithRejectsUnknownPolicy guards the policy enum.
 func TestOpenFileWithRejectsUnknownPolicy(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "loki.jsonl")
-	if _, err := OpenFileWith(path, FileOptions{Sync: SyncPolicy(42)}); err == nil {
-		t.Fatal("unknown sync policy accepted")
+	for _, p := range []SyncPolicy{1, 2, 42} { // 1 and 2 were the retired interval and never
+		if _, err := OpenFileWith(path, FileOptions{Sync: p}); err == nil {
+			t.Fatalf("sync policy %d accepted", p)
+		}
 	}
 }
 

@@ -4,8 +4,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"loki/internal/blockio"
 )
 
 // FuzzReplay feeds arbitrary bytes to the file store's replay path: it
@@ -22,9 +20,9 @@ func FuzzReplay(f *testing.F) {
 	f.Add([]byte(`{"kind":"survey","survey":{"id":"s","title":"t","questions":[{"id":"q","text":"t","kind":0,"scale_min":1,"scale_max":5}],"reward_cents":0}}` + "\n"))
 	f.Add([]byte(`{"kind":"survey","survey":{"id":"s"` /* truncated, no newline */))
 	f.Add([]byte("not json at all\n{\"kind\":\"survey\"}\n"))
-	// A binary log: a JSON survey record and a binary response record.
+	// A block log: a JSON survey record and a binary response record.
 	seed := filepath.Join(f.TempDir(), "seed.log")
-	st, err := OpenFileWith(seed, FileOptions{Sync: SyncNever, Codec: blockio.CodecBinary})
+	st, err := OpenFileWith(seed, FileOptions{Sync: SyncAlways})
 	if err != nil {
 		f.Fatal(err)
 	}

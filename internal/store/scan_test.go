@@ -85,8 +85,8 @@ func scanTest(t *testing.T, st Store) {
 		t.Fatalf("unknown survey scan: %v", err)
 	}
 
-	// Responses (the compatibility wrapper) agrees with the scan.
-	rs, err := st.Responses(sv.ID)
+	// CollectResponses agrees with the scan.
+	rs, err := CollectResponses(st, sv.ID)
 	if err != nil || len(rs) != len(workers) {
 		t.Fatalf("Responses: %d, %v", len(rs), err)
 	}

@@ -1,8 +1,8 @@
 // Package store provides the persistence layer of the Loki backend: a
 // Store interface with two implementations, an in-memory store for tests
-// and simulations, and File, an append-only record log (one blockio.Log,
-// JSON lines or binary blocks) replayed into memory on open, for durable
-// deployments (the Django database of the paper's prototype).
+// and simulations, and File, an append-only record log (one blockio.Log
+// of blocks) replayed into memory on open, for durable deployments (the
+// Django database of the paper's prototype).
 package store
 
 import (
@@ -66,10 +66,6 @@ type Store interface {
 	// keeps a record keeps r.Clone(). A non-nil error from fn aborts the
 	// scan and is returned verbatim. Unknown surveys return ErrNotFound.
 	ScanResponses(surveyID string, fromSeq uint64, fn func(seq uint64, r *survey.Response) error) error
-	// Responses returns all responses for a survey in append order; it
-	// returns ErrNotFound for unknown surveys. It is a materializing
-	// convenience wrapper over ScanResponses.
-	Responses(surveyID string) ([]survey.Response, error)
 	// ResponseCount returns the number of stored responses for the
 	// survey (0 for unknown surveys), i.e. its highest assigned seq.
 	ResponseCount(surveyID string) int
@@ -109,8 +105,8 @@ type BatchAppender interface {
 }
 
 // CollectResponses materializes a survey's full response history through
-// ScanResponses — the compatibility path for callers that still want a
-// slice. Each response is a deep copy.
+// ScanResponses, in append order, for callers that want a slice; it
+// returns ErrNotFound for unknown surveys. Each response is a deep copy.
 func CollectResponses(st Store, surveyID string) ([]survey.Response, error) {
 	out := make([]survey.Response, 0, st.ResponseCount(surveyID))
 	err := st.ScanResponses(surveyID, 0, func(_ uint64, r *survey.Response) error {
@@ -292,11 +288,6 @@ func (m *Mem) ScanResponses(surveyID string, fromSeq uint64, fn func(seq uint64,
 		}
 	}
 	return nil
-}
-
-// Responses implements Store as a wrapper over ScanResponses.
-func (m *Mem) Responses(surveyID string) ([]survey.Response, error) {
-	return CollectResponses(m, surveyID)
 }
 
 // ResponseCount implements Store.

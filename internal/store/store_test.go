@@ -71,14 +71,14 @@ func storeTest(t *testing.T, st Store) {
 		t.Fatal("incomplete response stored")
 	}
 
-	rs, err := st.Responses(sv.ID)
+	rs, err := CollectResponses(st, sv.ID)
 	if err != nil || len(rs) != 2 {
-		t.Fatalf("Responses: %d, %v", len(rs), err)
+		t.Fatalf("CollectResponses: %d, %v", len(rs), err)
 	}
 	if rs[0].WorkerID != "w1" || rs[1].WorkerID != "w2" {
 		t.Fatal("append order lost")
 	}
-	if _, err := st.Responses("ghost"); !errors.Is(err, ErrNotFound) {
+	if _, err := CollectResponses(st, "ghost"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("missing responses: %v", err)
 	}
 	if st.ResponseCount(sv.ID) != 2 || st.ResponseCount("ghost") != 0 {
@@ -87,9 +87,9 @@ func storeTest(t *testing.T, st Store) {
 
 	// The returned slice must be a copy.
 	rs[0].WorkerID = "tampered"
-	rs2, _ := st.Responses(sv.ID)
+	rs2, _ := CollectResponses(st, sv.ID)
 	if rs2[0].WorkerID == "tampered" {
-		t.Fatal("Responses leaked internal state")
+		t.Fatal("CollectResponses leaked internal state")
 	}
 }
 
@@ -171,7 +171,9 @@ func TestFileStorePartialTrailingRecord(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Simulate a crash mid-append: a partial record with no newline.
+	// The same history as a JSON-lines log, whose last append crashed
+	// midway: a partial record with no newline.
+	toJSONLines(t, path)
 	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -189,7 +191,8 @@ func TestFileStorePartialTrailingRecord(t *testing.T) {
 	if st2.ResponseCount(survey.LecturerID) != 1 {
 		t.Fatalf("responses after recovery = %d", st2.ResponseCount(survey.LecturerID))
 	}
-	// The partial record was truncated away; appends resume cleanly.
+	// The partial record was truncated away and the log converted to
+	// blocks; appends resume cleanly.
 	if err := st2.AppendResponse(sampleResponse("w2")); err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,6 @@ package loki
 import (
 	"loki/internal/aggregate"
 	"loki/internal/attack"
-	"loki/internal/blockio"
 	"loki/internal/budget"
 	"loki/internal/checkpoint"
 	"loki/internal/client"
@@ -192,7 +191,8 @@ type (
 	ClientConfig = client.Config
 	// Store persists surveys and responses.
 	Store = store.Store
-	// FileStoreOptions tune the file store's durability policy.
+	// FileStoreOptions are the file store's options; SyncAlways is the
+	// only sync policy and blocks the only codec.
 	FileStoreOptions = store.FileOptions
 	// SyncPolicy selects when the file store fsyncs appends.
 	SyncPolicy = store.SyncPolicy
@@ -287,7 +287,8 @@ type (
 	// BudgetSetOptions configure NewBudgetSet (shard space, hosted
 	// subset, journal directory, cap).
 	BudgetSetOptions = budget.SetOptions
-	// CheckpointOptions select the checkpoint log's on-disk codec.
+	// CheckpointOptions are the checkpoint log's options; blocks are
+	// the only codec.
 	CheckpointOptions = checkpoint.Options
 	// BudgetError is the client-side typed form of a 429
 	// budget_exhausted refusal: Retry-After plus remaining (ε, δ).
@@ -320,25 +321,9 @@ type (
 	BatchSubmitItem    = server.BatchSubmitItem
 )
 
-// File store sync policies.
-const (
-	// SyncAlways fsyncs every append before acknowledging it.
-	SyncAlways = store.SyncAlways
-	// SyncInterval fsyncs on a timer (bounded loss on crash).
-	SyncInterval = store.SyncInterval
-	// SyncNever leaves write-back to the OS.
-	SyncNever = store.SyncNever
-)
-
-// On-disk record codecs (see internal/blockio): every durable log
-// accepts either; non-empty files dictate their own codec on open.
-const (
-	// CodecBinary is the chunked compressed block format with a
-	// trailing block index on sealed files.
-	CodecBinary = blockio.CodecBinary
-	// CodecJSON is the readable JSON-lines fallback.
-	CodecJSON = blockio.CodecJSON
-)
+// SyncAlways, the file store's one sync policy, fsyncs every append
+// before acknowledging it.
+const SyncAlways = store.SyncAlways
 
 // Backend constructors.
 var (
@@ -348,17 +333,17 @@ var (
 	NewClient = client.New
 	// NewMemStore is the in-memory store.
 	NewMemStore = store.NewMem
-	// OpenFileStore is the durable JSON-lines store (fsync per append).
+	// OpenFileStore is the durable file store: one blockio log, fsync
+	// per append. A JSON-lines store file is converted on open.
 	OpenFileStore = store.OpenFile
-	// OpenFileStoreWith opens the file store with an explicit sync
-	// policy.
+	// OpenFileStoreWith is OpenFileStore with FileStoreOptions.
 	OpenFileStoreWith = store.OpenFileWith
 	// OpenIngestStore is the segmented-WAL store built for concurrent
 	// submission at scale.
 	OpenIngestStore = ingest.Open
 	// OpenCheckpointLog opens (replaying, with torn-tail repair) the
 	// durable live-aggregate checkpoint log rooted at a directory;
-	// OpenCheckpointLogWith selects the on-disk codec.
+	// OpenCheckpointLogWith takes CheckpointOptions.
 	OpenCheckpointLog     = checkpoint.Open
 	OpenCheckpointLogWith = checkpoint.OpenWith
 	// NewLocalShards builds the in-process shard router over per-shard
