@@ -257,20 +257,14 @@ func (l *Log) Rewrite(emit func(nl *Log) error) error {
 // its checksum verified, its payload neither inflated nor recompressed
 // — behind a cut of the open block. Every other record (those sharing a
 // block with skipped ones, and all of a JSON-lines file's) goes through
-// Append, mapped by conv if conv is non-nil. A failed copy leaves part of the file appended, so it
-// fails the log sticky.
-func (l *Log) CopyFrom(path string, skip int, conv func(payload []byte) ([]byte, error)) (int, error) {
+// Append. A failed copy leaves part of the file appended, so it fails
+// the log sticky.
+func (l *Log) CopyFrom(path string, skip int) (int, error) {
 	if err := l.Err(); err != nil {
 		return 0, err
 	}
 	n := 0
 	add := func(p []byte) error {
-		if conv != nil {
-			var err error
-			if p, err = conv(p); err != nil {
-				return err
-			}
-		}
 		n++
 		return l.Append(p)
 	}
@@ -457,8 +451,22 @@ func SyncDir(dir string) error {
 // error aborts the replay: interior corruption is surfaced, never
 // silently dropped.
 func ReplayFile(path string, tornOK bool, fn func(payload []byte) error) error {
-	_, err := replay(path, tornOK, func(_ uint64, payload []byte) error { return fn(payload) })
+	_, err := ReplayImport(path, tornOK, fn)
 	return err
+}
+
+// ReplayImport is ReplayFile that also reports whether the file is an
+// import: a non-empty file in the framing every Log wrote before
+// blocks, which none writes now. An owner that rewrites its files
+// anyway (ingest's fold) uses it to rewrite an import at its next
+// chance, without knowing the framing.
+func ReplayImport(path string, tornOK bool, fn func(payload []byte) error) (bool, error) {
+	records := 0
+	binary, err := replay(path, tornOK, func(_ uint64, payload []byte) error {
+		records++
+		return fn(payload)
+	})
+	return !binary && records > 0, err
 }
 
 // replay is ReplayFile with record seqs (JSON lines count from 1), also

@@ -1,12 +1,14 @@
 package blockio_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -421,14 +423,39 @@ func TestLogSealAndReplayFile(t *testing.T) {
 	}
 }
 
+// wholeBlocks counts the blocks of src, when it is a block file, whose
+// compressed payloads appear in dst byte for byte, and returns that and
+// how many blocks src has.
+func wholeBlocks(t *testing.T, src, dst string) (whole, blocks int) {
+	t.Helper()
+	if bin, err := blockio.Sniff(src); err != nil || !bin {
+		return 0, 0
+	}
+	srcBlocks, err := blockio.BlockPayloads(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dstBlocks, err := blockio.BlockPayloads(dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sb := range srcBlocks {
+		if slices.ContainsFunc(dstBlocks, func(db []byte) bool { return bytes.Equal(db, sb) }) {
+			whole++
+		}
+	}
+	return whole, len(srcBlocks)
+}
+
 // TestLogCopyFrom copies a file's records after a skipped prefix into a
 // log behind one record of its own, from a sealed block file and from a
 // JSON-lines file, into a fresh log ("binary") and into one converted
 // from a JSON-lines file ("json"), with a skip of one record and of
 // several. The copy holds exactly the records after the skip, replays
-// strictly and seeks by its index once sealed. conv sees every copied
-// record except, from a block file, those of whole blocks, which are
-// copied as they are.
+// strictly and seeks by its index once sealed. From a block file every
+// block past the one the skip ends in is copied whole: its compressed
+// payload lands in the copy byte for byte. From a JSON-lines file no
+// block is copied.
 func TestLogCopyFrom(t *testing.T) {
 	const n = 3000 // ~300 KiB of records: three blocks
 	rec := func(i int) []byte { return []byte(strconv.Itoa(i) + strings.Repeat("-", 90) + strconv.Itoa(i*7919)) }
@@ -454,13 +481,10 @@ func TestLogCopyFrom(t *testing.T) {
 			for _, skip := range []int{1, 17} {
 				t.Run(fmt.Sprintf("%s-%s/skip=%d", from, to, skip), func(t *testing.T) {
 					dst := filepath.Join(t.TempDir(), "dst")
-					converted, copied := 0, 0
+					copied := 0
 					fill := func(l *blockio.Log) error {
 						var err error
-						copied, err = l.CopyFrom(src, skip, func(p []byte) ([]byte, error) {
-							converted++
-							return p, nil
-						})
+						copied, err = l.CopyFrom(src, skip)
 						return err
 					}
 					if to == "json" {
@@ -489,8 +513,9 @@ func TestLogCopyFrom(t *testing.T) {
 					if copied != n-skip {
 						t.Fatalf("copied %d records, want %d", copied, n-skip)
 					}
-					if whole := from == "binary"; whole != (converted < copied) || converted == 0 {
-						t.Fatalf("conv saw %d of %d copied records (%s → %s)", converted, copied, from, to)
+					whole, blocks := wholeBlocks(t, src, dst)
+					if from == "binary" && (blocks < 3 || whole != blocks-1) {
+						t.Fatalf("%d of the source's %d blocks landed in the copy whole, want all but the first", whole, blocks)
 					}
 					var got []string
 					if err := blockio.ReplayFile(dst, false, func(p []byte) error {

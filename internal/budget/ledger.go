@@ -27,7 +27,8 @@ const (
 )
 
 // ledgerTag leads every binary ledger record and names its layout
-// version. Like the store's 0xB1 response tag it is a UTF-8 continuation
+// version. Like the store's 0xB1 response tag, the shardrpc sections
+// body's 0xB3 and the survey record's 0xB4 it is a UTF-8 continuation
 // byte, so no JSON line starts with it and replay dispatches per record
 // on the first byte.
 const ledgerTag = 0xB2

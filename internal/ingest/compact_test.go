@@ -607,7 +607,7 @@ func TestSnapshotTempFileKeepsItsSize(t *testing.T) {
 			if err != nil || fi.Size() != r.size || r.size >= hint {
 				t.Fatalf("published snapshot: %v bytes on disk (%v), %d reported, hint %d", fi.Size(), err, r.size, int64(hint))
 			}
-			if _, _, _, err := s.loadSnapshot(dir); err != nil {
+			if err := s.loadSnapshot(dir, new(logState)); err != nil {
 				t.Fatalf("published snapshot does not load: %v", err)
 			}
 			return

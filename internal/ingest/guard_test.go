@@ -22,9 +22,9 @@ import (
 //     encodeResponse first returns such a record unchanged.
 
 // nonResponseMarshals are the json.Marshal arguments in this package
-// that are not responses: the layout marker, a meta-log record and a
-// snapshot header (as go/types prints them).
-var nonResponseMarshals = map[string]bool{"layout{…}": true, "&metaRecord{…}": true, "&hdr": true}
+// that are not responses: the layout marker and a snapshot header (as
+// go/types prints them).
+var nonResponseMarshals = map[string]bool{"layout{…}": true, "&hdr": true}
 
 // encodeCall names the response encoding call is, or returns "".
 func encodeCall(call *ast.CallExpr) string {

@@ -41,9 +41,12 @@
 // point loses no acknowledged record; a torn trailing commit from an
 // unacknowledged append is detected and truncated on reopen.
 //
-// Surveys are low-volume metadata and live in their own log of JSON
-// records (meta.jsonl: the name predates blocks, and a log's framing is
-// sniffed, not named) synced on every publish.
+// Surveys are low-volume metadata and live in their own log (meta.jsonl:
+// the name predates blocks, and a log's framing is sniffed, not named)
+// synced on every publish. Each record is survey.SurveyRecord's binary
+// encoding (tag 0xB4, as store.File logs it); replay also reads the
+// JSON records of meta logs written before, and a binary from before
+// refuses a meta log holding a 0xB4 record.
 //
 // Layout of an ingest directory (format 2):
 //
@@ -161,9 +164,9 @@ type Sharded struct {
 	// mu guards the survey index and the meta log writer.
 	mu      sync.RWMutex
 	surveys map[string]*survey.Survey
-	// history is each survey's publish-event log (definition
-	// fingerprints with timestamps), rebuilt from the meta log on open.
-	history map[string][]store.SurveyVersion
+	// history is each survey's publish-event log (definitions with
+	// timestamps), rebuilt from the meta log on open.
+	history store.History
 	// meta is meta.jsonl. Its first I/O failure is sticky, like the
 	// commit path's: after a failed write/fsync the buffered tail may
 	// surface in a later flush, so retrying a publish could duplicate
@@ -196,6 +199,10 @@ type Sharded struct {
 	sealedBytes int64
 	snapSeq     uint64 // highest segment seq the current snapshot covers, 0 if none
 	snapBytes   int64  // size of the current snapshot file
+	// snapWeight is what the fold triggers weigh the WAL tail against:
+	// snapBytes, or 0 for a snapshot imported in JSON lines, which the
+	// next fold rewrites at a fraction of its size (see loadSnapshot).
+	snapWeight int64
 	// snapCounts is, per survey, how many records (the first of its
 	// history) the current snapshot holds: where the next fold's tail
 	// starts. Replaced on each fold, never modified.
@@ -249,7 +256,7 @@ func Open(dir string, cfg Config) (*Sharded, error) {
 		cfg:         cfg,
 		dir:         dir,
 		surveys:     make(map[string]*survey.Survey),
-		history:     make(map[string][]store.SurveyVersion),
+		history:     make(store.History),
 		index:       make(map[string]arena),
 		reqCh:       make(chan *appendReq, cfg.MaxBatch), // a full commit's worth may queue behind the running fsync
 		quit:        make(chan struct{}),
@@ -265,7 +272,7 @@ func Open(dir string, cfg Config) (*Sharded, error) {
 		return nil, err
 	}
 	s.sealed, s.sealedBytes = st.sealed, st.sealedBytes
-	s.snapSeq, s.snapBytes, s.snapCounts = st.snapSeq, st.snapBytes, st.snapCounts
+	s.snapSeq, s.snapBytes, s.snapWeight, s.snapCounts = st.snapSeq, st.snapBytes, st.snapWeight, st.snapCounts
 	// Always start appends in a fresh segment: reopening a replayed tail
 	// for append would complicate torn-tail truncation for no benefit.
 	s.segSeq = st.nextSeq
@@ -338,7 +345,8 @@ func (s *Sharded) prepareLayout() error {
 	return blockio.SyncDir(s.dir)
 }
 
-// metaRecord is one meta-log record: the survey definition with the
+// metaRecord is one meta-log record as meta logs written before survey
+// records went binary hold it, in JSON: the survey definition with the
 // publish timestamp alongside. Logs written before the timestamp
 // existed are plain survey JSON; they decode with a zero timestamp.
 type metaRecord struct {
@@ -346,23 +354,39 @@ type metaRecord struct {
 	PublishedUnixNano int64 `json:"published_unix_nano,omitempty"`
 }
 
+// decodeMeta reads one meta-log record of either encoding, told apart by
+// the first byte.
+func decodeMeta(line []byte) (*survey.SurveyRecord, error) {
+	rec := new(survey.SurveyRecord)
+	if len(line) > 0 && line[0] == survey.SurveyBinaryTag {
+		if err := rec.UnmarshalBinary(line); err != nil {
+			return nil, fmt.Errorf("corrupt survey record: %w", err)
+		}
+		return rec, nil
+	}
+	var old metaRecord
+	if err := json.Unmarshal(line, &old); err != nil {
+		return nil, fmt.Errorf("corrupt survey record: %w", err)
+	}
+	rec.Survey, rec.UnixNano = old.Survey, old.PublishedUnixNano
+	return rec, nil
+}
+
 // openMeta replays the survey log (truncating a torn tail, converting a
 // JSON-lines log to blocks) and positions it for appends.
 func (s *Sharded) openMeta() error {
 	var err error
 	s.meta, err = blockio.OpenLog(filepath.Join(s.dir, metaName), func(line []byte) error {
-		var rec metaRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			return fmt.Errorf("corrupt survey record: %w", err)
+		rec, err := decodeMeta(line)
+		if err != nil {
+			return err
 		}
-		if rec.ID == "" {
+		if rec.Survey.ID == "" {
 			return errors.New("survey record without ID")
 		}
 		// Later records supersede earlier ones: a republish appends the
 		// new definition and replay applies the log in order.
-		sv := rec.Survey
-		s.surveys[sv.ID] = &sv
-		s.recordVersion(&sv, rec.PublishedUnixNano)
+		s.publishLocked(&rec.Survey, rec.UnixNano)
 		return nil
 	})
 	if err != nil {
@@ -388,7 +412,7 @@ func (s *Sharded) PutSurvey(sv *survey.Survey) error {
 	if _, dup := s.surveys[sv.ID]; dup {
 		return fmt.Errorf("ingest: survey %q: %w", sv.ID, store.ErrExists)
 	}
-	return s.appendMeta(sv)
+	return s.appendMeta(sv, false)
 }
 
 // ReplaceSurvey implements store.Store: the republish path. The new
@@ -406,19 +430,15 @@ func (s *Sharded) ReplaceSurvey(sv *survey.Survey) error {
 	if err := s.meta.Err(); err != nil {
 		return err
 	}
-	return s.appendMeta(sv)
+	return s.appendMeta(sv, true)
 }
 
-// recordVersion appends a publish event to the survey's history unless
-// the definition is unchanged (an idempotent republish is not a new
-// version). The caller holds mu (or is single-threaded replay).
-func (s *Sharded) recordVersion(sv *survey.Survey, ts int64) {
-	fp := sv.Fingerprint()
-	h := s.history[sv.ID]
-	if len(h) > 0 && h[len(h)-1].Fingerprint == fp {
-		return
-	}
-	s.history[sv.ID] = append(h, store.SurveyVersion{Fingerprint: fp, PublishedUnixNano: ts})
+// publishLocked makes sv, which nothing may modify afterwards, the
+// survey's definition and records the publish at ts in its history. The
+// caller holds mu (or is single-threaded replay).
+func (s *Sharded) publishLocked(sv *survey.Survey, ts int64) {
+	s.surveys[sv.ID] = sv
+	s.history.Record(sv, ts)
 }
 
 // SurveyHistory implements store.Historian: publish events replayed
@@ -426,18 +446,18 @@ func (s *Sharded) recordVersion(sv *survey.Survey, ts int64) {
 func (s *Sharded) SurveyHistory(surveyID string) []store.SurveyVersion {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return append([]store.SurveyVersion(nil), s.history[surveyID]...)
+	return s.history.Versions(surveyID)
 }
 
-// appendMeta durably appends one survey definition to meta.jsonl and
-// publishes it to the index. The caller holds mu and has cleared the
-// closed/metaErr gates.
-func (s *Sharded) appendMeta(sv *survey.Survey) error {
-	cp := *sv
+// appendMeta durably appends one survey record to meta.jsonl and
+// publishes the definition to the index. The caller holds mu and has
+// cleared the closed/metaErr gates.
+func (s *Sharded) appendMeta(sv *survey.Survey, republish bool) error {
+	cp := sv.Clone()
 	ts := time.Now().UnixNano()
-	b, err := json.Marshal(&metaRecord{Survey: cp, PublishedUnixNano: ts})
+	b, err := survey.AppendSurveyRecord(nil, &survey.SurveyRecord{Survey: *cp, Republish: republish, UnixNano: ts})
 	if err != nil {
-		return fmt.Errorf("ingest: marshal survey: %w", err)
+		return fmt.Errorf("ingest: %w", err)
 	}
 	err = s.meta.Append(b)
 	if err == nil {
@@ -449,8 +469,7 @@ func (s *Sharded) appendMeta(sv *survey.Survey) error {
 	if err != nil {
 		return fmt.Errorf("ingest: %w", err)
 	}
-	s.surveys[cp.ID] = &cp
-	s.recordVersion(&cp, ts)
+	s.publishLocked(cp, ts)
 	return nil
 }
 

@@ -52,17 +52,24 @@ func segCodecs(t *testing.T, dir string) (binary, json int) {
 
 // jsonRecord maps a payload of this store's files to the JSON line a
 // JSON-lines store held for it: a binary response record becomes the
-// response's JSON object, a JSON record (survey, snapshot header)
-// stays as it is.
+// response's JSON object, a binary survey record the meta log's JSON
+// record, and a JSON record (snapshot header) stays as it is.
 func jsonRecord(p []byte) ([]byte, error) {
-	if len(p) == 0 || p[0] != survey.ResponseBinaryTag {
-		return p, nil
+	switch {
+	case len(p) > 0 && p[0] == survey.ResponseBinaryTag:
+		var r survey.Response
+		if err := r.UnmarshalBinary(p); err != nil {
+			return nil, err
+		}
+		return json.Marshal(&r)
+	case len(p) > 0 && p[0] == survey.SurveyBinaryTag:
+		var rec survey.SurveyRecord
+		if err := rec.UnmarshalBinary(p); err != nil {
+			return nil, err
+		}
+		return json.Marshal(&metaRecord{Survey: rec.Survey, PublishedUnixNano: rec.UnixNano})
 	}
-	var r survey.Response
-	if err := r.UnmarshalBinary(p); err != nil {
-		return nil, err
-	}
-	return json.Marshal(&r)
+	return p, nil
 }
 
 // toJSONLines rewrites a closed store's directory as a store writing

@@ -3,6 +3,7 @@ package ingest
 import (
 	"fmt"
 	"maps"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -259,6 +260,76 @@ func TestIdleCompaction(t *testing.T) {
 	defer s2.Close()
 	if got := s2.ResponseCount(sv.ID); got != n+1 {
 		t.Fatalf("response count after reopen = %d, want %d", got, n+1)
+	}
+}
+
+// TestImportedSnapshotIdleFolds: a JSON-era directory whose JSON-lines
+// snapshot dwarfs its WAL tail folds within one idle period of the
+// open. Weighed by its size, the snapshot would stay JSON lines, and be
+// replayed as such at every open, until the tail reached an eighth of
+// it.
+func TestImportedSnapshotIdleFolds(t *testing.T) {
+	dir := t.TempDir()
+	cfg := testConfig(1)
+	cfg.SegmentBytes = 1 << 20
+	cfg.IdleCompact = 25 * time.Millisecond
+	s := openTest(t, dir, cfg)
+	sv := benchSurvey(0)
+	if err := s.PutSurvey(sv); err != nil {
+		t.Fatal(err)
+	}
+	const n = 200
+	batch := make([]survey.Response, n)
+	for j := range batch {
+		batch[j] = *benchResponse(sv.ID, fmt.Sprintf("w%03d", j))
+	}
+	if _, err := s.AppendResponses(batch); err != nil {
+		t.Fatal(err)
+	}
+	waitSnapshots(t, s, 1)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cfg.IdleCompact = -1
+	s = openTest(t, dir, cfg)
+	if err := s.AppendResponse(benchResponse(sv.ID, "tail")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	toJSONLines(t, dir)
+	size := func(pat string) (total int64) {
+		m, err := filepath.Glob(filepath.Join(dir, pat))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range m {
+			fi, err := os.Stat(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			total += fi.Size()
+		}
+		return total
+	}
+	snapBytes, tailBytes := size(snapPrefix+"*"), size(segPrefix+"*")
+	if tailBytes == 0 || shouldIdleCompact(tailBytes, snapBytes) {
+		t.Fatalf("a %d-byte tail beside a %d-byte JSON-lines snapshot: the size rule alone would fold it", tailBytes, snapBytes)
+	}
+
+	cfg.IdleCompact = 50 * time.Millisecond
+	s = openTest(t, dir, cfg)
+	defer s.Close()
+	waitSnapshots(t, s, 1)
+	if got := s.ShardStats()[0].IdleCompactions; got != 1 {
+		t.Fatalf("%d idle compactions, want the one fold", got)
+	}
+	if folded := size(snapPrefix + "*"); folded >= snapBytes {
+		t.Fatalf("the fold wrote a %d-byte snapshot over the %d-byte JSON-lines one", folded, snapBytes)
+	}
+	if got := s.ResponseCount(sv.ID); got != n+1 {
+		t.Fatalf("%d responses after the fold, want %d", got, n+1)
 	}
 }
 

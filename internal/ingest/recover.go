@@ -14,6 +14,7 @@ import (
 type logState struct {
 	snapSeq     uint64
 	snapBytes   int64
+	snapWeight  int64
 	snapCounts  map[string]int
 	sealed      []sealedSeg
 	sealedBytes int64
@@ -64,8 +65,7 @@ func (s *Sharded) replayDir(dir string) (logState, error) {
 	if err := removeTmp(dir); err != nil {
 		return st, err
 	}
-	var err error
-	if st.snapSeq, st.snapBytes, st.snapCounts, err = s.loadSnapshot(dir); err != nil {
+	if err := s.loadSnapshot(dir, &st); err != nil {
 		return st, err
 	}
 	segs, err := listSeqs(dir, segPrefix, segSuffix)

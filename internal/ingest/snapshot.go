@@ -84,7 +84,7 @@ func shouldIdleCompact(tailBytes, snapBytes int64) bool {
 // segment.
 func (s *Sharded) idleCompact() {
 	s.logMu.Lock()
-	skip := s.failed != nil || s.compacting || !shouldIdleCompact(s.sealedBytes+s.segBytes, s.snapBytes)
+	skip := s.failed != nil || s.compacting || !shouldIdleCompact(s.sealedBytes+s.segBytes, s.snapWeight)
 	s.logMu.Unlock()
 	if skip {
 		return
@@ -108,7 +108,7 @@ func (s *Sharded) startCompaction(idle bool) {
 	s.logMu.Lock()
 	floor := int64(s.cfg.CompactSegments) * s.cfg.SegmentBytes
 	due := len(s.sealed) > 0 && !s.compacting &&
-		(idle || shouldCompact(s.sealedBytes, s.snapBytes, floor))
+		(idle || shouldCompact(s.sealedBytes, s.snapWeight, floor))
 	var job compactJob
 	if due {
 		s.compacting = true
@@ -150,7 +150,7 @@ func (s *Sharded) compactor() {
 				s.sealedBytes -= sg.bytes
 			}
 			s.sealed = append(s.sealed[:0], s.sealed[len(job.sealed):]...)
-			s.snapSeq, s.snapBytes, s.snapCounts, s.lastCompact = job.covers, written, counts, time.Now()
+			s.snapSeq, s.snapBytes, s.snapWeight, s.snapCounts, s.lastCompact = job.covers, written, written, counts, time.Now()
 		case !errors.Is(err, errCompactAborted) && s.failed == nil:
 			s.failed = err
 		}
@@ -238,7 +238,7 @@ func (s *Sharded) writeSnapshot(dir string, job compactJob) (int64, error) {
 			return err
 		}
 		if job.prev > 0 {
-			n, err := nl.CopyFrom(filepath.Join(dir, snapName(job.prev)), 1, nil)
+			n, err := nl.CopyFrom(filepath.Join(dir, snapName(job.prev)), 1)
 			if err != nil {
 				return err
 			}
@@ -287,25 +287,26 @@ func toCodec(rec []byte) ([]byte, error) {
 }
 
 // loadSnapshot restores the index from dir's newest snapshot, if any,
-// removes superseded older ones, and returns the segment seq the
-// snapshot covers, its size and its per-survey record counts.
-func (s *Sharded) loadSnapshot(dir string) (covers uint64, size int64, counts map[string]int, err error) {
+// removes superseded older ones, and records in st the segment seq the
+// snapshot covers, its size, its weight and its per-survey record
+// counts.
+func (s *Sharded) loadSnapshot(dir string, st *logState) error {
 	seqs, err := listSeqs(dir, snapPrefix, snapSuffix)
 	if err != nil || len(seqs) == 0 {
-		return 0, 0, nil, err
+		return err
 	}
 	latest := seqs[len(seqs)-1]
 	for _, seq := range seqs[:len(seqs)-1] {
 		if err := os.Remove(filepath.Join(dir, snapName(seq))); err != nil {
-			return 0, 0, nil, fmt.Errorf("ingest: drop superseded snapshot: %w", err)
+			return fmt.Errorf("ingest: drop superseded snapshot: %w", err)
 		}
 	}
 	path := filepath.Join(dir, snapName(latest))
 	var hdr *snapHeader
 	loaded := 0
-	counts = make(map[string]int)
+	counts := make(map[string]int)
 	var scratch survey.Response
-	err = blockio.ReplayFile(path, false, func(line []byte) error {
+	imported, err := blockio.ReplayImport(path, false, func(line []byte) error {
 		loaded++
 		if hdr != nil {
 			id, err := s.applyRecord(line, &scratch)
@@ -325,14 +326,23 @@ func (s *Sharded) loadSnapshot(dir string) (covers uint64, size int64, counts ma
 		return nil
 	})
 	if err != nil {
-		return 0, 0, nil, err
+		return err
 	}
 	if hdr == nil || loaded-1 != hdr.Count {
-		return 0, 0, nil, fmt.Errorf("ingest: snapshot %s holds %d records, header disagrees (%+v)", path, loaded-1, hdr)
+		return fmt.Errorf("ingest: snapshot %s holds %d records, header disagrees (%+v)", path, loaded-1, hdr)
 	}
 	fi, err := os.Stat(path)
 	if err != nil {
-		return 0, 0, nil, fmt.Errorf("ingest: stat snapshot: %w", err)
+		return fmt.Errorf("ingest: stat snapshot: %w", err)
 	}
-	return latest, fi.Size(), counts, nil
+	st.snapSeq, st.snapBytes, st.snapCounts = latest, fi.Size(), counts
+	st.snapWeight = st.snapBytes
+	if imported {
+		// A JSON-lines snapshot is several times the block snapshot a
+		// fold rewrites it as, whatever the tail: weighed by its size,
+		// it would be replayed at every open until the tail reached an
+		// eighth of it.
+		st.snapWeight = 0
+	}
+	return nil
 }

@@ -34,8 +34,10 @@ type FileOptions struct {
 }
 
 // File is a durable Store backed by one blockio.Log of blocks: survey
-// and republish records are JSON payloads, response records
-// survey.Response's binary encoding, told apart per record on replay.
+// and republish records are survey.SurveyRecord's binary encoding (tag
+// 0xB4), response records survey.Response's (tag 0xB1), told apart per
+// record on replay by the first byte, as are the JSON records of logs
+// written before either went binary.
 // Every mutation is one record; opening the store replays the log into
 // an in-memory index. A JSON-lines log written before blocks (every
 // record a JSON object) is converted by the open. Torn-tail repair, the
@@ -51,17 +53,18 @@ type File struct {
 	// failure; once that is set, every subsequent append and Close
 	// reports it.
 	log    *blockio.Log
-	enc    []byte // binary response record scratch
+	enc    []byte // record encoding scratch
 	closed bool   // refuses mutations after Close
 }
 
-// record is one JSON log entry: the survey and republish records (and,
-// in a log written before response records went binary, the response
-// records too; binary ones are told apart at replay by their first
-// byte). Exactly one payload field is set. A "republish" record carries
-// a survey definition that overwrites the one currently in effect;
-// replay applies records in order, so responses logged before a
-// republish replay against the definition they were validated under.
+// record is one JSON log entry, as logs written before survey records
+// went binary hold them: survey and republish records (and, in a log
+// written before response records went binary, response records too).
+// No File writes one. Exactly one payload field is set. A "republish"
+// record carries a survey definition that overwrites the one currently
+// in effect; replay applies records in order, so responses logged
+// before a republish replay against the definition they were validated
+// under.
 type record struct {
 	Kind     string           `json:"kind"` // "survey" | "republish" | "response"
 	Survey   *survey.Survey   `json:"survey,omitempty"`
@@ -97,41 +100,37 @@ func OpenFileWith(path string, opts FileOptions) (*File, error) {
 }
 
 // applyRecord replays one complete record into the memory index: a
-// binary response payload, or a JSON record of any kind (which is all a
-// JSON-lines log holds, and what a log written before response records
-// went binary holds too). Corrupt or malformed records refuse
-// the open rather than silently dropping data.
+// binary response or survey record, or a JSON record of any kind (which
+// is all a JSON-lines log holds, and what a log written before records
+// went binary holds too). Corrupt or malformed records refuse the open
+// rather than silently dropping data.
 func (fs *File) applyRecord(line []byte) error {
-	if len(line) > 0 && line[0] == survey.ResponseBinaryTag {
-		var r survey.Response
-		if err := r.UnmarshalBinary(line); err != nil {
-			return fmt.Errorf("corrupt record: %w", err)
+	if len(line) > 0 {
+		switch line[0] {
+		case survey.ResponseBinaryTag:
+			var r survey.Response
+			if err := r.UnmarshalBinary(line); err != nil {
+				return fmt.Errorf("corrupt record: %w", err)
+			}
+			return fs.mem.AppendResponse(&r)
+		case survey.SurveyBinaryTag:
+			rec := new(survey.SurveyRecord)
+			if err := rec.UnmarshalBinary(line); err != nil {
+				return fmt.Errorf("corrupt record: %w", err)
+			}
+			return fs.replayPublish(&rec.Survey, rec.Republish, rec.UnixNano)
 		}
-		return fs.mem.AppendResponse(&r)
 	}
 	var rec record
 	if err := json.Unmarshal(line, &rec); err != nil {
 		return fmt.Errorf("corrupt record: %w", err)
 	}
 	switch rec.Kind {
-	case "survey":
+	case "survey", "republish":
 		if rec.Survey == nil {
-			return errors.New("survey record without payload")
+			return fmt.Errorf("%s record without payload", rec.Kind)
 		}
-		if err := fs.mem.PutSurvey(rec.Survey); err != nil {
-			return err
-		}
-		fs.mem.setLastVersionTime(rec.Survey.ID, rec.LoggedUnixNano)
-		return nil
-	case "republish":
-		if rec.Survey == nil {
-			return errors.New("republish record without payload")
-		}
-		if err := fs.mem.ReplaceSurvey(rec.Survey); err != nil {
-			return err
-		}
-		fs.mem.setLastVersionTime(rec.Survey.ID, rec.LoggedUnixNano)
-		return nil
+		return fs.replayPublish(rec.Survey, rec.Kind == "republish", rec.LoggedUnixNano)
 	case "response":
 		if rec.Response == nil {
 			return errors.New("response record without payload")
@@ -140,6 +139,19 @@ func (fs *File) applyRecord(line []byte) error {
 	default:
 		return fmt.Errorf("unknown record kind %q", rec.Kind)
 	}
+}
+
+// replayPublish applies one survey or republish record logged at at. A
+// republish that repeats the definition in effect is no new version,
+// but replay carries its logged time onto the version it repeats: the
+// history an existing log replays to (and the admin surface reports)
+// stays what earlier releases replayed it to.
+func (fs *File) replayPublish(sv *survey.Survey, republish bool, at int64) error {
+	if err := fs.mem.publish(sv, republish, at); err != nil {
+		return err
+	}
+	fs.mem.setLastVersionTime(sv.ID, at)
+	return nil
 }
 
 // writeResponse buffers one response record: its binary encoding.
@@ -168,20 +180,11 @@ func (fs *File) commit(write func() error) error {
 	return nil
 }
 
-// appendSurvey logs one survey or republish record durably. Those are
-// JSON payloads: a definition is rare, and readable.
-func (fs *File) appendSurvey(kind string, s *survey.Survey) error {
-	b, err := json.Marshal(&record{Kind: kind, Survey: s, LoggedUnixNano: time.Now().UnixNano()})
-	if err != nil {
-		return fmt.Errorf("store: marshal: %w", err)
-	}
-	return fs.commit(func() error { return fs.log.Append(b) })
-}
-
-// PutSurvey implements Store: validate, make the record durable, then
-// publish it to the memory index. Log-before-index means a failed disk
-// append never leaves a phantom record visible to reads.
-func (fs *File) PutSurvey(s *survey.Survey) error {
+// publish validates s, logs it durably as a survey record (a republish
+// one with republish set) and then publishes it to the memory index,
+// with the logged time as its publish time. Log-before-index means a
+// failed disk append never leaves a phantom record visible to reads.
+func (fs *File) publish(s *survey.Survey, republish bool) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	if fs.closed {
@@ -190,34 +193,31 @@ func (fs *File) PutSurvey(s *survey.Survey) error {
 	if err := s.Validate(); err != nil {
 		return err
 	}
-	if _, err := fs.mem.Survey(s.ID); err == nil {
+	if !republish && fs.mem.has(s.ID) {
 		return fmt.Errorf("store: survey %q: %w", s.ID, ErrExists)
 	}
-	if err := fs.appendSurvey("survey", s); err != nil {
+	sv := s.Clone()
+	at := time.Now().UnixNano()
+	b, err := survey.AppendSurveyRecord(fs.enc[:0], &survey.SurveyRecord{Survey: *sv, Republish: republish, UnixNano: at})
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	fs.enc = b
+	if err := fs.commit(func() error { return fs.log.Append(b) }); err != nil {
 		return err
 	}
-	return fs.mem.PutSurvey(s)
+	return fs.mem.publish(sv, republish, at)
 }
 
+// PutSurvey implements Store: the definition is logged as a survey
+// record, durable before visible like every mutation.
+func (fs *File) PutSurvey(s *survey.Survey) error { return fs.publish(s, false) }
+
 // ReplaceSurvey implements Store: the new definition is logged as a
-// "republish" record (durable before visible, like every mutation) and
-// then overwrites the memory index. Earlier records are untouched, so
-// replay still validates old responses against the definition they were
-// appended under.
-func (fs *File) ReplaceSurvey(s *survey.Survey) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if fs.closed {
-		return errors.New("store: use after close")
-	}
-	if err := s.Validate(); err != nil {
-		return err
-	}
-	if err := fs.appendSurvey("republish", s); err != nil {
-		return err
-	}
-	return fs.mem.ReplaceSurvey(s)
-}
+// republish record and then overwrites the memory index. Earlier records
+// are untouched, so replay still validates old responses against the
+// definition they were appended under.
+func (fs *File) ReplaceSurvey(s *survey.Survey) error { return fs.publish(s, true) }
 
 // Survey implements Store.
 func (fs *File) Survey(id string) (*survey.Survey, error) { return fs.mem.Survey(id) }
@@ -231,32 +231,18 @@ func (fs *File) SurveyHistory(surveyID string) []SurveyVersion {
 // Surveys implements Store.
 func (fs *File) Surveys() ([]*survey.Survey, error) { return fs.mem.Surveys() }
 
-// AppendResponse implements Store: validate, make the record durable,
-// then publish it to the memory index (see PutSurvey).
+// AppendResponse implements Store: a one-record AppendResponses.
 func (fs *File) AppendResponse(r *survey.Response) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if fs.closed {
-		return errors.New("store: use after close")
-	}
-	s, err := fs.mem.Survey(r.SurveyID)
-	if err != nil {
-		return err
-	}
-	if err := r.Validate(s); err != nil {
-		return err
-	}
-	if err := fs.commit(func() error { return fs.writeResponse(r) }); err != nil {
-		return err
-	}
-	return fs.mem.AppendResponse(r)
+	_, err := fs.AppendResponses([]survey.Response{*r})
+	return err
 }
 
 // AppendResponses implements BatchAppender: one buffered write per
 // record, one flush, one fsync for the whole batch — the fsync
-// amortization that makes batched ingestion worth routing. Validation
-// runs for every record before any byte is written, so a rejected batch
-// leaves the log untouched.
+// amortization that makes batched ingestion worth routing. Every record
+// is validated against the definition the memory index holds before any
+// byte is written, so a rejected batch leaves the log untouched; fs.mu
+// keeps that definition in effect until the records are indexed.
 func (fs *File) AppendResponses(rs []survey.Response) ([]int, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -266,16 +252,13 @@ func (fs *File) AppendResponses(rs []survey.Response) ([]int, error) {
 	if err := fs.log.Err(); err != nil {
 		return nil, err
 	}
-	for i := range rs {
-		s, err := fs.mem.Survey(rs[i].SurveyID)
-		if err != nil {
-			return nil, err
-		}
-		if err := rs[i].Validate(s); err != nil {
-			return nil, err
-		}
+	fs.mem.mu.RLock()
+	err := fs.mem.checkLocked(rs)
+	fs.mem.mu.RUnlock()
+	if err != nil {
+		return nil, err
 	}
-	err := fs.commit(func() error {
+	err = fs.commit(func() error {
 		for i := range rs {
 			if err := fs.writeResponse(&rs[i]); err != nil {
 				return err
@@ -286,14 +269,9 @@ func (fs *File) AppendResponses(rs []survey.Response) ([]int, error) {
 	if err != nil {
 		return nil, err // nothing appended: the store is poisoned
 	}
-	counts := make([]int, len(rs))
-	for i := range rs {
-		if err := fs.mem.AppendResponse(&rs[i]); err != nil {
-			return counts[:i], err
-		}
-		counts[i] = fs.mem.ResponseCount(rs[i].SurveyID)
-	}
-	return counts, nil
+	fs.mem.mu.Lock()
+	defer fs.mem.mu.Unlock()
+	return fs.mem.appendLocked(rs), nil
 }
 
 // ScanResponses implements Store, serving from the replayed memory

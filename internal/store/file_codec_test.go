@@ -54,16 +54,28 @@ func TestFileStoreBinaryCodec(t *testing.T) {
 
 // jsonRecord maps a block log's payload to the JSON line a JSON-lines
 // log held for it: a binary response record becomes a "response"
-// record, a JSON record stays as it is.
+// record, a binary survey record a "survey" or "republish" one, and a
+// JSON record stays as it is.
 func jsonRecord(p []byte) ([]byte, error) {
-	if len(p) == 0 || p[0] != survey.ResponseBinaryTag {
-		return p, nil
+	switch {
+	case len(p) > 0 && p[0] == survey.ResponseBinaryTag:
+		var r survey.Response
+		if err := r.UnmarshalBinary(p); err != nil {
+			return nil, err
+		}
+		return json.Marshal(&record{Kind: "response", Response: &r})
+	case len(p) > 0 && p[0] == survey.SurveyBinaryTag:
+		var rec survey.SurveyRecord
+		if err := rec.UnmarshalBinary(p); err != nil {
+			return nil, err
+		}
+		kind := "survey"
+		if rec.Republish {
+			kind = "republish"
+		}
+		return json.Marshal(&record{Kind: kind, Survey: &rec.Survey, LoggedUnixNano: rec.UnixNano})
 	}
-	var r survey.Response
-	if err := r.UnmarshalBinary(p); err != nil {
-		return nil, err
-	}
-	return json.Marshal(&record{Kind: "response", Response: &r})
+	return p, nil
 }
 
 // toJSONLines rewrites the closed store log at path as the JSON-lines

@@ -20,7 +20,7 @@ func FuzzReplay(f *testing.F) {
 	f.Add([]byte(`{"kind":"survey","survey":{"id":"s","title":"t","questions":[{"id":"q","text":"t","kind":0,"scale_min":1,"scale_max":5}],"reward_cents":0}}` + "\n"))
 	f.Add([]byte(`{"kind":"survey","survey":{"id":"s"` /* truncated, no newline */))
 	f.Add([]byte("not json at all\n{\"kind\":\"survey\"}\n"))
-	// A block log: a JSON survey record and a binary response record.
+	// A block log: a binary survey record and a binary response record.
 	seed := filepath.Join(f.TempDir(), "seed.log")
 	st, err := OpenFileWith(seed, FileOptions{Sync: SyncAlways})
 	if err != nil {
@@ -40,6 +40,12 @@ func FuzzReplay(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(binLog)
+	// A parent-written block log: JSON survey and republish records.
+	parentLog, err := os.ReadFile(filepath.Join("testdata", "parent_surveys.log"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(parentLog)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()

@@ -92,6 +92,45 @@ type Historian interface {
 	SurveyHistory(surveyID string) []SurveyVersion
 }
 
+// History is the bookkeeping behind Historian that the stores share:
+// each survey's publish events, oldest first, as the definitions
+// themselves. Recording one compares it with the survey's current
+// version (survey.Equal) and hashes nothing, so a replay of many
+// publish records computes no fingerprint; Versions fingerprints on
+// demand. The caller serialises access.
+type History map[string][]published
+
+// published is one version of a survey: its definition, which nothing
+// modifies, and when it was published.
+type published struct {
+	def *survey.Survey
+	at  int64
+}
+
+// Record appends a publish of def at at (Unix nanoseconds) unless def
+// equals the survey's current version: an idempotent republish is not a
+// new version. def must not be modified afterwards.
+func (h History) Record(def *survey.Survey, at int64) {
+	v := h[def.ID]
+	if n := len(v); n > 0 && v[n-1].def.Equal(def) {
+		return
+	}
+	h[def.ID] = append(v, published{def: def, at: at})
+}
+
+// Versions returns the survey's history as Historian reports it.
+func (h History) Versions(surveyID string) []SurveyVersion {
+	v := h[surveyID]
+	if len(v) == 0 {
+		return nil
+	}
+	out := make([]SurveyVersion, len(v))
+	for i, p := range v {
+		out[i] = SurveyVersion{Fingerprint: p.def.Fingerprint(), PublishedUnixNano: p.at}
+	}
+	return out
+}
+
 // BatchAppender is the part of a Store that appends several responses
 // in one durability round: a file-backed store writes every
 // record and fsyncs once, so the fsync cost amortizes across the batch
@@ -124,7 +163,7 @@ type Mem struct {
 	mu        sync.RWMutex
 	surveys   map[string]*survey.Survey
 	responses map[string][]survey.Response
-	history   map[string][]SurveyVersion
+	history   History
 	closed    bool
 }
 
@@ -133,30 +172,18 @@ func NewMem() *Mem {
 	return &Mem{
 		surveys:   make(map[string]*survey.Survey),
 		responses: make(map[string][]survey.Response),
-		history:   make(map[string][]SurveyVersion),
+		history:   make(History),
 	}
-}
-
-// recordVersionLocked appends a publish event to the survey's history
-// unless the definition is unchanged (an idempotent republish is not a
-// new version). Caller holds mu.
-func (m *Mem) recordVersionLocked(s *survey.Survey, ts int64) {
-	fp := s.Fingerprint()
-	h := m.history[s.ID]
-	if len(h) > 0 && h[len(h)-1].Fingerprint == fp {
-		return
-	}
-	m.history[s.ID] = append(h, SurveyVersion{Fingerprint: fp, PublishedUnixNano: ts})
 }
 
 // setLastVersionTime overrides the newest history entry's timestamp —
 // the hook a replaying durable store uses to restore logged publish
-// times instead of replay times.
+// times.
 func (m *Mem) setLastVersionTime(surveyID string, ts int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if h := m.history[surveyID]; len(h) > 0 {
-		h[len(h)-1].PublishedUnixNano = ts
+		h[len(h)-1].at = ts
 	}
 }
 
@@ -164,11 +191,21 @@ func (m *Mem) setLastVersionTime(surveyID string, ts int64) {
 func (m *Mem) SurveyHistory(surveyID string) []SurveyVersion {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return append([]SurveyVersion(nil), m.history[surveyID]...)
+	return m.history.Versions(surveyID)
 }
 
-// PutSurvey implements Store.
-func (m *Mem) PutSurvey(s *survey.Survey) error {
+// has reports whether a survey with the given ID is stored.
+func (m *Mem) has(id string) bool {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	_, ok := m.surveys[id]
+	return ok
+}
+
+// publish validates s and makes it the survey's definition, published
+// at at (Unix nanoseconds). s is handed over: the caller must not
+// modify it afterwards. Without replace an existing ID is ErrExists.
+func (m *Mem) publish(s *survey.Survey, replace bool, at int64) error {
 	if err := s.Validate(); err != nil {
 		return err
 	}
@@ -177,28 +214,23 @@ func (m *Mem) PutSurvey(s *survey.Survey) error {
 	if m.closed {
 		return errors.New("store: use after close")
 	}
-	if _, dup := m.surveys[s.ID]; dup {
+	if _, dup := m.surveys[s.ID]; dup && !replace {
 		return fmt.Errorf("store: survey %q: %w", s.ID, ErrExists)
 	}
-	m.surveys[s.ID] = s.Clone()
-	m.recordVersionLocked(s, time.Now().UnixNano())
+	m.surveys[s.ID] = s
+	m.history.Record(s, at)
 	return nil
+}
+
+// PutSurvey implements Store.
+func (m *Mem) PutSurvey(s *survey.Survey) error {
+	return m.publish(s.Clone(), false, time.Now().UnixNano())
 }
 
 // ReplaceSurvey implements Store: an upsert that overwrites any existing
 // definition. Stored responses are untouched.
 func (m *Mem) ReplaceSurvey(s *survey.Survey) error {
-	if err := s.Validate(); err != nil {
-		return err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return errors.New("store: use after close")
-	}
-	m.surveys[s.ID] = s.Clone()
-	m.recordVersionLocked(s, time.Now().UnixNano())
-	return nil
+	return m.publish(s.Clone(), true, time.Now().UnixNano())
 }
 
 // Survey implements Store. It returns a deep copy: handing out interior
@@ -253,21 +285,36 @@ func (m *Mem) AppendResponses(rs []survey.Response) ([]int, error) {
 	if m.closed {
 		return nil, errors.New("store: use after close")
 	}
+	if err := m.checkLocked(rs); err != nil {
+		return nil, err
+	}
+	return m.appendLocked(rs), nil
+}
+
+// checkLocked validates every response against the definition held for
+// its survey, without copying any. The caller holds mu.
+func (m *Mem) checkLocked(rs []survey.Response) error {
 	for i := range rs {
 		s, ok := m.surveys[rs[i].SurveyID]
 		if !ok {
-			return nil, fmt.Errorf("store: response for unknown survey %q: %w", rs[i].SurveyID, ErrNotFound)
+			return fmt.Errorf("store: response for unknown survey %q: %w", rs[i].SurveyID, ErrNotFound)
 		}
 		if err := rs[i].Validate(s); err != nil {
-			return nil, err
+			return err
 		}
 	}
+	return nil
+}
+
+// appendLocked appends responses checkLocked passed and returns each
+// one's sequence number. The caller holds mu for writing.
+func (m *Mem) appendLocked(rs []survey.Response) []int {
 	counts := make([]int, len(rs))
 	for i := range rs {
 		m.responses[rs[i].SurveyID] = append(m.responses[rs[i].SurveyID], rs[i])
 		counts[i] = len(m.responses[rs[i].SurveyID])
 	}
-	return counts, nil
+	return counts
 }
 
 // ScanResponses implements Store. The response history is an
