@@ -275,7 +275,7 @@ func measureFailover() (*failoverResult, error) {
 		return nil, err
 	}
 	defer frontend.Close()
-	if err := remote.PutSurvey(sv); err != nil {
+	if _, err := remote.Publish(sv); err != nil {
 		return nil, err
 	}
 

@@ -203,7 +203,7 @@ func newLoadHarness(dir string, sv *survey.Survey, nodes, queue, inflight int) (
 		return fail(err)
 	}
 	h.closers = append(h.closers, frontend.Close)
-	if err := remote.PutSurvey(sv); err != nil {
+	if _, err := remote.Publish(sv); err != nil {
 		return fail(err)
 	}
 	h.frontend = frontend

@@ -110,7 +110,7 @@ func runRestartBench(sizes []int) error {
 
 	for _, n := range sizes {
 		st := &scanCounter{Store: store.NewMem()}
-		if err := st.PutSurvey(sv); err != nil {
+		if _, err := st.Publish(sv); err != nil {
 			return err
 		}
 		if err := fillReadpathStore(st, sv, n); err != nil {

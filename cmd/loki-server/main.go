@@ -308,7 +308,7 @@ func openCheckpoints(dir string, every time.Duration, logger *log.Logger) (*chec
 // publisher is the seeding surface both a bare store and a shard router
 // provide.
 type publisher interface {
-	PutSurvey(*survey.Survey) error
+	Publish(*survey.Survey) (store.Outcome, error)
 }
 
 // budgetWhere names the ledger's home for startup logs.
@@ -603,22 +603,25 @@ func run(c config, logger *log.Logger) error {
 	}
 }
 
-// seedStore publishes the paper's survey catalog, skipping surveys that
-// a replayed durable store already holds. It seeds through whatever
+// seedStore publishes the paper's survey catalog through whatever
 // publish surface the role has: a bare store, a local shard set, or a
-// frontend's remote router.
+// frontend's remote router. A survey a replayed durable store already
+// holds is unchanged; one it holds under another definition (a
+// republish through the API) is replaced by the catalog's.
 func seedStore(dst publisher, logger *log.Logger) error {
 	lecturers := []string{"Dr. Ada", "Dr. Babbage", "Dr. Curie", "Dr. Dijkstra"}
 	catalog := append(survey.ProfilingSurveys(),
 		survey.Health(), survey.Awareness(), survey.Lecturers(lecturers))
 	for _, sv := range catalog {
-		if err := dst.PutSurvey(sv); err != nil {
-			if errors.Is(err, store.ErrExists) {
-				continue // already present in a replayed store
-			}
+		o, err := dst.Publish(sv)
+		switch {
+		case err != nil:
 			return err
+		case o == store.Created:
+			logger.Printf("published survey %q (%d questions)", sv.ID, len(sv.Questions))
+		case o == store.Replaced:
+			logger.Printf("republished survey %q: the catalog's definition replaced the stored one", sv.ID)
 		}
-		logger.Printf("published survey %q (%d questions)", sv.ID, len(sv.Questions))
 	}
 	return nil
 }

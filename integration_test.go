@@ -30,7 +30,7 @@ func TestEndToEndPlatform(t *testing.T) {
 	defer ts.Close()
 
 	sv := loki.LecturerSurvey([]string{"A"})
-	if err := st.PutSurvey(sv); err != nil {
+	if _, err := st.Publish(sv); err != nil {
 		t.Fatal(err)
 	}
 
@@ -112,7 +112,7 @@ func TestEndToEndDurableStore(t *testing.T) {
 
 	st, ts := open()
 	sv := loki.AwarenessSurvey()
-	if err := st.PutSurvey(sv); err != nil {
+	if _, err := st.Publish(sv); err != nil {
 		t.Fatal(err)
 	}
 	c, err := loki.NewClient(loki.ClientConfig{BaseURL: ts.URL, Schedule: loki.DefaultSchedule(), Seed: 9})

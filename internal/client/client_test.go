@@ -24,7 +24,7 @@ func newBackend(t *testing.T, surveys ...*survey.Survey) (*httptest.Server, stor
 	t.Helper()
 	st := store.NewMem()
 	for _, sv := range surveys {
-		if err := st.PutSurvey(sv); err != nil {
+		if _, err := st.Publish(sv); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -314,7 +314,7 @@ func TestScheduleMismatchRefusesUpload(t *testing.T) {
 	st := store.NewMem()
 	defer st.Close()
 	sv := survey.Lecturers([]string{"A"})
-	if err := st.PutSurvey(sv); err != nil {
+	if _, err := st.Publish(sv); err != nil {
 		t.Fatal(err)
 	}
 	srv, err := server.New(server.Config{
@@ -408,7 +408,7 @@ func TestBudgetExhaustedTypedError(t *testing.T) {
 	sv := survey.Lecturers([]string{"A", "B"})
 	st := store.NewMem()
 	t.Cleanup(func() { st.Close() })
-	if err := st.PutSurvey(sv); err != nil {
+	if _, err := st.Publish(sv); err != nil {
 		t.Fatal(err)
 	}
 	cap := budget.Config{CapEpsilon: 0.5, Delta: 1e-6}

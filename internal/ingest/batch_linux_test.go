@@ -48,7 +48,7 @@ func TestBatchAppenderMatchesFileStore(t *testing.T) {
 			defer st.Close()
 			ba := st.(store.BatchAppender)
 			for _, sv := range []*survey.Survey{a, b} {
-				if err := st.PutSurvey(sv); err != nil {
+				if _, err := st.Publish(sv); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -27,7 +27,7 @@ func BenchmarkIngestParallelAppend(b *testing.B) {
 			ids := make([]string, surveys)
 			for i := range ids {
 				sv := benchSurvey(i)
-				if err := s.PutSurvey(sv); err != nil {
+				if _, err := s.Publish(sv); err != nil {
 					b.Fatal(err)
 				}
 				ids[i] = sv.ID

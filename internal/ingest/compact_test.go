@@ -6,7 +6,6 @@ package ingest
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -102,7 +101,7 @@ func TestTornCommitAcrossSurveys(t *testing.T) {
 	s := openTest(t, dir, cfg)
 	const surveys = 3
 	for i := 0; i < surveys; i++ {
-		if err := s.PutSurvey(benchSurvey(i)); err != nil {
+		if _, err := s.Publish(benchSurvey(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -169,7 +168,7 @@ func TestFailedCommitFailsEveryWaiter(t *testing.T) {
 	s := openTest(t, t.TempDir(), cfg)
 	defer s.Close()
 	for i := 0; i < 4; i++ {
-		if err := s.PutSurvey(benchSurvey(i)); err != nil {
+		if _, err := s.Publish(benchSurvey(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -268,7 +267,7 @@ func TestCompactorKillPoints(t *testing.T) {
 	segments := filepath.Join(t.TempDir(), "segments")
 	s := openTest(t, segments, cfg)
 	for i := 0; i < surveys; i++ {
-		if err := s.PutSurvey(benchSurvey(i)); err != nil {
+		if _, err := s.Publish(benchSurvey(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -383,7 +382,7 @@ func TestFoldCopiesPreviousSnapshot(t *testing.T) {
 				s := openTest(t, dir, cfg)
 				defer s.Close()
 				for i := 0; i < surveys; i++ {
-					if err := s.PutSurvey(benchSurvey(i)); err != nil && !errors.Is(err, store.ErrExists) {
+					if _, err := s.Publish(benchSurvey(i)); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -457,7 +456,7 @@ func TestConcurrentAppendScanCompact(t *testing.T) {
 	const surveys = 4
 	for i := 0; i < surveys; i++ {
 		for _, st := range []store.Store{s, mem} {
-			if err := st.PutSurvey(benchSurvey(i)); err != nil {
+			if _, err := st.Publish(benchSurvey(i)); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -1,14 +1,13 @@
 package ingest
 
 import (
-	"errors"
+	"bytes"
 	"fmt"
 	"path/filepath"
 	"strconv"
 	"testing"
 
 	"loki/internal/logtest"
-	"loki/internal/store"
 	"loki/internal/survey"
 )
 
@@ -19,7 +18,10 @@ import (
 // metaUser: record i is the publication of survey i in meta.jsonl.
 type metaUser struct{ *Sharded }
 
-func (u metaUser) Put(i int) error { return u.PutSurvey(benchSurvey(i)) }
+func (u metaUser) Put(i int) error {
+	_, err := u.Publish(benchSurvey(i))
+	return err
+}
 
 func (u metaUser) Records() []int {
 	svs, _ := u.Surveys()
@@ -75,7 +77,7 @@ func TestLogConformance(t *testing.T) {
 					if err != nil {
 						return nil, err
 					}
-					if err := s.PutSurvey(benchSurvey(0)); err != nil && !errors.Is(err, store.ErrExists) {
+					if _, err := s.Publish(benchSurvey(0)); err != nil {
 						return nil, err
 					}
 					return segUser{s}, nil
@@ -86,5 +88,23 @@ func TestLogConformance(t *testing.T) {
 			}
 			logtest.Run(t, u)
 		})
+	}
+}
+
+// TestHistorySurvivesReopen: a reopened store serves the surveys,
+// counts and republish history, publish times included, that it served
+// before, as store.File does.
+func TestHistorySurvivesReopen(t *testing.T) {
+	dir := t.TempDir()
+	s := openTest(t, dir, testConfig(1))
+	fxScript(t, s)
+	before := fxState(t, s)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s = openTest(t, dir, testConfig(1))
+	defer s.Close()
+	if after := fxState(t, s); !bytes.Equal(after, before) {
+		t.Fatalf("before the reopen\n%s\nafter it\n%s", before, after)
 	}
 }

@@ -50,7 +50,7 @@ func populate(t *testing.T, dir string, cfg Config, n int) {
 	t.Helper()
 	s := openTest(t, dir, cfg)
 	sv := benchSurvey(0)
-	if err := s.PutSurvey(sv); err != nil {
+	if _, err := s.Publish(sv); err != nil {
 		t.Fatal(err)
 	}
 	for k := 0; k < n; k++ {
@@ -116,7 +116,7 @@ func TestTornTailAcrossReopens(t *testing.T) {
 	cfg := testConfig(2)
 	s := openTest(t, dir, cfg)
 	sv := benchSurvey(0)
-	if err := s.PutSurvey(sv); err != nil {
+	if _, err := s.Publish(sv); err != nil {
 		t.Fatal(err)
 	}
 	total := 0
@@ -145,10 +145,10 @@ func TestTornMetaTailTruncated(t *testing.T) {
 	dir := t.TempDir()
 	cfg := testConfig(2)
 	s := openTest(t, dir, cfg)
-	if err := s.PutSurvey(benchSurvey(0)); err != nil {
+	if _, err := s.Publish(benchSurvey(0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PutSurvey(benchSurvey(1)); err != nil {
+	if _, err := s.Publish(benchSurvey(1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -163,7 +163,7 @@ func TestTornMetaTailTruncated(t *testing.T) {
 		t.Fatalf("surveys after torn meta recovery: %d, %v", len(svs), err)
 	}
 	// And publishing continues to work after truncation.
-	if err := s2.PutSurvey(benchSurvey(2)); err != nil {
+	if _, err := s2.Publish(benchSurvey(2)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -36,7 +36,7 @@
 // the first 0xB1 record, to open a directory holding one.
 //
 // Durability guarantee: when AppendResponse, AppendResponses or
-// PutSurvey returns nil, the record has been written and fsynced (and,
+// Publish returns nil, the record has been written and fsynced (and,
 // for files just created, the directory entry synced). A crash at any
 // point loses no acknowledged record; a torn trailing commit from an
 // unacknowledged append is detected and truncated on reopen.
@@ -395,42 +395,34 @@ func (s *Sharded) openMeta() error {
 	return nil
 }
 
-// PutSurvey implements store.Store. Surveys are immutable once
-// published; the definition is fsynced before the call returns.
-func (s *Sharded) PutSurvey(sv *survey.Survey) error {
-	if err := sv.Validate(); err != nil {
-		return err
-	}
+// Publish implements store.Store. A new definition is appended to the
+// meta log (replay is last-wins per survey ID) and fsynced before it
+// becomes visible; an equal one writes nothing.
+func (s *Sharded) Publish(sv *survey.Survey) (store.Outcome, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed.Load() {
-		return errors.New("ingest: use after close")
+		return store.Unchanged, errors.New("ingest: use after close")
+	}
+	o, err := store.Decide(s.surveys[sv.ID], sv)
+	if o == store.Unchanged {
+		return o, err
 	}
 	if err := s.meta.Err(); err != nil {
-		return err
+		return store.Unchanged, err
 	}
-	if _, dup := s.surveys[sv.ID]; dup {
-		return fmt.Errorf("ingest: survey %q: %w", sv.ID, store.ErrExists)
+	if err := s.appendMeta(sv, o == store.Replaced); err != nil {
+		return store.Unchanged, err
 	}
-	return s.appendMeta(sv, false)
+	return o, nil
 }
 
-// ReplaceSurvey implements store.Store: the republish path. The new
-// definition is appended to the meta log (replay is last-wins per
-// survey ID) and fsynced before it becomes visible.
-func (s *Sharded) ReplaceSurvey(sv *survey.Survey) error {
-	if err := sv.Validate(); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed.Load() {
-		return errors.New("ingest: use after close")
-	}
-	if err := s.meta.Err(); err != nil {
-		return err
-	}
-	return s.appendMeta(sv, true)
+// PutSurvey is Publish without the outcome: a compile shim for the
+// benchmark module, which calls it, and goes with that module's next
+// change. Nothing else may call it.
+func (s *Sharded) PutSurvey(sv *survey.Survey) error {
+	_, err := s.Publish(sv)
+	return err
 }
 
 // publishLocked makes sv, which nothing may modify afterwards, the

@@ -95,14 +95,14 @@ func TestStoreContract(t *testing.T) {
 	defer s.Close()
 
 	sv := sampleSurvey()
-	if err := s.PutSurvey(sv); err != nil {
-		t.Fatal(err)
+	if o, err := s.Publish(sv); err != nil || o != store.Created {
+		t.Fatalf("first publish: %v, %v", o, err)
 	}
-	if err := s.PutSurvey(sv); !errors.Is(err, store.ErrExists) {
-		t.Fatalf("duplicate put: %v", err)
+	if o, err := s.Publish(sv); err != nil || o != store.Unchanged {
+		t.Fatalf("identical republish: %v, %v", o, err)
 	}
-	if err := s.PutSurvey(&survey.Survey{ID: "bad"}); err == nil {
-		t.Fatal("invalid survey stored")
+	if o, err := s.Publish(&survey.Survey{ID: "bad"}); err == nil || o != store.Unchanged {
+		t.Fatalf("invalid survey: %v, %v", o, err)
 	}
 	got, err := s.Survey(sv.ID)
 	if err != nil || got.ID != sv.ID {
@@ -156,7 +156,7 @@ func TestStoreContract(t *testing.T) {
 	if err := s.AppendResponse(sampleResponse("w5")); err == nil {
 		t.Fatal("append after close succeeded")
 	}
-	if err := s.PutSurvey(benchSurvey(0)); err == nil {
+	if _, err := s.Publish(benchSurvey(0)); err == nil {
 		t.Fatal("put after close succeeded")
 	}
 	if err := s.Close(); err != nil {
@@ -174,7 +174,7 @@ func TestConcurrentAppends(t *testing.T) {
 	const workers = 16
 	const perWorker = 25
 	for i := 0; i < surveys; i++ {
-		if err := s.PutSurvey(benchSurvey(i)); err != nil {
+		if _, err := s.Publish(benchSurvey(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -226,7 +226,7 @@ func TestReopenReplaysEverything(t *testing.T) {
 	const surveys = 6
 	const perSurvey = 120 // well past SegmentBytes with ~200-byte records
 	for i := 0; i < surveys; i++ {
-		if err := s.PutSurvey(benchSurvey(i)); err != nil {
+		if _, err := s.Publish(benchSurvey(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -304,7 +304,7 @@ func TestConfigValidate(t *testing.T) {
 func TestSurveysSurviveAlone(t *testing.T) {
 	dir := t.TempDir()
 	s := openTest(t, dir, testConfig(2))
-	if err := s.PutSurvey(sampleSurvey()); err != nil {
+	if _, err := s.Publish(sampleSurvey()); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -325,7 +325,7 @@ func TestCompactionPrunesSegments(t *testing.T) {
 	cfg := testConfig(1)
 	s := openTest(t, dir, cfg)
 	sv := benchSurvey(0)
-	if err := s.PutSurvey(sv); err != nil {
+	if _, err := s.Publish(sv); err != nil {
 		t.Fatal(err)
 	}
 	const n = 400
@@ -373,7 +373,7 @@ func TestFailedLogRefusesAppends(t *testing.T) {
 	s := openTest(t, t.TempDir(), testConfig(1))
 	defer s.Close()
 	sv := benchSurvey(0)
-	if err := s.PutSurvey(sv); err != nil {
+	if _, err := s.Publish(sv); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.AppendResponse(benchResponse(sv.ID, "w1")); err != nil {
@@ -405,7 +405,7 @@ func TestOpenRejectsCorruptInterior(t *testing.T) {
 	cfg.CompactSegments = 1000 // keep the sealed segment from compacting away
 	s := openTest(t, dir, cfg)
 	sv := benchSurvey(0)
-	if err := s.PutSurvey(sv); err != nil {
+	if _, err := s.Publish(sv); err != nil {
 		t.Fatal(err)
 	}
 	for k := 0; s.Stats().Rotations == 0; k++ {
@@ -456,7 +456,7 @@ func TestPartialFirstOpenRecovers(t *testing.T) {
 	}
 	s := openTest(t, dir, cfg)
 	defer s.Close()
-	if err := s.PutSurvey(benchSurvey(0)); err != nil {
+	if _, err := s.Publish(benchSurvey(0)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.AppendResponse(benchResponse(benchSurvey(0).ID, "w1")); err != nil {
@@ -484,7 +484,7 @@ func TestCorruptLayoutRefused(t *testing.T) {
 func TestCloseRacesAppend(t *testing.T) {
 	s := openTest(t, t.TempDir(), testConfig(2))
 	sv := benchSurvey(0)
-	if err := s.PutSurvey(sv); err != nil {
+	if _, err := s.Publish(sv); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -510,16 +510,16 @@ func TestCloseRacesAppend(t *testing.T) {
 func TestMetaFailureSticky(t *testing.T) {
 	s := openTest(t, t.TempDir(), testConfig(1))
 	defer s.Close()
-	if err := s.PutSurvey(benchSurvey(0)); err != nil {
+	if _, err := s.Publish(benchSurvey(0)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.meta.File().Close(); err != nil { // sabotage the meta fd
 		t.Fatal(err)
 	}
-	if err := s.PutSurvey(benchSurvey(1)); err == nil {
+	if _, err := s.Publish(benchSurvey(1)); err == nil {
 		t.Fatal("publish on dead meta fd succeeded")
 	}
-	if err := s.PutSurvey(benchSurvey(1)); err == nil {
+	if _, err := s.Publish(benchSurvey(1)); err == nil {
 		t.Fatal("publish after sticky meta failure succeeded")
 	}
 	// The failed survey must not be visible.
@@ -547,7 +547,7 @@ func TestObfuscatedCommitIsStoredBlock(t *testing.T) {
 		{ID: "q1", Kind: survey.Rating, ScaleMin: 1, ScaleMax: 5},
 		{ID: "q2", Kind: survey.MultipleChoice, Options: []string{"a", "b", "c"}},
 	}}
-	if err := s.PutSurvey(sv); err != nil {
+	if _, err := s.Publish(sv); err != nil {
 		t.Fatal(err)
 	}
 	// The shortest such record: a "low" level, choice 0 (omitted by JSON).

@@ -55,7 +55,7 @@ func buildLegacy(t *testing.T, dir string, shards int, codec string, withSnapsho
 		var ids []string
 		for _, k := range []int{i, i + shards} { // two surveys per shard
 			sv := benchSurvey(k)
-			if err := s.PutSurvey(sv); err != nil {
+			if _, err := s.Publish(sv); err != nil {
 				t.Fatal(err)
 			}
 			ids = append(ids, sv.ID)

@@ -103,7 +103,7 @@ func TestMigrateJSONDirToBinary(t *testing.T) {
 
 	s := openTest(t, dir, cfg)
 	sv := benchSurvey(0)
-	if err := s.PutSurvey(sv); err != nil {
+	if _, err := s.Publish(sv); err != nil {
 		t.Fatal(err)
 	}
 	const oldN = 150
@@ -174,7 +174,7 @@ func TestCodecEquivalence(t *testing.T) {
 	surveys := []*survey.Survey{benchSurvey(0), benchSurvey(1), benchSurvey(2)}
 	for _, sv := range surveys {
 		for _, s := range stores {
-			if err := s.PutSurvey(sv); err != nil {
+			if _, err := s.Publish(sv); err != nil {
 				t.Fatal(err)
 			}
 		}

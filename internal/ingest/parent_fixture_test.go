@@ -86,7 +86,7 @@ func waitFolded(t *testing.T, s *Sharded) {
 func fixtureScript(t *testing.T, dir string, fx dirFixture) int64 {
 	t.Helper()
 	s := openTest(t, dir, fixtureConfig())
-	if err := s.PutSurvey(benchSurvey(0)); err != nil {
+	if _, err := s.Publish(benchSurvey(0)); err != nil {
 		t.Fatal(err)
 	}
 	for call, done := 0, 0; done < fx.n; call++ {
@@ -169,7 +169,7 @@ func checkFixtureDir(t *testing.T, fx dirFixture) string {
 	if bin, err := blockio.Sniff(filepath.Join(dir, metaName)); err != nil || !bin {
 		t.Fatalf("the open left %s's meta log JSON lines (%v)", fx.name, err)
 	}
-	if err := s.PutSurvey(benchSurvey(1)); err != nil {
+	if _, err := s.Publish(benchSurvey(1)); err != nil {
 		t.Fatal(err)
 	}
 	wantSurveys = append(wantSurveys, benchSurvey(1))

@@ -22,7 +22,7 @@ func TestScanResponses(t *testing.T) {
 	s := openTest(t, dir, testConfig(4))
 	const surveys, each = 3, 20
 	for i := 0; i < surveys; i++ {
-		if err := s.PutSurvey(benchSurvey(i)); err != nil {
+		if _, err := s.Publish(benchSurvey(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -87,7 +87,7 @@ func TestArenaGrowsUnderScansAndFolds(t *testing.T) {
 	defer s.Close()
 	const surveys, each, batch = 3, 400, 4
 	for i := 0; i < surveys; i++ {
-		if err := s.PutSurvey(benchSurvey(i)); err != nil {
+		if _, err := s.Publish(benchSurvey(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -207,7 +207,7 @@ func TestIdleCompaction(t *testing.T) {
 	cfg.IdleCompact = 25 * time.Millisecond
 	s := openTest(t, dir, cfg)
 	sv := benchSurvey(0)
-	if err := s.PutSurvey(sv); err != nil {
+	if _, err := s.Publish(sv); err != nil {
 		t.Fatal(err)
 	}
 	const n = 5
@@ -275,7 +275,7 @@ func TestImportedSnapshotIdleFolds(t *testing.T) {
 	cfg.IdleCompact = 25 * time.Millisecond
 	s := openTest(t, dir, cfg)
 	sv := benchSurvey(0)
-	if err := s.PutSurvey(sv); err != nil {
+	if _, err := s.Publish(sv); err != nil {
 		t.Fatal(err)
 	}
 	const n = 200
@@ -360,7 +360,7 @@ func TestShouldIdleCompact(t *testing.T) {
 func TestSurveyReturnsCopy(t *testing.T) {
 	s := openTest(t, t.TempDir(), testConfig(1))
 	defer s.Close()
-	if err := s.PutSurvey(sampleSurvey()); err != nil {
+	if _, err := s.Publish(sampleSurvey()); err != nil {
 		t.Fatal(err)
 	}
 	got, err := s.Survey(survey.LecturerID)

@@ -23,7 +23,7 @@ func TestReplaceSurveyReplay(t *testing.T) {
 		},
 		RewardCents: 1,
 	}
-	if err := s.PutSurvey(v1); err != nil {
+	if _, err := s.Publish(v1); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
@@ -38,7 +38,7 @@ func TestReplaceSurveyReplay(t *testing.T) {
 	v2 := v1.Clone()
 	v2.Title = "Republish test v2"
 	v2.Questions[0].Options = []string{"a", "b", "c"}
-	if err := s.ReplaceSurvey(v2); err != nil {
+	if _, err := s.Publish(v2); err != nil {
 		t.Fatal(err)
 	}
 	if sv, _ := s.Survey("repub"); len(sv.Questions[0].Options) != 3 {

@@ -17,7 +17,8 @@ import (
 // survey records — two publishes and three republishes, one of them
 // unchanged — beside binary response segments. The file
 // testdata/parent_surveys_dir.want.json is what that commit served from
-// the directory after a reopen, as fxState renders it.
+// the directory after a reopen, as fxState renders it. (The script
+// called PutSurvey and ReplaceSurvey there; Publish replaced both.)
 
 func fxSurvey(version int) *survey.Survey {
 	sv := &survey.Survey{
@@ -82,20 +83,25 @@ func fxScript(t *testing.T, st store.Store) {
 			t.Fatal(err)
 		}
 	}
-	must(st.PutSurvey(fxSurvey(1)))
-	must(st.PutSurvey(sampleSurvey()))
+	publish := func(sv *survey.Survey) {
+		t.Helper()
+		_, err := st.Publish(sv)
+		must(err)
+	}
+	publish(fxSurvey(1))
+	publish(sampleSurvey())
 	for i := 0; i < 3; i++ {
 		must(st.AppendResponse(fxResponse(1, i)))
 	}
 	_, err := st.AppendResponses([]survey.Response{*sampleResponse("w1"), *sampleResponse("w2")})
 	must(err)
-	must(st.ReplaceSurvey(fxSurvey(2)))
+	publish(fxSurvey(2))
 	must(st.AppendResponse(fxResponse(2, 3)))
-	must(st.ReplaceSurvey(fxSurvey(2)))
+	publish(fxSurvey(2))
 	must(st.AppendResponse(fxResponse(2, 4)))
 	lect := sampleSurvey()
 	lect.RewardCents++
-	must(st.ReplaceSurvey(lect))
+	publish(lect)
 	must(st.AppendResponse(sampleResponse("w3")))
 }
 
@@ -138,7 +144,7 @@ func TestParentSurveyFixture(t *testing.T) {
 	}
 	v3 := fxSurvey(2)
 	v3.Title = "Republish test v3"
-	if err := s.ReplaceSurvey(v3); err != nil {
+	if _, err := s.Publish(v3); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.AppendResponse(fxResponse(2, 5)); err != nil {

@@ -14,8 +14,6 @@
 package platform
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -244,24 +242,21 @@ func (pl *Platform) PostSurveyAppeal(s *survey.Survey, quota int, appeal float64
 		return fmt.Errorf("platform: survey %q already posted", s.ID)
 	}
 	if pl.cfg.Sink != nil {
-		if err := pl.cfg.Sink.PutSurvey(s); err != nil {
-			if !errors.Is(err, store.ErrExists) {
-				return fmt.Errorf("platform: sink rejected survey %q: %w", s.ID, err)
-			}
-			// A replayed durable sink may already hold this survey — but
-			// only the identical definition; responses validated against
-			// a diverged definition would corrupt the persisted stream.
-			prev, gerr := pl.cfg.Sink.Survey(s.ID)
-			if gerr != nil {
-				return fmt.Errorf("platform: sink holds survey %q but cannot serve it: %w", s.ID, gerr)
-			}
-			// Compare JSON forms, not Go values: a replayed survey has
-			// been through marshal/unmarshal, which turns empty slices
-			// into nil under omitempty.
-			prevJSON, err1 := json.Marshal(prev)
-			postJSON, err2 := json.Marshal(s)
-			if err1 != nil || err2 != nil || !bytes.Equal(prevJSON, postJSON) {
+		// A replayed durable sink may already hold this survey — but
+		// only the identical definition: responses validated against a
+		// diverged definition would corrupt the persisted stream, so the
+		// sink is never asked to replace one.
+		prev, err := pl.cfg.Sink.Survey(s.ID)
+		switch {
+		case err == nil:
+			if !prev.Equal(s) {
 				return fmt.Errorf("platform: sink already holds a different survey %q", s.ID)
+			}
+		case !errors.Is(err, store.ErrNotFound):
+			return fmt.Errorf("platform: sink holds survey %q but cannot serve it: %w", s.ID, err)
+		default:
+			if _, err := pl.cfg.Sink.Publish(s); err != nil {
+				return fmt.Errorf("platform: sink rejected survey %q: %w", s.ID, err)
 			}
 		}
 	}

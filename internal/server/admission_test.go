@@ -44,7 +44,7 @@ func newAdmissionServer(t *testing.T, st store.Store, cfg Config) *httptest.Serv
 	}
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
-	if err := st.PutSurvey(survey.Awareness()); err != nil {
+	if _, err := st.Publish(survey.Awareness()); err != nil {
 		t.Fatal(err)
 	}
 	return ts
@@ -259,7 +259,7 @@ func TestRateLimiterIsolatesWorkers(t *testing.T) {
 // stays byte-identical to a server that has never heard of it.
 func TestAdmissionDefaultOff(t *testing.T) {
 	ts, st := newTestServer(t)
-	if err := st.PutSurvey(survey.Awareness()); err != nil {
+	if _, err := st.Publish(survey.Awareness()); err != nil {
 		t.Fatal(err)
 	}
 	resp, body := doReq(t, http.MethodGet, ts.URL+"/api/v1/admin/store", nil, testToken)

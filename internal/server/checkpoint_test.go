@@ -279,7 +279,7 @@ func TestPoisonedRecordFailsOnce(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	sv := ckptSurvey()
-	if err := ps.PutSurvey(sv); err != nil {
+	if _, err := ps.Publish(sv); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 6; i++ {
@@ -450,7 +450,7 @@ func TestCheckpointRestartEquivalence(t *testing.T) {
 	}
 	ts := httptest.NewServer(srv)
 	sv := ckptSurvey()
-	if err := st.PutSurvey(sv); err != nil {
+	if _, err := st.Publish(sv); err != nil {
 		t.Fatal(err)
 	}
 	const n = 30
@@ -541,7 +541,7 @@ func TestCheckpointFingerprintMismatch(t *testing.T) {
 	}
 	ts := httptest.NewServer(srv)
 	sv := ckptSurvey()
-	if err := st.PutSurvey(sv); err != nil {
+	if _, err := st.Publish(sv); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
@@ -559,7 +559,7 @@ func TestCheckpointFingerprintMismatch(t *testing.T) {
 	// tombstoned — the fingerprint is the only guard.
 	v2 := ckptSurvey()
 	v2.Questions[1].Options = []string{"a", "b", "c"}
-	if err := st.ReplaceSurvey(v2); err != nil {
+	if _, err := st.Publish(v2); err != nil {
 		t.Fatal(err)
 	}
 	st.Close()
@@ -606,7 +606,7 @@ func TestCheckpointAheadOfStore(t *testing.T) {
 
 	// Build a checkpoint claiming 50 responses...
 	bigStore := store.NewMem()
-	if err := bigStore.PutSurvey(sv); err != nil {
+	if _, err := bigStore.Publish(sv); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 50; i++ {
@@ -632,7 +632,7 @@ func TestCheckpointAheadOfStore(t *testing.T) {
 	// ...then pair it with a store holding only 4.
 	smallStore := store.NewMem()
 	t.Cleanup(func() { smallStore.Close() })
-	if err := smallStore.PutSurvey(sv); err != nil {
+	if _, err := smallStore.Publish(sv); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
@@ -674,7 +674,7 @@ func TestAdvanceBacklogGuard(t *testing.T) {
 	st := store.NewMem()
 	t.Cleanup(func() { st.Close() })
 	sv := ckptSurvey()
-	if err := st.PutSurvey(sv); err != nil {
+	if _, err := st.Publish(sv); err != nil {
 		t.Fatal(err)
 	}
 	const total = coldBacklog + 200

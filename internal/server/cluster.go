@@ -13,8 +13,6 @@ import (
 	"loki/internal/budget"
 	"loki/internal/placement"
 	"loki/internal/shardrpc"
-	"loki/internal/store"
-	"loki/internal/survey"
 )
 
 // ---------------------------------------------------------------------------
@@ -46,23 +44,6 @@ func NewNode(srv *Server, totalShards int) (*Node, error) {
 	}
 	srv.host.total = totalShards
 	return &Node{srv.host}, nil
-}
-
-// PutSurvey implements shardrpc.Backend. A node that follows a shard
-// also learns definitions from its source, which races a frontend's
-// publish broadcast: there a same-fingerprint duplicate is success, not
-// 409.
-func (n *Node) PutSurvey(sv *survey.Survey) error {
-	if err := sv.Validate(); err != nil {
-		return err
-	}
-	err := n.local.PutSurvey(sv)
-	if errors.Is(err, store.ErrExists) && n.follows.Load() {
-		if cur, gerr := n.local.Survey(sv.ID); gerr == nil && cur.Fingerprint() == sv.Fingerprint() {
-			return nil
-		}
-	}
-	return err
 }
 
 var _ shardrpc.Backend = (*Node)(nil)

@@ -126,7 +126,7 @@ func TestClusterMergeEquivalence(t *testing.T) {
 				}
 				t.Cleanup(func() { router.Close() })
 				sv := clusterTestSurvey()
-				if err := router.PutSurvey(sv); err != nil {
+				if _, err := router.Publish(sv); err != nil {
 					t.Fatal(err)
 				}
 				ckpt, err := checkpoint.Open(t.TempDir())
@@ -445,7 +445,7 @@ func TestReplicaFollowsNode(t *testing.T) {
 	t.Cleanup(nts.Close)
 
 	sv := clusterTestSurvey()
-	if err := local.PutSurvey(sv); err != nil {
+	if _, err := local.Publish(sv); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(11))
@@ -530,7 +530,7 @@ func TestReplicaFollowsNode(t *testing.T) {
 func TestAdminAccumulatorClear(t *testing.T) {
 	ps := &poisonStore{Mem: store.NewMem()}
 	sv := ckptSurvey()
-	if err := ps.PutSurvey(sv); err != nil {
+	if _, err := ps.Publish(sv); err != nil {
 		t.Fatal(err)
 	}
 	srv, err := New(Config{Store: ps, Schedule: core.DefaultSchedule(), RequesterToken: testToken})
@@ -595,12 +595,12 @@ func TestAdminRepublishHistory(t *testing.T) {
 		t.Fatal(err)
 	}
 	sv := ckptSurvey()
-	if err := st.PutSurvey(sv); err != nil {
+	if _, err := st.Publish(sv); err != nil {
 		t.Fatal(err)
 	}
 	sv2 := ckptSurvey()
 	sv2.Title = "Republished title"
-	if err := st.ReplaceSurvey(sv2); err != nil {
+	if _, err := st.Publish(sv2); err != nil {
 		t.Fatal(err)
 	}
 	st.Close()
@@ -662,7 +662,7 @@ func TestCheckpointGlobalShardIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { routerA.Close() })
-	if err := routerA.PutSurvey(sv); err != nil {
+	if _, err := routerA.Publish(sv); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 30; i++ {
@@ -702,7 +702,7 @@ func TestCheckpointGlobalShardIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { routerB.Close() })
-	if err := routerB.PutSurvey(sv); err != nil {
+	if _, err := routerB.Publish(sv); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 40; i++ { // more records than shard 1 held
@@ -774,7 +774,7 @@ func TestReplicaTruncationBootstrap(t *testing.T) {
 	t.Cleanup(nts.Close)
 
 	sv := clusterTestSurvey()
-	if err := local.PutSurvey(sv); err != nil {
+	if _, err := local.Publish(sv); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(17))

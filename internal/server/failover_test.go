@@ -446,7 +446,7 @@ func TestPromotionRaceOldPrimaryFenced(t *testing.T) {
 	nodes[0].node.ApplyManifest(m, nodes[0].url)
 
 	sv := clusterTestSurvey()
-	if err := nodes[0].local.PutSurvey(sv); err != nil {
+	if _, err := nodes[0].local.Publish(sv); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(37))
@@ -635,7 +635,7 @@ func TestSupersededPromotedHostFenced(t *testing.T) {
 	m := haManifest(t, manifestPath, totalShards, nodes[0].url, rep, repURL)
 	nodes[0].node.ApplyManifest(m, nodes[0].url)
 	sv := clusterTestSurvey()
-	if err := nodes[0].local.PutSurvey(sv); err != nil {
+	if _, err := nodes[0].local.Publish(sv); err != nil {
 		t.Fatal(err)
 	}
 	rep.SyncOnce()
@@ -701,7 +701,7 @@ func TestFollowersResourceAfterPromotion(t *testing.T) {
 	c.ApplyManifest(m, cURL)
 
 	sv := clusterTestSurvey()
-	if err := nodes[0].local.PutSurvey(sv); err != nil {
+	if _, err := nodes[0].local.Publish(sv); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(47))
@@ -809,7 +809,7 @@ func TestFollowerResetUnderReads(t *testing.T) {
 	const shards = 1
 	stores := []store.Store{store.NewMem()}
 	sv := clusterTestSurvey()
-	if err := stores[0].PutSurvey(sv); err != nil {
+	if _, err := stores[0].Publish(sv); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(53))
@@ -962,7 +962,7 @@ func TestBootstrapRetry(t *testing.T) {
 	t.Cleanup(nts.Close)
 
 	sv := clusterTestSurvey()
-	if err := local.PutSurvey(sv); err != nil {
+	if _, err := local.Publish(sv); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(41))

@@ -63,7 +63,7 @@ func TestListSurveysStoreFailure(t *testing.T) {
 
 func TestAggregateStoreFailure(t *testing.T) {
 	fs := &faultyStore{Mem: store.NewMem()}
-	if err := fs.Mem.PutSurvey(survey.Awareness()); err != nil {
+	if _, err := fs.Mem.Publish(survey.Awareness()); err != nil {
 		t.Fatal(err)
 	}
 	fs.failResponses = true

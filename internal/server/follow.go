@@ -154,24 +154,12 @@ func (n *Node) SyncOnce() {
 	}
 }
 
-// syncSurveys copies definitions into the local stores, handling
-// republishes (fingerprint change) like the public API would.
+// syncSurveys publishes the source's definitions into the local
+// stores, which decide what each changes.
 func (n *Node) syncSurveys(surveys []*survey.Survey) {
 	for _, sv := range surveys {
-		cur, err := n.local.Survey(sv.ID)
-		switch {
-		case err == nil && cur.Fingerprint() == sv.Fingerprint():
-			continue
-		case err == nil:
-			if err := n.local.ReplaceSurvey(sv); err != nil {
-				n.srv.logf("follow republish %q: %v", sv.ID, err)
-				continue
-			}
-			n.srv.invalidateLive(sv.ID)
-		default:
-			if err := n.local.PutSurvey(sv); err != nil && !errors.Is(err, store.ErrExists) {
-				n.srv.logf("follow publish %q: %v", sv.ID, err)
-			}
+		if _, err := n.Publish(sv); err != nil {
+			n.srv.logf("follow publish %q: %v", sv.ID, err)
 		}
 	}
 }
@@ -406,17 +394,14 @@ func (n *Node) applyRecord(i int, src *shardrpc.Client, r *survey.Response, seq 
 }
 
 // healSurvey re-fetches one survey definition from the source and
-// broadcasts it to the local stores (shards that already hold it are
-// skipped).
+// publishes it to the local stores.
 func (n *Node) healSurvey(src *shardrpc.Client, surveyID string) error {
 	sv, err := src.Survey(surveyID)
 	if err != nil {
 		return fmt.Errorf("heal survey %q: %w", surveyID, err)
 	}
-	if err := n.local.PutSurvey(sv); err != nil && !errors.Is(err, store.ErrExists) {
-		return err
-	}
-	return nil
+	_, err = n.Publish(sv)
+	return err
 }
 
 // ---------------------------------------------------------------------------

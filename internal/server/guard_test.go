@@ -419,3 +419,91 @@ func TestOneFrontendReadPathCatches(t *testing.T) {
 		})
 	}
 }
+
+// One publish verb, held on the non-test source of this package and of
+// internal/shardrpc: every store decides whether a publish creates,
+// leaves or replaces a definition, against the one it holds.
+//
+//  1. No caller here picks a verb for the stores by comparing
+//     definitions: this package calls Fingerprint only where it keys fold
+//     state (fingerprintFiles).
+//  2. ReplaceSurvey, the second verb, names nothing in either package.
+
+// fingerprintFiles are this package's files that key fold state by
+// definition fingerprint.
+var fingerprintFiles = map[string]bool{"live.go": true, "frontcache.go": true}
+
+// publishViolations describes every breach of the two rules in the
+// given sources of this package (server) and of internal/shardrpc (rpc).
+func publishViolations(t *testing.T, server, rpc map[string]string) []string {
+	t.Helper()
+	fset := token.NewFileSet()
+	var bad []string
+	for _, f := range parseAll(t, fset, server) {
+		file := filepath.Base(fset.Position(f.Pos()).Filename)
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || fingerprintFiles[file] {
+				return true
+			}
+			if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Fingerprint" {
+				bad = append(bad, fmt.Sprintf("%s: a definition fingerprinted outside the fold state", fset.Position(call.Pos())))
+			}
+			return true
+		})
+	}
+	for _, f := range append(parseAll(t, fset, server), parseAll(t, fset, rpc)...) {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && id.Name == "ReplaceSurvey" {
+				bad = append(bad, fmt.Sprintf("%s: ReplaceSurvey is a second publish verb", fset.Position(id.Pos())))
+			}
+			return true
+		})
+	}
+	return bad
+}
+
+func TestOnePublishVerb(t *testing.T) {
+	for _, v := range publishViolations(t, guardSources(t, ".", false), guardSources(t, "../shardrpc", false)) {
+		t.Error(v)
+	}
+}
+
+// TestOnePublishVerbCatches: the guard fails on each mutation it is there
+// to catch, the handler's read-one-copy compare among them. A mutation
+// that no longer applies to the source fails too.
+func TestOnePublishVerbCatches(t *testing.T) {
+	for _, m := range []struct {
+		name, file string
+		edits      []string // old, new, old, new, ...
+	}{
+		{"a fingerprint compare in the publish handler", "handlers.go", []string{
+			"o, err := s.publish(&sv)",
+			"if prev, gerr := s.router.Survey(sv.ID); gerr == nil && prev.Fingerprint() == sv.Fingerprint() {\n\t\twriteJSON(w, http.StatusOK, nil)\n\t\treturn\n\t}\n\to, err := s.publish(&sv)"}},
+		{"a fingerprint compare in the follower's survey sync", "follow.go", []string{
+			"if _, err := n.Publish(sv); err != nil {",
+			"if cur, _ := n.local.Survey(sv.ID); cur != nil && cur.Fingerprint() == sv.Fingerprint() {\n\t\t\tcontinue\n\t\t}\n\t\tif _, err := n.Publish(sv); err != nil {"}},
+		{"a restored ReplaceSurvey", "../shardrpc/client.go", []string{
+			"// Meta fetches the node's shard ownership map.",
+			"func (c *Client) ReplaceSurvey(sv *survey.Survey) error { return nil }\n\n// Meta fetches the node's shard ownership map."}},
+	} {
+		t.Run(m.name, func(t *testing.T) {
+			server, rpc := guardSources(t, ".", false), guardSources(t, "../shardrpc", false)
+			srcs, file := server, m.file
+			if strings.HasPrefix(file, "../shardrpc/") {
+				srcs, file = rpc, filepath.Join("..", "shardrpc", strings.TrimPrefix(file, "../shardrpc/"))
+			}
+			for i := 0; i < len(m.edits); i += 2 {
+				if !strings.Contains(srcs[file], m.edits[i]) {
+					t.Fatalf("%s no longer contains %q: update the mutation", file, m.edits[i])
+				}
+				srcs[file] = strings.Replace(srcs[file], m.edits[i], m.edits[i+1], 1)
+			}
+			bad := publishViolations(t, server, rpc)
+			if len(bad) == 0 {
+				t.Fatal("the guard passed the mutated source")
+			}
+			t.Log(strings.Join(bad, "; "))
+		})
+	}
+}

@@ -3,7 +3,6 @@
 package server
 
 import (
-	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -77,37 +76,35 @@ func (s *Server) handleGetSurvey(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, sv)
 }
 
+// publish broadcasts sv through the router. Every shard decides its own
+// outcome against the definition it holds, so a retry after a partial
+// failure finishes the broadcast. A changed definition must invalidate
+// every piece of fold state built under the old one — the live
+// partials, the durable checkpoints, a frontend's cache — or /aggregate
+// and /quality keep answering from bins laid out for the old question
+// set. That holds for the shards that took it when others failed, too.
+func (s *Server) publish(sv *survey.Survey) (store.Outcome, error) {
+	o, err := s.router.Publish(sv)
+	if o == store.Replaced {
+		s.invalidateLive(sv.ID)
+		s.logf("republished survey %q with a changed definition; live aggregate state reset", sv.ID)
+	}
+	return o, err
+}
+
 func (s *Server) handlePublishSurvey(w http.ResponseWriter, r *http.Request) {
 	var sv survey.Survey
 	if !s.readJSON(w, r, &sv, nil) {
 		return
 	}
-	status := http.StatusCreated
-	if err := s.router.PutSurvey(&sv); err != nil {
-		if !errors.Is(err, store.ErrExists) {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		// Republish. An identical definition is idempotent; a changed
-		// one replaces the stored definition and must invalidate every
-		// piece of fold state built under the old one — the live
-		// partials and the durable checkpoints — or /aggregate and
-		// /quality keep answering from bins laid out for the old
-		// question set.
-		prev, gerr := s.router.Survey(sv.ID)
-		if gerr != nil {
-			writeError(w, http.StatusInternalServerError, gerr.Error())
-			return
-		}
-		status = http.StatusOK
-		if prev.Fingerprint() != sv.Fingerprint() {
-			if rerr := s.router.ReplaceSurvey(&sv); rerr != nil {
-				writeError(w, http.StatusBadRequest, rerr.Error())
-				return
-			}
-			s.invalidateLive(sv.ID)
-			s.logf("republished survey %q with a changed definition; live aggregate state reset", sv.ID)
-		}
+	o, err := s.publish(&sv)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	status := http.StatusOK
+	if o == store.Created {
+		status = http.StatusCreated
 	}
 	portfolio, err := s.router.Surveys()
 	if err != nil {

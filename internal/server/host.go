@@ -9,6 +9,7 @@ import (
 	"loki/internal/budget"
 	"loki/internal/shardrpc"
 	"loki/internal/shardset"
+	"loki/internal/store"
 	"loki/internal/survey"
 )
 
@@ -58,9 +59,8 @@ type shardHost struct {
 	roleMu sync.RWMutex
 	roles  []shardState // by local shard index
 	// readOnly is set while every shard follows: the public publish and
-	// submit routes then refuse outright (see Server.mutating). follows
-	// is set while any does.
-	readOnly, follows atomic.Bool
+	// submit routes then refuse outright (see Server.mutating).
+	readOnly atomic.Bool
 
 	follower
 }
@@ -126,17 +126,16 @@ func (h *shardHost) state(i int) shardState {
 }
 
 // setState sets local shard i's role and epoch, and whether the host's
-// shards all follow, or any does.
+// shards all follow.
 func (h *shardHost) setState(i int, st shardState) {
 	h.roleMu.Lock()
 	defer h.roleMu.Unlock()
 	h.roles[i] = st
-	all, any := true, false
+	all := true
 	for _, r := range h.roles {
-		all, any = all && r.role == roleFollowing, any || r.role == roleFollowing
+		all = all && r.role == roleFollowing
 	}
 	h.readOnly.Store(all)
-	h.follows.Store(any)
 }
 
 // checkFence is the epoch gate every submit to local shard i (global
@@ -221,19 +220,10 @@ func (h *shardHost) Tail(global int, epoch, offset uint64, max int, follower str
 	return h.local.Tail(i, epoch, offset, max, follower)
 }
 
-// ReplaceSurvey implements shardrpc.Backend: the republish broadcast.
-// Fold state built under the old definition is invalidated exactly like
-// a republish through the public API.
-func (h *shardHost) ReplaceSurvey(sv *survey.Survey) error {
-	if err := sv.Validate(); err != nil {
-		return err
-	}
-	if err := h.local.ReplaceSurvey(sv); err != nil {
-		return err
-	}
-	h.srv.invalidateLive(sv.ID)
-	return nil
-}
+// Publish implements shardrpc.Backend: the publish broadcast reaching
+// this host, and a follower learning definitions from its source, take
+// the public API's publish path.
+func (h *shardHost) Publish(sv *survey.Survey) (store.Outcome, error) { return h.srv.publish(sv) }
 
 // Survey implements shardrpc.Backend.
 func (h *shardHost) Survey(id string) (*survey.Survey, error) { return h.local.Survey(id) }

@@ -214,7 +214,7 @@ func pubStandalone(t *testing.T, st store.Store, mode string, cfg Config) (strin
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	for _, sv := range []*survey.Survey{clusterTestSurvey(), pubSurvey2()} {
-		if err := st.PutSurvey(sv); err != nil {
+		if _, err := st.Publish(sv); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -250,7 +250,7 @@ func newPubCluster(t *testing.T, o pubClusterOpts) *pubCluster {
 			no.budget = &budget.SetOptions{Shards: pubShards, GlobalIDs: owned, Config: budgetTestConfig(t)}
 		}
 		wn := newWireNode(t, no)
-		if err := wn.node.PutSurvey(pubSurvey2()); err != nil {
+		if _, err := wn.node.Publish(pubSurvey2()); err != nil {
 			t.Fatal(err)
 		}
 		pc.nodes = append(pc.nodes, wn)
@@ -657,7 +657,7 @@ func publicWireCases() []pubCase {
 			// for as long as it is dead.
 			nodes := newHANodes(t, 2, pubShards)
 			for _, n := range nodes {
-				if err := n.local.PutSurvey(clusterTestSurvey()); err != nil {
+				if _, err := n.local.Publish(clusterTestSurvey()); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -677,7 +677,7 @@ func publicWireCases() []pubCase {
 			// unreachable, and from then on its shards are failed over.
 			nodes := newHANodes(t, 2, pubShards)
 			for _, n := range nodes {
-				if err := n.local.PutSurvey(clusterTestSurvey()); err != nil {
+				if _, err := n.local.Publish(clusterTestSurvey()); err != nil {
 					t.Fatal(err)
 				}
 			}

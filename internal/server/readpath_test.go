@@ -94,7 +94,7 @@ func getAggregate(t *testing.T, ts *httptest.Server, id string) *AggregateResult
 func TestAggregateLiveMatchesBatch(t *testing.T) {
 	ts, st := newTestServer(t)
 	sv := survey.Awareness()
-	if err := st.PutSurvey(sv); err != nil {
+	if _, err := st.Publish(sv); err != nil {
 		t.Fatal(err)
 	}
 	submit := func(i int, level string, obf bool) {
@@ -142,7 +142,7 @@ func TestConcurrentSubmitWhileAggregate(t *testing.T) {
 		},
 		RewardCents: 1,
 	}
-	if err := st.PutSurvey(sv); err != nil {
+	if _, err := st.Publish(sv); err != nil {
 		t.Fatal(err)
 	}
 	const submitters, each, pollers, polls = 8, 25, 4, 30
@@ -242,7 +242,7 @@ func TestRestartCatchUp(t *testing.T) {
 	}
 	ts := httptest.NewServer(srv)
 	sv := survey.Awareness()
-	if err := st.PutSurvey(sv); err != nil {
+	if _, err := st.Publish(sv); err != nil {
 		t.Fatal(err)
 	}
 	const n = 12
@@ -285,7 +285,7 @@ func TestRestartCatchUp(t *testing.T) {
 func TestAdminStore(t *testing.T) {
 	ts, st := newTestServer(t)
 	sv := survey.Awareness()
-	if err := st.PutSurvey(sv); err != nil {
+	if _, err := st.Publish(sv); err != nil {
 		t.Fatal(err)
 	}
 	resp, _ := doReq(t, http.MethodGet, ts.URL+"/api/v1/admin/store", nil, "")
@@ -336,7 +336,7 @@ func TestAdminStoreIngestBackend(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	sv := survey.Awareness()
-	if err := ing.PutSurvey(sv); err != nil {
+	if _, err := ing.Publish(sv); err != nil {
 		t.Fatal(err)
 	}
 	r := validResponse("medium", true)

@@ -203,7 +203,7 @@ func TestPublishLinkageAudit(t *testing.T) {
 
 func TestListAndGet(t *testing.T) {
 	ts, st := newTestServer(t)
-	if err := st.PutSurvey(survey.Awareness()); err != nil {
+	if _, err := st.Publish(survey.Awareness()); err != nil {
 		t.Fatal(err)
 	}
 	resp, body := doReq(t, http.MethodGet, ts.URL+"/api/v1/surveys", nil, "")
@@ -257,7 +257,7 @@ func validResponse(level string, obfuscated bool) *survey.Response {
 
 func TestSubmitResponse(t *testing.T) {
 	ts, st := newTestServer(t)
-	if err := st.PutSurvey(survey.Awareness()); err != nil {
+	if _, err := st.Publish(survey.Awareness()); err != nil {
 		t.Fatal(err)
 	}
 	resp, body := doReq(t, http.MethodPost, submitURL(ts, survey.AwarenessID), validResponse("medium", true), "")
@@ -336,7 +336,7 @@ func TestSubmitResponse(t *testing.T) {
 func TestSubmitBodyTooLarge(t *testing.T) {
 	st := store.NewMem()
 	defer st.Close()
-	if err := st.PutSurvey(survey.Awareness()); err != nil {
+	if _, err := st.Publish(survey.Awareness()); err != nil {
 		t.Fatal(err)
 	}
 	srv, err := New(Config{
@@ -361,7 +361,7 @@ func TestSubmitBodyTooLarge(t *testing.T) {
 // the single-value 400, whatever byte it starts with.
 func TestSingleJSONValue(t *testing.T) {
 	ts, st := newTestServer(t)
-	if err := st.PutSurvey(survey.Awareness()); err != nil {
+	if _, err := st.Publish(survey.Awareness()); err != nil {
 		t.Fatal(err)
 	}
 	post := func(url string, v any, suffix string, token string) (int, string) {
@@ -425,7 +425,7 @@ func TestSubmitAck(t *testing.T) {
 func TestAggregateEndpoint(t *testing.T) {
 	ts, st := newTestServer(t)
 	sv := survey.Lecturers([]string{"A"})
-	if err := st.PutSurvey(sv); err != nil {
+	if _, err := st.Publish(sv); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
@@ -465,7 +465,7 @@ func TestAggregateEndpoint(t *testing.T) {
 
 func TestLevelTally(t *testing.T) {
 	ts, st := newTestServer(t)
-	if err := st.PutSurvey(survey.Awareness()); err != nil {
+	if _, err := st.Publish(survey.Awareness()); err != nil {
 		t.Fatal(err)
 	}
 	for i, level := range []string{"none", "medium", "medium", "high"} {
@@ -494,7 +494,7 @@ func TestLevelTally(t *testing.T) {
 
 func TestAggregateIncludesChoices(t *testing.T) {
 	ts, st := newTestServer(t)
-	if err := st.PutSurvey(survey.Awareness()); err != nil {
+	if _, err := st.Publish(survey.Awareness()); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 6; i++ {
@@ -527,7 +527,7 @@ func TestAggregateIncludesChoices(t *testing.T) {
 func TestQualityEndpoint(t *testing.T) {
 	ts, st := newTestServer(t)
 	sv := survey.Health() // has a cough-days consistency pair
-	if err := st.PutSurvey(sv); err != nil {
+	if _, err := st.Publish(sv); err != nil {
 		t.Fatal(err)
 	}
 	good := &survey.Response{
@@ -581,7 +581,7 @@ func TestQualityEndpoint(t *testing.T) {
 func TestQualitySlackForObfuscated(t *testing.T) {
 	ts, st := newTestServer(t)
 	sv := survey.Health()
-	if err := st.PutSurvey(sv); err != nil {
+	if _, err := st.Publish(sv); err != nil {
 		t.Fatal(err)
 	}
 	// An obfuscated response whose pair differs by 4 — would fail raw
@@ -618,7 +618,7 @@ func TestMethodNotAllowed(t *testing.T) {
 
 func TestConcurrentSubmissions(t *testing.T) {
 	ts, st := newTestServer(t)
-	if err := st.PutSurvey(survey.Awareness()); err != nil {
+	if _, err := st.Publish(survey.Awareness()); err != nil {
 		t.Fatal(err)
 	}
 	const workers, each = 8, 10

@@ -325,7 +325,7 @@ func TestSubmitPipelineAgainstReference(t *testing.T) {
 						case "replica":
 							rep, _ := wireReplica(t, true)
 							e = shardrpcEntry(rep.shardHost, nil)
-							if err := rep.local.PutSurvey(sv2); err != nil {
+							if _, err := rep.local.Publish(sv2); err != nil {
 								t.Fatal(err)
 							}
 						case "standalone":
@@ -344,7 +344,7 @@ func TestSubmitPipelineAgainstReference(t *testing.T) {
 							ts := httptest.NewServer(srv)
 							t.Cleanup(ts.Close)
 							for _, def := range []*survey.Survey{sv, sv2} {
-								if err := st.PutSurvey(def); err != nil {
+								if _, err := st.Publish(def); err != nil {
 									t.Fatal(err)
 								}
 							}
@@ -408,7 +408,7 @@ func TestSubmitPipelineAgainstReference(t *testing.T) {
 								})
 						}
 						for _, wn := range hosts {
-							if err := wn.node.PutSurvey(sv2); err != nil {
+							if _, err := wn.node.Publish(sv2); err != nil {
 								t.Fatal(err)
 							}
 						}

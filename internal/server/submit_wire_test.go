@@ -133,7 +133,7 @@ func newWireNode(t *testing.T, o wireNodeOpts) *wireNode {
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
 	wn.url = ts.URL
-	if err := node.PutSurvey(clusterTestSurvey()); err != nil {
+	if _, err := node.Publish(clusterTestSurvey()); err != nil {
 		t.Fatal(err)
 	}
 	return wn

@@ -60,8 +60,6 @@ func (e *remoteError) Unwrap() error {
 	switch e.Status {
 	case http.StatusNotFound:
 		return store.ErrNotFound
-	case http.StatusConflict:
-		return store.ErrExists
 	case http.StatusTooManyRequests:
 		return &OverloadedError{RetryAfterSeconds: e.RetryAfter}
 	case http.StatusPreconditionFailed:
@@ -306,8 +304,18 @@ func (c *Client) Surveys() ([]*survey.Survey, error) {
 	return svs, nil
 }
 
-// Publish broadcasts a definition (replace selects the republish path).
-func (c *Client) Publish(sv *survey.Survey, replace bool) error {
-	return c.do(http.MethodPost, "/shardrpc/v1/surveys", nil,
-		&PublishRequest{Survey: sv, Replace: replace}, nil)
+// Publish sends a definition to the node and returns the outcome it
+// decided. A reply without one (a node older than the field) reads as
+// store.Replaced.
+func (c *Client) Publish(sv *survey.Survey) (store.Outcome, error) {
+	var res PublishResult
+	if err := c.do(http.MethodPost, "/shardrpc/v1/surveys", nil, &PublishRequest{Survey: sv, Replace: true}, &res); err != nil {
+		return store.Unchanged, err
+	}
+	for o := store.Unchanged; o < store.Replaced; o++ {
+		if res.Outcome == o.String() {
+			return o, nil
+		}
+	}
+	return store.Replaced, nil
 }

@@ -60,7 +60,7 @@ func rawGet(t *testing.T, base, path string) (*http.Response, []byte) {
 func TestTailWireFrameNegotiation(t *testing.T) {
 	c, base := newFrameTestNode(t)
 	sv := rpcSurvey("sv")
-	if err := c.Publish(sv, false); err != nil {
+	if _, err := c.Publish(sv); err != nil {
 		t.Fatal(err)
 	}
 	batch := make([]survey.Response, 64)

@@ -85,7 +85,7 @@ func writeBackendErr(w http.ResponseWriter, err error) {
 }
 
 // backendStatus maps a backend error to its transport status: unknown
-// survey → 404, duplicate publish → 409, unowned shard → 421 (the
+// survey → 404, unowned shard → 421 (the
 // caller's placement map is wrong), an epoch fence → 412 (nothing was
 // appended; the sender refreshes its manifest, not the batch), a shed →
 // 429 with the retry hint in seconds (nothing was appended; the sender
@@ -103,8 +103,6 @@ func backendStatus(err error) (status, retryAfter int) {
 		return http.StatusTooManyRequests, overloaded.RetryAfterSeconds
 	case errors.Is(err, store.ErrNotFound):
 		return http.StatusNotFound, 0
-	case errors.Is(err, store.ErrExists):
-		return http.StatusConflict, 0
 	}
 	return http.StatusBadRequest, 0
 }
@@ -270,17 +268,12 @@ func (h *Handler) handlePublish(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "publish request without a survey")
 		return
 	}
-	var err error
-	if req.Replace {
-		err = h.backend.ReplaceSurvey(req.Survey)
-	} else {
-		err = h.backend.PutSurvey(req.Survey)
-	}
+	o, err := h.backend.Publish(req.Survey)
 	if err != nil {
 		writeBackendErr(w, err)
 		return
 	}
-	writeOK(w, map[string]string{"id": req.Survey.ID})
+	writeOK(w, PublishResult{ID: req.Survey.ID, Outcome: o.String()})
 }
 
 // ---------------------------------------------------------------------------

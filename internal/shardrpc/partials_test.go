@@ -22,7 +22,7 @@ import (
 func TestPartialsHandler(t *testing.T) {
 	c, _ := newTestNode(t, 3)
 	sv := rpcSurvey("sv")
-	if err := c.Publish(sv, false); err != nil {
+	if _, err := c.Publish(sv); err != nil {
 		t.Fatal(err)
 	}
 	for shard, n := range []int{3, 2, 1} {
@@ -178,7 +178,7 @@ func newPartialsCluster(t *testing.T) *partialsCluster {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { local.Close() })
-		if err := local.PutSurvey(rpcSurvey("sv")); err != nil {
+		if _, err := local.Publish(rpcSurvey("sv")); err != nil {
 			t.Fatal(err)
 		}
 		for i, s := range owned {

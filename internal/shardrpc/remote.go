@@ -213,36 +213,20 @@ func (r *Remote) refreshMetaLocked() error {
 	return lastErr
 }
 
-// PutSurvey implements shardset.ShardRouter: broadcast to every node.
-// A node that already holds the definition (a retried broadcast after
-// a partial failure) is skipped but the broadcast continues, so a
-// partial broadcast always converges; ErrExists surfaces only after
-// every node has the definition, preserving the duplicate-publish
-// contract.
-func (r *Remote) PutSurvey(sv *survey.Survey) error {
+// Publish implements shardset.ShardRouter: broadcast to every node,
+// each of which combines its own shards' outcomes.
+func (r *Remote) Publish(sv *survey.Survey) (store.Outcome, error) {
 	defer r.invalidateMeta()
-	var exists error
-	for _, c := range r.allClients() {
-		if err := c.Publish(sv, false); err != nil {
-			if errors.Is(err, store.ErrExists) {
-				exists = err
-				continue
-			}
-			return err
-		}
-	}
-	return exists
+	clients := r.allClients()
+	return shardset.Broadcast(len(clients), func(i int) (store.Outcome, error) { return clients[i].Publish(sv) })
 }
 
-// ReplaceSurvey implements shardset.ShardRouter: broadcast to every node.
-func (r *Remote) ReplaceSurvey(sv *survey.Survey) error {
-	defer r.invalidateMeta()
-	for _, c := range r.allClients() {
-		if err := c.Publish(sv, true); err != nil {
-			return err
-		}
-	}
-	return nil
+// PutSurvey is Publish without the outcome: a compile shim for the
+// benchmark module, which calls it, and goes with that module's next
+// change. Nothing else may call it.
+func (r *Remote) PutSurvey(sv *survey.Survey) error {
+	_, err := r.Publish(sv)
+	return err
 }
 
 // Survey implements shardset.ShardRouter through the metadata cache.

@@ -43,6 +43,7 @@ import (
 	"loki/internal/aggregate"
 	"loki/internal/budget"
 	"loki/internal/shardset"
+	"loki/internal/store"
 	"loki/internal/survey"
 )
 
@@ -334,11 +335,24 @@ type PartialsResult struct {
 	Partials []*Partial `json:"partials"`
 }
 
-// PublishRequest broadcasts a survey definition. Replace selects the
-// republish path (overwrite an existing definition).
+// PublishRequest broadcasts a survey definition; the node decides
+// whether it creates, leaves or replaces the one it holds. Replace is
+// ignored from the first node version whose reply carries an outcome
+// (PublishResult) on. A frontend always sets it anyway: an older node
+// refuses a taken ID without it (409) and upserts with it, so a new
+// frontend converges a cluster of old nodes too.
 type PublishRequest struct {
 	Survey  *survey.Survey `json:"survey"`
 	Replace bool           `json:"replace,omitempty"`
+}
+
+// PublishResult answers a PublishRequest with the node's combined
+// store.Outcome ("created", "unchanged" or "replaced"). A node from
+// before the field existed answers without it, and the client reads
+// that as "replaced": the reading that invalidates fold state.
+type PublishResult struct {
+	ID      string `json:"id"`
+	Outcome string `json:"outcome,omitempty"`
 }
 
 // Backend is what a cluster node exposes through a Handler. The server
@@ -391,10 +405,10 @@ type Backend interface {
 	// is applied), and the journal retains entries every registered
 	// follower still needs.
 	Tail(shard int, epoch, offset uint64, max int, follower string) (*shardset.TailBatch, error)
-	// PutSurvey / ReplaceSurvey / Survey / Surveys mirror the survey
-	// metadata surface (replicated to every shard by the backend).
-	PutSurvey(sv *survey.Survey) error
-	ReplaceSurvey(sv *survey.Survey) error
+	// Publish / Survey / Surveys mirror the survey metadata surface
+	// (replicated to every shard by the backend; see
+	// shardset.ShardRouter.Publish).
+	Publish(sv *survey.Survey) (store.Outcome, error)
 	Survey(id string) (*survey.Survey, error)
 	Surveys() ([]*survey.Survey, error)
 }

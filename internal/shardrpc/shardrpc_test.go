@@ -2,6 +2,7 @@ package shardrpc
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -123,8 +124,7 @@ func (b *testBackend) Tail(global int, epoch, offset uint64, max int, follower s
 	return b.local.Tail(i, epoch, offset, max, follower)
 }
 
-func (b *testBackend) PutSurvey(sv *survey.Survey) error     { return b.local.PutSurvey(sv) }
-func (b *testBackend) ReplaceSurvey(sv *survey.Survey) error { return b.local.ReplaceSurvey(sv) }
+func (b *testBackend) Publish(sv *survey.Survey) (store.Outcome, error) { return b.local.Publish(sv) }
 func (b *testBackend) Survey(id string) (*survey.Survey, error) {
 	return b.local.Survey(id)
 }
@@ -192,12 +192,12 @@ func TestRoundTrip(t *testing.T) {
 	}
 
 	sv := rpcSurvey("sv")
-	if err := c.Publish(sv, false); err != nil {
-		t.Fatal(err)
+	// The node's outcome crosses the wire as the local router decided it.
+	if o, err := c.Publish(sv); err != nil || o != store.Created {
+		t.Fatalf("first publish: %v, %v", o, err)
 	}
-	// Duplicate publish maps to the same sentinel a local store returns.
-	if err := c.Publish(sv, false); !errors.Is(err, store.ErrExists) {
-		t.Fatalf("duplicate publish error = %v, want ErrExists", err)
+	if o, err := c.Publish(sv); err != nil || o != store.Unchanged {
+		t.Fatalf("identical republish: %v, %v", o, err)
 	}
 
 	batch := []survey.Response{rpcResponse("sv", 0), rpcResponse("sv", 1), rpcResponse("sv", 2)}
@@ -276,7 +276,7 @@ func TestIngestPagesKeepTheirRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	c, local := newTestNodeOver(t, []store.Store{st})
-	if err := c.Publish(rpcSurvey("sv"), false); err != nil {
+	if _, err := c.Publish(rpcSurvey("sv")); err != nil {
 		t.Fatal(err)
 	}
 	want := make([]survey.Response, 5)
@@ -379,7 +379,7 @@ func TestGuardRefusals(t *testing.T) {
 func TestNotOwnedShard(t *testing.T) {
 	c, _ := newTestNode(t, 1)
 	sv := rpcSurvey("sv")
-	if err := c.Publish(sv, false); err != nil {
+	if _, err := c.Publish(sv); err != nil {
 		t.Fatal(err)
 	}
 	_, err := c.Submit(&SubmitRequest{Shard: 5, Responses: []survey.Response{rpcResponse("sv", 0)}})
@@ -394,7 +394,7 @@ func TestNotOwnedShard(t *testing.T) {
 func TestSubmitPartialFailure(t *testing.T) {
 	c, _ := newTestNode(t, 1)
 	sv := rpcSurvey("sv")
-	if err := c.Publish(sv, false); err != nil {
+	if _, err := c.Publish(sv); err != nil {
 		t.Fatal(err)
 	}
 	batch := []survey.Response{
@@ -437,7 +437,7 @@ func TestRemoteRouterEquivalence(t *testing.T) {
 	defer remote.Close()
 
 	sv := rpcSurvey("sv")
-	if err := remote.PutSurvey(sv); err != nil {
+	if _, err := remote.Publish(sv); err != nil {
 		t.Fatal(err)
 	}
 	// Concurrent appends through the node queue.
@@ -490,7 +490,7 @@ func TestRemoteRouterEquivalence(t *testing.T) {
 	// The survey cache serves reads and a republish invalidates it.
 	sv2 := rpcSurvey("sv")
 	sv2.Title = "Republished"
-	if err := remote.ReplaceSurvey(sv2); err != nil {
+	if _, err := remote.Publish(sv2); err != nil {
 		t.Fatal(err)
 	}
 	got, err := remote.Survey("sv")
@@ -505,7 +505,7 @@ func TestRemoteRouterEquivalence(t *testing.T) {
 func TestConditionalPartial(t *testing.T) {
 	c, _ := newTestNode(t, 1)
 	sv := rpcSurvey("sv")
-	if err := c.Publish(sv, false); err != nil {
+	if _, err := c.Publish(sv); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Submit(&SubmitRequest{Shard: 0, Responses: []survey.Response{rpcResponse("sv", 0), rpcResponse("sv", 1), rpcResponse("sv", 2)}}); err != nil {
@@ -694,5 +694,27 @@ func TestPiggybackColocationFollowsBudgetHosting(t *testing.T) {
 		if worker := fmt.Sprintf("w%04d", w); manifest.CanPiggybackCharge(w%shards, worker) {
 			t.Fatalf("shard %d: %s's charge rides to a promoted replica", w%shards, worker)
 		}
+	}
+}
+
+// TestPublishWireMixedVersions: a client always asks to replace, which
+// an older node needs to upsert a taken ID, and reads an older node's
+// reply, which has no outcome, as a replace.
+func TestPublishWireMixedVersions(t *testing.T) {
+	var got PublishRequest
+	old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if err := json.NewDecoder(r.Body).Decode(&got); err != nil {
+			t.Error(err)
+		}
+		w.Header().Set("Content-Type", "application/json")
+		io.WriteString(w, `{"id":"sv"}`)
+	}))
+	defer old.Close()
+	o, err := NewClient(old.URL, "tok", nil).Publish(rpcSurvey("sv"))
+	if err != nil || o != store.Replaced {
+		t.Fatalf("an outcome-less reply reads as %v, %v", o, err)
+	}
+	if !got.Replace || got.Survey == nil || got.Survey.ID != "sv" {
+		t.Fatalf("the request carried %+v", got)
 	}
 }

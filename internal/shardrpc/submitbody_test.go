@@ -42,7 +42,7 @@ func TestSubmitBodyOverLimit(t *testing.T) {
 		t.Skip("allocates a 32 MiB body")
 	}
 	c, local := newTestNode(t, 1)
-	if err := local.PutSurvey(rpcSurvey("s")); err != nil {
+	if _, err := local.Publish(rpcSurvey("s")); err != nil {
 		t.Fatal(err)
 	}
 	big := survey.Response{SurveyID: "s", WorkerID: "w", Answers: []survey.Answer{{QuestionID: "q0", Text: strings.Repeat("x", maxBodyBytes)}}}

@@ -165,38 +165,12 @@ func (l *Local) Route(surveyID, workerID string) int {
 	return Route(surveyID, workerID, len(l.shards))
 }
 
-// PutSurvey implements ShardRouter: broadcast to every shard. A shard
-// that already holds the definition (a retried broadcast, or a replica
-// healing one reset shard) is skipped but the broadcast continues, so a
-// partial broadcast always converges; ErrExists is reported only after
-// every shard has the definition, preserving the duplicate-publish
-// contract.
-func (l *Local) PutSurvey(sv *survey.Survey) error {
-	var exists error
-	for i := range l.shards {
-		err := l.acquire(i).PutSurvey(sv)
-		l.release(i)
-		if err != nil {
-			if errors.Is(err, store.ErrExists) {
-				exists = err
-				continue
-			}
-			return err
-		}
-	}
-	return exists
-}
-
-// ReplaceSurvey implements ShardRouter: broadcast to every shard.
-func (l *Local) ReplaceSurvey(sv *survey.Survey) error {
-	for i := range l.shards {
-		err := l.acquire(i).ReplaceSurvey(sv)
-		l.release(i)
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+// Publish implements ShardRouter: broadcast to every shard.
+func (l *Local) Publish(sv *survey.Survey) (store.Outcome, error) {
+	return Broadcast(len(l.shards), func(i int) (store.Outcome, error) {
+		defer l.release(i)
+		return l.acquire(i).Publish(sv)
+	})
 }
 
 // Survey implements ShardRouter. Definitions are replicated, so any
@@ -342,7 +316,7 @@ func (l *Local) ResetShard(shard int, open func() (store.Store, error)) error {
 		return err
 	}
 	for _, sv := range svs {
-		if err := st.PutSurvey(sv); err != nil {
+		if _, err := st.Publish(sv); err != nil {
 			st.Close()
 			return err
 		}

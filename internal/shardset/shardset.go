@@ -24,6 +24,7 @@ import (
 	"hash/fnv"
 	"io"
 
+	"loki/internal/store"
 	"loki/internal/survey"
 )
 
@@ -35,7 +36,7 @@ import (
 //
 // Survey definitions are metadata replicated to every shard (each shard
 // must validate appends against the current definition on its own), so
-// the Put/Replace calls broadcast.
+// Publish broadcasts.
 type ShardRouter interface {
 	// Shards returns the number of shards. Fixed for the router's
 	// lifetime; responses are placed by hash modulo this count.
@@ -50,10 +51,13 @@ type ShardRouter interface {
 	// Route returns the shard index owning a response of the given
 	// survey by the given worker (Placement, below).
 	Route(surveyID, workerID string) int
-	// PutSurvey broadcasts a new survey definition to every shard.
-	PutSurvey(sv *survey.Survey) error
-	// ReplaceSurvey broadcasts a republished definition to every shard.
-	ReplaceSurvey(sv *survey.Survey) error
+	// Publish broadcasts a survey definition to every shard, each of
+	// which decides its own store.Outcome, and combines them: Replaced
+	// if any shard replaced it, else Created if any created it. A
+	// shard's failure stops no other shard's publish, so a retry after
+	// a partial failure finishes the broadcast; the first error is
+	// returned beside the outcome of the shards that took it.
+	Publish(sv *survey.Survey) (store.Outcome, error)
 	// Survey returns the survey definition (a caller-owned copy).
 	Survey(id string) (*survey.Survey, error)
 	// Surveys returns all survey definitions sorted by ID.
@@ -67,6 +71,22 @@ type ShardRouter interface {
 	CountShard(shard int, surveyID string) int
 	// Close releases resources. The router must not be used afterwards.
 	Close() error
+}
+
+// Broadcast publishes to each of n targets — the shards of a Local, the
+// nodes of a Remote — even after one fails, and combines their outcomes
+// as ShardRouter.Publish says: the outcomes' max, and the first error.
+func Broadcast(n int, publish func(i int) (store.Outcome, error)) (store.Outcome, error) {
+	var out store.Outcome
+	var first error
+	for i := 0; i < n; i++ {
+		o, err := publish(i)
+		out = max(out, o)
+		if first == nil {
+			first = err
+		}
+	}
+	return out, first
 }
 
 // Route is the canonical placement hash: FNV-1a over survey ID, a NUL

@@ -1,6 +1,7 @@
 package shardset
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -81,7 +82,7 @@ func TestLocalAppendScanMerged(t *testing.T) {
 	const shards, n = 4, 200
 	l := newMemLocal(t, shards, LocalOptions{})
 	sv := testSurvey("sv")
-	if err := l.PutSurvey(sv); err != nil {
+	if _, err := l.Publish(sv); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
@@ -172,7 +173,7 @@ func TestLocalSingleIsPassthrough(t *testing.T) {
 	l := NewLocalSingle(st)
 	defer l.Close()
 	sv := testSurvey("sv")
-	if err := l.PutSurvey(sv); err != nil {
+	if _, err := l.Publish(sv); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
@@ -197,7 +198,7 @@ func TestLocalSingleIsPassthrough(t *testing.T) {
 func TestAppendShardBatch(t *testing.T) {
 	l := newMemLocal(t, 2, LocalOptions{Journal: true})
 	sv := testSurvey("sv")
-	if err := l.PutSurvey(sv); err != nil {
+	if _, err := l.Publish(sv); err != nil {
 		t.Fatal(err)
 	}
 	batch := make([]survey.Response, 5)
@@ -240,7 +241,7 @@ func TestAppendShardBatch(t *testing.T) {
 func TestJournalTail(t *testing.T) {
 	l := newMemLocal(t, 1, LocalOptions{Journal: true})
 	sv := testSurvey("sv")
-	if err := l.PutSurvey(sv); err != nil {
+	if _, err := l.Publish(sv); err != nil {
 		t.Fatal(err)
 	}
 	const n = 25
@@ -296,7 +297,7 @@ func TestJournalRebuildChangesEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	sv := testSurvey("sv")
-	if err := l1.PutSurvey(sv); err != nil {
+	if _, err := l1.Publish(sv); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
@@ -348,7 +349,7 @@ func TestJournalRebuildCountsRecords(t *testing.T) {
 	mem := store.NewMem()
 	counts := map[string]int{"a": 4, "b": 0, "c": 7}
 	for id := range counts {
-		if err := mem.PutSurvey(testSurvey(id)); err != nil {
+		if _, err := mem.Publish(testSurvey(id)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -386,11 +387,11 @@ func TestJournalRebuildCountsRecords(t *testing.T) {
 func TestSurveyBroadcast(t *testing.T) {
 	l := newMemLocal(t, 3, LocalOptions{})
 	sv := testSurvey("sv")
-	if err := l.PutSurvey(sv); err != nil {
-		t.Fatal(err)
+	if o, err := l.Publish(sv); err != nil || o != store.Created {
+		t.Fatalf("first publish: %v, %v", o, err)
 	}
-	if err := l.PutSurvey(sv); err == nil {
-		t.Fatal("duplicate publish accepted")
+	if o, err := l.Publish(sv); err != nil || o != store.Unchanged {
+		t.Fatalf("identical republish: %v, %v", o, err)
 	}
 	for s := 0; s < 3; s++ {
 		if _, err := l.Store(s).Survey(sv.ID); err != nil {
@@ -399,13 +400,59 @@ func TestSurveyBroadcast(t *testing.T) {
 	}
 	sv2 := testSurvey("sv")
 	sv2.Title = "Republished"
-	if err := l.ReplaceSurvey(sv2); err != nil {
-		t.Fatal(err)
+	if o, err := l.Publish(sv2); err != nil || o != store.Replaced {
+		t.Fatalf("changed definition: %v, %v", o, err)
 	}
 	for s := 0; s < 3; s++ {
 		got, err := l.Store(s).Survey(sv.ID)
 		if err != nil || got.Title != "Republished" {
 			t.Fatalf("shard %d: %v %v", s, got, err)
+		}
+	}
+}
+
+// failingPublish is a store whose publishes fail while fail is set.
+type failingPublish struct {
+	store.Store
+	fail bool
+}
+
+func (f *failingPublish) Publish(sv *survey.Survey) (store.Outcome, error) {
+	if f.fail {
+		return store.Unchanged, errors.New("injected publish failure")
+	}
+	return f.Store.Publish(sv)
+}
+
+// TestPublishFinishesPartialBroadcast: a shard that fails a publish
+// stops no other shard's, the call reports the shards that took it
+// beside the error, and the retry brings the failed shard level,
+// answering as if the broadcast had been whole.
+func TestPublishFinishesPartialBroadcast(t *testing.T) {
+	flaky := &failingPublish{Store: store.NewMem()}
+	l, err := NewLocal([]store.Store{store.NewMem(), flaky, store.NewMem()}, LocalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	v2 := testSurvey("sv")
+	v2.Title = "Republished"
+	for _, step := range []struct {
+		sv   *survey.Survey
+		want store.Outcome
+	}{{testSurvey("sv"), store.Created}, {v2, store.Replaced}} {
+		flaky.fail = true
+		if o, err := l.Publish(step.sv); err == nil || o != step.want {
+			t.Fatalf("publish %q with shard 1 failing: %v, %v", step.sv.Title, o, err)
+		}
+		flaky.fail = false
+		if o, err := l.Publish(step.sv); err != nil || o != step.want {
+			t.Fatalf("retried publish %q: %v, %v", step.sv.Title, o, err)
+		}
+		for s := 0; s < 3; s++ {
+			if got, err := l.Store(s).Survey("sv"); err != nil || !got.Equal(step.sv) {
+				t.Fatalf("shard %d holds %+v (%v) after the retry", s, got, err)
+			}
 		}
 	}
 }
@@ -417,7 +464,7 @@ func TestSurveyBroadcast(t *testing.T) {
 func TestJournalTruncationByAcks(t *testing.T) {
 	l := newMemLocal(t, 1, LocalOptions{Journal: true})
 	sv := testSurvey("sv")
-	if err := l.PutSurvey(sv); err != nil {
+	if _, err := l.Publish(sv); err != nil {
 		t.Fatal(err)
 	}
 	const n = 40
@@ -501,7 +548,7 @@ func TestJournalTruncationByAcks(t *testing.T) {
 func TestJournalRetainBound(t *testing.T) {
 	l := newMemLocal(t, 1, LocalOptions{Journal: true, JournalRetain: 8})
 	sv := testSurvey("sv")
-	if err := l.PutSurvey(sv); err != nil {
+	if _, err := l.Publish(sv); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 30; i++ {
@@ -552,7 +599,7 @@ func TestJournalRetainBound(t *testing.T) {
 func TestFollowerAckTTL(t *testing.T) {
 	l := newMemLocal(t, 1, LocalOptions{Journal: true, FollowerAckTTL: 10 * time.Minute})
 	sv := testSurvey("sv")
-	if err := l.PutSurvey(sv); err != nil {
+	if _, err := l.Publish(sv); err != nil {
 		t.Fatal(err)
 	}
 	const n = 40

@@ -31,7 +31,7 @@ func BenchmarkFileReopen(b *testing.B) {
 			Consistency: []survey.ConsistencyPair{{QuestionA: "q0", QuestionB: "q1", Tolerance: 1}},
 			RewardCents: 10,
 		}
-		if err := st.PutSurvey(sv); err != nil {
+		if _, err := st.Publish(sv); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,7 +1,7 @@
 package store
 
 import (
-	"errors"
+	"bytes"
 	"path/filepath"
 	"strconv"
 	"testing"
@@ -39,7 +39,7 @@ func TestFileLogConformance(t *testing.T) {
 					if err != nil {
 						return nil, err
 					}
-					if err := fs.PutSurvey(sampleSurvey()); err != nil && !errors.Is(err, ErrExists) {
+					if _, err := fs.Publish(sampleSurvey()); err != nil {
 						return nil, err
 					}
 					return fileUser{fs}, nil
@@ -50,5 +50,29 @@ func TestFileLogConformance(t *testing.T) {
 			}
 			logtest.Run(t, u)
 		})
+	}
+}
+
+// TestFileHistorySurvivesReopen: a reopened File serves the surveys,
+// counts and republish history, publish times included, that it served
+// before: replay applies each survey record the way the live publish
+// that logged it did.
+func TestFileHistorySurvivesReopen(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "loki.log")
+	st, err := OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	surveyScript(t, st)
+	before := stateOf(t, st)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st, err = OpenFile(path); err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if after := stateOf(t, st); !bytes.Equal(after, before) {
+		t.Fatalf("before the reopen\n%s\nafter it\n%s", before, after)
 	}
 }

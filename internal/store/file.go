@@ -45,7 +45,7 @@ type FileOptions struct {
 // blockio.Log); the fsync schedule is this type's.
 //
 // Durability: every acknowledged mutation has been fsynced before
-// PutSurvey/AppendResponse returns.
+// Publish/AppendResponse returns.
 type File struct {
 	mu  sync.Mutex
 	mem *Mem
@@ -118,7 +118,7 @@ func (fs *File) applyRecord(line []byte) error {
 			if err := rec.UnmarshalBinary(line); err != nil {
 				return fmt.Errorf("corrupt record: %w", err)
 			}
-			return fs.replayPublish(&rec.Survey, rec.Republish, rec.UnixNano)
+			return fs.replayPublish(&rec.Survey, rec.UnixNano)
 		}
 	}
 	var rec record
@@ -130,7 +130,7 @@ func (fs *File) applyRecord(line []byte) error {
 		if rec.Survey == nil {
 			return fmt.Errorf("%s record without payload", rec.Kind)
 		}
-		return fs.replayPublish(rec.Survey, rec.Kind == "republish", rec.LoggedUnixNano)
+		return fs.replayPublish(rec.Survey, rec.LoggedUnixNano)
 	case "response":
 		if rec.Response == nil {
 			return errors.New("response record without payload")
@@ -141,17 +141,18 @@ func (fs *File) applyRecord(line []byte) error {
 	}
 }
 
-// replayPublish applies one survey or republish record logged at at. A
-// republish that repeats the definition in effect is no new version,
-// but replay carries its logged time onto the version it repeats: the
-// history an existing log replays to (and the admin surface reports)
-// stays what earlier releases replayed it to.
-func (fs *File) replayPublish(sv *survey.Survey, republish bool, at int64) error {
-	if err := fs.mem.publish(sv, republish, at); err != nil {
-		return err
+// replayPublish applies one survey or republish record logged at at
+// the way a live publish applies it, so the history a log replays to is
+// the one it was written with: a record that repeats the definition in
+// effect (which logs from before publishing was one verb can hold) is
+// no new version, and the version it repeats keeps its first time.
+// Replay is single-threaded: no lock is needed.
+func (fs *File) replayPublish(sv *survey.Survey, at int64) error {
+	o, err := Decide(fs.mem.surveys[sv.ID], sv)
+	if o != Unchanged {
+		fs.mem.putLocked(sv, at)
 	}
-	fs.mem.setLastVersionTime(sv.ID, at)
-	return nil
+	return err
 }
 
 // writeResponse buffers one response record: its binary encoding.
@@ -180,44 +181,50 @@ func (fs *File) commit(write func() error) error {
 	return nil
 }
 
-// publish validates s, logs it durably as a survey record (a republish
-// one with republish set) and then publishes it to the memory index,
-// with the logged time as its publish time. Log-before-index means a
-// failed disk append never leaves a phantom record visible to reads.
-func (fs *File) publish(s *survey.Survey, republish bool) error {
+// Publish implements Store. A new definition is logged durably as a
+// survey record (a republish one when it replaces) and then published
+// to the memory index, with the logged time as its publish time.
+// Log-before-index means a failed disk append never leaves a phantom
+// record visible to reads. Earlier records are untouched, so replay
+// still validates old responses against the definition they were
+// appended under. An equal definition writes nothing.
+func (fs *File) Publish(s *survey.Survey) (Outcome, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	if fs.closed {
-		return errors.New("store: use after close")
+		return Unchanged, errors.New("store: use after close")
 	}
-	if err := s.Validate(); err != nil {
-		return err
-	}
-	if !republish && fs.mem.has(s.ID) {
-		return fmt.Errorf("store: survey %q: %w", s.ID, ErrExists)
+	// fs.mu serializes every mutation of the index, so the held
+	// definition cannot change between this read and the put below.
+	fs.mem.mu.RLock()
+	o, err := Decide(fs.mem.surveys[s.ID], s)
+	fs.mem.mu.RUnlock()
+	if o == Unchanged {
+		return o, err
 	}
 	sv := s.Clone()
 	at := time.Now().UnixNano()
-	b, err := survey.AppendSurveyRecord(fs.enc[:0], &survey.SurveyRecord{Survey: *sv, Republish: republish, UnixNano: at})
+	b, err := survey.AppendSurveyRecord(fs.enc[:0], &survey.SurveyRecord{Survey: *sv, Republish: o == Replaced, UnixNano: at})
 	if err != nil {
-		return fmt.Errorf("store: %w", err)
+		return Unchanged, fmt.Errorf("store: %w", err)
 	}
 	fs.enc = b
 	if err := fs.commit(func() error { return fs.log.Append(b) }); err != nil {
-		return err
+		return Unchanged, err
 	}
-	return fs.mem.publish(sv, republish, at)
+	fs.mem.mu.Lock()
+	fs.mem.putLocked(sv, at)
+	fs.mem.mu.Unlock()
+	return o, nil
 }
 
-// PutSurvey implements Store: the definition is logged as a survey
-// record, durable before visible like every mutation.
-func (fs *File) PutSurvey(s *survey.Survey) error { return fs.publish(s, false) }
-
-// ReplaceSurvey implements Store: the new definition is logged as a
-// republish record and then overwrites the memory index. Earlier records
-// are untouched, so replay still validates old responses against the
-// definition they were appended under.
-func (fs *File) ReplaceSurvey(s *survey.Survey) error { return fs.publish(s, true) }
+// PutSurvey is Publish without the outcome: a compile shim for the
+// benchmark module, which calls it, and goes with that module's next
+// change. Nothing else may call it.
+func (fs *File) PutSurvey(s *survey.Survey) error {
+	_, err := fs.Publish(s)
+	return err
+}
 
 // Survey implements Store.
 func (fs *File) Survey(id string) (*survey.Survey, error) { return fs.mem.Survey(id) }

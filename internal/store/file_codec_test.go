@@ -96,7 +96,7 @@ func TestFileStoreCodecSticky(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.PutSurvey(sampleSurvey()); err != nil {
+	if _, err := st.Publish(sampleSurvey()); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.AppendResponse(sampleResponse("w1")); err != nil {
@@ -153,7 +153,7 @@ func TestFileStoreBinaryInteriorDamage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.PutSurvey(sampleSurvey()); err != nil {
+	if _, err := st.Publish(sampleSurvey()); err != nil {
 		t.Fatal(err)
 	}
 	var firstEnd int64

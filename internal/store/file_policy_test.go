@@ -24,7 +24,7 @@ func TestFileSyncPolicies(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := st.PutSurvey(sampleSurvey()); err != nil {
+			if _, err := st.Publish(sampleSurvey()); err != nil {
 				t.Fatal(err)
 			}
 			for i := 0; i < 10; i++ {
@@ -58,7 +58,7 @@ func TestFileSyncAlwaysDataOnDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if err := st.PutSurvey(sampleSurvey()); err != nil {
+	if _, err := st.Publish(sampleSurvey()); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.AppendResponse(sampleResponse("w1")); err != nil {
@@ -87,7 +87,7 @@ func TestFileTornBatchTail(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := st.PutSurvey(sampleSurvey()); err != nil {
+			if _, err := st.Publish(sampleSurvey()); err != nil {
 				t.Fatal(err)
 			}
 			var lastStart int // where the last commit starts
@@ -150,7 +150,7 @@ func TestFileFailedAppendIsStickyAndInvisible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.PutSurvey(sampleSurvey()); err != nil {
+	if _, err := st.Publish(sampleSurvey()); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.AppendResponse(sampleResponse("w1")); err != nil {

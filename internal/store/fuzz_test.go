@@ -26,7 +26,7 @@ func FuzzReplay(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	if err := st.PutSurvey(sampleSurvey()); err != nil {
+	if _, err := st.Publish(sampleSurvey()); err != nil {
 		f.Fatal(err)
 	}
 	if err := st.AppendResponse(sampleResponse("w")); err != nil {

@@ -42,7 +42,7 @@ func fileFixtureScript(t *testing.T, path string) int64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.PutSurvey(sampleSurvey()); err != nil {
+	if _, err := st.Publish(sampleSurvey()); err != nil {
 		t.Fatal(err)
 	}
 	fi, err := os.Stat(path)

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -46,14 +47,14 @@ func v2Response(i int) *survey.Response {
 func TestMemReplaceSurvey(t *testing.T) {
 	st := NewMem()
 	defer st.Close()
-	if err := st.PutSurvey(republishSurveyV1()); err != nil {
+	if _, err := st.Publish(republishSurveyV1()); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.AppendResponse(v1Response(0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.ReplaceSurvey(republishSurveyV2()); err != nil {
-		t.Fatal(err)
+	if o, err := st.Publish(republishSurveyV2()); err != nil || o != Replaced {
+		t.Fatalf("changed definition: %v, %v", o, err)
 	}
 	sv, err := st.Survey("repub")
 	if err != nil {
@@ -72,11 +73,11 @@ func TestMemReplaceSurvey(t *testing.T) {
 	if err := st.AppendResponse(v2Response(1)); err != nil {
 		t.Fatal(err)
 	}
-	// ReplaceSurvey on a fresh ID is an upsert.
+	// A fresh ID is created whatever came before.
 	fresh := republishSurveyV1()
 	fresh.ID = "fresh"
-	if err := st.ReplaceSurvey(fresh); err != nil {
-		t.Fatal(err)
+	if o, err := st.Publish(fresh); err != nil || o != Created {
+		t.Fatalf("fresh ID: %v, %v", o, err)
 	}
 	if _, err := st.Survey("fresh"); err != nil {
 		t.Fatal(err)
@@ -92,7 +93,7 @@ func TestFileReplaceSurveyReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.PutSurvey(republishSurveyV1()); err != nil {
+	if _, err := st.Publish(republishSurveyV1()); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
@@ -100,7 +101,7 @@ func TestFileReplaceSurveyReplay(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := st.ReplaceSurvey(republishSurveyV2()); err != nil {
+	if _, err := st.Publish(republishSurveyV2()); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.AppendResponse(v2Response(3)); err != nil {
@@ -139,4 +140,43 @@ func TestFileReplaceSurveyReplay(t *testing.T) {
 			t.Fatalf("seq %d at position %d", seq, i)
 		}
 	}
+}
+
+// TestPublishUnchangedWritesNothing: an identical republish is decided
+// by a field compare against the held definition. It allocates nothing
+// and leaves a File's log as it was.
+func TestPublishUnchangedWritesNothing(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "loki.log")
+	fs, err := OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	for name, st := range map[string]Store{"mem": NewMem(), "file": fs} {
+		sv := republishSurveyV1()
+		if o, err := st.Publish(sv); err != nil || o != Created {
+			t.Fatalf("%s: first publish: %v, %v", name, o, err)
+		}
+		size := fileSize(t, path)
+		allocs := testing.AllocsPerRun(50, func() {
+			if o, err := st.Publish(sv); err != nil || o != Unchanged {
+				t.Fatalf("%s: identical republish: %v, %v", name, o, err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: an identical republish allocates %v times", name, allocs)
+		}
+		if got := fileSize(t, path); got != size {
+			t.Errorf("%s: an identical republish grew the log from %d to %d bytes", name, size, got)
+		}
+	}
+}
+
+func fileSize(t *testing.T, path string) int64 {
+	t.Helper()
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fi.Size()
 }

@@ -13,7 +13,7 @@ import (
 func scanTest(t *testing.T, st Store) {
 	t.Helper()
 	sv := sampleSurvey()
-	if err := st.PutSurvey(sv); err != nil {
+	if _, err := st.Publish(sv); err != nil {
 		t.Fatal(err)
 	}
 	workers := []string{"w1", "w2", "w3", "w4", "w5"}
@@ -120,7 +120,7 @@ func TestFileScanSeqStableAcrossReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.PutSurvey(sampleSurvey()); err != nil {
+	if _, err := st.Publish(sampleSurvey()); err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []string{"w1", "w2", "w3"} {
@@ -155,7 +155,7 @@ func TestFileScanSeqStableAcrossReopen(t *testing.T) {
 func TestSurveyReturnsCopy(t *testing.T) {
 	st := NewMem()
 	defer st.Close()
-	if err := st.PutSurvey(sampleSurvey()); err != nil {
+	if _, err := st.Publish(sampleSurvey()); err != nil {
 		t.Fatal(err)
 	}
 

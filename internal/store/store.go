@@ -18,8 +18,49 @@ import (
 // ErrNotFound is returned when a requested survey does not exist.
 var ErrNotFound = errors.New("store: not found")
 
-// ErrExists is returned when publishing a survey whose ID is taken.
+// ErrExists is returned by nothing: it stays declared because the
+// benchmark module names it, and goes with that module's next change.
 var ErrExists = errors.New("store: already exists")
+
+// Outcome is what a publish did to a store's definition of a survey.
+// The values are ordered so that a router combines its shards' outcomes
+// with max: a survey any shard replaced was republished, else one any
+// shard created is new.
+type Outcome uint8
+
+const (
+	// Unchanged: the store already held an equal definition, and
+	// wrote nothing.
+	Unchanged Outcome = iota
+	// Created: the store held no definition under the ID.
+	Created
+	// Replaced: the store held a different definition, which the new
+	// one overwrote as a new version.
+	Replaced
+)
+
+var outcomeNames = [...]string{Unchanged: "unchanged", Created: "created", Replaced: "replaced"}
+
+// String names the outcome as the shardrpc publish reply carries it.
+func (o Outcome) String() string { return outcomeNames[o] }
+
+// Decide is the publish decision every store makes under its own lock,
+// against the definition it holds (nil for none): Unchanged when s
+// equals it (so s is valid, and nothing is checked or allocated), else
+// Created or Replaced once s validates. On error the outcome is
+// Unchanged.
+func Decide(held, s *survey.Survey) (Outcome, error) {
+	if held != nil && held.Equal(s) {
+		return Unchanged, nil
+	}
+	if err := s.Validate(); err != nil {
+		return Unchanged, err
+	}
+	if held == nil {
+		return Created, nil
+	}
+	return Replaced, nil
+}
 
 // Store persists surveys and their responses. Implementations must be
 // safe for concurrent use.
@@ -30,19 +71,17 @@ var ErrExists = errors.New("store: already exists")
 // stores replay in append order), which makes them usable as resumption
 // cursors for incremental readers.
 type Store interface {
-	// PutSurvey stores a survey definition. Overwriting an existing ID
-	// is an error: accidental redefinition would silently change how
-	// stored responses are interpreted. Deliberate redefinition goes
-	// through ReplaceSurvey.
-	PutSurvey(s *survey.Survey) error
-	// ReplaceSurvey stores a survey definition, overwriting any existing
-	// definition with the same ID — the republish operation. Responses
-	// already stored stay in the log (they were validated against the
-	// definition current at append time) and are reinterpreted under the
-	// new definition from here on; derived state folded under the old
-	// definition (live aggregates, checkpoints) must be invalidated by
-	// the caller, which is what definition fingerprints are for.
-	ReplaceSurvey(s *survey.Survey) error
+	// Publish makes s the survey's definition unless the store already
+	// holds an equal one (survey.Equal), and reports which it did. The
+	// store decides against the definition it holds, under its own
+	// lock: Unchanged writes nothing, Replaced logs a new version.
+	// Responses already stored stay in the log (they were validated
+	// against the definition current at append time) and are
+	// reinterpreted under the new definition from here on; derived state
+	// folded under the old definition (live aggregates, checkpoints) must
+	// be invalidated by the caller on Replaced. On error nothing was
+	// published and the outcome is Unchanged.
+	Publish(s *survey.Survey) (Outcome, error)
 	// Survey returns the survey with the given ID or ErrNotFound. The
 	// returned survey is the caller's copy: mutating it never affects
 	// the stored definition.
@@ -176,17 +215,6 @@ func NewMem() *Mem {
 	}
 }
 
-// setLastVersionTime overrides the newest history entry's timestamp —
-// the hook a replaying durable store uses to restore logged publish
-// times.
-func (m *Mem) setLastVersionTime(surveyID string, ts int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if h := m.history[surveyID]; len(h) > 0 {
-		h[len(h)-1].at = ts
-	}
-}
-
 // SurveyHistory implements Historian.
 func (m *Mem) SurveyHistory(surveyID string) []SurveyVersion {
 	m.mu.RLock()
@@ -194,49 +222,33 @@ func (m *Mem) SurveyHistory(surveyID string) []SurveyVersion {
 	return m.history.Versions(surveyID)
 }
 
-// has reports whether a survey with the given ID is stored.
-func (m *Mem) has(id string) bool {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	_, ok := m.surveys[id]
-	return ok
+// putLocked makes sv, which nothing may modify afterwards, the survey's
+// definition, published at at (Unix nanoseconds). The caller holds mu
+// for writing (or is a single-threaded replay) and has decided the
+// publish changes something.
+func (m *Mem) putLocked(sv *survey.Survey, at int64) {
+	m.surveys[sv.ID] = sv
+	m.history.Record(sv, at)
 }
 
-// publish validates s and makes it the survey's definition, published
-// at at (Unix nanoseconds). s is handed over: the caller must not
-// modify it afterwards. Without replace an existing ID is ErrExists.
-func (m *Mem) publish(s *survey.Survey, replace bool, at int64) error {
-	if err := s.Validate(); err != nil {
-		return err
-	}
+// Publish implements Store.
+func (m *Mem) Publish(s *survey.Survey) (Outcome, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
-		return errors.New("store: use after close")
+		return Unchanged, errors.New("store: use after close")
 	}
-	if _, dup := m.surveys[s.ID]; dup && !replace {
-		return fmt.Errorf("store: survey %q: %w", s.ID, ErrExists)
+	o, err := Decide(m.surveys[s.ID], s)
+	if o != Unchanged {
+		m.putLocked(s.Clone(), time.Now().UnixNano())
 	}
-	m.surveys[s.ID] = s
-	m.history.Record(s, at)
-	return nil
-}
-
-// PutSurvey implements Store.
-func (m *Mem) PutSurvey(s *survey.Survey) error {
-	return m.publish(s.Clone(), false, time.Now().UnixNano())
-}
-
-// ReplaceSurvey implements Store: an upsert that overwrites any existing
-// definition. Stored responses are untouched.
-func (m *Mem) ReplaceSurvey(s *survey.Survey) error {
-	return m.publish(s.Clone(), true, time.Now().UnixNano())
+	return o, err
 }
 
 // Survey implements Store. It returns a deep copy: handing out interior
 // pointers would let callers mutate the "immutable" published
 // definition through the shared Questions slice (the same
-// copy-on-write discipline PutSurvey follows on the way in).
+// copy-on-write discipline Publish follows on the way in).
 func (m *Mem) Survey(id string) (*survey.Survey, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()

@@ -31,15 +31,15 @@ func sampleResponse(worker string) *survey.Response {
 func storeTest(t *testing.T, st Store) {
 	t.Helper()
 	sv := sampleSurvey()
-	if err := st.PutSurvey(sv); err != nil {
-		t.Fatal(err)
+	if o, err := st.Publish(sv); err != nil || o != Created {
+		t.Fatalf("first publish: %v, %v", o, err)
 	}
-	if err := st.PutSurvey(sv); !errors.Is(err, ErrExists) {
-		t.Fatalf("duplicate put: %v", err)
+	if o, err := st.Publish(sv); err != nil || o != Unchanged {
+		t.Fatalf("identical republish: %v, %v", o, err)
 	}
 	bad := &survey.Survey{ID: "bad"}
-	if err := st.PutSurvey(bad); err == nil {
-		t.Fatal("invalid survey stored")
+	if o, err := st.Publish(bad); err == nil || o != Unchanged {
+		t.Fatalf("invalid survey: %v, %v", o, err)
 	}
 
 	got, err := st.Survey(sv.ID)
@@ -99,7 +99,7 @@ func TestMemStore(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.PutSurvey(sampleSurvey()); err == nil {
+	if _, err := st.Publish(sampleSurvey()); err == nil {
 		t.Fatal("use after close accepted")
 	}
 	if err := st.AppendResponse(sampleResponse("w")); err == nil {
@@ -110,13 +110,13 @@ func TestMemStore(t *testing.T) {
 func TestMemStoreSurveyCopied(t *testing.T) {
 	st := NewMem()
 	sv := sampleSurvey()
-	if err := st.PutSurvey(sv); err != nil {
+	if _, err := st.Publish(sv); err != nil {
 		t.Fatal(err)
 	}
 	sv.Title = "mutated"
 	got, _ := st.Survey(survey.LecturerID)
 	if got.Title == "mutated" {
-		t.Fatal("PutSurvey did not copy")
+		t.Fatal("Publish did not copy")
 	}
 }
 
@@ -133,7 +133,7 @@ func TestFileStore(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal("double close errored")
 	}
-	if err := st.PutSurvey(sampleSurvey()); err == nil {
+	if _, err := st.Publish(sampleSurvey()); err == nil {
 		t.Fatal("use after close accepted")
 	}
 
@@ -162,7 +162,7 @@ func TestFileStorePartialTrailingRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.PutSurvey(sampleSurvey()); err != nil {
+	if _, err := st.Publish(sampleSurvey()); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.AppendResponse(sampleResponse("w1")); err != nil {
@@ -255,7 +255,7 @@ func TestConcurrentAppends(t *testing.T) {
 		},
 	} {
 		st := mk(t)
-		if err := st.PutSurvey(sampleSurvey()); err != nil {
+		if _, err := st.Publish(sampleSurvey()); err != nil {
 			t.Fatal(err)
 		}
 		var wg sync.WaitGroup

@@ -18,7 +18,13 @@ import (
 // JSON survey and republish records between binary response records.
 // testdata/parent_surveys.want.json is what that commit served from the
 // log after a reopen — every definition, response count and survey
-// history, publish timestamps included — as surveyState renders it.
+// history, publish timestamps included — as surveyState renders it, with
+// one timestamp changed on purpose: the log repeats repub's second
+// version in an identical republish record, and a replay now keeps the
+// version's first publish time, as a live identical republish (which
+// writes nothing) and ingest's replay do, where that commit moved it to
+// the repeat's. (The script called PutSurvey and ReplaceSurvey there;
+// Publish replaced both.)
 
 // surveyState is everything a store serves about its surveys.
 type surveyState struct {
@@ -57,20 +63,25 @@ func surveyScript(t *testing.T, st Store) {
 			t.Fatal(err)
 		}
 	}
-	must(st.PutSurvey(republishSurveyV1()))
-	must(st.PutSurvey(sampleSurvey()))
+	publish := func(sv *survey.Survey) {
+		t.Helper()
+		_, err := st.Publish(sv)
+		must(err)
+	}
+	publish(republishSurveyV1())
+	publish(sampleSurvey())
 	for i := 0; i < 3; i++ {
 		must(st.AppendResponse(v1Response(i)))
 	}
 	_, err := st.AppendResponses([]survey.Response{*sampleResponse("w1"), *sampleResponse("w2")})
 	must(err)
-	must(st.ReplaceSurvey(republishSurveyV2()))
+	publish(republishSurveyV2())
 	must(st.AppendResponse(v2Response(3)))
-	must(st.ReplaceSurvey(republishSurveyV2()))
+	publish(republishSurveyV2())
 	must(st.AppendResponse(v2Response(4)))
 	lect := sampleSurvey()
 	lect.RewardCents++
-	must(st.ReplaceSurvey(lect))
+	publish(lect)
 	must(st.AppendResponse(sampleResponse("w3")))
 }
 
@@ -120,7 +131,7 @@ func TestParentSurveyFixture(t *testing.T) {
 	}
 	v3 := republishSurveyV2()
 	v3.Questions = v3.Questions[1:]
-	if err := st.ReplaceSurvey(v3); err != nil {
+	if _, err := st.Publish(v3); err != nil {
 		t.Fatal(err)
 	}
 	r := v2Response(5)
@@ -168,10 +179,10 @@ func TestSurveyRecordDowngrade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.PutSurvey(republishSurveyV1()); err != nil {
+	if _, err := st.Publish(republishSurveyV1()); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.ReplaceSurvey(republishSurveyV2()); err != nil {
+	if _, err := st.Publish(republishSurveyV2()); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {

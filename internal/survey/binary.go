@@ -220,9 +220,9 @@ type SurveyRecord struct {
 // pattern, so −0 is kept). Floats are raw IEEE-754 bits and must be
 // finite, and strings valid UTF-8: the JSON form, which Fingerprint
 // hashes, cannot hold NaN or ±Inf, and renders each byte of an invalid
-// UTF-8 sequence as U+FFFD. The encoder replaces such bytes as the JSON
-// form does, so a record holds the definition a JSON record held, whose
-// fingerprint survives a round trip through either form.
+// UTF-8 sequence as U+FFFD, so neither would fingerprint the same after
+// a round trip. The encoder refuses both, and Survey.Validate refuses
+// invalid UTF-8 before a store logs anything.
 
 const flagRepublish = 1 << 0
 
@@ -244,26 +244,6 @@ const (
 
 func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 
-// appendText appends s as blockio.AppendString does, each byte of an
-// invalid UTF-8 sequence replaced by U+FFFD, as encoding/json renders
-// it.
-func appendText(b []byte, s string) []byte {
-	if utf8.ValidString(s) {
-		return blockio.AppendString(b, s)
-	}
-	v := make([]byte, 0, len(s)+8)
-	for i := 0; i < len(s); {
-		r, n := utf8.DecodeRuneInString(s[i:])
-		if r == utf8.RuneError && n == 1 {
-			v = utf8.AppendRune(v, utf8.RuneError)
-		} else {
-			v = append(v, s[i:i+n]...)
-		}
-		i += n
-	}
-	return blockio.AppendString(b, string(v))
-}
-
 // text reads one string field that must be valid UTF-8, clearing *ok
 // when it is not.
 func text(d *blockio.FieldReader, ok *bool) string {
@@ -273,18 +253,22 @@ func text(d *blockio.FieldReader, ok *bool) string {
 }
 
 // AppendSurveyRecord appends rec's binary encoding to b. It fails only
-// on a scale bound or tolerance that is not finite.
+// on a string that is not valid UTF-8, or a scale bound or tolerance
+// that is not finite.
 func AppendSurveyRecord(b []byte, rec *SurveyRecord) ([]byte, error) {
 	s := &rec.Survey
+	if err := s.checkUTF8(); err != nil {
+		return b, err
+	}
 	var flags byte
 	if rec.Republish {
 		flags |= flagRepublish
 	}
 	b = append(b, SurveyBinaryTag, flags)
 	b = binary.AppendVarint(b, rec.UnixNano)
-	b = appendText(b, s.ID)
-	b = appendText(b, s.Title)
-	b = appendText(b, s.Description)
+	b = blockio.AppendString(b, s.ID)
+	b = blockio.AppendString(b, s.Title)
+	b = blockio.AppendString(b, s.Description)
 	b = binary.AppendVarint(b, int64(s.RewardCents))
 	b = binary.AppendUvarint(b, uint64(len(s.Questions)))
 	for i := range s.Questions {
@@ -292,8 +276,8 @@ func AppendSurveyRecord(b []byte, rec *SurveyRecord) ([]byte, error) {
 		if !finite(q.ScaleMin) || !finite(q.ScaleMax) {
 			return b, fmt.Errorf("survey: %q question %q: scale [%g, %g] is not finite", s.ID, q.ID, q.ScaleMin, q.ScaleMax)
 		}
-		b = appendText(b, q.ID)
-		b = appendText(b, q.Text)
+		b = blockio.AppendString(b, q.ID)
+		b = blockio.AppendString(b, q.Text)
 		var head byte
 		if math.Float64bits(q.ScaleMin) != 0 {
 			head |= qHasMin
@@ -327,11 +311,11 @@ func AppendSurveyRecord(b []byte, rec *SurveyRecord) ([]byte, error) {
 		if head&qHasOptions != 0 {
 			b = binary.AppendUvarint(b, uint64(len(q.Options)))
 			for _, o := range q.Options {
-				b = appendText(b, o)
+				b = blockio.AppendString(b, o)
 			}
 		}
 		if head&qHasAttribute != 0 {
-			b = appendText(b, string(q.Attribute))
+			b = blockio.AppendString(b, string(q.Attribute))
 		}
 	}
 	b = binary.AppendUvarint(b, uint64(len(s.Consistency)))
@@ -340,8 +324,8 @@ func AppendSurveyRecord(b []byte, rec *SurveyRecord) ([]byte, error) {
 		if !finite(p.Tolerance) {
 			return b, fmt.Errorf("survey: %q consistency pair (%q, %q): tolerance %g is not finite", s.ID, p.QuestionA, p.QuestionB, p.Tolerance)
 		}
-		b = appendText(b, p.QuestionA)
-		b = appendText(b, p.QuestionB)
+		b = blockio.AppendString(b, p.QuestionA)
+		b = blockio.AppendString(b, p.QuestionB)
 		var head byte
 		if math.Float64bits(p.Tolerance) != 0 {
 			head |= pHasTolerance
@@ -354,7 +338,7 @@ func AppendSurveyRecord(b []byte, rec *SurveyRecord) ([]byte, error) {
 			b = blockio.AppendFloat64(b, p.Tolerance)
 		}
 		if head&pHasRule != 0 {
-			b = appendText(b, string(p.Rule))
+			b = blockio.AppendString(b, string(p.Rule))
 		}
 	}
 	return b, nil

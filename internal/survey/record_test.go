@@ -98,30 +98,30 @@ func TestSurveyRecordRefusesNonFinite(t *testing.T) {
 }
 
 // TestSurveyRecordInvalidUTF8: a definition whose strings are not valid
-// UTF-8 is logged as its JSON form held it, each invalid byte U+FFFD,
-// so it replays to the definition a JSON record replayed to, with that
-// definition's fingerprint; a record holding such bytes is refused.
+// UTF-8 would not fingerprint the same after a round trip through its
+// JSON form, so Validate refuses it, the encoder refuses it in every
+// string field, and a record holding such bytes does not decode.
 func TestSurveyRecordInvalidUTF8(t *testing.T) {
-	rec := goldenRecord()
-	sv := &rec.Survey
-	sv.ID, sv.Title = "bad\xff", "two\xfe\xffbytes, a rune \u00e9 and a cut one \xc3"
-	sv.Questions[2].Options[1] = "\xed\xa0\x80"
-	sv.Consistency[0].Rule = "\x80"
-	j, err := json.Marshal(sv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var twin survey.Survey
-	if err := json.Unmarshal(j, &twin); err != nil {
-		t.Fatal(err)
-	}
-	b := encodeRecord(t, rec)
-	var got survey.SurveyRecord
-	if err := got.UnmarshalBinary(b); err != nil {
-		t.Fatal(err)
-	}
-	if !got.Survey.Equal(&twin) || got.Survey.Fingerprint() != twin.Fingerprint() {
-		t.Fatalf("the record decodes to\n%+v\nthe JSON form to\n%+v", got.Survey, twin)
+	for name, spoil := range map[string]func(*survey.Survey){
+		"id":          func(s *survey.Survey) { s.ID = "bad\xff" },
+		"title":       func(s *survey.Survey) { s.Title = "two\xfe\xffbytes" },
+		"description": func(s *survey.Survey) { s.Description = "a cut rune \xc3" },
+		"question id": func(s *survey.Survey) { s.Questions[0].ID = "\x80" },
+		"text":        func(s *survey.Survey) { s.Questions[1].Text = "\xed\xa0\x80" },
+		"option":      func(s *survey.Survey) { s.Questions[2].Options[1] = "\xff" },
+		"attribute":   func(s *survey.Survey) { s.Questions[0].Attribute = "\xfe" },
+		"question a":  func(s *survey.Survey) { s.Consistency[0].QuestionA = "\xff" },
+		"question b":  func(s *survey.Survey) { s.Consistency[0].QuestionB = "\xff" },
+		"rule":        func(s *survey.Survey) { s.Consistency[0].Rule = "\x80" },
+	} {
+		rec := goldenRecord()
+		spoil(&rec.Survey)
+		if err := rec.Survey.Validate(); err == nil || !strings.Contains(err.Error(), "UTF-8") {
+			t.Errorf("%s: Validate = %v", name, err)
+		}
+		if _, err := survey.AppendSurveyRecord(nil, rec); err == nil {
+			t.Errorf("%s: encoded", name)
+		}
 	}
 	raw := encodeRecord(t, &survey.SurveyRecord{Survey: survey.Survey{ID: "ok"}})
 	raw[4] = 0xff // a byte of the ID

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"unicode/utf8"
 )
 
 // QuestionKind enumerates the supported question types.
@@ -196,11 +197,14 @@ type Survey struct {
 	RewardCents int `json:"reward_cents"`
 }
 
-// Validate checks the whole survey definition: question validity, unique
-// IDs, and well-formed consistency pairs.
+// Validate checks the whole survey definition: valid UTF-8 text,
+// question validity, unique IDs, and well-formed consistency pairs.
 func (s *Survey) Validate() error {
 	if s.ID == "" {
 		return errors.New("survey: empty survey ID")
+	}
+	if err := s.checkUTF8(); err != nil {
+		return err
 	}
 	if len(s.Questions) == 0 {
 		return fmt.Errorf("survey: %q has no questions", s.ID)
@@ -249,6 +253,30 @@ func (s *Survey) Validate() error {
 		default:
 			return fmt.Errorf("survey: %q has unknown consistency rule %q", s.ID, cp.Rule)
 		}
+	}
+	return nil
+}
+
+// checkUTF8 refuses a definition holding a string that is not valid
+// UTF-8. Its JSON form, which Fingerprint hashes, would render each
+// invalid byte as U+FFFD, so a stored copy would not fingerprint as the
+// definition it was published as. (The public JSON decoders already
+// replace such bytes; only the Go API can hand one in.)
+func (s *Survey) checkUTF8() error {
+	valid := utf8.ValidString
+	ok := valid(s.ID) && valid(s.Title) && valid(s.Description)
+	for i := range s.Questions {
+		q := &s.Questions[i]
+		ok = ok && valid(q.ID) && valid(q.Text) && valid(string(q.Attribute))
+		for _, o := range q.Options {
+			ok = ok && valid(o)
+		}
+	}
+	for _, p := range s.Consistency {
+		ok = ok && valid(p.QuestionA) && valid(p.QuestionB) && valid(string(p.Rule))
+	}
+	if !ok {
+		return fmt.Errorf("survey: %q holds text that is not valid UTF-8", s.ID)
 	}
 	return nil
 }

@@ -191,6 +191,9 @@ type (
 	ClientConfig = client.Config
 	// Store persists surveys and responses.
 	Store = store.Store
+	// PublishOutcome is what Store.Publish did: PublishCreated,
+	// PublishUnchanged or PublishReplaced.
+	PublishOutcome = store.Outcome
 	// FileStoreOptions are the file store's options; SyncAlways is the
 	// only sync policy and blocks the only codec.
 	FileStoreOptions = store.FileOptions
@@ -324,6 +327,13 @@ type (
 // SyncAlways, the file store's one sync policy, fsyncs every append
 // before acknowledging it.
 const SyncAlways = store.SyncAlways
+
+// The outcomes of Store.Publish.
+const (
+	PublishUnchanged = store.Unchanged
+	PublishCreated   = store.Created
+	PublishReplaced  = store.Replaced
+)
 
 // Backend constructors.
 var (

@@ -133,8 +133,8 @@ func TestFacadeStores(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, st := range []loki.Store{loki.NewMemStore(), fileStore, ingestStore} {
-		if err := st.PutSurvey(sv); err != nil {
-			t.Fatal(err)
+		if o, err := st.Publish(sv); err != nil || o != loki.PublishCreated {
+			t.Fatalf("%T: publish: %v, %v", st, o, err)
 		}
 		if err := st.AppendResponse(resp); err != nil {
 			t.Fatal(err)
