@@ -160,7 +160,7 @@ func failoverNode(manifestPath string) (node *server.Node, sw *swapHandler, ts *
 	}
 	srv, err := server.New(server.Config{
 		Router: local, Schedule: core.DefaultSchedule(),
-		RequesterToken: clusterToken, Role: "node",
+		RequesterToken: requesterToken, ClusterToken: clusterToken, Role: "node",
 	})
 	if err == nil {
 		node, err = server.NewNode(srv, clusterShards)
@@ -180,7 +180,7 @@ func failoverNode(manifestPath string) (node *server.Node, sw *swapHandler, ts *
 	ts = httptest.NewServer(sw)
 	node.Follow(server.FollowOptions{
 		PollInterval: failoverPollInterval, PromoteAfter: failoverPromoteAfter,
-		ManifestPath: manifestPath, ClusterToken: clusterToken,
+		ManifestPath: manifestPath,
 	})
 	return node, sw, ts, func() { node.Close(); ts.Close(); srv.Close(); local.Close() }, nil
 }
@@ -268,7 +268,7 @@ func measureFailover() (*failoverResult, error) {
 	})
 	frontend, err := server.New(server.Config{
 		Router: remote, Schedule: core.DefaultSchedule(),
-		RequesterToken: clusterToken, Role: "frontend",
+		RequesterToken: requesterToken, Role: "frontend",
 		FrontendCacheTTL: -1,
 	})
 	if err != nil {

@@ -23,8 +23,10 @@ import (
 )
 
 const (
-	clusterToken  = "bench-cluster-token"
-	clusterShards = 8
+	clusterToken = "bench-cluster-token"
+	// requesterToken is distinct: a server refuses one token for both.
+	requesterToken = "bench-requester-token"
+	clusterShards  = 8
 	// clusterWorkers is deliberately deep: transport- and store-level
 	// batching only engages when submits actually queue.
 	clusterWorkers = 64
@@ -145,7 +147,7 @@ feed:
 // fetchAggregate reads the /aggregate payload once.
 func fetchAggregate(h http.Handler, surveyID string) (*server.AggregateResult, error) {
 	req := httptest.NewRequest(http.MethodGet, "/api/v1/surveys/"+surveyID+"/aggregate", nil)
-	req.Header.Set("Authorization", "Bearer "+clusterToken)
+	req.Header.Set("Authorization", "Bearer "+requesterToken)
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
 	if rec.Code != http.StatusOK {

@@ -166,7 +166,7 @@ func newLoadHarness(dir string, sv *survey.Survey, nodes, queue, inflight int) (
 		}
 		srv, err := server.New(server.Config{
 			Router: local, Schedule: core.DefaultSchedule(),
-			RequesterToken: clusterToken, Role: "node",
+			RequesterToken: requesterToken, Role: "node",
 		})
 		if err != nil {
 			return fail(err)
@@ -191,7 +191,7 @@ func newLoadHarness(dir string, sv *survey.Survey, nodes, queue, inflight int) (
 	}
 	fcfg := server.Config{
 		Router: remote, Schedule: core.DefaultSchedule(),
-		RequesterToken: clusterToken, Role: "frontend",
+		RequesterToken: requesterToken, Role: "frontend",
 		FrontendCacheTTL: -1,
 	}
 	if queue > 0 {
@@ -215,7 +215,7 @@ func newLoadHarness(dir string, sv *survey.Survey, nodes, queue, inflight int) (
 // surface (0 with admission off).
 func (h *loadHarness) queueDepth() int {
 	req := httptest.NewRequest(http.MethodGet, "/api/v1/admin/store", nil)
-	req.Header.Set("Authorization", "Bearer "+clusterToken)
+	req.Header.Set("Authorization", "Bearer "+requesterToken)
 	rec := httptest.NewRecorder()
 	h.frontend.ServeHTTP(rec, req)
 	if rec.Code != http.StatusOK {

@@ -6,8 +6,8 @@
 //
 //	loki-server -addr :8080 -token secret -store loki.log -seed-catalog
 //	loki-server -store ingest:/var/lib/loki -shards 8 -commit-interval 1ms
-//	loki-server -role node -manifest cluster.json -advertise http://10.0.0.1:8080 -store ingest:/var/lib/loki
-//	loki-server -role frontend -manifest cluster.json -seed-catalog
+//	loki-server -role node -cluster-token ops -manifest cluster.json -advertise http://10.0.0.1:8080 -store ingest:/var/lib/loki
+//	loki-server -role frontend -cluster-token ops -manifest cluster.json -seed-catalog
 //
 // Cluster roles (-role):
 //
@@ -26,7 +26,7 @@
 //	            writes). A node whose every shard follows refuses public
 //	            submits and publishes with 403. A following shard is
 //	            promoted to primary by POST
-//	            /api/v1/admin/promote/{shard}, automatically after
+//	            /api/v1/admin/promote/{shard} (-cluster-token), after
 //	            -promote-after of its primary being unreachable, or by a
 //	            manifest naming the node primary.
 //	frontend    owns no storage: routes submissions to the manifest's
@@ -120,7 +120,7 @@ type config struct {
 	checkpointEvery        time.Duration
 
 	role           string
-	clusterToken   string        // shardrpc bearer token (defaults to -token)
+	clusterToken   string        // operator and shardrpc bearer token; never -token
 	pollInterval   time.Duration // node: journal tail poll interval of following shards
 	cacheTTL       time.Duration // frontend: partial cache staleness bound
 	cacheRefresh   time.Duration // frontend: background refresher interval
@@ -145,11 +145,11 @@ type config struct {
 }
 
 // serverConfig is what every role's server.Config starts from: the
-// schedule, the requester token, the logger and the overload knobs
-// (zero values leave the default-off paths identical).
+// schedule, both tokens, the logger and the overload knobs (zero values
+// leave the default-off paths identical).
 func (c *config) serverConfig(logger *log.Logger) server.Config {
 	return server.Config{
-		Schedule: core.DefaultSchedule(), RequesterToken: c.token, Logger: logger,
+		Schedule: core.DefaultSchedule(), RequesterToken: c.token, ClusterToken: c.clusterToken, Logger: logger,
 		SubmitInflight: c.submitInflight, SubmitQueue: c.submitQueue,
 		RateLimitRPS: c.rateLimitRPS, RateLimitBurst: c.rateLimitBurst,
 	}
@@ -181,7 +181,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (config, error) {
 	fs.StringVar(&c.checkpointDir, "checkpoint-dir", "", "directory for durable live-aggregate checkpoints (empty disables; restart catch-up then rescans whole backlogs)")
 	fs.DurationVar(&c.checkpointEvery, "checkpoint-interval", 15*time.Second, "background checkpointer flush period")
 	fs.StringVar(&c.role, "role", "standalone", "deployment role: standalone, node or frontend")
-	fs.StringVar(&c.clusterToken, "cluster-token", "", "bearer token for the internal shardrpc transport (defaults to -token)")
+	fs.StringVar(&c.clusterToken, "cluster-token", "", "operator bearer token: opens promote, budget accounts and accumulator clear on every role, and the shardrpc transport of node and frontend, which require it; must differ from -token")
 	fs.DurationVar(&c.pollInterval, "replica-poll", 500*time.Millisecond, "node: journal tail poll interval of the shards the manifest lists this node a replica of")
 	fs.DurationVar(&c.cacheTTL, "frontend-cache-ttl", 250*time.Millisecond,
 		"frontend: partial cache staleness bound — reads within it are served from cache with no node RPCs (negative revalidates on every read)")
@@ -217,9 +217,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (config, error) {
 	fs.IntVar(&c.rateLimitBurst, "rate-limit-burst", 0,
 		"per-requester burst allowance above -rate-limit-rps (0 defaults to the rate, minimum 1)")
 	err := fs.Parse(args)
-	if c.clusterToken == "" {
-		c.clusterToken = c.token
-	}
 	return c, err
 }
 
@@ -353,6 +350,9 @@ func assemble(c config, logger *log.Logger) (handler http.Handler, closer func()
 		if c.manifest == "" {
 			return nil, nil, fmt.Errorf("%s needs -manifest", c.role)
 		}
+		if c.clusterToken == "" {
+			return nil, nil, fmt.Errorf("%s needs -cluster-token (the shardrpc and operator credential, not -token)", c.role)
+		}
 		if m, err = placement.Load(c.manifest); err != nil {
 			return nil, nil, err
 		}
@@ -449,20 +449,19 @@ func assemble(c config, logger *log.Logger) (handler http.Handler, closer func()
 		scfg := c.serverConfig(logger)
 		scfg.Router, scfg.Checkpoints, scfg.CheckpointInterval = local, ckpt, c.checkpointEvery
 		scfg.Role, scfg.ClusterShards = "node", len(m.Shards)
-		var bset *budget.Set
 		if c.budgetEnabled() {
 			hosted := m.BudgetShards(c.advertise)
-			bset, err = budget.NewSet(budget.SetOptions{
+			bset, err := budget.NewSet(budget.SetOptions{
 				Shards: len(m.Budget), GlobalIDs: hosted, Dir: c.budgetDir, Config: c.budgetConfig(),
 			})
 			if err != nil {
 				return nil, nil, err
 			}
 			closers = append(closers, bset.Close)
-			// The node's own public API meters through its hosted subset;
-			// enforcing, it refuses (421) workers whose accounts live on
-			// another node rather than admit them unmetered — they submit
-			// through a frontend.
+			// The node hosts the set for frontends' charges, and its own
+			// public API meters through it; enforcing, it refuses (421)
+			// workers whose accounts live on another node rather than admit
+			// them unmetered — they submit through a frontend.
 			scfg.Budget = bset
 			scfg.BudgetEnforce = c.budgetEnforce
 			logger.Printf("privacy budget %s: hosting budget shards %v of %d, cap ε=%g at δ=%g (ledger %s)",
@@ -477,17 +476,14 @@ func assemble(c config, logger *log.Logger) (handler http.Handler, closer func()
 		if err != nil {
 			return nil, nil, err
 		}
-		if bset != nil {
-			node.HostBudget(bset)
-		}
 		rpc, err := shardrpc.NewHandler(node, c.clusterToken)
 		if err != nil {
 			return nil, nil, err
 		}
 		node.Follow(server.FollowOptions{
 			PollInterval: c.pollInterval, PromoteAfter: c.promoteAfter,
-			ManifestPath: c.manifest, ClusterToken: c.clusterToken,
-			OpenStore: func(g int) (store.Store, error) { return emptyShardStore(c.storePath, c.icfg, g) },
+			ManifestPath: c.manifest,
+			OpenStore:    func(g int) (store.Store, error) { return emptyShardStore(c.storePath, c.icfg, g) },
 		})
 		closers = append(closers, node.Close)
 		// The first manifest sets every shard's role before the node

@@ -182,7 +182,7 @@ func TestRolesFromOneManifest(t *testing.T) {
 	if err := m.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	common := []string{"-token", "tok", "-manifest", path, "-manifest-poll", "20ms"}
+	common := []string{"-token", "tok", "-cluster-token", "op", "-manifest", path, "-manifest-poll", "20ms"}
 	nodeArgs := append([]string{"-role", "node", "-advertise", nodeURL, "-store", filepath.Join(dir, "node.log"),
 		"-budget-enforce", "enforce"}, common...)
 	var closeNode func()
@@ -198,7 +198,7 @@ func TestRolesFromOneManifest(t *testing.T) {
 	submitFresh(t, fts.URL, "w0", "w1", "w2", "w3", "w4", "w5", "w6", "w7")
 
 	req, _ := http.NewRequest(http.MethodPost, repURL+"/api/v1/admin/promote/0", nil)
-	req.Header.Set("Authorization", "Bearer tok")
+	req.Header.Set("Authorization", "Bearer op")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -278,7 +278,7 @@ func TestPromotedFollowerKeepsWritesAcrossRestart(t *testing.T) {
 	if err := m.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	common := []string{"-token", "tok", "-manifest", path, "-manifest-poll", "20ms", "-replica-poll", "20ms"}
+	common := []string{"-token", "tok", "-cluster-token", "op", "-manifest", path, "-manifest-poll", "20ms", "-replica-poll", "20ms"}
 	nodeTS.Config.Handler, _ = mustAssemble(t, append([]string{"-role", "node", "-advertise", nodeURL,
 		"-store", "ingest:" + filepath.Join(dir, "node"), "-seed-catalog"}, common...)...)
 	nodeTS.Start()
@@ -300,7 +300,7 @@ func TestPromotedFollowerKeepsWritesAcrossRestart(t *testing.T) {
 	}
 	for s := 0; s < 2; s++ {
 		req, _ := http.NewRequest(http.MethodPost, fmt.Sprintf("%s/api/v1/admin/promote/%d", repURL, s), nil)
-		req.Header.Set("Authorization", "Bearer tok")
+		req.Header.Set("Authorization", "Bearer op")
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
@@ -316,7 +316,7 @@ func TestPromotedFollowerKeepsWritesAcrossRestart(t *testing.T) {
 	}
 	submitFresh(t, repURL, fresh...)
 	counts := func(base string) [2]int {
-		c := shardrpc.NewClient(base, "tok", nil)
+		c := shardrpc.NewClient(base, "op", nil)
 		var out [2]int
 		for s := range out {
 			n, err := c.Count(s, survey.AwarenessID)

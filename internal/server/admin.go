@@ -194,7 +194,7 @@ func (s *Server) handleAdminStore(w http.ResponseWriter, _ *http.Request) {
 		Admission:       s.admissionInfo(),
 	}
 	if s.host != nil {
-		info.Journals = s.host.local.JournalStats()
+		info.Journals, info.Replication = s.host.local.JournalStats(), s.host.replicationInfo()
 	}
 	stores := s.adminStores()
 	if len(stores) == 0 {
@@ -233,9 +233,6 @@ func (s *Server) handleAdminStore(w http.ResponseWriter, _ *http.Request) {
 		}
 	}
 	info.Surveys = s.surveyHistories(stores)
-	if s.host != nil {
-		info.Replication = s.host.replicationInfo()
-	}
 	if s.cfg.Budget != nil {
 		bcfg := s.cfg.Budget.Config()
 		bi := &BudgetInfo{

@@ -37,7 +37,7 @@ func newAdmissionServer(t *testing.T, st store.Store, cfg Config) *httptest.Serv
 	t.Helper()
 	cfg.Store = st
 	cfg.Schedule = core.DefaultSchedule()
-	cfg.RequesterToken = testToken
+	cfg.RequesterToken, cfg.ClusterToken = testToken, testClusterToken
 	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -86,7 +86,7 @@ func newBudgetCluster(t *testing.T, nodes, totalShards, frontends int, mode stri
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { local.Close() })
-		nsrv, err := New(Config{Router: local, Schedule: core.DefaultSchedule(), RequesterToken: testToken, Role: "node"})
+		nsrv, err := New(Config{Router: local, Schedule: core.DefaultSchedule(), RequesterToken: testToken, ClusterToken: testClusterToken, Role: "node"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,13 +103,13 @@ func newBudgetCluster(t *testing.T, nodes, totalShards, frontends int, mode stri
 		}
 		t.Cleanup(func() { set.Close() })
 		node.HostBudget(set)
-		h, err := shardrpc.NewHandler(node, testToken)
+		h, err := shardrpc.NewHandler(node, testClusterToken)
 		if err != nil {
 			t.Fatal(err)
 		}
 		nts := httptest.NewServer(h)
 		t.Cleanup(nts.Close)
-		clients[nd] = shardrpc.NewClient(nts.URL, testToken, nil)
+		clients[nd] = shardrpc.NewClient(nts.URL, testClusterToken, nil)
 	}
 	fts := make([]*httptest.Server, frontends)
 	for f := 0; f < frontends; f++ {
@@ -127,7 +127,7 @@ func newBudgetCluster(t *testing.T, nodes, totalShards, frontends int, mode stri
 			t.Fatal(err)
 		}
 		frontend, err := New(Config{
-			Router: remote, Schedule: core.DefaultSchedule(), RequesterToken: testToken, Role: "frontend",
+			Router: remote, Schedule: core.DefaultSchedule(), RequesterToken: testToken, ClusterToken: testClusterToken, Role: "frontend",
 			Budget: charger, BudgetEnforce: mode,
 		})
 		if err != nil {
@@ -229,7 +229,7 @@ func TestClusterBudgetEnforcement(t *testing.T) {
 
 	// The admin surface answers the worker's balance from any frontend.
 	for i, ts := range fts {
-		resp, body := doReq(t, http.MethodGet, ts.URL+"/api/v1/admin/budget/"+worker, nil, testToken)
+		resp, body := doReq(t, http.MethodGet, ts.URL+"/api/v1/admin/budget/"+worker, nil, testClusterToken)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("frontend %d admin budget = %d: %s", i, resp.StatusCode, body)
 		}
@@ -346,7 +346,7 @@ func TestBudgetRefundOnFailedAppend(t *testing.T) {
 	}
 	t.Cleanup(func() { set.Close() })
 	srv, err := New(Config{
-		Store: st, Schedule: core.DefaultSchedule(), RequesterToken: testToken,
+		Store: st, Schedule: core.DefaultSchedule(), RequesterToken: testToken, ClusterToken: testClusterToken,
 		Budget: set, BudgetEnforce: "enforce",
 	})
 	if err != nil {
@@ -390,7 +390,7 @@ func TestBudgetLogMode(t *testing.T) {
 	}
 	t.Cleanup(func() { set.Close() })
 	srv, err := New(Config{
-		Store: store.NewMem(), Schedule: core.DefaultSchedule(), RequesterToken: testToken,
+		Store: store.NewMem(), Schedule: core.DefaultSchedule(), RequesterToken: testToken, ClusterToken: testClusterToken,
 		Budget: set, BudgetEnforce: "log",
 	})
 	if err != nil {
@@ -423,7 +423,7 @@ func TestBudgetLogMode(t *testing.T) {
 // TestBudgetConfigValidation covers the mode plumbing in New.
 func TestBudgetConfigValidation(t *testing.T) {
 	if _, err := New(Config{
-		Store: store.NewMem(), Schedule: core.DefaultSchedule(), RequesterToken: testToken,
+		Store: store.NewMem(), Schedule: core.DefaultSchedule(), RequesterToken: testToken, ClusterToken: testClusterToken,
 		BudgetEnforce: "enforce",
 	}); err == nil {
 		t.Fatal("enforce mode without a charger must fail")
@@ -434,20 +434,20 @@ func TestBudgetConfigValidation(t *testing.T) {
 	}
 	t.Cleanup(func() { set.Close() })
 	if _, err := New(Config{
-		Store: store.NewMem(), Schedule: core.DefaultSchedule(), RequesterToken: testToken,
+		Store: store.NewMem(), Schedule: core.DefaultSchedule(), RequesterToken: testToken, ClusterToken: testClusterToken,
 		Budget: set, BudgetEnforce: "sometimes",
 	}); err == nil {
 		t.Fatal("unknown enforce mode must fail")
 	}
 	// Admin budget endpoint 404s when accounting is off.
-	srv, err := New(Config{Store: store.NewMem(), Schedule: core.DefaultSchedule(), RequesterToken: testToken})
+	srv, err := New(Config{Store: store.NewMem(), Schedule: core.DefaultSchedule(), RequesterToken: testToken, ClusterToken: testClusterToken})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
-	if resp, _ := doReq(t, http.MethodGet, ts.URL+"/api/v1/admin/budget/w", nil, testToken); resp.StatusCode != http.StatusNotFound {
+	if resp, _ := doReq(t, http.MethodGet, ts.URL+"/api/v1/admin/budget/w", nil, testClusterToken); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("admin budget without accounting = %d", resp.StatusCode)
 	}
 	_ = fmt.Sprintf // keep fmt for future debugging aids
@@ -502,7 +502,7 @@ func manifestFrontend(t *testing.T, path string) (*httptest.Server, *shardrpc.Re
 	if err != nil {
 		t.Fatal(err)
 	}
-	remote, err := shardrpc.NewRemoteFromManifest(m, testToken, nil)
+	remote, err := shardrpc.NewRemoteFromManifest(m, testClusterToken, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -515,7 +515,7 @@ func manifestFrontend(t *testing.T, path string) (*httptest.Server, *shardrpc.Re
 		t.Fatal(err)
 	}
 	frontend, err := New(Config{
-		Router: remote, Schedule: core.DefaultSchedule(), RequesterToken: testToken, Role: "frontend",
+		Router: remote, Schedule: core.DefaultSchedule(), RequesterToken: testToken, ClusterToken: testClusterToken, Role: "frontend",
 		Budget: charger, BudgetEnforce: "enforce",
 	})
 	if err != nil {

@@ -155,7 +155,7 @@ func TestRepublishIdenticalKeepsLiveState(t *testing.T) {
 // and a republisher running free under -race.
 func TestRepublishRacingSubmitRebuildsLiveSet(t *testing.T) {
 	st := store.NewMem()
-	srv, err := New(Config{Store: st, Schedule: core.DefaultSchedule(), RequesterToken: testToken})
+	srv, err := New(Config{Store: st, Schedule: core.DefaultSchedule(), RequesterToken: testToken, ClusterToken: testClusterToken})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func (p *poisonStore) ScanResponses(id string, fromSeq uint64, fn func(uint64, *
 // admin surface.
 func TestPoisonedRecordFailsOnce(t *testing.T) {
 	ps := &poisonStore{Mem: store.NewMem()}
-	srv, err := New(Config{Store: ps, Schedule: core.DefaultSchedule(), RequesterToken: testToken})
+	srv, err := New(Config{Store: ps, Schedule: core.DefaultSchedule(), RequesterToken: testToken, ClusterToken: testClusterToken})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestPoisonedRecordFailsOnce(t *testing.T) {
 
 	// Force a rebuild that has to traverse the poisoned record: a fresh
 	// server (the submits above already folded seqs 1..6 live).
-	srv2, err := New(Config{Store: ps, Schedule: core.DefaultSchedule(), RequesterToken: testToken})
+	srv2, err := New(Config{Store: ps, Schedule: core.DefaultSchedule(), RequesterToken: testToken, ClusterToken: testClusterToken})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +442,7 @@ func TestCheckpointRestartEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv, err := New(Config{
-		Store: st, Schedule: core.DefaultSchedule(), RequesterToken: testToken,
+		Store: st, Schedule: core.DefaultSchedule(), RequesterToken: testToken, ClusterToken: testClusterToken,
 		Checkpoints: ck,
 	})
 	if err != nil {
@@ -486,7 +486,7 @@ func TestCheckpointRestartEquivalence(t *testing.T) {
 		t.Fatalf("checkpoint after first life = %+v, want cursor %d", rec, n)
 	}
 	srv2, err := New(Config{
-		Store: tracking, Schedule: core.DefaultSchedule(), RequesterToken: testToken,
+		Store: tracking, Schedule: core.DefaultSchedule(), RequesterToken: testToken, ClusterToken: testClusterToken,
 		Checkpoints: ck2,
 	})
 	if err != nil {
@@ -533,7 +533,7 @@ func TestCheckpointFingerprintMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv, err := New(Config{
-		Store: st, Schedule: core.DefaultSchedule(), RequesterToken: testToken,
+		Store: st, Schedule: core.DefaultSchedule(), RequesterToken: testToken, ClusterToken: testClusterToken,
 		Checkpoints: ck,
 	})
 	if err != nil {
@@ -576,7 +576,7 @@ func TestCheckpointFingerprintMismatch(t *testing.T) {
 	}
 	t.Cleanup(func() { ck2.Close() })
 	srv2, err := New(Config{
-		Store: tracking, Schedule: core.DefaultSchedule(), RequesterToken: testToken,
+		Store: tracking, Schedule: core.DefaultSchedule(), RequesterToken: testToken, ClusterToken: testClusterToken,
 		Checkpoints: ck2,
 	})
 	if err != nil {
@@ -618,7 +618,7 @@ func TestCheckpointAheadOfStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(Config{Store: bigStore, Schedule: core.DefaultSchedule(), RequesterToken: testToken, Checkpoints: ck})
+	srv, err := New(Config{Store: bigStore, Schedule: core.DefaultSchedule(), RequesterToken: testToken, ClusterToken: testClusterToken, Checkpoints: ck})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -645,7 +645,7 @@ func TestCheckpointAheadOfStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ck2.Close() })
-	srv2, err := New(Config{Store: smallStore, Schedule: core.DefaultSchedule(), RequesterToken: testToken, Checkpoints: ck2})
+	srv2, err := New(Config{Store: smallStore, Schedule: core.DefaultSchedule(), RequesterToken: testToken, ClusterToken: testClusterToken, Checkpoints: ck2})
 	if err != nil {
 		t.Fatal(err)
 	}

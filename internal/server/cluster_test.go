@@ -135,7 +135,7 @@ func TestClusterMergeEquivalence(t *testing.T) {
 				}
 				t.Cleanup(func() { ckpt.Close() })
 				srv, err := New(Config{
-					Router: router, Schedule: core.DefaultSchedule(), RequesterToken: testToken,
+					Router: router, Schedule: core.DefaultSchedule(), RequesterToken: testToken, ClusterToken: testClusterToken,
 					Checkpoints: ckpt, CheckpointInterval: time.Hour,
 				})
 				if err != nil {
@@ -174,7 +174,7 @@ func TestClusterMergeEquivalence(t *testing.T) {
 				// A few post-checkpoint submits so restart catch-up has
 				// real per-shard tails to scan.
 				srv2, err := New(Config{
-					Router: router, Schedule: core.DefaultSchedule(), RequesterToken: testToken,
+					Router: router, Schedule: core.DefaultSchedule(), RequesterToken: testToken, ClusterToken: testClusterToken,
 					Checkpoints: ckpt, CheckpointInterval: time.Hour,
 				})
 				if err != nil {
@@ -210,7 +210,7 @@ func newTestNodes(t testing.TB, nodes, totalShards, journalRetain int) []*shardr
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { local.Close() })
-		nsrv, err := New(Config{Router: local, Schedule: core.DefaultSchedule(), RequesterToken: testToken, Role: "node"})
+		nsrv, err := New(Config{Router: local, Schedule: core.DefaultSchedule(), RequesterToken: testToken, ClusterToken: testClusterToken, Role: "node"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,13 +219,13 @@ func newTestNodes(t testing.TB, nodes, totalShards, journalRetain int) []*shardr
 		if err != nil {
 			t.Fatal(err)
 		}
-		h, err := shardrpc.NewHandler(node, testToken)
+		h, err := shardrpc.NewHandler(node, testClusterToken)
 		if err != nil {
 			t.Fatal(err)
 		}
 		nts := httptest.NewServer(h)
 		t.Cleanup(nts.Close)
-		clients[nd] = shardrpc.NewClient(nts.URL, testToken, nil)
+		clients[nd] = shardrpc.NewClient(nts.URL, testClusterToken, nil)
 	}
 	return clients
 }
@@ -240,7 +240,7 @@ func newTestFrontend(t testing.TB, clients []*shardrpc.Client, totalShards int, 
 		t.Fatal(err)
 	}
 	frontend, err := New(Config{
-		Router: remote, Schedule: core.DefaultSchedule(), RequesterToken: testToken, Role: "frontend",
+		Router: remote, Schedule: core.DefaultSchedule(), RequesterToken: testToken, ClusterToken: testClusterToken, Role: "frontend",
 		FrontendCacheTTL: cacheTTL, FrontendRefresh: refresh,
 	})
 	if err != nil {
@@ -367,7 +367,7 @@ func newFollower(t testing.TB, src *shardrpc.Client, o FollowOptions) (*Node, *h
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { local.Close() })
-	srv, err := New(Config{Router: local, Schedule: core.DefaultSchedule(), RequesterToken: testToken, Role: "node"})
+	srv, err := New(Config{Router: local, Schedule: core.DefaultSchedule(), RequesterToken: testToken, ClusterToken: testClusterToken, Role: "node"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +376,7 @@ func newFollower(t testing.TB, src *shardrpc.Client, o FollowOptions) (*Node, *h
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := shardrpc.NewHandler(node, testToken)
+	h, err := shardrpc.NewHandler(node, testClusterToken)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +388,6 @@ func newFollower(t testing.TB, src *shardrpc.Client, o FollowOptions) (*Node, *h
 	if o.PollInterval == 0 {
 		o.PollInterval = time.Hour
 	}
-	o.ClusterToken = testToken
 	node.Follow(o)
 	t.Cleanup(func() { node.Close() })
 	return node, ts
@@ -424,7 +423,7 @@ func TestReplicaFollowsNode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		nsrv, err := New(Config{Router: local, Schedule: core.DefaultSchedule(), RequesterToken: testToken, Role: "node"})
+		nsrv, err := New(Config{Router: local, Schedule: core.DefaultSchedule(), RequesterToken: testToken, ClusterToken: testClusterToken, Role: "node"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -433,7 +432,7 @@ func TestReplicaFollowsNode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h, err := shardrpc.NewHandler(node, testToken)
+		h, err := shardrpc.NewHandler(node, testClusterToken)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -456,7 +455,7 @@ func TestReplicaFollowsNode(t *testing.T) {
 		}
 	}
 
-	rep, rts := newFollower(t, shardrpc.NewClient(nts.URL, testToken, nil), FollowOptions{})
+	rep, rts := newFollower(t, shardrpc.NewClient(nts.URL, testClusterToken, nil), FollowOptions{})
 	rep.ApplyManifest(followManifest(t, shards, nts.URL, rts.URL, 1), rts.URL)
 	rep.SyncOnce()
 
@@ -533,7 +532,7 @@ func TestAdminAccumulatorClear(t *testing.T) {
 	if _, err := ps.Publish(sv); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(Config{Store: ps, Schedule: core.DefaultSchedule(), RequesterToken: testToken})
+	srv, err := New(Config{Store: ps, Schedule: core.DefaultSchedule(), RequesterToken: testToken, ClusterToken: testClusterToken})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -545,7 +544,7 @@ func TestAdminAccumulatorClear(t *testing.T) {
 
 	// Poison, then force a rebuild that traverses the bad record.
 	ps.poisonSeq = 3
-	srv2, err := New(Config{Store: ps, Schedule: core.DefaultSchedule(), RequesterToken: testToken})
+	srv2, err := New(Config{Store: ps, Schedule: core.DefaultSchedule(), RequesterToken: testToken, ClusterToken: testClusterToken})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -557,7 +556,7 @@ func TestAdminAccumulatorClear(t *testing.T) {
 
 	// Clearing an unknown survey is a 404; clearing without the token a
 	// 401.
-	if resp, _ := doReq(t, http.MethodPost, ts2.URL+"/api/v1/admin/accumulator/ghost/clear", nil, testToken); resp.StatusCode != http.StatusNotFound {
+	if resp, _ := doReq(t, http.MethodPost, ts2.URL+"/api/v1/admin/accumulator/ghost/clear", nil, testClusterToken); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("clear unknown = %d", resp.StatusCode)
 	}
 	if resp, _ := doReq(t, http.MethodPost, ts2.URL+"/api/v1/admin/accumulator/"+sv.ID+"/clear", nil, ""); resp.StatusCode != http.StatusUnauthorized {
@@ -571,7 +570,7 @@ func TestAdminAccumulatorClear(t *testing.T) {
 	if resp, _ := doReq(t, http.MethodGet, aggregateURL(ts2, sv.ID), nil, testToken); resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("sticky poisoned read = %d, want 500", resp.StatusCode)
 	}
-	resp, body := doReq(t, http.MethodPost, ts2.URL+"/api/v1/admin/accumulator/"+sv.ID+"/clear", nil, testToken)
+	resp, body := doReq(t, http.MethodPost, ts2.URL+"/api/v1/admin/accumulator/"+sv.ID+"/clear", nil, testClusterToken)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("clear = %d: %s", resp.StatusCode, body)
 	}
@@ -610,7 +609,7 @@ func TestAdminRepublishHistory(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st2.Close() })
-	srv, err := New(Config{Store: st2, Schedule: core.DefaultSchedule(), RequesterToken: testToken})
+	srv, err := New(Config{Store: st2, Schedule: core.DefaultSchedule(), RequesterToken: testToken, ClusterToken: testClusterToken})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -671,7 +670,7 @@ func TestCheckpointGlobalShardIdentity(t *testing.T) {
 		}
 	}
 	srvA, err := New(Config{
-		Router: routerA, Schedule: core.DefaultSchedule(), RequesterToken: testToken,
+		Router: routerA, Schedule: core.DefaultSchedule(), RequesterToken: testToken, ClusterToken: testClusterToken,
 		Checkpoints: ckpt, CheckpointInterval: time.Hour, ClusterShards: 2,
 	})
 	if err != nil {
@@ -711,7 +710,7 @@ func TestCheckpointGlobalShardIdentity(t *testing.T) {
 		}
 	}
 	srvB, err := New(Config{
-		Router: routerB, Schedule: core.DefaultSchedule(), RequesterToken: testToken,
+		Router: routerB, Schedule: core.DefaultSchedule(), RequesterToken: testToken, ClusterToken: testClusterToken,
 		Checkpoints: ckpt, CheckpointInterval: time.Hour, ClusterShards: 2,
 	})
 	if err != nil {
@@ -728,7 +727,7 @@ func TestCheckpointGlobalShardIdentity(t *testing.T) {
 	// And a cluster resize (same global shard, different total) also
 	// refuses the restore.
 	srvC, err := New(Config{
-		Router: routerA, Schedule: core.DefaultSchedule(), RequesterToken: testToken,
+		Router: routerA, Schedule: core.DefaultSchedule(), RequesterToken: testToken, ClusterToken: testClusterToken,
 		Checkpoints: ckpt, CheckpointInterval: time.Hour, ClusterShards: 4,
 	})
 	if err != nil {
@@ -757,7 +756,7 @@ func TestReplicaTruncationBootstrap(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { local.Close() })
-	nsrv, err := New(Config{Router: local, Schedule: core.DefaultSchedule(), RequesterToken: testToken, Role: "node"})
+	nsrv, err := New(Config{Router: local, Schedule: core.DefaultSchedule(), RequesterToken: testToken, ClusterToken: testClusterToken, Role: "node"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -766,7 +765,7 @@ func TestReplicaTruncationBootstrap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := shardrpc.NewHandler(node, testToken)
+	h, err := shardrpc.NewHandler(node, testClusterToken)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -788,7 +787,7 @@ func TestReplicaTruncationBootstrap(t *testing.T) {
 		t.Fatalf("retain bound never truncated: %+v", st)
 	}
 
-	rep, rts := newFollower(t, shardrpc.NewClient(nts.URL, testToken, nil), FollowOptions{})
+	rep, rts := newFollower(t, shardrpc.NewClient(nts.URL, testClusterToken, nil), FollowOptions{})
 	rep.ApplyManifest(followManifest(t, shards, nts.URL, rts.URL, 1), rts.URL)
 	rep.SyncOnce()
 

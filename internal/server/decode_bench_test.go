@@ -32,7 +32,7 @@ func decodeBenchRecord(r *rand.Rand, i int) survey.Response {
 // one benchmark-shaped record, and a batch of 64 — through the schema
 // scanner and through the encoding/json path a declined body takes.
 func BenchmarkSubmitDecode(b *testing.B) {
-	srv, err := New(Config{Store: store.NewMem(), Schedule: core.DefaultSchedule(), RequesterToken: testToken})
+	srv, err := New(Config{Store: store.NewMem(), Schedule: core.DefaultSchedule(), RequesterToken: testToken, ClusterToken: testClusterToken})
 	if err != nil {
 		b.Fatal(err)
 	}

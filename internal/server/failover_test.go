@@ -74,7 +74,7 @@ func newHANodes(t *testing.T, nodes, totalShards int) []*haNode {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { local.Close() })
-		nsrv, err := New(Config{Router: local, Schedule: core.DefaultSchedule(), RequesterToken: testToken, Role: "node"})
+		nsrv, err := New(Config{Router: local, Schedule: core.DefaultSchedule(), RequesterToken: testToken, ClusterToken: testClusterToken, Role: "node"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,9 +83,9 @@ func newHANodes(t *testing.T, nodes, totalShards int) []*haNode {
 		if err != nil {
 			t.Fatal(err)
 		}
-		node.Follow(FollowOptions{PollInterval: time.Hour, ClusterToken: testToken})
+		node.Follow(FollowOptions{PollInterval: time.Hour})
 		t.Cleanup(func() { node.Close() })
-		h, err := shardrpc.NewHandler(node, testToken)
+		h, err := shardrpc.NewHandler(node, testClusterToken)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +98,7 @@ func newHANodes(t *testing.T, nodes, totalShards int) []*haNode {
 		nts := httptest.NewServer(sw)
 		t.Cleanup(nts.Close)
 		out[nd] = &haNode{
-			url: nts.URL, client: shardrpc.NewClient(nts.URL, testToken, nil),
+			url: nts.URL, client: shardrpc.NewClient(nts.URL, testClusterToken, nil),
 			local: local, node: node, sw: sw, live: mux,
 		}
 	}
@@ -294,13 +294,13 @@ func TestReplicaReadFailoverAndPromotion(t *testing.T) {
 	m := haManifest(t, manifestPath, totalShards, nodes[0].url, rep, repURL)
 	nodes[0].node.ApplyManifest(m, nodes[0].url)
 
-	remote, err := shardrpc.NewRemoteFromManifest(m, testToken, nil)
+	remote, err := shardrpc.NewRemoteFromManifest(m, testClusterToken, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { remote.Close() })
 	frontend, err := New(Config{
-		Router: remote, Schedule: core.DefaultSchedule(), RequesterToken: testToken, Role: "frontend",
+		Router: remote, Schedule: core.DefaultSchedule(), RequesterToken: testToken, ClusterToken: testClusterToken, Role: "frontend",
 		FrontendCacheTTL: -1,
 	})
 	if err != nil {
@@ -373,7 +373,7 @@ func TestReplicaReadFailoverAndPromotion(t *testing.T) {
 	// Operator promotion: one POST per shard on the replica's admin
 	// surface. The shared manifest gains the new primary and epochs.
 	for s := 0; s < totalShards; s++ {
-		resp, body := doReq(t, http.MethodPost, fmt.Sprintf("%s/api/v1/admin/promote/%d", repURL, s), nil, testToken)
+		resp, body := doReq(t, http.MethodPost, fmt.Sprintf("%s/api/v1/admin/promote/%d", repURL, s), nil, testClusterToken)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("promote shard %d = %d: %s", s, resp.StatusCode, body)
 		}
@@ -466,7 +466,7 @@ func TestPromotionRaceOldPrimaryFenced(t *testing.T) {
 	}
 
 	// Writers race the promotion: fenced until the flip, accepted after.
-	repClient := shardrpc.NewClient(repURL, testToken, nil)
+	repClient := shardrpc.NewClient(repURL, testClusterToken, nil)
 	var fenced, accepted atomic.Int64
 	stopWriters := make(chan struct{})
 	var wg sync.WaitGroup
@@ -663,7 +663,7 @@ func TestSupersededPromotedHostFenced(t *testing.T) {
 	}
 	rep.ApplyManifest(m2, repURL)
 
-	client := shardrpc.NewClient(repURL, testToken, nil)
+	client := shardrpc.NewClient(repURL, testClusterToken, nil)
 	rng := rand.New(rand.NewSource(43))
 	for _, epoch := range []uint64{0, 2, 3} {
 		_, err := client.Submit(&shardrpc.SubmitRequest{Shard: 0, Epoch: epoch, Responses: []survey.Response{*randomResponse(sv, rng, int(epoch))}})
@@ -740,7 +740,7 @@ func TestFollowersResourceAfterPromotion(t *testing.T) {
 	}
 
 	// New writes land on b; c's next cycle tails b from scratch.
-	bClient := shardrpc.NewClient(bURL, testToken, nil)
+	bClient := shardrpc.NewClient(bURL, testClusterToken, nil)
 	for i := 0; i < 12; i++ {
 		r := randomResponse(sv, rng, 100+i)
 		s := shardset.Route(sv.ID, r.WorkerID, totalShards)
@@ -825,7 +825,7 @@ func TestFollowerResetUnderReads(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv, err := New(Config{Router: local, Schedule: core.DefaultSchedule(), RequesterToken: testToken, Role: "node"})
+		srv, err := New(Config{Router: local, Schedule: core.DefaultSchedule(), RequesterToken: testToken, ClusterToken: testClusterToken, Role: "node"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -834,7 +834,7 @@ func TestFollowerResetUnderReads(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h, err := shardrpc.NewHandler(node, testToken)
+		h, err := shardrpc.NewHandler(node, testClusterToken)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -845,7 +845,7 @@ func TestFollowerResetUnderReads(t *testing.T) {
 	t.Cleanup(nts.Close)
 
 	dir := t.TempDir()
-	rep, rts := newFollower(t, shardrpc.NewClient(nts.URL, testToken, nil), FollowOptions{
+	rep, rts := newFollower(t, shardrpc.NewClient(nts.URL, testClusterToken, nil), FollowOptions{
 		OpenStore: func(g int) (store.Store, error) {
 			path := filepath.Join(dir, fmt.Sprintf("gshard-%03d.log", g))
 			if err := os.RemoveAll(path); err != nil {
@@ -935,7 +935,7 @@ func TestBootstrapRetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { local.Close() })
-	nsrv, err := New(Config{Router: local, Schedule: core.DefaultSchedule(), RequesterToken: testToken, Role: "node"})
+	nsrv, err := New(Config{Router: local, Schedule: core.DefaultSchedule(), RequesterToken: testToken, ClusterToken: testClusterToken, Role: "node"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -944,7 +944,7 @@ func TestBootstrapRetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := shardrpc.NewHandler(node, testToken)
+	h, err := shardrpc.NewHandler(node, testClusterToken)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -973,7 +973,7 @@ func TestBootstrapRetry(t *testing.T) {
 		}
 	}
 
-	rep, rts := newFollower(t, shardrpc.NewClient(nts.URL, testToken, nil), FollowOptions{})
+	rep, rts := newFollower(t, shardrpc.NewClient(nts.URL, testClusterToken, nil), FollowOptions{})
 	rep.ApplyManifest(followManifest(t, shards, nts.URL, rts.URL, 1), rts.URL)
 	rep.SyncOnce()
 
@@ -993,7 +993,7 @@ func TestBootstrapRetry(t *testing.T) {
 func TestAdminHealthRoles(t *testing.T) {
 	// Standalone: one store, every shard an unfenced primary.
 	st := store.NewMem()
-	srv, err := New(Config{Store: st, Schedule: core.DefaultSchedule(), RequesterToken: testToken})
+	srv, err := New(Config{Store: st, Schedule: core.DefaultSchedule(), RequesterToken: testToken, ClusterToken: testClusterToken})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,7 @@ func newFaultyServer(t *testing.T, fs *faultyStore) *httptest.Server {
 	srv, err := New(Config{
 		Store:          fs,
 		Schedule:       core.DefaultSchedule(),
-		RequesterToken: testToken,
+		RequesterToken: testToken, ClusterToken: testClusterToken,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -37,9 +37,6 @@ type FollowOptions struct {
 	// followers re-source). Without it, promotion only flips the local
 	// shard writable.
 	ManifestPath string
-	// ClusterToken is the shardrpc bearer token the node tails its
-	// sources with.
-	ClusterToken string
 	// OpenStore returns an empty store for a global shard, replacing the
 	// one a resync discards (the old one is closed first, so it may reuse
 	// its files). Nil opens a store.Mem.
@@ -94,7 +91,7 @@ func (n *Node) loop() {
 func (n *Node) source(url string) *shardrpc.Client {
 	c, ok := n.sources[url]
 	if !ok {
-		c = shardrpc.NewClient(url, n.follow.ClusterToken, nil)
+		c = shardrpc.NewClient(url, n.srv.cfg.ClusterToken, nil)
 		n.sources[url] = c
 	}
 	return c

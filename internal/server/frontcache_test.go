@@ -438,7 +438,7 @@ func TestFrontendCacheColdAndDisabled(t *testing.T) {
 	calls := &partialCalls{}
 	clients := newTestNodes(t, nodes, totalShards, 0)
 	for i, c := range clients {
-		clients[i] = shardrpc.NewClient(c.BaseURL(), testToken, &http.Client{Transport: calls})
+		clients[i] = shardrpc.NewClient(c.BaseURL(), testClusterToken, &http.Client{Transport: calls})
 	}
 	uncached, remote, _ := newTestFrontend(t, clients, totalShards, -1, 0)
 	sv := clusterTestSurvey()

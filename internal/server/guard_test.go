@@ -387,9 +387,9 @@ func TestOneFrontendReadPathCatches(t *testing.T) {
 		{"a second AggregateResult", "read.go", []string{
 			"out := &AggregateResult{", "_ = AggregateResult{}\n\tout := &AggregateResult{"}},
 		{"a restored GET partial route", "../shardrpc/handler.go", []string{
-			`h.mux.HandleFunc("POST /shardrpc/v1/partial", h.guard(h.handlePartials))`,
-			`h.mux.HandleFunc("POST /shardrpc/v1/partial", h.guard(h.handlePartials))` + "\n\t" +
-				`h.mux.HandleFunc("GET /shardrpc/v1/shards/{shard}/partial", h.guard(h.handlePartials))`}},
+			`h.mux.HandleFunc("POST /shardrpc/v1/partial", h.handlePartials)`,
+			`h.mux.HandleFunc("POST /shardrpc/v1/partial", h.handlePartials)` + "\n\t" +
+				`h.mux.HandleFunc("GET /shardrpc/v1/shards/{shard}/partial", h.handlePartials)`}},
 		{"a committed BENCH report", "", nil},
 	} {
 		t.Run(m.name, func(t *testing.T) {

@@ -204,7 +204,7 @@ func postCharge(t *testing.T, url string, req any) wireReply {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hreq.Header.Set("Authorization", "Bearer "+testToken)
+	hreq.Header.Set("Authorization", "Bearer "+testClusterToken)
 	resp, err := http.DefaultClient.Do(hreq)
 	if err != nil {
 		t.Fatal(err)
@@ -288,7 +288,7 @@ func TestNodeQueueWedgedShardHoldsNoOther(t *testing.T) {
 	}})
 	unblock := sync.OnceFunc(func() { close(wedged.release) })
 	t.Cleanup(unblock)
-	client := shardrpc.NewClient(wn.url, testToken, nil)
+	client := shardrpc.NewClient(wn.url, testClusterToken, nil)
 	remote, err := shardrpc.NewRemoteRoundRobin([]*shardrpc.Client{client}, 2)
 	if err != nil {
 		t.Fatal(err)

@@ -63,7 +63,7 @@ func newPartialWireFixture(t *testing.T) partialWireFixture {
 	if r := postSubmit(t, wn.url, req); r.status != http.StatusOK {
 		t.Fatalf("fixture submit: %v", r)
 	}
-	rep, ts := newFollower(t, shardrpc.NewClient(wn.url, testToken, nil), FollowOptions{})
+	rep, ts := newFollower(t, shardrpc.NewClient(wn.url, testClusterToken, nil), FollowOptions{})
 	rep.ApplyManifest(followManifest(t, 2, wn.url, ts.URL, 1), ts.URL)
 	rep.SyncOnce()
 	return partialWireFixture{node: wn.url, replica: ts.URL}
@@ -113,7 +113,7 @@ func (c partialWireCase) fetch(t *testing.T, f partialWireFixture, others ...int
 		t.Fatal(err)
 	}
 	if !c.noToken {
-		hreq.Header.Set("Authorization", "Bearer "+testToken)
+		hreq.Header.Set("Authorization", "Bearer "+testClusterToken)
 	}
 	resp, err := http.DefaultClient.Do(hreq)
 	if err != nil {

@@ -177,7 +177,7 @@ func pubCounters(t *testing.T, base string) string {
 // reports it.
 func pubAccount(t *testing.T, base, worker string) string {
 	t.Helper()
-	resp, body := doReq(t, http.MethodGet, base+"/api/v1/admin/budget/"+worker, nil, testToken)
+	resp, body := doReq(t, http.MethodGet, base+"/api/v1/admin/budget/"+worker, nil, testClusterToken)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("admin budget = %d: %s", resp.StatusCode, body)
 	}
@@ -200,7 +200,7 @@ func pubLedger(t *testing.T, shards int, hosted []int) *budget.Set {
 // "" runs it without a ledger.
 func pubStandalone(t *testing.T, st store.Store, mode string, cfg Config) (string, *budget.Set) {
 	t.Helper()
-	cfg.Store, cfg.Schedule, cfg.RequesterToken = st, core.DefaultSchedule(), testToken
+	cfg.Store, cfg.Schedule, cfg.RequesterToken, cfg.ClusterToken = st, core.DefaultSchedule(), testToken, testClusterToken
 	var set *budget.Set
 	if mode != "" {
 		set = pubLedger(t, 1, nil)
@@ -254,7 +254,7 @@ func newPubCluster(t *testing.T, o pubClusterOpts) *pubCluster {
 			t.Fatal(err)
 		}
 		pc.nodes = append(pc.nodes, wn)
-		clients[nd] = shardrpc.NewClient(wn.url, testToken, nil)
+		clients[nd] = shardrpc.NewClient(wn.url, testClusterToken, nil)
 	}
 	remote, err := shardrpc.NewRemoteRoundRobin(clients, pubShards)
 	if err != nil {
@@ -270,7 +270,7 @@ func newPubCluster(t *testing.T, o pubClusterOpts) *pubCluster {
 // the charger covers the rest.
 func pubFrontend(t *testing.T, remote *shardrpc.Remote, clients []*shardrpc.Client, mode string, cfg Config) string {
 	t.Helper()
-	cfg.Router, cfg.Schedule, cfg.RequesterToken, cfg.Role = remote, core.DefaultSchedule(), testToken, "frontend"
+	cfg.Router, cfg.Schedule, cfg.RequesterToken, cfg.ClusterToken, cfg.Role = remote, core.DefaultSchedule(), testToken, testClusterToken, "frontend"
 	if mode != "" {
 		charger, err := shardrpc.NewRemoteCharger(clients, pubShards, budgetTestConfig(t))
 		if err != nil {
@@ -685,7 +685,7 @@ func publicWireCases() []pubCase {
 			if err != nil {
 				t.Fatal(err)
 			}
-			remote, err := shardrpc.NewRemoteFromManifest(m, testToken, nil)
+			remote, err := shardrpc.NewRemoteFromManifest(m, testClusterToken, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -106,13 +106,13 @@ func readWireScript(t *testing.T, shape string, pin func(name string, r partialR
 	rep, repURL := newHAReplica(t, rnodes[0], manifestPath, 0)
 	m := haManifest(t, manifestPath, 2, rnodes[0].url, rep, repURL)
 	rnodes[0].node.ApplyManifest(m, rnodes[0].url)
-	remote, err := shardrpc.NewRemoteFromManifest(m, testToken, nil)
+	remote, err := shardrpc.NewRemoteFromManifest(m, testClusterToken, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { remote.Close() })
 	rsrv, err := New(Config{
-		Router: remote, Schedule: core.DefaultSchedule(), RequesterToken: testToken, Role: "frontend",
+		Router: remote, Schedule: core.DefaultSchedule(), RequesterToken: testToken, ClusterToken: testClusterToken, Role: "frontend",
 		FrontendCacheTTL: -1,
 	})
 	if err != nil {

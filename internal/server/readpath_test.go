@@ -236,7 +236,7 @@ func TestRestartCatchUp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(Config{Store: st, Schedule: core.DefaultSchedule(), RequesterToken: testToken})
+	srv, err := New(Config{Store: st, Schedule: core.DefaultSchedule(), RequesterToken: testToken, ClusterToken: testClusterToken})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestRestartCatchUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st2.Close() })
-	srv2, err := New(Config{Store: st2, Schedule: core.DefaultSchedule(), RequesterToken: testToken})
+	srv2, err := New(Config{Store: st2, Schedule: core.DefaultSchedule(), RequesterToken: testToken, ClusterToken: testClusterToken})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +329,7 @@ func TestAdminStoreIngestBackend(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ing.Close() })
-	srv, err := New(Config{Store: ing, Schedule: core.DefaultSchedule(), RequesterToken: testToken})
+	srv, err := New(Config{Store: ing, Schedule: core.DefaultSchedule(), RequesterToken: testToken, ClusterToken: testClusterToken})
 	if err != nil {
 		t.Fatal(err)
 	}

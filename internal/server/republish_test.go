@@ -111,7 +111,7 @@ func TestRepublishPartialBroadcastStandalone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(Config{Router: local, Schedule: core.DefaultSchedule(), RequesterToken: testToken})
+	srv, err := New(Config{Router: local, Schedule: core.DefaultSchedule(), RequesterToken: testToken, ClusterToken: testClusterToken})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,14 +170,14 @@ func TestRepublishPartialBroadcastCluster(t *testing.T) {
 			o.wrap = failOnceReplace(&armed)
 		}
 		nodes[nd] = newWireNode(t, o)
-		clients[nd] = shardrpc.NewClient(nodes[nd].url, testToken, nil)
+		clients[nd] = shardrpc.NewClient(nodes[nd].url, testClusterToken, nil)
 	}
 	remote, err := shardrpc.NewRemoteRoundRobin(clients, pubShards)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { remote.Close() })
-	front, err := New(Config{Router: remote, Schedule: core.DefaultSchedule(), RequesterToken: testToken, Role: "frontend"})
+	front, err := New(Config{Router: remote, Schedule: core.DefaultSchedule(), RequesterToken: testToken, ClusterToken: testClusterToken, Role: "frontend"})
 	if err != nil {
 		t.Fatal(err)
 	}

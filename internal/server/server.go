@@ -4,20 +4,23 @@
 // never sees raw answers — that is the entire point of at-source
 // obfuscation), and computes noise-aware aggregates for requesters.
 //
-// Routes (v1):
+// Routes (v1), each with the one audience that may call it (requester:
+// "Authorization: Bearer <RequesterToken>", cluster: <ClusterToken>):
 //
-//	GET  /api/v1/healthz                      liveness probe
-//	GET  /api/v1/surveys                      survey list (worker view)
-//	GET  /api/v1/surveys/{id}                 full survey definition
-//	POST /api/v1/surveys                      publish a survey   [requester]
-//	POST /api/v1/surveys/{id}/responses       submit a response
-//	GET  /api/v1/surveys/{id}/aggregate       noise-aware stats  [requester]
-//	GET  /api/v1/surveys/{id}/quality         consistency screen [requester]
-//	GET  /api/v1/schedule                     the public noise schedule
-//	GET  /api/v1/admin/store                  store/read-path stats [requester]
-//	POST /api/v1/admin/accumulator/{id}/clear drop a poisoned accumulator [requester]
-//
-// Requester endpoints require "Authorization: Bearer <token>".
+//	GET  /api/v1/healthz                      public     liveness probe
+//	GET  /api/v1/surveys                      public     survey list (worker view)
+//	GET  /api/v1/surveys/{id}                 public     full survey definition
+//	POST /api/v1/surveys                      requester  publish a survey
+//	POST /api/v1/surveys/{id}/responses       public     submit a response
+//	POST /api/v1/responses                    public     submit a batch of responses
+//	GET  /api/v1/surveys/{id}/aggregate       requester  noise-aware stats
+//	GET  /api/v1/surveys/{id}/quality         requester  consistency screen
+//	GET  /api/v1/schedule                     public     the public noise schedule
+//	GET  /api/v1/admin/store                  requester  store/read-path stats
+//	GET  /api/v1/admin/budget/{worker}        cluster    one worker's ledger account
+//	POST /api/v1/admin/accumulator/{id}/clear cluster    drop a poisoned accumulator
+//	GET  /api/v1/admin/health                 public     per-shard roles, the failover probe
+//	POST /api/v1/admin/promote/{shard}        cluster    make a following shard primary
 //
 // The persistence layer behind the handlers is a shardset.ShardRouter:
 // responses partition across shards (one shard in the classic
@@ -34,7 +37,6 @@ package server
 import (
 	"bytes"
 	"context"
-	"crypto/subtle"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -69,8 +71,12 @@ type Config struct {
 	// Schedule is the published noise schedule; workers obfuscate with
 	// it and aggregation attributes per-bin noise from it.
 	Schedule core.Schedule
-	// RequesterToken guards publish/aggregate endpoints. Required.
+	// RequesterToken opens the requester routes. Required.
 	RequesterToken string
+	// ClusterToken, the operator credential, opens the cluster routes,
+	// and a node tails its sources' shardrpc surface with it. Empty
+	// opens nothing. It must differ from RequesterToken.
+	ClusterToken string
 	// Logger receives request logs; nil disables logging.
 	Logger *log.Logger
 	// MaxBodyBytes bounds request bodies (default 1 MiB).
@@ -225,6 +231,9 @@ func New(cfg Config) (*Server, error) {
 	if cfg.RequesterToken == "" {
 		return nil, errors.New("server: config needs a requester token")
 	}
+	if cfg.ClusterToken == cfg.RequesterToken {
+		return nil, errors.New("server: the cluster token must differ from the requester token")
+	}
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = 1 << 20
 	}
@@ -330,7 +339,15 @@ func New(cfg Config) (*Server, error) {
 	if cfg.RateLimitRPS > 0 {
 		s.limiter = newRateLimiter(cfg.RateLimitRPS, cfg.RateLimitBurst)
 	}
-	s.routes()
+	// The mux is the route table; a misspelt audience has no token and opens nothing.
+	tokens := map[string]string{"requester": cfg.RequesterToken, "cluster": cfg.ClusterToken}
+	for _, rt := range s.Routes() {
+		var h http.Handler = rt.handler
+		if rt.Audience != "public" {
+			h = shardrpc.RequireBearer(tokens[rt.Audience], rt.Audience, h)
+		}
+		s.mux.Handle(rt.Pattern, h)
+	}
 	if cfg.Checkpoints != nil {
 		s.ckptStop = make(chan struct{})
 		s.ckptDone = make(chan struct{})
@@ -344,25 +361,31 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-func (s *Server) routes() {
-	s.mux.HandleFunc("GET /api/v1/healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /api/v1/surveys", s.handleListSurveys)
-	s.mux.HandleFunc("GET /api/v1/surveys/{id}", s.handleGetSurvey)
-	s.mux.HandleFunc("POST /api/v1/surveys", s.requireToken(s.mutating(s.handlePublishSurvey)))
-	s.mux.HandleFunc("POST /api/v1/surveys/{id}/responses", s.mutating(s.admit(s.handleSubmitResponse)))
-	s.mux.HandleFunc("POST /api/v1/responses", s.mutating(s.admit(s.handleSubmitBatch)))
-	s.mux.HandleFunc("GET /api/v1/surveys/{id}/aggregate", s.requireToken(s.handleAggregate))
-	s.mux.HandleFunc("GET /api/v1/surveys/{id}/quality", s.requireToken(s.handleQuality))
-	s.mux.HandleFunc("GET /api/v1/schedule", s.handleSchedule)
-	s.mux.HandleFunc("GET /api/v1/admin/store", s.requireToken(s.handleAdminStore))
-	s.mux.HandleFunc("GET /api/v1/admin/budget/{worker}", s.requireToken(s.handleAdminBudget))
-	s.mux.HandleFunc("POST /api/v1/admin/accumulator/{id}/clear", s.requireToken(s.mutating(s.handleAccumulatorClear)))
-	// Health is deliberately unauthenticated (like healthz): it is the
-	// probe target of failover detectors and load balancers.
-	s.mux.HandleFunc("GET /api/v1/admin/health", s.handleAdminHealth)
-	// Promote is NOT wrapped in mutating: the whole point is flipping a
-	// following shard writable.
-	s.mux.HandleFunc("POST /api/v1/admin/promote/{shard}", s.requireToken(s.handlePromote))
+// Route is one row of the route table the mux is built from: a pattern
+// and the one audience, "public", "requester" or "cluster", that may call it.
+type Route struct {
+	Pattern, Audience string
+	handler           http.HandlerFunc
+}
+
+// Routes is the route table. Promote is not mutating: it makes a shard writable.
+func (s *Server) Routes() []Route {
+	return []Route{
+		{"GET /api/v1/healthz", "public", s.handleHealthz},
+		{"GET /api/v1/surveys", "public", s.handleListSurveys},
+		{"GET /api/v1/surveys/{id}", "public", s.handleGetSurvey},
+		{"POST /api/v1/surveys", "requester", s.mutating(s.handlePublishSurvey)},
+		{"POST /api/v1/surveys/{id}/responses", "public", s.mutating(s.admit(s.handleSubmitResponse))},
+		{"POST /api/v1/responses", "public", s.mutating(s.admit(s.handleSubmitBatch))},
+		{"GET /api/v1/surveys/{id}/aggregate", "requester", s.handleAggregate},
+		{"GET /api/v1/surveys/{id}/quality", "requester", s.handleQuality},
+		{"GET /api/v1/schedule", "public", s.handleSchedule},
+		{"GET /api/v1/admin/store", "requester", s.handleAdminStore},
+		{"GET /api/v1/admin/budget/{worker}", "cluster", s.handleAdminBudget},
+		{"POST /api/v1/admin/accumulator/{id}/clear", "cluster", s.mutating(s.handleAccumulatorClear)},
+		{"GET /api/v1/admin/health", "public", s.handleAdminHealth},
+		{"POST /api/v1/admin/promote/{shard}", "cluster", s.handlePromote},
+	}
 }
 
 // ServeHTTP implements http.Handler with panic recovery and logging.
@@ -380,20 +403,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 func (s *Server) logf(format string, args ...any) {
 	if s.cfg.Logger != nil {
 		s.cfg.Logger.Printf(format, args...)
-	}
-}
-
-// requireToken wraps requester-only handlers with bearer-token auth. The
-// compare is constant-time: how long a refusal takes must not say how
-// much of the header matched.
-func (s *Server) requireToken(h http.HandlerFunc) http.HandlerFunc {
-	want := []byte("Bearer " + s.cfg.RequesterToken)
-	return func(w http.ResponseWriter, r *http.Request) {
-		if subtle.ConstantTimeCompare([]byte(r.Header.Get("Authorization")), want) != 1 {
-			writeError(w, http.StatusUnauthorized, "missing or invalid requester token")
-			return
-		}
-		h(w, r)
 	}
 }
 

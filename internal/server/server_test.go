@@ -18,7 +18,10 @@ import (
 	"loki/internal/survey"
 )
 
-const testToken = "sekrit"
+const (
+	testToken        = "sekrit"
+	testClusterToken = "cluster-sekrit"
+)
 
 func newTestServer(t *testing.T) (*httptest.Server, store.Store) {
 	t.Helper()
@@ -26,7 +29,7 @@ func newTestServer(t *testing.T) (*httptest.Server, store.Store) {
 	srv, err := New(Config{
 		Store:          st,
 		Schedule:       core.DefaultSchedule(),
-		RequesterToken: testToken,
+		RequesterToken: testToken, ClusterToken: testClusterToken,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -342,8 +345,8 @@ func TestSubmitBodyTooLarge(t *testing.T) {
 	srv, err := New(Config{
 		Store:          st,
 		Schedule:       core.DefaultSchedule(),
-		RequesterToken: testToken,
-		MaxBodyBytes:   64,
+		RequesterToken: testToken, ClusterToken: testClusterToken,
+		MaxBodyBytes: 64,
 	})
 	if err != nil {
 		t.Fatal(err)

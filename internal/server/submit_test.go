@@ -330,7 +330,7 @@ func TestSubmitPipelineAgainstReference(t *testing.T) {
 							}
 						case "standalone":
 							st := shard0(0)
-							cfg.Store, cfg.Schedule, cfg.RequesterToken = st, core.DefaultSchedule(), testToken
+							cfg.Store, cfg.Schedule, cfg.RequesterToken, cfg.ClusterToken = st, core.DefaultSchedule(), testToken, testClusterToken
 							var set *budget.Set
 							if charges != nil {
 								set = pubLedger(t, 1, nil)
@@ -364,7 +364,7 @@ func TestSubmitPipelineAgainstReference(t *testing.T) {
 									o.budget = &budget.SetOptions{Shards: 3, GlobalIDs: shardrpc.RoundRobinPlacement(3, 2)[nd], Config: budgetTestConfig(t)}
 								}
 								nodes[nd] = newWireNode(t, o)
-								clients[nd] = shardrpc.NewClient(nodes[nd].url, testToken, nil)
+								clients[nd] = shardrpc.NewClient(nodes[nd].url, testClusterToken, nil)
 							}
 							// The manifest places three budget shards beside the two
 							// response shards, round-robin like the nodes host them.
@@ -378,12 +378,12 @@ func TestSubmitPipelineAgainstReference(t *testing.T) {
 								t.Fatal(err)
 							}
 							m.Budget = budgetRows.Budget
-							remote, err := shardrpc.NewRemoteFromManifest(m, testToken, nil)
+							remote, err := shardrpc.NewRemoteFromManifest(m, testClusterToken, nil)
 							if err != nil {
 								t.Fatal(err)
 							}
 							t.Cleanup(func() { remote.Close() })
-							cfg.Router, cfg.Schedule, cfg.RequesterToken, cfg.Role = remote, core.DefaultSchedule(), testToken, "frontend"
+							cfg.Router, cfg.Schedule, cfg.RequesterToken, cfg.ClusterToken, cfg.Role = remote, core.DefaultSchedule(), testToken, testClusterToken, "frontend"
 							if charges != nil {
 								charger, err := remote.Charger(budgetTestConfig(t))
 								if err != nil {
@@ -596,7 +596,7 @@ func TestNodeAdmissionHonoursCaller(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hreq.Header.Set("Authorization", "Bearer "+testToken)
+	hreq.Header.Set("Authorization", "Bearer "+testClusterToken)
 	hreq.Header.Set("Content-Type", shardrpc.SubmitContentType)
 	gaveUp := make(chan error, 1)
 	go func() {

@@ -97,7 +97,7 @@ func newWireNode(t *testing.T, o wireNodeOpts) *wireNode {
 	}
 	t.Cleanup(func() { local.Close() })
 	cfg := o.cfg
-	cfg.Router, cfg.Schedule, cfg.RequesterToken, cfg.Role = local, core.DefaultSchedule(), testToken, "node"
+	cfg.Router, cfg.Schedule, cfg.RequesterToken, cfg.ClusterToken, cfg.Role = local, core.DefaultSchedule(), testToken, testClusterToken, "node"
 	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +119,7 @@ func newWireNode(t *testing.T, o wireNodeOpts) *wireNode {
 		node.HostBudget(set)
 		wn.set = set
 	}
-	h, err := shardrpc.NewHandler(node, testToken)
+	h, err := shardrpc.NewHandler(node, testClusterToken)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func postRawSubmit(url, ctype string, body []byte) (wireReply, error) {
 	if err != nil {
 		return wireReply{}, err
 	}
-	hreq.Header.Set("Authorization", "Bearer "+testToken)
+	hreq.Header.Set("Authorization", "Bearer "+testClusterToken)
 	if ctype != "" {
 		hreq.Header.Set("Content-Type", ctype)
 	}
@@ -324,7 +324,7 @@ func touched(t *testing.T, url string, req *shardrpc.SubmitRequest) string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hreq.Header.Set("Authorization", "Bearer "+testToken)
+		hreq.Header.Set("Authorization", "Bearer "+testClusterToken)
 		resp, err := http.DefaultClient.Do(hreq)
 		if err != nil {
 			t.Fatal(err)
@@ -360,7 +360,7 @@ func fencedManifest(t *testing.T, primary string, epoch uint64) *placement.Manif
 func wireReplica(t *testing.T, promoted bool) (*Node, string) {
 	t.Helper()
 	wn := newWireNode(t, wireNodeOpts{})
-	rep, ts := newFollower(t, shardrpc.NewClient(wn.url, testToken, nil), FollowOptions{
+	rep, ts := newFollower(t, shardrpc.NewClient(wn.url, testClusterToken, nil), FollowOptions{
 		OpenStore: func(int) (store.Store, error) { return seqStore{store.NewMem()}, nil },
 	})
 	rep.ApplyManifest(followManifest(t, 2, wn.url, ts.URL, 0), ts.URL)

@@ -80,7 +80,7 @@ type BudgetStatsResult struct {
 }
 
 func (h *Handler) registerBudget(bb BudgetBackend) {
-	h.mux.HandleFunc("POST /shardrpc/v1/budget/charge", h.guard(func(w http.ResponseWriter, r *http.Request) {
+	h.mux.HandleFunc("POST /shardrpc/v1/budget/charge", func(w http.ResponseWriter, r *http.Request) {
 		var req BudgetChargeRequest
 		if !readJSON(w, r, &req) {
 			return
@@ -112,8 +112,8 @@ func (h *Handler) registerBudget(bb BudgetBackend) {
 			res.Groups[i].Outcomes = outs[i]
 		}
 		writeOK(w, &res)
-	}))
-	h.mux.HandleFunc("POST /shardrpc/v1/budget/refund", h.guard(func(w http.ResponseWriter, r *http.Request) {
+	})
+	h.mux.HandleFunc("POST /shardrpc/v1/budget/refund", func(w http.ResponseWriter, r *http.Request) {
 		var req BudgetRefundRequest
 		if !readJSON(w, r, &req) {
 			return
@@ -123,8 +123,8 @@ func (h *Handler) registerBudget(bb BudgetBackend) {
 			return
 		}
 		writeOK(w, struct{}{})
-	}))
-	h.mux.HandleFunc("GET /shardrpc/v1/budget/{shard}/peek", h.guard(func(w http.ResponseWriter, r *http.Request) {
+	})
+	h.mux.HandleFunc("GET /shardrpc/v1/budget/{shard}/peek", func(w http.ResponseWriter, r *http.Request) {
 		shard, ok := pathShard(w, r)
 		if !ok {
 			return
@@ -140,15 +140,15 @@ func (h *Handler) registerBudget(bb BudgetBackend) {
 			return
 		}
 		writeOK(w, a)
-	}))
-	h.mux.HandleFunc("GET /shardrpc/v1/budget/stats", h.guard(func(w http.ResponseWriter, _ *http.Request) {
+	})
+	h.mux.HandleFunc("GET /shardrpc/v1/budget/stats", func(w http.ResponseWriter, _ *http.Request) {
 		stats, err := bb.BudgetStats()
 		if err != nil {
 			writeErr(w, http.StatusInternalServerError, err.Error())
 			return
 		}
 		writeOK(w, BudgetStatsResult{Shards: stats})
-	}))
+	})
 }
 
 // chargeGroups debits several budget shards' batches in one call (one

@@ -19,17 +19,16 @@ import (
 const maxScanPage = 4096
 
 // Handler serves the shardrpc surface over a Backend. Mount it on the
-// node's mux next to (or instead of) the public API; every route is
-// guarded by the cluster token.
+// node's mux next to (or instead of) the public API; the cluster token
+// guards the whole surface.
 type Handler struct {
 	backend Backend
-	token   string
 	mux     *http.ServeMux
+	guarded http.Handler
 }
 
-// NewHandler builds the shardrpc handler. The token guards every route
-// — cluster-internal traffic carries "Authorization: Bearer <token>"
-// exactly like the public API's requester endpoints.
+// NewHandler builds the shardrpc handler: a request to any path without
+// "Authorization: Bearer <token>" is a 401.
 func NewHandler(backend Backend, token string) (*Handler, error) {
 	if backend == nil {
 		return nil, errors.New("shardrpc: handler needs a backend")
@@ -37,16 +36,17 @@ func NewHandler(backend Backend, token string) (*Handler, error) {
 	if token == "" {
 		return nil, errors.New("shardrpc: handler needs a cluster token")
 	}
-	h := &Handler{backend: backend, token: token, mux: http.NewServeMux()}
-	h.mux.HandleFunc("GET /shardrpc/v1/meta", h.guard(h.handleMeta))
-	h.mux.HandleFunc("POST /shardrpc/v1/submit", h.guard(h.handleSubmit))
-	h.mux.HandleFunc("GET /shardrpc/v1/shards/{shard}/scan", h.guard(h.handleScan))
-	h.mux.HandleFunc("GET /shardrpc/v1/shards/{shard}/count", h.guard(h.handleCount))
-	h.mux.HandleFunc("POST /shardrpc/v1/partial", h.guard(h.handlePartials))
-	h.mux.HandleFunc("GET /shardrpc/v1/shards/{shard}/tail", h.guard(h.handleTail))
-	h.mux.HandleFunc("GET /shardrpc/v1/surveys", h.guard(h.handleSurveys))
-	h.mux.HandleFunc("GET /shardrpc/v1/surveys/{id}", h.guard(h.handleSurvey))
-	h.mux.HandleFunc("POST /shardrpc/v1/surveys", h.guard(h.handlePublish))
+	h := &Handler{backend: backend, mux: http.NewServeMux()}
+	h.guarded = RequireBearer(token, "cluster", h.mux)
+	h.mux.HandleFunc("GET /shardrpc/v1/meta", h.handleMeta)
+	h.mux.HandleFunc("POST /shardrpc/v1/submit", h.handleSubmit)
+	h.mux.HandleFunc("GET /shardrpc/v1/shards/{shard}/scan", h.handleScan)
+	h.mux.HandleFunc("GET /shardrpc/v1/shards/{shard}/count", h.handleCount)
+	h.mux.HandleFunc("POST /shardrpc/v1/partial", h.handlePartials)
+	h.mux.HandleFunc("GET /shardrpc/v1/shards/{shard}/tail", h.handleTail)
+	h.mux.HandleFunc("GET /shardrpc/v1/surveys", h.handleSurveys)
+	h.mux.HandleFunc("GET /shardrpc/v1/surveys/{id}", h.handleSurvey)
+	h.mux.HandleFunc("POST /shardrpc/v1/surveys", h.handlePublish)
 	// The budget surface is optional: nodes that host budget shards
 	// implement BudgetBackend and get its routes; plain backends do not.
 	if bb, ok := backend.(BudgetBackend); ok {
@@ -57,21 +57,22 @@ func NewHandler(backend Backend, token string) (*Handler, error) {
 
 // ServeHTTP implements http.Handler.
 func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	h.mux.ServeHTTP(w, r)
+	h.guarded.ServeHTTP(w, r)
 }
 
-// guard wraps every route with cluster-token auth. The compare is
-// constant-time: how long a refusal takes must not say how much of the
-// header matched.
-func (h *Handler) guard(fn http.HandlerFunc) http.HandlerFunc {
-	want := []byte("Bearer " + h.token)
-	return func(w http.ResponseWriter, r *http.Request) {
-		if subtle.ConstantTimeCompare([]byte(r.Header.Get("Authorization")), want) != 1 {
-			writeErr(w, http.StatusUnauthorized, "missing or invalid cluster token")
+// RequireBearer is every audience's bearer check: without "Bearer
+// <token>" a request gets 401 "missing or invalid <audience> token", and
+// an empty token opens nothing. The compare is constant-time: how long a
+// refusal takes must not say how much of the header matched.
+func RequireBearer(token, audience string, h http.Handler) http.Handler {
+	want, refusal := []byte("Bearer "+token), "missing or invalid "+audience+" token"
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if token == "" || subtle.ConstantTimeCompare([]byte(r.Header.Get("Authorization")), want) != 1 {
+			writeErr(w, http.StatusUnauthorized, refusal)
 			return
 		}
-		fn(w, r)
-	}
+		h.ServeHTTP(w, r)
+	})
 }
 
 // writeBackendErr maps backend errors to transport statuses (see

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -179,4 +180,31 @@ func fileSize(t *testing.T, path string) int64 {
 		t.Fatal(err)
 	}
 	return fi.Size()
+}
+
+// TestMemPublishRefusesNonFinite: a definition with a non-finite scale
+// bound or tolerance is refused before anything is stored, so the store
+// never holds a survey its fingerprint cannot encode.
+func TestMemPublishRefusesNonFinite(t *testing.T) {
+	for name, mutate := range map[string]func(*survey.Survey){
+		"-Inf scale min": func(sv *survey.Survey) { sv.Questions[1].ScaleMin = math.Inf(-1) },
+		"NaN scale max":  func(sv *survey.Survey) { sv.Questions[1].ScaleMax = math.NaN() },
+		"+Inf tolerance": func(sv *survey.Survey) {
+			sv.Consistency = []survey.ConsistencyPair{{QuestionA: "q1", QuestionB: "q1", Tolerance: math.Inf(1)}}
+		},
+		"NaN tolerance": func(sv *survey.Survey) {
+			sv.Consistency = []survey.ConsistencyPair{{QuestionA: "q1", QuestionB: "q1", Tolerance: math.NaN()}}
+		},
+	} {
+		st := NewMem()
+		sv := republishSurveyV2()
+		mutate(sv)
+		if _, err := st.Publish(sv); err == nil {
+			t.Errorf("%s: published", name)
+		}
+		if svs, err := st.Surveys(); err != nil || len(svs) != 0 {
+			t.Errorf("%s: the store holds %d surveys (%v), want none", name, len(svs), err)
+		}
+		st.Close()
+	}
 }

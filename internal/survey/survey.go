@@ -102,6 +102,9 @@ func (q *Question) Validate() error {
 	if q.ID == "" {
 		return errors.New("survey: question has empty ID")
 	}
+	if !finite(q.ScaleMin) || !finite(q.ScaleMax) {
+		return fmt.Errorf("survey: question %q has a scale bound that is not finite", q.ID)
+	}
 	switch q.Kind {
 	case Rating, Numeric:
 		if !(q.ScaleMax > q.ScaleMin) {
@@ -229,8 +232,8 @@ func (s *Survey) Validate() error {
 			return fmt.Errorf("survey: %q consistency pair references unknown question (%q, %q)",
 				s.ID, cp.QuestionA, cp.QuestionB)
 		}
-		if cp.Tolerance < 0 {
-			return fmt.Errorf("survey: %q consistency pair (%q, %q) has negative tolerance",
+		if !(cp.Tolerance >= 0) || !finite(cp.Tolerance) {
+			return fmt.Errorf("survey: %q consistency pair (%q, %q) has a negative or non-finite tolerance",
 				s.ID, cp.QuestionA, cp.QuestionB)
 		}
 		switch cp.Rule {

@@ -25,6 +25,10 @@ func TestQuestionValidate(t *testing.T) {
 		{"mc one option", Question{ID: "q", Kind: MultipleChoice, Options: []string{"a"}}, false},
 		{"free text", Question{ID: "q", Kind: FreeText}, true},
 		{"unknown kind", Question{ID: "q", Kind: QuestionKind(99)}, false},
+		{"-Inf scale min", Question{ID: "q", Kind: Rating, ScaleMin: math.Inf(-1), ScaleMax: 5}, false},
+		{"+Inf scale max", Question{ID: "q", Kind: Numeric, ScaleMin: 1, ScaleMax: math.Inf(1)}, false},
+		{"NaN scale max", Question{ID: "q", Kind: Numeric, ScaleMin: 1, ScaleMax: math.NaN()}, false},
+		{"free text with a NaN bound", Question{ID: "q", Kind: FreeText, ScaleMin: math.NaN()}, false},
 	}
 	for _, c := range cases {
 		if err := c.q.Validate(); (err == nil) != c.ok {
@@ -118,6 +122,10 @@ func TestSurveyValidate(t *testing.T) {
 			Consistency: []ConsistencyPair{{QuestionA: "a", QuestionB: "m"}}}},
 		{"negative tolerance", &Survey{ID: "s", Questions: []Question{ratingQ("a"), ratingQ("b")},
 			Consistency: []ConsistencyPair{{QuestionA: "a", QuestionB: "b", Tolerance: -1}}}},
+		{"+Inf tolerance", &Survey{ID: "s", Questions: []Question{ratingQ("a"), ratingQ("b")},
+			Consistency: []ConsistencyPair{{QuestionA: "a", QuestionB: "b", Tolerance: math.Inf(1)}}}},
+		{"NaN tolerance", &Survey{ID: "s", Questions: []Question{ratingQ("a"), ratingQ("b")},
+			Consistency: []ConsistencyPair{{QuestionA: "a", QuestionB: "b", Tolerance: math.NaN()}}}},
 		{"zodiac wrong kinds", &Survey{ID: "s", Questions: []Question{ratingQ("a"), ratingQ("b")},
 			Consistency: []ConsistencyPair{{QuestionA: "a", QuestionB: "b", Rule: RuleZodiac}}}},
 		{"age-year wrong kinds", &Survey{ID: "s",
