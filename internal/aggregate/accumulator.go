@@ -44,6 +44,7 @@ func (t *QualityTally) add(o QualityTally) {
 // serialize access (the server wraps one per survey in a mutex).
 type Accumulator struct {
 	schedule  core.Schedule
+	slack     [core.NumLevels]float64 // consistency allowance of an obfuscated response: 3σ of a 1..5 rating
 	sv        *survey.Survey
 	n         int
 	questions map[string]*questionBins // rating/numeric questions
@@ -65,6 +66,13 @@ func NewAccumulator(schedule core.Schedule, sv *survey.Survey) (*Accumulator, er
 		sv:        sv.Clone(), // immune to caller mutation
 		questions: make(map[string]*questionBins),
 		choices:   make(map[string]*choiceAccum),
+	}
+	for l := core.Low; l <= core.High; l++ {
+		m, err := schedule.ReferenceMechanism(l)
+		if err != nil {
+			return nil, err
+		}
+		a.slack[l] = 3 * m.Gaussian.Sigma
 	}
 	for i := range a.sv.Questions {
 		q := &a.sv.Questions[i]
@@ -136,7 +144,7 @@ func (a *Accumulator) Add(r *survey.Response) error {
 	}
 	slack := 0.0
 	if r.Obfuscated {
-		slack = 3 * a.schedule.Sigma[lvl]
+		slack = a.slack[lvl]
 	}
 	a.quality.Total++
 	if r.Consistent(a.sv, slack) {

@@ -190,7 +190,14 @@ func finalizeQuestion(schedule core.Schedule, q *survey.Question, bins *question
 	var pooled []stats.WeightedEstimate
 	for l := 0; l < core.NumLevels; l++ {
 		ba := bins[l]
-		b := BinEstimate{Level: core.Level(l), N: ba.N, NoiseSigma: schedule.SigmaFor(q, core.Level(l))}
+		b := BinEstimate{Level: core.Level(l), N: ba.N}
+		if l != int(core.None) {
+			m, err := schedule.Mechanism(q, core.Level(l))
+			if err != nil {
+				return nil, fmt.Errorf("aggregate: %w", err)
+			}
+			b.NoiseSigma = m.Gaussian.Sigma
+		}
 		if ba.N > 0 {
 			b.Mean = ba.Mean
 			b.Variance = binMeanVariance(ba, b.NoiseSigma, q)

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"loki/internal/core"
-	"loki/internal/dp"
 	"loki/internal/survey"
 )
 
@@ -178,15 +177,15 @@ func finalizeChoice(schedule core.Schedule, q *survey.Question, ca *choiceAccum)
 			}
 			continue
 		}
-		rr, err := dp.NewRandomizedResponse(schedule.RREpsilon[l], k)
+		m, err := schedule.Mechanism(q, core.Level(l))
+		if err != nil {
+			return nil, fmt.Errorf("aggregate: bin %v: %w", core.Level(l), err)
+		}
+		est, err := m.RR.DebiasCounts(ca.BinCounts[l])
 		if err != nil {
 			return nil, fmt.Errorf("aggregate: question %q bin %v: %w", q.ID, core.Level(l), err)
 		}
-		est, err := rr.DebiasCounts(ca.BinCounts[l])
-		if err != nil {
-			return nil, fmt.Errorf("aggregate: question %q bin %v: %w", q.ID, core.Level(l), err)
-		}
-		p := rr.KeepProbability()
+		p := m.RR.KeepProbability()
 		qFlip := (1 - p) / float64(k-1)
 		nBin := float64(ca.BinN[l])
 		for c, v := range est {

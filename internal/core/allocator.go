@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"loki/internal/dp"
 	"loki/internal/survey"
 )
 
@@ -79,11 +80,23 @@ func NewAllocator(obf *Obfuscator, answerStd float64) (*Allocator, error) {
 	return &Allocator{obf: obf, AnswerStd: answerStd}, nil
 }
 
-// levelVariance returns the per-answer variance contribution at level l
-// on the reference scale.
-func (al *Allocator) levelVariance(l Level) float64 {
-	sigma := al.obf.Schedule().Sigma[l]
-	return al.AnswerStd*al.AnswerStd + sigma*sigma
+// levelCosts returns, per noisy level, the ρ of one response to s and
+// the variance of one answer on the reference scale (the assumed answer
+// variance plus the level's noise).
+func (al *Allocator) levelCosts(s *survey.Survey) (rho, variance [NumLevels]float64, err error) {
+	sched := al.obf.Schedule()
+	for l := Low; l <= High; l++ {
+		if rho[l], err = al.obf.noisyRho(s, l); err != nil {
+			return rho, variance, err
+		}
+		m, err := sched.ReferenceMechanism(l)
+		if err != nil {
+			return rho, variance, err
+		}
+		sigma := m.Gaussian.Sigma
+		variance[l] = al.AnswerStd*al.AnswerStd + sigma*sigma
+	}
+	return rho, variance, nil
 }
 
 // Plan assigns a privacy level to every user for the given survey so the
@@ -105,14 +118,9 @@ func (al *Allocator) Plan(s *survey.Survey, users []UserBudget, targetSE float64
 	if len(users) == 0 {
 		return nil, fmt.Errorf("core: no users to allocate")
 	}
-	// Per-response rho at each level (whole survey).
-	var costRho [NumLevels]float64
-	for l := Low; l <= High; l++ {
-		rho, err := al.obf.responseRho(s, l)
-		if err != nil {
-			return nil, err
-		}
-		costRho[l] = rho
+	costRho, variance, err := al.levelCosts(s)
+	if err != nil {
+		return nil, err
 	}
 
 	delta := al.obf.Options().Delta
@@ -131,7 +139,7 @@ func (al *Allocator) Plan(s *survey.Survey, users []UserBudget, targetSE float64
 		}
 		st := state{user: u, level: High}
 		// Most private level first; sit out if even High breaches.
-		if epsAfter(u.SpentRho+costRho[High], delta) > u.BudgetEpsilon {
+		if dp.EpsilonFromRho(u.SpentRho+costRho[High], delta) > u.BudgetEpsilon {
 			st.in = false
 		} else {
 			st.in = true
@@ -147,7 +155,7 @@ func (al *Allocator) Plan(s *survey.Survey, users []UserBudget, targetSE float64
 				continue
 			}
 			n++
-			sum += al.levelVariance(st.level)
+			sum += variance[st.level]
 		}
 		if n == 0 {
 			return math.Inf(1)
@@ -166,10 +174,10 @@ func (al *Allocator) Plan(s *survey.Survey, users []UserBudget, targetSE float64
 			}
 			next := st.level - 1
 			afterRho := st.user.SpentRho + costRho[next]
-			if epsAfter(afterRho, delta) > st.user.BudgetEpsilon {
+			if dp.EpsilonFromRho(afterRho, delta) > st.user.BudgetEpsilon {
 				continue
 			}
-			headroom := st.user.BudgetEpsilon - epsAfter(afterRho, delta)
+			headroom := st.user.BudgetEpsilon - dp.EpsilonFromRho(afterRho, delta)
 			if headroom > bestHeadroom {
 				bestHeadroom = headroom
 				best = i
@@ -189,7 +197,7 @@ func (al *Allocator) Plan(s *survey.Survey, users []UserBudget, targetSE float64
 			res.Participants++
 			res.PerLevel[st.level]++
 			res.TotalRho += costRho[st.level]
-			if eps := epsAfter(st.user.SpentRho+costRho[st.level], delta); eps > res.MaxUserEpsilon {
+			if eps := dp.EpsilonFromRho(st.user.SpentRho+costRho[st.level], delta); eps > res.MaxUserEpsilon {
 				res.MaxUserEpsilon = eps
 			}
 		}
@@ -201,14 +209,6 @@ func (al *Allocator) Plan(s *survey.Survey, users []UserBudget, targetSE float64
 	return res, nil
 }
 
-// epsAfter converts a cumulative rho to ε at δ.
-func epsAfter(rho, delta float64) float64 {
-	if rho <= 0 {
-		return 0
-	}
-	return rho + 2*math.Sqrt(rho*math.Log(1/delta))
-}
-
 // UniformPlan is the baseline the paper's trial used implicitly: every
 // affordable user answers at the same level; users who cannot afford it
 // sit out. It is the comparator for the balancing ablation.
@@ -216,23 +216,24 @@ func (al *Allocator) UniformPlan(s *survey.Survey, users []UserBudget, level Lev
 	if level == None || !level.Valid() {
 		return nil, fmt.Errorf("core: uniform plan needs a noisy level, got %v", level)
 	}
-	rho, err := al.obf.responseRho(s, level)
+	costRho, variance, err := al.levelCosts(s)
 	if err != nil {
 		return nil, err
 	}
+	rho := costRho[level]
 	delta := al.obf.Options().Delta
 	res := &AllocationResult{}
 	sum := 0.0
 	for _, u := range users {
 		a := Assignment{UserID: u.ID}
-		if epsAfter(u.SpentRho+rho, delta) <= u.BudgetEpsilon {
+		if dp.EpsilonFromRho(u.SpentRho+rho, delta) <= u.BudgetEpsilon {
 			a.Participate = true
 			a.Level = level
 			res.Participants++
 			res.PerLevel[level]++
 			res.TotalRho += rho
-			sum += al.levelVariance(level)
-			if eps := epsAfter(u.SpentRho+rho, delta); eps > res.MaxUserEpsilon {
+			sum += variance[level]
+			if eps := dp.EpsilonFromRho(u.SpentRho+rho, delta); eps > res.MaxUserEpsilon {
 				res.MaxUserEpsilon = eps
 			}
 		}

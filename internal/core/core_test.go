@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"loki/internal/dp"
 	"loki/internal/rng"
 	"loki/internal/survey"
 )
@@ -74,23 +75,31 @@ func TestScheduleValidate(t *testing.T) {
 	}
 }
 
-func TestSigmaForScaling(t *testing.T) {
+func TestMechanismSigmaScaling(t *testing.T) {
 	s := DefaultSchedule()
 	rating := survey.Question{ID: "r", Kind: survey.Rating, ScaleMin: 1, ScaleMax: 5}
 	wide := survey.Question{ID: "n", Kind: survey.Numeric, ScaleMin: 0, ScaleMax: 8}
 	mc := survey.Question{ID: "m", Kind: survey.MultipleChoice, Options: []string{"a", "b"}}
-	if got := s.SigmaFor(&rating, Medium); got != 1.0 {
-		t.Errorf("rating medium sigma = %g", got)
+	ft := survey.Question{ID: "t", Kind: survey.FreeText}
+	m, err := s.Mechanism(&rating, Medium)
+	if err != nil || m.Gaussian.Sigma != 1.0 || m.RR.K != 0 {
+		t.Errorf("rating medium: %+v, %v", m, err)
 	}
-	// Scale width 8 is twice the reference 4 → twice the noise.
-	if got := s.SigmaFor(&wide, Medium); got != 2.0 {
-		t.Errorf("wide medium sigma = %g", got)
+	// Scale width 8 is twice the reference 4 → twice the noise, and the
+	// same ρ.
+	w, err := s.Mechanism(&wide, Medium)
+	if err != nil || w.Gaussian.Sigma != 2.0 || w.Rho() != m.Rho() {
+		t.Errorf("wide medium: %+v (ρ %g vs %g), %v", w, w.Rho(), m.Rho(), err)
 	}
-	if got := s.SigmaFor(&rating, None); got != 0 {
-		t.Errorf("none sigma = %g", got)
+	c, err := s.Mechanism(&mc, High)
+	if err != nil || c.RR.K != 2 || c.RR.Epsilon != 0.5 || c.Gaussian != (dp.Gaussian{}) {
+		t.Errorf("choice high: %+v, %v", c, err)
 	}
-	if got := s.SigmaFor(&mc, High); got != 0 {
-		t.Errorf("choice sigma = %g", got)
+	if _, err := s.Mechanism(&rating, None); err == nil {
+		t.Error("level none has a mechanism")
+	}
+	if _, err := s.Mechanism(&ft, Low); err == nil {
+		t.Error("free text has a mechanism")
 	}
 }
 
@@ -177,27 +186,6 @@ func TestObfuscateAnswerErrors(t *testing.T) {
 	txt := survey.TextAnswer("q", "secret")
 	if _, err := o.ObfuscateAnswer(ft, txt, Medium, r); err == nil {
 		t.Error("free text obfuscation accepted")
-	}
-}
-
-func TestObfuscateAnswerRoundClamp(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Round = true
-	opts.Clamp = true
-	o := newObf(t, opts)
-	r := rng.New(4)
-	q := ratingQ()
-	for i := 0; i < 500; i++ {
-		out, err := o.ObfuscateAnswer(q, survey.RatingAnswer("q", 5), High, r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out.Rating < 1 || out.Rating > 5 {
-			t.Fatalf("clamped rating %g escaped scale", out.Rating)
-		}
-		if out.Rating != math.Round(out.Rating) {
-			t.Fatalf("rounded rating %g not integral", out.Rating)
-		}
 	}
 }
 

@@ -40,9 +40,9 @@ func NewLedger(delta float64) (*Ledger, error) {
 func (lg *Ledger) Delta() float64 { return lg.delta }
 
 // RecordResponse records the privacy cost of one full survey response
-// released at the given level: one Gaussian event per numeric answer, one
-// randomized-response event per choice answer, or one unprotected
-// disclosure per answer at level None.
+// released at the given level: one event per answer from the answer's
+// mechanism (Schedule.Mechanism), or one unprotected disclosure per
+// answer at level None.
 func (lg *Ledger) RecordResponse(o *Obfuscator, s *survey.Survey, l Level) error {
 	if !l.Valid() {
 		return fmt.Errorf("core: invalid privacy level %d", int(l))
@@ -56,18 +56,11 @@ func (lg *Ledger) RecordResponse(o *Obfuscator, s *survey.Survey, l Level) error
 	}
 	for i := range s.Questions {
 		q := &s.Questions[i]
-		tag := fmt.Sprintf("survey:%s/question:%s", s.ID, q.ID)
-		c, err := o.questionCost(q, l)
+		m, err := o.schedule.Mechanism(q, l)
 		if err != nil {
 			return fmt.Errorf("core: ledger cannot cost question %q: %w", q.ID, err)
 		}
-		if c.mechanism == "gaussian" {
-			if err := lg.acct.RecordGaussian(c.sigma, q.Sensitivity(), tag); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := lg.acct.RecordPure(c.mechanism, c.pureEps, tag); err != nil {
+		if err := lg.acct.Record(m.Event(fmt.Sprintf("survey:%s/question:%s", s.ID, q.ID))); err != nil {
 			return err
 		}
 	}
@@ -126,7 +119,7 @@ func (lg *Ledger) CanAfford(o *Obfuscator, s *survey.Survey, l Level, budgetEpsi
 	if l == None {
 		return false, nil
 	}
-	addRho, err := o.responseRho(s, l)
+	addRho, err := o.noisyRho(s, l)
 	if err != nil {
 		return false, err
 	}

@@ -76,60 +76,89 @@ func (s *Schedule) Validate() error {
 	return nil
 }
 
-// SigmaFor returns the noise standard deviation applied to the question
-// at the given level, scaled from the reference 1..5 schedule to the
-// question's own scale width so the relative perturbation is constant.
-func (s *Schedule) SigmaFor(q *survey.Question, l Level) float64 {
-	base := s.Sigma[l]
-	if base == 0 {
-		return 0
+// Mechanism is how one answer is released at one privacy level: the
+// Gaussian mechanism for ratings and numerics, k-ary randomized response
+// for multiple choice. Exactly one of the two is set (RR.K is 0 for a
+// Gaussian). The release, its σ or keep probability, and the ρ every
+// ledger charges for it all come from this one value.
+type Mechanism struct {
+	Gaussian dp.Gaussian
+	RR       dp.RandomizedResponse
+}
+
+// Mechanism returns the mechanism that releases an answer to q at level
+// l. It is the one place σ, Δ and the randomized-response ε are read off
+// the schedule. A rating or numeric question's σ is the level's reference
+// σ scaled by the question's width over ReferenceScaleWidth, and Δ is
+// that width, so ρ = ½(Δ/σ)² is the same on every scale. Level None, free
+// text, and a scale whose σ or ρ a float64 cannot hold are errors: none
+// of them has a finite positive cost.
+func (s *Schedule) Mechanism(q *survey.Question, l Level) (Mechanism, error) {
+	if l == None || !l.Valid() {
+		return Mechanism{}, fmt.Errorf("core: level %v releases answers without noise", l)
 	}
 	switch q.Kind {
 	case survey.Rating, survey.Numeric:
-		return base * (q.ScaleMax - q.ScaleMin) / ReferenceScaleWidth
+		width := q.Sensitivity()
+		g, err := dp.NewGaussian(s.Sigma[l]*(width/ReferenceScaleWidth), width)
+		if err != nil {
+			return Mechanism{}, fmt.Errorf("core: question %q: %w", q.ID, err)
+		}
+		return Mechanism{Gaussian: g}, nil
+	case survey.MultipleChoice:
+		rr, err := dp.NewRandomizedResponse(s.RREpsilon[l], len(q.Options))
+		if err != nil {
+			return Mechanism{}, fmt.Errorf("core: question %q: %w", q.ID, err)
+		}
+		return Mechanism{RR: rr}, nil
 	default:
-		return 0
+		return Mechanism{}, fmt.Errorf("core: question %q is %v; free-text answers cannot be obfuscated and have no finite privacy cost",
+			q.ID, q.Kind)
 	}
 }
 
-// NoiseKind selects the additive-noise distribution for numeric answers.
-type NoiseKind int
+// referenceRating is the 1..5 rating the schedule is expressed on.
+var referenceRating = survey.Question{ID: "reference", Kind: survey.Rating, ScaleMin: 1, ScaleMax: 1 + ReferenceScaleWidth}
 
-const (
-	// NoiseGaussian is the paper's mechanism.
-	NoiseGaussian NoiseKind = iota
-	// NoiseLaplace swaps in variance-matched Laplace noise (scale
-	// b = σ/√2 has the same variance as N(0, σ²)) and gives a pure-ε
-	// guarantee per release. Ablation A7 compares the two.
-	NoiseLaplace
-)
+// ReferenceMechanism is the mechanism of a 1..5 rating at level l: the
+// σ the schedule names, and the ρ a level costs per numeric answer.
+func (s *Schedule) ReferenceMechanism(l Level) (Mechanism, error) {
+	return s.Mechanism(&referenceRating, l)
+}
 
-// String names the noise kind.
-func (n NoiseKind) String() string {
-	switch n {
-	case NoiseGaussian:
-		return "gaussian"
-	case NoiseLaplace:
-		return "laplace"
-	default:
-		return fmt.Sprintf("NoiseKind(%d)", int(n))
+// Rho is the zCDP cost of one release.
+func (m Mechanism) Rho() float64 {
+	if m.RR.K > 0 {
+		return m.RR.Rho()
 	}
+	return m.Gaussian.Rho()
+}
+
+// Event is one release's accounting record, tagged.
+func (m Mechanism) Event(tag string) dp.Event {
+	if m.RR.K > 0 {
+		return m.RR.Event(tag)
+	}
+	return m.Gaussian.Event(tag)
+}
+
+// Release returns a with its value perturbed: noise added to the rating,
+// or the choice passed through randomized response.
+func (m Mechanism) Release(a survey.Answer, r *rng.RNG) (survey.Answer, error) {
+	if m.RR.K > 0 {
+		choice, err := m.RR.Release(a.Choice, r)
+		if err != nil {
+			return survey.Answer{}, err
+		}
+		a.Choice = choice
+		return a, nil
+	}
+	a.Rating = m.Gaussian.Release(a.Rating, r)
+	return a, nil
 }
 
 // Options configure an Obfuscator beyond its schedule.
 type Options struct {
-	// Clamp forces noisy numeric answers back into the question's scale.
-	// The paper does NOT clamp — Fig. 1(c) shows noisy ratings such as
-	// 3.86 and values outside the scale keep the aggregate unbiased — so
-	// the default is false; the A1 ablation measures the bias clamping
-	// introduces.
-	Clamp bool
-	// Round rounds noisy numeric answers to the nearest integer.
-	// Default false for the same unbiasedness reason.
-	Round bool
-	// Noise selects the numeric noise distribution (default Gaussian,
-	// as in the paper).
-	Noise NoiseKind
 	// Delta is the δ used when converting Gaussian noise into an (ε, δ)
 	// privacy cost for the ledger.
 	Delta float64
@@ -137,7 +166,7 @@ type Options struct {
 
 // DefaultOptions returns the options used by the reproduction.
 func DefaultOptions() Options {
-	return Options{Clamp: false, Round: false, Noise: NoiseGaussian, Delta: 1e-6}
+	return Options{Delta: 1e-6}
 }
 
 // Obfuscator perturbs answers at source according to a schedule. It is
@@ -169,7 +198,10 @@ func (o *Obfuscator) Options() Options { return o.opts }
 // ObfuscateAnswer perturbs a single answer at the given level. Free-text
 // answers are rejected: the paper restricts obfuscation to countable
 // response sets. The returned answer is a new value; the input is not
-// modified.
+// modified. A noisy rating is neither rounded nor clamped to its scale:
+// the paper's Fig. 1(c) shows values such as 3.86 and values off the
+// scale, which keep the aggregate unbiased (ablation A1 measures the
+// bias clamping would add).
 func (o *Obfuscator) ObfuscateAnswer(q *survey.Question, a survey.Answer, l Level, r *rng.RNG) (survey.Answer, error) {
 	if !l.Valid() {
 		return survey.Answer{}, fmt.Errorf("core: invalid privacy level %d", int(l))
@@ -183,42 +215,11 @@ func (o *Obfuscator) ObfuscateAnswer(q *survey.Question, a survey.Answer, l Leve
 	if l == None {
 		return a, nil
 	}
-	switch q.Kind {
-	case survey.Rating, survey.Numeric:
-		sigma := o.schedule.SigmaFor(q, l)
-		var noisy float64
-		if o.opts.Noise == NoiseLaplace {
-			// Variance-matched Laplace: Var(Laplace(b)) = 2b², so
-			// b = σ/√2 reproduces the schedule's noise magnitude.
-			noisy = r.Laplace(a.Rating, sigma/math.Sqrt2)
-		} else {
-			noisy = r.Normal(a.Rating, sigma)
-		}
-		if o.opts.Round {
-			noisy = math.Round(noisy)
-		}
-		if o.opts.Clamp {
-			noisy = math.Min(math.Max(noisy, q.ScaleMin), q.ScaleMax)
-		}
-		out := a
-		out.Rating = noisy
-		return out, nil
-	case survey.MultipleChoice:
-		rr, err := dp.NewRandomizedResponse(o.schedule.RREpsilon[l], len(q.Options))
-		if err != nil {
-			return survey.Answer{}, fmt.Errorf("core: question %q: %w", q.ID, err)
-		}
-		choice, err := rr.Release(a.Choice, r)
-		if err != nil {
-			return survey.Answer{}, fmt.Errorf("core: question %q: %w", q.ID, err)
-		}
-		out := a
-		out.Choice = choice
-		return out, nil
-	default:
-		return survey.Answer{}, fmt.Errorf("core: question %q is %v; free-text answers cannot be obfuscated",
-			q.ID, q.Kind)
+	m, err := o.schedule.Mechanism(q, l)
+	if err != nil {
+		return survey.Answer{}, err
 	}
+	return m.Release(a, r)
 }
 
 // ObfuscateResponse perturbs every answer of a raw response at the given
@@ -256,55 +257,6 @@ func (o *Obfuscator) ObfuscateResponse(s *survey.Survey, answers []survey.Answer
 	return out, nil
 }
 
-// answerCost is the privacy accounting for one released answer. Exactly
-// one of the two cost representations applies: Gaussian releases carry a
-// σ (converted through zCDP), pure-DP releases (Laplace, randomized
-// response) carry an ε.
-type answerCost struct {
-	mechanism string  // "gaussian" | "laplace" | "rr"
-	sigma     float64 // > 0 for gaussian releases
-	pureEps   float64 // > 0 for laplace/rr releases
-	rho       float64 // zCDP cost, always set
-}
-
-// questionCost returns the accounting of releasing one answer to q at
-// level l under the obfuscator's noise kind. l must be above None.
-func (o *Obfuscator) questionCost(q *survey.Question, l Level) (answerCost, error) {
-	switch q.Kind {
-	case survey.Rating, survey.Numeric:
-		sigma := o.schedule.SigmaFor(q, l)
-		if o.opts.Noise == NoiseLaplace {
-			// Laplace(b = σ/√2) with L1-sensitivity Δ is (Δ/b)-DP.
-			eps := q.Sensitivity() * math.Sqrt2 / sigma
-			return answerCost{mechanism: "laplace", pureEps: eps, rho: eps * eps / 2}, nil
-		}
-		return answerCost{
-			mechanism: "gaussian",
-			sigma:     sigma,
-			rho:       dp.RhoFromSigma(sigma, q.Sensitivity()),
-		}, nil
-	case survey.MultipleChoice:
-		eps := o.schedule.RREpsilon[l]
-		return answerCost{mechanism: "rr", pureEps: eps, rho: eps * eps / 2}, nil
-	default:
-		return answerCost{}, fmt.Errorf("core: question %q is %v; it has no finite privacy cost", q.ID, q.Kind)
-	}
-}
-
-// responseRho sums the zCDP cost of answering every question of s once
-// at level l.
-func (o *Obfuscator) responseRho(s *survey.Survey, l Level) (float64, error) {
-	total := 0.0
-	for i := range s.Questions {
-		c, err := o.questionCost(&s.Questions[i], l)
-		if err != nil {
-			return 0, fmt.Errorf("core: survey %q: %w", s.ID, err)
-		}
-		total += c.rho
-	}
-	return total, nil
-}
-
 // ResponseRho is the budget layer's costing entry point: the total zCDP
 // cost ρ of releasing one response to s at level l, plus the number of
 // answers that release with no noise at all. Level None costs ρ=0 and
@@ -325,11 +277,11 @@ func (o *Obfuscator) ResponseRho(s *survey.Survey, l Level) (rho float64, unprot
 			unprotected++
 			continue
 		}
-		c, err := o.questionCost(q, l)
+		m, err := o.schedule.Mechanism(q, l)
 		if err != nil {
 			return 0, 0, fmt.Errorf("core: survey %q: %w", s.ID, err)
 		}
-		rho += c.rho
+		rho += m.Rho()
 	}
 	return rho, unprotected, nil
 }
@@ -345,22 +297,35 @@ func (o *Obfuscator) CostOfResponse(s *survey.Survey, l Level) (cost dp.Params, 
 	if l == None {
 		return dp.Params{}, false, nil
 	}
-	totalRho, err := o.responseRho(s, l)
+	totalRho, err := o.noisyRho(s, l)
 	if err != nil {
 		return dp.Params{}, false, err
 	}
 	return dp.Params{Epsilon: dp.EpsilonFromRho(totalRho, o.opts.Delta), Delta: o.opts.Delta}, true, nil
 }
 
+// noisyRho is ResponseRho for callers that need the whole response's
+// cost to be finite: a question released without noise makes it an
+// error.
+func (o *Obfuscator) noisyRho(s *survey.Survey, l Level) (float64, error) {
+	rho, unprotected, err := o.ResponseRho(s, l)
+	if err == nil && unprotected > 0 {
+		err = fmt.Errorf("core: survey %q releases %d answer(s) without noise; it has no finite privacy cost", s.ID, unprotected)
+	}
+	return rho, err
+}
+
 // EpsilonPerRating returns the (ε, δ=opts.Delta) cost of releasing one
 // 1..5 rating at each level — the numbers a Loki deployment would print
-// next to the level picker. Level None reports +Inf.
+// next to the level picker. Level None, and a level whose mechanism has
+// no finite cost, report +Inf.
 func (o *Obfuscator) EpsilonPerRating() [NumLevels]float64 {
 	var out [NumLevels]float64
-	out[None] = math.Inf(1)
-	for l := Low; l <= High; l++ {
-		rho := dp.RhoFromSigma(o.schedule.Sigma[l], ReferenceScaleWidth)
-		out[l] = dp.EpsilonFromRho(rho, o.opts.Delta)
+	for l := range out {
+		out[l] = math.Inf(1)
+		if m, err := o.schedule.ReferenceMechanism(Level(l)); err == nil {
+			out[l] = dp.EpsilonFromRho(m.Rho(), o.opts.Delta)
+		}
 	}
 	return out
 }

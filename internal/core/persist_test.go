@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"loki/internal/dp"
-	"loki/internal/rng"
 	"loki/internal/survey"
 )
 
@@ -137,69 +136,6 @@ func TestSaveFileBadPath(t *testing.T) {
 	lg := populatedLedger(t)
 	if err := lg.SaveFile(filepath.Join(t.TempDir(), "no-such-dir", "ledger.json")); err == nil {
 		t.Error("unwritable path accepted")
-	}
-}
-
-func TestLaplaceNoiseOption(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Noise = NoiseLaplace
-	o := newObf(t, opts)
-	r := rng.New(99)
-	q := ratingQ()
-	const n = 40_000
-	var sum, ss float64
-	for i := 0; i < n; i++ {
-		out, err := o.ObfuscateAnswer(q, survey.RatingAnswer("q", 3), Medium, r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d := out.Rating - 3
-		sum += d
-		ss += d * d
-	}
-	if math.Abs(sum/n) > 0.03 {
-		t.Errorf("laplace noise biased: %g", sum/n)
-	}
-	// Variance-matched: empirical stddev ≈ schedule σ (1.0 at medium).
-	if sd := math.Sqrt(ss / n); math.Abs(sd-1.0) > 0.05 {
-		t.Errorf("laplace empirical sigma %.3f, want 1.0", sd)
-	}
-}
-
-func TestLaplaceCostIsPure(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Noise = NoiseLaplace
-	o := newObf(t, opts)
-	lg, _ := NewLedger(1e-6)
-	sv := lecturerSurvey()
-	if err := lg.RecordResponse(o, sv, Medium); err != nil {
-		t.Fatal(err)
-	}
-	// Laplace(b = σ/√2 = 1/√2) with Δ=4 → ε = 4√2 per answer.
-	wantEps := 4 * math.Sqrt2
-	for _, tc := range lg.PerSurvey() {
-		// pure events contribute ρ = ε²/2 each; 2 answers.
-		wantRho := 2 * wantEps * wantEps / 2
-		if math.Abs(tc.Rho-wantRho) > 1e-9 {
-			t.Errorf("rho = %g, want %g", tc.Rho, wantRho)
-		}
-	}
-	// CostOfResponse agrees with the ledger's accounting.
-	cost, ok, err := o.CostOfResponse(sv, Medium)
-	if err != nil || !ok {
-		t.Fatal(err)
-	}
-	if math.Abs(cost.Epsilon-lg.Spent().Epsilon) > 1e-9 {
-		t.Errorf("precomputed cost %g != ledger %g", cost.Epsilon, lg.Spent().Epsilon)
-	}
-}
-
-func TestNoiseKindString(t *testing.T) {
-	if NoiseGaussian.String() != "gaussian" || NoiseLaplace.String() != "laplace" {
-		t.Error("noise kind strings")
-	}
-	if NoiseKind(9).String() == "" {
-		t.Error("unknown noise kind string empty")
 	}
 }
 

@@ -71,15 +71,12 @@ func TestQuickLedgerMonotone(t *testing.T) {
 }
 
 // TestQuickCostMatchesLedger: the precomputed response cost equals what
-// a fresh ledger actually records, across random survey shapes, levels
-// and noise kinds.
+// a fresh ledger actually records, across random survey shapes and
+// levels.
 func TestQuickCostMatchesLedger(t *testing.T) {
 	err := quick.Check(func(seed uint64) bool {
 		g := rng.New(seed)
 		opts := DefaultOptions()
-		if g.Bernoulli(0.5) {
-			opts.Noise = NoiseLaplace
-		}
 		obf, err := NewObfuscator(DefaultSchedule(), opts)
 		if err != nil {
 			return false
@@ -109,8 +106,8 @@ func TestQuickCostMatchesLedger(t *testing.T) {
 	}
 }
 
-// TestQuickScheduleSigmaScaling: SigmaFor scales linearly with the
-// question's scale width for every level.
+// TestQuickScheduleSigmaScaling: a numeric question's σ scales linearly
+// with its scale width at every level, and its ρ does not move.
 func TestQuickScheduleSigmaScaling(t *testing.T) {
 	s := DefaultSchedule()
 	err := quick.Check(func(seed uint64) bool {
@@ -118,12 +115,17 @@ func TestQuickScheduleSigmaScaling(t *testing.T) {
 		w := float64(1 + g.Intn(50))
 		q := &survey.Question{ID: "q", Kind: survey.Numeric, ScaleMin: 0, ScaleMax: w}
 		for l := Low; l <= High; l++ {
-			want := s.Sigma[l] * w / ReferenceScaleWidth
-			if math.Abs(s.SigmaFor(q, l)-want) > 1e-12 {
+			m, err := s.Mechanism(q, l)
+			ref, refErr := s.ReferenceMechanism(l)
+			if err != nil || refErr != nil {
+				return false
+			}
+			if math.Abs(m.Gaussian.Sigma-s.Sigma[l]*w/ReferenceScaleWidth) > 1e-12 || m.Rho() != ref.Rho() {
 				return false
 			}
 		}
-		return s.SigmaFor(q, None) == 0
+		_, err := s.Mechanism(q, None)
+		return err != nil
 	}, &quick.Config{MaxCount: 200})
 	if err != nil {
 		t.Fatal(err)

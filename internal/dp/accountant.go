@@ -11,13 +11,15 @@ import (
 // Event is one recorded noisy release: which mechanism produced it and at
 // what cost. Exactly one of the cost representations is primary: Gaussian
 // releases carry Rho (zCDP) and a Sigma/Sensitivity pair; pure-ε releases
-// carry Epsilon.
+// carry Epsilon. Gaussian.Event and RandomizedResponse.Event build them.
 type Event struct {
-	// Mechanism is a short label ("gaussian", "laplace", "rr") for
-	// reporting; it does not affect accounting.
+	// Mechanism is a short label ("gaussian", "rr") for reporting; it
+	// does not affect accounting. Ledgers written before the Laplace
+	// option was removed may also hold "laplace" events, which carry a
+	// pure ε like "rr".
 	Mechanism string
-	// Epsilon is the pure-DP cost for Laplace/randomized-response events;
-	// zero for Gaussian events.
+	// Epsilon is the pure-DP cost for randomized-response (and legacy
+	// Laplace) events; zero for Gaussian events.
 	Epsilon float64
 	// Rho is the zCDP cost for Gaussian events; zero otherwise.
 	Rho float64
@@ -55,32 +57,6 @@ func (a *Accountant) Record(e Event) error {
 	defer a.mu.Unlock()
 	a.events = append(a.events, e)
 	return nil
-}
-
-// RecordGaussian records a Gaussian release with the given σ and
-// L2-sensitivity.
-func (a *Accountant) RecordGaussian(sigma, sensitivity float64, tag string) error {
-	if sigma <= 0 {
-		return fmt.Errorf("dp: gaussian event needs sigma > 0, got %g", sigma)
-	}
-	if sensitivity <= 0 {
-		return fmt.Errorf("dp: gaussian event needs sensitivity > 0, got %g", sensitivity)
-	}
-	return a.Record(Event{
-		Mechanism:   "gaussian",
-		Rho:         RhoFromSigma(sigma, sensitivity),
-		Sigma:       sigma,
-		Sensitivity: sensitivity,
-		Tag:         tag,
-	})
-}
-
-// RecordPure records a pure-ε release (Laplace or randomized response).
-func (a *Accountant) RecordPure(mechanism string, epsilon float64, tag string) error {
-	if epsilon <= 0 {
-		return fmt.Errorf("dp: pure event needs epsilon > 0, got %g", epsilon)
-	}
-	return a.Record(Event{Mechanism: mechanism, Epsilon: epsilon, Tag: tag})
 }
 
 // Len returns the number of recorded events.

@@ -7,6 +7,26 @@ import (
 	"testing"
 )
 
+// gaussianEvent is the event of one Gaussian release with σ and Δ.
+func gaussianEvent(t *testing.T, sigma, sensitivity float64, tag string) Event {
+	t.Helper()
+	g, err := NewGaussian(sigma, sensitivity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g.Event(tag)
+}
+
+// rrEvent is the event of one randomized-response release at ε.
+func rrEvent(t *testing.T, epsilon float64, tag string) Event {
+	t.Helper()
+	rr, err := NewRandomizedResponse(epsilon, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rr.Event(tag)
+}
+
 func TestAccountantRecordValidation(t *testing.T) {
 	a := NewAccountant()
 	if err := a.Record(Event{}); err == nil {
@@ -18,14 +38,11 @@ func TestAccountantRecordValidation(t *testing.T) {
 	if err := a.Record(Event{Rho: math.NaN()}); err == nil {
 		t.Error("NaN rho accepted")
 	}
-	if err := a.RecordGaussian(0, 1, "t"); err == nil {
-		t.Error("sigma 0 accepted")
+	if err := a.Record(Event{Mechanism: "gaussian", Sigma: 1, Sensitivity: 1, Tag: "t"}); err == nil {
+		t.Error("gaussian event without ρ accepted")
 	}
-	if err := a.RecordGaussian(1, 0, "t"); err == nil {
-		t.Error("sensitivity 0 accepted")
-	}
-	if err := a.RecordPure("laplace", 0, "t"); err == nil {
-		t.Error("pure epsilon 0 accepted")
+	if err := a.Record(Event{Mechanism: "rr", Epsilon: math.Inf(-1), Tag: "t"}); err == nil {
+		t.Error("pure epsilon -Inf accepted")
 	}
 	if a.Len() != 0 {
 		t.Fatalf("invalid events were recorded: len=%d", a.Len())
@@ -35,11 +52,11 @@ func TestAccountantRecordValidation(t *testing.T) {
 func TestAccountantTotals(t *testing.T) {
 	a := NewAccountant()
 	// Gaussian: ρ = 1/(2·4) = 0.125.
-	if err := a.RecordGaussian(2, 1, "survey:s1/question:q1"); err != nil {
+	if err := a.Record(gaussianEvent(t, 2, 1, "survey:s1/question:q1")); err != nil {
 		t.Fatal(err)
 	}
 	// Pure ε=1 → ρ = 0.5.
-	if err := a.RecordPure("rr", 1, "survey:s1/question:q2"); err != nil {
+	if err := a.Record(rrEvent(t, 1, "survey:s1/question:q2")); err != nil {
 		t.Fatal(err)
 	}
 	if got := a.TotalRho(); math.Abs(got-0.625) > 1e-12 {
@@ -72,7 +89,7 @@ func TestAccountantTotals(t *testing.T) {
 func TestAccountantBasicSplitsDelta(t *testing.T) {
 	a := NewAccountant()
 	for i := 0; i < 4; i++ {
-		if err := a.RecordGaussian(1, 1, "t"); err != nil {
+		if err := a.Record(gaussianEvent(t, 1, 1, "t")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -92,7 +109,7 @@ func TestAccountantBasicSplitsDelta(t *testing.T) {
 func TestAccountantZCDPTighterThanBasic(t *testing.T) {
 	a := NewAccountant()
 	for i := 0; i < 25; i++ {
-		if err := a.RecordGaussian(1, 1, "t"); err != nil {
+		if err := a.Record(gaussianEvent(t, 1, 1, "t")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -111,10 +128,10 @@ func TestAccountantByTag(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	mustRecord(a.RecordGaussian(1, 1, "survey:a/question:q1"))
-	mustRecord(a.RecordGaussian(1, 1, "survey:a/question:q2"))
-	mustRecord(a.RecordGaussian(1, 1, "survey:b/question:q1"))
-	mustRecord(a.RecordPure("rr", 1, "survey:b/question:q2"))
+	mustRecord(a.Record(gaussianEvent(t, 1, 1, "survey:a/question:q1")))
+	mustRecord(a.Record(gaussianEvent(t, 1, 1, "survey:a/question:q2")))
+	mustRecord(a.Record(gaussianEvent(t, 1, 1, "survey:b/question:q1")))
+	mustRecord(a.Record(rrEvent(t, 1, "survey:b/question:q2")))
 
 	tags := a.ByTag()
 	if len(tags) != 2 {
@@ -133,7 +150,7 @@ func TestAccountantByTag(t *testing.T) {
 
 func TestAccountantEventsCopyAndReset(t *testing.T) {
 	a := NewAccountant()
-	if err := a.RecordPure("rr", 1, "x"); err != nil {
+	if err := a.Record(rrEvent(t, 1, "x")); err != nil {
 		t.Fatal(err)
 	}
 	evs := a.Events()
@@ -149,13 +166,16 @@ func TestAccountantEventsCopyAndReset(t *testing.T) {
 
 func TestAccountantConcurrency(t *testing.T) {
 	a := NewAccountant()
+	ev := gaussianEvent(t, 1, 1, "")
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				if err := a.RecordGaussian(1, 1, fmt.Sprintf("survey:%d", g)); err != nil {
+				ev := ev
+				ev.Tag = fmt.Sprintf("survey:%d", g)
+				if err := a.Record(ev); err != nil {
 					t.Error(err)
 					return
 				}
@@ -169,5 +189,36 @@ func TestAccountantConcurrency(t *testing.T) {
 	}
 	if got := a.TotalRho(); math.Abs(got-400) > 1e-9 {
 		t.Fatalf("total rho = %g, want 400", got)
+	}
+}
+
+// TestAccountantBoundsExactGaussianComposition: k Gaussian releases of
+// sensitivity Δ at noise σ compose to exactly one Gaussian release of
+// sensitivity Δ√k at σ, so the exact (Balle–Wang) ε of that one release
+// at δ is the composition's true privacy loss. The accountant's zCDP
+// total must never claim less.
+func TestAccountantBoundsExactGaussianComposition(t *testing.T) {
+	const delta, sens = 1e-6, 4 // a 1..5 rating
+	for _, sigma := range []float64{0.5, 1, 2} {
+		ev := gaussianEvent(t, sigma, sens, "t")
+		for _, k := range []int{1, 2, 5, 20, 100} {
+			a := NewAccountant()
+			for i := 0; i < k; i++ {
+				if err := a.Record(ev); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, err := a.TotalZCDP(delta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			exact, err := EpsilonForSigma(sigma, delta, sens*math.Sqrt(float64(k)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Epsilon < exact {
+				t.Errorf("σ=%g k=%d: accountant ε %g below the exact composed ε %g", sigma, k, got.Epsilon, exact)
+			}
+		}
 	}
 }

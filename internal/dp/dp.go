@@ -1,18 +1,22 @@
 // Package dp implements the differential-privacy machinery behind Loki's
-// privacy accounting: the Laplace and Gaussian mechanisms, calibration of
-// noise to (ε, δ) targets, randomized response for countable domains,
-// zero-concentrated differential privacy (zCDP) accounting, and sequential
-// composition (basic, advanced, and zCDP).
+// privacy accounting: the two release mechanisms Loki uses — the
+// Gaussian mechanism for numeric answers and k-ary randomized response
+// for countable ones — each with its zCDP cost ρ and the accounting
+// event a ledger records, the exact (Balle–Wang) δ of a Gaussian
+// release, a zCDP accountant that composes events and converts the
+// total to (ε, δ), and advanced composition to compare it with.
 //
 // The CoNEXT'13 paper applies Gaussian noise at the user's device and
 // mentions a differential-privacy framework "not discussed in this paper"
 // for quantifying cumulative privacy loss. This package is that framework:
 // it maps each noisy release to a privacy cost and lets a ledger (see
-// internal/core) accumulate costs across surveys.
+// internal/core) accumulate costs across surveys. Which mechanism
+// releases a given answer, and with what σ or ε, is decided in one place:
+// core.(*Schedule).Mechanism.
 //
-// Conventions: ε > 0 and 0 < δ < 1 throughout. Sensitivity Δ is the L1
-// (Laplace) or L2 (Gaussian) distance between neighbouring inputs; for a
-// single bounded rating in [1, hi] the sensitivity is hi-1.
+// Conventions: ε > 0 and 0 < δ < 1 throughout. Sensitivity Δ is the L2
+// distance between neighbouring inputs; for a single bounded rating in
+// [1, hi] the sensitivity is hi-1.
 package dp
 
 import (
@@ -49,131 +53,50 @@ func (p Params) String() string {
 }
 
 // ---------------------------------------------------------------------------
-// Laplace mechanism
+// Gaussian mechanism
 
-// Laplace is the Laplace mechanism: adding Laplace(Δ/ε) noise to a query
-// with L1-sensitivity Δ yields ε-DP.
-type Laplace struct {
-	Epsilon     float64
+// Gaussian is the Gaussian mechanism: it adds N(0, σ²) noise to a value
+// whose neighbouring inputs differ by at most Sensitivity (the L2
+// sensitivity Δ). One release is ρ-zCDP with ρ = ½(Δ/σ)².
+type Gaussian struct {
+	Sigma       float64
 	Sensitivity float64
 }
 
-// NewLaplace returns a Laplace mechanism, validating its parameters.
-func NewLaplace(epsilon, sensitivity float64) (*Laplace, error) {
-	if epsilon <= 0 {
-		return nil, fmt.Errorf("dp: laplace epsilon must be positive, got %g", epsilon)
+// NewGaussian returns the Gaussian mechanism with noise σ for a value of
+// sensitivity Δ. Both must be positive, finite and normal floats (a
+// subnormal has lost the precision ρ is computed from), and ρ must come
+// out finite and positive.
+func NewGaussian(sigma, sensitivity float64) (Gaussian, error) {
+	if !isNormal(sigma) || !isNormal(sensitivity) {
+		return Gaussian{}, fmt.Errorf("dp: gaussian needs positive, finite, normal σ and Δ, got σ=%g Δ=%g", sigma, sensitivity)
 	}
-	if sensitivity <= 0 {
-		return nil, fmt.Errorf("dp: laplace sensitivity must be positive, got %g", sensitivity)
+	g := Gaussian{Sigma: sigma, Sensitivity: sensitivity}
+	if rho := g.Rho(); !isNormal(rho) {
+		return Gaussian{}, fmt.Errorf("dp: gaussian with σ=%g Δ=%g costs ρ=%g, not a finite positive cost", sigma, sensitivity, rho)
 	}
-	return &Laplace{Epsilon: epsilon, Sensitivity: sensitivity}, nil
+	return g, nil
 }
 
-// Scale returns the Laplace noise scale b = Δ/ε.
-func (l *Laplace) Scale() float64 { return l.Sensitivity / l.Epsilon }
-
-// Release returns value plus calibrated Laplace noise.
-func (l *Laplace) Release(value float64, r *rng.RNG) float64 {
-	return r.Laplace(value, l.Scale())
-}
-
-// Cost returns the privacy cost of one release.
-func (l *Laplace) Cost() Params { return Params{Epsilon: l.Epsilon} }
-
-// ---------------------------------------------------------------------------
-// Gaussian mechanism
-
-// Gaussian is the Gaussian mechanism with a fixed noise standard
-// deviation. Its privacy cost depends on the sensitivity of the released
-// value and the δ the analyst is willing to tolerate.
-type Gaussian struct {
-	Sigma float64
-}
-
-// NewGaussian returns a Gaussian mechanism with standard deviation sigma.
-func NewGaussian(sigma float64) (*Gaussian, error) {
-	if sigma <= 0 || math.IsNaN(sigma) || math.IsInf(sigma, 0) {
-		return nil, fmt.Errorf("dp: gaussian sigma must be positive and finite, got %g", sigma)
-	}
-	return &Gaussian{Sigma: sigma}, nil
-}
+// isNormal reports whether x is a positive, finite, normal float64.
+func isNormal(x float64) bool { return x >= 0x1p-1022 && x <= math.MaxFloat64 }
 
 // Release returns value plus N(0, σ²) noise.
-func (g *Gaussian) Release(value float64, r *rng.RNG) float64 {
+func (g Gaussian) Release(value float64, r *rng.RNG) float64 {
 	return r.Normal(value, g.Sigma)
 }
 
-// RhoZCDP returns the zCDP parameter ρ = Δ²/(2σ²) of one release with
-// L2-sensitivity delta.
-func (g *Gaussian) RhoZCDP(sensitivity float64) float64 {
-	return sensitivity * sensitivity / (2 * g.Sigma * g.Sigma)
+// Rho returns the zCDP cost ρ = ½(Δ/σ)² of one release. It is computed
+// from the ratio, so it stays finite however large Δ and σ are
+// themselves.
+func (g Gaussian) Rho() float64 {
+	ratio := g.Sensitivity / g.Sigma
+	return ratio * ratio / 2
 }
 
-// Cost returns the (ε, δ) cost of one release with the given
-// L2-sensitivity at the given δ, derived through zCDP conversion, which
-// is tighter than the classical formula and valid for all ε.
-func (g *Gaussian) Cost(sensitivity, delta float64) (Params, error) {
-	if sensitivity <= 0 {
-		return Params{}, fmt.Errorf("dp: sensitivity must be positive, got %g", sensitivity)
-	}
-	if delta <= 0 || delta >= 1 {
-		return Params{}, fmt.Errorf("dp: delta must be in (0, 1), got %g", delta)
-	}
-	rho := g.RhoZCDP(sensitivity)
-	return Params{Epsilon: EpsilonFromRho(rho, delta), Delta: delta}, nil
-}
-
-// SigmaForEpsilonDelta returns the classical calibration
-// σ = Δ·sqrt(2 ln(1.25/δ))/ε. It is only valid for ε ≤ 1 but is the
-// textbook formula, kept for comparison with AnalyticSigma.
-func SigmaForEpsilonDelta(epsilon, delta, sensitivity float64) (float64, error) {
-	if epsilon <= 0 {
-		return 0, fmt.Errorf("dp: epsilon must be positive, got %g", epsilon)
-	}
-	if delta <= 0 || delta >= 1 {
-		return 0, fmt.Errorf("dp: delta must be in (0, 1), got %g", delta)
-	}
-	if sensitivity <= 0 {
-		return 0, fmt.Errorf("dp: sensitivity must be positive, got %g", sensitivity)
-	}
-	return sensitivity * math.Sqrt(2*math.Log(1.25/delta)) / epsilon, nil
-}
-
-// AnalyticSigma returns the smallest σ such that the Gaussian mechanism
-// with L2-sensitivity Δ satisfies (ε, δ)-DP, computed with the analytic
-// Gaussian mechanism characterization of Balle and Wang (ICML 2018):
-//
-//	δ(ε, σ) = Φ(Δ/(2σ) − εσ/Δ) − e^ε · Φ(−Δ/(2σ) − εσ/Δ)
-//
-// solved for σ by bisection. It is valid for every ε > 0 and strictly
-// dominates the classical calibration.
-func AnalyticSigma(epsilon, delta, sensitivity float64) (float64, error) {
-	if epsilon <= 0 {
-		return 0, fmt.Errorf("dp: epsilon must be positive, got %g", epsilon)
-	}
-	if delta <= 0 || delta >= 1 {
-		return 0, fmt.Errorf("dp: delta must be in (0, 1), got %g", delta)
-	}
-	if sensitivity <= 0 {
-		return 0, fmt.Errorf("dp: sensitivity must be positive, got %g", sensitivity)
-	}
-	// δ(ε, σ) is strictly decreasing in σ; bracket then bisect.
-	lo, hi := 1e-10, 1.0
-	for GaussianDelta(epsilon, hi, sensitivity) > delta {
-		hi *= 2
-		if hi > 1e12 {
-			return 0, errors.New("dp: analytic sigma bracket failed")
-		}
-	}
-	for i := 0; i < 200; i++ {
-		mid := (lo + hi) / 2
-		if GaussianDelta(epsilon, mid, sensitivity) > delta {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return hi, nil
+// Event is one release's accounting record.
+func (g Gaussian) Event(tag string) Event {
+	return Event{Mechanism: "gaussian", Rho: g.Rho(), Sigma: g.Sigma, Sensitivity: g.Sensitivity, Tag: tag}
 }
 
 // GaussianDelta returns the exact δ achieved by the Gaussian mechanism
@@ -236,48 +159,41 @@ func EpsilonFromRho(rho, delta float64) float64 {
 	return rho + 2*math.Sqrt(rho*math.Log(1/delta))
 }
 
-// RhoFromSigma returns the zCDP cost ρ = Δ²/(2σ²) of a single Gaussian
-// release.
-func RhoFromSigma(sigma, sensitivity float64) float64 {
-	if sigma <= 0 {
-		return math.Inf(1)
-	}
-	return sensitivity * sensitivity / (2 * sigma * sigma)
-}
-
 // ---------------------------------------------------------------------------
 // Randomized response
 
 // RandomizedResponse is k-ary randomized response over a countable answer
 // domain of size K: the true answer is kept with probability
 // e^ε/(e^ε+K−1) and otherwise replaced by a uniformly random other
-// answer. One invocation is ε-DP. This is the paper's "the method extends
-// to any countable response set" mechanism for categorical questions.
+// answer. One invocation is ε-DP, so ρ = ε²/2. This is the paper's "the
+// method extends to any countable response set" mechanism for
+// categorical questions.
 type RandomizedResponse struct {
 	Epsilon float64
 	K       int
 }
 
 // NewRandomizedResponse validates and returns a k-ary randomized response
-// mechanism.
-func NewRandomizedResponse(epsilon float64, k int) (*RandomizedResponse, error) {
-	if epsilon <= 0 {
-		return nil, fmt.Errorf("dp: randomized response epsilon must be positive, got %g", epsilon)
+// mechanism: ε and its ρ must be positive and finite.
+func NewRandomizedResponse(epsilon float64, k int) (RandomizedResponse, error) {
+	rr := RandomizedResponse{Epsilon: epsilon, K: k}
+	if !(epsilon > 0) || !isNormal(rr.Rho()) {
+		return RandomizedResponse{}, fmt.Errorf("dp: randomized response ε must give a finite positive cost, got ε=%g", epsilon)
 	}
 	if k < 2 {
-		return nil, fmt.Errorf("dp: randomized response needs a domain of at least 2, got %d", k)
+		return RandomizedResponse{}, fmt.Errorf("dp: randomized response needs a domain of at least 2, got %d", k)
 	}
-	return &RandomizedResponse{Epsilon: epsilon, K: k}, nil
+	return rr, nil
 }
 
 // KeepProbability returns the probability of reporting the true answer.
-func (rr *RandomizedResponse) KeepProbability() float64 {
+func (rr RandomizedResponse) KeepProbability() float64 {
 	e := math.Exp(rr.Epsilon)
 	return e / (e + float64(rr.K) - 1)
 }
 
 // Release perturbs the true answer index (in [0, K)).
-func (rr *RandomizedResponse) Release(truth int, r *rng.RNG) (int, error) {
+func (rr RandomizedResponse) Release(truth int, r *rng.RNG) (int, error) {
 	if truth < 0 || truth >= rr.K {
 		return 0, fmt.Errorf("dp: randomized response answer %d outside domain [0, %d)", truth, rr.K)
 	}
@@ -292,14 +208,20 @@ func (rr *RandomizedResponse) Release(truth int, r *rng.RNG) (int, error) {
 	return other, nil
 }
 
-// Cost returns the privacy cost of one release.
-func (rr *RandomizedResponse) Cost() Params { return Params{Epsilon: rr.Epsilon} }
+// Rho returns the zCDP cost ε²/2 of one release.
+func (rr RandomizedResponse) Rho() float64 { return rr.Epsilon * rr.Epsilon / 2 }
+
+// Event is one release's accounting record. It carries the pure ε, which
+// the accountant converts to ρ = ε²/2.
+func (rr RandomizedResponse) Event(tag string) Event {
+	return Event{Mechanism: "rr", Epsilon: rr.Epsilon, Tag: tag}
+}
 
 // DebiasCounts converts observed randomized-response counts into unbiased
 // estimates of the true counts. counts must have length K. The estimates
 // may be negative for rare answers; callers that need a distribution
 // should clamp and renormalize.
-func (rr *RandomizedResponse) DebiasCounts(counts []int) ([]float64, error) {
+func (rr RandomizedResponse) DebiasCounts(counts []int) ([]float64, error) {
 	if len(counts) != rr.K {
 		return nil, fmt.Errorf("dp: DebiasCounts got %d counts for domain size %d", len(counts), rr.K)
 	}
@@ -323,17 +245,6 @@ func (rr *RandomizedResponse) DebiasCounts(counts []int) ([]float64, error) {
 // ---------------------------------------------------------------------------
 // Composition
 
-// ComposeBasic returns the basic sequential composition of the given
-// guarantees: epsilons and deltas add.
-func ComposeBasic(costs []Params) Params {
-	var out Params
-	for _, c := range costs {
-		out.Epsilon += c.Epsilon
-		out.Delta += c.Delta
-	}
-	return out
-}
-
 // ComposeAdvanced returns the advanced composition bound (Dwork, Rothblum,
 // Vadhan) for k releases each (ε, δ)-DP, with slack δ':
 //
@@ -354,14 +265,4 @@ func ComposeAdvanced(epsilon, delta float64, k int, deltaSlack float64) (Params,
 	kf := float64(k)
 	eps := epsilon*math.Sqrt(2*kf*math.Log(1/deltaSlack)) + kf*epsilon*(math.Exp(epsilon)-1)
 	return Params{Epsilon: eps, Delta: kf*delta + deltaSlack}, nil
-}
-
-// ComposeRho sums zCDP costs (zCDP composes additively) and converts the
-// total to (ε, δ) at the chosen δ.
-func ComposeRho(rhos []float64, delta float64) Params {
-	total := 0.0
-	for _, r := range rhos {
-		total += r
-	}
-	return Params{Epsilon: EpsilonFromRho(total, delta), Delta: delta}
 }

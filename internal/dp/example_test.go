@@ -19,26 +19,18 @@ func ExampleEpsilonForSigma() {
 	// σ=2.0 → ε=11.0
 }
 
-// ExampleAccountant shows cumulative zCDP accounting over mixed
+// ExampleAccountant shows cumulative zCDP accounting over both
 // mechanisms.
 func ExampleAccountant() {
 	acct := dp.NewAccountant()
-	_ = acct.RecordGaussian(2, 4, "survey:lectures/question:q1") // ρ = 16/8 = 2
-	_ = acct.RecordPure("rr", 1, "survey:lectures/question:q2")  // ρ = 0.5
+	g, _ := dp.NewGaussian(2, 4) // ρ = ½(4/2)² = 2
+	_ = acct.Record(g.Event("survey:lectures/question:q1"))
+	rr, _ := dp.NewRandomizedResponse(1, 3) // ρ = 1²/2 = 0.5
+	_ = acct.Record(rr.Event("survey:lectures/question:q2"))
 	fmt.Printf("events: %d, total ρ: %.1f\n", acct.Len(), acct.TotalRho())
 	total, _ := acct.TotalZCDP(1e-6)
 	fmt.Printf("cumulative: %v\n", total)
 	// Output:
 	// events: 2, total ρ: 2.5
 	// cumulative: (ε=14.25, δ=1e-06)-DP
-}
-
-// ExampleAmplifyBySampling shows privacy amplification when only a
-// tenth of the user base is invited to a survey.
-func ExampleAmplifyBySampling() {
-	base := dp.Params{Epsilon: 1, Delta: 1e-6}
-	amp, _ := dp.AmplifyBySampling(base, 0.1)
-	fmt.Printf("ε %.2f → %.2f at q=0.1\n", base.Epsilon, amp.Epsilon)
-	// Output:
-	// ε 1.00 → 0.16 at q=0.1
 }

@@ -126,11 +126,14 @@ func RunNoiseComparison(cfg NoiseComparisonConfig) (*NoiseComparisonResult, erro
 	if cfg.N < 1 || cfg.Trials < 1 {
 		return nil, fmt.Errorf("noise comparison: n=%d trials=%d must be positive", cfg.N, cfg.Trials)
 	}
-	const sensitivity = core.ReferenceScaleWidth
 	r := rng.New(cfg.Seed)
 	res := &NoiseComparisonResult{Config: cfg}
 	for _, lvl := range []core.Level{core.Low, core.Medium, core.High} {
-		sigma := cfg.Schedule.Sigma[lvl]
+		m, err := cfg.Schedule.ReferenceMechanism(lvl) // a 1..5 rating
+		if err != nil {
+			return nil, err
+		}
+		sigma, sensitivity := m.Gaussian.Sigma, m.Gaussian.Sensitivity
 		epsG, err := dp.EpsilonForSigma(sigma, cfg.Delta, sensitivity)
 		if err != nil {
 			return nil, err

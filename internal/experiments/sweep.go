@@ -230,11 +230,14 @@ func RunLedgerGrowth(cfg LedgerGrowthConfig) (*LedgerGrowthResult, error) {
 	if err := cfg.Schedule.Validate(); err != nil {
 		return nil, err
 	}
-	const sensitivity = core.ReferenceScaleWidth // 1..5 rating
 	res := &LedgerGrowthResult{Config: cfg}
 	for _, lvl := range []core.Level{core.Low, core.Medium, core.High} {
-		sigma := cfg.Schedule.Sigma[lvl]
-		rhoPerAnswer := dp.RhoFromSigma(sigma, sensitivity)
+		m, err := cfg.Schedule.ReferenceMechanism(lvl) // a 1..5 rating
+		if err != nil {
+			return nil, err
+		}
+		g := m.Gaussian
+		rhoPerAnswer := g.Rho()
 		for _, k := range cfg.Ks {
 			if k < 1 {
 				return nil, fmt.Errorf("ledger growth: k %d < 1", k)
@@ -247,7 +250,7 @@ func RunLedgerGrowth(cfg LedgerGrowthConfig) (*LedgerGrowthResult, error) {
 			// Advanced composition over per-release (ε₀, δ₀) with half
 			// the δ budget as slack.
 			delta0 := cfg.Delta / (2 * float64(releases))
-			eps0, err := dp.EpsilonForSigma(sigma, delta0, sensitivity)
+			eps0, err := dp.EpsilonForSigma(g.Sigma, delta0, g.Sensitivity)
 			if err != nil {
 				return nil, err
 			}

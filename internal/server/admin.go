@@ -461,9 +461,16 @@ type AccumulatorClearResult struct {
 // store; if the poisoned record is still there the poison returns,
 // which is the honest outcome (the record, not the accumulator, is the
 // problem — but after an offline store repair this endpoint is how the
-// server notices).
+// server notices). A frontend holds no accumulator of its own, only a
+// cache of the nodes' partials, so it refuses with a 409: the clear is
+// made on each node.
 func (s *Server) handleAccumulatorClear(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
+	if s.cache != nil {
+		writeError(w, http.StatusConflict, fmt.Sprintf(
+			"accumulators live on the nodes: a frontend holds none to clear; clear survey %q on each node's admin API", id))
+		return
+	}
 	if _, err := s.router.Survey(id); err != nil {
 		s.writeRefusal(w, surveyRefusal(err))
 		return

@@ -142,7 +142,7 @@ func (c *frontCache) entry(sv *survey.Survey, shards int) *cachedSurvey {
 	return cs
 }
 
-// drop discards a survey's entry (republish, admin accumulator clear).
+// drop discards a survey's entry (republish).
 func (c *frontCache) drop(surveyID string) {
 	c.mu.Lock()
 	delete(c.surveys, surveyID)
@@ -200,19 +200,24 @@ func (s *Server) cachedRemoteBody(sv *survey.Survey, shape readShape) ([]byte, e
 			return nil, err
 		}
 	}
-	return cs.bodyLocked(shape), nil
+	return cs.bodyLocked(shape)
 }
 
 // bodyLocked returns the shape's body for the entry's current estimate
 // and labels, rendering it if no read has since the last revalidation.
-// Caller holds cs.mu.
-func (cs *cachedSurvey) bodyLocked(shape readShape) []byte {
+// A failed rendering is not kept: every read of it fails the same way
+// until a revalidation brings an estimate that renders. Caller holds
+// cs.mu.
+func (cs *cachedSurvey) bodyLocked(shape readShape) ([]byte, error) {
 	if b := cs.bodies[shape]; b != nil {
-		return b
+		return b, nil
 	}
-	b := shape.render(cs.def, cs.est, cs.labelsLocked())
+	b, err := shape.render(cs.def, cs.est, cs.labelsLocked())
+	if err != nil {
+		return nil, err
+	}
 	cs.bodies[shape] = b
-	return b
+	return b, nil
 }
 
 // labelsLocked copies out the entry's degraded and stale shards for one

@@ -213,11 +213,15 @@ func cacheEntry(srv *Server, id string) *cachedSurvey {
 
 // freshBodies renders every read shape from the entry's current state,
 // and returns what the entry has memoized beside them.
-func freshBodies(cs *cachedSurvey) (fresh, memo [numReadShapes][]byte) {
+func freshBodies(t *testing.T, cs *cachedSurvey) (fresh, memo [numReadShapes][]byte) {
+	t.Helper()
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
 	for sh := range numReadShapes {
-		fresh[sh] = sh.render(cs.def, cs.est, cs.labelsLocked())
+		var err error
+		if fresh[sh], err = sh.render(cs.def, cs.est, cs.labelsLocked()); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return fresh, cs.bodies
 }
@@ -229,7 +233,7 @@ func freshBodies(cs *cachedSurvey) (fresh, memo [numReadShapes][]byte) {
 func memoCheck(t *testing.T, srv *Server, ts *httptest.Server, id, step string) *AggregateResult {
 	t.Helper()
 	if cs := cacheEntry(srv, id); cs != nil {
-		fresh, memo := freshBodies(cs)
+		fresh, memo := freshBodies(t, cs)
 		for sh := range numReadShapes {
 			if memo[sh] != nil && !bytes.Equal(memo[sh], fresh[sh]) {
 				t.Fatalf("%s: memoized %s body outlived its estimate\n--- memo ---\n%s--- fresh ---\n%s",
@@ -240,7 +244,7 @@ func memoCheck(t *testing.T, srv *Server, ts *httptest.Server, id, step string) 
 	var out AggregateResult
 	for sh := range numReadShapes {
 		r := readGet(t, ts.URL, id, readWireShapes[sh], testToken)
-		fresh, _ := freshBodies(cacheEntry(srv, id))
+		fresh, _ := freshBodies(t, cacheEntry(srv, id))
 		if r.status != http.StatusOK || !bytes.Equal(r.body, fresh[sh]) {
 			t.Fatalf("%s: %s read answered %d, not the fresh rendering\n%s--- fresh ---\n%s",
 				step, readWireShapes[sh], r.status, r.body, fresh[sh])

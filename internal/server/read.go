@@ -32,9 +32,11 @@ const (
 
 // render is the one rendering of a read body: the shape's wire value for
 // the survey's finalized estimate and the read's labels, as writeJSON
-// would send it. The local read path calls it on every read; a frontend
-// memoizes its output per cache entry (cachedSurvey.bodyLocked).
-func (sh readShape) render(sv *survey.Survey, fin *aggregate.SurveyEstimate, labels readLabels) []byte {
+// would send it. An estimate JSON cannot carry (an infinite variance) is
+// an error, which the read answers with a 500. The local read path calls
+// it on every read; a frontend memoizes its successful output per cache
+// entry (cachedSurvey.bodyLocked).
+func (sh readShape) render(sv *survey.Survey, fin *aggregate.SurveyEstimate, labels readLabels) ([]byte, error) {
 	if sh == qualityShape {
 		return encodeJSON(QualityResult{
 			SurveyID:             sv.ID,
@@ -100,7 +102,7 @@ func (s *Server) localBody(sv *survey.Survey, shape readShape) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return shape.render(sv, fin, readLabels{}), nil
+	return shape.render(sv, fin, readLabels{})
 }
 
 // errDeltaDone aborts a delta fold once it reaches the partial's

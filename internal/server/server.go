@@ -18,7 +18,7 @@
 //	GET  /api/v1/schedule                     public     the public noise schedule
 //	GET  /api/v1/admin/store                  requester  store/read-path stats
 //	GET  /api/v1/admin/budget/{worker}        cluster    one worker's ledger account
-//	POST /api/v1/admin/accumulator/{id}/clear cluster    drop a poisoned accumulator
+//	POST /api/v1/admin/accumulator/{id}/clear cluster    drop a poisoned accumulator (409 on a frontend)
 //	GET  /api/v1/admin/health                 public     per-shard roles, the failover probe
 //	POST /api/v1/admin/promote/{shard}        cluster    make a following shard primary
 //
@@ -489,20 +489,26 @@ func onlySpace(r io.Reader) bool {
 	}
 }
 
+// writeJSON sends v with the status, or a 500 refusal when v cannot be
+// encoded: a reply is never a success with an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	writeBody(w, status, encodeJSON(v))
+	body, err := encodeJSON(v)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
+	writeBody(w, status, body)
 }
 
 // encodeJSON renders v as json.Encoder.Encode would: json.Marshal (which
 // escapes HTML the same way) plus the trailing newline. A value that
-// cannot be encoded (a NaN) renders as nil, and the reply carries the
-// status with an empty body.
-func encodeJSON(v any) []byte {
+// cannot be encoded (a NaN or an infinity) is an error.
+func encodeJSON(v any) ([]byte, error) {
 	b, err := json.Marshal(v)
 	if err != nil {
-		return nil
+		return nil, fmt.Errorf("server: reply cannot be encoded: %w", err)
 	}
-	return append(b, '\n')
+	return append(b, '\n'), nil
 }
 
 // submitAck is the 201 single-submit reply, encodeJSON(SubmitResult{id,
@@ -511,7 +517,8 @@ func encodeJSON(v any) []byte {
 func submitAck(id string, stored int) []byte {
 	for i := 0; i < len(id); i++ {
 		if c := id[i]; c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			return encodeJSON(SubmitResult{SurveyID: id, Accepted: true, Stored: stored})
+			b, _ := encodeJSON(SubmitResult{SurveyID: id, Accepted: true, Stored: stored}) // strings and numbers always encode
+			return b
 		}
 	}
 	b := make([]byte, 0, len(id)+48)

@@ -417,7 +417,10 @@ func TestSingleJSONValue(t *testing.T) {
 func TestSubmitAck(t *testing.T) {
 	for _, id := range []string{"awareness", "bench-0003", "", "a b~\x7f", `q"uote`, `back\slash`, "<b>&", "tab\t", "é", "\u2028", "\xff"} {
 		for _, stored := range []int{0, 1, 12345, -1} {
-			want := encodeJSON(SubmitResult{SurveyID: id, Accepted: true, Stored: stored})
+			want, err := encodeJSON(SubmitResult{SurveyID: id, Accepted: true, Stored: stored})
+			if err != nil {
+				t.Fatal(err)
+			}
 			if got := submitAck(id, stored); !bytes.Equal(got, want) {
 				t.Errorf("submitAck(%q, %d) = %s, want %s", id, stored, got, want)
 			}

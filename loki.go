@@ -50,7 +50,7 @@ type (
 	Level = core.Level
 	// Schedule maps levels to noise magnitudes.
 	Schedule = core.Schedule
-	// Options tune obfuscation (clamping, rounding, ledger δ).
+	// Options tune obfuscation (the δ the ledger reports at).
 	Options = core.Options
 	// Obfuscator perturbs answers at source.
 	Obfuscator = core.Obfuscator
@@ -79,8 +79,7 @@ var (
 	DefaultSchedule = core.DefaultSchedule
 	// LinearSchedule is the alternative linear schedule.
 	LinearSchedule = core.LinearSchedule
-	// DefaultOptions returns unclamped, unrounded obfuscation with
-	// δ=1e-6.
+	// DefaultOptions returns obfuscation options with δ=1e-6.
 	DefaultOptions = core.DefaultOptions
 	// ParseLevel parses a level name.
 	ParseLevel = core.ParseLevel
